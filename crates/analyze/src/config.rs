@@ -201,6 +201,21 @@ pub const L011_SCOPE: Scope = Scope {
     ],
 };
 
+/// L012 wire-boundary: the product has one HTTP/1.1 codec and one client,
+/// `crates/serve/src/http.rs`; no other non-test code may spell the
+/// protocol version in a literal or open an outbound `TcpStream`. Scoped
+/// like L001 — everything, minus the one file that is the boundary — and
+/// minus `crates/benchmark/`, whose load driver is deliberately independent
+/// of the code it measures (and frozen: BENCHMARK.json lists its path).
+pub const L012_SCOPE: Scope = Scope {
+    include: &["crates/", "src/"],
+    exclude: &[
+        "crates/serve/src/http.rs",
+        "crates/benchmark/",
+        "crates/analyze/",
+    ],
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,6 +257,17 @@ mod tests {
         assert!(!L010_SCOPE.contains("crates/tensor/src/parallel_glue.rs"));
         assert!(L011_SCOPE.contains("crates/serve/src/shed.rs"));
         assert!(!L011_SCOPE.contains("crates/serve/src/metrics.rs"));
+        // The wire boundary: http.rs is the one hole in L012, and being the
+        // boundary buys it nothing else — its new client half answers to the
+        // panic-freedom and typed-error lints like the rest of serve.
+        assert!(!L012_SCOPE.contains("crates/serve/src/http.rs"));
+        assert!(L012_SCOPE.contains("crates/serve/src/server.rs"));
+        assert!(L012_SCOPE.contains("crates/cluster/src/client.rs"));
+        assert!(L012_SCOPE.contains("crates/loadgen/src/runner.rs"));
+        assert!(L012_SCOPE.contains("crates/cli/src/commands.rs"));
+        assert!(!L012_SCOPE.contains("crates/benchmark/src/load.rs"));
+        assert!(L002_SCOPE.contains("crates/serve/src/http.rs"));
+        assert!(L006_SCOPE.contains("crates/serve/src/http.rs"));
     }
 
     #[test]

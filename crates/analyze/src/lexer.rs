@@ -17,9 +17,10 @@ pub enum Tok {
     Lifetime(String),
     /// Numeric literal (`0`, `1.5e-3`, `0xff`, `1_000u64`, ...).
     Num(String),
-    /// Any string/char/byte-string literal; contents are irrelevant to the
-    /// lints, so they are collapsed to a single opaque token.
-    Str,
+    /// Any string/char/byte-string literal, as one token carrying its raw
+    /// source text (quotes, prefix and escapes included). Most lints only
+    /// need to step over it; L012 looks inside.
+    Str(String),
     /// Single punctuation character (`::` arrives as two `:` tokens).
     Punct(char),
 }
@@ -85,6 +86,11 @@ struct Cursor {
 impl Cursor {
     fn peek(&self, ahead: usize) -> Option<char> {
         self.chars.get(self.i + ahead).copied()
+    }
+
+    /// The literal token spanning `start..` up to the cursor.
+    fn str_from(&self, start: usize) -> Tok {
+        Tok::Str(self.chars[start..self.i].iter().collect())
     }
 
     fn bump(&mut self) -> Option<char> {
@@ -175,8 +181,15 @@ pub fn lex(source: &str) -> Lexed {
                 }
             }
             '"' => {
+                let start = cur.i;
                 lex_string(&mut cur);
-                push(&mut out, Tok::Str, line, col, &mut line_has_token);
+                push(
+                    &mut out,
+                    cur.str_from(start),
+                    line,
+                    col,
+                    &mut line_has_token,
+                );
             }
             '\'' => {
                 // Lifetime vs char literal.
@@ -207,6 +220,7 @@ pub fn lex(source: &str) -> Lexed {
                         &mut line_has_token,
                     );
                 } else {
+                    let start = cur.i;
                     cur.bump(); // '
                     if cur.peek(0) == Some('\\') {
                         cur.bump();
@@ -225,12 +239,25 @@ pub fn lex(source: &str) -> Lexed {
                     if cur.peek(0) == Some('\'') {
                         cur.bump();
                     }
-                    push(&mut out, Tok::Str, line, col, &mut line_has_token);
+                    push(
+                        &mut out,
+                        cur.str_from(start),
+                        line,
+                        col,
+                        &mut line_has_token,
+                    );
                 }
             }
             'r' | 'b' if starts_string_prefix(&cur) => {
+                let start = cur.i;
                 lex_prefixed_string(&mut cur);
-                push(&mut out, Tok::Str, line, col, &mut line_has_token);
+                push(
+                    &mut out,
+                    cur.str_from(start),
+                    line,
+                    col,
+                    &mut line_has_token,
+                );
             }
             _ if is_ident_start(c) => {
                 let mut name = String::new();

@@ -168,6 +168,15 @@ pub fn registry() -> &'static [LintDef] {
             pass: LintPass::PerFile(crate::concurrency::l011_atomic_ordering),
             scope: config::L011_SCOPE,
         },
+        LintDef {
+            id: "L012",
+            name: "wire-boundary",
+            invariant: "the HTTP version token and TcpStream::connect* only inside \
+                        crates/serve/src/http.rs",
+            origin: "PR 13 (one HTTP/1.1 codec and one client)",
+            pass: LintPass::PerFile(l012_wire_boundary),
+            scope: config::L012_SCOPE,
+        },
     ]
 }
 
@@ -273,6 +282,49 @@ fn l001_kernel_boundary(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                     format!("raw-pointer buffer access (`{name}`) outside the kernel boundary"),
                 ));
             }
+        }
+    }
+}
+
+// --------------------------------------------------------------------- L012
+
+/// A second HTTP implementation growing outside `crates/serve/src/http.rs`:
+/// a string literal that spells the protocol version (nobody writes
+/// `HTTP/1.` except to put a start line on the wire or to parse one), or an
+/// outbound `TcpStream::connect*`. Everything else speaks through
+/// `http::Client`, so head bounds, fail-closed framing and timeouts are
+/// decided once. Test code may do both — malformed and stalled input has to
+/// be written by hand.
+fn l012_wire_boundary(file: &SourceFile, out: &mut Vec<Diagnostic>) {
+    let ts = &file.tokens;
+    for i in 0..ts.len() {
+        if file.in_test_code(i) {
+            continue;
+        }
+        if matches!(&ts[i].tok, Tok::Str(text) if text.contains("HTTP/1.")) {
+            out.push(Diagnostic::new(
+                "L012",
+                file,
+                &ts[i],
+                "HTTP version token in a string literal outside crates/serve/src/http.rs — \
+                 write and parse messages through logcl_serve::http"
+                    .into(),
+            ));
+        }
+        if match_at(ts, i, &[Pat::I("TcpStream"), Pat::P(':'), Pat::P(':')])
+            && ts
+                .get(i + 3)
+                .and_then(|t| t.tok.ident())
+                .is_some_and(|name| name.starts_with("connect"))
+        {
+            out.push(Diagnostic::new(
+                "L012",
+                file,
+                &ts[i],
+                "outbound `TcpStream::connect*` outside crates/serve/src/http.rs — \
+                 go through logcl_serve::http::Client"
+                    .into(),
+            ));
         }
     }
 }
@@ -766,7 +818,7 @@ fn pub_fn_return_span(ts: &[Token], i: usize) -> Option<(usize, usize, &Token)> 
         .is_some_and(|t| matches!(t.tok.ident(), Some("const" | "async" | "unsafe" | "extern")))
     {
         j += 1;
-        if ts.get(j).is_some_and(|t| matches!(t.tok, Tok::Str)) {
+        if ts.get(j).is_some_and(|t| matches!(t.tok, Tok::Str(_))) {
             j += 1; // extern "C"
         }
     }

@@ -89,6 +89,11 @@ const FIXTURES: &[Fixture] = &[
         expected: include_str!("../fixtures/l011_atomic_ordering.expected"),
     },
     Fixture {
+        name: "l012_wire_boundary",
+        source: include_str!("../fixtures/l012_wire_boundary.rs"),
+        expected: include_str!("../fixtures/l012_wire_boundary.expected"),
+    },
+    Fixture {
         name: "l000_allows",
         source: include_str!("../fixtures/l000_allows.rs"),
         expected: include_str!("../fixtures/l000_allows.expected"),

@@ -172,6 +172,37 @@ fn suppressed_violation_passes_but_unused_allow_fails() {
 }
 
 #[test]
+fn a_second_http_client_fails_the_gate_everywhere_but_the_wire_module() {
+    const HAND_ROLLED: &str = "pub fn ping(addr: &str) -> bool {\n    \
+        std::net::TcpStream::connect(addr).is_ok_and(|mut s| {\n        \
+        std::io::Write::write_all(&mut s, b\"GET / HTTP/1.1\\r\\n\\r\\n\").is_ok()\n    })\n}\n";
+    let root = ws("gate_wire_boundary");
+    fs::create_dir_all(root.join("crates/loadgen/src")).expect("mkdir loadgen");
+    fs::create_dir_all(root.join("crates/serve/src")).expect("mkdir serve");
+
+    // In any product crate — linted by nothing else or by everything — the
+    // connect and the version literal are each an L012 violation…
+    fs::write(root.join("crates/loadgen/src/probe.rs"), HAND_ROLLED).expect("write probe");
+    let out = check(&root, &[]);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+    let text = stdout(&out);
+    assert!(
+        text.contains("crates/loadgen/src/probe.rs:2:15 L012"),
+        "{text}"
+    );
+    assert!(
+        text.contains("crates/loadgen/src/probe.rs:3:43 L012"),
+        "{text}"
+    );
+
+    // …and the same bytes are fine in the one file that is the boundary.
+    fs::remove_file(root.join("crates/loadgen/src/probe.rs")).expect("rm probe");
+    fs::write(root.join("crates/serve/src/http.rs"), HAND_ROLLED).expect("write http");
+    let out = check(&root, &[]);
+    assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
+}
+
+#[test]
 fn the_committed_workspace_passes_its_own_gate() {
     // The real repo (two directories up from this crate) must be clean
     // against its committed baseline — the same invariant CI enforces.

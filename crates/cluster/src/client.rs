@@ -1,16 +1,17 @@
-//! A minimal one-shot HTTP/1.1 client for router → worker hops.
+//! The router's side of a router → worker hop: what the shared
+//! [`logcl_serve::http::Client`] cannot know. Every call carries an absolute
+//! deadline, and connect, read and write timeouts are all derived from the
+//! remaining budget so a hop can never outlive its request; every failure is
+//! sorted into the retry-accounting taxonomy.
 //!
 //! Deliberately connection-per-request: the router's failure domain is the
 //! *request*, and a fresh connection per attempt means a half-dead kept-
-//! alive socket can never poison a later request. Every call carries an
-//! absolute deadline; connect, read, and write timeouts are all derived
-//! from the remaining budget so a hop can never outlive its request.
+//! alive socket can never poison a later request.
 
-use std::io::{Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use logcl_serve::deadline::remaining_budget;
+use logcl_serve::http::{Client, ClientError, HttpError, Reply};
 
 /// Why an outbound hop failed — the retry-accounting taxonomy
 /// (`logcl_router_retries_total{reason=...}`).
@@ -22,7 +23,8 @@ pub enum FailReason {
     Timeout,
     /// The worker answered a retryable HTTP status (5xx).
     Http,
-    /// The exchange died mid-flight (reset, truncated response, bad frame).
+    /// The exchange died mid-flight (reset, truncated or unframeable
+    /// response).
     Io,
 }
 
@@ -47,36 +49,24 @@ pub struct HopError {
     pub detail: String,
 }
 
-/// A parsed worker response.
-#[derive(Debug)]
-pub struct WireResponse {
-    /// HTTP status code.
-    pub status: u16,
-    /// Response headers, lower-cased names.
-    pub headers: Vec<(String, String)>,
-    /// Response body.
-    pub body: Vec<u8>,
-}
-
-impl WireResponse {
-    /// Case-insensitive header lookup.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+impl HopError {
+    fn timeout(detail: &str) -> Self {
+        HopError {
+            reason: FailReason::Timeout,
+            detail: detail.into(),
+        }
     }
-}
 
-fn io_kind_error(e: &std::io::Error, what: &str) -> HopError {
-    let reason = match e.kind() {
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => FailReason::Timeout,
-        _ => FailReason::Io,
-    };
-    HopError {
-        reason,
-        detail: format!("{what}: {e}"),
+    fn from_client(addr: &str, e: &ClientError) -> Self {
+        let reason = match e {
+            ClientError::Connect(_) => FailReason::Connect,
+            ClientError::Exchange(HttpError::ReadTimeout) => FailReason::Timeout,
+            ClientError::Exchange(_) => FailReason::Io,
+        };
+        HopError {
+            reason,
+            detail: format!("{addr}: {e}"),
+        }
     }
 }
 
@@ -89,207 +79,84 @@ pub fn request(
     addr: &str,
     method: &str,
     path: &str,
-    headers: &[(&str, String)],
+    headers: &[(&str, &str)],
     body: &[u8],
     deadline: Instant,
     connect_timeout: Duration,
-) -> Result<WireResponse, HopError> {
-    let now = Instant::now();
-    let budget = remaining_budget(deadline, now);
-    if budget.is_zero() {
-        return Err(HopError {
-            reason: FailReason::Timeout,
-            detail: "deadline exhausted before connect".into(),
-        });
-    }
-    // Resolve and connect within min(connect budget, remaining budget).
-    let sock_addr = addr
-        .to_socket_addrs()
-        .map_err(|e| HopError {
-            reason: FailReason::Connect,
-            detail: format!("resolve {addr}: {e}"),
-        })?
-        .next()
-        .ok_or_else(|| HopError {
-            reason: FailReason::Connect,
-            detail: format!("resolve {addr}: no addresses"),
-        })?;
-    let stream = TcpStream::connect_timeout(
-        &sock_addr,
-        connect_timeout.min(budget).max(
-            // connect_timeout(0) is an invalid argument, not an instant failure
-            Duration::from_millis(1),
-        ),
-    )
-    .map_err(|e| HopError {
-        reason: FailReason::Connect,
-        detail: format!("connect {addr}: {e}"),
-    })?;
-    write_then_read(stream, addr, method, path, headers, body, deadline)
-}
-
-fn write_then_read(
-    mut stream: TcpStream,
-    addr: &str,
-    method: &str,
-    path: &str,
-    headers: &[(&str, String)],
-    body: &[u8],
-    deadline: Instant,
-) -> Result<WireResponse, HopError> {
+) -> Result<Reply, HopError> {
     let budget = remaining_budget(deadline, Instant::now());
     if budget.is_zero() {
-        return Err(HopError {
-            reason: FailReason::Timeout,
-            detail: "deadline exhausted after connect".into(),
-        });
+        return Err(HopError::timeout("deadline exhausted before connect"));
     }
-    let _ = stream.set_nodelay(true);
-    stream
-        .set_write_timeout(Some(budget))
-        .map_err(|e| io_kind_error(&e, "set_write_timeout"))?;
-    stream
-        .set_read_timeout(Some(budget))
-        .map_err(|e| io_kind_error(&e, "set_read_timeout"))?;
-
-    let mut head = format!("{method} {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n");
-    for (name, value) in headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+    // Resolve and connect within min(connect budget, remaining budget);
+    // connect_timeout(0) is an invalid argument, not an instant failure.
+    let handshake = connect_timeout.min(budget).max(Duration::from_millis(1));
+    let fail = |e: ClientError| HopError::from_client(addr, &e);
+    let mut client = Client::new(addr, handshake).map_err(fail)?;
+    client.connect().map_err(fail)?;
+    let budget = remaining_budget(deadline, Instant::now());
+    if budget.is_zero() {
+        return Err(HopError::timeout("deadline exhausted after connect"));
     }
-    if !body.is_empty() || method == "POST" {
-        head.push_str("Content-Type: application/json\r\n");
-    }
-    head.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
-    stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(body))
-        .map_err(|e| io_kind_error(&e, "write request"))?;
-
-    read_response(&mut stream)
-}
-
-/// Reads one `Connection: close` response: head until the blank line, body
-/// until `Content-Length` is satisfied (or EOF when absent).
-fn read_response(stream: &mut TcpStream) -> Result<WireResponse, HopError> {
-    let mut buf = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 4096];
-    let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
-            break pos;
-        }
-        if buf.len() > 64 * 1024 {
-            return Err(HopError {
-                reason: FailReason::Io,
-                detail: "response head exceeds 64KiB".into(),
-            });
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                return Err(HopError {
-                    reason: FailReason::Io,
-                    detail: "connection closed before response head".into(),
-                })
-            }
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) => return Err(io_kind_error(&e, "read response head")),
-        }
-    };
-
-    let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().unwrap_or_default();
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| HopError {
-            reason: FailReason::Io,
-            detail: format!("malformed status line {status_line:?}"),
-        })?;
-    let mut headers = Vec::new();
-    let mut content_length: Option<usize> = None;
-    for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim().to_ascii_lowercase();
-            let value = value.trim().to_string();
-            if name == "content-length" {
-                content_length = value.parse().ok();
-            }
-            headers.push((name, value));
-        }
-    }
-
-    let mut body = buf[head_end + 4..].to_vec();
-    match content_length {
-        Some(len) => {
-            while body.len() < len {
-                match stream.read(&mut chunk) {
-                    Ok(0) => {
-                        return Err(HopError {
-                            reason: FailReason::Io,
-                            detail: format!("body truncated at {} of {len} bytes", body.len()),
-                        })
-                    }
-                    Ok(n) => body.extend_from_slice(&chunk[..n]),
-                    Err(e) => return Err(io_kind_error(&e, "read response body")),
-                }
-            }
-            body.truncate(len);
-        }
-        None => {
-            // No Content-Length on a close-delimited response: read to EOF.
-            loop {
-                match stream.read(&mut chunk) {
-                    Ok(0) => break,
-                    Ok(n) => body.extend_from_slice(&chunk[..n]),
-                    Err(e) => return Err(io_kind_error(&e, "read response body")),
-                }
-            }
-        }
-    }
-
-    if status >= 500 {
+    client.set_io_timeout(budget);
+    let reply = client.send(method, path, headers, body).map_err(fail)?;
+    if reply.status >= 500 {
         return Err(HopError {
             reason: FailReason::Http,
-            detail: format!(
-                "worker answered {status}: {}",
-                String::from_utf8_lossy(&body)
-            ),
+            detail: format!("worker answered {}: {}", reply.status, reply.text()),
         });
     }
-    Ok(WireResponse {
-        status,
-        headers,
-        body,
-    })
-}
-
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+    Ok(reply)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
+    use std::net::TcpListener;
+
+    use logcl_serve::http::{read_request, write_response, Request, Response, MAX_HEAD_BYTES};
+
+    /// A scripted worker: accepts one connection, reads the request, writes
+    /// `reply` verbatim and hangs up. Joins to the request it was sent.
+    fn scripted_worker(reply: Vec<u8>) -> (String, std::thread::JoinHandle<Request>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let worker = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let req = read_request(&mut s).unwrap();
+            s.write_all(&reply).unwrap();
+            req
+        });
+        (addr, worker)
+    }
+
+    fn served(resp: &Response) -> Vec<u8> {
+        let mut wire = Vec::new();
+        write_response(&mut wire, resp, false).unwrap();
+        wire
+    }
+
+    fn hop(addr: &str, method: &str, path: &str, body: &[u8]) -> Result<Reply, HopError> {
+        request(
+            addr,
+            method,
+            path,
+            &[("X-LogCL-Deadline-Ms", "100")],
+            body,
+            Instant::now() + Duration::from_secs(2),
+            Duration::from_millis(500),
+        )
+    }
 
     #[test]
     fn refused_connection_classifies_as_connect() {
         // Port 1 on localhost is essentially never listening.
-        let err = request(
-            "127.0.0.1:1",
-            "GET",
-            "/healthz",
-            &[],
-            b"",
-            Instant::now() + Duration::from_millis(500),
-            Duration::from_millis(200),
-        )
-        .unwrap_err();
+        let err = hop("127.0.0.1:1", "GET", "/healthz", b"").unwrap_err();
         assert_eq!(err.reason, FailReason::Connect);
         assert_eq!(err.reason.name(), "connect");
+        let err = hop("not an address", "GET", "/healthz", b"").unwrap_err();
+        assert_eq!(err.reason, FailReason::Connect);
     }
 
     #[test]
@@ -308,62 +175,100 @@ mod tests {
     }
 
     #[test]
-    fn parses_a_served_response_end_to_end() {
-        use std::net::TcpListener;
+    fn a_quiet_worker_times_out_within_the_deadline() {
+        // Accepts (the listener's backlog does) and never answers.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().unwrap();
-            let mut sink = [0u8; 4096];
-            let _ = s.read(&mut sink);
-            let body = br#"{"ok":true}"#;
-            let head = format!(
-                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nX-Test: yes\r\nContent-Length: {}\r\n\r\n",
-                body.len()
-            );
-            s.write_all(head.as_bytes()).unwrap();
-            s.write_all(body).unwrap();
-        });
-        let resp = request(
-            &addr.to_string(),
-            "POST",
-            "/predict",
-            &[("X-LogCL-Deadline-Ms", "100".into())],
-            br#"{"subject":0}"#,
-            Instant::now() + Duration::from_secs(2),
-            Duration::from_millis(500),
-        )
-        .unwrap();
-        server.join().unwrap();
-        assert_eq!(resp.status, 200);
-        assert_eq!(resp.header("x-test"), Some("yes"));
-        assert_eq!(resp.body, br#"{"ok":true}"#);
-    }
-
-    #[test]
-    fn five_hundreds_classify_as_retryable_http() {
-        use std::net::TcpListener;
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().unwrap();
-            let mut sink = [0u8; 4096];
-            let _ = s.read(&mut sink);
-            s.write_all(b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\n\r\n")
-                .unwrap();
-        });
+        let started = Instant::now();
         let err = request(
-            &addr.to_string(),
+            &listener.local_addr().unwrap().to_string(),
             "GET",
             "/healthz",
             &[],
             b"",
-            Instant::now() + Duration::from_secs(2),
+            started + Duration::from_millis(80),
             Duration::from_millis(500),
         )
         .unwrap_err();
-        server.join().unwrap();
+        assert_eq!(err.reason, FailReason::Timeout, "{}", err.detail);
+        assert!(started.elapsed() < Duration::from_secs(2));
+    }
+
+    #[test]
+    fn parses_a_served_response_end_to_end() {
+        let resp = Response::json(200, r#"{"ok":true}"#.into()).with_header("X-Test", "yes");
+        let (addr, worker) = scripted_worker(served(&resp));
+        let reply = hop(&addr, "POST", "/predict", br#"{"subject":0}"#).unwrap();
+        assert_eq!(reply.status, 200);
+        assert_eq!(reply.header("x-test"), Some("yes"));
+        assert_eq!(reply.body, br#"{"ok":true}"#);
+        let sent = worker.join().unwrap();
+        assert_eq!(
+            (sent.method.as_str(), sent.path.as_str()),
+            ("POST", "/predict")
+        );
+        assert_eq!(sent.header("x-logcl-deadline-ms"), Some("100"));
+        assert_eq!(sent.body, br#"{"subject":0}"#);
+        assert!(!sent.keep_alive, "one connection per hop");
+    }
+
+    #[test]
+    fn statuses_below_500_are_answers_and_5xx_is_retryable_http() {
+        let (addr, worker) = scripted_worker(served(&Response::json(404, "{}".into())));
+        assert_eq!(hop(&addr, "GET", "/nope", b"").unwrap().status, 404);
+        worker.join().unwrap();
+        let (addr, worker) = scripted_worker(served(&Response::json(503, "{}".into())));
+        let err = hop(&addr, "GET", "/healthz", b"").unwrap_err();
+        worker.join().unwrap();
         assert_eq!(err.reason, FailReason::Http);
         assert!(err.detail.contains("503"), "{}", err.detail);
+    }
+
+    /// A worker reply the codec cannot frame is a typed `Io` failure (retried
+    /// or degraded like any other), never "read to EOF and hope". The bytes
+    /// are hand-written because each reply is malformed on purpose; before
+    /// the router shared the server's reader, every one but the truncated
+    /// body came back `Ok`.
+    #[test]
+    fn unframeable_replies_fail_closed_as_io() {
+        let long_head = format!(
+            "HTTP/1.1 200 OK\r\nX-Pad: {}\r\nContent-Length: 2\r\n\r\n{{}}",
+            "a".repeat(MAX_HEAD_BYTES)
+        );
+        let cases: [(&str, &[u8]); 6] = [
+            (
+                "malformed Content-Length",
+                b"HTTP/1.1 200 OK\r\nContent-Length: 2x\r\nConnection: close\r\n\r\n{}",
+            ),
+            (
+                "duplicated Content-Length",
+                b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}",
+            ),
+            (
+                "non-UTF-8 head",
+                b"HTTP/1.1 200 OK\r\nX-Bad: \xff\r\nContent-Length: 2\r\n\r\n{}",
+            ),
+            ("head over the cap", long_head.as_bytes()),
+            (
+                "body shorter than declared",
+                b"HTTP/1.1 200 OK\r\nContent-Length: 20\r\n\r\n{}",
+            ),
+            (
+                "no length on a connection the worker keeps open",
+                b"HTTP/1.1 200 OK\r\nConnection: keep-alive\r\n\r\n{}",
+            ),
+        ];
+        for (name, reply) in cases {
+            let (addr, worker) = scripted_worker(reply.to_vec());
+            let err = hop(&addr, "GET", "/healthz", b"").unwrap_err();
+            worker.join().unwrap();
+            assert_eq!(err.reason, FailReason::Io, "{name}: {}", err.detail);
+        }
+        // The legal length-less form — the worker says it is closing, and
+        // does — still parses (by hand too: `write_response` always declares
+        // a length).
+        let (addr, worker) =
+            scripted_worker(b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n{}".to_vec());
+        assert_eq!(hop(&addr, "GET", "/healthz", b"").unwrap().body, b"{}");
+        worker.join().unwrap();
     }
 }

@@ -14,6 +14,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use logcl_tensor::rng::splitmix64;
+
 /// Audited boundaries where a router fault can fire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPoint {
@@ -95,14 +97,6 @@ pub fn fired(point: FaultPoint) -> u64 {
     counter(point).load(Ordering::Acquire)
 }
 
-/// SplitMix64 — the same deterministic mixer as `logcl_serve::fault`.
-fn mix(seed: u64, n: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15_u64.wrapping_mul(n.wrapping_add(1)));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Whether an outbound connect to `shard` should fail as refused.
 pub fn connect_refused(shard: usize) -> bool {
     with_plan(|p| {
@@ -124,7 +118,7 @@ pub fn shard_stall(shard: usize, n: u64) -> Option<Duration> {
         }
         let base = p.stall?;
         counter(FaultPoint::ShardStall).fetch_add(1, Ordering::AcqRel);
-        let factor = 1 + (mix(p.seed, n) % 3) as u32;
+        let factor = 1 + (splitmix64(p.seed, n) % 3) as u32;
         Some(base * factor)
     })
 }

@@ -33,7 +33,7 @@ pub mod merge;
 pub mod metrics;
 pub mod router;
 
-pub use client::{FailReason, HopError, WireResponse};
+pub use client::{FailReason, HopError};
 pub use config::{parse_shards, ClusterError, RouterConfig};
 pub use health::{WorkerHealth, WorkerState};
 pub use merge::{

@@ -23,74 +23,28 @@
 
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use logcl_serve::deadline::{expired, remaining_budget, remaining_ms};
-use logcl_serve::http::{read_request_limited, write_response, HttpError, Request, Response};
-use logcl_serve::StartError;
+use logcl_serve::deadline::{self, expired, remaining_budget, remaining_ms, DEADLINE_HEADER};
+use logcl_serve::http::{
+    read_request_limited, write_response, HttpError, Reply, Request, Response,
+};
+use logcl_serve::{ShutdownState, StartError};
+use logcl_tensor::rng::splitmix64;
 use serde_json::{json, Value};
 
-use crate::client::{self, FailReason, HopError, WireResponse};
+use crate::client::{self, FailReason, HopError};
 use crate::config::RouterConfig;
 use crate::health::{WorkerHealth, WorkerState};
 use crate::merge::{self, ShardReply};
 use crate::metrics::RouterMetrics;
 
-/// A shutdown latch (mirrors `logcl_serve::server::ShutdownState`, whose
-/// constructor is private): poison-tolerant, idempotent, waitable with a
-/// timeout so the prober can double as the shutdown watcher.
-struct Latch {
-    raised: AtomicBool,
-    lock: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Latch {
-    fn new() -> Self {
-        Self {
-            raised: AtomicBool::new(false),
-            lock: Mutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn trigger(&self) {
-        self.raised.store(true, Ordering::SeqCst);
-        *self.lock.lock().unwrap_or_else(|e| e.into_inner()) = true;
-        self.cv.notify_all();
-    }
-
-    fn is_triggered(&self) -> bool {
-        self.raised.load(Ordering::SeqCst)
-    }
-
-    fn wait(&self) {
-        let mut raised = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-        while !*raised {
-            raised = self.cv.wait(raised).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Waits up to `timeout`; returns whether the latch is raised.
-    fn wait_timeout(&self, timeout: Duration) -> bool {
-        let raised = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-        if *raised {
-            return true;
-        }
-        let (raised, _) = self
-            .cv
-            .wait_timeout(raised, timeout)
-            .unwrap_or_else(|e| e.into_inner());
-        *raised
-    }
-}
-
 /// Cloneable handle for initiating router shutdown from another thread.
 #[derive(Clone)]
-pub struct RouterShutdownHandle(Arc<Latch>);
+pub struct RouterShutdownHandle(Arc<ShutdownState>);
 
 impl RouterShutdownHandle {
     /// Begins graceful shutdown.
@@ -109,7 +63,7 @@ struct RouterCtx {
     cfg: RouterConfig,
     shards: Vec<Vec<Replica>>,
     metrics: RouterMetrics,
-    shutdown: Arc<Latch>,
+    shutdown: Arc<ShutdownState>,
     active: AtomicUsize,
     /// Monotone counter minting unique ingest ids.
     ingest_seq: AtomicU64,
@@ -175,7 +129,7 @@ impl Router {
         let ctx = Arc::new(RouterCtx {
             metrics: RouterMetrics::new(shards.len()),
             shards,
-            shutdown: Arc::new(Latch::new()),
+            shutdown: Arc::new(ShutdownState::new()),
             active: AtomicUsize::new(0),
             ingest_seq: AtomicU64::new(0),
             attempt_seq: AtomicU64::new(0),
@@ -394,18 +348,18 @@ fn attempt_once(
     replica: &Replica,
     method: &str,
     path: &str,
-    extra: &[(&str, String)],
+    extra: &[(&str, &str)],
     body: &[u8],
     deadline: Instant,
     attempt_no: u64,
-) -> Result<WireResponse, HopError> {
+) -> Result<Reply, HopError> {
     if let Some(err) = injected_hop_fault(ctx, shard, attempt_no, deadline) {
         replica.health.note_failure(ctx.cfg.down_after);
         return Err(err);
     }
-    let mut headers: Vec<(&str, String)> = extra.to_vec();
-    let ms = remaining_ms(deadline, Instant::now());
-    headers.push(("X-LogCL-Deadline-Ms", ms.to_string()));
+    let ms = remaining_ms(deadline, Instant::now()).to_string();
+    let mut headers = extra.to_vec();
+    headers.push((DEADLINE_HEADER, &ms));
     let hop_start = Instant::now();
     match client::request(
         &replica.addr,
@@ -428,15 +382,6 @@ fn attempt_once(
     }
 }
 
-/// SplitMix64 (same mixer as the fault plans) for deterministic jitter and
-/// minted ingest ids.
-fn mix(seed: u64, n: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15_u64.wrapping_mul(n.wrapping_add(1)));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Jittered exponential backoff before retry `attempt + 1`, bounded by the
 /// remaining deadline: sleeps in `[base·2ᵃ/2, base·2ᵃ)`, the jitter drawn
 /// deterministically from the router seed.
@@ -447,7 +392,7 @@ fn backoff(ctx: &RouterCtx, attempt: usize, deadline: Instant) {
         .saturating_mul(1u32 << attempt.min(6) as u32);
     let half = exp / 2;
     let n = ctx.attempt_seq.fetch_add(1, Ordering::AcqRel);
-    let jitter_permille = mix(ctx.cfg.seed, n) % 1000;
+    let jitter_permille = splitmix64(ctx.cfg.seed, n) % 1000;
     let jitter =
         Duration::from_nanos((half.as_nanos() as u64).saturating_mul(jitter_permille) / 1000);
     let sleep = (half + jitter).min(remaining_budget(deadline, Instant::now()));
@@ -473,11 +418,11 @@ fn call_shard(
     ctx: &Arc<RouterCtx>,
     shard: usize,
     path: &str,
-    extra: &[(&str, String)],
+    extra: &[(&str, &str)],
     body: &[u8],
     deadline: Instant,
     hedge: bool,
-) -> Result<WireResponse, HopError> {
+) -> Result<Reply, HopError> {
     let group = &ctx.shards[shard];
     let order = replica_order(group);
     let all_down = group.iter().all(|r| r.health.state() == WorkerState::Down);
@@ -546,10 +491,10 @@ fn hedged_attempt(
     path: &str,
     body: &[u8],
     deadline: Instant,
-) -> Result<WireResponse, HopError> {
+) -> Result<Reply, HopError> {
     let hedge_after = ctx.cfg.hedge_after.unwrap_or_default();
     let (tx, rx) = mpsc::channel();
-    let launch = |replica_idx: usize, tx: mpsc::Sender<Result<WireResponse, HopError>>| {
+    let launch = |replica_idx: usize, tx: mpsc::Sender<Result<Reply, HopError>>| {
         let ctx = Arc::clone(ctx);
         let path = path.to_string();
         let body = body.to_vec();
@@ -702,21 +647,12 @@ fn healthz(ctx: &RouterCtx) -> Response {
 /// Parses the client's deadline header into an absolute deadline (clamped
 /// to the router ceiling) and sheds already-expired requests with 504.
 fn admit_deadline(ctx: &RouterCtx, req: &Request, started: Instant) -> Result<Instant, Response> {
-    let budget = match req.header("x-logcl-deadline-ms") {
-        Some(raw) => {
-            let ms: u64 = raw.trim().parse().map_err(|_| {
-                Response::json(
-                    400,
-                    json!({
-                        "error": format!("invalid X-LogCL-Deadline-Ms value {raw:?} (want milliseconds)")
-                    })
-                    .to_string(),
-                )
-            })?;
-            Duration::from_millis(ms).min(ctx.cfg.max_deadline)
-        }
-        None => ctx.cfg.default_deadline,
-    };
+    let budget = deadline::from_header(
+        req.header(DEADLINE_HEADER),
+        ctx.cfg.default_deadline,
+        ctx.cfg.max_deadline,
+    )
+    .map_err(|e| Response::json(400, json!({ "error": e.to_string() }).to_string()))?;
     let deadline = started + budget;
     if expired(deadline, Instant::now()) {
         ctx.metrics.shed_deadline.fetch_add(1, Ordering::Relaxed);
@@ -768,7 +704,7 @@ fn predict(ctx: &Arc<RouterCtx>, req: &Request, started: Instant) -> Response {
     // Gather until every shard reported or the deadline passed; stragglers
     // simply don't make it into the answer (partial-result degradation).
     let mut replies: Vec<ShardReply> = Vec::with_capacity(total);
-    let mut fatal: Option<WireResponse> = None;
+    let mut fatal: Option<Reply> = None;
     let mut heard = 0usize;
     while heard < total {
         let wait = remaining_budget(deadline, Instant::now()).max(Duration::from_millis(1));
@@ -796,7 +732,7 @@ fn predict(ctx: &Arc<RouterCtx>, req: &Request, started: Instant) -> Response {
 
     if replies.is_empty() {
         if let Some(f) = fatal {
-            return Response::json(f.status, String::from_utf8_lossy(&f.body).into_owned());
+            return Response::json(f.status, f.text());
         }
         return Response::json(
             503,
@@ -882,7 +818,7 @@ fn ingest(ctx: &Arc<RouterCtx>, req: &Request, started: Instant) -> Response {
                 "router-{}-{}-{:08x}",
                 ctx.pid,
                 seq,
-                mix(ctx.cfg.seed ^ u64::from(ctx.pid), seq) as u32
+                splitmix64(ctx.cfg.seed ^ u64::from(ctx.pid), seq) as u32
             )
         }
     };
@@ -909,7 +845,7 @@ fn ingest(ctx: &Arc<RouterCtx>, req: &Request, started: Instant) -> Response {
     let mut acked = 0usize;
     let mut appended: u64 = 0;
     let mut all_deduplicated = true;
-    let mut fatal: Option<WireResponse> = None;
+    let mut fatal: Option<Reply> = None;
     let mut heard = 0usize;
     while heard < total {
         let wait = remaining_budget(deadline, Instant::now()).max(Duration::from_millis(1));
@@ -942,8 +878,7 @@ fn ingest(ctx: &Arc<RouterCtx>, req: &Request, started: Instant) -> Response {
     if let Some(f) = fatal {
         // A worker rejected the request itself (bad fact, out-of-range id):
         // forward its verdict; a retry with the same payload cannot succeed.
-        return Response::json(f.status, String::from_utf8_lossy(&f.body).into_owned())
-            .with_header("X-LogCL-Ingest-Id", ingest_id);
+        return Response::json(f.status, f.text()).with_header("X-LogCL-Ingest-Id", ingest_id);
     }
     if acked == total {
         Response::json(
@@ -985,9 +920,9 @@ fn call_worker_ingest(
     ingest_id: &str,
     body: &[u8],
     deadline: Instant,
-) -> Result<WireResponse, HopError> {
+) -> Result<Reply, HopError> {
     let replica = &ctx.shards[shard][replica_idx];
-    let extra = [("X-LogCL-Ingest-Id", ingest_id.to_string())];
+    let extra = [("X-LogCL-Ingest-Id", ingest_id)];
     let mut last: Option<HopError> = None;
     for attempt in 0..=(ctx.cfg.retries as usize) {
         if expired(deadline, Instant::now()) {
@@ -1035,9 +970,9 @@ mod tests {
         }
     }
 
-    /// Raw HTTP exchange that hands back 5xx responses as answers (the
-    /// production [`client::request`] maps them to retryable errors).
-    fn roundtrip(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> WireResponse {
+    /// One exchange with the router; 5xx responses come back as answers (it
+    /// is [`client::request`] that maps them to retryable errors).
+    fn roundtrip(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> Reply {
         roundtrip_with(addr, method, path, &[], body)
     }
 
@@ -1045,40 +980,12 @@ mod tests {
         addr: SocketAddr,
         method: &str,
         path: &str,
-        extra: &[(&str, String)],
+        extra: &[(&str, &str)],
         body: &[u8],
-    ) -> WireResponse {
-        use std::io::{Read, Write};
-        let mut stream = TcpStream::connect(addr).expect("connect router");
-        let mut head = format!("{method} {path} HTTP/1.1\r\nHost: router\r\nConnection: close\r\n");
-        for (name, value) in extra {
-            head.push_str(&format!("{name}: {value}\r\n"));
-        }
-        head.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
-        stream.write_all(head.as_bytes()).unwrap();
-        stream.write_all(body).unwrap();
-        let mut raw = Vec::new();
-        stream.read_to_end(&mut raw).expect("read response");
-        let head_end = raw
-            .windows(4)
-            .position(|w| w == b"\r\n\r\n")
-            .expect("response head");
-        let head = String::from_utf8_lossy(&raw[..head_end]).into_owned();
-        let mut lines = head.split("\r\n");
-        let status: u16 = lines
-            .next()
-            .and_then(|l| l.split_whitespace().nth(1))
-            .and_then(|s| s.parse().ok())
-            .expect("status line");
-        let headers = lines
-            .filter_map(|l| l.split_once(':'))
-            .map(|(n, v)| (n.trim().to_ascii_lowercase(), v.trim().to_string()))
-            .collect();
-        WireResponse {
-            status,
-            headers,
-            body: raw[head_end + 4..].to_vec(),
-        }
+    ) -> Reply {
+        logcl_serve::http::Client::new(addr, Duration::from_secs(30))
+            .and_then(|mut client| client.send(method, path, extra, body))
+            .expect("exchange with the router")
     }
 
     #[test]
@@ -1152,7 +1059,7 @@ mod tests {
             router.addr(),
             "POST",
             "/predict",
-            &[("X-LogCL-Deadline-Ms", "0".into())],
+            &[("X-LogCL-Deadline-Ms", "0")],
             br#"{"subject": 0}"#,
         );
         assert_eq!(resp.status, 504);

@@ -6,14 +6,13 @@
 //! afflicted shard back to Up.
 #![cfg(feature = "fault-inject")]
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use logcl_cluster::fault::{clear, fired, install, FaultPlan, FaultPoint};
 use logcl_cluster::{Router, RouterConfig, WorkerState};
 use logcl_core::{LogClConfig, ShardSpec};
+use logcl_serve::http::Client;
 use logcl_serve::{ModelSpec, ServeConfig, Server};
 use logcl_tkg::{SyntheticPreset, TkgDataset};
 use serde_json::Value;
@@ -84,44 +83,17 @@ fn request_full(
     path: &str,
     body: &str,
 ) -> (u16, Vec<(String, String)>, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .unwrap();
-    let req = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(req.as_bytes()).expect("write request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let text = String::from_utf8(raw).expect("UTF-8 response");
-    let status: u16 = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("malformed response: {text:?}"));
-    let (head, body) = text
-        .split_once("\r\n\r\n")
-        .map(|(h, b)| (h.to_string(), b.to_string()))
-        .unwrap_or_default();
-    let headers = head
-        .lines()
-        .skip(1)
-        .filter_map(|line| {
-            let (name, value) = line.split_once(':')?;
-            Some((name.trim().to_ascii_lowercase(), value.trim().to_string()))
-        })
-        .collect();
-    (status, headers, body)
+    let reply = Client::new(addr, Duration::from_secs(120))
+        .and_then(|mut client| client.send(method, path, &[], body.as_bytes()))
+        .expect("exchange");
+    let body = reply.text();
+    (reply.status, reply.headers, body)
 }
 
 fn header_of<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    let want = name.to_ascii_lowercase();
     headers
         .iter()
-        .find(|(n, _)| *n == want)
+        .find(|(n, _)| n.eq_ignore_ascii_case(name))
         .map(|(_, v)| v.as_str())
 }
 

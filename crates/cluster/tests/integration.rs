@@ -3,13 +3,12 @@
 //! double-send-across-a-worker-restart case), partial-result degradation
 //! when a shard dies, recovery back to full coverage, and metrics.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use logcl_cluster::{Router, RouterConfig, WorkerState};
 use logcl_core::{LogClConfig, ShardSpec};
+use logcl_serve::http::Client;
 use logcl_serve::{ModelSpec, ServeConfig, Server};
 use logcl_tkg::{SyntheticPreset, TkgDataset};
 use serde_json::Value;
@@ -74,8 +73,8 @@ fn router_over(workers: &[&Server]) -> Router {
     Router::start(cfg).expect("router must start")
 }
 
-/// Raw HTTP client that returns ANY status (the production outbound client
-/// maps 5xx to errors by design, so tests cannot reuse it).
+/// One request on its own connection; any status is an answer here (it is
+/// the router's hop client that maps 5xx to retryable errors).
 fn request_full(
     addr: std::net::SocketAddr,
     method: &str,
@@ -83,41 +82,11 @@ fn request_full(
     body: &str,
     extra_headers: &[(&str, &str)],
 ) -> (u16, Vec<(String, String)>, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .unwrap();
-    let extra: String = extra_headers
-        .iter()
-        .map(|(name, value)| format!("{name}: {value}\r\n"))
-        .collect();
-    let req = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\n{extra}Connection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(req.as_bytes()).expect("write request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let text = String::from_utf8(raw).expect("UTF-8 response");
-    let status: u16 = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("malformed response: {text:?}"));
-    let (head, body) = text
-        .split_once("\r\n\r\n")
-        .map(|(h, b)| (h.to_string(), b.to_string()))
-        .unwrap_or_default();
-    let headers = head
-        .lines()
-        .skip(1)
-        .filter_map(|line| {
-            let (name, value) = line.split_once(':')?;
-            Some((name.trim().to_ascii_lowercase(), value.trim().to_string()))
-        })
-        .collect();
-    (status, headers, body)
+    let reply = Client::new(addr, Duration::from_secs(120))
+        .and_then(|mut client| client.send(method, path, extra_headers, body.as_bytes()))
+        .expect("exchange");
+    let body = reply.text();
+    (reply.status, reply.headers, body)
 }
 
 fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
@@ -126,10 +95,9 @@ fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> 
 }
 
 fn header_of<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    let want = name.to_ascii_lowercase();
     headers
         .iter()
-        .find(|(n, _)| *n == want)
+        .find(|(n, _)| n.eq_ignore_ascii_case(name))
         .map(|(_, v)| v.as_str())
 }
 

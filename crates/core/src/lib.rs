@@ -35,7 +35,8 @@ pub use diagnostics::{evaluate_detailed, DetailedReport};
 pub use local_encoder::{EncoderState, EncoderStateRecord};
 pub use model::LogCl;
 pub use predict::{
-    predict_topk, predict_topk_stream, topk_from_scores, validate_query, PredictError, Prediction,
+    predict_topk, predict_topk_stream, topk_from_scores, topk_in_range, validate_query,
+    PredictError, Prediction,
 };
 pub use serving_snapshot::{DedupEntry, ModelParamSnapshot, ServingSnapshot};
 pub use shard::{

@@ -217,34 +217,6 @@ impl LogCl {
         self.forward_queries_impl(shared, history, queries, training, false, None)
     }
 
-    /// [`LogCl::forward_queries`] restricted to the candidate entities in
-    /// `[lo, hi)`: the candidate matrix is row-sliced *before* the Eq. 18
-    /// scoring matmul, so a worker owning one entity shard computes only
-    /// its share of the decoder's work. Each logit's reduction runs over
-    /// the embedding dimension alone, so column `j` of the result is
-    /// bit-identical to column `lo + j` of the unsharded logits. The range
-    /// must be non-empty and within `|E|`.
-    pub fn forward_queries_sharded(
-        &mut self,
-        shared: &SharedEncoding,
-        history: &HistoryIndex,
-        queries: &[Quad],
-        entity_range: (usize, usize),
-    ) -> ForwardOutput {
-        self.forward_queries_impl(shared, history, queries, false, false, Some(entity_range))
-    }
-
-    /// The brownout (local-only) form of [`LogCl::forward_queries_sharded`].
-    pub fn forward_queries_local_only_sharded(
-        &mut self,
-        shared: &SharedEncoding,
-        history: &HistoryIndex,
-        queries: &[Quad],
-        entity_range: (usize, usize),
-    ) -> ForwardOutput {
-        self.forward_queries_impl(shared, history, queries, false, true, Some(entity_range))
-    }
-
     /// [`LogCl::forward_queries`] with the global two-hop encoder skipped:
     /// the decoder input falls back to the pure local representation (the
     /// λ-mixture of Eq. 19 collapses to its local term) and the candidate
@@ -260,6 +232,35 @@ impl LogCl {
         queries: &[Quad],
     ) -> ForwardOutput {
         self.forward_queries_impl(shared, history, queries, false, true, None)
+    }
+
+    /// The serving entry point both of the above are instances of:
+    /// evaluation-mode scoring, with or without the global encoder
+    /// (`skip_global`, as in [`LogCl::forward_queries_local_only`]),
+    /// restricted to the candidate entities in `[lo, hi)`. The candidate
+    /// matrix is row-sliced *before* the Eq. 18 scoring matmul, so a worker
+    /// owning one entity shard computes only its share of the decoder's
+    /// work; each logit's reduction runs over the embedding dimension
+    /// alone, so column `j` of the result is bit-identical to column
+    /// `lo + j` of the full logits. The full range `(0, |E|)` scores against
+    /// the candidate matrix as is — an unsharded node is shard 0 of 1 and
+    /// pays for no copy. The range must be non-empty and within `|E|`.
+    pub fn forward_queries_in_range(
+        &mut self,
+        shared: &SharedEncoding,
+        history: &HistoryIndex,
+        queries: &[Quad],
+        skip_global: bool,
+        entity_range: (usize, usize),
+    ) -> ForwardOutput {
+        self.forward_queries_impl(
+            shared,
+            history,
+            queries,
+            false,
+            skip_global,
+            Some(entity_range),
+        )
     }
 
     fn forward_queries_impl(
@@ -337,11 +338,11 @@ impl LogCl {
         // dimension, so shard-local columns match the unsharded ones
         // bit-for-bit while the compute shrinks to the shard's share.
         let candidates = match entity_range {
-            Some((lo, hi)) => {
+            Some((lo, hi)) if (lo, hi) != (0, candidates.shape()[0]) => {
                 let ids: Vec<usize> = (lo..hi).collect();
                 candidates.gather_rows(&ids)
             }
-            None => candidates,
+            _ => candidates,
         };
         let decoded = self.decoder.decode(&h_q, &r_dec, training, &mut self.rng);
         let logits = self.decoder.score_all(&decoded, &candidates);

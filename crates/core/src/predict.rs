@@ -5,6 +5,7 @@ use logcl_tkg::{HistoryIndex, TkgDataset};
 
 use crate::api::{EvalContext, TkgModel};
 use crate::model::LogCl;
+use crate::shard::{shard_topk, SoftmaxStat};
 
 /// One ranked prediction.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,32 +98,35 @@ pub fn validate_query(ds: &TkgDataset, s: usize, r: usize, t: usize) -> Result<(
 
 /// Turns one `|E|`-long score vector into named top-`k` predictions with
 /// softmax probabilities. Shared by [`predict_topk`] and the serving layer
-/// so batched responses are bit-identical to single-query ones.
+/// so batched responses are bit-identical to single-query ones: a single
+/// node is shard 0 of 1, so this is [`topk_in_range`] over the whole
+/// vocabulary — one comparator and one softmax for every path.
 pub fn topk_from_scores(ds: &TkgDataset, scores: &[f32], k: usize) -> Vec<Prediction> {
-    let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = scores.iter().map(|&x| (x - max).exp()).collect();
-    let z: f32 = exps.iter().sum();
+    topk_in_range(ds, scores, 0, k).0
+}
 
-    // Ranking order: score descending, entity id ascending on ties — the
-    // explicit form of what the stable sort already guaranteed, and the
-    // contract the sharded scatter-gather merge replicates bit-for-bit
-    // (see `crate::shard::rank_order`).
-    let mut idx: Vec<usize> = (0..scores.len()).collect();
-    idx.sort_by(|&a, &b| {
-        scores[b]
-            .partial_cmp(&scores[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.cmp(&b))
-    });
-    idx.truncate(k);
-    idx.into_iter()
-        .map(|e| Prediction {
-            entity: e,
-            name: ds.entity_name(e),
-            probability: exps[e] / z,
-            score: scores[e],
+/// Named top-`k` of the score slice of one contiguous entity range
+/// (`scores[i]` is the logit of entity `lo + i`), ranked by
+/// [`crate::shard::rank_order`], with softmax probabilities over that range
+/// and the [`SoftmaxStat`] they came from — what a scatter-gather merger
+/// needs to recombine probabilities over the union of ranges.
+pub fn topk_in_range(
+    ds: &TkgDataset,
+    scores: &[f32],
+    lo: usize,
+    k: usize,
+) -> (Vec<Prediction>, SoftmaxStat) {
+    let stat = SoftmaxStat::from_scores(scores);
+    let predictions = shard_topk(scores, lo, k)
+        .into_iter()
+        .map(|c| Prediction {
+            entity: c.entity,
+            name: ds.entity_name(c.entity),
+            probability: stat.probability(c.score),
+            score: c.score,
         })
-        .collect()
+        .collect();
+    (predictions, stat)
 }
 
 /// Asks `model` the query `(s, r, ?, t)` and returns the top-`k` candidate

@@ -6,7 +6,9 @@
 //! companion property checks that `SoftmaxStat::combine` recovers the
 //! single-node softmax probabilities to float tolerance.
 
-use logcl_core::{merge_topk, shard_topk, topk_from_scores, ScoredEntity, ShardSpec, SoftmaxStat};
+use logcl_core::{
+    merge_topk, shard_topk, topk_from_scores, topk_in_range, ScoredEntity, ShardSpec, SoftmaxStat,
+};
 use logcl_tkg::TkgDataset;
 use proptest::prelude::*;
 
@@ -117,6 +119,43 @@ proptest! {
         let scores: Vec<f32> = raw.iter().map(|&v| v as f32 * 0.375).collect();
         let n = scores.len() + extra;
         assert_bit_identical(&scores, n, k)?;
+    }
+
+    /// An unsharded node is shard 0 of 1: `topk_from_scores` and the reply a
+    /// `--shard 0/1` worker builds agree bit for bit — entity order, raw
+    /// score, AND probability (one range, so one summation order) — and
+    /// both agree with the obvious reference, a full stable sort plus a
+    /// full softmax, which is how `topk_from_scores` was written before it
+    /// shared the shard path's comparator and softmax.
+    #[test]
+    fn unsharded_topk_is_the_shard_zero_of_one_reply(
+        raw in proptest::collection::vec(0usize..12, 1..60),
+        k in 1usize..32,
+    ) {
+        // A 12-value palette: plenty of exact ties, several distinct exps.
+        let scores: Vec<f32> = raw.iter().map(|&v| v as f32 * 0.625 - 3.0).collect();
+        let ds = tiny_dataset(scores.len());
+        let single = topk_from_scores(&ds, &scores, k);
+        let (lo, hi) = ShardSpec::new(0, 1).unwrap().range(scores.len());
+        let (shard, stat) = topk_in_range(&ds, &scores[lo..hi], lo, k);
+
+        let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let exps: Vec<f32> = scores.iter().map(|&x| (x - max).exp()).collect();
+        let z: f32 = exps.iter().sum();
+        let mut order: Vec<usize> = (0..scores.len()).collect();
+        order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap());
+        order.truncate(k);
+
+        prop_assert_eq!(single.len(), order.len());
+        prop_assert_eq!(&single, &shard);
+        prop_assert_eq!(stat.max.to_bits(), max.to_bits());
+        prop_assert_eq!(stat.sum_exp.to_bits(), z.to_bits());
+        for (p, &e) in single.iter().zip(&order) {
+            prop_assert_eq!(p.entity, e);
+            prop_assert_eq!(&p.name, &format!("e{e}"));
+            prop_assert_eq!(p.score.to_bits(), scores[e].to_bits());
+            prop_assert_eq!(p.probability.to_bits(), (exps[e] / z).to_bits());
+        }
     }
 
     /// Softmax partials: combining per-shard `(max, Σ exp)` statistics

@@ -4,9 +4,10 @@
 //! request's offset and handing the rendered request to a worker pool — it
 //! never waits for a response, so a slow server cannot throttle the offered
 //! load (the coordinated-omission trap). Each worker holds one persistent
-//! HTTP/1.1 keep-alive connection and reuses it across requests
+//! keep-alive [`Client`] and reuses its connection across requests
 //! (reconnecting lazily when the server closes it), matching how real
-//! clients amortise connection setup; the reuse rate is reported.
+//! clients amortise connection setup; the reuse rate is reported. The wire
+//! is `logcl_serve::http`'s; this module only schedules and classifies.
 //!
 //! Two latencies are recorded per good response:
 //!
@@ -16,11 +17,12 @@
 //! - **service** (`service_latency`): actual send → response read.
 
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+use logcl_serve::deadline::DEADLINE_HEADER;
+use logcl_serve::http::{Client, ClientError, Reply};
 
 use crate::hist::LogHistogram;
 use crate::schedule::{Op, PlannedRequest};
@@ -223,28 +225,25 @@ fn render(op: &Op, cfg: &RunConfig) -> (&'static str, String, Option<u64>) {
 
 /// Replays `schedule` against `cfg.addr` and aggregates the results.
 pub fn run(schedule: &[PlannedRequest], cfg: &RunConfig) -> Result<RunStats, LoadgenError> {
-    let addr = resolve(&cfg.addr)?;
     let clock = Clock::start();
     let (job_tx, job_rx) = mpsc::channel::<Job>();
     let (sample_tx, sample_rx) = mpsc::channel::<Sample>();
     let job_rx = Arc::new(Mutex::new(job_rx));
-    let io_timeout = cfg.io_timeout;
 
     let mut workers = Vec::new();
     for _ in 0..cfg.workers.max(1) {
         let rx = Arc::clone(&job_rx);
         let tx = sample_tx.clone();
-        workers.push(std::thread::spawn(move || {
-            // One persistent keep-alive connection per worker, reconnected
-            // lazily when the server closes it.
-            let mut conn = Conn::new(addr, io_timeout);
-            loop {
-                let job = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
-                let Ok(job) = job else { break };
-                let sample = execute(&mut conn, &job, clock);
-                if tx.send(sample).is_err() {
-                    break;
-                }
+        // One persistent keep-alive connection per worker, reconnected
+        // lazily when the server closes it. Built here, not on the worker,
+        // so an unresolvable address fails the run before any traffic.
+        let mut conn = client(&cfg.addr, cfg.io_timeout)?.keep_alive();
+        workers.push(std::thread::spawn(move || loop {
+            let job = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
+            let Ok(job) = job else { break };
+            let sample = execute(&mut conn, &job, clock);
+            if tx.send(sample).is_err() {
+                break;
             }
         }));
     }
@@ -284,7 +283,7 @@ pub fn http_get(
     path: &str,
     io_timeout: Duration,
 ) -> Result<(u16, String), LoadgenError> {
-    one_shot("GET", addr, path, "", io_timeout)
+    exchange("GET", addr, path, "", io_timeout)
 }
 
 /// One `Connection: close` POST with a JSON body. Used by the freshness
@@ -296,275 +295,87 @@ pub fn http_post(
     body: &str,
     io_timeout: Duration,
 ) -> Result<(u16, String), LoadgenError> {
-    one_shot("POST", addr, path, body, io_timeout)
+    exchange("POST", addr, path, body, io_timeout)
 }
 
-fn one_shot(
+fn exchange(
     method: &str,
     addr: &str,
     path: &str,
     body: &str,
     io_timeout: Duration,
 ) -> Result<(u16, String), LoadgenError> {
-    let sock = resolve(addr)?;
-    let ctx = || format!("{method} {path} against {addr}");
-    let mut stream =
-        TcpStream::connect_timeout(&sock, io_timeout).map_err(|e| LoadgenError::io(ctx(), e))?;
-    stream
-        .set_read_timeout(Some(io_timeout))
-        .map_err(|e| LoadgenError::io(ctx(), e))?;
-    let req = format!(
-        "{method} {path} HTTP/1.1\r\nHost: loadgen\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream
-        .write_all(req.as_bytes())
-        .map_err(|e| LoadgenError::io(ctx(), e))?;
-    let mut buf = Vec::new();
-    stream
-        .read_to_end(&mut buf)
-        .map_err(|e| LoadgenError::io(ctx(), e))?;
-    let text = String::from_utf8(buf)
-        .map_err(|_| LoadgenError::Config(format!("{}: non-UTF-8 response", ctx())))?;
-    let head_end = text
-        .find("\r\n\r\n")
-        .ok_or_else(|| LoadgenError::Config(format!("{}: malformed response", ctx())))?;
-    let status: u16 = text[..head_end]
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| LoadgenError::Config(format!("{}: missing status line", ctx())))?;
-    Ok((status, text[head_end + 4..].to_string()))
+    let reply = client(addr, io_timeout)?
+        .send(method, path, &[], body.as_bytes())
+        .map_err(|e| client_error(format!("{method} {path} against {addr}"), e))?;
+    Ok((reply.status, reply.text()))
 }
 
-fn resolve(addr: &str) -> Result<SocketAddr, LoadgenError> {
-    addr.to_socket_addrs()
-        .map_err(|e| LoadgenError::io(format!("resolving {addr}"), e))?
-        .next()
-        .ok_or_else(|| LoadgenError::Config(format!("{addr} resolved to no addresses")))
+fn client(addr: &str, io_timeout: Duration) -> Result<Client, LoadgenError> {
+    Client::new(addr, io_timeout).map_err(|e| client_error(format!("resolving {addr}"), e))
+}
+
+fn client_error(context: String, e: ClientError) -> LoadgenError {
+    LoadgenError::io(context, std::io::Error::other(e))
 }
 
 /// Issues one request and classifies the response; never fails — transport
 /// errors become [`OutcomeKind::Transport`] samples.
-fn execute(conn: &mut Conn, job: &Job, clock: Clock) -> Sample {
+fn execute(conn: &mut Client, job: &Job, clock: Clock) -> Sample {
     let sent_micros = clock.elapsed_micros();
-    let (parsed, reused_connection) = conn.roundtrip(job);
+    let deadline = job.deadline_ms.map(|d| d.to_string());
+    let headers: Vec<(&str, &str)> = deadline
+        .iter()
+        .map(|d| (DEADLINE_HEADER, d.as_str()))
+        .collect();
+    let reply = conn.send("POST", job.path, &headers, job.body.as_bytes());
     let done_micros = clock.elapsed_micros();
-    match parsed {
-        Ok(resp) => {
-            let kind = match resp.status {
-                200 if resp.degraded => OutcomeKind::Degraded,
-                200 => OutcomeKind::Ok,
-                503 => OutcomeKind::Shed,
-                504 => OutcomeKind::DeadlineExpired,
-                _ => OutcomeKind::HttpError,
-            };
-            let retry_after_missing = matches!(resp.status, 503 | 504) && !resp.retry_after_present;
-            Sample {
-                scheduled_micros: job.scheduled_micros,
-                sent_micros,
-                done_micros,
-                kind,
-                tier: resp.tier,
-                retry_after_missing,
-                reused_connection,
-            }
-        }
-        Err(_) => Sample {
-            scheduled_micros: job.scheduled_micros,
-            sent_micros,
-            done_micros,
-            kind: OutcomeKind::Transport,
-            tier: None,
-            retry_after_missing: false,
-            reused_connection,
-        },
-    }
-}
-
-struct RawResponse {
-    status: u16,
-    degraded: bool,
-    tier: Option<String>,
-    retry_after_present: bool,
-    connection_close: bool,
-}
-
-/// A worker's persistent keep-alive connection, reconnected lazily.
-struct Conn {
-    addr: SocketAddr,
-    io_timeout: Duration,
-    stream: Option<TcpStream>,
-}
-
-impl Conn {
-    fn new(addr: SocketAddr, io_timeout: Duration) -> Self {
-        Conn {
-            addr,
-            io_timeout,
-            stream: None,
-        }
-    }
-
-    /// Issues one request, reusing the open connection when there is one.
-    /// Returns the outcome and whether the *answering* exchange ran over a
-    /// reused connection. A failure on a reused socket gets one retry on a
-    /// fresh connection — the server may have closed the idle socket
-    /// between requests, which is normal keep-alive lifecycle, not an error
-    /// worth a Transport sample.
-    fn roundtrip(&mut self, job: &Job) -> (std::io::Result<RawResponse>, bool) {
-        let reused = self.stream.is_some();
-        match self.try_roundtrip(job) {
-            Ok(resp) => (Ok(resp), reused),
-            Err(_) if reused => {
-                self.stream = None;
-                (self.try_roundtrip(job), false)
-            }
-            Err(e) => {
-                self.stream = None;
-                (Err(e), false)
-            }
-        }
-    }
-
-    fn try_roundtrip(&mut self, job: &Job) -> std::io::Result<RawResponse> {
-        if self.stream.is_none() {
-            let stream = TcpStream::connect_timeout(&self.addr, self.io_timeout)?;
-            stream.set_read_timeout(Some(self.io_timeout))?;
-            stream.set_write_timeout(Some(self.io_timeout))?;
-            // Head and body go out in separate writes on a long-lived
-            // socket: without TCP_NODELAY the Nagle/delayed-ACK interaction
-            // stalls every reused request by ~40ms.
-            stream.set_nodelay(true)?;
-            self.stream = Some(stream);
-        }
-        let result = match self.stream.as_mut() {
-            Some(stream) => {
-                let mut head = format!(
-                    "POST {} HTTP/1.1\r\nHost: loadgen\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
-                    job.path,
-                    job.body.len()
-                );
-                if let Some(d) = job.deadline_ms {
-                    head.push_str(&format!("X-LogCL-Deadline-Ms: {d}\r\n"));
-                }
-                head.push_str("\r\n");
-                stream
-                    .write_all(head.as_bytes())
-                    .and_then(|()| stream.write_all(job.body.as_bytes()))
-                    .and_then(|()| read_one_response(stream))
-                    .and_then(|buf| {
-                        parse_response(&buf).ok_or_else(|| {
-                            std::io::Error::new(
-                                std::io::ErrorKind::InvalidData,
-                                "malformed HTTP response",
-                            )
-                        })
-                    })
-            }
-            None => Err(std::io::Error::other("connection unexpectedly absent")),
-        };
-        match &result {
-            Ok(resp) if !resp.connection_close => {}
-            // Any error, or an advertised close: the socket is done.
-            _ => self.stream = None,
-        }
-        result
-    }
-}
-
-/// Reads exactly one `Content-Length`-delimited response off a keep-alive
-/// stream (the connection stays open, so EOF cannot delimit it).
-fn read_one_response(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let head_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos + 4;
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed before response head",
-            ));
-        }
-        buf.extend_from_slice(&chunk[..n]);
+    let (kind, tier, retry_after_missing) = match &reply {
+        Ok(reply) => classify(reply),
+        Err(_) => (OutcomeKind::Transport, None, false),
     };
-    let head = std::str::from_utf8(buf.get(..head_end).unwrap_or_default()).map_err(|_| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8 response head")
-    })?;
-    let content_length: usize = head
-        .split("\r\n")
-        .find_map(|line| {
-            let (name, value) = line.split_once(':')?;
-            name.trim()
-                .eq_ignore_ascii_case("content-length")
-                .then(|| value.trim().parse().ok())?
-        })
-        .ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "response without Content-Length",
-            )
-        })?;
-    let total = head_end + content_length;
-    while buf.len() < total {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed mid-body",
-            ));
-        }
-        buf.extend_from_slice(&chunk[..n]);
+    Sample {
+        scheduled_micros: job.scheduled_micros,
+        sent_micros,
+        done_micros,
+        kind,
+        tier,
+        retry_after_missing,
+        reused_connection: reply.is_ok_and(|r| r.reused_connection),
     }
-    buf.truncate(total);
-    Ok(buf)
 }
 
-/// Minimal HTTP/1.1 response parse: status code, the two headers the
-/// harness cares about, and the `degraded` flag from predict bodies.
-fn parse_response(buf: &[u8]) -> Option<RawResponse> {
-    let text = std::str::from_utf8(buf).ok()?;
-    let head_end = text.find("\r\n\r\n")?;
-    let (head, body) = (&text[..head_end], &text[head_end + 4..]);
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines.next()?.split_whitespace().nth(1)?.parse().ok()?;
-    let mut tier = None;
-    let mut retry_after_present = false;
-    let mut connection_close = false;
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
-        };
-        let name = name.trim().to_ascii_lowercase();
-        if name == "x-logcl-degradation" {
-            tier = Some(value.trim().to_string());
-        } else if name == "retry-after" {
-            retry_after_present = true;
-        } else if name == "connection" {
-            connection_close = value.trim().eq_ignore_ascii_case("close");
+/// What the harness reads off a response: the outcome class (status, plus
+/// the `degraded` flag of a 200's body), the `X-LogCL-Degradation` tier,
+/// and whether a shed/timeout answer forgot its mandatory `Retry-After`.
+fn classify(reply: &Reply) -> (OutcomeKind, Option<String>, bool) {
+    let kind = match reply.status {
+        200 => {
+            let degraded = serde_json::from_slice::<serde_json::Value>(&reply.body)
+                .ok()
+                .and_then(|v| v.get("degraded").and_then(|d| d.as_bool()))
+                .unwrap_or(false);
+            if degraded {
+                OutcomeKind::Degraded
+            } else {
+                OutcomeKind::Ok
+            }
         }
-    }
-    let degraded = serde_json::from_str::<serde_json::Value>(body)
-        .ok()
-        .and_then(|v| v.get("degraded").and_then(|d| d.as_bool()))
-        .unwrap_or(false);
-    Some(RawResponse {
-        status,
-        degraded,
-        tier,
-        retry_after_present,
-        connection_close,
-    })
+        503 => OutcomeKind::Shed,
+        504 => OutcomeKind::DeadlineExpired,
+        _ => OutcomeKind::HttpError,
+    };
+    let tier = reply.header("x-logcl-degradation").map(String::from);
+    let retry_after_missing =
+        matches!(reply.status, 503 | 504) && reply.header("retry-after").is_none();
+    (kind, tier, retry_after_missing)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schedule::Op;
+    use logcl_serve::http::{read_response, write_response, Response};
 
     #[test]
     fn render_predict_matches_serve_wire_format() {
@@ -606,24 +417,36 @@ mod tests {
         serde_json::from_str::<serde_json::Value>(&body).unwrap();
     }
 
+    /// A response as the server's writer puts it on the wire, read back.
+    fn reply(resp: &Response) -> Reply {
+        let mut wire = Vec::new();
+        write_response(&mut wire, resp, true).unwrap();
+        read_response(&mut wire.as_slice(), 1 << 16).unwrap()
+    }
+
     #[test]
-    fn parse_response_extracts_status_headers_and_degraded() {
-        let raw = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nX-LogCL-Degradation: brownout\r\nConnection: keep-alive\r\n\r\n{\"degraded\":true}";
-        let r = parse_response(raw).unwrap();
-        assert_eq!(r.status, 200);
-        assert!(r.degraded);
-        assert_eq!(r.tier.as_deref(), Some("brownout"));
-        assert!(!r.retry_after_present);
-        assert!(!r.connection_close);
-
-        let raw =
-            b"HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\nConnection: close\r\n\r\n{}";
-        let r = parse_response(raw).unwrap();
-        assert_eq!(r.status, 503);
-        assert!(r.retry_after_present);
-        assert!(r.connection_close);
-
-        assert!(parse_response(b"not http").is_none());
+    fn classify_reads_status_tier_degraded_and_retry_after() {
+        let brownout = Response::json(200, "{\"degraded\":true}".into())
+            .with_header("X-LogCL-Degradation", "brownout");
+        assert_eq!(
+            classify(&reply(&brownout)),
+            (OutcomeKind::Degraded, Some("brownout".into()), false)
+        );
+        let normal = Response::json(200, "{\"degraded\":false}".into());
+        assert_eq!(classify(&reply(&normal)), (OutcomeKind::Ok, None, false));
+        let shed = Response::json(503, "{}".into()).with_header("Retry-After", "1");
+        assert_eq!(classify(&reply(&shed)), (OutcomeKind::Shed, None, false));
+        // A 503/504 without Retry-After is counted against the server.
+        let bare = Response::json(504, "{\"degraded\":true}".into());
+        assert_eq!(
+            classify(&reply(&bare)),
+            (OutcomeKind::DeadlineExpired, None, true)
+        );
+        let other = Response::json(404, "{}".into());
+        assert_eq!(
+            classify(&reply(&other)),
+            (OutcomeKind::HttpError, None, false)
+        );
     }
 
     /// The router's partial-result degradation (a shard down, answer from
@@ -631,25 +454,21 @@ mod tests {
     /// degraded 200 classified under `tiers["partial"]`.
     #[test]
     fn router_partial_tier_is_parsed_and_counted() {
-        let raw = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nX-LogCL-Degradation: partial\r\nRetry-After: 1\r\n\r\n{\"degraded\":true,\"coverage\":0.6666666}";
-        let r = parse_response(raw).unwrap();
-        assert_eq!(r.status, 200);
-        assert!(r.degraded);
-        assert_eq!(r.tier.as_deref(), Some("partial"));
-        assert!(r.retry_after_present);
+        let partial = Response::json(200, "{\"degraded\":true,\"coverage\":0.6666666}".into())
+            .with_header("X-LogCL-Degradation", "partial")
+            .with_header("Retry-After", "1");
+        let (kind, tier, retry_after_missing) = classify(&reply(&partial));
+        assert_eq!(kind, OutcomeKind::Degraded);
+        assert_eq!(tier.as_deref(), Some("partial"));
 
         let mut stats = RunStats::new(1);
         stats.absorb(Sample {
             scheduled_micros: 0,
             sent_micros: 10,
             done_micros: 1_010,
-            kind: if r.status == 200 && r.degraded {
-                OutcomeKind::Degraded
-            } else {
-                OutcomeKind::Ok
-            },
-            tier: r.tier,
-            retry_after_missing: false,
+            kind,
+            tier,
+            retry_after_missing,
             reused_connection: true,
         });
         assert_eq!(stats.degraded, 1);
@@ -693,8 +512,13 @@ mod tests {
     }
 
     #[test]
-    fn resolve_rejects_garbage() {
-        assert!(resolve("definitely not an address").is_err());
-        assert!(resolve("127.0.0.1:80").is_ok());
+    fn an_unresolvable_address_fails_the_run_before_any_traffic() {
+        let cfg = RunConfig {
+            addr: "definitely not an address".into(),
+            ..RunConfig::default()
+        };
+        let err = run(&[], &cfg).unwrap_err();
+        assert!(err.to_string().contains("resolving"), "{err}");
+        assert!(http_get(&cfg.addr, "/healthz", cfg.io_timeout).is_err());
     }
 }

@@ -26,6 +26,44 @@ pub fn remaining_ms(deadline: Instant, now: Instant) -> u64 {
     u64::try_from(remaining_budget(deadline, now).as_millis()).unwrap_or(u64::MAX)
 }
 
+/// The request header that carries a relative deadline between hops.
+pub const DEADLINE_HEADER: &str = "X-LogCL-Deadline-Ms";
+
+/// A deadline header whose value is not a whole number of milliseconds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InvalidDeadline(String);
+
+impl std::fmt::Display for InvalidDeadline {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "invalid {DEADLINE_HEADER} value {:?} (want milliseconds)",
+            self.0
+        )
+    }
+}
+
+impl std::error::Error for InvalidDeadline {}
+
+/// The budget a request is admitted with: the [`DEADLINE_HEADER`] value the
+/// client sent, clamped to `ceiling`, or `default` when it sent none. Every
+/// hop (worker and router) admits through this one parser, so a value one
+/// hop accepts can never be a 400 at the next.
+pub fn from_header(
+    raw: Option<&str>,
+    default: Duration,
+    ceiling: Duration,
+) -> Result<Duration, InvalidDeadline> {
+    let Some(raw) = raw else {
+        return Ok(default);
+    };
+    let ms: u64 = raw
+        .trim()
+        .parse()
+        .map_err(|_| InvalidDeadline(raw.to_string()))?;
+    Ok(Duration::from_millis(ms).min(ceiling))
+}
+
 /// Whether the budget is already exhausted at `now` — the shed-before-
 /// forward test: an expired request is answered `504` locally instead of
 /// being put on the wire.
@@ -60,6 +98,26 @@ mod tests {
             assert_eq!(remaining_budget(deadline, now), Duration::ZERO);
             assert_eq!(remaining_ms(deadline, now), 0);
             assert!(expired(deadline, now));
+        }
+    }
+
+    #[test]
+    fn header_budget_is_clamped_defaulted_or_refused() {
+        let (default, ceiling) = (Duration::from_secs(30), Duration::from_secs(120));
+        assert_eq!(from_header(None, default, ceiling), Ok(default));
+        assert_eq!(
+            from_header(Some(" 250 "), default, ceiling),
+            Ok(Duration::from_millis(250))
+        );
+        assert_eq!(from_header(Some("0"), default, ceiling), Ok(Duration::ZERO));
+        assert_eq!(
+            from_header(Some("999999999"), default, ceiling),
+            Ok(ceiling)
+        );
+        for bad in ["soon", "-1", "1.5", ""] {
+            let err = from_header(Some(bad), default, ceiling).unwrap_err();
+            assert!(err.to_string().contains("X-LogCL-Deadline-Ms"), "{err}");
+            assert!(err.to_string().contains("want milliseconds"), "{err}");
         }
     }
 

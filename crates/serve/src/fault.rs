@@ -15,6 +15,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use logcl_tensor::rng::splitmix64;
+
 /// Audited boundaries where a fault can fire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPoint {
@@ -128,15 +130,6 @@ pub fn fired(point: FaultPoint) -> u64 {
     counter(point).load(Ordering::Acquire)
 }
 
-/// SplitMix64 — a tiny, high-quality deterministic mixer (public-domain
-/// construction; no std RNG exists and wall-clock entropy is banned).
-fn mix(seed: u64, n: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15_u64.wrapping_mul(n.wrapping_add(1)));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Delay to inject before executing predict batch `batch_idx`, if any.
 /// Jittered deterministically from the seed: 1–3 × the base delay.
 pub fn compute_delay(batch_idx: u64) -> Option<Duration> {
@@ -148,7 +141,7 @@ pub fn compute_delay(batch_idx: u64) -> Option<Duration> {
             }
         }
         counter(FaultPoint::ComputeDelay).fetch_add(1, Ordering::AcqRel);
-        let factor = 1 + (mix(p.seed, batch_idx) % 3) as u32;
+        let factor = 1 + (splitmix64(p.seed, batch_idx) % 3) as u32;
         Some(base * factor)
     })
 }

@@ -4,8 +4,11 @@
 //! The crate hand-rolls everything a small production server needs on top of
 //! `std::net` — no async runtime, no HTTP framework:
 //!
-//! * [`http`] — an HTTP/1.1 request parser and response writer tolerant of
-//!   fragmented reads, with hard caps on head and body sizes.
+//! * [`http`] — the workspace's one HTTP codec and client: a bounded,
+//!   fail-closed message reader (tolerant of fragmented reads, hard caps on
+//!   head and body) under both the request and the response half, the two
+//!   writers, and the small blocking [`http::Client`] that the router's
+//!   worker hops, the load harness and the tests all speak through.
 //! * [`metrics`] — lock-free Prometheus-format counters and histograms.
 //! * [`cache`] — the per-model snapshot-encoding cache keyed by timestamp.
 //! * [`batcher`] — the single model-worker loop coalescing concurrent
@@ -43,6 +46,6 @@ pub use cache::EncodingCache;
 pub use error::StartError;
 pub use metrics::Metrics;
 pub use registry::{ModelSpec, Registry};
-pub use server::{ServeConfig, Server, ShutdownHandle};
+pub use server::{ServeConfig, Server, ShutdownHandle, ShutdownState};
 pub use shed::{OverloadPolicy, OverloadState, Tier};
 pub use wal::{Wal, WalError, WalRecord};

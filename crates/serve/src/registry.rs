@@ -21,7 +21,7 @@ use logcl_core::model::SharedEncoding;
 use logcl_core::serving_snapshot::SERVING_SNAPSHOT_VERSION;
 use logcl_core::{
     trainer, DedupEntry, EncoderState, EvalContext, LogCl, LogClConfig, ModelParamSnapshot,
-    ServingSnapshot, ShardSpec, SoftmaxStat, TrainOptions,
+    ServingSnapshot, ShardSpec, TrainOptions,
 };
 use logcl_tensor::serialize::Checkpoint;
 use logcl_tkg::quad::Quad;
@@ -217,9 +217,13 @@ pub struct Registry {
     head_history: HistoryIndex,
     /// Max online fine-tuning steps per `update:true` ingest.
     online_steps: usize,
-    /// Entity-shard assignment with its resolved candidate range
-    /// (`None` = single-node serving over the full vocabulary).
-    shard: Option<(ShardSpec, (usize, usize))>,
+    /// Entity-shard assignment (`None` = single-node serving); replies
+    /// carry shard provenance only when it is set.
+    shard: Option<ShardSpec>,
+    /// The candidate range `[lo, hi)` every decode is restricted to: the
+    /// shard's, or the whole (immutable) entity vocabulary — an unsharded
+    /// node is shard 0 of 1.
+    entity_range: (usize, usize),
     /// Durable-ingest state; `None` = memory-only ingestion.
     durable: Option<DurableState>,
     /// Idempotency window (active with or without durability).
@@ -231,11 +235,11 @@ pub struct Registry {
     applied_ingests: u64,
 }
 
-/// Scores `queries` over the shared encoding, honouring the brownout
-/// local-only fallback and (in shard mode) restricting the decode to
-/// `entity_range`. Returns one score vector per query — full `|E|`-length
-/// in single-node mode, the `[lo, hi)` slice in shard mode. An empty shard
-/// range yields empty slices without touching the model (a zero-row
+/// Scores `queries` over the shared encoding against the candidate
+/// entities in `entity_range`, honouring the brownout local-only fallback.
+/// Returns one score vector per query: `scores[j]` is the logit of entity
+/// `lo + j` — all of `|E|` on a single node, which is shard 0 of 1. An
+/// empty range yields empty slices without touching the model (a zero-row
 /// candidate matmul has nothing to compute).
 fn score_queries(
     model: &mut LogCl,
@@ -243,21 +247,12 @@ fn score_queries(
     history: &HistoryIndex,
     queries: &[Quad],
     skip_global: bool,
-    entity_range: Option<(usize, usize)>,
+    entity_range: (usize, usize),
 ) -> Vec<Vec<f32>> {
-    if let Some((lo, hi)) = entity_range {
-        if lo == hi {
-            return vec![Vec::new(); queries.len()];
-        }
+    if entity_range.0 == entity_range.1 {
+        return vec![Vec::new(); queries.len()];
     }
-    let out = match (entity_range, skip_global) {
-        (Some(range), true) => {
-            model.forward_queries_local_only_sharded(shared, history, queries, range)
-        }
-        (Some(range), false) => model.forward_queries_sharded(shared, history, queries, range),
-        (None, true) => model.forward_queries_local_only(shared, history, queries),
-        (None, false) => model.forward_queries(shared, history, queries, false),
-    };
+    let out = model.forward_queries_in_range(shared, history, queries, skip_global, entity_range);
     let logits = out.logits.to_tensor();
     (0..queries.len()).map(|i| logits.row(i).to_vec()).collect()
 }
@@ -340,7 +335,10 @@ impl Registry {
             overload,
             head_history,
             online_steps: options.online_steps,
-            shard: options.shard.map(|s| (s, s.range(num_entities))),
+            shard: options.shard,
+            entity_range: options
+                .shard
+                .map_or((0, num_entities), |s| s.range(num_entities)),
             durable: None,
             dedup: DedupWindow::default(),
             base_test_len,
@@ -465,11 +463,12 @@ impl Registry {
             }
         }
 
-        // In `--shard i/N` mode every decode is restricted to this worker's
-        // candidate range: the scores below are then *slices* (`scores[j]`
-        // is the logit of global entity `lo + j`), bit-identical per entity
-        // to the single-node run.
-        let entity_range = self.shard.map(|(_, range)| range);
+        // Every decode is restricted to this worker's candidate range (the
+        // whole vocabulary unless `--shard i/N` narrowed it): the scores
+        // below are *slices* (`scores[j]` is the logit of global entity
+        // `lo + j`), bit-identical per entity whatever the range.
+        let entity_range = self.entity_range;
+        let (lo, hi) = entity_range;
         let mut scores: Vec<Vec<f32>> = Vec::with_capacity(uniques.len());
         if self.fused {
             // One forward_queries call for the whole batch — the repo's
@@ -526,26 +525,11 @@ impl Registry {
                     .degraded_responses
                     .fetch_add(1, Ordering::Relaxed);
             }
-            let (predictions, shard) = match self.shard {
-                Some((spec, (lo, hi))) => {
-                    // Shard-local ranking + softmax partials; probabilities
-                    // are over this worker's range only, and the router
-                    // recombines global ones from the per-shard stats.
-                    let stat = SoftmaxStat::from_scores(scored);
-                    let ranked = logcl_core::shard_topk(scored, lo, k_eff);
-                    let predictions = ranked
-                        .into_iter()
-                        .map(|c| logcl_core::Prediction {
-                            entity: c.entity,
-                            name: self.ds.entity_name(c.entity),
-                            probability: stat.probability(c.score),
-                            score: c.score,
-                        })
-                        .collect();
-                    (predictions, Some(ShardDetail { spec, lo, hi, stat }))
-                }
-                None => (logcl_core::topk_from_scores(&self.ds, scored, k_eff), None),
-            };
+            // Ranking + softmax over this worker's range. On a shard the
+            // probabilities are range-local, and the router recombines
+            // global ones from the per-shard stats.
+            let (predictions, stat) = logcl_core::topk_in_range(&self.ds, scored, lo, k_eff);
+            let shard = self.shard.map(|spec| ShardDetail { spec, lo, hi, stat });
             let _ = job.reply.send(Ok(PredictOutcome {
                 predictions,
                 batch_size,

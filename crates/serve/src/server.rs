@@ -153,6 +153,7 @@ impl Default for ServeConfig {
 }
 
 /// A latch other threads can wait on; raising it begins shutdown.
+#[derive(Default)]
 pub struct ShutdownState {
     raised: AtomicBool,
     lock: Mutex<bool>,
@@ -160,12 +161,9 @@ pub struct ShutdownState {
 }
 
 impl ShutdownState {
-    fn new() -> Self {
-        Self {
-            raised: AtomicBool::new(false),
-            lock: Mutex::new(false),
-            cv: Condvar::new(),
-        }
+    /// A latch that has not been raised.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Raises the flag and wakes every waiter. Idempotent. A poisoned lock
@@ -189,6 +187,21 @@ impl ShutdownState {
         while !*raised {
             raised = self.cv.wait(raised).unwrap_or_else(|e| e.into_inner());
         }
+    }
+
+    /// Waits up to `timeout` and returns whether the latch is raised — a
+    /// periodic worker (the router's prober) sleeps on this so shutdown
+    /// wakes it at once.
+    pub fn wait_timeout(&self, timeout: Duration) -> bool {
+        let raised = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+        if *raised {
+            return true;
+        }
+        let (raised, _) = self
+            .cv
+            .wait_timeout(raised, timeout)
+            .unwrap_or_else(|e| e.into_inner());
+        *raised
     }
 }
 
@@ -839,17 +852,12 @@ fn request_deadline(
     ctx: &HandlerCtx,
     started: Instant,
 ) -> Result<Instant, ServeError> {
-    let budget = match req.header("x-logcl-deadline-ms") {
-        Some(raw) => {
-            let ms: u64 = raw.trim().parse().map_err(|_| {
-                ServeError::bad_request(format!(
-                    "invalid X-LogCL-Deadline-Ms value {raw:?} (want milliseconds)"
-                ))
-            })?;
-            Duration::from_millis(ms).min(ctx.max_deadline)
-        }
-        None => ctx.default_deadline,
-    };
+    let budget = crate::deadline::from_header(
+        req.header(crate::deadline::DEADLINE_HEADER),
+        ctx.default_deadline,
+        ctx.max_deadline,
+    )
+    .map_err(|e| ServeError::bad_request(e.to_string()))?;
     Ok(started + budget)
 }
 

@@ -12,14 +12,13 @@
 
 #![cfg(feature = "fault-inject")]
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use logcl_core::LogClConfig;
 use logcl_serve::fault::{self, FaultPlan, FaultPoint};
+use logcl_serve::http::Client;
 use logcl_serve::{ModelSpec, ServeConfig, Server, StartError};
 use logcl_tkg::{SyntheticPreset, TkgDataset};
 use serde_json::Value;
@@ -66,52 +65,34 @@ fn serve_config() -> ServeConfig {
     }
 }
 
-/// Minimal blocking HTTP/1.1 client returning status, headers
-/// (lower-cased names), and body.
+/// One request on its own connection: status, headers, and body.
 fn request(
     addr: std::net::SocketAddr,
     method: &str,
     path: &str,
     body: &str,
 ) -> (u16, Vec<(String, String)>, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .unwrap();
-    let req = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(req.as_bytes()).expect("write request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let text = String::from_utf8(raw).expect("UTF-8 response");
-    let status: u16 = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("malformed response: {text:?}"));
-    let (head, body) = text
-        .split_once("\r\n\r\n")
-        .map(|(h, b)| (h.to_string(), b.to_string()))
-        .unwrap_or_default();
-    let headers = head
-        .lines()
-        .skip(1)
-        .filter_map(|line| {
-            let (name, value) = line.split_once(':')?;
-            Some((name.trim().to_ascii_lowercase(), value.trim().to_string()))
-        })
-        .collect();
-    (status, headers, body)
+    request_with(addr, method, path, body, &[])
+}
+
+fn request_with(
+    addr: std::net::SocketAddr,
+    method: &str,
+    path: &str,
+    body: &str,
+    extra_headers: &[(&str, &str)],
+) -> (u16, Vec<(String, String)>, String) {
+    let reply = Client::new(addr, Duration::from_secs(120))
+        .and_then(|mut client| client.send(method, path, extra_headers, body.as_bytes()))
+        .expect("exchange");
+    let body = reply.text();
+    (reply.status, reply.headers, body)
 }
 
 fn header_of<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    let want = name.to_ascii_lowercase();
     headers
         .iter()
-        .find(|(n, _)| *n == want)
+        .find(|(n, _)| n.eq_ignore_ascii_case(name))
         .map(|(_, v)| v.as_str())
 }
 
@@ -343,28 +324,8 @@ fn copy_dir(src: &std::path::Path, dst: &std::path::Path) {
 
 fn ingest_with_id(addr: std::net::SocketAddr, t: u64, id: &str) -> (u16, String) {
     let body = format!(r#"{{"time": {t}, "facts": [[1, 0, 2], [3, 1, 4]], "update": true}}"#);
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .unwrap();
-    let req = format!(
-        "POST /ingest HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nX-LogCL-Ingest-Id: {id}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(req.as_bytes()).expect("write request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let text = String::from_utf8(raw).expect("UTF-8 response");
-    let status: u16 = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("malformed response: {text:?}"));
-    let body = text
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
+    let (status, _, body) =
+        request_with(addr, "POST", "/ingest", &body, &[("X-LogCL-Ingest-Id", id)]);
     (status, body)
 }
 

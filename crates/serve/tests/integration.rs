@@ -1,15 +1,17 @@
 //! End-to-end tests over real sockets: concurrent clients, micro-batching,
 //! exactness versus the library's `predict_topk`, online ingestion, and
-//! graceful shutdown. Everything runs against an ephemeral port with a
-//! hand-rolled `TcpStream` HTTP client (no client-side dependencies either).
+//! graceful shutdown. Everything runs against an ephemeral port through the
+//! crate's own `http::Client`; the two tests that open a `TcpStream`
+//! themselves say why.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use logcl_core::{predict_topk_stream, LogCl, LogClConfig};
+use logcl_serve::http::{self, Client};
 use logcl_serve::{ModelSpec, ServeConfig, Server};
 use logcl_tkg::{SyntheticPreset, TkgDataset};
 use serde_json::Value;
@@ -56,14 +58,14 @@ fn test_server(linger_ms: u64, threads: usize) -> Server {
     Server::start(cfg, tiny_ds(), vec![untrained_spec()]).expect("server must start")
 }
 
-/// Minimal blocking HTTP/1.1 client: one request per connection.
+/// One request on its own connection.
 fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
     let (status, _, body) = request_full(addr, method, path, body, &[]);
     (status, body)
 }
 
 /// Like [`request`] but sends extra request headers and returns the
-/// response headers (lower-cased names) alongside status and body.
+/// response headers alongside status and body.
 fn request_full(
     addr: std::net::SocketAddr,
     method: &str,
@@ -71,49 +73,18 @@ fn request_full(
     body: &str,
     extra_headers: &[(&str, &str)],
 ) -> (u16, Vec<(String, String)>, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .unwrap();
-    let extra: String = extra_headers
-        .iter()
-        .map(|(name, value)| format!("{name}: {value}\r\n"))
-        .collect();
-    let req = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\n{extra}Connection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(req.as_bytes()).expect("write request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let text = String::from_utf8(raw).expect("UTF-8 response");
-    let status: u16 = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("malformed response: {text:?}"));
-    let (head, body) = text
-        .split_once("\r\n\r\n")
-        .map(|(h, b)| (h.to_string(), b.to_string()))
-        .unwrap_or_default();
-    let headers = head
-        .lines()
-        .skip(1)
-        .filter_map(|line| {
-            let (name, value) = line.split_once(':')?;
-            Some((name.trim().to_ascii_lowercase(), value.trim().to_string()))
-        })
-        .collect();
-    (status, headers, body)
+    let reply = Client::new(addr, Duration::from_secs(120))
+        .and_then(|mut client| client.send(method, path, extra_headers, body.as_bytes()))
+        .expect("exchange");
+    let body = reply.text();
+    (reply.status, reply.headers, body)
 }
 
 /// The value of `name` (case-insensitive) among parsed response headers.
 fn header_of<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    let want = name.to_ascii_lowercase();
     headers
         .iter()
-        .find(|(n, _)| *n == want)
+        .find(|(n, _)| n.eq_ignore_ascii_case(name))
         .map(|(_, v)| v.as_str())
 }
 
@@ -444,7 +415,9 @@ fn stalled_connection_is_answered_408_and_counted() {
     let server = Server::start(cfg, tiny_ds(), vec![untrained_spec()]).unwrap();
     let addr = server.addr();
 
-    // Open a connection, send half a request head, then stall.
+    // Open a connection, send half a request head, then stall. Hand-written
+    // bytes on a raw socket: a partial, stalled request is the subject, and
+    // no client would send one.
     let mut stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -744,64 +717,35 @@ fn keep_alive_connection_serves_many_requests_and_close_is_honoured() {
     let server = test_server(1, 2);
     let addr = server.addr();
 
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    // The codec's two client-side calls on a socket the test owns (not
+    // `Client`, which would hide it): the test must see the very same
+    // connection stay open, and then see its EOF.
+    let stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(120)))
         .unwrap();
-
-    // Reads exactly one Content-Length-delimited response off the stream.
-    let read_one = |stream: &mut TcpStream| -> (u16, String, String) {
-        let mut buf = Vec::new();
-        let mut chunk = [0u8; 1024];
-        let head_end = loop {
-            if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                break pos + 4;
-            }
-            let n = stream.read(&mut chunk).expect("read head");
-            assert!(n > 0, "connection closed mid-response");
-            buf.extend_from_slice(&chunk[..n]);
-        };
-        let head = String::from_utf8(buf[..head_end].to_vec()).expect("UTF-8 head");
-        let content_length: usize = head
-            .lines()
-            .find_map(|l| {
-                l.to_ascii_lowercase()
-                    .strip_prefix("content-length:")
-                    .map(str::trim)
-                    .map(String::from)
-            })
-            .and_then(|v| v.parse().ok())
-            .expect("Content-Length header");
-        let connection = head
-            .lines()
-            .find_map(|l| {
-                l.to_ascii_lowercase()
-                    .strip_prefix("connection:")
-                    .map(str::trim)
-                    .map(String::from)
-            })
-            .expect("Connection header");
-        while buf.len() < head_end + content_length {
-            let n = stream.read(&mut chunk).expect("read body");
-            assert!(n > 0, "connection closed mid-body");
-            buf.extend_from_slice(&chunk[..n]);
-        }
-        let status: u16 = head.split_whitespace().nth(1).unwrap().parse().unwrap();
-        let body = String::from_utf8(buf[head_end..head_end + content_length].to_vec()).unwrap();
-        (status, connection, body)
+    let mut stream = BufReader::new(stream);
+    let mut exchange = |method: &str, path: &str, body: &str, keep_alive: bool| {
+        let headers = [("Host", "t")];
+        http::write_request(
+            stream.get_mut(),
+            method,
+            path,
+            &headers,
+            body.as_bytes(),
+            keep_alive,
+        )
+        .expect("write request");
+        let reply = http::read_response(&mut stream, 1 << 20).expect("read response");
+        let connection = reply.header("connection").expect("Connection header");
+        (reply.status, connection.to_string(), reply.text())
     };
 
     // Three requests down one connection: the server must answer each with
     // `Connection: keep-alive` and keep the socket open.
     for i in 0..3 {
         let body = format!(r#"{{"subject": {i}, "relation": 0}}"#);
-        let req = format!(
-            "POST /predict HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n\
-             Content-Length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        stream.write_all(req.as_bytes()).expect("write request");
-        let (status, connection, body) = read_one(&mut stream);
+        let (status, connection, body) = exchange("POST", "/predict", &body, true);
         assert_eq!(status, 200, "request {i}: {body}");
         assert_eq!(connection, "keep-alive", "request {i}");
         assert!(!predictions_of(&json(&body)).is_empty(), "request {i}");
@@ -809,9 +753,7 @@ fn keep_alive_connection_serves_many_requests_and_close_is_honoured() {
 
     // `Connection: close` on the final request is honoured: the server
     // answers with close and EOFs the stream.
-    let req = "GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n";
-    stream.write_all(req.as_bytes()).expect("write request");
-    let (status, connection, _) = read_one(&mut stream);
+    let (status, connection, _) = exchange("GET", "/healthz", "", false);
     assert_eq!(status, 200);
     assert_eq!(connection, "close");
     let mut rest = Vec::new();

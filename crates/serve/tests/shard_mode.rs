@@ -4,11 +4,10 @@
 //! scores over disjoint entity ranges, plus softmax partials that
 //! recombine into the global probabilities.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
 use logcl_core::{merge_topk, LogClConfig, ScoredEntity, ShardSpec, SoftmaxStat};
+use logcl_serve::http::Client;
 use logcl_serve::{ModelSpec, ServeConfig, Server};
 use logcl_tkg::{SyntheticPreset, TkgDataset};
 use serde_json::Value;
@@ -55,29 +54,10 @@ fn boot(shard: Option<ShardSpec>) -> Server {
 }
 
 fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .unwrap();
-    let req = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(req.as_bytes()).expect("write request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let text = String::from_utf8(raw).expect("UTF-8 response");
-    let status: u16 = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("malformed response: {text:?}"));
-    let body = text
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
+    let reply = Client::new(addr, Duration::from_secs(120))
+        .and_then(|mut client| client.send(method, path, &[], body.as_bytes()))
+        .expect("exchange");
+    (reply.status, reply.text())
 }
 
 fn json(body: &str) -> Value {

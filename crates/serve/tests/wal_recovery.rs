@@ -8,13 +8,12 @@
 //! is fsynced before its ack, so the live directory is always crash-ready) —
 //! and boot a second server from the copy.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use logcl_core::LogClConfig;
+use logcl_serve::http::Client;
 use logcl_serve::wal::{Wal, WalRecord};
 use logcl_serve::{ModelSpec, ServeConfig, Server};
 use logcl_tkg::{SyntheticPreset, TkgDataset};
@@ -90,33 +89,10 @@ fn request_full(
     body: &str,
     extra_headers: &[(&str, &str)],
 ) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .unwrap();
-    let extra: String = extra_headers
-        .iter()
-        .map(|(name, value)| format!("{name}: {value}\r\n"))
-        .collect();
-    let req = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\n{extra}Connection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(req.as_bytes()).expect("write request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let text = String::from_utf8(raw).expect("UTF-8 response");
-    let status: u16 = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("malformed response: {text:?}"));
-    let body = text
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
+    let reply = Client::new(addr, Duration::from_secs(120))
+        .and_then(|mut client| client.send(method, path, extra_headers, body.as_bytes()))
+        .expect("exchange");
+    (reply.status, reply.text())
 }
 
 fn json(body: &str) -> Value {

@@ -26,9 +26,14 @@ pub struct RngState {
     pub spare_normal: Option<f32>,
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+/// Output `n` (0-based) of the SplitMix64 stream seeded with `seed` — a
+/// tiny, high-quality mixer (public-domain construction) that needs no
+/// state: [`Rng::seed`] expands its seed with it, and the serving stack
+/// draws fault schedules, backoff jitter and minted ids from
+/// `(seed, monotone counter)` pairs through it, so a run replays
+/// identically for a fixed seed without a generator to share or lock.
+pub fn splitmix64(seed: u64, n: u64) -> u64 {
+    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(n.wrapping_add(1)));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -44,14 +49,8 @@ pub struct Rng {
 impl Rng {
     /// Creates a deterministic generator from `seed`.
     pub fn seed(seed: u64) -> Self {
-        let mut sm = seed;
         Self {
-            s: [
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
-            ],
+            s: std::array::from_fn(|i| splitmix64(seed, i as u64)),
             spare_normal: None,
         }
     }
