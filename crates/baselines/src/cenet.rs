@@ -12,7 +12,7 @@ use logcl_tensor::nn::{Embedding, Linear, ParamSet};
 use logcl_tensor::optim::Adam;
 use logcl_tensor::{Rng, Tensor, Var};
 use logcl_tkg::quad::Quad;
-use logcl_tkg::{HistoryIndex, TkgDataset};
+use logcl_tkg::{HistoryIndex, HistoryView, TkgDataset};
 
 use logcl_core::api::{EvalContext, TkgModel, TrainOptions};
 use logcl_core::{TrainError, TrainReport};
@@ -66,7 +66,7 @@ impl CenetLite {
     }
 
     /// Log-frequency features `log(1 + count)` per candidate, `[B, E]`.
-    fn freq_features(&self, history: &HistoryIndex, queries: &[Quad]) -> Tensor {
+    fn freq_features(&self, history: HistoryView<'_>, queries: &[Quad]) -> Tensor {
         let e = self.ent.len();
         let mut feat = Tensor::zeros(&[queries.len(), e]);
         for (i, q) in queries.iter().enumerate() {
@@ -78,7 +78,7 @@ impl CenetLite {
     }
 
     /// Generation + frequency logits, `[B, E]`.
-    fn logits(&self, history: &HistoryIndex, queries: &[Quad]) -> Var {
+    fn logits(&self, history: HistoryView<'_>, queries: &[Quad]) -> Var {
         let emb = self.query_emb(queries);
         let gen = self
             .gen_head
@@ -96,7 +96,7 @@ impl CenetLite {
     /// history) and carries that prior to test time, where the full history
     /// makes most answers historical. CENET's classifier conditions on
     /// history-dependent features for exactly this reason.
-    fn history_feature(history: &HistoryIndex, queries: &[Quad]) -> Tensor {
+    fn history_feature(history: HistoryView<'_>, queries: &[Quad]) -> Tensor {
         let mut feat = Tensor::zeros(&[queries.len(), 1]);
         for (i, q) in queries.iter().enumerate() {
             let total: u32 = history.seen_objects(q.s, q.r).iter().map(|&(_, c)| c).sum();
@@ -106,13 +106,13 @@ impl CenetLite {
     }
 
     /// Historical-boundary classifier logit per query, `[B, 1]`.
-    fn boundary_logits(&self, history: &HistoryIndex, queries: &[Quad]) -> Var {
+    fn boundary_logits(&self, history: HistoryView<'_>, queries: &[Quad]) -> Var {
         let feat = Var::constant(Self::history_feature(history, queries));
         self.classifier
             .forward(&self.query_emb(queries).concat_cols(&feat))
     }
 
-    fn joint_loss(&self, history: &HistoryIndex, queries: &[Quad]) -> Var {
+    fn joint_loss(&self, history: HistoryView<'_>, queries: &[Quad]) -> Var {
         let targets: Vec<usize> = queries.iter().map(|q| q.o).collect();
         let ce = self.logits(history, queries).cross_entropy(&targets);
         // Boundary labels: answer is a historical object of (s, r)?
@@ -140,22 +140,20 @@ impl TkgModel for CenetLite {
     }
 
     fn fit(&mut self, ds: &TkgDataset, opts: &TrainOptions) -> Result<TrainReport, TrainError> {
-        let snapshots = ds.snapshots();
         let by_time = group_by_time(&ds.train, ds.num_times);
         let mut opt = Adam::new(&self.params, opts.lr);
+        let history = HistoryIndex::build(&ds.snapshots());
         for _ in 0..opts.epochs {
-            let mut history = HistoryIndex::new();
-            for t in 0..ds.train_end_time() {
-                if !by_time[t].is_empty() {
-                    let quads = &by_time[t];
+            for (t, quads) in by_time.iter().enumerate().take(ds.train_end_time()) {
+                if !quads.is_empty() {
                     let inv: Vec<Quad> = quads.iter().map(|q| q.inverse(ds.num_rels)).collect();
+                    let history = history.as_of(t);
                     let loss = self
-                        .joint_loss(&history, quads)
-                        .add(&self.joint_loss(&history, &inv));
+                        .joint_loss(history, quads)
+                        .add(&self.joint_loss(history, &inv));
                     loss.backward();
                     opt.clip_and_step(opts.grad_clip);
                 }
-                history.advance(&snapshots[t]);
             }
         }
         Ok(TrainReport::default())
@@ -165,8 +163,9 @@ impl TkgModel for CenetLite {
         if queries.is_empty() {
             return Vec::new();
         }
-        let logits = self.logits(ctx.history, queries).to_tensor();
-        let boundary = self.boundary_logits(ctx.history, queries).to_tensor();
+        let history = ctx.history.as_of(ctx.t);
+        let logits = self.logits(history, queries).to_tensor();
+        let boundary = self.boundary_logits(history, queries).to_tensor();
         let e = self.ent.len();
         let mut rows = Vec::with_capacity(queries.len());
         for (i, q) in queries.iter().enumerate() {
@@ -175,7 +174,7 @@ impl TkgModel for CenetLite {
             // classifier favours.
             let p_hist = 1.0 / (1.0 + (-boundary.at2(i, 0)).exp());
             let mut is_hist = vec![false; e];
-            for (o, _) in ctx.history.seen_objects(q.s, q.r) {
+            for (o, _) in history.seen_objects(q.s, q.r) {
                 is_hist[o] = true;
             }
             // Confidence-weighted mask: +MASK_BOOST on historical candidates
@@ -209,7 +208,7 @@ mod tests {
             t: 0,
             edges: vec![(0, 0, 3), (0, 0, 3), (0, 0, 4)],
         });
-        let f = model.freq_features(&history, &[Quad::new(0, 0, 0, 1)]);
+        let f = model.freq_features(history.as_of(1), &[Quad::new(0, 0, 0, 1)]);
         assert!((f.at2(0, 3) - 3.0f32.ln()).abs() < 1e-5);
         assert!((f.at2(0, 4) - 2.0f32.ln()).abs() < 1e-5);
         assert_eq!(f.at2(0, 0), 0.0);
@@ -231,7 +230,7 @@ mod tests {
         let ds = SyntheticPreset::Icews14.generate_scaled(0.15);
         let model = CenetLite::new(&ds, 8, 7);
         let b = model.boundary_logits(
-            &HistoryIndex::new(),
+            HistoryIndex::new().as_of(0),
             &[Quad::new(0, 0, 0, 0), Quad::new(1, 1, 0, 0)],
         );
         assert_eq!(b.shape(), vec![2, 1]);

@@ -10,7 +10,7 @@ use logcl_tensor::nn::{Embedding, Linear, ParamSet};
 use logcl_tensor::optim::Adam;
 use logcl_tensor::{Rng, Tensor, Var};
 use logcl_tkg::quad::Quad;
-use logcl_tkg::{HistoryIndex, TkgDataset};
+use logcl_tkg::{HistoryIndex, HistoryView, TkgDataset};
 
 use logcl_core::api::{EvalContext, TkgModel, TrainOptions};
 use logcl_core::{TrainError, TrainReport};
@@ -56,7 +56,7 @@ impl CyGNet {
     }
 
     /// The combined probability distribution `[B, E]`.
-    fn probs(&self, history: &HistoryIndex, queries: &[Quad]) -> Var {
+    fn probs(&self, history: HistoryView<'_>, queries: &[Quad]) -> Var {
         let b = queries.len();
         let e = self.ent.len();
         let s: Vec<usize> = queries.iter().map(|q| q.s).collect();
@@ -89,7 +89,7 @@ impl CyGNet {
     }
 
     /// NLL of the targets under the mixture.
-    fn nll(&self, history: &HistoryIndex, queries: &[Quad]) -> Var {
+    fn nll(&self, history: HistoryView<'_>, queries: &[Quad]) -> Var {
         let probs = self.probs(history, queries);
         let e = self.ent.len();
         let mut onehot = Tensor::zeros(&[queries.len(), e]);
@@ -107,20 +107,18 @@ impl TkgModel for CyGNet {
     }
 
     fn fit(&mut self, ds: &TkgDataset, opts: &TrainOptions) -> Result<TrainReport, TrainError> {
-        let snapshots = ds.snapshots();
         let by_time = group_by_time(&ds.train, ds.num_times);
         let mut opt = Adam::new(&self.params, opts.lr);
+        let history = HistoryIndex::build(&ds.snapshots());
         for _ in 0..opts.epochs {
-            let mut history = HistoryIndex::new();
-            for t in 0..ds.train_end_time() {
-                if !by_time[t].is_empty() {
-                    let quads = &by_time[t];
+            for (t, quads) in by_time.iter().enumerate().take(ds.train_end_time()) {
+                if !quads.is_empty() {
                     let inv: Vec<Quad> = quads.iter().map(|q| q.inverse(ds.num_rels)).collect();
-                    let loss = self.nll(&history, quads).add(&self.nll(&history, &inv));
+                    let history = history.as_of(t);
+                    let loss = self.nll(history, quads).add(&self.nll(history, &inv));
                     loss.backward();
                     opt.clip_and_step(opts.grad_clip);
                 }
-                history.advance(&snapshots[t]);
             }
         }
         Ok(TrainReport::default())
@@ -130,7 +128,7 @@ impl TkgModel for CyGNet {
         if queries.is_empty() {
             return Vec::new();
         }
-        let probs = self.probs(ctx.history, queries).to_tensor();
+        let probs = self.probs(ctx.history.as_of(ctx.t), queries).to_tensor();
         (0..queries.len()).map(|i| probs.row(i).to_vec()).collect()
     }
 }
@@ -151,7 +149,7 @@ mod tests {
             edges: vec![(0, 0, 5), (0, 0, 5), (0, 0, 7)],
         });
         let q = Quad::new(0, 0, 5, 1);
-        let probs = model.probs(&history, &[q]).to_tensor();
+        let probs = model.probs(history.as_of(1), &[q]).to_tensor();
         // Historical candidates 5 and 7 must dominate random entities even
         // untrained, because of the copy-mode mask.
         let p5 = probs.at2(0, 5);
@@ -166,7 +164,9 @@ mod tests {
         let ds = SyntheticPreset::Icews14.generate_scaled(0.15);
         let model = CyGNet::new(&ds, 8, 0.5, 7);
         let history = HistoryIndex::new();
-        let probs = model.probs(&history, &[Quad::new(0, 0, 0, 0)]).to_tensor();
+        let probs = model
+            .probs(history.as_of(0), &[Quad::new(0, 0, 0, 0)])
+            .to_tensor();
         let total: f32 = probs.row(0).iter().sum();
         assert!((total - 1.0).abs() < 1e-4, "sum {total}");
     }

@@ -10,7 +10,7 @@ use logcl_tensor::nn::{Embedding, ParamSet};
 use logcl_tensor::optim::Adam;
 use logcl_tensor::{Rng, Tensor, Var};
 use logcl_tkg::quad::Quad;
-use logcl_tkg::{HistoryIndex, TkgDataset};
+use logcl_tkg::{HistoryIndex, HistoryView, TkgDataset};
 
 use logcl_core::api::{EvalContext, TkgModel, TrainOptions};
 use logcl_core::{TrainError, TrainReport};
@@ -65,7 +65,7 @@ impl TirgnLite {
 
     /// Mask penalty: 0 where `(s, r, o)` has occurred, −1e4 elsewhere
     /// (TiRGN's binary history vocabulary restricted to past answers).
-    fn history_mask(&self, history: &HistoryIndex, queries: &[Quad]) -> Tensor {
+    fn history_mask(&self, history: HistoryView<'_>, queries: &[Quad]) -> Tensor {
         let e = self.ent.len();
         let mut feat = Tensor::full(&[queries.len(), e], -1e4);
         for (i, q) in queries.iter().enumerate() {
@@ -107,7 +107,7 @@ impl TirgnLite {
         let decoded = self.decoder.decode(&e_s, &e_r, training, &mut self.rng);
         let local = self.decoder.score_all(&decoded, &enc.h_final);
         let p_local = local.softmax_rows();
-        let masked = local.add(&Var::constant(self.history_mask(history, queries)));
+        let masked = local.add(&Var::constant(self.history_mask(history.as_of(t), queries)));
         let p_global = masked.softmax_rows();
         p_local
             .scale(self.alpha)
@@ -142,18 +142,16 @@ impl TkgModel for TirgnLite {
         let snapshots = ds.snapshots();
         let by_time = group_by_time(&ds.train, ds.num_times);
         let mut opt = Adam::new(&self.params, opts.lr);
+        let history = HistoryIndex::build(&snapshots);
         for _ in 0..opts.epochs {
-            let mut history = HistoryIndex::new();
-            for t in 0..ds.train_end_time() {
-                if !by_time[t].is_empty() {
-                    let quads = by_time[t].clone();
+            for (t, quads) in by_time.iter().enumerate().take(ds.train_end_time()) {
+                if !quads.is_empty() {
                     let inv: Vec<Quad> = quads.iter().map(|q| q.inverse(ds.num_rels)).collect();
-                    let loss1 = self.nll(&snapshots, &history, &quads, t);
+                    let loss1 = self.nll(&snapshots, &history, quads, t);
                     let loss2 = self.nll(&snapshots, &history, &inv, t);
                     loss1.add(&loss2).backward();
                     opt.clip_and_step(opts.grad_clip);
                 }
-                history.advance(&snapshots[t]);
             }
         }
         Ok(TrainReport::default())
@@ -183,7 +181,7 @@ mod tests {
             t: 0,
             edges: vec![(0, 0, 2), (0, 0, 2)],
         });
-        let f = model.history_mask(&history, &[Quad::new(0, 0, 0, 1)]);
+        let f = model.history_mask(history.as_of(1), &[Quad::new(0, 0, 0, 1)]);
         assert_eq!(f.at2(0, 2), 0.0);
         assert_eq!(f.at2(0, 3), -1e4);
     }

@@ -15,13 +15,14 @@ use crate::trainer::TrainReport;
 
 /// Everything a model may condition on when scoring queries at time `t`:
 /// the full snapshot sequence (the model must only read `snapshots[..t]`),
-/// and a history index advanced exactly to `t`.
+/// and the history index, which the model reads as `history.as_of(t)`.
 pub struct EvalContext<'a> {
     /// The dataset (vocabulary sizes, names).
     pub ds: &'a TkgDataset,
     /// All snapshots (inverse-closed); **only `[..t]` may be read**.
     pub snapshots: &'a [Snapshot],
-    /// Global history of facts with time `< t`.
+    /// Global history; may cover facts at or after `t`, so every read goes
+    /// through `history.as_of(t)`.
     pub history: &'a HistoryIndex,
     /// The query timestamp.
     pub t: Time,
@@ -138,19 +139,9 @@ pub fn evaluate_with_phase(
 ) -> Metrics {
     let snapshots = ds.snapshots();
     let times = TkgDataset::split_times(quads);
-    let first_t = times.first().copied().unwrap_or(0);
-    // History up to (but excluding) the first evaluated timestamp.
-    let mut history = HistoryIndex::new();
-    for snap in &snapshots[..first_t] {
-        history.advance(snap);
-    }
+    let history = HistoryIndex::build(&snapshots);
     let mut acc = RankAccumulator::new();
     for &t in &times {
-        // Catch up history for any gap between evaluated timestamps.
-        while history.horizon() < t {
-            let h = history.horizon();
-            history.advance(&snapshots[h]);
-        }
         let truth = ds.facts_at(t);
         let at_t: Vec<Quad> = quads.iter().filter(|q| q.t == t).copied().collect();
         let ctx = EvalContext {
@@ -180,12 +171,6 @@ pub fn evaluate_with_phase(
             }
         }
         if online {
-            let ctx = EvalContext {
-                ds,
-                snapshots: &snapshots,
-                history: &history,
-                t,
-            };
             model.online_update(&ctx, &at_t);
         }
     }

@@ -51,11 +51,7 @@ pub fn evaluate_detailed(
 ) -> DetailedReport {
     let snapshots = ds.snapshots();
     let times = TkgDataset::split_times(quads);
-    let first_t = times.first().copied().unwrap_or(0);
-    let mut history = HistoryIndex::new();
-    for snap in &snapshots[..first_t] {
-        history.advance(snap);
-    }
+    let history = HistoryIndex::build(&snapshots);
     let mut filtered = RankAccumulator::new();
     let mut raw = RankAccumulator::new();
     let mut historical = RankAccumulator::new();
@@ -64,10 +60,6 @@ pub fn evaluate_detailed(
         std::collections::BTreeMap::new();
 
     for &t in &times {
-        while history.horizon() < t {
-            let h = history.horizon();
-            history.advance(&snapshots[h]);
-        }
         let truth = ds.facts_at(t);
         let at_t: Vec<Quad> = quads.iter().filter(|q| q.t == t).copied().collect();
         let mut phase_queries = at_t.clone();
@@ -82,19 +74,13 @@ pub fn evaluate_detailed(
         };
         let scores1 = model.score(&ctx, &at_t);
         let inv: Vec<Quad> = at_t.iter().map(|q| q.inverse(ds.num_rels)).collect();
-        let ctx = EvalContext {
-            ds,
-            snapshots: &snapshots,
-            history: &history,
-            t,
-        };
         let scores2 = model.score(&ctx, &inv);
 
         for (q, s) in at_t.iter().chain(&inv).zip(scores1.iter().chain(&scores2)) {
             let fr = rank_time_aware(s, q, &truth);
             filtered.push(fr);
             raw.push(rank_raw(s, q.o));
-            if history.count(q.s, q.r, q.o) > 0 {
+            if history.as_of(t).count(q.s, q.r, q.o) > 0 {
                 historical.push(fr);
             } else {
                 novel.push(fr);

@@ -18,7 +18,7 @@ use logcl_gnn::aggregator::EdgeBatch;
 use logcl_gnn::{GlobalEntityAttention, RelGnn};
 use logcl_tensor::nn::ParamSet;
 use logcl_tensor::{Rng, Var};
-use logcl_tkg::HistoryIndex;
+use logcl_tkg::HistoryView;
 use std::collections::BTreeSet;
 
 use crate::config::LogClConfig;
@@ -49,13 +49,14 @@ impl GlobalEncoder {
     }
 
     /// Samples and unions the historical query subgraphs of `queries`
-    /// (unique `(s, r)` pairs), then aggregates them with the global GNN
-    /// over the initial embeddings `h0` / `rel0` (Eq. 12).
+    /// (unique `(s, r)` pairs) from `history` — the index as of the query
+    /// time — then aggregates them with the global GNN over the initial
+    /// embeddings `h0` / `rel0` (Eq. 12).
     pub fn encode(
         &self,
         h0: &Var,
         rel0: &Var,
-        history: &HistoryIndex,
+        history: HistoryView<'_>,
         queries: &[(usize, usize)],
     ) -> GlobalEncoding {
         let num_entities = h0.shape()[0];
@@ -115,7 +116,7 @@ impl GlobalEncoder {
 mod tests {
     use super::*;
     use logcl_tensor::Tensor;
-    use logcl_tkg::Snapshot;
+    use logcl_tkg::{HistoryIndex, Snapshot};
 
     fn history() -> HistoryIndex {
         HistoryIndex::build(&[
@@ -146,7 +147,7 @@ mod tests {
     fn encode_and_read_out() {
         let (enc, h0, rel0) = setup();
         let hist = history();
-        let out = enc.encode(&h0, &rel0, &hist, &[(0, 0), (2, 1)]);
+        let out = enc.encode(&h0, &rel0, hist.as_of(2), &[(0, 0), (2, 1)]);
         assert_eq!(out.h_agg.shape(), vec![5, 8]);
         let rep = enc.query_representation(&out, &h0, &[0, 2], true);
         assert_eq!(rep.shape(), vec![2, 8]);
@@ -157,8 +158,8 @@ mod tests {
     fn duplicate_queries_do_not_duplicate_edges() {
         let (enc, h0, rel0) = setup();
         let hist = history();
-        let a = enc.encode(&h0, &rel0, &hist, &[(0, 0)]);
-        let b = enc.encode(&h0, &rel0, &hist, &[(0, 0), (0, 0), (0, 0)]);
+        let a = enc.encode(&h0, &rel0, hist.as_of(2), &[(0, 0)]);
+        let b = enc.encode(&h0, &rel0, hist.as_of(2), &[(0, 0), (0, 0), (0, 0)]);
         assert_eq!(a.h_agg.value().data(), b.h_agg.value().data());
     }
 
@@ -166,11 +167,11 @@ mod tests {
     fn no_history_falls_back_to_self_loops() {
         let (enc, h0, rel0) = setup();
         let hist = HistoryIndex::new();
-        let out = enc.encode(&h0, &rel0, &hist, &[(0, 0)]);
+        let out = enc.encode(&h0, &rel0, hist.as_of(0), &[(0, 0)]);
         assert!(out.h_agg.value().all_finite());
         // With zero edges the aggregation is a pure (deterministic)
         // self-loop stack, identical for all-query sets.
-        let out2 = enc.encode(&h0, &rel0, &hist, &[(3, 1)]);
+        let out2 = enc.encode(&h0, &rel0, hist.as_of(0), &[(3, 1)]);
         assert_eq!(out.h_agg.value().data(), out2.h_agg.value().data());
     }
 
@@ -178,7 +179,7 @@ mod tests {
     fn gate_ablation_changes_representation() {
         let (enc, h0, rel0) = setup();
         let hist = history();
-        let out = enc.encode(&h0, &rel0, &hist, &[(0, 0)]);
+        let out = enc.encode(&h0, &rel0, hist.as_of(2), &[(0, 0)]);
         let gated = enc.query_representation(&out, &h0, &[0], true);
         let raw = enc.query_representation(&out, &h0, &[0], false);
         assert_ne!(gated.value().data(), raw.value().data());
@@ -188,7 +189,7 @@ mod tests {
     fn gradients_flow_to_initial_embeddings() {
         let (enc, h0, rel0) = setup();
         let hist = history();
-        let out = enc.encode(&h0, &rel0, &hist, &[(0, 0), (3, 0)]);
+        let out = enc.encode(&h0, &rel0, hist.as_of(2), &[(0, 0), (3, 0)]);
         let rep = enc.query_representation(&out, &h0, &[0, 3], true);
         rep.sum().backward();
         assert!(h0.grad().is_some());

@@ -206,7 +206,8 @@ impl LogCl {
 
     /// One propagation phase: scores `queries` (all at `shared.t_q`)
     /// against every entity and, in training, computes the contrastive
-    /// loss.
+    /// loss. The global encoder reads `history.as_of(shared.t_q)`, so the
+    /// index may know facts at or after `t_q` — they are never seen.
     pub fn forward_queries(
         &mut self,
         shared: &SharedEncoding,
@@ -301,9 +302,12 @@ impl LogCl {
         let global_ctx: Option<(GlobalEncoding, _)> = if cfg.use_global && !skip_global {
             let pairs: Vec<(usize, usize)> =
                 subjects.iter().copied().zip(rels.iter().copied()).collect();
-            let enc = self
-                .global
-                .encode(&shared.h0, &self.rel.weight, history, &pairs);
+            let enc = self.global.encode(
+                &shared.h0,
+                &self.rel.weight,
+                history.as_of(shared.t_q),
+                &pairs,
+            );
             let rep = self.global.query_representation(
                 &enc,
                 &shared.h0,
@@ -444,10 +448,7 @@ mod tests {
         let mut model = LogCl::new(&ds, tiny_cfg());
         let snaps = ds.snapshots();
         let t = 10;
-        let mut history = HistoryIndex::new();
-        for s in &snaps[..t] {
-            history.advance(s);
-        }
+        let history = HistoryIndex::build(&snaps);
         let queries: Vec<Quad> = ds
             .train
             .iter()
@@ -468,6 +469,35 @@ mod tests {
         assert!(out_eval.contrast.is_none());
     }
 
+    /// The leakage rule lives in `forward_queries`: an index that knows the
+    /// whole timeline scores exactly as the prefix built alone does.
+    #[test]
+    fn forward_reads_history_as_of_the_query_time() {
+        let ds = tiny_ds();
+        let mut model = LogCl::new(&ds, tiny_cfg());
+        let snaps = ds.snapshots();
+        let t = 10;
+        let whole = HistoryIndex::build(&snaps);
+        let prefix = HistoryIndex::build(&snaps[..t]);
+        let queries: Vec<Quad> = ds.train.iter().filter(|q| q.t == t).copied().collect();
+        assert!(
+            queries.iter().any(|q| {
+                let cap = model.cfg.max_subgraph_edges;
+                whole.query_subgraph(q.s, q.r, cap).edges
+                    != prefix.query_subgraph(q.s, q.r, cap).edges
+            }),
+            "the later facts must matter for the comparison to mean anything"
+        );
+        let shared = model.encode(&snaps, t, false);
+        let bits = |out: ForwardOutput| -> Vec<u32> {
+            let logits = out.logits.to_tensor();
+            logits.data().iter().map(|v| v.to_bits()).collect()
+        };
+        let from_whole = bits(model.forward_queries(&shared, &whole, &queries, false));
+        let from_prefix = bits(model.forward_queries(&shared, &prefix, &queries, false));
+        assert_eq!(from_whole, from_prefix);
+    }
+
     #[test]
     fn ablations_change_parameter_sets() {
         let ds = tiny_ds();
@@ -483,10 +513,7 @@ mod tests {
         let ds = tiny_ds();
         let snaps = ds.snapshots();
         let t = 8;
-        let mut history = HistoryIndex::new();
-        for s in &snaps[..t] {
-            history.advance(s);
-        }
+        let history = HistoryIndex::build(&snaps);
         let queries: Vec<Quad> = ds
             .train
             .iter()
@@ -512,10 +539,7 @@ mod tests {
         let ds = tiny_ds();
         let snaps = ds.snapshots();
         let t = 8;
-        let mut history = HistoryIndex::new();
-        for s in &snaps[..t] {
-            history.advance(s);
-        }
+        let history = HistoryIndex::build(&snaps);
         let queries: Vec<Quad> = ds
             .train
             .iter()
@@ -555,10 +579,7 @@ mod tests {
         let mut model = with_static;
         let snaps = ds.snapshots();
         let t = 8;
-        let mut history = HistoryIndex::new();
-        for s in &snaps[..t] {
-            history.advance(s);
-        }
+        let history = HistoryIndex::build(&snaps);
         let queries: Vec<Quad> = ds
             .train
             .iter()
@@ -585,10 +606,7 @@ mod tests {
         let mut model = LogCl::new(&ds, tiny_cfg());
         let snaps = ds.snapshots();
         let t = 12;
-        let mut history = HistoryIndex::new();
-        for s in &snaps[..t] {
-            history.advance(s);
-        }
+        let history = HistoryIndex::build(&snaps);
         let queries: Vec<Quad> = ds
             .train
             .iter()

@@ -143,10 +143,7 @@ pub fn predict_topk(
 ) -> Result<Vec<Prediction>, PredictError> {
     validate_query(ds, s, r, t)?;
     let snapshots = ds.snapshots();
-    let mut history = HistoryIndex::new();
-    for snap in &snapshots[..t] {
-        history.advance(snap);
-    }
+    let history = HistoryIndex::build(&snapshots);
     let ctx = EvalContext {
         ds,
         snapshots: &snapshots,

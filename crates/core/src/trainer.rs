@@ -151,15 +151,14 @@ pub fn train(
 
     let mut good = GoodState::capture(model, &opt);
     let mut nan_injected = false;
+    let history = HistoryIndex::build(&snapshots);
 
     let mut epoch = start_epoch;
     while epoch < opts.epochs {
         let mut epoch_loss = 0.0f64;
         let mut batches = 0usize;
-        let mut history = HistoryIndex::new();
         let mut outcome = None;
-        for t in 0..train_end {
-            let quads = &by_time[t];
+        for (t, quads) in by_time.iter().enumerate().take(train_end) {
             if !quads.is_empty() {
                 let shared = model.encode(&snapshots, t, true);
 
@@ -211,7 +210,6 @@ pub fn train(
                 epoch_loss += loss_val as f64;
                 batches += 1;
             }
-            history.advance(&snapshots[t]);
         }
         let outcome = outcome.unwrap_or_else(|| {
             EpochOutcome::Completed(if batches > 0 {

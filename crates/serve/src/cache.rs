@@ -8,10 +8,14 @@
 //! encoding until ingestion invalidates it.
 //!
 //! Invalidation rules (see DESIGN.md):
-//! * appending facts at `t` drops entries with key `>= t` (an encoding for
-//!   `t_q` reads `snapshots[..t_q]`, so strictly `> t` would suffice; `>= t`
-//!   also covers the entry whose history index the ingested timestamp is
-//!   about to enter),
+//! * appending facts at `t` drops entries with key `>= t`. An encoding for
+//!   `t_q` reads `snapshots[..t_q]`, so for the windowed encodings strictly
+//!   `> t` would suffice; the entry at `t` goes too because, when `t` was
+//!   the head, it was read out of the streaming state, and from now on `t`
+//!   is a historical timestamp answered by the windowed encode. Entries
+//!   hold encodings only — the history they are scored against is the
+//!   registry's one index read as of the entry's key, which an ingest at or
+//!   after that key cannot change,
 //! * an online weight update drops *everything* — every cached encoding was
 //!   computed under the old parameters.
 

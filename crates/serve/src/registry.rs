@@ -57,22 +57,13 @@ pub struct ModelSpec {
     pub train: Option<TrainOptions>,
 }
 
-/// A cached query-independent forward state for one timestamp.
-///
-/// `history: None` marks a head entry (query at the live horizon): it reads
-/// the registry-wide incrementally-advanced [`HistoryIndex`] instead of a
-/// pinned per-timestamp copy. Ingestion invalidates every entry at or past
-/// the ingested timestamp before the shared index moves on, so a surviving
-/// `None` entry is always consistent with it.
-struct CachedEncoding {
-    shared: SharedEncoding,
-    history: Option<HistoryIndex>,
-}
-
 struct ModelEntry {
     name: String,
     model: LogCl,
-    cache: EncodingCache<CachedEncoding>,
+    /// The query-independent forward state per timestamp. Entries hold
+    /// encodings only: the history every one of them is scored against is
+    /// the registry's single [`HistoryIndex`], read as of the entry's `t`.
+    cache: EncodingCache<SharedEncoding>,
     /// The incrementally-advanced streaming encoder state (always equal to
     /// what a from-scratch build over the current parameters + snapshots
     /// would produce; head ingests advance it in O(Δ)).
@@ -211,9 +202,10 @@ pub struct Registry {
     /// path; in Brownout predictions are answered with a capped top-k and
     /// (optionally) without the global encoder.
     overload: Arc<OverloadState>,
-    /// The global history vocabulary over every consumed snapshot, advanced
-    /// in place by head ingests (rebuilt only on the rare backfill path).
-    /// Head predictions and head online adaptation read it directly.
+    /// The one global history vocabulary, over every consumed snapshot:
+    /// advanced in place by head ingests, rebuilt only on the rare backfill
+    /// path. Every prediction and every online adaptation, at the head or
+    /// at a historical `t`, reads it as of its own query time.
     head_history: HistoryIndex,
     /// Max online fine-tuning steps per `update:true` ingest.
     online_steps: usize,
@@ -417,21 +409,17 @@ impl Registry {
                 .cache_hits
                 .fetch_add(batch_size as u64, Ordering::Relaxed);
         } else {
-            let (shared, history) = if at_head {
+            let shared = if at_head {
                 // Head query: the streaming state already holds the fully
                 // evolved encoding — materialise it instead of re-encoding
-                // the window, and read the shared advanced history index.
-                (entry.model.shared_from_state(&entry.state), None)
+                // the window.
+                entry.model.shared_from_state(&entry.state)
             } else {
                 // Historical query: encode the query-relative window from
-                // scratch and pin the history prefix it was scored against.
-                let mut history = HistoryIndex::new();
-                for snap in &self.snapshots[..t] {
-                    history.advance(snap);
-                }
-                (entry.model.encode(&self.snapshots, t, false), Some(history))
+                // scratch.
+                entry.model.encode(&self.snapshots, t, false)
             };
-            entry.cache.insert(t, CachedEncoding { shared, history });
+            entry.cache.insert(t, shared);
             self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
             if batch_size > 1 {
                 self.metrics
@@ -439,7 +427,7 @@ impl Registry {
                     .fetch_add(batch_size as u64 - 1, Ordering::Relaxed);
             }
         }
-        let Some(cached) = entry.cache.get(t) else {
+        let Some(shared) = entry.cache.get(t) else {
             // Unreachable by construction (inserted above when absent), but
             // a cache miss here must degrade to an error reply, not a panic
             // that takes the model worker down with it.
@@ -452,7 +440,8 @@ impl Registry {
             }
             return;
         };
-        let history = cached.history.as_ref().unwrap_or(&self.head_history);
+        // `forward_queries*` reads this as of `shared.t_q`, which is `t`.
+        let history = &self.head_history;
 
         // Unique (s, r) pairs: concurrent requests for the same hot query
         // share one decode whichever mode is active.
@@ -479,7 +468,7 @@ impl Registry {
                 .collect();
             scores = score_queries(
                 &mut entry.model,
-                &cached.shared,
+                shared,
                 history,
                 &queries,
                 skip_global,
@@ -494,7 +483,7 @@ impl Registry {
                 let query = [Quad::new(s, r, 0, t)];
                 let mut one = score_queries(
                     &mut entry.model,
-                    &cached.shared,
+                    shared,
                     history,
                     &query,
                     skip_global,
@@ -638,35 +627,25 @@ impl Registry {
             invalidated += entry.cache.invalidate_from(t);
         }
 
-        // Bounded online fine-tuning on the fresh facts, before the head
-        // history advances past them (`head_history` covers exactly `[..t]`
-        // here when `t` closes the head snapshot). The loss guard inside
-        // `online_adapt` restores the parameters bit-exactly on divergence,
-        // so a rollback leaves caches and encoder states valid.
+        // Bounded online fine-tuning on the fresh facts, head append and
+        // backfill alike: the model reads `head_history` as of `t`, and what
+        // this ingest changes (facts at `t`) is never `< t`, so it does not
+        // matter that the index is brought up to date only below. The loss
+        // guard inside `online_adapt` restores the parameters bit-exactly on
+        // divergence, so a rollback leaves caches and encoder states valid.
         let mut report = trainer::OnlineAdaptReport::default();
         if update && appended > 0 && self.online_steps > 0 {
             let opts = trainer::OnlineAdaptOptions {
                 max_steps: self.online_steps,
                 ..Default::default()
             };
-            report = if was_head {
-                let ctx = EvalContext {
-                    ds: &self.ds,
-                    snapshots: &self.snapshots,
-                    history: &self.head_history,
-                    t,
-                };
-                trainer::online_adapt(&mut self.entries[idx].model, &ctx, &fresh, &opts)
-            } else {
-                let history = HistoryIndex::build(&self.snapshots[..t]);
-                let ctx = EvalContext {
-                    ds: &self.ds,
-                    snapshots: &self.snapshots,
-                    history: &history,
-                    t,
-                };
-                trainer::online_adapt(&mut self.entries[idx].model, &ctx, &fresh, &opts)
+            let ctx = EvalContext {
+                ds: &self.ds,
+                snapshots: &self.snapshots,
+                history: &self.head_history,
+                t,
             };
+            report = trainer::online_adapt(&mut self.entries[idx].model, &ctx, &fresh, &opts);
             self.metrics.online_updates.fetch_add(1, Ordering::Relaxed);
             self.metrics
                 .online_steps

@@ -1,6 +1,7 @@
 //! End-to-end tests over real sockets: concurrent clients, micro-batching,
-//! exactness versus the library's `predict_topk`, online ingestion, and
-//! graceful shutdown. Everything runs against an ephemeral port through the
+//! exactness versus the library's `predict_topk` / `predict_topk_stream`
+//! (head and historical timestamps), online ingestion, and graceful
+//! shutdown. Everything runs against an ephemeral port through the
 //! crate's own `http::Client`; the two tests that open a `TcpStream`
 //! themselves say why.
 
@@ -10,10 +11,13 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use logcl_core::{predict_topk_stream, LogCl, LogClConfig};
+use logcl_core::{
+    online_adapt, predict_topk, predict_topk_stream, EvalContext, LogCl, LogClConfig,
+    OnlineAdaptOptions,
+};
 use logcl_serve::http::{self, Client};
 use logcl_serve::{ModelSpec, ServeConfig, Server};
-use logcl_tkg::{SyntheticPreset, TkgDataset};
+use logcl_tkg::{HistoryIndex, Quad, SyntheticPreset, TkgDataset};
 use serde_json::Value;
 
 fn tiny_ds() -> TkgDataset {
@@ -789,5 +793,161 @@ fn oversized_body_is_answered_413_and_counted() {
     // A normally-sized request on the same server still succeeds.
     let (status, _) = request(addr, "POST", "/predict", r#"{"subject": 0, "relation": 0}"#);
     assert_eq!(status, 200);
+    server.shutdown();
+}
+
+/// `(entity, score_bits)` pairs from a `/predict` reply, in reply order.
+fn ranking_of(body: &Value) -> Vec<(usize, u32)> {
+    body.get("predictions")
+        .and_then(Value::as_array)
+        .expect("predictions array")
+        .iter()
+        .map(|p| {
+            (
+                p.get("entity").and_then(Value::as_u64).expect("entity id") as usize,
+                p.get("score_bits").and_then(Value::as_u64).expect("bits") as u32,
+            )
+        })
+        .collect()
+}
+
+/// What `/ingest` does to the registry's dataset, done to the twin's:
+/// the facts not already present at `t` join the test split and the
+/// horizon covers `t`. Returns the facts that were new.
+fn extend(ds: &mut TkgDataset, t: usize, facts: &[(usize, usize, usize)]) -> Vec<Quad> {
+    let fresh: Vec<Quad> = facts
+        .iter()
+        .filter(|f| !ds.all_quads().iter().any(|q| q.t == t && q.triple() == **f))
+        .map(|&(s, r, o)| Quad::new(s, r, o, t))
+        .collect();
+    ds.test.extend_from_slice(&fresh);
+    ds.num_times = ds.num_times.max(t + 1);
+    fresh
+}
+
+/// The registry keeps one history index and reads it as of each query's
+/// time; cache entries hold encodings only. So whatever is ingested, and
+/// whichever entries the cache has evicted and recomputed, an answer at a
+/// historical `t` is `predict_topk`'s and the head answer is
+/// `predict_topk_stream`'s on an identically extended dataset — entity for
+/// entity, bit for bit.
+#[test]
+fn historical_and_head_answers_stay_exact_across_ingests_and_evictions() {
+    const CACHE_CAPACITY: usize = 3;
+    const K: usize = 6;
+    let cfg = ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        threads: 2,
+        linger: Duration::from_millis(1),
+        cache_capacity: CACHE_CAPACITY,
+        // Exactness test: keep degradation out of reach (see `test_server`).
+        brownout_sojourn: Duration::from_secs(10),
+        shed_sojourn: Duration::from_secs(60),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(cfg, tiny_ds(), vec![untrained_spec()]).expect("server must start");
+    let addr = server.addr();
+    let mut ds = tiny_ds();
+    let mut twin = LogCl::new(&ds, tiny_cfg());
+    let base = ds.num_times;
+
+    let ask = |body: String| {
+        let (status, reply) = request(addr, "POST", "/predict", &body);
+        assert_eq!(status, 200, "{body}: {reply}");
+        json(&reply)
+    };
+    let ingest = |t: usize, facts: &[(usize, usize, usize)], update: bool| {
+        let facts: Vec<String> = facts
+            .iter()
+            .map(|(s, r, o)| format!("[{s}, {r}, {o}]"))
+            .collect();
+        let body = format!(
+            r#"{{"time": {t}, "facts": [{}], "update": {update}}}"#,
+            facts.join(", ")
+        );
+        let (status, reply) = request(addr, "POST", "/ingest", &body);
+        assert_eq!(status, 200, "{body}: {reply}");
+        json(&reply)
+    };
+    // More distinct historical times than the cache holds, asked twice
+    // over, so the second pass finds most of them evicted; then the head.
+    let check = |ds: &TkgDataset, twin: &mut LogCl, what: &str| {
+        let head = ds.num_times;
+        let times = [head - 1, base - 2, base - 5, head - 3, base - 8];
+        assert!(times.len() > CACHE_CAPACITY);
+        let mut recomputed = 0;
+        for pass in 0..2 {
+            for &t in &times {
+                for (s, r, inverse) in [(1usize, 0usize, false), (2, 1, true)] {
+                    let reply = ask(format!(
+                        r#"{{"subject": {s}, "relation": {r}, "inverse": {inverse}, "time": {t}, "k": {K}}}"#
+                    ));
+                    let r = if inverse { r + ds.num_rels } else { r };
+                    let want: Vec<(usize, u32)> = predict_topk(twin, ds, s, r, t, K)
+                        .expect("reference")
+                        .iter()
+                        .map(|p| (p.entity, p.score.to_bits()))
+                        .collect();
+                    assert_eq!(ranking_of(&reply), want, "{what}: ({s}, {r}) at t = {t}");
+                    let hit = reply.get("cache_hit").and_then(Value::as_bool).unwrap();
+                    recomputed += usize::from(pass == 1 && !hit);
+                }
+            }
+        }
+        assert!(recomputed > 0, "{what}: no evicted entry was recomputed");
+        for (s, r) in [(1usize, 0usize), (4, 1)] {
+            let reply = ask(format!(r#"{{"subject": {s}, "relation": {r}, "k": {K}}}"#));
+            let want: Vec<(usize, u32)> = predict_topk_stream(twin, ds, s, r, K)
+                .expect("reference")
+                .iter()
+                .map(|p| (p.entity, p.score.to_bits()))
+                .collect();
+            assert_eq!(ranking_of(&reply), want, "{what}: ({s}, {r}) at the head");
+        }
+    };
+
+    check(&ds, &mut twin, "base");
+
+    // Head appends: the index is advanced in place.
+    for facts in [[(1, 0, 2), (3, 1, 4)], [(1, 0, 5), (2, 1, 1)]] {
+        let t = ds.num_times;
+        let reply = ingest(t, &facts, false);
+        assert_eq!(
+            reply.get("horizon").and_then(Value::as_u64),
+            Some(t as u64 + 1)
+        );
+        extend(&mut ds, t, &facts);
+    }
+    check(&ds, &mut twin, "after head appends");
+
+    // A backfill: the index is rebuilt over the amended timeline, and every
+    // later timestamp's history now holds these facts.
+    let backfill = [(1, 0, 6), (6, 1, 2)];
+    ingest(base - 4, &backfill, false);
+    assert_eq!(extend(&mut ds, base - 4, &backfill).len(), 2);
+    check(&ds, &mut twin, "after a backfill");
+
+    // An online update at the head: one guarded gradient step on the new
+    // facts, against the history as of their timestamp.
+    let t = ds.num_times;
+    let facts = [(2, 0, 1), (5, 1, 3)];
+    let reply = ingest(t, &facts, true);
+    assert_eq!(
+        reply.get("online_update").and_then(Value::as_bool),
+        Some(true)
+    );
+    let fresh = extend(&mut ds, t, &facts);
+    let snapshots = ds.snapshots();
+    let history = HistoryIndex::build(&snapshots[..t]);
+    let ctx = EvalContext {
+        ds: &ds,
+        snapshots: &snapshots,
+        history: &history,
+        t,
+    };
+    let report = online_adapt(&mut twin, &ctx, &fresh, &OnlineAdaptOptions::default());
+    assert_eq!(report.steps, 1);
+    check(&ds, &mut twin, "after an online update");
+
     server.shutdown();
 }

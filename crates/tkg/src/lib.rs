@@ -13,7 +13,8 @@
 //!   presets mirroring ICEWS14/ICEWS18/ICEWS05-15/GDELT statistics at
 //!   reduced scale.
 //! * [`history`] — the global repetition index and the paper's two-hop
-//!   historical query-subgraph sampler (Section III-D).
+//!   historical query-subgraph sampler (Section III-D): one time-versioned
+//!   index, read "as of `t`" so only facts with time `< t` are visible.
 //! * [`eval`] — time-aware filtered MRR / Hits@k exactly as defined in
 //!   Section IV-B1.
 //! * [`noise`] — Gaussian perturbation specs for the robustness studies
@@ -33,7 +34,7 @@ pub mod synthetic;
 pub use dataset::{DatasetError, TkgDataset};
 pub use eval::{Metrics, RankAccumulator};
 pub use extension::{DatasetExtension, ExtensionError};
-pub use history::{HistoryIndex, QuerySubgraph};
+pub use history::{HistoryIndex, HistoryView, QuerySubgraph};
 pub use noise::NoiseSpec;
 pub use quad::Quad;
 pub use snapshot::Snapshot;

@@ -32,6 +32,7 @@ fn snapshots(reverse_within_snapshot: bool) -> Vec<Snapshot> {
 fn seen_objects_is_insertion_order_invariant() {
     let a = HistoryIndex::build(&snapshots(false));
     let b = HistoryIndex::build(&snapshots(true));
+    let (a, b) = (a.as_of(a.horizon()), b.as_of(b.horizon()));
     for s in 0..6 {
         for r in 0..3 {
             assert_eq!(
@@ -54,7 +55,8 @@ fn two_runs_render_identical_bytes() {
         let mut out = String::new();
         for s in 0..6 {
             for r in 0..3 {
-                out.push_str(&format!("{s},{r}:{:?};", idx.seen_objects(s, r)));
+                let seen = idx.as_of(idx.horizon()).seen_objects(s, r);
+                out.push_str(&format!("{s},{r}:{seen:?};"));
                 out.push_str(&format!("{:?}\n", idx.query_subgraph(s, r, 8).edges));
             }
         }

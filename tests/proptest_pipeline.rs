@@ -69,7 +69,9 @@ proptest! {
         let ds = TkgDataset::from_quads("prop", 8, 3, quads);
         let snaps = ds.snapshots();
         let cut = snaps.len() / 2;
-        let hist = logcl::tkg::HistoryIndex::build(&snaps[..cut]);
+        // The prefix built alone, and the whole timeline read as of `cut`.
+        let prefix = logcl::tkg::HistoryIndex::build(&snaps[..cut]);
+        let whole = logcl::tkg::HistoryIndex::build(&snaps);
         // Brute force recount.
         for q in ds.train.iter().take(10) {
             let expected = snaps[..cut]
@@ -77,7 +79,8 @@ proptest! {
                 .flat_map(|s| &s.edges)
                 .filter(|&&(s2, r2, o2)| (s2, r2, o2) == (q.s, q.r, q.o))
                 .count() as u32;
-            prop_assert_eq!(hist.count(q.s, q.r, q.o), expected);
+            prop_assert_eq!(prefix.as_of(cut).count(q.s, q.r, q.o), expected);
+            prop_assert_eq!(whole.as_of(cut).count(q.s, q.r, q.o), expected);
         }
     }
 
