@@ -10,9 +10,20 @@
 //! For batching, the subgraphs of all queries at one timestamp are unioned
 //! into a single edge set before aggregation; per-query representations are
 //! then read out at the query subjects. This preserves the paper's per-query
-//! subgraph semantics (each query only reads its own subject row, whose
-//! receptive field is its own subgraph's neighbourhood) at a fraction of the
-//! cost.
+//! subgraph semantics: each query only reads its own subject row, whose
+//! receptive field is its own subgraph's neighbourhood.
+//!
+//! The GNN runs over the subgraphs' **row set** — the query subjects and the
+//! edge endpoints, at most `2 · max_subgraph_edges + 1` entities per query —
+//! gathered out of `h0` and relabelled, not over all `|E|` rows. Every row
+//! it produces has the bits the whole-vocabulary pass would give that
+//! entity: the matmul kernel computes an output row from its own input row,
+//! scatter-add accumulates each object's messages in edge order (relabelling
+//! keeps it), and in-degrees / attention segments are per object over the
+//! same edges. An entity outside the row set would only ever carry its
+//! self-loop transform, and nothing reads it. Measured (PR 15, traced
+//! benchmark replay): the global encoder's share of a served forward fell
+//! from 0.94 to ≈0.2 at |E| = 4 000 and from 0.93 to ≈0.5 at |E| = 1 000.
 
 use logcl_gnn::aggregator::EdgeBatch;
 use logcl_gnn::{GlobalEntityAttention, RelGnn};
@@ -25,10 +36,36 @@ use crate::config::LogClConfig;
 
 /// The outputs of one global encoding pass.
 pub struct GlobalEncoding {
+    /// The entities the GNN ran over, ascending: the query subjects and
+    /// every endpoint of the unioned subgraph edges — or the whole
+    /// vocabulary for LogCL-G, whose decoder candidates are `h_agg` itself.
+    pub rows: Vec<usize>,
     /// Aggregated entity matrix `H_g^{Agg}` over the unioned query
-    /// subgraphs (`[E, D]`; entities outside every subgraph carry only
-    /// their self-loop transform).
+    /// subgraphs, `[rows.len(), D]`: row `i` belongs to entity `rows[i]`.
     pub h_agg: Var,
+}
+
+impl GlobalEncoding {
+    /// The `H_g^{Agg}` rows of `entities`, each of which must be in the row
+    /// set (every query subject is).
+    pub fn gather(&self, entities: &[usize]) -> Var {
+        self.h_agg.gather_rows(&positions(&self.rows, entities))
+    }
+}
+
+/// Where each of `entities` sits in the ascending `rows`.
+fn positions(rows: &[usize], entities: &[usize]) -> Vec<usize> {
+    entities
+        .iter()
+        .map(|&e| {
+            let at = rows.partition_point(|&row| row < e);
+            assert!(
+                rows.get(at) == Some(&e),
+                "entity {e} is outside the global encoding's row set"
+            );
+            at
+        })
+        .collect()
 }
 
 /// The global encoder.
@@ -36,6 +73,10 @@ pub struct GlobalEncoder {
     gnn: RelGnn,
     att: GlobalEntityAttention,
     max_edges_per_query: usize,
+    /// LogCL-G (no local encoder) decodes against `H_g^{Agg}` itself, so it
+    /// needs a row for every entity; every other variant reads subject rows
+    /// only.
+    whole_vocabulary: bool,
 }
 
 impl GlobalEncoder {
@@ -45,13 +86,14 @@ impl GlobalEncoder {
             gnn: RelGnn::new(cfg.aggregator, cfg.dim, cfg.global_layers, rng),
             att: GlobalEntityAttention::new(cfg.dim, rng),
             max_edges_per_query: cfg.max_subgraph_edges,
+            whole_vocabulary: !cfg.use_local,
         }
     }
 
     /// Samples and unions the historical query subgraphs of `queries`
     /// (unique `(s, r)` pairs) from `history` — the index as of the query
-    /// time — then aggregates them with the global GNN over the initial
-    /// embeddings `h0` / `rel0` (Eq. 12).
+    /// time — then aggregates them with the global GNN over their row set
+    /// of the initial embeddings `h0` / `rel0` (Eq. 12).
     pub fn encode(
         &self,
         h0: &Var,
@@ -59,7 +101,6 @@ impl GlobalEncoder {
         history: HistoryView<'_>,
         queries: &[(usize, usize)],
     ) -> GlobalEncoding {
-        let num_entities = h0.shape()[0];
         let mut seen_pairs: BTreeSet<(usize, usize)> = BTreeSet::new();
         let mut edge_set: BTreeSet<(usize, usize, usize)> = BTreeSet::new();
         let mut s_idx = Vec::new();
@@ -78,14 +119,27 @@ impl GlobalEncoder {
                 }
             }
         }
-        let edges = EdgeBatch {
-            subjects: &s_idx,
-            relations: &r_idx,
-            objects: &o_idx,
-            num_entities,
+        let rows: Vec<usize> = if self.whole_vocabulary {
+            (0..h0.shape()[0]).collect()
+        } else {
+            let subjects = queries.iter().map(|&(s, _)| s);
+            let endpoints = s_idx.iter().chain(&o_idx).copied();
+            let mut rows: Vec<usize> = subjects.chain(endpoints).collect();
+            rows.sort_unstable();
+            rows.dedup();
+            rows
         };
-        let h_agg = self.gnn.forward(h0, rel0, &edges);
-        GlobalEncoding { h_agg }
+        // Edge order is kept, so each object accumulates its messages in the
+        // order it would over the whole vocabulary.
+        let (s_pos, o_pos) = (positions(&rows, &s_idx), positions(&rows, &o_idx));
+        let edges = EdgeBatch {
+            subjects: &s_pos,
+            relations: &r_idx,
+            objects: &o_pos,
+            num_entities: rows.len(),
+        };
+        let h_agg = self.gnn.forward(&h0.gather_rows(&rows), rel0, &edges);
+        GlobalEncoding { rows, h_agg }
     }
 
     /// Per-query global representations: the gated subject rows (Eq. 13–14),
@@ -97,7 +151,7 @@ impl GlobalEncoder {
         subjects: &[usize],
         use_entity_attention: bool,
     ) -> Var {
-        let h_g = enc.h_agg.gather_rows(subjects);
+        let h_g = enc.gather(subjects);
         if !use_entity_attention {
             return h_g;
         }
@@ -148,7 +202,10 @@ mod tests {
         let (enc, h0, rel0) = setup();
         let hist = history();
         let out = enc.encode(&h0, &rel0, hist.as_of(2), &[(0, 0), (2, 1)]);
-        assert_eq!(out.h_agg.shape(), vec![5, 8]);
+        // Subjects 0 and 2 plus their subgraphs' endpoints; 3 and 4 only
+        // touch each other.
+        assert_eq!(out.rows, vec![0, 1, 2]);
+        assert_eq!(out.h_agg.shape(), vec![3, 8]);
         let rep = enc.query_representation(&out, &h0, &[0, 2], true);
         assert_eq!(rep.shape(), vec![2, 8]);
         assert!(rep.value().all_finite());
@@ -160,6 +217,7 @@ mod tests {
         let hist = history();
         let a = enc.encode(&h0, &rel0, hist.as_of(2), &[(0, 0)]);
         let b = enc.encode(&h0, &rel0, hist.as_of(2), &[(0, 0), (0, 0), (0, 0)]);
+        assert_eq!(a.rows, b.rows);
         assert_eq!(a.h_agg.value().data(), b.h_agg.value().data());
     }
 
@@ -167,12 +225,27 @@ mod tests {
     fn no_history_falls_back_to_self_loops() {
         let (enc, h0, rel0) = setup();
         let hist = HistoryIndex::new();
-        let out = enc.encode(&h0, &rel0, hist.as_of(0), &[(0, 0)]);
-        assert!(out.h_agg.value().all_finite());
-        // With zero edges the aggregation is a pure (deterministic)
-        // self-loop stack, identical for all-query sets.
-        let out2 = enc.encode(&h0, &rel0, hist.as_of(0), &[(3, 1)]);
-        assert_eq!(out.h_agg.value().data(), out2.h_agg.value().data());
+        // With zero edges the row set is the subject alone and the
+        // aggregation a pure self-loop stack of that row.
+        let out = enc.encode(&h0, &rel0, hist.as_of(0), &[(3, 1)]);
+        assert_eq!(out.rows, vec![3]);
+        let edges = EdgeBatch {
+            subjects: &[],
+            relations: &[],
+            objects: &[],
+            num_entities: 5,
+        };
+        let self_loops = enc.gnn.forward(&h0, &rel0, &edges);
+        assert_eq!(out.h_agg.value().data(), self_loops.value().row(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the global encoding's row set")]
+    fn reading_an_entity_outside_the_row_set_is_refused() {
+        let (enc, h0, rel0) = setup();
+        let hist = history();
+        let out = enc.encode(&h0, &rel0, hist.as_of(2), &[(0, 0)]);
+        out.gather(&[4]);
     }
 
     #[test]

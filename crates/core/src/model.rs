@@ -222,10 +222,12 @@ impl LogCl {
     /// the decoder input falls back to the pure local representation (the
     /// λ-mixture of Eq. 19 collapses to its local term) and the candidate
     /// matrix stays the local evolved entity matrix of Eq. 18. Used by the
-    /// serving stack's brownout tier, where the query-dependent global
-    /// subgraph encoding is the serve-time cost it cannot afford. The skip
-    /// is a no-op when the configuration has no local encoder (there would
-    /// be nothing to fall back to) or no global encoder (nothing to skip).
+    /// serving stack's brownout tier to drop the query-dependent global
+    /// subgraph encoding — ≈0.15–0.3 ms of a forward, as that encoding runs
+    /// over the subgraph's own rows (measured in `logcl_serve::shed`'s
+    /// header). The skip is a no-op when the configuration has no local
+    /// encoder (there would be nothing to fall back to) or no global encoder
+    /// (nothing to skip).
     pub fn forward_queries_local_only(
         &mut self,
         shared: &SharedEncoding,
@@ -331,7 +333,12 @@ impl LogCl {
                 (h_q, enc_l.h_final.clone())
             }
             (Some((enc_l, l)), None) => (l.clone(), enc_l.h_final.clone()),
-            (None, Some((enc_g, g))) => (g.clone(), enc_g.h_agg.clone()),
+            // LogCL-G: the candidates are `H_g` itself — the one variant
+            // whose global encoding has a row for every entity.
+            (None, Some((enc_g, g))) => {
+                assert_eq!(enc_g.rows.len(), shared.h0.shape()[0]);
+                (g.clone(), enc_g.h_agg.clone())
+            }
             // logcl-allow(L002): LogClConfig validation rejects configs with no encoder; both-None is unrepresentable here
             (None, None) => unreachable!("config validation requires an encoder"),
         };
@@ -362,7 +369,7 @@ impl LogCl {
                     None => enc_l.h_final.gather_rows(&subjects),
                 };
                 let z_l = self.mlp_local.forward(&local_view.concat_cols(&r_dec));
-                let g_view = enc_g.h_agg.gather_rows(&subjects);
+                let g_view = enc_g.gather(&subjects);
                 let r_static = self.rel.weight.gather_rows(&rels);
                 let z_g = self.mlp_global.forward(&g_view.concat_cols(&r_static));
                 Some(contrastive_loss(&z_l, &z_g, cfg.tau, cfg.contrast))
