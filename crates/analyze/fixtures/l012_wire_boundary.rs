@@ -1,4 +1,5 @@
-// L012 fixture: a second HTTP implementation outside crates/serve/src/http.rs.
+// L012 fixture: a second HTTP implementation outside crates/serve/src/http.rs,
+// and a second listener outside crates/serve/src/listener.rs.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -22,10 +23,16 @@ pub fn accept(listener: &std::net::TcpListener) -> Option<TcpStream> {
     listener.accept().ok().map(|(stream, _)| stream)
 }
 
+// Binding a listener of one's own is a second accept loop.
+pub fn listen(addr: &str) -> std::io::Result<std::net::TcpListener> {
+    std::net::TcpListener::bind(addr)
+}
+
 #[cfg(test)]
 mod tests {
     #[test]
     fn test_code_writes_malformed_bytes_by_hand() {
+        let _scripted_peer = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let mut s = std::net::TcpStream::connect("127.0.0.1:1").unwrap();
         std::io::Write::write_all(&mut s, b"GET / HTTP/1.1\r\nContent-Length: x\r\n\r\n").unwrap();
     }

@@ -202,15 +202,36 @@ pub const L011_SCOPE: Scope = Scope {
 };
 
 /// L012 wire-boundary: the product has one HTTP/1.1 codec and one client,
-/// `crates/serve/src/http.rs`; no other non-test code may spell the
-/// protocol version in a literal or open an outbound `TcpStream`. Scoped
-/// like L001 — everything, minus the one file that is the boundary — and
-/// minus `crates/benchmark/`, whose load driver is deliberately independent
-/// of the code it measures (and frozen: BENCHMARK.json lists its path).
+/// `crates/serve/src/http.rs`, and one server-side connection loop,
+/// `crates/serve/src/listener.rs`. Two rules, each with its own hole (see
+/// below); this is their union. Scoped like L001 — everything — minus
+/// `crates/benchmark/`, whose load driver is deliberately independent of the
+/// code it measures (and frozen: BENCHMARK.json lists its path).
 pub const L012_SCOPE: Scope = Scope {
     include: &["crates/", "src/"],
+    exclude: &["crates/benchmark/", "crates/analyze/"],
+};
+
+/// L012 (outbound rule): no non-test code outside `http.rs` may spell the
+/// protocol version in a literal or open an outbound `TcpStream`. The
+/// listener module is *not* a hole here: it wakes its own `accept` through
+/// `http::Client` like everybody else.
+pub const L012_OUTBOUND_SCOPE: Scope = Scope {
+    include: L012_SCOPE.include,
     exclude: &[
         "crates/serve/src/http.rs",
+        "crates/benchmark/",
+        "crates/analyze/",
+    ],
+};
+
+/// L012 (inbound rule): no non-test code outside `listener.rs` may bind a
+/// `TcpListener` — a second bind is a second accept loop, with its own
+/// keep-alive lifecycle, cap and drain.
+pub const L012_INBOUND_SCOPE: Scope = Scope {
+    include: L012_SCOPE.include,
+    exclude: &[
+        "crates/serve/src/listener.rs",
         "crates/benchmark/",
         "crates/analyze/",
     ],
@@ -257,15 +278,24 @@ mod tests {
         assert!(!L010_SCOPE.contains("crates/tensor/src/parallel_glue.rs"));
         assert!(L011_SCOPE.contains("crates/serve/src/shed.rs"));
         assert!(!L011_SCOPE.contains("crates/serve/src/metrics.rs"));
-        // The wire boundary: http.rs is the one hole in L012, and being the
-        // boundary buys it nothing else — its new client half answers to the
-        // panic-freedom and typed-error lints like the rest of serve.
-        assert!(!L012_SCOPE.contains("crates/serve/src/http.rs"));
-        assert!(L012_SCOPE.contains("crates/serve/src/server.rs"));
-        assert!(L012_SCOPE.contains("crates/cluster/src/client.rs"));
-        assert!(L012_SCOPE.contains("crates/loadgen/src/runner.rs"));
-        assert!(L012_SCOPE.contains("crates/cli/src/commands.rs"));
-        assert!(!L012_SCOPE.contains("crates/benchmark/src/load.rs"));
+        // The wire boundary: http.rs is the one hole in L012's outbound
+        // rule, and being the boundary buys it nothing else — its new client
+        // half answers to the panic-freedom and typed-error lints like the
+        // rest of serve.
+        assert!(!L012_OUTBOUND_SCOPE.contains("crates/serve/src/http.rs"));
+        assert!(L012_OUTBOUND_SCOPE.contains("crates/serve/src/server.rs"));
+        assert!(L012_OUTBOUND_SCOPE.contains("crates/cluster/src/client.rs"));
+        assert!(L012_OUTBOUND_SCOPE.contains("crates/loadgen/src/runner.rs"));
+        assert!(L012_OUTBOUND_SCOPE.contains("crates/cli/src/commands.rs"));
+        // listener.rs is the one hole in the inbound rule, and only there:
+        // each boundary file answers to the other's rule.
+        assert!(!L012_INBOUND_SCOPE.contains("crates/serve/src/listener.rs"));
+        assert!(L012_OUTBOUND_SCOPE.contains("crates/serve/src/listener.rs"));
+        assert!(L012_INBOUND_SCOPE.contains("crates/serve/src/http.rs"));
+        assert!(L012_INBOUND_SCOPE.contains("crates/cluster/src/router.rs"));
+        for scope in [L012_SCOPE, L012_OUTBOUND_SCOPE, L012_INBOUND_SCOPE] {
+            assert!(!scope.contains("crates/benchmark/src/load.rs"));
+        }
         assert!(L002_SCOPE.contains("crates/serve/src/http.rs"));
         assert!(L006_SCOPE.contains("crates/serve/src/http.rs"));
     }

@@ -172,8 +172,9 @@ pub fn registry() -> &'static [LintDef] {
             id: "L012",
             name: "wire-boundary",
             invariant: "the HTTP version token and TcpStream::connect* only inside \
-                        crates/serve/src/http.rs",
-            origin: "PR 13 (one HTTP/1.1 codec and one client)",
+                        crates/serve/src/http.rs; TcpListener::bind only inside \
+                        crates/serve/src/listener.rs",
+            origin: "PR 13 (one HTTP/1.1 codec and one client) + PR 19 (one connection loop)",
             pass: LintPass::PerFile(l012_wire_boundary),
             scope: config::L012_SCOPE,
         },
@@ -293,15 +294,19 @@ fn l001_kernel_boundary(file: &SourceFile, out: &mut Vec<Diagnostic>) {
 /// `HTTP/1.` except to put a start line on the wire or to parse one), or an
 /// outbound `TcpStream::connect*`. Everything else speaks through
 /// `http::Client`, so head bounds, fail-closed framing and timeouts are
-/// decided once. Test code may do both — malformed and stalled input has to
-/// be written by hand.
+/// decided once. And the inbound half: a `TcpListener::bind` outside
+/// `crates/serve/src/listener.rs` is a second accept loop. Test code may do
+/// all three — malformed and stalled input has to be written by hand, and a
+/// scripted peer has to listen somewhere.
 fn l012_wire_boundary(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     let ts = &file.tokens;
+    let outbound = config::L012_OUTBOUND_SCOPE.contains(&file.path);
+    let inbound = config::L012_INBOUND_SCOPE.contains(&file.path);
     for i in 0..ts.len() {
         if file.in_test_code(i) {
             continue;
         }
-        if matches!(&ts[i].tok, Tok::Str(text) if text.contains("HTTP/1.")) {
+        if outbound && matches!(&ts[i].tok, Tok::Str(text) if text.contains("HTTP/1.")) {
             out.push(Diagnostic::new(
                 "L012",
                 file,
@@ -311,7 +316,8 @@ fn l012_wire_boundary(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                     .into(),
             ));
         }
-        if match_at(ts, i, &[Pat::I("TcpStream"), Pat::P(':'), Pat::P(':')])
+        if outbound
+            && match_at(ts, i, &[Pat::I("TcpStream"), Pat::P(':'), Pat::P(':')])
             && ts
                 .get(i + 3)
                 .and_then(|t| t.tok.ident())
@@ -323,6 +329,27 @@ fn l012_wire_boundary(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 &ts[i],
                 "outbound `TcpStream::connect*` outside crates/serve/src/http.rs — \
                  go through logcl_serve::http::Client"
+                    .into(),
+            ));
+        }
+        if inbound
+            && match_at(
+                ts,
+                i,
+                &[
+                    Pat::I("TcpListener"),
+                    Pat::P(':'),
+                    Pat::P(':'),
+                    Pat::I("bind"),
+                ],
+            )
+        {
+            out.push(Diagnostic::new(
+                "L012",
+                file,
+                &ts[i],
+                "`TcpListener::bind` outside crates/serve/src/listener.rs — \
+                 accept connections through logcl_serve::listener::Listener"
                     .into(),
             ));
         }

@@ -93,6 +93,14 @@ const FIXTURES: &[Fixture] = &[
         source: include_str!("../fixtures/l012_wire_boundary.rs"),
         expected: include_str!("../fixtures/l012_wire_boundary.expected"),
     },
+    // The same source as the listener module itself: the bind is at home
+    // there, and nothing else is — being the inbound boundary does not make
+    // a file a hole in the outbound rule.
+    Fixture {
+        name: "l012_listener_module",
+        source: include_str!("../fixtures/l012_wire_boundary.rs"),
+        expected: include_str!("../fixtures/l012_listener_module.expected"),
+    },
     Fixture {
         name: "l000_allows",
         source: include_str!("../fixtures/l000_allows.rs"),

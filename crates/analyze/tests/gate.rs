@@ -203,6 +203,32 @@ fn a_second_http_client_fails_the_gate_everywhere_but_the_wire_module() {
 }
 
 #[test]
+fn a_second_listener_fails_the_gate_everywhere_but_the_listener_module() {
+    const HAND_ROLLED: &str = "pub fn serve(addr: &str) -> std::io::Result<()> {\n    \
+        let listener = std::net::TcpListener::bind(addr)?;\n    \
+        listener.accept().map(drop)\n}\n";
+    let root = ws("gate_listener_boundary");
+    fs::create_dir_all(root.join("crates/cluster/src")).expect("mkdir cluster");
+    fs::create_dir_all(root.join("crates/serve/src")).expect("mkdir serve");
+
+    // A bind in the router — or in the wire module, which is the boundary
+    // of the *other* half — is an accept loop of its own…
+    for path in ["crates/cluster/src/admin.rs", "crates/serve/src/http.rs"] {
+        fs::write(root.join(path), HAND_ROLLED).expect("write listener");
+        let out = check(&root, &[]);
+        assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+        let text = stdout(&out);
+        assert!(text.contains(&format!("{path}:2:30 L012")), "{text}");
+        fs::remove_file(root.join(path)).expect("rm listener");
+    }
+
+    // …and the same bytes are fine in the one file that is the loop.
+    fs::write(root.join("crates/serve/src/listener.rs"), HAND_ROLLED).expect("write listener");
+    let out = check(&root, &[]);
+    assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
+}
+
+#[test]
 fn the_committed_workspace_passes_its_own_gate() {
     // The real repo (two directories up from this crate) must be clean
     // against its committed baseline — the same invariant CI enforces.

@@ -19,8 +19,8 @@ commands:
   predict    top-k forecast for one query              (--load, --subject, --relation,
                                                         --time, --topk, --inverse)
   serve      HTTP inference server                     (--data | --preset, --load,
-                                                        --addr, --threads, --http-threads,
-                                                        --linger-ms, --max-batch, --fused,
+                                                        --addr, --threads, --linger-ms,
+                                                        --max-batch, --fused,
                                                         --deadline-ms, --max-deadline-ms,
                                                         --write-timeout-ms, --brownout-ms,
                                                         --shed-ms, --brownout-k,
@@ -72,7 +72,6 @@ flags:
   --threads N       compute threads for the kernel backend (1 = serial;
                     results are bit-identical at any count)
                                                         [default: all cores]
-  --http-threads N  serve connection handler threads    [default 4]
   --linger-ms MS    micro-batch linger window           [default 2]
   --max-batch N     micro-batch size cap                [default 32]
   --fused           fuse each batch into one forward pass (approximate)
@@ -175,8 +174,6 @@ pub struct CliOptions {
     pub addr: String,
     /// Kernel-backend compute threads (`0` = auto, `1` = serial).
     pub threads: usize,
-    /// HTTP connection handler threads for `serve`.
-    pub http_threads: usize,
     pub linger_ms: u64,
     pub max_batch: usize,
     pub fused: bool,
@@ -283,7 +280,6 @@ impl Default for CliOptions {
             inverse: false,
             addr: "127.0.0.1:7878".into(),
             threads: 0,
-            http_threads: 4,
             linger_ms: 2,
             max_batch: 32,
             fused: false,
@@ -365,7 +361,6 @@ impl CliOptions {
                 "--inverse" => o.inverse = true,
                 "--addr" => o.addr = value("--addr")?,
                 "--threads" => o.threads = num(&value("--threads")?)?,
-                "--http-threads" => o.http_threads = num(&value("--http-threads")?)?,
                 "--linger-ms" => o.linger_ms = num(&value("--linger-ms")?)?,
                 "--max-batch" => o.max_batch = num(&value("--max-batch")?)?,
                 "--fused" => o.fused = true,
@@ -475,8 +470,6 @@ mod tests {
             "0.0.0.0:9000",
             "--threads",
             "8",
-            "--http-threads",
-            "6",
             "--linger-ms",
             "5",
             "--max-batch",
@@ -486,7 +479,6 @@ mod tests {
         .unwrap();
         assert_eq!(o.addr, "0.0.0.0:9000");
         assert_eq!(o.threads, 8);
-        assert_eq!(o.http_threads, 6);
         assert_eq!(o.linger_ms, 5);
         assert_eq!(o.max_batch, 64);
         assert!(o.fused);

@@ -361,7 +361,6 @@ pub fn serve(opts: &CliOptions) -> Result<(), String> {
         .transpose()?;
     let serve_cfg = ServeConfig {
         addr: opts.addr.clone(),
-        threads: opts.http_threads,
         compute_threads: opts.threads,
         linger: std::time::Duration::from_millis(opts.linger_ms),
         max_batch: opts.max_batch,
@@ -506,7 +505,6 @@ pub fn loadgen(opts: &CliOptions) -> Result<(), String> {
         None => {
             let serve_cfg = ServeConfig {
                 addr: "127.0.0.1:0".into(),
-                threads: opts.http_threads,
                 compute_threads: opts.threads,
                 linger: std::time::Duration::from_millis(opts.linger_ms),
                 max_batch: opts.max_batch,
@@ -639,7 +637,6 @@ fn run_freshness(opts: &CliOptions, ds: TkgDataset) -> Result<(), String> {
     std::fs::create_dir_all(&wal_dir).map_err(|e| e.to_string())?;
     let serve_cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),
-        threads: opts.http_threads,
         compute_threads: opts.threads,
         linger: std::time::Duration::from_millis(opts.linger_ms),
         max_batch: opts.max_batch,

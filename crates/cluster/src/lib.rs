@@ -18,7 +18,9 @@
 //! * [`router`]  — the scatter-gather process: failover, bounded retries
 //!   with jittered backoff, optional predict hedging, remaining-deadline
 //!   propagation, exactly-once ingest fan-out, and partial-result
-//!   degradation when a shard stays down.
+//!   degradation when a shard stays down. Its inbound side — accepting,
+//!   connection lifecycle, the connection cap, drain — is not here: it is
+//!   [`logcl_serve::listener`], the loop the workers run on too.
 //!
 //! Under the `fault-inject` cargo feature (tests only — lint L008 proves it
 //! never reaches a default build) the `fault` module injects deterministic
@@ -40,4 +42,4 @@ pub use merge::{
     merge_replies, parse_shard_reply, MergedAnswer, MergedPrediction, ShardReply, ShardReplyError,
 };
 pub use metrics::RouterMetrics;
-pub use router::{Router, RouterShutdownHandle};
+pub use router::Router;

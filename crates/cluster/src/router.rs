@@ -14,6 +14,11 @@
 //!   makes the whole fan-out exactly-once even across worker restarts.
 //! * `GET /healthz`, `GET /metrics`, `POST /shutdown` — the usual triad.
 //!
+//! Inbound, the router is the same process as a worker: it runs on
+//! [`logcl_serve::listener`] (accept, a thread per connection under
+//! `max_connections`, keep-alive lifecycle, 503 at the cap, drain) and only
+//! supplies `route` as the callback. Everything below is the outbound side.
+//!
 //! Failure handling per outbound hop: bounded retries with deterministic
 //! jittered exponential backoff, each retry against the next-preferred
 //! replica; per-worker health state machines (Up → Suspect → Down, walked
@@ -22,16 +27,15 @@
 //! hedging for predict.
 
 use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use logcl_serve::deadline::{self, expired, remaining_budget, remaining_ms, DEADLINE_HEADER};
-use logcl_serve::http::{
-    read_request_limited, write_response, HttpError, Reply, Request, Response,
-};
+use logcl_serve::http::{Reply, Request, Response};
+use logcl_serve::listener::{Inbound, Listener, ListenerConfig};
 use logcl_serve::{ShutdownState, StartError};
 use logcl_tensor::rng::splitmix64;
 use serde_json::{json, Value};
@@ -41,17 +45,6 @@ use crate::config::RouterConfig;
 use crate::health::{WorkerHealth, WorkerState};
 use crate::merge::{self, ShardReply};
 use crate::metrics::RouterMetrics;
-
-/// Cloneable handle for initiating router shutdown from another thread.
-#[derive(Clone)]
-pub struct RouterShutdownHandle(Arc<ShutdownState>);
-
-impl RouterShutdownHandle {
-    /// Begins graceful shutdown.
-    pub fn trigger(&self) {
-        self.0.trigger();
-    }
-}
 
 /// One worker process: a replica of one entity shard.
 struct Replica {
@@ -64,7 +57,6 @@ struct RouterCtx {
     shards: Vec<Vec<Replica>>,
     metrics: RouterMetrics,
     shutdown: Arc<ShutdownState>,
-    active: AtomicUsize,
     /// Monotone counter minting unique ingest ids.
     ingest_seq: AtomicU64,
     /// Monotone counter feeding deterministic backoff jitter.
@@ -72,27 +64,16 @@ struct RouterCtx {
     pid: u32,
 }
 
-/// Decrements the active-connection gauge even if a handler panics, so the
-/// drain loop can never wait on a connection that already died.
-struct ActiveGuard<'a>(&'a AtomicUsize);
-
-impl Drop for ActiveGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
 /// A running router. Dropping it (or calling [`Router::shutdown`]) stops
 /// accepting, finishes in-flight connections, and joins every thread.
 pub struct Router {
-    addr: SocketAddr,
+    listener: Listener,
     ctx: Arc<RouterCtx>,
-    accept: Option<JoinHandle<()>>,
     prober: Option<JoinHandle<()>>,
 }
 
 impl Router {
-    /// Binds the router and spawns its accept loop and prober.
+    /// Binds the router, starts accepting, and spawns the prober.
     pub fn start(cfg: RouterConfig) -> Result<Router, StartError> {
         if cfg.shards.is_empty() {
             return Err(StartError::Io {
@@ -100,19 +81,6 @@ impl Router {
                 source: std::io::Error::new(ErrorKind::InvalidInput, "empty shard list"),
             });
         }
-        let listener = TcpListener::bind(&cfg.addr).map_err(|e| StartError::Io {
-            context: format!("bind {}", cfg.addr),
-            source: e,
-        })?;
-        let addr = listener.local_addr().map_err(|e| StartError::Io {
-            context: "local_addr".into(),
-            source: e,
-        })?;
-        listener.set_nonblocking(true).map_err(|e| StartError::Io {
-            context: "set_nonblocking".into(),
-            source: e,
-        })?;
-
         let shards: Vec<Vec<Replica>> = cfg
             .shards
             .iter()
@@ -130,22 +98,34 @@ impl Router {
             metrics: RouterMetrics::new(shards.len()),
             shards,
             shutdown: Arc::new(ShutdownState::new()),
-            active: AtomicUsize::new(0),
             ingest_seq: AtomicU64::new(0),
             attempt_seq: AtomicU64::new(0),
             pid: std::process::id(),
             cfg,
         });
 
-        let accept = {
+        let listener = {
             let ctx = Arc::clone(&ctx);
-            thread::Builder::new()
-                .name("logcl-router-accept".into())
-                .spawn(move || accept_loop(listener, &ctx))
-                .map_err(|e| StartError::Io {
-                    context: "spawn accept loop".into(),
-                    source: e,
-                })?
+            Listener::start(
+                ListenerConfig {
+                    name: "logcl-router",
+                    addr: ctx.cfg.addr.clone(),
+                    max_connections: ctx.cfg.max_connections,
+                    read_timeout: ctx.cfg.read_timeout,
+                    write_timeout: ctx.cfg.read_timeout,
+                    max_body_bytes: ctx.cfg.max_body_bytes,
+                    retry_after_secs: ctx.cfg.retry_after_secs,
+                },
+                Arc::clone(&ctx.shutdown),
+                Box::new(move |inbound, started| match inbound {
+                    Inbound::Request(req) => route(&ctx, req, started),
+                    Inbound::Unreadable(_, resp) => resp,
+                    Inbound::AtCapacity(resp) => {
+                        ctx.metrics.shed_connections.fetch_add(1, Ordering::Relaxed);
+                        resp
+                    }
+                }),
+            )?
         };
         let prober = {
             let ctx = Arc::clone(&ctx);
@@ -159,21 +139,21 @@ impl Router {
         };
 
         Ok(Router {
-            addr,
+            listener,
             ctx,
-            accept: Some(accept),
             prober: Some(prober),
         })
     }
 
     /// The bound address (useful with an ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.addr()
     }
 
-    /// A handle that can initiate shutdown from another thread.
-    pub fn shutdown_handle(&self) -> RouterShutdownHandle {
-        RouterShutdownHandle(Arc::clone(&self.ctx.shutdown))
+    /// The shutdown latch: `trigger()` it from any thread to begin graceful
+    /// shutdown.
+    pub fn shutdown_handle(&self) -> Arc<ShutdownState> {
+        Arc::clone(&self.ctx.shutdown)
     }
 
     /// A snapshot of every worker's health state, indexed `[shard][replica]`
@@ -195,15 +175,11 @@ impl Router {
 
     /// Triggers shutdown and drains.
     pub fn shutdown(mut self) {
-        self.ctx.shutdown.trigger();
         self.drain();
     }
 
     fn drain(&mut self) {
-        self.ctx.shutdown.trigger();
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join(); // waits for in-flight connections
-        }
+        self.listener.drain(); // in-flight connections answered
         if let Some(prober) = self.prober.take() {
             let _ = prober.join();
         }
@@ -216,45 +192,7 @@ impl Drop for Router {
     }
 }
 
-// ------------------------------------------------------------- accept/probe
-
-fn accept_loop(listener: TcpListener, ctx: &Arc<RouterCtx>) {
-    while !ctx.shutdown.is_triggered() {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                if ctx.active.load(Ordering::SeqCst) >= ctx.cfg.max_connections {
-                    ctx.metrics.shed_connections.fetch_add(1, Ordering::Relaxed);
-                    let resp = Response::json(
-                        503,
-                        json!({"error": "router at connection capacity"}).to_string(),
-                    )
-                    .with_header("Retry-After", ctx.cfg.retry_after_secs.to_string());
-                    let _ = write_response(&mut stream, &resp, false);
-                    continue;
-                }
-                ctx.active.fetch_add(1, Ordering::SeqCst);
-                let conn_ctx = Arc::clone(ctx);
-                let spawned = thread::Builder::new()
-                    .name("logcl-router-conn".into())
-                    .spawn(move || {
-                        let _guard = ActiveGuard(&conn_ctx.active);
-                        handle_connection(stream, &conn_ctx);
-                    });
-                if spawned.is_err() {
-                    ctx.active.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(5)),
-        }
-    }
-    // Drain: stop accepting, let in-flight connections finish.
-    while ctx.active.load(Ordering::SeqCst) > 0 {
-        thread::sleep(Duration::from_millis(5));
-    }
-}
+// ------------------------------------------------------------------- probe
 
 /// Walks Suspect/Down workers back via active `GET /healthz` probes. The
 /// passive path (real traffic succeeding) also recovers workers; the prober
@@ -538,46 +476,7 @@ fn hedged_attempt(
     }
 }
 
-// ------------------------------------------------------------- connections
-
-fn handle_connection(mut stream: TcpStream, ctx: &Arc<RouterCtx>) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(ctx.cfg.read_timeout));
-    let _ = stream.set_write_timeout(Some(ctx.cfg.read_timeout));
-    let mut served = 0usize;
-    loop {
-        let req = match read_request_limited(&mut stream, ctx.cfg.max_body_bytes) {
-            Ok(req) => req,
-            Err(HttpError::UnexpectedEof | HttpError::ReadTimeout) if served > 0 => return,
-            Err(e) => {
-                let resp = finalize(
-                    ctx,
-                    Response::json(e.status(), json!({ "error": e.to_string() }).to_string()),
-                );
-                let _ = write_response(&mut stream, &resp, false);
-                return;
-            }
-        };
-        let started = Instant::now();
-        let keep_alive = req.keep_alive && !ctx.shutdown.is_triggered();
-        let resp = finalize(ctx, route(ctx, &req, started));
-        if write_response(&mut stream, &resp, keep_alive).is_err() || !keep_alive {
-            return;
-        }
-        served += 1;
-    }
-}
-
-/// Shared response discipline: every shed/timeout answer carries
-/// `Retry-After` so clients know when to come back.
-fn finalize(ctx: &RouterCtx, mut resp: Response) -> Response {
-    if matches!(resp.status, 503 | 504)
-        && !resp.headers.iter().any(|(name, _)| *name == "Retry-After")
-    {
-        resp = resp.with_header("Retry-After", ctx.cfg.retry_after_secs.to_string());
-    }
-    resp
-}
+// ----------------------------------------------------------------- routing
 
 fn route(ctx: &Arc<RouterCtx>, req: &Request, started: Instant) -> Response {
     let path = req.path.split('?').next().unwrap_or("");

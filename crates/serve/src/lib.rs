@@ -9,13 +9,18 @@
 //!   head and body) under both the request and the response half, the two
 //!   writers, and the small blocking [`http::Client`] that the router's
 //!   worker hops, the load harness and the tests all speak through.
+//! * [`listener`] — the workspace's one server-side connection loop: a
+//!   blocking accept, a thread per connection under a cap, the keep-alive
+//!   lifecycle, the shutdown latch and graceful drain. This server and the
+//!   `logcl-cluster` router both run on it.
 //! * [`metrics`] — lock-free Prometheus-format counters and histograms.
 //! * [`cache`] — the per-model snapshot-encoding cache keyed by timestamp.
 //! * [`batcher`] — the single model-worker loop coalescing concurrent
 //!   predict requests at the same timestamp into micro-batches.
 //! * [`registry`] — checkpoint loading/validation and the actual model
 //!   calls behind the batcher.
-//! * [`server`] — the thread-pool, routing, and graceful shutdown glue.
+//! * [`server`] — configuration, the model worker, and the endpoint
+//!   routing handed to [`listener`].
 //! * [`shed`] — overload resilience: deadline-aware shedding and the
 //!   Normal → Brownout → Shed degradation state machine.
 //! * [`wal`] — the durable-ingest write-ahead log: CRC32-framed records,
@@ -35,6 +40,7 @@ pub mod error;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
 pub mod http;
+pub mod listener;
 pub mod metrics;
 pub mod registry;
 pub mod server;
@@ -44,8 +50,9 @@ pub mod wal;
 pub use batcher::{BatcherOptions, ServeError, ShardDetail};
 pub use cache::EncodingCache;
 pub use error::StartError;
+pub use listener::ShutdownState;
 pub use metrics::Metrics;
 pub use registry::{ModelSpec, Registry};
-pub use server::{ServeConfig, Server, ShutdownHandle, ShutdownState};
+pub use server::{ServeConfig, Server};
 pub use shed::{OverloadPolicy, OverloadState, Tier};
 pub use wal::{Wal, WalError, WalRecord};

@@ -158,6 +158,9 @@ pub struct Metrics {
     pub shed_overload: AtomicU64,
     /// Requests answered `503` by the per-endpoint concurrency cap.
     pub shed_concurrency: AtomicU64,
+    /// Connections answered `503` on arrival because `max_connections` were
+    /// already open.
+    pub shed_connections: AtomicU64,
     /// Requests shed after admission but before entering model compute
     /// (the load-shedding guarantee: expired work never burns the model
     /// worker). Superset sum lives in `logcl_shed_total`.
@@ -241,6 +244,7 @@ impl Default for Metrics {
             shed_deadline_queue: AtomicU64::new(0),
             shed_overload: AtomicU64::new(0),
             shed_concurrency: AtomicU64::new(0),
+            shed_connections: AtomicU64::new(0),
             shed_before_compute: AtomicU64::new(0),
             degraded_responses: AtomicU64::new(0),
             degradation_tier: AtomicU64::new(0),
@@ -379,6 +383,7 @@ impl Metrics {
                 ("reason=\"deadline_queue\"", load(&self.shed_deadline_queue)),
                 ("reason=\"overload\"", load(&self.shed_overload)),
                 ("reason=\"concurrency\"", load(&self.shed_concurrency)),
+                ("reason=\"connections\"", load(&self.shed_connections)),
             ],
         );
         counter(

@@ -1,5 +1,7 @@
-//! The HTTP server: a hand-rolled thread-pool accepting connections, JSON
-//! endpoint routing, and graceful shutdown with connection drain.
+//! The inference server: configuration, the model worker, and the JSON
+//! endpoint routing handed to the shared connection loop
+//! ([`crate::listener`]), which owns accepting, connection lifecycle and
+//! drain.
 //!
 //! Endpoints:
 //! * `GET  /healthz`  — liveness probe.
@@ -17,11 +19,10 @@
 //!   raised over HTTP or programmatically via [`Server::shutdown_handle`]).
 
 use std::collections::BTreeMap;
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -31,7 +32,8 @@ use serde_json::{json, Value};
 
 use crate::batcher::{run_batcher, BatcherOptions, IngestJob, PredictJob, ServeError, WorkItem};
 use crate::error::StartError;
-use crate::http::{read_request_limited, write_response, HttpError, Request, Response};
+use crate::http::{HttpError, Request, Response};
+use crate::listener::{Inbound, Listener, ListenerConfig, ShutdownState};
 use crate::metrics::Metrics;
 use crate::registry::{ModelSpec, Registry, RegistryOptions};
 use crate::shed::{OverloadPolicy, OverloadState};
@@ -41,8 +43,8 @@ use crate::shed::{OverloadPolicy, OverloadState};
 pub struct ServeConfig {
     /// Bind address; port `0` picks an ephemeral port.
     pub addr: String,
-    /// Connection-handler threads.
-    pub threads: usize,
+    /// Concurrent inbound connections handled (excess answered `503`).
+    pub max_connections: usize,
     /// Kernel-backend compute threads shared by the micro-batcher's model
     /// worker (`0` = auto-detect, `1` = serial). The backends are
     /// bit-identical, so this only affects latency, never rankings.
@@ -121,7 +123,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:7878".into(),
-            threads: 4,
+            max_connections: 128,
             compute_threads: 0,
             linger: Duration::from_millis(2),
             max_batch: 32,
@@ -149,71 +151,6 @@ impl Default for ServeConfig {
             online_steps: 1,
             shard: None,
         }
-    }
-}
-
-/// A latch other threads can wait on; raising it begins shutdown.
-#[derive(Default)]
-pub struct ShutdownState {
-    raised: AtomicBool,
-    lock: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl ShutdownState {
-    /// A latch that has not been raised.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Raises the flag and wakes every waiter. Idempotent. A poisoned lock
-    /// (a handler panicked mid-notify) cannot stop shutdown: the boolean
-    /// state is valid regardless, so the poison is shrugged off.
-    pub fn trigger(&self) {
-        self.raised.store(true, Ordering::SeqCst);
-        *self.lock.lock().unwrap_or_else(|e| e.into_inner()) = true;
-        self.cv.notify_all();
-    }
-
-    /// Whether shutdown has begun.
-    pub fn is_triggered(&self) -> bool {
-        self.raised.load(Ordering::SeqCst)
-    }
-
-    /// Blocks until [`ShutdownState::trigger`] is called. Poison-tolerant
-    /// for the same reason as [`ShutdownState::trigger`].
-    pub fn wait(&self) {
-        let mut raised = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-        while !*raised {
-            raised = self.cv.wait(raised).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Waits up to `timeout` and returns whether the latch is raised — a
-    /// periodic worker (the router's prober) sleeps on this so shutdown
-    /// wakes it at once.
-    pub fn wait_timeout(&self, timeout: Duration) -> bool {
-        let raised = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-        if *raised {
-            return true;
-        }
-        let (raised, _) = self
-            .cv
-            .wait_timeout(raised, timeout)
-            .unwrap_or_else(|e| e.into_inner());
-        *raised
-    }
-}
-
-/// Cloneable handle for initiating shutdown from anywhere (tests, a signal
-/// bridge, an admin thread).
-#[derive(Clone)]
-pub struct ShutdownHandle(Arc<ShutdownState>);
-
-impl ShutdownHandle {
-    /// Begins graceful shutdown.
-    pub fn trigger(&self) {
-        self.0.trigger();
     }
 }
 
@@ -255,13 +192,8 @@ struct HandlerCtx {
     overload: Arc<OverloadState>,
     default_k: usize,
     enable_shutdown_endpoint: bool,
-    read_timeout: Duration,
-    max_body_bytes: usize,
-    write_timeout: Duration,
     default_deadline: Duration,
     max_deadline: Duration,
-    retry_after_secs: u64,
-    demand: Arc<ConnDemand>,
     /// Entity vocabulary size (immutable), surfaced by `/healthz` so a
     /// router can compute coverage fractions.
     num_entities: usize,
@@ -269,125 +201,13 @@ struct HandlerCtx {
     shard: Option<(ShardSpec, (usize, usize))>,
 }
 
-// ---------------------------------------------------------------- thread pool
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Demand signal shared between the pool and the connection handlers.
-///
-/// A persistent connection pins a pool worker for its whole lifetime, so
-/// keep-alive is only honoured while nobody is queued behind the pool: as
-/// soon as a connection waits for a worker, in-flight handlers finish their
-/// current response with `Connection: close` and free their slot. Under
-/// light load every connection stays persistent; under contention the
-/// server degrades to one-request-per-connection instead of starving the
-/// queued peers.
-struct ConnDemand {
-    /// Connections handed to the pool but not yet picked up by a worker.
-    queued: AtomicUsize,
-    /// Set when no pool workers could be spawned and connections run inline
-    /// on the accept thread: a persistent connection there would wedge the
-    /// accept loop itself, so keep-alive is never honoured.
-    inline_only: AtomicBool,
-}
-
-impl ConnDemand {
-    fn new() -> Self {
-        Self {
-            queued: AtomicUsize::new(0),
-            inline_only: AtomicBool::new(false),
-        }
-    }
-
-    fn contended(&self) -> bool {
-        // Acquire pairs with the Release half of the enqueue/spawn-failure
-        // writes: a handler that observes the demand signal also observes
-        // the queue state that raised it.
-        self.inline_only.load(Ordering::Acquire) || self.queued.load(Ordering::Acquire) > 0
-    }
-}
-
-/// A fixed-size worker pool over a shared job channel. Dropping the sender
-/// and joining drains in-flight jobs — the connection half of graceful
-/// shutdown.
-struct ThreadPool {
-    tx: Option<mpsc::Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
-    demand: Arc<ConnDemand>,
-}
-
-impl ThreadPool {
-    fn new(size: usize, demand: Arc<ConnDemand>) -> Self {
-        let (tx, rx) = mpsc::channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let mut workers = Vec::with_capacity(size.max(1));
-        for i in 0..size.max(1) {
-            let rx = Arc::clone(&rx);
-            let demand = Arc::clone(&demand);
-            let spawned = thread::Builder::new()
-                .name(format!("logcl-serve-conn-{i}"))
-                .spawn(move || loop {
-                    // A worker that panicked mid-job poisons the receiver
-                    // lock; the queue itself is still coherent, so the
-                    // survivors keep draining it.
-                    let job = match rx.lock().unwrap_or_else(|e| e.into_inner()).recv() {
-                        Ok(job) => job,
-                        Err(_) => return,
-                    };
-                    demand.queued.fetch_sub(1, Ordering::AcqRel);
-                    job();
-                });
-            match spawned {
-                Ok(handle) => workers.push(handle),
-                // Thread exhaustion: serve degraded with however many
-                // workers materialised instead of killing the accept loop.
-                Err(_) => break,
-            }
-        }
-        if workers.is_empty() {
-            demand.inline_only.store(true, Ordering::Release);
-        }
-        Self {
-            tx: (!workers.is_empty()).then_some(tx),
-            workers,
-            demand,
-        }
-    }
-
-    fn execute(&self, job: Job) {
-        let Some(tx) = &self.tx else {
-            // Zero workers could be spawned: run connections inline on the
-            // accept thread — slow, but the server still answers.
-            job();
-            return;
-        };
-        self.demand.queued.fetch_add(1, Ordering::AcqRel);
-        if let Err(mpsc::SendError(job)) = tx.send(job) {
-            // Queue already closed (shutdown): the job runs here, so no
-            // worker will ever decrement for it.
-            self.demand.queued.fetch_sub(1, Ordering::AcqRel);
-            job();
-        }
-    }
-
-    /// Closes the queue and joins every worker (drains in-flight jobs).
-    fn join(&mut self) {
-        self.tx.take();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
 // -------------------------------------------------------------------- server
 
 /// A running inference server.
 pub struct Server {
-    addr: SocketAddr,
+    listener: Listener,
     shutdown: Arc<ShutdownState>,
-    accept: Option<JoinHandle<()>>,
     worker: Option<JoinHandle<()>>,
-    work_tx: Option<SyncSender<WorkItem>>,
     metrics: Arc<Metrics>,
     overload: Arc<OverloadState>,
 }
@@ -512,76 +332,41 @@ impl Server {
             }
         }
 
-        let listener = TcpListener::bind(&cfg.addr).map_err(|e| StartError::Io {
-            context: format!("bind {}", cfg.addr),
-            source: e,
-        })?;
-        let addr = listener.local_addr().map_err(|e| StartError::Io {
-            context: "local_addr".into(),
-            source: e,
-        })?;
-        listener.set_nonblocking(true).map_err(|e| StartError::Io {
-            context: "set_nonblocking".into(),
-            source: e,
-        })?;
-
-        let demand = Arc::new(ConnDemand::new());
-        let ctx = Arc::new(HandlerCtx {
+        // The handlers own the only `work_tx`: the listener drops them at
+        // the end of its drain, and only then does the model worker — every
+        // queued job answered — see its queue close.
+        let ctx = HandlerCtx {
             vocab,
-            work_tx: work_tx.clone(),
+            work_tx,
             metrics: Arc::clone(&metrics),
             shutdown: Arc::clone(&shutdown),
             horizon,
             overload: Arc::clone(&overload),
             default_k: cfg.default_k.max(1),
             enable_shutdown_endpoint: cfg.enable_shutdown_endpoint,
-            read_timeout: cfg.read_timeout,
-            max_body_bytes: cfg.max_body_bytes,
-            write_timeout: cfg.write_timeout,
             default_deadline: cfg.default_deadline,
             max_deadline: cfg.max_deadline.max(cfg.default_deadline),
-            retry_after_secs: cfg.retry_after_secs.max(1),
-            demand: Arc::clone(&demand),
             num_entities,
             shard: cfg.shard.map(|s| (s, s.range(num_entities))),
-        });
-
-        let accept = {
-            let shutdown = Arc::clone(&shutdown);
-            let threads = cfg.threads;
-            thread::Builder::new()
-                .name("logcl-serve-accept".into())
-                .spawn(move || {
-                    let mut pool = ThreadPool::new(threads, demand);
-                    while !shutdown.is_triggered() {
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                let ctx = Arc::clone(&ctx);
-                                pool.execute(Box::new(move || handle_connection(stream, &ctx)));
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                thread::sleep(Duration::from_millis(5));
-                            }
-                            Err(_) => thread::sleep(Duration::from_millis(5)),
-                        }
-                    }
-                    // Connection drain: stop accepting, finish what's in
-                    // flight. The model worker still answers because our
-                    // handlers hold live work_tx clones until they return.
-                    pool.join();
-                })
-                .map_err(|e| StartError::Io {
-                    context: "spawn accept loop".into(),
-                    source: e,
-                })?
         };
+        let listener = Listener::start(
+            ListenerConfig {
+                name: "logcl-serve",
+                addr: cfg.addr,
+                max_connections: cfg.max_connections,
+                read_timeout: cfg.read_timeout,
+                write_timeout: cfg.write_timeout,
+                max_body_bytes: cfg.max_body_bytes,
+                retry_after_secs: cfg.retry_after_secs.max(1),
+            },
+            Arc::clone(&shutdown),
+            Box::new(move |inbound, started| respond(inbound, &ctx, started)),
+        )?;
 
         Ok(Server {
-            addr,
+            listener,
             shutdown,
-            accept: Some(accept),
             worker: Some(worker),
-            work_tx: Some(work_tx),
             metrics,
             overload,
         })
@@ -589,7 +374,7 @@ impl Server {
 
     /// The bound address (useful with an ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.addr()
     }
 
     /// Server-wide metrics (shared with `GET /metrics`).
@@ -604,9 +389,10 @@ impl Server {
         Arc::clone(&self.overload)
     }
 
-    /// A handle that can initiate shutdown from another thread.
-    pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle(Arc::clone(&self.shutdown))
+    /// The shutdown latch: `trigger()` it from any thread (tests, a signal
+    /// bridge, an admin thread) to begin graceful shutdown.
+    pub fn shutdown_handle(&self) -> Arc<ShutdownState> {
+        Arc::clone(&self.shutdown)
     }
 
     /// Blocks until shutdown is triggered (via the handle or
@@ -619,16 +405,11 @@ impl Server {
     /// Triggers shutdown and drains: stop accepting, finish in-flight
     /// connections, answer every queued job, join all threads.
     pub fn shutdown(mut self) {
-        self.shutdown.trigger();
         self.drain();
     }
 
     fn drain(&mut self) {
-        self.shutdown.trigger();
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join(); // joins the pool ⇒ in-flight answered
-        }
-        self.work_tx.take(); // last sender gone ⇒ worker drains queue
+        self.listener.drain(); // in-flight answered, last work_tx dropped
         if let Some(worker) = self.worker.take() {
             let _ = worker.join();
         }
@@ -643,122 +424,36 @@ impl Drop for Server {
 
 // ------------------------------------------------------------------ handlers
 
-/// Waits until the kept-alive peer has bytes ready (true) or the connection
-/// should close (false): peer gone, idle past `read_timeout`, shutdown, or
-/// other connections queued behind the pool. Polls with a short `peek`
-/// timeout so the yield-to-demand check runs every few milliseconds; `peek`
-/// consumes nothing, so a request arriving mid-poll is read intact.
-fn wait_for_next_request(stream: &mut TcpStream, ctx: &HandlerCtx) -> bool {
-    const POLL: Duration = Duration::from_millis(5);
-    let idle_start = Instant::now();
-    let _ = stream.set_read_timeout(Some(POLL));
-    let ready = loop {
-        let mut probe = [0u8; 1];
-        match stream.peek(&mut probe) {
-            Ok(0) => break false, // peer closed
-            Ok(_) => break true,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if ctx.shutdown.is_triggered()
-                    || ctx.demand.contended()
-                    || idle_start.elapsed() >= ctx.read_timeout
-                {
-                    break false;
+/// The listener's callback: every response this server writes — routed
+/// answers and the connection loop's own refusals alike — is counted and
+/// names the current degradation tier.
+fn respond(inbound: Inbound<'_>, ctx: &HandlerCtx, started: Instant) -> Response {
+    let resp = match inbound {
+        Inbound::Request(req) => {
+            ctx.metrics.count_request(route_key(&req.path));
+            route(req, ctx, started)
+        }
+        Inbound::Unreadable(e, resp) => {
+            match e {
+                HttpError::ReadTimeout => {
+                    ctx.metrics.read_timeouts.fetch_add(1, Ordering::Relaxed);
                 }
+                HttpError::BodyTooLarge => {
+                    ctx.metrics.oversized_bodies.fetch_add(1, Ordering::Relaxed);
+                }
+                _ => {}
             }
-            Err(_) => break false,
+            resp
+        }
+        Inbound::AtCapacity(resp) => {
+            ctx.metrics.shed_connections.fetch_add(1, Ordering::Relaxed);
+            resp
         }
     };
-    let _ = stream.set_read_timeout(Some(ctx.read_timeout));
-    ready
-}
-
-fn handle_connection(mut stream: TcpStream, ctx: &HandlerCtx) {
-    let _ = stream.set_read_timeout(Some(ctx.read_timeout));
-    let _ = stream.set_write_timeout(Some(ctx.write_timeout));
-    // Persistent connections are Nagle-sensitive: head and body go out in
-    // separate writes, and with delayed ACKs each response would stall
-    // ~40ms. One-shot connections never noticed because close flushes.
-    let _ = stream.set_nodelay(true);
-    #[cfg(feature = "fault-inject")]
-    {
-        // Simulated slow/stalled client socket holding a handler thread.
-        if let Some(stall) = crate::fault::socket_stall() {
-            thread::sleep(stall);
-        }
-    }
-    // Persistent connections: serve requests until the client asks to close,
-    // the exchange errors out, or shutdown begins. Each request's latency
-    // clock (and deadline anchor) starts once its head and body have fully
-    // arrived, so idle gaps between keep-alive requests never eat budgets.
-    let mut served = 0usize;
-    loop {
-        // Between keep-alive requests, wait for the next head with short
-        // `peek` polls instead of a blocking read: a worker parked on an
-        // idle connection yields its pool slot the moment other connections
-        // queue up (or shutdown begins) by closing the idle connection —
-        // legal for HTTP keep-alive, and clients retry a failed reuse.
-        if served > 0 && !wait_for_next_request(&mut stream, ctx) {
-            return;
-        }
-        let (mut resp, keep_alive, started) =
-            match read_request_limited(&mut stream, ctx.max_body_bytes) {
-                Ok(req) => {
-                    let started = Instant::now();
-                    ctx.metrics.count_request(route_key(&req.path));
-                    let keep = req.keep_alive && !ctx.shutdown.is_triggered();
-                    (route(&req, ctx, started), keep, started)
-                }
-                Err(HttpError::Io(_)) => return, // peer vanished; nothing to answer
-                // A kept-alive peer closing (or going quiet) between requests
-                // is normal connection lifecycle, not a protocol error.
-                Err(HttpError::UnexpectedEof | HttpError::ReadTimeout) if served > 0 => return,
-                Err(e) => {
-                    match &e {
-                        HttpError::ReadTimeout => {
-                            ctx.metrics.read_timeouts.fetch_add(1, Ordering::Relaxed);
-                        }
-                        HttpError::BodyTooLarge => {
-                            ctx.metrics.oversized_bodies.fetch_add(1, Ordering::Relaxed);
-                        }
-                        _ => {}
-                    }
-                    // After a malformed exchange the stream framing is
-                    // unknown: answer once and close.
-                    (
-                        Response::json(e.status(), json!({ "error": e.to_string() }).to_string()),
-                        false,
-                        Instant::now(),
-                    )
-                }
-            };
-        // Overload surface: every response names the current degradation
-        // tier, and every shed/timeout answer tells the client when to come
-        // back.
-        let tier = ctx.overload.tier(Instant::now());
-        resp = resp.with_header("X-LogCL-Degradation", tier.name());
-        if matches!(resp.status, 503 | 504)
-            && !resp.headers.iter().any(|(name, _)| *name == "Retry-After")
-        {
-            resp = resp.with_header("Retry-After", ctx.retry_after_secs.to_string());
-        }
-        ctx.metrics.count_response(resp.status, started.elapsed());
-        // Re-check at write time: shutdown may have started and other
-        // connections may now be queued behind the pool (see [`ConnDemand`]).
-        let keep_alive = keep_alive && !ctx.shutdown.is_triggered() && !ctx.demand.contended();
-        if write_response(&mut stream, &resp, keep_alive).is_err() {
-            return;
-        }
-        let _ = stream.flush();
-        served += 1;
-        if !keep_alive {
-            return;
-        }
-    }
+    let tier = ctx.overload.tier(Instant::now());
+    let resp = resp.with_header("X-LogCL-Degradation", tier.name());
+    ctx.metrics.count_response(resp.status, started.elapsed());
+    resp
 }
 
 fn route_key(path: &str) -> &str {

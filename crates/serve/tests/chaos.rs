@@ -59,7 +59,6 @@ fn untrained_spec() -> ModelSpec {
 fn serve_config() -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".into(),
-        threads: 4,
         linger: Duration::from_millis(1),
         ..ServeConfig::default()
     }

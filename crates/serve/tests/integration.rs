@@ -2,11 +2,10 @@
 //! exactness versus the library's `predict_topk` / `predict_topk_stream`
 //! (head and historical timestamps), online ingestion, and graceful
 //! shutdown. Everything runs against an ephemeral port through the
-//! crate's own `http::Client`; the two tests that open a `TcpStream`
-//! themselves say why.
+//! crate's own `http::Client`. What a connection goes through — keep-alive,
+//! close, 408, 413, the cap, drain — is the same loop as the router's and
+//! is tested once for both, in `crates/cluster/tests/lifecycle.rs`.
 
-use std::io::{BufReader, Read, Write};
-use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -15,7 +14,7 @@ use logcl_core::{
     online_adapt, predict_topk, predict_topk_stream, EvalContext, LogCl, LogClConfig,
     OnlineAdaptOptions,
 };
-use logcl_serve::http::{self, Client};
+use logcl_serve::http::Client;
 use logcl_serve::{ModelSpec, ServeConfig, Server};
 use logcl_tkg::{HistoryIndex, Quad, SyntheticPreset, TkgDataset};
 use serde_json::Value;
@@ -45,10 +44,9 @@ fn untrained_spec() -> ModelSpec {
     }
 }
 
-fn test_server(linger_ms: u64, threads: usize) -> Server {
+fn test_server(linger_ms: u64) -> Server {
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),
-        threads,
         linger: Duration::from_millis(linger_ms),
         max_batch: 32,
         // Tests in this binary run in parallel and contend for CPU; push
@@ -115,7 +113,7 @@ fn predictions_of(body: &Value) -> Vec<(u64, f32)> {
 
 #[test]
 fn concurrent_clients_get_batched_answers_identical_to_sequential() {
-    let server = test_server(100, 8);
+    let server = test_server(100);
     let addr = server.addr();
     let t = {
         let (status, body) = request(addr, "GET", "/healthz", "");
@@ -182,7 +180,7 @@ fn concurrent_clients_get_batched_answers_identical_to_sequential() {
 
 #[test]
 fn rejects_malformed_requests_with_proper_statuses() {
-    let server = test_server(1, 2);
+    let server = test_server(1);
     let addr = server.addr();
 
     let (status, _) = request(addr, "GET", "/nope", "");
@@ -226,7 +224,7 @@ fn rejects_malformed_requests_with_proper_statuses() {
 
 #[test]
 fn ingest_extends_horizon_invalidates_cache_and_changes_predictions() {
-    let server = test_server(1, 2);
+    let server = test_server(1);
     let addr = server.addr();
     let horizon = {
         let (_, body) = request(addr, "GET", "/healthz", "");
@@ -281,7 +279,7 @@ fn ingest_extends_horizon_invalidates_cache_and_changes_predictions() {
 
 #[test]
 fn freshness_metrics_track_streaming_advance_and_online_adaptation() {
-    let server = test_server(1, 2);
+    let server = test_server(1);
     let addr = server.addr();
     let horizon = {
         let (_, body) = request(addr, "GET", "/healthz", "");
@@ -340,7 +338,6 @@ fn serial_and_default_backends_rank_identically() {
     let answers = |compute_threads: usize| -> Vec<Vec<(u64, f32)>> {
         let cfg = ServeConfig {
             addr: "127.0.0.1:0".into(),
-            threads: 2,
             compute_threads,
             brownout_sojourn: Duration::from_secs(10),
             shed_sojourn: Duration::from_secs(60),
@@ -381,7 +378,7 @@ fn serial_and_default_backends_rank_identically() {
 
 #[test]
 fn graceful_shutdown_answers_requests_already_in_flight() {
-    let server = test_server(150, 2);
+    let server = test_server(150);
     let addr = server.addr();
     let t = {
         let (_, body) = request(addr, "GET", "/healthz", "");
@@ -409,37 +406,6 @@ fn graceful_shutdown_answers_requests_already_in_flight() {
 }
 
 #[test]
-fn stalled_connection_is_answered_408_and_counted() {
-    let cfg = ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        threads: 2,
-        read_timeout: Duration::from_millis(150),
-        ..ServeConfig::default()
-    };
-    let server = Server::start(cfg, tiny_ds(), vec![untrained_spec()]).unwrap();
-    let addr = server.addr();
-
-    // Open a connection, send half a request head, then stall. Hand-written
-    // bytes on a raw socket: a partial, stalled request is the subject, and
-    // no client would send one.
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    stream
-        .write_all(b"POST /predict HTTP/1.1\r\nHost: t")
-        .unwrap();
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).unwrap();
-    let text = String::from_utf8(raw).unwrap();
-    assert!(text.starts_with("HTTP/1.1 408 "), "{text:?}");
-    assert_eq!(server.metrics().read_timeouts.load(Ordering::Relaxed), 1);
-    let (_, metrics) = request(addr, "GET", "/metrics", "");
-    assert!(metrics.contains("logcl_read_timeouts_total 1"), "{metrics}");
-    server.shutdown();
-}
-
-#[test]
 fn expired_deadline_is_shed_before_compute_and_admitted_work_stays_exact() {
     // A long linger holds the batch open past the short deadline: the
     // expired job must be answered 504 *without* reaching the model, while
@@ -448,7 +414,6 @@ fn expired_deadline_is_shed_before_compute_and_admitted_work_stays_exact() {
     // admitted answer is full-fidelity.
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),
-        threads: 4,
         linger: Duration::from_millis(300),
         brownout_sojourn: Duration::from_secs(10),
         shed_sojourn: Duration::from_secs(60),
@@ -536,7 +501,6 @@ fn brownout_degrades_answers_and_names_the_tier() {
     // shed and reports the tier too.
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),
-        threads: 2,
         brownout_sojourn: Duration::ZERO,
         shed_sojourn: Duration::from_secs(60),
         brownout_k_cap: 2,
@@ -584,7 +548,7 @@ fn brownout_degrades_answers_and_names_the_tier() {
 
 #[test]
 fn deadline_header_is_validated_and_expired_budgets_never_queue() {
-    let server = test_server(1, 2);
+    let server = test_server(1);
     let addr = server.addr();
 
     let (status, _, body) = request_full(
@@ -630,7 +594,7 @@ fn deadline_header_is_validated_and_expired_budgets_never_queue() {
 
 #[test]
 fn deadline_header_rejects_garbage_and_clamps_oversized_budgets() {
-    let server = test_server(1, 2);
+    let server = test_server(1);
     let addr = server.addr();
 
     // Negative and u64-overflowing values are 400s naming the header —
@@ -683,7 +647,6 @@ fn concurrency_shed_is_503_with_retry_after() {
     // concurrency shed — and the holder still answers 200.
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),
-        threads: 4,
         linger: Duration::from_millis(300),
         max_inflight_predict: 1,
         brownout_sojourn: Duration::from_secs(10),
@@ -713,86 +676,6 @@ fn concurrency_shed_is_503_with_retry_after() {
     let (status, body) = holder.join().unwrap();
     assert_eq!(status, 200, "{body}");
     assert_eq!(server.metrics().shed_concurrency.load(Ordering::Relaxed), 1);
-    server.shutdown();
-}
-
-#[test]
-fn keep_alive_connection_serves_many_requests_and_close_is_honoured() {
-    let server = test_server(1, 2);
-    let addr = server.addr();
-
-    // The codec's two client-side calls on a socket the test owns (not
-    // `Client`, which would hide it): the test must see the very same
-    // connection stay open, and then see its EOF.
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .unwrap();
-    let mut stream = BufReader::new(stream);
-    let mut exchange = |method: &str, path: &str, body: &str, keep_alive: bool| {
-        let headers = [("Host", "t")];
-        http::write_request(
-            stream.get_mut(),
-            method,
-            path,
-            &headers,
-            body.as_bytes(),
-            keep_alive,
-        )
-        .expect("write request");
-        let reply = http::read_response(&mut stream, 1 << 20).expect("read response");
-        let connection = reply.header("connection").expect("Connection header");
-        (reply.status, connection.to_string(), reply.text())
-    };
-
-    // Three requests down one connection: the server must answer each with
-    // `Connection: keep-alive` and keep the socket open.
-    for i in 0..3 {
-        let body = format!(r#"{{"subject": {i}, "relation": 0}}"#);
-        let (status, connection, body) = exchange("POST", "/predict", &body, true);
-        assert_eq!(status, 200, "request {i}: {body}");
-        assert_eq!(connection, "keep-alive", "request {i}");
-        assert!(!predictions_of(&json(&body)).is_empty(), "request {i}");
-    }
-
-    // `Connection: close` on the final request is honoured: the server
-    // answers with close and EOFs the stream.
-    let (status, connection, _) = exchange("GET", "/healthz", "", false);
-    assert_eq!(status, 200);
-    assert_eq!(connection, "close");
-    let mut rest = Vec::new();
-    stream.read_to_end(&mut rest).expect("read EOF");
-    assert!(rest.is_empty(), "server must close after Connection: close");
-    server.shutdown();
-}
-
-#[test]
-fn oversized_body_is_answered_413_and_counted() {
-    let cfg = ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        threads: 2,
-        max_body_bytes: 64,
-        ..ServeConfig::default()
-    };
-    let server = Server::start(cfg, tiny_ds(), vec![untrained_spec()]).unwrap();
-    let addr = server.addr();
-
-    let big = format!(
-        r#"{{"subject": 0, "relation": 0, "padding": "{}"}}"#,
-        "x".repeat(256)
-    );
-    let (status, body) = request(addr, "POST", "/predict", &big);
-    assert_eq!(status, 413, "{body}");
-    assert!(body.contains("too large"), "{body}");
-    assert_eq!(server.metrics().oversized_bodies.load(Ordering::Relaxed), 1);
-    let (_, metrics) = request(addr, "GET", "/metrics", "");
-    assert!(
-        metrics.contains("logcl_oversized_bodies_total 1"),
-        "{metrics}"
-    );
-    // A normally-sized request on the same server still succeeds.
-    let (status, _) = request(addr, "POST", "/predict", r#"{"subject": 0, "relation": 0}"#);
-    assert_eq!(status, 200);
     server.shutdown();
 }
 
@@ -837,7 +720,6 @@ fn historical_and_head_answers_stay_exact_across_ingests_and_evictions() {
     const K: usize = 6;
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),
-        threads: 2,
         linger: Duration::from_millis(1),
         cache_capacity: CACHE_CAPACITY,
         // Exactness test: keep degradation out of reach (see `test_server`).

@@ -42,7 +42,6 @@ fn spec() -> ModelSpec {
 fn boot(shard: Option<ShardSpec>) -> Server {
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),
-        threads: 2,
         linger: Duration::from_millis(0),
         shard,
         // Exactness test: keep degradation out of reach (see integration.rs).
