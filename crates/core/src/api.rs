@@ -6,6 +6,7 @@
 
 use std::path::PathBuf;
 
+use logcl_tensor::autograd::no_grad;
 use logcl_tkg::eval::{rank_time_aware, Metrics, RankAccumulator};
 use logcl_tkg::quad::{Quad, Time};
 use logcl_tkg::{HistoryIndex, Snapshot, TkgDataset};
@@ -151,8 +152,10 @@ pub fn evaluate_with_phase(
             t,
         };
 
+        // Scoring is never differentiated, whatever the model: no graph is
+        // recorded. `online_update` below trains, so it stays outside.
         if matches!(phase, Phase::Both | Phase::FirstOnly) {
-            let scores = model.score(&ctx, &at_t);
+            let scores = no_grad(|| model.score(&ctx, &at_t));
             assert_eq!(scores.len(), at_t.len(), "model returned wrong score count");
             for (q, s) in at_t.iter().zip(&scores) {
                 assert_eq!(
@@ -165,7 +168,7 @@ pub fn evaluate_with_phase(
         }
         if matches!(phase, Phase::Both | Phase::SecondOnly) {
             let inv: Vec<Quad> = at_t.iter().map(|q| q.inverse(ds.num_rels)).collect();
-            let scores = model.score(&ctx, &inv);
+            let scores = no_grad(|| model.score(&ctx, &inv));
             for (q, s) in inv.iter().zip(&scores) {
                 acc.push(rank_time_aware(s, q, &truth));
             }

@@ -15,6 +15,7 @@ use serde::{Deserialize, Serialize};
 use logcl_gnn::aggregator::EdgeBatch;
 use logcl_gnn::attention::mean_relation_per_query;
 use logcl_gnn::{GruCell, LocalEntityAttention, RelGnn, RelationEvolution, TimeEncoder};
+use logcl_tensor::autograd::no_grad;
 use logcl_tensor::nn::{dropout, ParamSet};
 use logcl_tensor::serialize::{CheckpointError, TensorRecord};
 use logcl_tensor::{Rng, Tensor, Var};
@@ -271,27 +272,30 @@ impl LocalEncoder {
             "streaming advance must consume snapshots in watermark order"
         );
         if state.local {
-            let num_entities = state.h0.shape()[0];
-            let h = Var::constant(state.h.clone());
-            let rel = Var::constant(state.rel.clone());
-            let rel0 = Var::constant(rel0.clone());
-            let h_dyn = self.time_enc.forward(&h, 1.0); // Eq. 2–3, unit interval
-            let (s_idx, r_idx, o_idx) = snap.edge_index();
-            let edges = EdgeBatch {
-                subjects: &s_idx,
-                relations: &r_idx,
-                objects: &o_idx,
-                num_entities,
-            };
-            let h_agg = self.gnn.forward(&h_dyn, &rel, &edges); // Eq. 4
-            let h_next = self.gru.forward(&h, &h_agg); // Eq. 5
-            let rel_next = self.rel_evo.forward(&rel, &rel0, &h_next, &s_idx, &r_idx); // Eq. 6–8
-            state.h = h_next.to_tensor();
-            state.rel = rel_next.to_tensor();
-            state.window.push_back((h_agg.to_tensor(), state.h.clone()));
-            while state.window.len() > state.m {
-                state.window.pop_front();
-            }
+            // The state takes tensors out of the step, never a graph.
+            no_grad(|| {
+                let num_entities = state.h0.shape()[0];
+                let h = Var::constant(state.h.clone());
+                let rel = Var::constant(state.rel.clone());
+                let rel0 = Var::constant(rel0.clone());
+                let h_dyn = self.time_enc.forward(&h, 1.0); // Eq. 2–3, unit interval
+                let (s_idx, r_idx, o_idx) = snap.edge_index();
+                let edges = EdgeBatch {
+                    subjects: &s_idx,
+                    relations: &r_idx,
+                    objects: &o_idx,
+                    num_entities,
+                };
+                let h_agg = self.gnn.forward(&h_dyn, &rel, &edges); // Eq. 4
+                let h_next = self.gru.forward(&h, &h_agg); // Eq. 5
+                let rel_next = self.rel_evo.forward(&rel, &rel0, &h_next, &s_idx, &r_idx); // Eq. 6–8
+                state.h = h_next.to_tensor();
+                state.rel = rel_next.to_tensor();
+                state.window.push_back((h_agg.to_tensor(), state.h.clone()));
+                while state.window.len() > state.m {
+                    state.window.pop_front();
+                }
+            });
         }
         state.horizon += 1;
     }

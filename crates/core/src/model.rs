@@ -1,6 +1,7 @@
 //! The assembled LogCL model (Fig. 3).
 
 use logcl_gnn::ConvTransE;
+use logcl_tensor::autograd::no_grad;
 use logcl_tensor::nn::{Embedding, Mlp, ParamSet};
 use logcl_tensor::optim::Adam;
 use logcl_tensor::{Rng, Tensor, Var};
@@ -15,9 +16,23 @@ use crate::local_encoder::{EncoderState, LocalEncoder, LocalEncoding};
 use crate::static_graph::StaticGraph;
 use crate::trainer;
 
+/// Runs one forward: a training pass records the autograd graph, an
+/// evaluation pass — which nothing will ever call `backward()` on — runs the
+/// same ops under [`no_grad`] and keeps values only.
+fn recording_if<T>(training: bool, forward: impl FnOnce() -> T) -> T {
+    if training {
+        forward()
+    } else {
+        no_grad(forward)
+    }
+}
+
 /// Query-independent encodings shared by the two propagation phases at one
 /// timestamp (the local recurrent encoding never sees the queries, so
-/// re-computing it per phase would only waste work).
+/// re-computing it per phase would only waste work). Encoded with
+/// `training == false` it is values and nothing else: every matrix in
+/// `local` is a constant leaf, and `h0` is the live entity table's handle
+/// (or a constant copy of it when noise or the static graph refined it).
 pub struct SharedEncoding {
     /// The (possibly noise-perturbed) initial entity embeddings used by
     /// this forward pass.
@@ -151,21 +166,23 @@ impl LogCl {
 
     /// Runs the query-independent encoders for queries at `t_q`.
     pub fn encode(&mut self, snapshots: &[Snapshot], t_q: usize, training: bool) -> SharedEncoding {
-        let h0 = self.initial_entities();
-        let local = if self.cfg.use_local {
-            Some(self.local.encode(
-                &h0,
-                &self.rel.weight,
-                snapshots,
-                t_q,
-                self.cfg.m,
-                training,
-                &mut self.rng,
-            ))
-        } else {
-            None
-        };
-        SharedEncoding { h0, local, t_q }
+        recording_if(training, || {
+            let h0 = self.initial_entities();
+            let local = if self.cfg.use_local {
+                Some(self.local.encode(
+                    &h0,
+                    &self.rel.weight,
+                    snapshots,
+                    t_q,
+                    self.cfg.m,
+                    training,
+                    &mut self.rng,
+                ))
+            } else {
+                None
+            };
+            SharedEncoding { h0, local, t_q }
+        })
     }
 
     /// Builds a fresh streaming state and advances it over every snapshot —
@@ -267,6 +284,20 @@ impl LogCl {
     }
 
     fn forward_queries_impl(
+        &mut self,
+        shared: &SharedEncoding,
+        history: &HistoryIndex,
+        queries: &[Quad],
+        training: bool,
+        skip_global: bool,
+        range: Option<(usize, usize)>,
+    ) -> ForwardOutput {
+        recording_if(training, || {
+            self.forward_phase(shared, history, queries, training, skip_global, range)
+        })
+    }
+
+    fn forward_phase(
         &mut self,
         shared: &SharedEncoding,
         history: &HistoryIndex,
@@ -503,6 +534,84 @@ mod tests {
         let from_whole = bits(model.forward_queries(&shared, &whole, &queries, false));
         let from_prefix = bits(model.forward_queries(&shared, &prefix, &queries, false));
         assert_eq!(from_whole, from_prefix);
+    }
+
+    fn queries_at(ds: &TkgDataset, t: usize, n: usize) -> Vec<Quad> {
+        let queries: Vec<Quad> = ds
+            .train
+            .iter()
+            .filter(|q| q.t == t)
+            .take(n)
+            .copied()
+            .collect();
+        assert!(!queries.is_empty());
+        queries
+    }
+
+    /// An evaluation-mode pass hands back values with no graph behind them:
+    /// what `logcl serve` caches per timestamp is its tensors and nothing
+    /// else.
+    #[test]
+    fn evaluation_outputs_are_leaves() {
+        let ds = tiny_ds();
+        let mut model = LogCl::new(&ds, tiny_cfg());
+        let snaps = ds.snapshots();
+        let history = HistoryIndex::build(&snaps);
+        let queries = queries_at(&ds, 10, 5);
+
+        let shared = model.encode(&snaps, 10, false);
+        let local = shared
+            .local
+            .as_ref()
+            .expect("the full model has a local encoder");
+        assert_eq!(local.aggs.len(), 3);
+        assert!(shared.h0.is_leaf() && local.h_final.is_leaf() && local.rel_final.is_leaf());
+        assert!(local.aggs.iter().chain(&local.evolved).all(Var::is_leaf));
+        assert!(
+            model
+                .forward_queries(&shared, &history, &queries, false)
+                .logits
+                .is_leaf(),
+            "forward_queries(.., false)"
+        );
+        assert!(
+            model
+                .forward_queries_in_range(&shared, &history, &queries, false, (3, 40))
+                .logits
+                .is_leaf(),
+            "forward_queries_in_range"
+        );
+
+        // The same calls in training mode still record.
+        let shared = model.encode(&snaps, 10, true);
+        let local = shared.local.as_ref().expect("local encoder");
+        assert!(!local.h_final.is_leaf());
+        assert!(!model
+            .forward_queries(&shared, &history, &queries, true)
+            .logits
+            .is_leaf());
+    }
+
+    /// A training pass still back-propagates into every registered
+    /// parameter — all 40 of them, the count at the parent of the change
+    /// that stopped inference recording — also right after an evaluation
+    /// pass has entered and left its scope.
+    #[test]
+    fn a_training_pass_still_reaches_every_registered_parameter() {
+        let ds = tiny_ds();
+        let mut model = LogCl::new(&ds, tiny_cfg());
+        let snaps = ds.snapshots();
+        let history = HistoryIndex::build(&snaps);
+        let queries = queries_at(&ds, 10, 5);
+        let targets: Vec<usize> = queries.iter().map(|q| q.o).collect();
+        model.score_queries(&snaps, &history, &queries, 10);
+        let shared = model.encode(&snaps, 10, true);
+        let out = model.forward_queries(&shared, &history, &queries, true);
+        let contrast = out.contrast.expect("the full model trains with L_cl");
+        out.logits.cross_entropy(&targets).add(&contrast).backward();
+        let with_gradient = model.params.iter().filter(|(_, v)| v.grad().is_some());
+        assert_eq!(with_gradient.count(), 40);
+        assert_eq!(model.params.len(), 40);
     }
 
     #[test]

@@ -169,21 +169,36 @@ impl SoftmaxStat {
 }
 
 /// The deterministic ranking order shared by every top-k path in the repo:
-/// score descending, entity id ascending on exact ties. Incomparable
-/// scores (NaN, which the model never produces) compare as tied so the
-/// sort stays total and deterministic.
+/// score descending, entity id ascending on exact ties (`-0.0` and `0.0` are
+/// such a tie). A NaN score — which the model never produces — ranks after
+/// every number, `-inf` included, and NaNs order among themselves by entity
+/// id: the order is total, so a sort and a selection agree on it and neither
+/// can panic on an inconsistent comparator.
 pub fn rank_order(a: &ScoredEntity, b: &ScoredEntity) -> std::cmp::Ordering {
     b.score
         .partial_cmp(&a.score)
-        .unwrap_or(std::cmp::Ordering::Equal)
+        .unwrap_or_else(|| a.score.is_nan().cmp(&b.score.is_nan()))
         .then_with(|| a.entity.cmp(&b.entity))
+}
+
+/// The first `k` of `all` in [`rank_order`]: selects the `k` best, then sorts
+/// only those — `k` is a handful, `all` is `|E|`. Entity ids are distinct, so
+/// the order has no equal pair and the result is exactly the prefix of the
+/// full sort.
+fn top_k(mut all: Vec<ScoredEntity>, k: usize) -> Vec<ScoredEntity> {
+    if k < all.len() {
+        all.select_nth_unstable_by(k, rank_order);
+        all.truncate(k);
+    }
+    all.sort_by(rank_order);
+    all
 }
 
 /// Top-k of one shard's score slice. `scores[i]` is the logit of global
 /// entity `lo + i`; the result is ranked by [`rank_order`] and truncated
 /// to `k`.
 pub fn shard_topk(scores: &[f32], lo: usize, k: usize) -> Vec<ScoredEntity> {
-    let mut ranked: Vec<ScoredEntity> = scores
+    let all = scores
         .iter()
         .enumerate()
         .map(|(i, &score)| ScoredEntity {
@@ -191,9 +206,7 @@ pub fn shard_topk(scores: &[f32], lo: usize, k: usize) -> Vec<ScoredEntity> {
             score,
         })
         .collect();
-    ranked.sort_by(rank_order);
-    ranked.truncate(k);
-    ranked
+    top_k(all, k)
 }
 
 /// Merges per-shard top-k lists into the global top-k.
@@ -203,10 +216,7 @@ pub fn shard_topk(scores: &[f32], lo: usize, k: usize) -> Vec<ScoredEntity> {
 /// `min(k, shard_width)` in [`rank_order`] — the standard scatter-gather
 /// argument: any entity in the global top-k is in its own shard's top-k.
 pub fn merge_topk(per_shard: &[Vec<ScoredEntity>], k: usize) -> Vec<ScoredEntity> {
-    let mut all: Vec<ScoredEntity> = per_shard.iter().flatten().copied().collect();
-    all.sort_by(rank_order);
-    all.truncate(k);
-    all
+    top_k(per_shard.iter().flatten().copied().collect(), k)
 }
 
 #[cfg(test)]

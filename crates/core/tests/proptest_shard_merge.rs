@@ -7,7 +7,8 @@
 //! single-node softmax probabilities to float tolerance.
 
 use logcl_core::{
-    merge_topk, shard_topk, topk_from_scores, topk_in_range, ScoredEntity, ShardSpec, SoftmaxStat,
+    merge_topk, rank_order, shard_topk, topk_from_scores, topk_in_range, ScoredEntity, ShardSpec,
+    SoftmaxStat,
 };
 use logcl_tkg::TkgDataset;
 use proptest::prelude::*;
@@ -79,8 +80,93 @@ fn assert_bit_identical(scores: &[f32], n: usize, k: usize) -> Result<(), TestCa
     Ok(())
 }
 
+/// What `shard_topk` and `merge_topk` were before they selected: rank
+/// everything with a full stable sort, keep the first `k`.
+fn full_sort_topk(mut all: Vec<ScoredEntity>, k: usize) -> Vec<ScoredEntity> {
+    all.sort_by(rank_order);
+    all.truncate(k);
+    all
+}
+
+/// Selection top-k against the full sort — same entities, same score bits,
+/// same order — for every `k` around the edges of the vector plus `extra_k`,
+/// per shard and through the merge of a two-way split.
+fn assert_selection_is_the_sorted_prefix(
+    scores: &[f32],
+    extra_k: usize,
+) -> Result<(), TestCaseError> {
+    let len = scores.len();
+    let all: Vec<ScoredEntity> = scores
+        .iter()
+        .enumerate()
+        .map(|(i, &score)| ScoredEntity {
+            entity: 100 + i,
+            score,
+        })
+        .collect();
+    let key = |v: &[ScoredEntity]| -> Vec<(usize, u32)> {
+        v.iter().map(|c| (c.entity, c.score.to_bits())).collect()
+    };
+    for k in [0, 1, len.saturating_sub(1), len, len + 1, extra_k] {
+        let want = key(&full_sort_topk(all.clone(), k));
+        prop_assert_eq!(
+            &key(&shard_topk(scores, 100, k)),
+            &want,
+            "shard_topk, k={}",
+            k
+        );
+        let (left, right) = all.split_at(len / 2);
+        let merged = merge_topk(&[right.to_vec(), left.to_vec()], k);
+        prop_assert_eq!(&key(&merged), &want, "merge_topk, k={}", k);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The generator of `merge_matches_single_node_for_random_scores`:
+    /// mostly distinct scores, so the selection's partition does the work.
+    #[test]
+    fn selection_topk_is_the_full_sort_prefix_on_random_scores(
+        raw in proptest::collection::vec(-1000i32..1000, 1..80),
+        k in 0usize..16,
+    ) {
+        let scores: Vec<f32> = raw.iter().map(|&v| v as f32 / 16.0).collect();
+        assert_selection_is_the_sorted_prefix(&scores, k)?;
+    }
+
+    /// Tie-heavy vectors: a handful of distinct values including both
+    /// infinities and both zeros (`-0.0` ties with `0.0`, so only the entity
+    /// id orders them, and the score bits that come back must be each
+    /// entity's own).
+    #[test]
+    fn selection_topk_is_the_full_sort_prefix_on_ties_zeros_and_infinities(
+        raw in proptest::collection::vec(0usize..7, 1..60),
+        k in 0usize..32,
+    ) {
+        let palette = [0.5f32, -2.25, 7.125, 0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY];
+        let scores: Vec<f32> = raw.iter().map(|&v| palette[v]).collect();
+        assert_selection_is_the_sorted_prefix(&scores, k)?;
+    }
+
+    /// `rank_order` is total with NaN in the vector: every NaN ranks after
+    /// every number, `-inf` included, in entity order — so the full sort and
+    /// the selection still agree and neither panics.
+    #[test]
+    fn selection_topk_ranks_nan_last(
+        raw in proptest::collection::vec(0usize..5, 1..40),
+        k in 0usize..16,
+    ) {
+        let palette = [f32::NAN, 1.5, f32::NEG_INFINITY, -0.0, f32::NAN];
+        let scores: Vec<f32> = raw.iter().map(|&v| palette[v]).collect();
+        assert_selection_is_the_sorted_prefix(&scores, k)?;
+        let ranked = shard_topk(&scores, 0, scores.len());
+        let numbers = scores.iter().filter(|s| !s.is_nan()).count();
+        prop_assert!(ranked[..numbers].iter().all(|c| !c.score.is_nan()));
+        prop_assert!(ranked[numbers..].iter().all(|c| c.score.is_nan()));
+        prop_assert!(ranked[numbers..].windows(2).all(|w| w[0].entity < w[1].entity));
+    }
 
     /// Arbitrary scores, arbitrary partition width (including n > |E|,
     /// which leaves trailing shards empty).

@@ -1,8 +1,9 @@
 //! The model registry: loads checkpoints, validates them against their
 //! configuration, and executes batched predictions and online ingestion.
 //!
-//! The registry lives on the single worker thread (the autograd graph is
-//! `Rc`-based and therefore not `Send`), so it is built *on* that thread
+//! The registry lives on the single worker thread (a `Var` is an `Rc`
+//! handle and therefore not `Send`, whether or not a graph hangs off it —
+//! serving records none), so it is built *on* that thread
 //! from a [`ModelSpec`] list; startup errors are reported back through a
 //! channel before the server starts accepting traffic.
 //!
@@ -61,8 +62,10 @@ struct ModelEntry {
     name: String,
     model: LogCl,
     /// The query-independent forward state per timestamp. Entries hold
-    /// encodings only: the history every one of them is scored against is
-    /// the registry's single [`HistoryIndex`], read as of the entry's `t`.
+    /// encodings only — as values, with no autograd graph behind them
+    /// (`LogCl::encode(.., false)` records none): the history every one of
+    /// them is scored against is the registry's single [`HistoryIndex`],
+    /// read as of the entry's `t`.
     cache: EncodingCache<SharedEncoding>,
     /// The incrementally-advanced streaming encoder state (always equal to
     /// what a from-scratch build over the current parameters + snapshots
@@ -417,7 +420,8 @@ impl Registry {
                 entry.model.shared_from_state(&entry.state)
             } else {
                 // Historical query: encode the query-relative window from
-                // scratch.
+                // scratch. Evaluation mode records no graph, so the entry
+                // cached below keeps the encoding's matrices alone.
                 entry.model.encode(&self.snapshots, t, false)
             };
             entry.cache.insert(t, shared);

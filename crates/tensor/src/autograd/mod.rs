@@ -10,17 +10,44 @@
 //! ([`Var::param`]). Graphs are freed automatically when the last handle to
 //! the output is dropped; parameters survive across steps because the model
 //! owns handles to them.
+//!
+//! Recording is a property of the scope, not of the model: under
+//! [`no_grad`] an operation returns a plain constant, and anywhere a node no
+//! gradient will flow through keeps neither parents nor closure — so a
+//! forward that will never see `backward()` holds only the values it still
+//! uses.
 
 mod index;
 mod linalg;
 mod loss;
 mod ops;
 
-use std::cell::{Ref, RefCell};
+use std::cell::{Cell, Ref, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::tensor::Tensor;
+
+thread_local! {
+    /// Whether operations on this thread are inside a [`no_grad`] scope.
+    static NO_GRAD: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` without recording the autograd graph on this thread: every
+/// operation inside computes the same value with the same kernels and
+/// returns it as a constant leaf, so `backward()` can never reach through it
+/// and each intermediate is freed at its last use. Scopes nest; the previous
+/// state comes back when `f` returns or unwinds.
+pub fn no_grad<T>(f: impl FnOnce() -> T) -> T {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            NO_GRAD.with(|flag| flag.set(self.0));
+        }
+    }
+    let _restore = Restore(NO_GRAD.with(|flag| flag.replace(true)));
+    f()
+}
 
 /// Gradient function: `(grad_out, out_value, parents) -> grad per parent`.
 ///
@@ -110,17 +137,21 @@ impl Var {
         Var::constant(Tensor::scalar(v))
     }
 
-    /// Internal: an interior node produced by an op.
+    /// Internal: the result of an op — an interior node when a gradient can
+    /// flow through it, otherwise (inside [`no_grad`], or with no parent on a
+    /// path from a trainable leaf) a constant that keeps nothing alive.
     pub(crate) fn from_op(value: Tensor, parents: Vec<Var>, backward: BackwardFn) -> Var {
-        let needs_grad = parents.iter().any(|p| p.node.needs_grad);
+        if NO_GRAD.with(Cell::get) || !parents.iter().any(|p| p.node.needs_grad) {
+            return Var::constant(value);
+        }
         Var {
             node: Rc::new(Node {
                 value: RefCell::new(value),
                 grad: RefCell::new(None),
                 parents,
-                backward: if needs_grad { Some(backward) } else { None },
+                backward: Some(backward),
                 trainable: false,
-                needs_grad,
+                needs_grad: true,
             }),
         }
     }
@@ -150,6 +181,12 @@ impl Var {
     /// Whether this is a trainable leaf.
     pub fn is_param(&self) -> bool {
         self.node.trainable
+    }
+
+    /// Whether nothing was recorded behind this variable: a parameter, a
+    /// constant, or the result of an op no gradient flows through.
+    pub fn is_leaf(&self) -> bool {
+        self.node.parents.is_empty()
     }
 
     /// Accumulated gradient of a trainable leaf (if `backward` ran).
@@ -394,6 +431,77 @@ mod tests {
     fn backward_on_non_scalar_panics() {
         let x = Var::param(Tensor::ones(&[2, 2]));
         x.backward();
+    }
+
+    /// A small two-layer forward over trainable weights, as a model's is.
+    fn forward(x: &Var, w: &Var) -> Var {
+        x.matmul(w).tanh().add(x).sigmoid().mul(x)
+    }
+
+    fn weights() -> (Var, Var) {
+        let mut rng = crate::Rng::seed(7);
+        (
+            Var::param(Tensor::randn(&[5, 5], 0.7, &mut rng)),
+            Var::param(Tensor::randn(&[5, 5], 0.7, &mut rng)),
+        )
+    }
+
+    #[test]
+    fn no_grad_computes_the_same_bits_and_records_nothing() {
+        let (x, w) = weights();
+        let recorded = forward(&x, &w);
+        let unrecorded = no_grad(|| forward(&x, &w));
+        let bits = |v: &Var| -> Vec<u32> { v.value().data().iter().map(|f| f.to_bits()).collect() };
+        assert_eq!(bits(&recorded), bits(&unrecorded));
+        assert!(!recorded.is_leaf());
+        assert!(unrecorded.is_leaf());
+        unrecorded.sum().backward();
+        assert!(x.grad().is_none() && w.grad().is_none());
+    }
+
+    #[test]
+    fn all_constant_ops_keep_no_parents_outside_a_scope_too() {
+        let c = Var::constant(Tensor::ones(&[2, 2]));
+        assert!(c.mul(&c).add(&c).is_leaf());
+        let p = Var::param(Tensor::ones(&[2, 2]));
+        assert!(!c.mul(&p).is_leaf());
+    }
+
+    #[test]
+    fn no_grad_scopes_nest_and_end() {
+        let (x, w) = weights();
+        no_grad(|| {
+            no_grad(|| assert!(forward(&x, &w).is_leaf()));
+            // Leaving the inner scope does not end the outer one.
+            assert!(forward(&x, &w).is_leaf());
+        });
+        assert!(!forward(&x, &w).is_leaf());
+    }
+
+    #[test]
+    fn no_grad_is_restored_when_the_scope_unwinds() {
+        let (x, w) = weights();
+        let unwound = std::panic::catch_unwind(|| no_grad(|| panic!("inside the scope")));
+        assert!(unwound.is_err());
+        assert!(!forward(&x, &w).is_leaf());
+    }
+
+    #[test]
+    fn a_scope_entered_and_left_does_not_disturb_a_recorded_graph() {
+        let grads = |with_scope: bool| {
+            let (x, w) = weights();
+            let first = forward(&x, &w);
+            if with_scope {
+                no_grad(|| forward(&first, &w));
+            }
+            forward(&first, &w).sum().backward();
+            (x.grad().unwrap(), w.grad().unwrap())
+        };
+        let (plain_x, plain_w) = grads(false);
+        let (scoped_x, scoped_w) = grads(true);
+        assert_eq!(plain_x.data(), scoped_x.data());
+        assert_eq!(plain_w.data(), scoped_w.data());
+        assert!(plain_w.data().iter().any(|&g| g != 0.0));
     }
 
     #[test]

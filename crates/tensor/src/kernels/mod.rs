@@ -24,6 +24,10 @@
 //! * Segmented scatter-add partitions the *output* rows into segments; each
 //!   segment scans the full index list in order, so per-row accumulation
 //!   order is index order regardless of segmentation.
+//! * Every matmul element is one accumulator from `+0.0` over `k` ascending,
+//!   a multiply then an add per step (no fused multiply-add, no split sum).
+//!   A kernel may tile *which* elements it computes together, never how one
+//!   is summed, so results do not depend on tile width either.
 //!
 //! Consequently a checkpoint written under `--threads 8` resumes bit-
 //! identically under `--threads 1` and vice versa, and the backend choice is

@@ -493,9 +493,8 @@ pub fn reduce_to(bk: &dyn Backend, x: &[f32], xshape: &[usize], target: &[usize]
 
 // ------------------------------------------------------------------ linalg
 
-/// Dense matmul `[n, k] x [k, m] -> [n, m]`, i-k-j loop order (streams the
-/// rhs and output rows). No zero-skip branch: the dense hot path runs a
-/// fixed flop order regardless of values.
+/// Dense matmul `[n, k] x [k, m] -> [n, m]`. No zero-skip branch: the dense
+/// hot path runs a fixed flop order regardless of values.
 pub fn matmul(bk: &dyn Backend, a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
     matmul_impl::<false>(bk, a, b, n, k, m)
 }
@@ -513,6 +512,42 @@ pub fn matmul_sparse_lhs(
     m: usize,
 ) -> Vec<f32> {
     matmul_impl::<true>(bk, a, b, n, k, m)
+}
+
+/// Widest output-column tile of [`matmul_impl`]: 32 `f32` accumulators stay
+/// in vector registers for a whole `k` loop instead of being re-loaded from
+/// and re-stored to the output row on every `k`.
+const MATMUL_TILE: usize = 32;
+
+/// Fills columns `j0..` of one output row, `W` at a time while `W` more fit,
+/// and returns the first column it left. Each element is the reduction the
+/// determinism contract fixes (DESIGN.md): an accumulator starting at `+0.0`,
+/// `k` ascending, one multiply then one add per step — never a fused
+/// multiply-add, never a reordered or split sum — so the bits of a column do
+/// not depend on the width of the tile that computed it.
+#[inline(always)]
+fn matmul_row_tiles<const W: usize, const SKIP_ZERO_LHS: bool>(
+    a_row: &[f32],
+    b: &[f32],
+    o_row: &mut [f32],
+    mut j0: usize,
+) -> usize {
+    let m = o_row.len();
+    while j0 + W <= m {
+        let mut acc = [0.0f32; W];
+        for (kk, &av) in a_row.iter().enumerate() {
+            if SKIP_ZERO_LHS && av == 0.0 {
+                continue;
+            }
+            let b_tile = &b[kk * m + j0..kk * m + j0 + W];
+            for (c, &bv) in acc.iter_mut().zip(b_tile) {
+                *c += av * bv;
+            }
+        }
+        o_row[j0..j0 + W].copy_from_slice(&acc);
+        j0 += W;
+    }
+    j0
 }
 
 fn matmul_impl<const SKIP_ZERO_LHS: bool>(
@@ -533,15 +568,9 @@ fn matmul_impl<const SKIP_ZERO_LHS: bool>(
         for (r, o_row) in piece.chunks_mut(m).enumerate() {
             let i = i0 + r;
             let a_row = &a[i * k..(i + 1) * k];
-            for (kk, &av) in a_row.iter().enumerate() {
-                if SKIP_ZERO_LHS && av == 0.0 {
-                    continue;
-                }
-                let b_row = &b[kk * m..(kk + 1) * m];
-                for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
-                }
-            }
+            let j = matmul_row_tiles::<MATMUL_TILE, SKIP_ZERO_LHS>(a_row, b, o_row, 0);
+            let j = matmul_row_tiles::<8, SKIP_ZERO_LHS>(a_row, b, o_row, j);
+            matmul_row_tiles::<1, SKIP_ZERO_LHS>(a_row, b, o_row, j);
         }
     });
     out

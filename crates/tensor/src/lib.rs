@@ -11,7 +11,8 @@
 //! * [`Var`] — a reference-counted autograd handle wrapping a `Tensor`.
 //!   Operations on `Var`s build a dynamic computation graph; calling
 //!   [`Var::backward`] runs reverse-mode differentiation and accumulates
-//!   gradients into every reachable trainable leaf.
+//!   gradients into every reachable trainable leaf. Inside
+//!   [`autograd::no_grad`] the same operations record nothing (inference).
 //! * [`nn`] — layers (`Linear`, `Embedding`, `Mlp`, dropout) and parameter
 //!   initialisation.
 //! * [`optim`] — `Adam` and `Sgd` optimizers with gradient clipping.

@@ -101,6 +101,108 @@ fn scatter_reference(src: &[f32], d: usize, idx: &[usize], n: usize) -> Vec<f32>
     out
 }
 
+/// The matmul reduction contract, written out: per output element an
+/// accumulator starting at `+0.0`, `k` ascending, one multiply then one add.
+/// This i-k-j loop is the kernel as it stood before it was tiled; the tiled
+/// kernel must reproduce it bit for bit.
+fn matmul_reference(
+    a: &[f32],
+    b: &[f32],
+    n: usize,
+    k: usize,
+    m: usize,
+    skip_zero: bool,
+) -> Vec<f32> {
+    let mut out = vec![0.0f32; n * m];
+    for i in 0..n {
+        for kk in 0..k {
+            let av = a[i * k + kk];
+            if skip_zero && av == 0.0 {
+                continue;
+            }
+            for j in 0..m {
+                out[i * m + j] += av * b[kk * m + j];
+            }
+        }
+    }
+    out
+}
+
+/// `len` values drawn from a palette that mixes ordinary normals with the
+/// values a reordered or re-seeded sum gets wrong: both zeros, subnormals,
+/// and (when `infinities`) `±inf`.
+fn special_values(len: usize, infinities: bool, seed: u64) -> Vec<f32> {
+    let normals = randn(len, seed);
+    let mut rng = Rng::seed(seed ^ 0x7a11);
+    (0..len)
+        .map(|i| match rng.below(if infinities { 12 } else { 10 }) {
+            0 | 1 => 0.0,
+            2 | 3 => -0.0,
+            4 => 1.0e-40,
+            5 => -3.0e-42,
+            10 => f32::INFINITY,
+            11 => f32::NEG_INFINITY,
+            _ => normals[i],
+        })
+        .collect()
+}
+
+/// The tiled matmul against the reference loop, `to_bits`: every tile width
+/// and tail (`m` on both sides of 8 and 32), empty and single-step
+/// reductions, dense and sparse-lhs, `Serial` and every pool (`n = 40` spans
+/// several tasks at the larger shapes).
+#[test]
+fn tiled_matmul_is_the_ikj_reference_bit_for_bit() {
+    // `inf · 0` makes NaNs. The reference is other machine code than the
+    // kernel and a compiler may commute an add, so two NaNs count as equal
+    // whatever their payload; everything else is compared by bits.
+    let same = |x: f32, y: f32| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+    let mut seed = 0u64;
+    for m in [1usize, 7, 31, 32, 33, 64, 65, 96, 200] {
+        for k in [0usize, 1, 64] {
+            for n in [1usize, 9, 40] {
+                for infinities in [false, true] {
+                    seed += 1;
+                    let a = special_values(n * k, infinities, seed);
+                    let b = special_values(k * m, infinities, seed ^ 0xb0b);
+                    for skip_zero in [false, true] {
+                        let run = |bk: &dyn Backend| {
+                            if skip_zero {
+                                ops::matmul_sparse_lhs(bk, &a, &b, n, k, m)
+                            } else {
+                                ops::matmul(bk, &a, &b, n, k, m)
+                            }
+                        };
+                        let want = matmul_reference(&a, &b, n, k, m, skip_zero);
+                        let backends = std::iter::once(&Serial as &dyn Backend)
+                            .chain(pools().iter().map(|p| p.as_ref() as &dyn Backend));
+                        for bk in backends {
+                            let got = run(bk);
+                            assert_eq!(got.len(), want.len());
+                            for (at, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                                assert!(
+                                    same(g, w),
+                                    "n={n} k={k} m={m} skip_zero={skip_zero} threads={}: \
+                                     element {at} is {g:e} ({:#x}), reference {w:e} ({:#x})",
+                                    bk.threads(),
+                                    g.to_bits(),
+                                    w.to_bits(),
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // The accumulator starts at +0.0, not at the first product: a sum whose
+    // only term is -0.0 is +0.0, in a tile column and in a tail column alike.
+    for m in [1usize, 8, 32, 41] {
+        let out = ops::matmul(&Serial, &[-0.0], &vec![2.0; m], 1, 1, m);
+        assert!(out.iter().all(|v| v.to_bits() == 0), "m={m}: {out:?}");
+    }
+}
+
 proptest! {
     // Sizes deliberately span the kernels' chunking constants
     // (REDUCE_CHUNK = 4096, ELEM_CHUNK = 16384 elements) so both the
