@@ -517,17 +517,19 @@ impl Metrics {
             "logcl_post_ingest_cache_hit_ratio {}",
             load(&self.post_ingest_hit_ratio_ppm) as f64 / 1e6
         );
-        // Backend identity gauge: label carries the name, value the thread
+        // Backend identity gauge: labels carry the backend's name and which
+        // compiled copy of the matmul tile this CPU runs, value the thread
         // count, following the Prometheus `_info` convention.
         let _ = writeln!(
             out,
-            "# HELP logcl_kernel_backend_info Active kernel backend (value = compute threads)."
+            "# HELP logcl_kernel_backend_info Active kernel backend and vector ISA (value = compute threads)."
         );
         let _ = writeln!(out, "# TYPE logcl_kernel_backend_info gauge");
         let _ = writeln!(
             out,
-            "logcl_kernel_backend_info{{backend=\"{}\"}} {}",
+            "logcl_kernel_backend_info{{backend=\"{}\",isa=\"{}\"}} {}",
             logcl_tensor::kernels::backend_name(),
+            logcl_tensor::kernels::isa(),
             logcl_tensor::kernels::current_threads()
         );
         // Build identity info-gauge: lets bench reports and dashboards pin
@@ -640,5 +642,9 @@ mod tests {
         ] {
             assert!(text.contains(family), "missing {family} in:\n{text}");
         }
+        // The `backend=` label stays first (scrapers match on that prefix);
+        // `isa` is whatever the kernel's own detection says on this host.
+        let isa = format!(",isa=\"{}\"}} ", logcl_tensor::kernels::isa());
+        assert!(text.contains(&isa), "missing {isa} in:\n{text}");
     }
 }

@@ -26,8 +26,21 @@
 //!   order is index order regardless of segmentation.
 //! * Every matmul element is one accumulator from `+0.0` over `k` ascending,
 //!   a multiply then an add per step (no fused multiply-add, no split sum).
-//!   A kernel may tile *which* elements it computes together, never how one
-//!   is summed, so results do not depend on tile width either.
+//!   A kernel may choose *which* elements — columns and rows — it computes
+//!   together, never how one is summed, so results do not depend on tile
+//!   shape either.
+//! * A kernel may be compiled for a wider vector unit: a lane-wise multiply
+//!   and a lane-wise add are the same IEEE operations at four lanes and at
+//!   eight, and nothing contracts the two into a fused multiply-add
+//!   (`f32::mul_add`, `-C target-cpu`/`target-feature=+fma` build flags and
+//!   fast-math stay out of this crate for that reason). The matmul tile
+//!   exists in a baseline and an AVX2 copy of one source, picked per call
+//!   from what the CPU reports ([`isa`] says which).
+//! * Each elementwise expression is written once (`unary_eval`,
+//!   `binary_eval` in [`ops`]). The kernels pick the variant once per call
+//!   and run a loop compiled for it, so the arithmetic variants vectorise;
+//!   the `libm` ones (`tanh`, `exp`, `ln`, `cos`, `sin`) stay scalar calls,
+//!   because any other evaluation of them would move bits.
 //!
 //! Consequently a checkpoint written under `--threads 8` resumes bit-
 //! identically under `--threads 1` and vice versa, and the backend choice is
@@ -36,16 +49,19 @@
 //! # Adding a backend
 //!
 //! Implement [`Backend`]: the whole surface is `run_tasks`, an indexed
-//! task-parallel for-loop over disjoint work items. A SIMD or GPU backend
-//! would instead intercept the typed kernel entry points in [`ops`]; the
-//! determinism contract above is the bar any new backend must clear.
+//! task-parallel for-loop over disjoint work items. Vector width is not a
+//! backend: the loops in [`ops`] are written so the compiler vectorises them,
+//! and the one kernel worth a wider unit is compiled twice inside [`ops`]. A
+//! GPU backend would instead intercept the typed kernel entry points in
+//! [`ops`]; the determinism contract above is the bar any new backend must
+//! clear.
 
 pub mod ops;
 pub mod pool;
 
 use std::sync::{Arc, OnceLock, RwLock};
 
-pub use ops::{Binary, Unary, REDUCE_CHUNK};
+pub use ops::{isa, Binary, Unary, REDUCE_CHUNK};
 pub use pool::busy_nanos;
 
 /// An execution strategy for kernels: a way of running `n_tasks` independent

@@ -39,7 +39,19 @@ const SCATTER_MAX_SEGMENTS: usize = 32;
 /// slices from it; the caller guarantees the allocation outlives the kernel.
 #[derive(Clone, Copy)]
 struct MutPtr(*mut f32);
+// SAFETY: the one field is the base address of a `&mut [f32]` that the
+// function building the `MutPtr` (`par_chunks`, `par_row_chunks2`,
+// `adam_step`) holds exclusively for its whole body. `Backend::run_tasks`
+// returns only after every task has run, so no task — on whichever thread —
+// outlives that borrow, and moving the address to a worker moves no ownership
+// (`f32` has no drop and no thread affinity).
 unsafe impl Send for MutPtr {}
+// SAFETY: sharing the wrapper shares only the address (`get` copies it out);
+// nothing is read or written through `&MutPtr` itself. Every task turns the
+// address into a slice over its own `[lo, hi)` range, the ranges of distinct
+// task indices are disjoint by construction, and `run_tasks` hands each index
+// to exactly one task, so no two threads ever hold a slice over the same
+// element and the underlying `&mut [f32]` is never aliased.
 unsafe impl Sync for MutPtr {}
 
 impl MutPtr {
@@ -153,25 +165,50 @@ fn unary_eval(op: Unary, x: f32) -> f32 {
     }
 }
 
+/// Runs `$body` with `$f` bound to `|v| unary_eval(op, v)` for the variant
+/// `$op` holds, the `match` on it resolved *here*, once per kernel call: in
+/// each arm `unary_eval` sees a constant variant and inlines to that one
+/// expression, so the element loop in `$body` is compiled per variant and the
+/// arithmetic ones vectorise. `unary_eval` stays the only place an expression
+/// is written down.
+macro_rules! with_unary {
+    ($op:expr, |$f:ident| $body:expr) => {
+        match $op {
+            Unary::Scale(s) => with_unary!(@arm Unary::Scale(s), $f, $body),
+            Unary::AddScalar(s) => with_unary!(@arm Unary::AddScalar(s), $f, $body),
+            Unary::Sigmoid => with_unary!(@arm Unary::Sigmoid, $f, $body),
+            Unary::Tanh => with_unary!(@arm Unary::Tanh, $f, $body),
+            Unary::LeakyRelu(s) => with_unary!(@arm Unary::LeakyRelu(s), $f, $body),
+            Unary::Exp => with_unary!(@arm Unary::Exp, $f, $body),
+            Unary::LnClamped => with_unary!(@arm Unary::LnClamped, $f, $body),
+            Unary::Cos => with_unary!(@arm Unary::Cos, $f, $body),
+        }
+    };
+    (@arm $variant:expr, $f:ident, $body:expr) => {{
+        let $f = move |v: f32| unary_eval($variant, v);
+        $body
+    }};
+}
+
 /// Applies a named unary op elementwise.
 pub fn unary(bk: &dyn Backend, op: Unary, x: &[f32]) -> Vec<f32> {
     let mut out = vec![0.0f32; x.len()];
-    par_chunks(bk, &mut out, ELEM_CHUNK, |lo, piece| {
+    with_unary!(op, |f| par_chunks(bk, &mut out, ELEM_CHUNK, |lo, piece| {
         let len = piece.len();
         for (o, &v) in piece.iter_mut().zip(&x[lo..lo + len]) {
-            *o = unary_eval(op, v);
+            *o = f(v);
         }
-    });
+    }));
     out
 }
 
 /// In-place variant of [`unary`].
 pub fn unary_inplace(bk: &dyn Backend, op: Unary, x: &mut [f32]) {
-    par_chunks(bk, x, ELEM_CHUNK, |_, piece| {
+    with_unary!(op, |f| par_chunks(bk, x, ELEM_CHUNK, |_, piece| {
         for v in piece.iter_mut() {
-            *v = unary_eval(op, *v);
+            *v = f(*v);
         }
-    });
+    }));
 }
 
 /// Escape hatch for `Tensor::map` with an arbitrary (non-`Sync`) closure:
@@ -232,16 +269,38 @@ fn binary_eval(op: Binary, a: f32, b: f32) -> f32 {
     }
 }
 
+/// [`with_unary!`] for the binary ops: `$f` is `|x, y| binary_eval(op, x, y)`
+/// with the variant a constant in each arm.
+macro_rules! with_binary {
+    ($op:expr, |$f:ident| $body:expr) => {
+        match $op {
+            Binary::Add => with_binary!(@arm Binary::Add, $f, $body),
+            Binary::Sub => with_binary!(@arm Binary::Sub, $f, $body),
+            Binary::Mul => with_binary!(@arm Binary::Mul, $f, $body),
+            Binary::Div => with_binary!(@arm Binary::Div, $f, $body),
+            Binary::SigmoidBwd => with_binary!(@arm Binary::SigmoidBwd, $f, $body),
+            Binary::TanhBwd => with_binary!(@arm Binary::TanhBwd, $f, $body),
+            Binary::LeakyReluBwd(s) => with_binary!(@arm Binary::LeakyReluBwd(s), $f, $body),
+            Binary::LnBwd => with_binary!(@arm Binary::LnBwd, $f, $body),
+            Binary::CosBwd => with_binary!(@arm Binary::CosBwd, $f, $body),
+        }
+    };
+    (@arm $variant:expr, $f:ident, $body:expr) => {{
+        let $f = move |x: f32, y: f32| binary_eval($variant, x, y);
+        $body
+    }};
+}
+
 /// Applies a named binary op to equal-length slices.
 pub fn binary(bk: &dyn Backend, op: Binary, a: &[f32], b: &[f32]) -> Vec<f32> {
     debug_assert_eq!(a.len(), b.len());
     let mut out = vec![0.0f32; a.len()];
-    par_chunks(bk, &mut out, ELEM_CHUNK, |lo, piece| {
+    with_binary!(op, |f| par_chunks(bk, &mut out, ELEM_CHUNK, |lo, piece| {
         let len = piece.len();
         for ((o, &x), &y) in piece.iter_mut().zip(&a[lo..lo + len]).zip(&b[lo..lo + len]) {
-            *o = binary_eval(op, x, y);
+            *o = f(x, y);
         }
-    });
+    }));
     out
 }
 
@@ -258,12 +317,77 @@ pub fn binary_bcast(
 ) -> Vec<f32> {
     let sa = shape::broadcast_strides(shape_a, out_shape);
     let sb = shape::broadcast_strides(shape_b, out_shape);
-    let n = shape::numel(out_shape);
-    let mut out = vec![0.0f32; n];
+    let mut out = vec![0.0f32; shape::numel(out_shape)];
+    with_binary!(op, |f| match *out_shape {
+        [] => bcast_rows(bk, &mut out, 1, a, [0, 0], b, [0, 0], f),
+        [d] => bcast_rows(bk, &mut out, d, a, [0, sa[0]], b, [0, sb[0]], f),
+        [_, d] => bcast_rows(bk, &mut out, d, a, [sa[0], sa[1]], b, [sb[0], sb[1]], f),
+        _ => bcast_walk(bk, &mut out, out_shape, a, &sa, b, &sb, f),
+    });
+    out
+}
+
+/// Broadcast over an output of `d`-element rows (rank ≤ 2, a vector being
+/// one row). `[row, col]` are an operand's strides: at `col == 1` an output
+/// row reads a row of the operand, at `col == 0` one element of it, so the
+/// four combinations are plain slice loops. Tasks split on row boundaries.
+#[allow(clippy::too_many_arguments)]
+fn bcast_rows(
+    bk: &dyn Backend,
+    out: &mut [f32],
+    d: usize,
+    a: &[f32],
+    [a_row, a_col]: [usize; 2],
+    b: &[f32],
+    [b_row, b_col]: [usize; 2],
+    f: impl Fn(f32, f32) -> f32 + Sync,
+) {
+    let d = d.max(1);
+    let rows_per_task = (ELEM_CHUNK / d).max(1);
+    par_chunks(bk, out, rows_per_task * d, |lo, piece| {
+        for (r, o_row) in piece.chunks_mut(d).enumerate() {
+            let i = lo / d + r;
+            let (oa, ob) = (i * a_row, i * b_row);
+            match (a_col, b_col) {
+                (0, 0) => o_row.fill(f(a[oa], b[ob])),
+                (0, _) => {
+                    let x = a[oa];
+                    for (o, &y) in o_row.iter_mut().zip(&b[ob..ob + d]) {
+                        *o = f(x, y);
+                    }
+                }
+                (_, 0) => {
+                    let y = b[ob];
+                    for (o, &x) in o_row.iter_mut().zip(&a[oa..oa + d]) {
+                        *o = f(x, y);
+                    }
+                }
+                _ => {
+                    for ((o, &x), &y) in o_row.iter_mut().zip(&a[oa..oa + d]).zip(&b[ob..ob + d]) {
+                        *o = f(x, y);
+                    }
+                }
+            }
+        }
+    });
+}
+
+/// Broadcast over a rank-3 output: decomposes each task's flat start offset
+/// into a multi-index, then walks it incrementally — identical element order
+/// to the serial loop.
+#[allow(clippy::too_many_arguments)]
+fn bcast_walk(
+    bk: &dyn Backend,
+    out: &mut [f32],
+    out_shape: &[usize],
+    a: &[f32],
+    sa: &[usize],
+    b: &[f32],
+    sb: &[usize],
+    f: impl Fn(f32, f32) -> f32 + Sync,
+) {
     let rank = out_shape.len();
-    par_chunks(bk, &mut out, ELEM_CHUNK, |lo, piece| {
-        // Decompose the flat start offset into a multi-index, then walk it
-        // incrementally — identical element order to the serial loop.
+    par_chunks(bk, out, ELEM_CHUNK, |lo, piece| {
         let mut idx = [0usize; shape::MAX_RANK];
         let mut rem = lo;
         for d in (0..rank).rev() {
@@ -276,7 +400,7 @@ pub fn binary_bcast(
             ob += idx[d] * sb[d];
         }
         for o in piece.iter_mut() {
-            *o = binary_eval(op, a[oa], b[ob]);
+            *o = f(a[oa], b[ob]);
             for d in (0..rank).rev() {
                 idx[d] += 1;
                 oa += sa[d];
@@ -290,7 +414,6 @@ pub fn binary_bcast(
             }
         }
     });
-    out
 }
 
 /// Escape hatch for `Tensor::zip` with an arbitrary closure (broadcasting,
@@ -514,40 +637,142 @@ pub fn matmul_sparse_lhs(
     matmul_impl::<true>(bk, a, b, n, k, m)
 }
 
-/// Widest output-column tile of [`matmul_impl`]: 32 `f32` accumulators stay
-/// in vector registers for a whole `k` loop instead of being re-loaded from
-/// and re-stored to the output row on every `k`.
-const MATMUL_TILE: usize = 32;
-
-/// Fills columns `j0..` of one output row, `W` at a time while `W` more fit,
-/// and returns the first column it left. Each element is the reduction the
-/// determinism contract fixes (DESIGN.md): an accumulator starting at `+0.0`,
-/// `k` ascending, one multiply then one add per step — never a fused
-/// multiply-add, never a reordered or split sum — so the bits of a column do
-/// not depend on the width of the tile that computed it.
+/// Fills columns `j0..` of `R` output rows at once, `W` at a time while `W`
+/// more fit, and returns the first column it left: `R · W` accumulators stay
+/// in vector registers for a whole `k` loop, and the `R` rows share each load
+/// of a `b` tile. Each element is the reduction the determinism contract
+/// fixes (DESIGN.md): an accumulator starting at `+0.0`, `k` ascending, one
+/// multiply then one add per step — never a fused multiply-add, never a
+/// reordered or split sum — so the bits of an element depend neither on the
+/// tile that computed it nor on the width of the vector unit it ran on.
 #[inline(always)]
-fn matmul_row_tiles<const W: usize, const SKIP_ZERO_LHS: bool>(
-    a_row: &[f32],
+fn matmul_tiles<const R: usize, const W: usize, const SKIP_ZERO_LHS: bool>(
+    a_rows: [&[f32]; R],
     b: &[f32],
-    o_row: &mut [f32],
+    o_rows: &mut [&mut [f32]; R],
     mut j0: usize,
 ) -> usize {
-    let m = o_row.len();
+    let m = o_rows[0].len();
+    let k = a_rows[0].len();
+    // Every row re-sliced to the one `k`, so the `a_row[kk]` checks hoist.
+    let a_rows = a_rows.map(|row| &row[..k]);
     while j0 + W <= m {
-        let mut acc = [0.0f32; W];
-        for (kk, &av) in a_row.iter().enumerate() {
-            if SKIP_ZERO_LHS && av == 0.0 {
-                continue;
-            }
-            let b_tile = &b[kk * m + j0..kk * m + j0 + W];
-            for (c, &bv) in acc.iter_mut().zip(b_tile) {
-                *c += av * bv;
+        let mut acc = [[0.0f32; W]; R];
+        for (kk, b_row) in b.chunks_exact(m).take(k).enumerate() {
+            let b_tile = &b_row[j0..j0 + W];
+            for (acc_row, a_row) in acc.iter_mut().zip(a_rows) {
+                let av = a_row[kk];
+                if SKIP_ZERO_LHS && av == 0.0 {
+                    continue;
+                }
+                for (c, &bv) in acc_row.iter_mut().zip(b_tile) {
+                    *c += av * bv;
+                }
             }
         }
-        o_row[j0..j0 + W].copy_from_slice(&acc);
+        for (o_row, acc_row) in o_rows.iter_mut().zip(&acc) {
+            o_row[j0..j0 + W].copy_from_slice(acc_row);
+        }
         j0 += W;
     }
     j0
+}
+
+/// All of `R` output rows: tiles of `W` columns, then of 8, then single
+/// columns.
+#[inline(always)]
+fn matmul_row_group<const R: usize, const W: usize, const SKIP_ZERO_LHS: bool>(
+    a_rows: [&[f32]; R],
+    b: &[f32],
+    mut o_rows: [&mut [f32]; R],
+) {
+    let j = matmul_tiles::<R, W, SKIP_ZERO_LHS>(a_rows, b, &mut o_rows, 0);
+    let j = matmul_tiles::<R, 8, SKIP_ZERO_LHS>(a_rows, b, &mut o_rows, j);
+    matmul_tiles::<R, 1, SKIP_ZERO_LHS>(a_rows, b, &mut o_rows, j);
+}
+
+/// One task of [`matmul_impl`]: output rows `i0..` into `piece`. Rows go two
+/// at a time — a pair has twice the independent add chains of one row, which
+/// is what a latency-bound tile is short of — in tiles of `W2` columns; an
+/// odd last row, or the only one (the decoder's `[1, D] · [D, |E|]`), goes
+/// alone in tiles of `W1`. Both widths are what eight vector registers of
+/// accumulators hold, so they double with the lane count.
+#[inline(always)]
+fn matmul_rows<const W2: usize, const W1: usize, const SKIP_ZERO_LHS: bool>(
+    a: &[f32],
+    b: &[f32],
+    piece: &mut [f32],
+    i0: usize,
+    k: usize,
+    m: usize,
+) {
+    let a_row = |r: usize| &a[(i0 + r) * k..(i0 + r + 1) * k];
+    let rows = piece.len() / m;
+    let mut pairs = piece.chunks_exact_mut(2 * m);
+    for (p, pair) in pairs.by_ref().enumerate() {
+        let (o0, o1) = pair.split_at_mut(m);
+        let a_rows = [a_row(2 * p), a_row(2 * p + 1)];
+        matmul_row_group::<2, W2, SKIP_ZERO_LHS>(a_rows, b, [o0, o1]);
+    }
+    let last = pairs.into_remainder();
+    if !last.is_empty() {
+        matmul_row_group::<1, W1, SKIP_ZERO_LHS>([a_row(rows - 1)], b, [last]);
+    }
+}
+
+/// [`matmul_rows`] compiled for the build's baseline vector unit (SSE2 on
+/// x86-64, NEON on aarch64: four lanes). The only copy that runs on a CPU
+/// without AVX2.
+fn matmul_rows_baseline<const SKIP_ZERO_LHS: bool>(
+    a: &[f32],
+    b: &[f32],
+    piece: &mut [f32],
+    i0: usize,
+    k: usize,
+    m: usize,
+) {
+    matmul_rows::<16, 32, SKIP_ZERO_LHS>(a, b, piece, i0, k, m)
+}
+
+/// [`matmul_rows`] compiled for AVX2: the same source, so the same lane-wise
+/// multiplies and adds in the same order, at eight lanes instead of four.
+/// Enabling `avx2` does not enable `fma`, and Rust contracts `a * b + c` into
+/// a fused multiply-add under no setting, so the two copies agree bit for bit.
+/// Calling it from code not itself compiled for AVX2 is `unsafe`: the CPU must
+/// have the feature (`is_x86_feature_detected!("avx2")`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn matmul_rows_avx2<const SKIP_ZERO_LHS: bool>(
+    a: &[f32],
+    b: &[f32],
+    piece: &mut [f32],
+    i0: usize,
+    k: usize,
+    m: usize,
+) {
+    matmul_rows::<32, 64, SKIP_ZERO_LHS>(a, b, piece, i0, k, m)
+}
+
+/// Which compiled copy of the matmul tile this process runs: `"avx2"` when
+/// the CPU has it (x86-64 only), else `"baseline"`. Detected once by `std`
+/// and cached; the kernel asks the same question on every call.
+pub fn isa() -> &'static str {
+    if has_avx2() {
+        "avx2"
+    } else {
+        "baseline"
+    }
+}
+
+fn has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
 }
 
 fn matmul_impl<const SKIP_ZERO_LHS: bool>(
@@ -562,16 +787,18 @@ fn matmul_impl<const SKIP_ZERO_LHS: bool>(
     debug_assert_eq!(b.len(), k * m);
     let mut out = vec![0.0f32; n * m];
     let row_flops = (k * m).max(1);
-    let rows_per_task = (MATMUL_TASK_FLOPS / row_flops).max(1);
+    // An even count, so that only a task's last row can be a lone one.
+    let rows_per_task = (MATMUL_TASK_FLOPS / row_flops).max(1).next_multiple_of(2);
+    let avx2 = has_avx2();
     par_chunks(bk, &mut out, rows_per_task * m, |lo, piece| {
-        let i0 = lo / m.max(1);
-        for (r, o_row) in piece.chunks_mut(m).enumerate() {
-            let i = i0 + r;
-            let a_row = &a[i * k..(i + 1) * k];
-            let j = matmul_row_tiles::<MATMUL_TILE, SKIP_ZERO_LHS>(a_row, b, o_row, 0);
-            let j = matmul_row_tiles::<8, SKIP_ZERO_LHS>(a_row, b, o_row, j);
-            matmul_row_tiles::<1, SKIP_ZERO_LHS>(a_row, b, o_row, j);
+        let i0 = lo / m;
+        if avx2 {
+            // SAFETY: `avx2` is `is_x86_feature_detected!("avx2")` on this CPU,
+            // which is all that calling an `avx2` target-feature function asks.
+            #[cfg(target_arch = "x86_64")]
+            return unsafe { matmul_rows_avx2::<SKIP_ZERO_LHS>(a, b, piece, i0, k, m) };
         }
+        matmul_rows_baseline::<SKIP_ZERO_LHS>(a, b, piece, i0, k, m)
     });
     out
 }
@@ -1078,4 +1305,60 @@ pub fn rank_of(x: &[f32], target: usize, masked: &[usize]) -> usize {
 /// True when every element is finite.
 pub fn all_finite(x: &[f32]) -> bool {
     x.iter().all(|v| v.is_finite())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The baseline and the AVX2 instantiation of [`matmul_rows`], called
+    /// directly on the same inputs: `matmul` only ever runs the one the CPU
+    /// selects, so without this the other copy would go untested on any
+    /// given host.
+    #[test]
+    fn both_compiled_copies_of_the_matmul_tile_agree_bit_for_bit() {
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2() {
+            let mut rng = crate::Rng::seed(21);
+            // Zeros for the sparse-lhs skip, an infinity for `inf · 0` NaNs.
+            let mut values = |len: usize| -> Vec<f32> {
+                let normals = crate::Tensor::randn(&[len.max(1)], 1.0, &mut rng);
+                (0..len)
+                    .map(|i| match i % 7 {
+                        0 => 0.0,
+                        3 => -0.0,
+                        5 if i % 35 == 5 => f32::INFINITY,
+                        _ => normals.data()[i],
+                    })
+                    .collect()
+            };
+            for n in [1usize, 2, 3, 5] {
+                for k in [0usize, 1, 64] {
+                    for m in [1usize, 7, 15, 16, 17, 31, 32, 33, 64, 65, 96, 200] {
+                        let (a, b) = (values(n * k), values(k * m));
+                        let mut base = [vec![0.0f32; n * m], vec![0.0f32; n * m]];
+                        let mut wide = base.clone();
+                        matmul_rows_baseline::<false>(&a, &b, &mut base[0], 0, k, m);
+                        matmul_rows_baseline::<true>(&a, &b, &mut base[1], 0, k, m);
+                        // SAFETY: `has_avx2()` was checked above.
+                        unsafe {
+                            matmul_rows_avx2::<false>(&a, &b, &mut wide[0], 0, k, m);
+                            matmul_rows_avx2::<true>(&a, &b, &mut wide[1], 0, k, m);
+                        }
+                        for (skip_zero, (base, wide)) in base.iter().zip(&wide).enumerate() {
+                            for (at, (x, y)) in base.iter().zip(wide).enumerate() {
+                                assert!(
+                                    x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                                    "n={n} k={k} m={m} skip_zero={skip_zero}: element {at} is \
+                                     {x:e} at four lanes, {y:e} at eight"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+            return;
+        }
+        println!("skipped: no AVX2 here, so the baseline copy is the only one compiled in or run");
+    }
 }

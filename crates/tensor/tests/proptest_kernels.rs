@@ -2,8 +2,10 @@
 //! kernel run on `Parallel` pools of 2, 3 and 8 threads must be
 //! **bit-identical** (`f32::to_bits`) to `Serial`, forward and backward,
 //! on random shapes — including sizes that cross the chunking thresholds so
-//! the multi-task code paths are genuinely exercised. Segmented scatter-add
-//! is additionally fuzzed against a scalar reference implementation.
+//! the multi-task code paths are genuinely exercised. Segmented scatter-add,
+//! the matmul and the elementwise kernels — whose loops are the same
+//! vectorised machine code on every backend — are additionally held to scalar
+//! reference implementations written out in this file.
 
 use std::sync::{Arc, OnceLock};
 
@@ -128,6 +130,77 @@ fn matmul_reference(
     out
 }
 
+/// Every [`Unary`] expression restated, one scalar at a time and never
+/// inlined, so no loop around a call of it can be vectorised: what the
+/// kernels' per-variant loops must reproduce bit for bit.
+#[inline(never)]
+fn unary_reference(op: Unary, x: f32) -> f32 {
+    match op {
+        Unary::Scale(s) => x * s,
+        Unary::AddScalar(s) => x + s,
+        Unary::Sigmoid => 1.0 / (1.0 + (-x).exp()),
+        Unary::Tanh => x.tanh(),
+        Unary::LeakyRelu(slope) => {
+            if x >= 0.0 {
+                x
+            } else {
+                slope * x
+            }
+        }
+        Unary::Exp => x.exp(),
+        Unary::LnClamped => x.max(1e-12).ln(),
+        Unary::Cos => x.cos(),
+    }
+}
+
+/// [`unary_reference`] for every [`Binary`] expression.
+#[inline(never)]
+fn binary_reference(op: Binary, a: f32, b: f32) -> f32 {
+    match op {
+        Binary::Add => a + b,
+        Binary::Sub => a - b,
+        Binary::Mul => a * b,
+        Binary::Div => a / b,
+        Binary::SigmoidBwd => a * b * (1.0 - b),
+        Binary::TanhBwd => a * (1.0 - b * b),
+        Binary::LeakyReluBwd(slope) => {
+            if b >= 0.0 {
+                a
+            } else {
+                slope * a
+            }
+        }
+        Binary::LnBwd => a / b.max(1e-12),
+        Binary::CosBwd => -a * b.sin(),
+    }
+}
+
+/// Equal by bits, or both NaN: a reference is other machine code than the
+/// kernel and a compiler may commute an add or a multiply, which can pick the
+/// other operand's NaN payload and nothing else.
+fn same_bits(x: f32, y: f32) -> bool {
+    x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+}
+
+#[track_caller]
+fn assert_same(label: &str, threads: usize, want: &[f32], got: &[f32]) {
+    assert_eq!(want.len(), got.len(), "{label}: length");
+    for (at, (&w, &g)) in want.iter().zip(got).enumerate() {
+        assert!(
+            same_bits(w, g),
+            "{label}, {threads} threads: element {at} is {g:e} ({:#x}), reference {w:e} ({:#x})",
+            g.to_bits(),
+            w.to_bits(),
+        );
+    }
+}
+
+/// `Serial` and every pool.
+fn backends() -> impl Iterator<Item = &'static dyn Backend> {
+    std::iter::once(&Serial as &dyn Backend)
+        .chain(pools().iter().map(|p| p.as_ref() as &dyn Backend))
+}
+
 /// `len` values drawn from a palette that mixes ordinary normals with the
 /// values a reordered or re-seeded sum gets wrong: both zeros, subnormals,
 /// and (when `infinities`) `±inf`.
@@ -153,14 +226,13 @@ fn special_values(len: usize, infinities: bool, seed: u64) -> Vec<f32> {
 /// several tasks at the larger shapes).
 #[test]
 fn tiled_matmul_is_the_ikj_reference_bit_for_bit() {
-    // `inf · 0` makes NaNs. The reference is other machine code than the
-    // kernel and a compiler may commute an add, so two NaNs count as equal
-    // whatever their payload; everything else is compared by bits.
-    let same = |x: f32, y: f32| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+    // `inf · 0` makes NaNs, which `same_bits` compares by kind only. `n`: a
+    // lone row, a pair, a pair and an odd last row, and row counts that leave
+    // the last task a pair (40) and a lone row (9, 41).
     let mut seed = 0u64;
     for m in [1usize, 7, 31, 32, 33, 64, 65, 96, 200] {
         for k in [0usize, 1, 64] {
-            for n in [1usize, 9, 40] {
+            for n in [1usize, 2, 3, 9, 40, 41] {
                 for infinities in [false, true] {
                     seed += 1;
                     let a = special_values(n * k, infinities, seed);
@@ -174,21 +246,9 @@ fn tiled_matmul_is_the_ikj_reference_bit_for_bit() {
                             }
                         };
                         let want = matmul_reference(&a, &b, n, k, m, skip_zero);
-                        let backends = std::iter::once(&Serial as &dyn Backend)
-                            .chain(pools().iter().map(|p| p.as_ref() as &dyn Backend));
-                        for bk in backends {
-                            let got = run(bk);
-                            assert_eq!(got.len(), want.len());
-                            for (at, (&g, &w)) in got.iter().zip(&want).enumerate() {
-                                assert!(
-                                    same(g, w),
-                                    "n={n} k={k} m={m} skip_zero={skip_zero} threads={}: \
-                                     element {at} is {g:e} ({:#x}), reference {w:e} ({:#x})",
-                                    bk.threads(),
-                                    g.to_bits(),
-                                    w.to_bits(),
-                                );
-                            }
+                        let label = format!("n={n} k={k} m={m} skip_zero={skip_zero}");
+                        for bk in backends() {
+                            assert_same(&label, bk.threads(), &want, &run(bk));
                         }
                     }
                 }
@@ -200,6 +260,109 @@ fn tiled_matmul_is_the_ikj_reference_bit_for_bit() {
     for m in [1usize, 8, 32, 41] {
         let out = ops::matmul(&Serial, &[-0.0], &vec![2.0; m], 1, 1, m);
         assert!(out.iter().all(|v| v.to_bits() == 0), "m={m}: {out:?}");
+    }
+}
+
+/// `special_values` with infinities, plus what the elementwise expressions
+/// branch or clamp on: NaN, and values below, at and above `LnClamped`'s
+/// `1e-12`.
+fn elementwise_values(len: usize, seed: u64) -> Vec<f32> {
+    let mut v = special_values(len, true, seed);
+    let mut rng = Rng::seed(seed ^ 0xe1e);
+    for x in v.iter_mut() {
+        match rng.below(16) {
+            0 => *x = f32::NAN,
+            1 => *x = 0.5e-12,
+            2 => *x = 1e-12,
+            3 => *x = 2e-12,
+            4 => *x = -1e-12,
+            _ => {}
+        }
+    }
+    v
+}
+
+/// `ELEM_CHUNK` in `kernels/ops.rs`: elements per task of an elementwise
+/// kernel, and per task of a row-walked broadcast rounded down to whole rows.
+const ELEM_CHUNK: usize = 16 * 1024;
+
+/// The elementwise kernels against the scalar expressions, `to_bits`. Every
+/// backend runs the same per-variant loop, so comparing pools with `Serial`
+/// cannot see a vector form that differs from the scalar one; this can. The
+/// lengths put a vector body, its remainder and an empty input on both sides
+/// of 4 and 8 lanes, and the last three span one, two and three tasks.
+#[test]
+fn elementwise_kernels_are_the_scalar_expressions_bit_for_bit() {
+    let lengths = [0usize, 1, 3, 4, 7, 8, 9, 31, 33];
+    let lengths = lengths
+        .into_iter()
+        .chain([ELEM_CHUNK - 1, ELEM_CHUNK + 1, 2 * ELEM_CHUNK + 5]);
+    for (seed, len) in lengths.enumerate() {
+        let x = elementwise_values(len, seed as u64);
+        let y = elementwise_values(len, seed as u64 ^ 0xb0b);
+        for op in UNARIES {
+            let want: Vec<f32> = x.iter().map(|&v| unary_reference(op, v)).collect();
+            let label = format!("unary {op:?} len={len}");
+            for bk in backends() {
+                assert_same(&label, bk.threads(), &want, &ops::unary(bk, op, &x));
+                let mut got = x.clone();
+                ops::unary_inplace(bk, op, &mut got);
+                assert_same(&format!("{label} in place"), bk.threads(), &want, &got);
+            }
+        }
+        for op in BINARIES {
+            let want: Vec<f32> = x
+                .iter()
+                .zip(&y)
+                .map(|(&a, &b)| binary_reference(op, a, b))
+                .collect();
+            let label = format!("binary {op:?} len={len}");
+            for bk in backends() {
+                assert_same(&label, bk.threads(), &want, &ops::binary(bk, op, &x, &y));
+            }
+        }
+    }
+}
+
+/// Every broadcast the row walk serves, and one it does not, against
+/// `zip_fallback`'s per-element multi-index walk over the scalar expression:
+/// matrix ∘ row vector (rank 1 and `[1, d]`), matrix ∘ column vector, column
+/// ∘ row, matrix ∘ scalar, vector ∘ scalar, each in both operand orders, with
+/// `n` or `d` equal to 1 and row counts on both sides of a task boundary
+/// (`ELEM_CHUNK / d` rows); then rank 3, which keeps the generic walk.
+#[test]
+fn binary_bcast_bitwise() {
+    let mut cases: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
+    for (d, ns) in [
+        (64usize, vec![1usize, 3, 255, 256, 257]),
+        (7, vec![1, ELEM_CHUNK / 7, ELEM_CHUNK / 7 + 1]),
+        (1, vec![1, 5, ELEM_CHUNK + 1]),
+    ] {
+        for n in ns {
+            for other in [vec![d], vec![1, d], vec![n, 1], vec![1]] {
+                cases.push((vec![n, d], other));
+            }
+            cases.push((vec![n, 1], vec![1, d]));
+        }
+        cases.push((vec![d], vec![1]));
+    }
+    cases.push((vec![2, 37, 5], vec![37, 5]));
+    cases.push((vec![3, 1, 5], vec![1, 41, 1]));
+    for (seed, (shape_x, shape_y)) in cases.into_iter().enumerate() {
+        let x = elementwise_values(shape_x.iter().product(), seed as u64);
+        let y = elementwise_values(shape_y.iter().product(), seed as u64 ^ 0xb0b);
+        let out_shape = logcl_tensor::shape::broadcast_shape(&shape_x, &shape_y);
+        for (a, sa, b, sb) in [(&x, &shape_x, &y, &shape_y), (&y, &shape_y, &x, &shape_x)] {
+            for op in BINARIES {
+                let f = move |p: f32, q: f32| binary_reference(op, p, q);
+                let want = ops::zip_fallback(&f, a, sa, b, sb, &out_shape);
+                let label = format!("binary_bcast {op:?} {sa:?} with {sb:?}");
+                for bk in backends() {
+                    let got = ops::binary_bcast(bk, op, a, sa, b, sb, &out_shape);
+                    assert_same(&label, bk.threads(), &want, &got);
+                }
+            }
+        }
     }
 }
 
@@ -231,16 +394,6 @@ proptest! {
         for op in BINARIES {
             check(&format!("binary {op:?}"), |bk| ops::binary(bk, op, &a, &b))?;
         }
-    }
-
-    #[test]
-    fn binary_bcast_bitwise(seed in 0u64..u64::MAX, rows in 1usize..300, cols in 1usize..200) {
-        let a = randn(rows * cols, seed);
-        let b = randn(cols, seed.wrapping_add(1));
-        let (sa, sb) = (vec![rows, cols], vec![cols]);
-        check("binary_bcast row-vector", |bk| {
-            ops::binary_bcast(bk, Binary::Mul, &a, &sa, &b, &sb, &sa)
-        })?;
     }
 
     #[test]
