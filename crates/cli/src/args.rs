@@ -72,7 +72,8 @@ flags:
   --threads N       compute threads for the kernel backend (1 = serial;
                     results are bit-identical at any count)
                                                         [default: all cores]
-  --linger-ms MS    micro-batch linger window           [default 2]
+  --linger-ms MS    longest a request waits for company,
+                    from its arrival                    [default 2]
   --max-batch N     micro-batch size cap                [default 32]
   --fused           fuse each batch into one forward pass (approximate)
   --deadline-ms MS  default per-request deadline when the client sends no

@@ -5,25 +5,32 @@
 //! owner conveniently serialises weight updates against scoring). Handler
 //! threads enqueue [`WorkItem`]s on a bounded channel; the worker coalesces
 //! concurrent `/predict` requests with the same `(model, timestamp)` into
-//! one batch, waiting up to a configurable linger for stragglers and
-//! cutting the batch at a configurable maximum size.
+//! one batch and cuts the batch at a configurable maximum size. The linger
+//! is the longest a request waits for company, counted from its arrival: a
+//! batch's window closes at its oldest member's `enqueued_at + linger`.
+//! Jobs for other keys received meanwhile are set aside in arrival order;
+//! when their turn comes their own window has usually closed already, and a
+//! closed window means "do not sleep", not "do not look" — whatever the
+//! queue holds for the key right then still joins, so historical traffic
+//! spread over K timestamps pays one linger per request, not up to K.
 //!
 //! Every job carries an absolute deadline. The worker re-checks it at each
 //! dequeue boundary and once more immediately before compute: an expired
 //! job is answered `504` with the time it already spent queued and is shed
 //! *before* any model work — under overload the queue never burns compute
-//! on answers nobody is waiting for. Each dequeue also feeds the observed
-//! sojourn time into the [`crate::shed`] state machine.
+//! on answers nobody is waiting for. Each job's sojourn — enqueue to the
+//! moment it leaves the queue *for a batch*, set-aside time included — feeds
+//! the [`crate::shed`] state machine.
 //!
 //! On shutdown the senders are dropped; the worker drains every queued item
 //! — answering each one — before it exits, so graceful shutdown never
-//! abandons an accepted request. A disconnect observed *mid-linger* is not
+//! abandons an accepted request. A disconnect observed *mid-window* is not
 //! a linger expiry: it closes the batch and marks the worker unhealthy so
 //! admission stops routing new work at a channel nobody consumes.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::time::{Duration, Instant};
 
 use logcl_core::{Prediction, ShardSpec, SoftmaxStat};
@@ -180,7 +187,8 @@ impl ServeError {
 /// Micro-batching knobs.
 #[derive(Debug, Clone)]
 pub struct BatcherOptions {
-    /// How long the first request of a batch waits for stragglers.
+    /// The longest a request waits for company, counted from its arrival
+    /// (`enqueued_at`), not from when its batch is opened.
     pub linger: Duration,
     /// Hard cap on coalesced requests per batch.
     pub max_batch: usize,
@@ -250,6 +258,31 @@ fn shed_if_expired(item: WorkItem, metrics: &Metrics) -> Option<WorkItem> {
     None
 }
 
+/// Whether `item` belongs in the predict batch keyed `(model, t)`.
+fn joins(item: &WorkItem, key: &(String, usize)) -> bool {
+    matches!(item, WorkItem::Predict(j) if j.model == key.0 && j.t == key.1)
+}
+
+/// `item` leaves the queue *for work* — it joins a predict group or an
+/// ingest run, or is shed here as expired (`None`). This is the one place a
+/// queued item's clock stops: an item merely moved from the channel into
+/// `pending` is still queued and still ageing. `oldest` is false when an
+/// older item stays set aside behind the one taken.
+fn leave_queue(
+    item: WorkItem,
+    oldest: bool,
+    metrics: &Metrics,
+    overload: &OverloadState,
+) -> Option<WorkItem> {
+    let now = Instant::now();
+    if oldest {
+        overload.note_dequeued(item.enqueued_at(), now);
+    } else {
+        overload.note_dequeued_past_older(item.enqueued_at(), now);
+    }
+    shed_if_expired(item, metrics)
+}
+
 /// Runs the worker loop until every sender is gone and the queue is drained.
 pub fn run_batcher<H: BatchHandler>(
     handler: &mut H,
@@ -258,7 +291,8 @@ pub fn run_batcher<H: BatchHandler>(
     metrics: &Metrics,
     overload: &OverloadState,
 ) {
-    // Items received while lingering for a different batch key.
+    // Items received while another key's batch was open, in arrival order;
+    // everything in the channel is younger than everything here.
     let mut pending: VecDeque<WorkItem> = VecDeque::new();
     // Index of the next predict batch to execute — the key deterministic
     // fault schedules are expressed in.
@@ -271,10 +305,7 @@ pub fn run_batcher<H: BatchHandler>(
             // the server dropped its sender and every handler finished —
             // the drain is complete.
             None => match rx.recv() {
-                Ok(item) => {
-                    overload.note_dequeued(item.enqueued_at(), Instant::now());
-                    item
-                }
+                Ok(item) => item,
                 Err(_) => return,
             },
         };
@@ -290,7 +321,7 @@ pub fn run_batcher<H: BatchHandler>(
             }
         }
 
-        let item = match shed_if_expired(item, metrics) {
+        let item = match leave_queue(item, true, metrics, overload) {
             Some(item) => item,
             None => continue,
         };
@@ -302,33 +333,22 @@ pub fn run_batcher<H: BatchHandler>(
                 // handler can amortise one group-commit fsync across all
                 // of them.
                 let mut ingests = vec![job];
-                'gather: while ingests.len() < opts.max_batch {
-                    match pending.pop_front() {
-                        Some(WorkItem::Ingest(next)) => {
-                            if let Some(WorkItem::Ingest(live)) =
-                                shed_if_expired(WorkItem::Ingest(next), metrics)
-                            {
-                                ingests.push(live);
-                            }
-                        }
-                        Some(other) => {
-                            pending.push_front(other);
-                            break 'gather;
-                        }
+                while ingests.len() < opts.max_batch {
+                    let next = match pending.pop_front() {
+                        Some(item) => item,
                         None => match rx.try_recv() {
-                            Ok(item) => {
-                                overload.note_dequeued(item.enqueued_at(), Instant::now());
-                                match shed_if_expired(item, metrics) {
-                                    Some(WorkItem::Ingest(live)) => ingests.push(live),
-                                    Some(other) => {
-                                        pending.push_back(other);
-                                        break 'gather;
-                                    }
-                                    None => {}
-                                }
-                            }
-                            Err(_) => break 'gather,
+                            Ok(item) => item,
+                            Err(_) => break,
                         },
+                    };
+                    if !matches!(next, WorkItem::Ingest(_)) {
+                        // The run ends here; `next` stays queued, oldest.
+                        pending.push_front(next);
+                        break;
+                    }
+                    if let Some(WorkItem::Ingest(live)) = leave_queue(next, true, metrics, overload)
+                    {
+                        ingests.push(live);
                     }
                 }
                 handler.handle_ingest_group(ingests);
@@ -337,47 +357,52 @@ pub fn run_batcher<H: BatchHandler>(
             WorkItem::Predict(job) => job,
         };
 
-        // Open a batch keyed by the first job, absorb matching pending
-        // items, then linger on the channel for stragglers.
+        // Open a batch keyed by the first job. The linger is the longest a
+        // request waits for company, counted from its arrival, and `first`
+        // is the oldest member (`pending` is arrival-ordered, anything
+        // absorbed is younger): a job that was set aside while another
+        // key's batch lingered has already done its waiting.
         let key = (first.model.clone(), first.t);
+        let window_closes = first.enqueued_at + opts.linger;
         let mut group = vec![first];
+        // Absorb matching set-aside jobs; other keys keep their order. An
+        // item is taken only to join or, its deadline past, to be shed.
         let mut skipped = VecDeque::new();
+        let now = Instant::now();
         while let Some(item) = pending.pop_front() {
-            let item = match shed_if_expired(item, metrics) {
-                Some(item) => item,
-                None => continue,
-            };
-            match item {
-                WorkItem::Predict(j)
-                    if group.len() < opts.max_batch && j.model == key.0 && j.t == key.1 =>
-                {
-                    group.push(j)
-                }
-                other => skipped.push_back(other),
+            let wanted = group.len() < opts.max_batch && joins(&item, &key);
+            if !wanted && now < item.deadline() {
+                skipped.push_back(item);
+            } else if let Some(WorkItem::Predict(j)) =
+                leave_queue(item, skipped.is_empty(), metrics, overload)
+            {
+                group.push(j);
             }
         }
         pending = skipped;
-        let linger_deadline = Instant::now() + opts.linger;
         while group.len() < opts.max_batch {
-            let now = Instant::now();
-            if now >= linger_deadline {
-                break;
-            }
-            match rx.recv_timeout(linger_deadline - now) {
+            // A window that has closed means do not sleep, not do not look:
+            // take what the channel already holds.
+            let received = match window_closes.checked_duration_since(Instant::now()) {
+                Some(left) if !left.is_zero() => rx.recv_timeout(left),
+                _ => rx.try_recv().map_err(|e| match e {
+                    TryRecvError::Empty => RecvTimeoutError::Timeout,
+                    TryRecvError::Disconnected => RecvTimeoutError::Disconnected,
+                }),
+            };
+            match received {
                 Ok(item) => {
-                    overload.note_dequeued(item.enqueued_at(), Instant::now());
-                    let item = match shed_if_expired(item, metrics) {
-                        Some(item) => item,
-                        None => continue,
-                    };
-                    match item {
-                        WorkItem::Predict(j) if j.model == key.0 && j.t == key.1 => group.push(j),
-                        other => pending.push_back(other),
+                    if !joins(&item, &key) && Instant::now() < item.deadline() {
+                        pending.push_back(item);
+                    } else if let Some(WorkItem::Predict(j)) =
+                        leave_queue(item, pending.is_empty(), metrics, overload)
+                    {
+                        group.push(j);
                     }
                 }
                 Err(RecvTimeoutError::Timeout) => break,
                 Err(RecvTimeoutError::Disconnected) => {
-                    // Every sender vanished mid-linger: that is shutdown or
+                    // Every sender vanished mid-window: that is shutdown or
                     // worker isolation, not a linger expiry. Close the
                     // batch now and flag the worker unhealthy so admission
                     // stops routing work at a channel nobody will consume.
@@ -810,5 +835,275 @@ mod tests {
             r.recv().unwrap().unwrap();
         }
         predict_rx.recv().unwrap().unwrap();
+    }
+
+    // ------------------------------------------------ one clock per request
+    //
+    // The tests below build jobs with explicit `enqueued_at`s and let the
+    // handler own the only sender, so `run_batcher` runs on the test's own
+    // thread with the channel open for exactly as long as work remains: a
+    // sleep the batcher should not take shows up as elapsed time, and no
+    // assertion waits on a timer of the test's own.
+
+    fn job_enqueued(
+        s: usize,
+        t: usize,
+        enqueued_at: Instant,
+    ) -> (PredictJob, Receiver<Result<PredictOutcome, ServeError>>) {
+        let (mut j, r) = job(s, t);
+        j.enqueued_at = enqueued_at;
+        (j, r)
+    }
+
+    /// What `server::submit` does: count the enqueue, then send.
+    fn submit(tx: &mpsc::SyncSender<WorkItem>, state: &OverloadState, job: PredictJob) {
+        state.note_enqueued(job.enqueued_at);
+        tx.send(WorkItem::Predict(job)).unwrap();
+    }
+
+    /// A [`Recorder`] that holds the sender and hangs up once `left` jobs
+    /// are answered. Each group takes `compute`; `late` is sent into the
+    /// channel while the first group computes; `waits` and `depths` are the
+    /// overload state's queue age and depth as each group starts.
+    struct Script<'a> {
+        rec: Recorder,
+        tx: Option<mpsc::SyncSender<WorkItem>>,
+        left: usize,
+        late: Vec<PredictJob>,
+        compute: Duration,
+        state: &'a OverloadState,
+        waits: Vec<Duration>,
+        depths: Vec<usize>,
+    }
+
+    impl<'a> Script<'a> {
+        fn new(tx: mpsc::SyncSender<WorkItem>, left: usize, state: &'a OverloadState) -> Self {
+            Self {
+                rec: Recorder::default(),
+                tx: Some(tx),
+                left,
+                late: Vec::new(),
+                compute: Duration::ZERO,
+                state,
+                waits: Vec::new(),
+                depths: Vec::new(),
+            }
+        }
+    }
+
+    impl BatchHandler for Script<'_> {
+        fn handle_predict_group(&mut self, group: Vec<PredictJob>) {
+            self.waits.push(self.state.queue_wait(Instant::now()));
+            self.depths.push(self.state.queue_depth());
+            if let Some(tx) = &self.tx {
+                for job in self.late.drain(..) {
+                    submit(tx, self.state, job);
+                }
+            }
+            thread::sleep(self.compute);
+            self.left -= group.len();
+            self.rec.handle_predict_group(group);
+            if self.left == 0 {
+                self.tx = None;
+            }
+        }
+        fn handle_ingest(&mut self, job: IngestJob) {
+            self.rec.handle_ingest(job);
+        }
+    }
+
+    #[test]
+    fn a_closed_window_still_batches_what_is_queued() {
+        // `linger: 0`, and a 1 ms linger that expired a second ago: neither
+        // sleeps, both coalesce the ten queued same-key jobs up to the cap.
+        for (linger, age) in [
+            (Duration::ZERO, Duration::ZERO),
+            (Duration::from_millis(1), Duration::from_secs(1)),
+        ] {
+            let (tx, rx) = mpsc::sync_channel(64);
+            let enqueued_at = Instant::now() - age;
+            let mut replies = Vec::new();
+            for i in 0..10 {
+                let (j, r) = job_enqueued(i, 5, enqueued_at);
+                tx.send(WorkItem::Predict(j)).unwrap();
+                replies.push(r);
+            }
+            drop(tx);
+            let mut rec = Recorder::default();
+            let opts = BatcherOptions {
+                linger,
+                max_batch: 4,
+            };
+            run_batcher(&mut rec, &rx, &opts, &Metrics::default(), &overload());
+            let sizes: Vec<usize> = rec.groups.iter().map(|g| g.len()).collect();
+            assert_eq!(
+                sizes,
+                vec![4, 4, 2],
+                "linger {linger:?}, enqueued {age:?} ago"
+            );
+            for r in replies {
+                r.recv().unwrap().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn distinct_keys_enqueued_together_share_one_linger() {
+        let linger = Duration::from_millis(50);
+        let state = overload();
+        let (tx, rx) = mpsc::sync_channel(64);
+        let started = Instant::now();
+        let mut replies = Vec::new();
+        for t in 0..8 {
+            let (j, r) = job_enqueued(t, t, started);
+            submit(&tx, &state, j);
+            replies.push(r);
+        }
+        let mut script = Script::new(tx, 8, &state);
+        let opts = BatcherOptions {
+            linger,
+            max_batch: 8,
+        };
+        run_batcher(&mut script, &rx, &opts, &Metrics::default(), &state);
+        let elapsed = started.elapsed();
+        // The oldest job waits its window out for company; the seven set
+        // aside meanwhile have then waited just as long and run at once.
+        assert!(elapsed >= linger, "a lone key still lingers: {elapsed:?}");
+        assert!(
+            elapsed < 2 * linger,
+            "eight keys must not pay eight lingers: {elapsed:?}"
+        );
+        assert_eq!(script.rec.groups.len(), 8);
+        for r in replies {
+            r.recv().unwrap().unwrap();
+        }
+    }
+
+    #[test]
+    fn batches_open_in_arrival_order_and_absorb_across_keys() {
+        // Arrival order a1 b1 c1 a2 b2, 4 ms apart, all in the past (the
+        // state's epoch must predate them, hence the one set-up sleep): b2
+        // sits behind c1 in `pending` when b1's batch opens and is still
+        // absorbed; c waits for neither a2 nor b2 to get a batch of its own.
+        let state = overload();
+        let step = Duration::from_millis(4);
+        thread::sleep(5 * step);
+        let base = Instant::now() - 5 * step;
+        let (tx, rx) = mpsc::sync_channel(64);
+        let mut replies = Vec::new();
+        for (i, (s, t)) in [(0, 1), (1, 2), (2, 3), (3, 1), (4, 2)]
+            .into_iter()
+            .enumerate()
+        {
+            let (j, r) = job_enqueued(s, t, base + step * i as u32);
+            submit(&tx, &state, j);
+            replies.push(r);
+        }
+        let mut script = Script::new(tx, 5, &state);
+        let opts = BatcherOptions {
+            linger: Duration::ZERO,
+            max_batch: 8,
+        };
+        run_batcher(&mut script, &rx, &opts, &Metrics::default(), &state);
+        assert_eq!(
+            script.rec.groups,
+            vec![
+                vec![(0, 0, 1), (3, 0, 1)],
+                vec![(1, 0, 2), (4, 0, 2)],
+                vec![(2, 0, 3)]
+            ]
+        );
+        // a2 and b2 were taken past b1 (then 4 steps old) and c1 (3 steps):
+        // the age signal stays on the oldest job still queued, not on the
+        // younger one that left (2 steps and 1 step old).
+        assert_eq!(script.depths, vec![3, 1, 0]);
+        assert!(script.waits[0] >= 4 * step, "{:?}", script.waits);
+        assert!(script.waits[1] >= 3 * step, "{:?}", script.waits);
+        assert_eq!(script.waits[2], Duration::ZERO);
+        for r in replies {
+            r.recv().unwrap().unwrap();
+        }
+    }
+
+    #[test]
+    fn an_expired_set_aside_job_runs_at_once_and_still_takes_the_channel() {
+        // b1 is set aside while a1's batch runs; b2 reaches the channel
+        // during that compute. b1's ten-second window is long closed when
+        // its turn comes: it must not sleep, and must still pick b2 up.
+        let state = overload();
+        let (tx, rx) = mpsc::sync_channel(64);
+        let old = Instant::now() - Duration::from_secs(20);
+        let (a1, a1_rx) = job_enqueued(0, 1, old);
+        let (b1, b1_rx) = job_enqueued(1, 2, old);
+        let (b2, b2_rx) = job_enqueued(2, 2, Instant::now());
+        submit(&tx, &state, a1);
+        submit(&tx, &state, b1);
+        let mut script = Script::new(tx, 3, &state);
+        script.late.push(b2);
+        let opts = BatcherOptions {
+            linger: Duration::from_secs(10),
+            max_batch: 8,
+        };
+        let started = Instant::now();
+        run_batcher(&mut script, &rx, &opts, &Metrics::default(), &state);
+        assert!(started.elapsed() < Duration::from_secs(5), "slept a window");
+        assert_eq!(
+            script.rec.groups,
+            vec![vec![(0, 0, 1)], vec![(1, 0, 2), (2, 0, 2)]]
+        );
+        for r in [a1_rx, b1_rx, b2_rx] {
+            r.recv().unwrap().unwrap();
+        }
+    }
+
+    #[test]
+    fn set_aside_time_is_queue_time() {
+        // Three keys round-robin, three rounds, 5 ms a group: the second
+        // key's jobs wait one group out in `pending`, the third's two.
+        let metrics = Arc::new(Metrics::default());
+        let state = OverloadState::new(OverloadPolicy::default(), Arc::clone(&metrics));
+        let (tx, rx) = mpsc::sync_channel(64);
+        let now = Instant::now();
+        let mut replies = Vec::new();
+        for i in 0..9 {
+            let (j, r) = job_enqueued(i, i % 3, now);
+            submit(&tx, &state, j);
+            replies.push(r);
+        }
+        let mut script = Script::new(tx, 9, &state);
+        script.compute = Duration::from_millis(5);
+        let opts = BatcherOptions {
+            linger: Duration::ZERO,
+            max_batch: 8,
+        };
+        run_batcher(&mut script, &rx, &opts, &metrics, &state);
+        assert_eq!(script.rec.groups.len(), 3);
+        // Every job's observed sojourn covers the groups computed ahead of
+        // it: at most the first group's three jobs read under 5 ms, at most
+        // the first two groups' six under 10 ms.
+        let sojourn = metrics.queue_sojourn.cumulative();
+        let under = |bound: f64| {
+            let i = crate::metrics::LATENCY_BUCKETS
+                .iter()
+                .position(|&b| b == bound)
+                .unwrap();
+            sojourn[i]
+        };
+        assert_eq!(metrics.queue_sojourn.total(), 9);
+        assert!(under(0.005) <= 3 && under(0.01) <= 6, "{sojourn:?}");
+        // Set-aside jobs are queued jobs: the depth counts them, the age
+        // signal is live while any remain, and both read empty at the end.
+        assert_eq!(script.depths, vec![6, 3, 0]);
+        assert!(script.waits[0] > Duration::ZERO && script.waits[1] > Duration::ZERO);
+        assert_eq!(script.waits[2], Duration::ZERO);
+        assert_eq!(state.queue_depth(), 0);
+        assert_eq!(
+            state.queue_wait(Instant::now() + Duration::from_secs(5)),
+            Duration::ZERO,
+            "a drained queue has no age"
+        );
+        for r in replies {
+            r.recv().unwrap().unwrap();
+        }
     }
 }

@@ -565,7 +565,7 @@ impl Metrics {
         );
         self.queue_sojourn.render(
             "logcl_queue_sojourn_seconds",
-            "Work-queue sojourn (enqueue to dequeue) per item.",
+            "Work-queue sojourn per item: enqueue to leaving the queue for a batch, set-aside time included.",
             &mut out,
         );
         self.compute_utilisation.render(

@@ -49,7 +49,8 @@ pub struct ServeConfig {
     /// worker (`0` = auto-detect, `1` = serial). The backends are
     /// bit-identical, so this only affects latency, never rankings.
     pub compute_threads: usize,
-    /// Micro-batch linger window.
+    /// Micro-batch linger: the longest a request waits for company, counted
+    /// from its arrival.
     pub linger: Duration,
     /// Micro-batch size cap.
     pub max_batch: usize,

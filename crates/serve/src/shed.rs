@@ -5,9 +5,11 @@
 //! snapshots plus a query-dependent global two-hop subgraph, Eq. 9–14), so
 //! per-request cost varies widely and a binary "queue full" signal sheds
 //! far too late. This module implements CoDel-style control instead: the
-//! batcher observes the *sojourn time* (enqueue → dequeue) of every work
-//! item, and a three-tier state machine reacts long before the queue hits
-//! its capacity bound:
+//! batcher observes the *sojourn time* of every work item — enqueue to the
+//! moment it leaves the queue for a batch (or is shed as expired), the time
+//! it spent set aside behind another key's batch included — and a
+//! three-tier state machine reacts long before the queue hits its capacity
+//! bound:
 //!
 //! * **Normal** — full fidelity.
 //! * **Brownout** — predict requests are still admitted, but answered
@@ -211,10 +213,23 @@ impl OverloadState {
         }
     }
 
-    /// Records one item leaving the work queue; feeds the sojourn signal
+    /// Records the oldest queued item leaving the work queue *for work* — it
+    /// joins a batch or is shed as expired; an item the batcher only sets
+    /// aside for a later batch is still queued. Feeds the sojourn signal
     /// into the state machine and returns the observed sojourn. Called by
     /// the batcher thread only.
     pub fn note_dequeued(&self, enqueued_at: Instant, now: Instant) -> Duration {
+        self.dequeue(enqueued_at, now, true)
+    }
+
+    /// [`Self::note_dequeued`] for an item taken past older ones that stay
+    /// queued (a same-key job absorbed into an open batch from behind
+    /// another key's): the age anchor stays on the older item.
+    pub fn note_dequeued_past_older(&self, enqueued_at: Instant, now: Instant) -> Duration {
+        self.dequeue(enqueued_at, now, false)
+    }
+
+    fn dequeue(&self, enqueued_at: Instant, now: Instant, oldest: bool) -> Duration {
         let depth = self
             .queue_depth
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |d| {
@@ -224,7 +239,7 @@ impl OverloadState {
             .saturating_sub(1);
         if depth == 0 {
             self.head_enqueued_micros.store(EMPTY, Ordering::Release);
-        } else {
+        } else if oldest {
             // Anything still queued arrived at or after this item: advance
             // the age anchor to the dequeued item's enqueue time (a slight
             // over-estimate of the head's age — conservative by design).
@@ -322,6 +337,12 @@ impl OverloadState {
             return true;
         }
         self.tier(now) == Tier::Shed && self.queue_depth.load(Ordering::Acquire) > 0
+    }
+
+    /// Items enqueued and not yet taken for work, set-aside ones included.
+    #[cfg(test)]
+    pub(crate) fn queue_depth(&self) -> usize {
+        self.queue_depth.load(Ordering::Acquire)
     }
 
     /// Marks the model worker unhealthy (batcher exit, channel disconnect,
@@ -446,6 +467,27 @@ mod tests {
             t + Duration::from_millis(301),
         );
         assert_eq!(s.queue_wait(t + Duration::from_millis(302)), Duration::ZERO);
+    }
+
+    #[test]
+    fn a_take_past_an_older_item_leaves_the_anchor_on_it() {
+        let s = state(policy());
+        let t = Instant::now();
+        s.note_enqueued(t);
+        s.note_enqueued(t + Duration::from_millis(200));
+        s.note_enqueued(t + Duration::from_millis(250));
+        // The 250 ms item joins an open batch from behind the other two:
+        // the queue is still as old as its oldest member.
+        let later = t + Duration::from_millis(300);
+        s.note_dequeued_past_older(t + Duration::from_millis(250), later);
+        assert!(s.queue_wait(later) >= Duration::from_millis(299));
+        assert_eq!(s.tier(later), Tier::Shed);
+        // Taking the oldest moves the anchor on; taking the last empties it.
+        s.note_dequeued(t, later);
+        assert!(s.queue_wait(later) <= Duration::from_millis(300));
+        s.note_dequeued(t + Duration::from_millis(200), later);
+        assert_eq!(s.queue_wait(later), Duration::ZERO);
+        assert_eq!(s.queue_depth(), 0);
     }
 
     #[test]

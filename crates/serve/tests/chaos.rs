@@ -232,6 +232,67 @@ fn compute_delay_overload_sheds_then_recovers_bit_identically() {
     server.shutdown();
 }
 
+/// Offers eight predicts 3 ms apart, two at each of the last `keys`
+/// timestamps with the first one's second request last, to a server that
+/// stalls every batch ≥ 40 ms and batches two at a time; returns the tier
+/// once all are answered (the recovery streak is out of reach, so an
+/// escalation sticks).
+fn tier_after_backlog(keys: u64) -> String {
+    let cfg = ServeConfig {
+        linger: Duration::from_millis(100),
+        max_batch: 2,
+        brownout_sojourn: Duration::from_millis(80),
+        shed_sojourn: Duration::from_secs(60),
+        recovery_streak: 1_000,
+        ..serve_config()
+    };
+    let server = Server::start(cfg, tiny_ds(), vec![untrained_spec()]).expect("start");
+    let addr = server.addr();
+    let head = horizon_of(addr);
+    fault::install(FaultPlan {
+        seed: 7,
+        compute_delay: Some(Duration::from_millis(40)),
+        ..FaultPlan::default()
+    });
+    let clients: Vec<_> = [0, 1, 2, 3, 1, 2, 3, 0]
+        .into_iter()
+        .enumerate()
+        .map(|(i, key)| {
+            let t = head - key % keys;
+            std::thread::sleep(Duration::from_millis(3));
+            std::thread::spawn(move || {
+                let body = format!(r#"{{"subject": {i}, "relation": 0, "time": {t}, "k": 5}}"#);
+                request(addr, "POST", "/predict", &body)
+            })
+        })
+        .collect();
+    for client in clients {
+        let (status, _, body) = client.join().unwrap();
+        assert_eq!(status, 200, "{body}");
+    }
+    fault::clear();
+    let tier = health_always_live(addr);
+    server.shutdown();
+    tier
+}
+
+/// Four batches of stalled compute queue up either way: under one key the
+/// later jobs wait in the channel, under four they wait set aside in the
+/// batcher — received within a few milliseconds of arriving, while the
+/// first key's window is still open (its second job is the last to come),
+/// and then not looked at again until their turn. Both are queue time, and
+/// both must reach Brownout.
+#[test]
+fn a_backlog_spread_over_four_keys_browns_out_like_one_key() {
+    let _guard = serial();
+    assert_eq!(tier_after_backlog(1), "brownout", "one key");
+    assert_eq!(
+        tier_after_backlog(4),
+        "brownout",
+        "four keys: set-aside time must count as sojourn"
+    );
+}
+
 #[test]
 fn batcher_death_sheds_predicts_but_leaves_liveness_up() {
     let _guard = serial();

@@ -833,3 +833,80 @@ fn historical_and_head_answers_stay_exact_across_ingests_and_evictions() {
 
     server.shutdown();
 }
+
+/// Two kept-alive clients at two different historical timestamps keep two
+/// batch keys in flight at once — what `(model, t)` keying makes of any
+/// historical traffic. The linger is counted from each request's arrival,
+/// so the one set aside while the other's window runs has done its waiting
+/// by the time its batch opens: a round trip costs about one linger, not
+/// two, and the time spent set aside shows up as queue sojourn.
+#[test]
+fn two_keys_in_flight_pay_one_linger_each_and_the_sojourn_says_so() {
+    const ROUNDS: usize = 20;
+    const K: usize = 5;
+    let linger = Duration::from_millis(40);
+    let server = test_server(linger.as_millis() as u64);
+    let addr = server.addr();
+    let ds = tiny_ds();
+    let mut twin = LogCl::new(&ds, tiny_cfg());
+    let times = [ds.num_times - 2, ds.num_times - 5];
+
+    let barrier = Arc::new(Barrier::new(times.len()));
+    let clients: Vec<_> = times
+        .iter()
+        .map(|&t| {
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let mut client = Client::new(addr, Duration::from_secs(120)).expect("connect");
+                let mut ask = |s: usize| {
+                    let body =
+                        format!(r#"{{"subject": {s}, "relation": 0, "time": {t}, "k": {K}}}"#);
+                    let started = std::time::Instant::now();
+                    let reply = client
+                        .send("POST", "/predict", &[], body.as_bytes())
+                        .expect("exchange");
+                    assert_eq!(reply.status, 200, "{}", reply.text());
+                    (started.elapsed(), json(&reply.text()))
+                };
+                // The cold encode of `t` is not what is being timed.
+                ask(0);
+                barrier.wait();
+                (0..ROUNDS).map(|i| ask(i % 7)).collect::<Vec<_>>()
+            })
+        })
+        .collect();
+
+    let mut trips = Vec::new();
+    for (client, &t) in clients.into_iter().zip(&times) {
+        for (i, (trip, reply)) in client.join().expect("client").into_iter().enumerate() {
+            let want: Vec<(usize, u32)> = predict_topk(&mut twin, &ds, i % 7, 0, t, K)
+                .expect("reference")
+                .iter()
+                .map(|p| (p.entity, p.score.to_bits()))
+                .collect();
+            assert_eq!(ranking_of(&reply), want, "subject {} at t = {t}", i % 7);
+            trips.push(trip);
+        }
+    }
+    trips.sort();
+    let median = trips[trips.len() / 2];
+    assert!(
+        median < linger * 3 / 2,
+        "median round trip {median:?} with two keys in flight: a request paid the linger twice"
+    );
+
+    let (_, metrics) = request(addr, "GET", "/metrics", "");
+    let series = |name: &str| -> f64 {
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(name)?.trim().parse().ok())
+            .unwrap_or_else(|| panic!("{name} missing from /metrics"))
+    };
+    let mean_sojourn =
+        series("logcl_queue_sojourn_seconds_sum ") / series("logcl_queue_sojourn_seconds_count ");
+    assert!(
+        mean_sojourn > linger.as_secs_f64() / 4.0,
+        "mean sojourn {mean_sojourn}s hides the time jobs sat set aside"
+    );
+    server.shutdown();
+}
