@@ -4,10 +4,22 @@
 //! remaining budget so a hop can never outlive its request; every failure is
 //! sorted into the retry-accounting taxonomy.
 //!
-//! Deliberately connection-per-request: the router's failure domain is the
-//! *request*, and a fresh connection per attempt means a half-dead kept-
-//! alive socket can never poison a later request.
+//! A hop rides a kept-alive connection from its worker's [`Pool`] and puts
+//! it back after a clean exchange, so a steady scatter pays no connect, no
+//! connection thread on the worker and no TIME_WAIT socket per request. The
+//! router's failure domain is still the *request*: a socket that carried a
+//! 5xx, an unframeable reply, a timeout or an advertised close is dropped,
+//! never pooled, so a half-dead connection cannot poison a later request. A
+//! pooled socket the worker has closed meanwhile (idle timeout, restart) is
+//! replayed once on a fresh connection inside the same call — `Client`'s
+//! keep-alive lifecycle, not a failure: no health edge, no retry counted, and
+//! for `/ingest` the router's `X-LogCL-Ingest-Id` makes the replay a dedup.
+//! A dead socket fails at once, so the replay runs on what is left of the
+//! same budget; a *timeout* on a reused socket is the deadline speaking and
+//! is never replayed. [`request`] is the same exchange on a connection of
+//! its own, for the prober, whose job is to test the connect path.
 
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use logcl_serve::deadline::remaining_budget;
@@ -70,36 +82,42 @@ impl HopError {
     }
 }
 
-/// Performs one `method path` exchange against `addr` with the given extra
-/// headers and body, bounded by `deadline` (and `connect_timeout` for the
-/// TCP handshake). Any 2xx–4xx response parses as `Ok` — HTTP-level
-/// failures below 500 are answers, not transport faults; 5xx maps to a
-/// retryable [`FailReason::Http`].
-pub fn request(
+/// Opens a connection to `addr` within `min(connect_timeout, remaining
+/// budget)`; `connect_timeout(0)` is an invalid argument, not an instant
+/// failure, hence the 1 ms floor.
+fn open(addr: &str, deadline: Instant, connect_timeout: Duration) -> Result<Client, HopError> {
+    let budget = remaining_budget(deadline, Instant::now());
+    if budget.is_zero() {
+        return Err(HopError::timeout("deadline exhausted before connect"));
+    }
+    let handshake = connect_timeout.min(budget).max(Duration::from_millis(1));
+    let fail = |e: ClientError| HopError::from_client(addr, &e);
+    let mut client = Client::new(addr, handshake).map_err(fail)?;
+    client.connect().map_err(fail)?;
+    Ok(client)
+}
+
+/// One `method path` exchange on `client`, bounded by what is left of
+/// `deadline` (re-read here, after any handshake). Any 2xx–4xx response
+/// parses as `Ok` — HTTP-level failures below 500 are answers, not transport
+/// faults; 5xx maps to a retryable [`FailReason::Http`].
+fn exchange(
+    client: &mut Client,
     addr: &str,
     method: &str,
     path: &str,
     headers: &[(&str, &str)],
     body: &[u8],
     deadline: Instant,
-    connect_timeout: Duration,
 ) -> Result<Reply, HopError> {
     let budget = remaining_budget(deadline, Instant::now());
     if budget.is_zero() {
-        return Err(HopError::timeout("deadline exhausted before connect"));
-    }
-    // Resolve and connect within min(connect budget, remaining budget);
-    // connect_timeout(0) is an invalid argument, not an instant failure.
-    let handshake = connect_timeout.min(budget).max(Duration::from_millis(1));
-    let fail = |e: ClientError| HopError::from_client(addr, &e);
-    let mut client = Client::new(addr, handshake).map_err(fail)?;
-    client.connect().map_err(fail)?;
-    let budget = remaining_budget(deadline, Instant::now());
-    if budget.is_zero() {
-        return Err(HopError::timeout("deadline exhausted after connect"));
+        return Err(HopError::timeout("deadline exhausted before the exchange"));
     }
     client.set_io_timeout(budget);
-    let reply = client.send(method, path, headers, body).map_err(fail)?;
+    let reply = client
+        .send(method, path, headers, body)
+        .map_err(|e| HopError::from_client(addr, &e))?;
     if reply.status >= 500 {
         return Err(HopError {
             reason: FailReason::Http,
@@ -109,11 +127,116 @@ pub fn request(
     Ok(reply)
 }
 
+/// Performs one `method path` exchange against `addr` on a connection of its
+/// own (opened here, closed by the worker after its answer), bounded by
+/// `deadline` and, for the TCP handshake, `connect_timeout`.
+pub fn request(
+    addr: &str,
+    method: &str,
+    path: &str,
+    headers: &[(&str, &str)],
+    body: &[u8],
+    deadline: Instant,
+    connect_timeout: Duration,
+) -> Result<Reply, HopError> {
+    let mut client = open(addr, deadline, connect_timeout)?;
+    exchange(&mut client, addr, method, path, headers, body, deadline)
+}
+
+/// Idle sockets a [`Pool`] keeps; a hop that finds it full on its way back
+/// closes its own.
+pub const MAX_IDLE: usize = 8;
+
+/// One worker's idle kept-alive connections. The lock guards a `Vec` push
+/// or pop and nothing else: it is never held across I/O, and a panic under
+/// it cannot leave the list in a state worth refusing.
+pub struct Pool {
+    addr: String,
+    idle: Mutex<Vec<Client>>,
+}
+
+impl Pool {
+    /// An empty pool for the worker at `addr`; sockets are opened on demand.
+    pub fn new(addr: impl Into<String>) -> Self {
+        Self {
+            addr: addr.into(),
+            idle: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// The worker's address.
+    pub fn addr(&self) -> &str {
+        &self.addr
+    }
+
+    fn lock_idle(&self) -> MutexGuard<'_, Vec<Client>> {
+        self.idle.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Idle sockets held right now.
+    pub fn idle_count(&self) -> usize {
+        self.lock_idle().len()
+    }
+
+    /// Closes every idle socket — taken out under the lock, closed after it.
+    pub fn clear(&self) {
+        let closing = std::mem::take(&mut *self.lock_idle());
+        drop(closing);
+    }
+
+    /// The most recently used idle connection, if any.
+    fn take(&self) -> Option<Client> {
+        self.lock_idle().pop()
+    }
+
+    /// Keeps `client` for a later hop, or — at [`MAX_IDLE`] — lets it close
+    /// (on return, after the guard has gone).
+    fn put_back(&self, client: Client) {
+        let mut idle = self.lock_idle();
+        if idle.len() < MAX_IDLE {
+            idle.push(client);
+        }
+    }
+
+    /// [`request`] on the most recently used idle connection, or on a new
+    /// kept-alive one when none is idle (a second hop in flight — a hedge —
+    /// never queues behind the first). The connection comes back only after
+    /// a clean exchange the worker agreed to keep alive.
+    pub fn request(
+        &self,
+        method: &str,
+        path: &str,
+        headers: &[(&str, &str)],
+        body: &[u8],
+        deadline: Instant,
+        connect_timeout: Duration,
+    ) -> Result<Reply, HopError> {
+        let mut client = match self.take() {
+            Some(client) => client,
+            None => open(&self.addr, deadline, connect_timeout)?.keep_alive(),
+        };
+        let reply = exchange(
+            &mut client,
+            &self.addr,
+            method,
+            path,
+            headers,
+            body,
+            deadline,
+        )?;
+        if reply.keep_alive {
+            self.put_back(client);
+        }
+        Ok(reply)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Write;
-    use std::net::TcpListener;
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::mpsc;
 
     use logcl_serve::http::{read_request, write_response, Request, Response, MAX_HEAD_BYTES};
 
@@ -131,15 +254,49 @@ mod tests {
         (addr, worker)
     }
 
+    /// A worker that keeps connections: for each inner list, accepts one
+    /// connection and answers one request per entry on it — `true` agrees to
+    /// keep the connection alive, `false` says `Connection: close` — then
+    /// drops it and says so on `closed`. Joins to the requests it was sent
+    /// and whether anyone connected after the script ran out.
+    #[allow(clippy::type_complexity)]
+    fn keeping_worker(
+        script: Vec<Vec<bool>>,
+    ) -> (
+        String,
+        mpsc::Receiver<()>,
+        std::thread::JoinHandle<(Vec<Request>, bool)>,
+    ) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (closed_tx, closed) = mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let mut seen = Vec::new();
+            for exchanges in script {
+                let (mut stream, _) = listener.accept().unwrap();
+                for keep in exchanges {
+                    let req = read_request(&mut stream).unwrap();
+                    let resp = Response::json(200, format!("{{\"n\":{}}}", seen.len()));
+                    write_response(&mut stream, &resp, keep && req.keep_alive).unwrap();
+                    seen.push(req);
+                }
+                drop(stream);
+                let _ = closed_tx.send(());
+            }
+            listener.set_nonblocking(true).unwrap();
+            (seen, listener.accept().is_ok())
+        });
+        (addr, closed, worker)
+    }
+
     fn served(resp: &Response) -> Vec<u8> {
         let mut wire = Vec::new();
         write_response(&mut wire, resp, false).unwrap();
         wire
     }
 
-    fn hop(addr: &str, method: &str, path: &str, body: &[u8]) -> Result<Reply, HopError> {
-        request(
-            addr,
+    fn hop_on(pool: &Pool, method: &str, path: &str, body: &[u8]) -> Result<Reply, HopError> {
+        pool.request(
             method,
             path,
             &[("X-LogCL-Deadline-Ms", "100")],
@@ -147,6 +304,11 @@ mod tests {
             Instant::now() + Duration::from_secs(2),
             Duration::from_millis(500),
         )
+    }
+
+    /// One hop through a pool of its own.
+    fn hop(addr: &str, method: &str, path: &str, body: &[u8]) -> Result<Reply, HopError> {
+        hop_on(&Pool::new(addr), method, path, body)
     }
 
     #[test]
@@ -208,7 +370,150 @@ mod tests {
         );
         assert_eq!(sent.header("x-logcl-deadline-ms"), Some("100"));
         assert_eq!(sent.body, br#"{"subject":0}"#);
-        assert!(!sent.keep_alive, "one connection per hop");
+        assert!(sent.keep_alive, "a hop asks to keep its connection");
+    }
+
+    /// The prober's exchange stays on a connection of its own.
+    #[test]
+    fn a_request_outside_a_pool_asks_the_worker_to_close() {
+        let (addr, worker) = scripted_worker(served(&Response::json(200, "{}".into())));
+        let reply = request(
+            &addr,
+            "GET",
+            "/healthz",
+            &[],
+            b"",
+            Instant::now() + Duration::from_secs(2),
+            Duration::from_millis(500),
+        )
+        .unwrap();
+        assert_eq!(reply.status, 200);
+        assert!(!worker.join().unwrap().keep_alive);
+    }
+
+    #[test]
+    fn two_hops_to_one_worker_ride_one_connection() {
+        let (addr, _closed, worker) = keeping_worker(vec![vec![true, true]]);
+        let pool = Pool::new(addr);
+        let first = hop_on(&pool, "POST", "/predict", b"{}").unwrap();
+        assert_eq!(pool.idle_count(), 1);
+        let second = hop_on(&pool, "POST", "/predict", b"{}").unwrap();
+        assert_eq!(pool.idle_count(), 1);
+        assert!(!first.reused_connection && second.reused_connection);
+        assert_eq!(
+            (first.text().as_str(), second.text().as_str()),
+            ("{\"n\":0}", "{\"n\":1}")
+        );
+        pool.clear();
+        assert_eq!(pool.idle_count(), 0);
+        let (seen, connected_again) = worker.join().unwrap();
+        assert_eq!(
+            seen.len(),
+            2,
+            "both on the one connection the script accepts"
+        );
+        assert!(!connected_again);
+    }
+
+    #[test]
+    fn a_worker_that_says_close_gets_a_fresh_connection_next_time() {
+        let (addr, _closed, worker) = keeping_worker(vec![vec![false], vec![true]]);
+        let pool = Pool::new(addr);
+        let first = hop_on(&pool, "GET", "/healthz", b"").unwrap();
+        assert!(!first.keep_alive);
+        assert_eq!(pool.idle_count(), 0, "an advertised close is not pooled");
+        let second = hop_on(&pool, "GET", "/healthz", b"").unwrap();
+        assert!(!second.reused_connection);
+        assert_eq!(pool.idle_count(), 1);
+        assert_eq!(worker.join().unwrap().0.len(), 2);
+    }
+
+    /// The worker closed the pooled socket while it sat idle (idle timeout,
+    /// restart): the hop is replayed on a fresh connection inside the same
+    /// call, and the caller sees one `Ok`.
+    #[test]
+    fn a_closed_idle_socket_is_replayed_once_and_the_caller_sees_one_ok() {
+        let (addr, closed, worker) = keeping_worker(vec![vec![true], vec![true]]);
+        let pool = Pool::new(addr);
+        hop_on(&pool, "POST", "/ingest", b"{}").unwrap();
+        assert_eq!(pool.idle_count(), 1);
+        closed.recv().unwrap();
+        let second = hop_on(&pool, "POST", "/ingest", b"{}").unwrap();
+        assert_eq!(second.status, 200);
+        assert!(!second.reused_connection, "answered on the replay's socket");
+        assert_eq!(pool.idle_count(), 1);
+        let (seen, _) = worker.join().unwrap();
+        assert_eq!(seen.len(), 2, "the dead socket delivered nothing");
+    }
+
+    /// A worker that goes quiet on a *reused* socket is the deadline
+    /// speaking: one `Timeout` within the budget, no replay, nothing pooled.
+    #[test]
+    fn a_quiet_worker_on_a_reused_socket_times_out_and_is_not_replayed() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let pool = Pool::new(listener.local_addr().unwrap().to_string());
+        let (gave_up, caller_gave_up) = mpsc::channel::<()>();
+        let worker = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let req = read_request(&mut stream).unwrap();
+            write_response(
+                &mut stream,
+                &Response::json(200, "{}".into()),
+                req.keep_alive,
+            )
+            .unwrap();
+            read_request(&mut stream).unwrap(); // read, never answered
+            caller_gave_up.recv().unwrap();
+            listener.set_nonblocking(true).unwrap();
+            listener.accept().is_ok()
+        });
+        hop_on(&pool, "POST", "/predict", b"{}").unwrap();
+        assert_eq!(pool.idle_count(), 1);
+        let started = Instant::now();
+        let err = pool
+            .request(
+                "POST",
+                "/predict",
+                &[],
+                b"{}",
+                started + Duration::from_millis(80),
+                Duration::from_millis(500),
+            )
+            .unwrap_err();
+        assert_eq!(err.reason, FailReason::Timeout, "{}", err.detail);
+        assert!(started.elapsed() < Duration::from_secs(2));
+        assert_eq!(pool.idle_count(), 0, "a timed-out socket is not pooled");
+        gave_up.send(()).unwrap();
+        assert!(!worker.join().unwrap(), "the timed-out hop was sent again");
+    }
+
+    #[test]
+    fn the_pool_keeps_at_most_max_idle_sockets() {
+        // Every hop in flight at once, each on a connection of its own; the
+        // worker answers only once all of them have asked.
+        const HOPS: usize = MAX_IDLE + 3;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let pool = Pool::new(listener.local_addr().unwrap().to_string());
+        let worker = std::thread::spawn(move || {
+            let mut streams: Vec<TcpStream> = (0..HOPS)
+                .map(|_| {
+                    let (mut stream, _) = listener.accept().unwrap();
+                    assert!(read_request(&mut stream).unwrap().keep_alive);
+                    stream
+                })
+                .collect();
+            for stream in &mut streams {
+                write_response(stream, &Response::json(200, "{}".into()), true).unwrap();
+            }
+            streams
+        });
+        std::thread::scope(|scope| {
+            for _ in 0..HOPS {
+                scope.spawn(|| hop_on(&pool, "POST", "/predict", b"{}").unwrap());
+            }
+        });
+        assert_eq!(pool.idle_count(), MAX_IDLE);
+        drop(worker.join().unwrap());
     }
 
     #[test]
@@ -216,18 +521,23 @@ mod tests {
         let (addr, worker) = scripted_worker(served(&Response::json(404, "{}".into())));
         assert_eq!(hop(&addr, "GET", "/nope", b"").unwrap().status, 404);
         worker.join().unwrap();
-        let (addr, worker) = scripted_worker(served(&Response::json(503, "{}".into())));
-        let err = hop(&addr, "GET", "/healthz", b"").unwrap_err();
+        // A 5xx never returns its socket, whatever the worker said of it.
+        let mut kept = Vec::new();
+        write_response(&mut kept, &Response::json(503, "{}".into()), true).unwrap();
+        let (addr, worker) = scripted_worker(kept);
+        let pool = Pool::new(addr);
+        let err = hop_on(&pool, "GET", "/healthz", b"").unwrap_err();
         worker.join().unwrap();
         assert_eq!(err.reason, FailReason::Http);
         assert!(err.detail.contains("503"), "{}", err.detail);
+        assert_eq!(pool.idle_count(), 0);
     }
 
     /// A worker reply the codec cannot frame is a typed `Io` failure (retried
-    /// or degraded like any other), never "read to EOF and hope". The bytes
-    /// are hand-written because each reply is malformed on purpose; before
-    /// the router shared the server's reader, every one but the truncated
-    /// body came back `Ok`.
+    /// or degraded like any other), never "read to EOF and hope", and its
+    /// socket is not pooled. The bytes are hand-written because each reply
+    /// is malformed on purpose; before the router shared the server's
+    /// reader, every one but the truncated body came back `Ok`.
     #[test]
     fn unframeable_replies_fail_closed_as_io() {
         let long_head = format!(
@@ -259,9 +569,11 @@ mod tests {
         ];
         for (name, reply) in cases {
             let (addr, worker) = scripted_worker(reply.to_vec());
-            let err = hop(&addr, "GET", "/healthz", b"").unwrap_err();
+            let pool = Pool::new(addr);
+            let err = hop_on(&pool, "GET", "/healthz", b"").unwrap_err();
             worker.join().unwrap();
             assert_eq!(err.reason, FailReason::Io, "{name}: {}", err.detail);
+            assert_eq!(pool.idle_count(), 0, "{name}");
         }
         // The legal length-less form — the worker says it is closing, and
         // does — still parses (by hand too: `write_response` always declares

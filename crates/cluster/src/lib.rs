@@ -5,8 +5,9 @@
 //! as a single worker:
 //!
 //! * [`config`]  — the `--shards` topology spec and [`RouterConfig`].
-//! * [`client`]  — a one-shot outbound HTTP client with a failure taxonomy
-//!   that doubles as the retry-metric labels.
+//! * [`client`]  — the outbound hop: a per-worker pool of kept-alive
+//!   connections, deadlines cut from the request's budget, and a failure
+//!   taxonomy that doubles as the retry-metric labels.
 //! * [`health`]  — per-worker Up → Suspect → Down → Probing state machines,
 //!   atomics-only.
 //! * [`merge`]   — the bit-exactness contract: per-shard top-k candidates

@@ -26,6 +26,10 @@ pub struct RouterMetrics {
     pub retries_http: AtomicU64,
     /// See [`RouterMetrics::retries_connect`].
     pub retries_io: AtomicU64,
+    /// Answered hops, `[opened their socket, rode one an earlier hop had
+    /// used]` — the first is a first use, an empty pool under concurrent
+    /// hops, or the replay of a pooled socket the worker had closed.
+    pub hop_connections: [AtomicU64; 2],
     /// Hedged second attempts launched for slow shards.
     pub hedges: AtomicU64,
     /// Predict answers returned with `coverage < 1.0`.
@@ -50,6 +54,7 @@ impl RouterMetrics {
             retries_timeout: AtomicU64::new(0),
             retries_http: AtomicU64::new(0),
             retries_io: AtomicU64::new(0),
+            hop_connections: [AtomicU64::new(0), AtomicU64::new(0)],
             hedges: AtomicU64::new(0),
             partial_responses: AtomicU64::new(0),
             shed_deadline: AtomicU64::new(0),
@@ -70,6 +75,11 @@ impl RouterMetrics {
             FailReason::Io => &self.retries_io,
         }
         .fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one answered hop by whether it reused a pooled socket.
+    pub fn count_hop_connection(&self, reused: bool) {
+        self.hop_connections[usize::from(reused)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Renders every counter; `shard_states` supplies the
@@ -110,6 +120,19 @@ impl RouterMetrics {
                 "logcl_router_retries_total{{reason=\"{}\"}} {}",
                 reason.name(),
                 v.load(Ordering::Relaxed)
+            );
+        }
+        let _ = writeln!(
+            out,
+            "# HELP logcl_router_hop_connections_total Answered hops, by whether \
+             the socket had carried an earlier hop."
+        );
+        let _ = writeln!(out, "# TYPE logcl_router_hop_connections_total counter");
+        for reused in [true, false] {
+            let _ = writeln!(
+                out,
+                "logcl_router_hop_connections_total{{reused=\"{reused}\"}} {}",
+                self.hop_connections[usize::from(reused)].load(Ordering::Relaxed)
             );
         }
         counter(
@@ -189,6 +212,19 @@ mod tests {
         assert!(out.contains("logcl_router_shard_0_latency_seconds_count 0"));
         assert!(out.contains("logcl_partial_responses_total 0"));
         assert!(out.contains("logcl_router_hedges_total 0"));
+        assert!(out.contains("logcl_router_hop_connections_total{reused=\"true\"} 0"));
+        assert!(out.contains("logcl_router_hop_connections_total{reused=\"false\"} 0"));
+    }
+
+    #[test]
+    fn hop_connections_count_by_reuse() {
+        let m = RouterMetrics::new(1);
+        m.count_hop_connection(false);
+        m.count_hop_connection(true);
+        m.count_hop_connection(true);
+        let out = m.render(&[vec![3]]);
+        assert!(out.contains("logcl_router_hop_connections_total{reused=\"true\"} 2"));
+        assert!(out.contains("logcl_router_hop_connections_total{reused=\"false\"} 1"));
     }
 
     #[test]

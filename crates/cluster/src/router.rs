@@ -48,7 +48,8 @@ use crate::metrics::RouterMetrics;
 
 /// One worker process: a replica of one entity shard.
 struct Replica {
-    addr: String,
+    /// The worker's address and the idle kept-alive connections to it.
+    pool: client::Pool,
     health: WorkerHealth,
 }
 
@@ -88,7 +89,7 @@ impl Router {
                 group
                     .iter()
                     .map(|addr| Replica {
-                        addr: addr.clone(),
+                        pool: client::Pool::new(addr.as_str()),
                         health: WorkerHealth::default(),
                     })
                     .collect()
@@ -166,6 +167,17 @@ impl Router {
             .collect()
     }
 
+    /// How many idle kept-alive connections the router holds to each worker
+    /// right now, indexed `[shard][replica]` (never above
+    /// [`client::MAX_IDLE`]).
+    pub fn idle_hop_connections(&self) -> Vec<Vec<usize>> {
+        self.ctx
+            .shards
+            .iter()
+            .map(|group| group.iter().map(|r| r.pool.idle_count()).collect())
+            .collect()
+    }
+
     /// Blocks until shutdown is triggered (via the handle or
     /// `POST /shutdown`), then drains and joins everything.
     pub fn run(mut self) {
@@ -182,6 +194,11 @@ impl Router {
         self.listener.drain(); // in-flight connections answered
         if let Some(prober) = self.prober.take() {
             let _ = prober.join();
+        }
+        // Hang up on the workers. (A detached hedge loser may still put a
+        // socket back afterwards; it closes when the context drops.)
+        for replica in self.ctx.shards.iter().flatten() {
+            replica.pool.clear();
         }
     }
 }
@@ -221,8 +238,9 @@ fn probe_worker(ctx: &RouterCtx, replica: &Replica) -> bool {
     }
     let deadline = Instant::now() + ctx.cfg.connect_timeout * 2;
     matches!(
+        // A connection of its own: a probe is there to test the connect path.
         client::request(
-            &replica.addr,
+            replica.pool.addr(),
             "GET",
             "/healthz",
             &[],
@@ -299,8 +317,7 @@ fn attempt_once(
     let mut headers = extra.to_vec();
     headers.push((DEADLINE_HEADER, &ms));
     let hop_start = Instant::now();
-    match client::request(
-        &replica.addr,
+    match replica.pool.request(
         method,
         path,
         &headers,
@@ -310,6 +327,7 @@ fn attempt_once(
     ) {
         Ok(resp) => {
             replica.health.note_success();
+            ctx.metrics.count_hop_connection(resp.reused_connection);
             ctx.metrics.shard_latency[shard].observe(hop_start.elapsed().as_secs_f64());
             Ok(resp)
         }
@@ -417,8 +435,9 @@ fn call_shard(
 
 /// The hedged first attempt for predict: launch against the preferred
 /// replica, and if nothing comes back within `hedge_after`, launch a second
-/// attempt (next-preferred replica — or a fresh connection to the same one
-/// in a single-replica shard) and take whichever answers first. Losers run
+/// attempt (next-preferred replica — or a second connection to the same one
+/// in a single-replica shard, pooled or new, never queued behind the
+/// primary's) and take whichever answers first. Losers run
 /// to completion on detached threads; their sends into the dropped channel
 /// are ignored.
 fn hedged_attempt(
@@ -516,7 +535,7 @@ fn healthz(ctx: &RouterCtx) -> Response {
                 .iter()
                 .map(|r| {
                     json!({
-                        "addr": r.addr,
+                        "addr": r.pool.addr(),
                         "state": r.health.state().name(),
                         "failures": r.health.failures(),
                     })

@@ -3,7 +3,9 @@
 //! a refused shard degrades to partial answers instead of 5xx storms or
 //! hangs, a stalled shard is hedged around, a probe blackhole still
 //! recovers through passive traffic, and clearing the plan walks the
-//! afflicted shard back to Up.
+//! afflicted shard back to Up. The last two cases put the faults on the
+//! workers' side of a kept-alive hop (`logcl_serve::fault`): a socket that
+//! carried a 5xx or outlived its deadline never goes back to the pool.
 #![cfg(feature = "fault-inject")]
 
 use std::sync::Mutex;
@@ -272,6 +274,165 @@ fn probe_blackhole_still_recovers_via_passive_traffic() {
     assert_eq!(router.shard_states()[1][0], WorkerState::Up);
 
     clear();
+    router.shutdown();
+    for w in ws {
+        w.shutdown();
+    }
+}
+
+// ------------------------------------------------- pooled hop connections
+
+fn idle_everywhere(router: &Router, want: usize) -> bool {
+    router
+        .idle_hop_connections()
+        .iter()
+        .all(|group| group.iter().all(|&idle| idle == want))
+}
+
+/// Workers that shed every request (`503`) get none of their sockets back:
+/// the pool empties instead of recycling connections to a refusing peer,
+/// and refills — one socket a shard — once they recover.
+#[test]
+fn a_5xx_never_returns_its_socket_and_the_pool_refills_on_recovery() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let ws = workers();
+    let router = router_over(&ws, None);
+    let t = horizon_of(ws[0].addr());
+    let query = format!(r#"{{"subject": 3, "relation": 0, "time": {t}, "k": 5}}"#);
+
+    let (status, _, reply) = predict(&router, &query);
+    assert_eq!(status, 200, "{reply}");
+    assert!(
+        idle_everywhere(&router, 1),
+        "{:?}",
+        router.idle_hop_connections()
+    );
+
+    logcl_serve::fault::install(logcl_serve::fault::FaultPlan {
+        queue_saturated: true,
+        ..Default::default()
+    });
+    let (status, headers, reply) = predict(&router, &query);
+    assert_eq!(status, 503, "every shard refused: {reply}");
+    assert!(header_of(&headers, "retry-after").is_some());
+    assert!(
+        idle_everywhere(&router, 0),
+        "{:?}",
+        router.idle_hop_connections()
+    );
+    let (_, _, text) = request_full(router.addr(), "GET", "/metrics", "");
+    assert!(
+        text.contains("logcl_router_hop_connections_total{reused=\"true\"} 0"),
+        "a refused hop is not an answered one: {text}"
+    );
+
+    logcl_serve::fault::clear();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (status, _, reply) = predict(&router, &query);
+        if status == 200 && reply.get("coverage").and_then(Value::as_f64) == Some(1.0) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "never recovered: {reply}");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    assert!(
+        idle_everywhere(&router, 1),
+        "{:?}",
+        router.idle_hop_connections()
+    );
+
+    router.shutdown();
+    for w in ws {
+        w.shutdown();
+    }
+}
+
+/// A worker still computing when the request's deadline passes: the hop on
+/// its *reused* socket ends as a timeout (or the worker's own `504`), is not
+/// sent again, and the socket is dropped; the next request opens a new one.
+#[test]
+fn a_hop_past_its_deadline_is_not_replayed_and_its_socket_is_dropped() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let ws = workers();
+    let router = Router::start(RouterConfig {
+        shards: ws.iter().map(|w| vec![w.addr().to_string()]).collect(),
+        retries: 0,
+        ..RouterConfig::default()
+    })
+    .expect("router must start");
+    let t = horizon_of(ws[0].addr());
+    let query = format!(r#"{{"subject": 4, "relation": 1, "time": {t}, "k": 5}}"#);
+    let asked = |w: &Server| {
+        w.metrics()
+            .predict_requests
+            .load(std::sync::atomic::Ordering::Relaxed)
+    };
+
+    let (status, _, reply) = predict(&router, &query);
+    assert_eq!(status, 200, "{reply}");
+    assert!(idle_everywhere(&router, 1));
+    let before: Vec<u64> = ws.iter().map(asked).collect();
+
+    logcl_serve::fault::install(logcl_serve::fault::FaultPlan {
+        seed: 17,
+        compute_delay: Some(Duration::from_millis(400)),
+        ..Default::default()
+    });
+    let reply = Client::new(router.addr(), Duration::from_secs(30))
+        .and_then(|mut c| {
+            c.send(
+                "POST",
+                "/predict",
+                &[("X-LogCL-Deadline-Ms", "100")],
+                query.as_bytes(),
+            )
+        })
+        .expect("exchange");
+    assert_eq!(
+        reply.status,
+        503,
+        "no shard can answer in time: {}",
+        reply.text()
+    );
+    logcl_serve::fault::clear();
+
+    // Each hop thread drops its socket when its exchange ends, a moment
+    // after the router has answered.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !idle_everywhere(&router, 0) {
+        assert!(
+            Instant::now() < deadline,
+            "{:?}",
+            router.idle_hop_connections()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let after: Vec<u64> = ws.iter().map(asked).collect();
+    for (shard, (b, a)) in before.iter().zip(&after).enumerate() {
+        assert_eq!(
+            a - b,
+            1,
+            "shard {shard} was sent the timed-out request again"
+        );
+    }
+
+    // The delayed batches drain, then a new request rides new sockets.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (status, _, reply) = predict(&router, &query);
+        if status == 200 && reply.get("coverage").and_then(Value::as_f64) == Some(1.0) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "never recovered: {reply}");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    assert!(
+        idle_everywhere(&router, 1),
+        "{:?}",
+        router.idle_hop_connections()
+    );
+
     router.shutdown();
     for w in ws {
         w.shutdown();

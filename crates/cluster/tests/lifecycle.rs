@@ -15,7 +15,8 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use logcl_cluster::{Router, RouterConfig};
+use logcl_cluster::client::MAX_IDLE;
+use logcl_cluster::{Router, RouterConfig, WorkerState};
 use logcl_core::{LogClConfig, ShardSpec};
 use logcl_serve::http::{self, Client, Reply};
 use logcl_serve::{ModelSpec, ServeConfig, Server};
@@ -23,13 +24,14 @@ use logcl_tkg::SyntheticPreset;
 use serde_json::Value;
 
 /// The settings a row may want changed; the inbound limits apply to both
-/// processes, the micro-batch linger to the server.
+/// processes, the micro-batch linger to the server, hedging to the router.
 #[derive(Clone, Copy)]
 struct Limits {
     read_timeout: Duration,
     max_body_bytes: usize,
     max_connections: usize,
     linger: Duration,
+    hedge_after: Option<Duration>,
 }
 
 impl Default for Limits {
@@ -40,6 +42,7 @@ impl Default for Limits {
             max_body_bytes: serve.max_body_bytes,
             max_connections: serve.max_connections,
             linger: Duration::ZERO,
+            hedge_after: None,
         }
     }
 }
@@ -58,38 +61,45 @@ struct Target<'a> {
     server: Option<&'a Server>,
 }
 
+/// The one worker (shard `0/1`) at `addr`; a restarted worker rebinds its
+/// old port.
+fn worker(limits: Limits, addr: &str) -> Server {
+    let cfg = ServeConfig {
+        addr: addr.into(),
+        linger: limits.linger,
+        read_timeout: limits.read_timeout,
+        max_body_bytes: limits.max_body_bytes,
+        max_connections: limits.max_connections,
+        shard: Some(ShardSpec::new(0, 1).expect("shard 0/1")),
+        brownout_sojourn: Duration::from_secs(10),
+        shed_sojourn: Duration::from_secs(60),
+        ..ServeConfig::default()
+    };
+    let spec = ModelSpec {
+        name: "default".into(),
+        cfg: LogClConfig {
+            dim: 16,
+            time_bank: 4,
+            channels: 6,
+            m: 3,
+            ..Default::default()
+        },
+        checkpoint: None,
+        train: None,
+    };
+    let ds = SyntheticPreset::Icews14.generate_scaled(0.15);
+    Server::start(cfg, ds, vec![spec]).expect("server must start")
+}
+
 impl Pair {
     fn boot(limits: Limits) -> Pair {
-        let cfg = ServeConfig {
-            addr: "127.0.0.1:0".into(),
-            linger: limits.linger,
-            read_timeout: limits.read_timeout,
-            max_body_bytes: limits.max_body_bytes,
-            max_connections: limits.max_connections,
-            shard: Some(ShardSpec::new(0, 1).expect("shard 0/1")),
-            brownout_sojourn: Duration::from_secs(10),
-            shed_sojourn: Duration::from_secs(60),
-            ..ServeConfig::default()
-        };
-        let spec = ModelSpec {
-            name: "default".into(),
-            cfg: LogClConfig {
-                dim: 16,
-                time_bank: 4,
-                channels: 6,
-                m: 3,
-                ..Default::default()
-            },
-            checkpoint: None,
-            train: None,
-        };
-        let ds = SyntheticPreset::Icews14.generate_scaled(0.15);
-        let server = Server::start(cfg, ds, vec![spec]).expect("server must start");
+        let server = worker(limits, "127.0.0.1:0");
         let router = Router::start(RouterConfig {
             shards: vec![vec![server.addr().to_string()]],
             read_timeout: limits.read_timeout,
             max_body_bytes: limits.max_body_bytes,
             max_connections: limits.max_connections,
+            hedge_after: limits.hedge_after,
             ..RouterConfig::default()
         })
         .expect("router must start");
@@ -533,4 +543,167 @@ fn router_shutdown_answers_a_request_already_in_flight() {
     );
     assert!(predictions(&reply) > 0);
     pair.server.shutdown();
+}
+
+// ------------------------------------------------ the router's hop connections
+
+const PREDICT: &str = r#"{"subject": 2, "relation": 1}"#;
+
+/// One `/predict` through the router, answered in full.
+fn predict_in_full(router: SocketAddr) {
+    let reply = send(router, "POST", "/predict", PREDICT);
+    assert_eq!(reply.status, 200, "{}", reply.text());
+    let body: Value = serde_json::from_slice(&reply.body).expect("JSON body");
+    assert_eq!(body.get("coverage").and_then(Value::as_f64), Some(1.0));
+    assert_eq!(body.get("degraded").and_then(Value::as_bool), Some(false));
+}
+
+/// `logcl_router_hop_connections_total` as `(reused, fresh)`, and the sum of
+/// `logcl_router_retries_total` over its reasons.
+fn hop_counters(router: SocketAddr) -> ((u64, u64), u64) {
+    let text = scrape(router);
+    let value = |series: &str| -> u64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(series))
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap_or_else(|| panic!("{series} missing:\n{text}"))
+    };
+    let retries = ["connect", "timeout", "http", "io"]
+        .map(|r| value(&format!("logcl_router_retries_total{{reason=\"{r}\"}}")))
+        .iter()
+        .sum();
+    let hops = (
+        value("logcl_router_hop_connections_total{reused=\"true\"}"),
+        value("logcl_router_hop_connections_total{reused=\"false\"}"),
+    );
+    (hops, retries)
+}
+
+#[test]
+fn hops_to_a_worker_ride_one_kept_connection() {
+    let pair = Pair::boot(Limits::default());
+    for _ in 0..5 {
+        predict_in_full(pair.router.addr());
+    }
+    assert_eq!(pair.router.idle_hop_connections(), [[1]]);
+    assert_eq!(hop_counters(pair.router.addr()), ((4, 1), 0));
+    pair.shutdown();
+}
+
+/// A worker restarted between two predicts: the pooled socket is dead, the
+/// hop is replayed on a fresh connection inside the same attempt, and
+/// nothing else notices — full answer, no retry counted, no health edge.
+#[test]
+fn a_worker_restarted_between_two_predicts_costs_no_retry_and_no_health_edge() {
+    let pair = Pair::boot(Limits::default());
+    let router = pair.router.addr();
+    predict_in_full(router);
+    assert_eq!(pair.router.idle_hop_connections(), [[1]]);
+
+    let worker_addr = pair.server.addr().to_string();
+    pair.server.shutdown();
+    let reborn = worker(Limits::default(), &worker_addr);
+
+    predict_in_full(router);
+    assert_eq!(pair.router.shard_states(), [[WorkerState::Up]]);
+    let health: Value =
+        serde_json::from_slice(&send(router, "GET", "/healthz", "").body).expect("JSON body");
+    let first = |v: &Value, key: &str| v.get(key)?.as_array()?.first().cloned();
+    let replica = first(&health, "workers").and_then(|w| first(&w, "replicas"));
+    let failures = replica.and_then(|r| r.get("failures")?.as_u64());
+    assert_eq!(failures, Some(0), "{health}");
+    assert_eq!(
+        hop_counters(router),
+        ((0, 2), 0),
+        "both answers on fresh sockets, no retry"
+    );
+    // The replay's socket was pooled in the dead one's place.
+    predict_in_full(router);
+    assert_eq!(hop_counters(router), ((1, 2), 0));
+
+    pair.router.shutdown();
+    reborn.shutdown();
+}
+
+/// A worker's `shutdown()` does not wait for the router's idle pooled
+/// sockets: they are closed within the listener's idle poll.
+#[test]
+fn a_worker_drains_past_the_routers_idle_hop_connections() {
+    let pair = Pair::boot(Limits::default());
+    predict_in_full(pair.router.addr());
+    assert_eq!(pair.router.idle_hop_connections(), [[1]]);
+    let started = Instant::now();
+    pair.server.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "{:?}",
+        started.elapsed()
+    );
+    pair.router.shutdown();
+}
+
+#[test]
+fn thirty_two_clients_leave_no_more_idle_sockets_than_the_bound() {
+    const CLIENTS: usize = 32;
+    const REQUESTS: usize = 12;
+    let pair = Pair::boot(Limits::default());
+    let router = pair.router.addr();
+    let most_idle = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut client = kept_alive(router);
+                    for _ in 0..REQUESTS {
+                        let reply = client
+                            .send("POST", "/predict", &[], PREDICT.as_bytes())
+                            .expect("exchange");
+                        assert_eq!(reply.status, 200, "{}", reply.text());
+                    }
+                })
+            })
+            .collect();
+        let mut most = 0;
+        while !clients.iter().all(|c| c.is_finished()) {
+            most = most.max(pair.router.idle_hop_connections()[0][0]);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        most
+    });
+    let left = pair.router.idle_hop_connections()[0][0];
+    assert!(
+        most_idle <= MAX_IDLE && left <= MAX_IDLE,
+        "{most_idle}, {left}"
+    );
+    assert!(left >= 1, "the last hop's socket is kept");
+    let ((reused, fresh), retries) = hop_counters(router);
+    assert_eq!(reused + fresh, (CLIENTS * REQUESTS) as u64);
+    assert_eq!(retries, 0);
+    pair.shutdown();
+}
+
+/// A hedge never queues behind the primary's connection: with the primary's
+/// request lingering in the worker's batcher, the hedge opens a second
+/// socket, and both come back to the pool.
+#[test]
+fn a_hedge_takes_a_second_connection() {
+    let pair = Pair::boot(Limits {
+        linger: Duration::from_millis(150),
+        hedge_after: Some(Duration::from_millis(10)),
+        ..Limits::default()
+    });
+    let router = pair.router.addr();
+    predict_in_full(router);
+    assert!(scrape(router).contains("logcl_router_hedges_total 1"));
+    // The loser runs to completion on its own thread.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while pair.router.idle_hop_connections() != [[2]] {
+        assert!(
+            Instant::now() < deadline,
+            "{:?}",
+            pair.router.idle_hop_connections()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(hop_counters(router).0, (0, 2));
+    pair.shutdown();
 }

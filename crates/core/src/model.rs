@@ -1,5 +1,7 @@
 //! The assembled LogCL model (Fig. 3).
 
+use std::cell::RefCell;
+
 use logcl_gnn::ConvTransE;
 use logcl_tensor::autograd::no_grad;
 use logcl_tensor::nn::{Embedding, Mlp, ParamSet};
@@ -33,6 +35,19 @@ fn recording_if<T>(training: bool, forward: impl FnOnce() -> T) -> T {
 /// `training == false` it is values and nothing else: every matrix in
 /// `local` is a constant leaf, and `h0` is the live entity table's handle
 /// (or a constant copy of it when noise or the static graph refined it).
+///
+/// It also keeps what an evaluation-mode forward derives from those values
+/// alone: the Eq. 18 operand `h_final[lo..hi]ᵀ` (`[D, hi − lo]`), laid out
+/// by the first forward that asks for the range and read by every later one
+/// — `(hi − lo)·D·4` bytes beside the entry's `2m·|E|·D·4`, dropped with
+/// it. A forward over another range lays out again and keeps the newer one.
+/// Only a *constant* `h_final` is laid out. Where `h_final` is the live
+/// entity table itself (`t_q = 0`: the window is empty, so the evolved
+/// matrix is the table's own handle) or a recorded node (encoded with
+/// `training == true`), each forward slices and transposes for itself as a
+/// training pass does — so an encoding held across an optimizer step still
+/// reads the stepped table through `h0` and, at `t_q = 0`, through the
+/// candidates, exactly as before the layout was kept.
 pub struct SharedEncoding {
     /// The (possibly noise-perturbed) initial entity embeddings used by
     /// this forward pass.
@@ -41,12 +56,33 @@ pub struct SharedEncoding {
     pub local: Option<LocalEncoding>,
     /// The timestamp encoded for.
     pub t_q: usize,
+    /// `(lo, hi)` and `local.h_final[lo..hi]ᵀ`, once a forward has asked.
+    layout: RefCell<Option<((usize, usize), Var)>>,
+}
+
+impl SharedEncoding {
+    /// `h_final[lo..hi]ᵀ` as the constant the scoring product reads: the
+    /// same `gather_rows` and `transpose2` kernels a per-query pass runs,
+    /// so the operand's values — and every logit's reduction over them — are
+    /// the ones that pass would have produced.
+    fn candidate_layout(&self, h_final: &Var, range: (usize, usize)) -> Var {
+        let mut kept = self.layout.borrow_mut();
+        if let Some((_, operand)) = kept.as_ref().filter(|(of, _)| *of == range) {
+            return operand.clone();
+        }
+        let ids: Vec<usize> = (range.0..range.1).collect();
+        let operand = Var::constant(h_final.value().gather_rows(&ids).transpose2());
+        *kept = Some((range, operand.clone()));
+        operand
+    }
 }
 
 /// One phase's forward outputs.
 pub struct ForwardOutput {
     /// `[B, |E|]` entity logits.
     pub logits: Var,
+    /// `[B, D]` ConvTransE prediction vectors the logits were scored from.
+    pub decoded: Var,
     /// The contrastive loss `L_cl`, when the contrast module ran.
     pub contrast: Option<Var>,
 }
@@ -181,7 +217,12 @@ impl LogCl {
             } else {
                 None
             };
-            SharedEncoding { h0, local, t_q }
+            SharedEncoding {
+                h0,
+                local,
+                t_q,
+                layout: RefCell::default(),
+            }
         })
     }
 
@@ -218,6 +259,7 @@ impl LogCl {
             h0: Var::constant(state.h0.clone()),
             local: state.local.then(|| self.local.encoding_from_state(state)),
             t_q: state.horizon,
+            layout: RefCell::default(),
         }
     }
 
@@ -257,14 +299,18 @@ impl LogCl {
     /// The serving entry point both of the above are instances of:
     /// evaluation-mode scoring, with or without the global encoder
     /// (`skip_global`, as in [`LogCl::forward_queries_local_only`]),
-    /// restricted to the candidate entities in `[lo, hi)`. The candidate
-    /// matrix is row-sliced *before* the Eq. 18 scoring matmul, so a worker
+    /// restricted to the candidate entities in `[lo, hi)`. The Eq. 18
+    /// scoring matmul reads the candidate rows `[lo, hi)` only, so a worker
     /// owning one entity shard computes only its share of the decoder's
     /// work; each logit's reduction runs over the embedding dimension
     /// alone, so column `j` of the result is bit-identical to column
-    /// `lo + j` of the full logits. The full range `(0, |E|)` scores against
-    /// the candidate matrix as is — an unsharded node is shard 0 of 1 and
-    /// pays for no copy. The range must be non-empty and within `|E|`.
+    /// `lo + j` of the full logits. The operand of that product —
+    /// the rows sliced and transposed to `[D, hi − lo]` — is laid out by the
+    /// first call on `shared` for the range and kept there
+    /// (`(hi − lo)·D·4` bytes; see [`SharedEncoding`]), so a later call pays
+    /// for the product alone; an unsharded node is shard 0 of 1 and keeps
+    /// the whole matrix's transpose. The range must be non-empty and within
+    /// `|E|`.
     pub fn forward_queries_in_range(
         &mut self,
         shared: &SharedEncoding,
@@ -375,19 +421,26 @@ impl LogCl {
         };
 
         // -------------------------------------------- decoding (Eq. 18)
-        // Entity sharding slices candidate rows *before* the scoring
-        // matmul: per-entity logits are dot products over the embedding
+        // Entity sharding scores against the candidate rows `[lo, hi)`
+        // only: per-entity logits are dot products over the embedding
         // dimension, so shard-local columns match the unsharded ones
-        // bit-for-bit while the compute shrinks to the shard's share.
-        let candidates = match entity_range {
-            Some((lo, hi)) if (lo, hi) != (0, candidates.shape()[0]) => {
-                let ids: Vec<usize> = (lo..hi).collect();
-                candidates.gather_rows(&ids)
-            }
-            _ => candidates,
-        };
+        // bit-for-bit while the compute shrinks to the shard's share. In
+        // evaluation the local candidates are a function of the encoding
+        // alone, which keeps their sliced, transposed form; what is left
+        // per query is the product.
         let decoded = self.decoder.decode(&h_q, &r_dec, training, &mut self.rng);
-        let logits = self.decoder.score_all(&decoded, &candidates);
+        let whole = (0, candidates.shape()[0]);
+        let range = entity_range.unwrap_or(whole);
+        let constant = candidates.is_leaf() && !candidates.is_param();
+        let logits = if !training && local_ctx.is_some() && constant {
+            decoded.matmul(&shared.candidate_layout(&candidates, range))
+        } else if range == whole {
+            self.decoder.score_all(&decoded, &candidates)
+        } else {
+            let ids: Vec<usize> = (range.0..range.1).collect();
+            self.decoder
+                .score_all(&decoded, &candidates.gather_rows(&ids))
+        };
 
         // ------------------------------------- contrast (Eq. 15–17)
         let contrast = match (&local_ctx, &global_ctx) {
@@ -408,7 +461,11 @@ impl LogCl {
             _ => None,
         };
 
-        ForwardOutput { logits, contrast }
+        ForwardOutput {
+            logits,
+            decoded,
+            contrast,
+        }
     }
 
     /// Scores one batch of queries at `t` under evaluation semantics
@@ -590,6 +647,50 @@ mod tests {
             .forward_queries(&shared, &history, &queries, true)
             .logits
             .is_leaf());
+    }
+
+    /// The layout is built by the first forward over a range and by nothing
+    /// after it: the buffer a second (and a local-only) forward reads is the
+    /// very allocation the first one made. Another range replaces it; a
+    /// parameter-backed or recorded candidate matrix never gets one.
+    #[test]
+    fn a_second_forward_on_the_same_encoding_lays_nothing_out() {
+        let ds = tiny_ds();
+        let mut model = LogCl::new(&ds, tiny_cfg());
+        let snaps = ds.snapshots();
+        let history = HistoryIndex::build(&snaps);
+        let queries = queries_at(&ds, 10, 5);
+        let kept = |shared: &SharedEncoding| {
+            let layout = shared.layout.borrow();
+            layout
+                .as_ref()
+                .map(|(range, operand)| (*range, operand.value().data().as_ptr()))
+        };
+
+        let shared = model.encode(&snaps, 10, false);
+        assert!(
+            kept(&shared).is_none(),
+            "nothing is laid out before it is asked for"
+        );
+        model.forward_queries_in_range(&shared, &history, &queries, false, (3, 40));
+        let first = kept(&shared).expect("the first forward lays the range out");
+        assert_eq!(first.0, (3, 40));
+        model.forward_queries_in_range(&shared, &history, &queries[..1], false, (3, 40));
+        model.forward_queries_in_range(&shared, &history, &queries, true, (3, 40));
+        assert_eq!(kept(&shared), Some(first));
+        model.forward_queries(&shared, &history, &queries, false);
+        assert_eq!(kept(&shared).map(|k| k.0), Some((0, ds.num_entities)));
+
+        let at_zero = model.encode(&snaps, 0, false);
+        model.forward_queries(&at_zero, &history, &queries_at(&ds, 0, 2), false);
+        assert!(
+            kept(&at_zero).is_none(),
+            "h_final is the live table at t_q = 0"
+        );
+        let recorded = model.encode(&snaps, 10, true);
+        model.forward_queries(&recorded, &history, &queries, false);
+        model.forward_queries(&recorded, &history, &queries, true);
+        assert!(kept(&recorded).is_none());
     }
 
     /// A training pass still back-propagates into every registered

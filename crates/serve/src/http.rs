@@ -579,10 +579,10 @@ impl Client {
     /// (`Host`, `Content-Length`, `Connection` and — with a body — a JSON
     /// `Content-Type` are added here). Any status is `Ok`.
     ///
-    /// An exchange that fails on a connection left open by an earlier one is
-    /// retried once on a fresh connection: the server may close an idle
+    /// An exchange that finds a connection left open by an earlier one closed
+    /// is retried once on a fresh connection: the server may close an idle
     /// socket between requests, which is normal keep-alive lifecycle, not an
-    /// error worth reporting.
+    /// error worth reporting. A read timeout is never retried.
     pub fn send(
         &mut self,
         method: &str,
@@ -592,7 +592,11 @@ impl Client {
     ) -> Result<Reply, ClientError> {
         let reused = self.conn.is_some() && self.conn_reused;
         match self.exchange(method, path, headers, body) {
-            Err(ClientError::Exchange(_)) if reused => self.exchange(method, path, headers, body),
+            // Only a socket the peer has closed: a timeout is the caller's
+            // deadline speaking, and a reply that does not frame is a reply.
+            Err(ClientError::Exchange(HttpError::UnexpectedEof | HttpError::Io(_))) if reused => {
+                self.exchange(method, path, headers, body)
+            }
             Ok(reply) => Ok(Reply {
                 reused_connection: reused,
                 ..reply
@@ -1118,6 +1122,47 @@ mod tests {
         assert_eq!(reused, [false, false, true]);
         assert!(replies.iter().all(|r| r.status == 200 && r.keep_alive));
         assert_eq!(server.join().unwrap().len(), 3);
+    }
+
+    /// A peer that goes quiet on a reused socket costs one timeout, not two:
+    /// the replay is for a socket the peer closed, never for a deadline.
+    #[test]
+    fn a_timeout_on_a_reused_socket_is_not_replayed() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (gave_up, client_gave_up) = std::sync::mpsc::channel::<()>();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let req = read_request(&mut stream).unwrap();
+            write_response(
+                &mut stream,
+                &Response::json(200, "{}".into()),
+                req.keep_alive,
+            )
+            .unwrap();
+            // The second request is read and never answered; the socket stays
+            // open until the client has given up.
+            read_request(&mut stream).unwrap();
+            client_gave_up.recv().unwrap();
+            listener.set_nonblocking(true).unwrap();
+            listener.accept().map(|_| ()).map_err(|e| e.kind())
+        });
+        let mut client = Client::new(addr, Duration::from_secs(5))
+            .unwrap()
+            .keep_alive();
+        assert!(client.send("GET", "/healthz", &[], b"").unwrap().keep_alive);
+        client.set_io_timeout(Duration::from_millis(50));
+        let err = client.send("GET", "/healthz", &[], b"").unwrap_err();
+        assert!(
+            matches!(err, ClientError::Exchange(HttpError::ReadTimeout)),
+            "{err}"
+        );
+        gave_up.send(()).unwrap();
+        assert_eq!(
+            server.join().unwrap(),
+            Err(io::ErrorKind::WouldBlock),
+            "the timed-out request was sent again on a second connection"
+        );
     }
 
     #[test]
