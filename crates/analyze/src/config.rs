@@ -85,7 +85,7 @@ pub const L003_COLLECTIONS_SCOPE: Scope = Scope {
 
 /// L003 (time-source rule): wall-clock reads are banned in compute/model
 /// paths. `serve` is additionally excluded here (but *not* from the
-/// collections rule): request timing, linger deadlines, and latency
+/// collections rule): request timing, request deadlines, and latency
 /// metrics are wall-clock by nature and never feed model math. `bench`
 /// and `cli` are excluded for the same reason as above — `bench` exists
 /// to stamp `Instant`-derived wall times into BENCH_*.json.

@@ -19,7 +19,7 @@ commands:
   predict    top-k forecast for one query              (--load, --subject, --relation,
                                                         --time, --topk, --inverse)
   serve      HTTP inference server                     (--data | --preset, --load,
-                                                        --addr, --threads, --linger-ms,
+                                                        --addr, --threads,
                                                         --max-batch, --fused,
                                                         --deadline-ms, --max-deadline-ms,
                                                         --write-timeout-ms, --brownout-ms,
@@ -72,9 +72,8 @@ flags:
   --threads N       compute threads for the kernel backend (1 = serial;
                     results are bit-identical at any count)
                                                         [default: all cores]
-  --linger-ms MS    longest a request waits for company,
-                    from its arrival                    [default 2]
-  --max-batch N     micro-batch size cap                [default 32]
+  --max-batch N     most queued same-timestamp requests one batch takes
+                    (the model thread never waits for more) [default 32]
   --fused           fuse each batch into one forward pass (approximate)
   --deadline-ms MS  default per-request deadline when the client sends no
                     X-LogCL-Deadline-Ms header          [default 30000]
@@ -175,7 +174,6 @@ pub struct CliOptions {
     pub addr: String,
     /// Kernel-backend compute threads (`0` = auto, `1` = serial).
     pub threads: usize,
-    pub linger_ms: u64,
     pub max_batch: usize,
     pub fused: bool,
     /// Default per-request deadline (ms) without a client header.
@@ -281,7 +279,6 @@ impl Default for CliOptions {
             inverse: false,
             addr: "127.0.0.1:7878".into(),
             threads: 0,
-            linger_ms: 2,
             max_batch: 32,
             fused: false,
             deadline_ms: 30_000,
@@ -362,7 +359,6 @@ impl CliOptions {
                 "--inverse" => o.inverse = true,
                 "--addr" => o.addr = value("--addr")?,
                 "--threads" => o.threads = num(&value("--threads")?)?,
-                "--linger-ms" => o.linger_ms = num(&value("--linger-ms")?)?,
                 "--max-batch" => o.max_batch = num(&value("--max-batch")?)?,
                 "--fused" => o.fused = true,
                 "--deadline-ms" => o.deadline_ms = num(&value("--deadline-ms")?)?,
@@ -459,6 +455,8 @@ mod tests {
     #[test]
     fn rejects_unknown_flag_and_bad_scale() {
         assert!(CliOptions::parse(&strs(&["--bogus"])).is_err());
+        let gone = CliOptions::parse(&strs(&["--linger-ms", "5"])).unwrap_err();
+        assert!(gone.starts_with("unknown flag"), "{gone}");
         assert!(CliOptions::parse(&strs(&["--scale", "0"])).is_err());
         assert!(CliOptions::parse(&strs(&["--scale", "2"])).is_err());
         assert!(CliOptions::parse(&strs(&["--epochs"])).is_err());
@@ -471,8 +469,6 @@ mod tests {
             "0.0.0.0:9000",
             "--threads",
             "8",
-            "--linger-ms",
-            "5",
             "--max-batch",
             "64",
             "--fused",
@@ -480,7 +476,6 @@ mod tests {
         .unwrap();
         assert_eq!(o.addr, "0.0.0.0:9000");
         assert_eq!(o.threads, 8);
-        assert_eq!(o.linger_ms, 5);
         assert_eq!(o.max_batch, 64);
         assert!(o.fused);
     }

@@ -362,7 +362,6 @@ pub fn serve(opts: &CliOptions) -> Result<(), String> {
     let serve_cfg = ServeConfig {
         addr: opts.addr.clone(),
         compute_threads: opts.threads,
-        linger: std::time::Duration::from_millis(opts.linger_ms),
         max_batch: opts.max_batch,
         default_k: opts.topk,
         fused: opts.fused,
@@ -506,7 +505,6 @@ pub fn loadgen(opts: &CliOptions) -> Result<(), String> {
             let serve_cfg = ServeConfig {
                 addr: "127.0.0.1:0".into(),
                 compute_threads: opts.threads,
-                linger: std::time::Duration::from_millis(opts.linger_ms),
                 max_batch: opts.max_batch,
                 default_k: opts.topk,
                 fused: opts.fused,
@@ -638,7 +636,6 @@ fn run_freshness(opts: &CliOptions, ds: TkgDataset) -> Result<(), String> {
     let serve_cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),
         compute_threads: opts.threads,
-        linger: std::time::Duration::from_millis(opts.linger_ms),
         max_batch: opts.max_batch,
         default_k: opts.topk,
         fused: opts.fused,

@@ -109,8 +109,6 @@ fn worker_args(data: &str, model: &str, wal: &Path, shard: usize, addr: &str) ->
         format!("{shard}/{SHARDS}"),
         "--wal-dir".to_string(),
         wal.to_string_lossy().to_string(),
-        "--linger-ms".to_string(),
-        "0".to_string(),
     ]);
     args
 }

@@ -52,7 +52,6 @@ fn workers() -> Vec<Server> {
         .map(|i| {
             let cfg = ServeConfig {
                 addr: "127.0.0.1:0".into(),
-                linger: Duration::from_millis(0),
                 shard: Some(ShardSpec::new(i, SHARDS).unwrap()),
                 brownout_sojourn: Duration::from_secs(10),
                 shed_sojourn: Duration::from_secs(60),

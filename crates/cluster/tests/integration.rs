@@ -43,7 +43,6 @@ fn spec() -> ModelSpec {
 fn worker(shard: Option<ShardSpec>, addr: &str, wal_dir: Option<&Path>) -> Server {
     let cfg = ServeConfig {
         addr: addr.into(),
-        linger: Duration::from_millis(0),
         shard,
         wal_dir: wal_dir.map(Path::to_path_buf),
         brownout_sojourn: Duration::from_secs(10),

@@ -8,29 +8,34 @@
 //! asserts the counter.
 //!
 //! Rows that need a malformed, stalled or half-closed exchange write it by
-//! hand on a `TcpStream`; everything else goes through `http::Client`.
+//! hand on a `TcpStream`; everything else goes through `http::Client`. Rows
+//! that need a request still in flight stall the worker's first batch with
+//! an injected compute delay (`logcl_serve::fault`).
 
 use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use logcl_cluster::client::MAX_IDLE;
 use logcl_cluster::{Router, RouterConfig, WorkerState};
 use logcl_core::{LogClConfig, ShardSpec};
+use logcl_serve::fault::{self, FaultPlan, FaultPoint};
 use logcl_serve::http::{self, Client, Reply};
 use logcl_serve::{ModelSpec, ServeConfig, Server};
 use logcl_tkg::SyntheticPreset;
 use serde_json::Value;
 
 /// The settings a row may want changed; the inbound limits apply to both
-/// processes, the micro-batch linger to the server, hedging to the router.
+/// processes, hedging to the router; `stall` holds the worker's first
+/// predict batch for one to three times its length before compute.
 #[derive(Clone, Copy)]
 struct Limits {
     read_timeout: Duration,
     max_body_bytes: usize,
     max_connections: usize,
-    linger: Duration,
+    stall: Option<Duration>,
     hedge_after: Option<Duration>,
 }
 
@@ -41,8 +46,45 @@ impl Default for Limits {
             read_timeout: serve.read_timeout,
             max_body_bytes: serve.max_body_bytes,
             max_connections: serve.max_connections,
-            linger: Duration::ZERO,
+            stall: None,
             hedge_after: None,
+        }
+    }
+}
+
+/// The fault plan is process-global: a pair that stalls its worker lives
+/// alone, all the others live side by side.
+static PLAN: RwLock<()> = RwLock::new(());
+
+enum Turn {
+    Shared {
+        _held: RwLockReadGuard<'static, ()>,
+    },
+    Alone {
+        _held: RwLockWriteGuard<'static, ()>,
+    },
+}
+
+impl Turn {
+    fn take(stall: Option<Duration>) -> Turn {
+        let Some(delay) = stall else {
+            let _held = PLAN.read().unwrap_or_else(|e| e.into_inner());
+            return Turn::Shared { _held };
+        };
+        let _held = PLAN.write().unwrap_or_else(|e| e.into_inner());
+        fault::install(FaultPlan {
+            compute_delay: Some(delay),
+            compute_delay_batches: Some(1),
+            ..FaultPlan::default()
+        });
+        Turn::Alone { _held }
+    }
+}
+
+impl Drop for Turn {
+    fn drop(&mut self) {
+        if matches!(self, Turn::Alone { .. }) {
+            fault::clear();
         }
     }
 }
@@ -51,6 +93,7 @@ impl Default for Limits {
 struct Pair {
     server: Server,
     router: Router,
+    _turn: Turn,
 }
 
 /// One process under test: where to connect, and — for the server, which
@@ -66,7 +109,6 @@ struct Target<'a> {
 fn worker(limits: Limits, addr: &str) -> Server {
     let cfg = ServeConfig {
         addr: addr.into(),
-        linger: limits.linger,
         read_timeout: limits.read_timeout,
         max_body_bytes: limits.max_body_bytes,
         max_connections: limits.max_connections,
@@ -93,6 +135,7 @@ fn worker(limits: Limits, addr: &str) -> Server {
 
 impl Pair {
     fn boot(limits: Limits) -> Pair {
+        let _turn = Turn::take(limits.stall);
         let server = worker(limits, "127.0.0.1:0");
         let router = Router::start(RouterConfig {
             shards: vec![vec![server.addr().to_string()]],
@@ -103,7 +146,11 @@ impl Pair {
             ..RouterConfig::default()
         })
         .expect("router must start");
-        Pair { server, router }
+        Pair {
+            server,
+            router,
+            _turn,
+        }
     }
 
     /// The server first: its counters are asserted exactly, before the
@@ -190,6 +237,15 @@ fn predictions(reply: &Reply) -> usize {
         .and_then(Value::as_array)
         .expect("predictions array")
         .len()
+}
+
+/// Polls until `cond` holds (5 s at most).
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let give_up = Instant::now() + Duration::from_secs(5);
+    while !cond() {
+        assert!(Instant::now() < give_up, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 fn scrape(addr: SocketAddr) -> String {
@@ -487,6 +543,9 @@ fn drain_does_not_wait_for_an_idle_kept_alive_connection() {
     let router_took = started.elapsed();
     pair.server.shutdown();
     let server_took = started.elapsed() - router_took;
+    // Before the second boot: one thread asking for the read lock twice
+    // waits for ever once a writer has queued between the two.
+    drop(pair._turn);
     assert!(router_took < Duration::from_secs(1), "{router_took:?}");
     assert!(server_took < Duration::from_secs(1), "{server_took:?}");
     // Both ports are closed: the stale socket fails and so does the retry.
@@ -521,27 +580,39 @@ fn drain_does_not_wait_for_an_idle_kept_alive_connection() {
 #[test]
 fn router_shutdown_answers_a_request_already_in_flight() {
     let pair = Pair::boot(Limits {
-        linger: Duration::from_millis(150),
+        stall: Some(Duration::from_millis(150)),
         ..Limits::default()
     });
     let addr = pair.router.addr();
-    // A request that is still lingering in the worker's micro-batcher —
-    // in flight on the router — when the router's shutdown endpoint fires.
-    let client = std::thread::spawn(move || {
-        send(addr, "POST", "/predict", r#"{"subject": 2, "relation": 1}"#)
+    let predict = move |subject: usize| {
+        let body = format!(r#"{{"subject": {subject}, "relation": 1}}"#);
+        std::thread::spawn(move || send(addr, "POST", "/predict", &body))
+    };
+    // One request inside the worker's stalled first batch and one queued
+    // behind it — both in flight on the router — when the router's shutdown
+    // endpoint fires.
+    let occupier = predict(1);
+    wait_until("the first batch stalls", || {
+        fault::fired(FaultPoint::ComputeDelay) == 1
     });
-    std::thread::sleep(Duration::from_millis(40));
+    let queued = predict(2);
+    let overload = pair.server.overload();
+    wait_until("the second request is queued", || {
+        overload.queue_wait(Instant::now()) > Duration::ZERO
+    });
     assert_eq!(send(addr, "POST", "/shutdown", "").status, 200);
     pair.router.run(); // returns once every thread is joined
 
-    let reply = client.join().expect("client thread");
-    assert_eq!(
-        reply.status,
-        200,
-        "in-flight request was dropped: {}",
-        reply.text()
-    );
-    assert!(predictions(&reply) > 0);
+    for client in [occupier, queued] {
+        let reply = client.join().expect("client thread");
+        assert_eq!(
+            reply.status,
+            200,
+            "in-flight request was dropped: {}",
+            reply.text()
+        );
+        assert!(predictions(&reply) > 0);
+    }
     pair.server.shutdown();
 }
 
@@ -682,12 +753,12 @@ fn thirty_two_clients_leave_no_more_idle_sockets_than_the_bound() {
 }
 
 /// A hedge never queues behind the primary's connection: with the primary's
-/// request lingering in the worker's batcher, the hedge opens a second
-/// socket, and both come back to the pool.
+/// request held in the worker's stalled first batch, the hedge opens a
+/// second socket, and both come back to the pool.
 #[test]
 fn a_hedge_takes_a_second_connection() {
     let pair = Pair::boot(Limits {
-        linger: Duration::from_millis(150),
+        stall: Some(Duration::from_millis(150)),
         hedge_after: Some(Duration::from_millis(10)),
         ..Limits::default()
     });
@@ -695,15 +766,9 @@ fn a_hedge_takes_a_second_connection() {
     predict_in_full(router);
     assert!(scrape(router).contains("logcl_router_hedges_total 1"));
     // The loser runs to completion on its own thread.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while pair.router.idle_hop_connections() != [[2]] {
-        assert!(
-            Instant::now() < deadline,
-            "{:?}",
-            pair.router.idle_hop_connections()
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_until("both hop sockets are pooled", || {
+        pair.router.idle_hop_connections() == [[2]]
+    });
     assert_eq!(hop_counters(router).0, (0, 2));
     pair.shutdown();
 }

@@ -20,7 +20,6 @@ fn bursty_load_browns_out_and_recovers_to_normal() {
     let ds = SyntheticPreset::Icews14.generate_scaled(0.15);
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),
-        linger: Duration::from_millis(1),
         // One request per batch so the injected per-batch delay caps the
         // service rate at a known ~250 rps, well under the burst peaks.
         max_batch: 1,

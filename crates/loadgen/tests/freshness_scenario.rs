@@ -35,7 +35,6 @@ fn spec() -> ModelSpec {
 fn durable_server(dir: &std::path::Path) -> Server {
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),
-        linger: Duration::from_millis(1),
         brownout_sojourn: Duration::from_secs(10),
         shed_sojourn: Duration::from_secs(60),
         wal_dir: Some(dir.to_path_buf()),

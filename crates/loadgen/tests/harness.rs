@@ -14,7 +14,6 @@ fn test_server() -> Server {
     let ds = SyntheticPreset::Icews14.generate_scaled(0.15);
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),
-        linger: Duration::from_millis(2),
         // Degradation thresholds pushed out of reach: this test checks the
         // harness's bookkeeping, not overload behaviour.
         brownout_sojourn: Duration::from_secs(10),

@@ -20,7 +20,6 @@ fn start_server() -> Server {
     let ds = SyntheticPreset::Icews14.generate_scaled(0.15);
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),
-        linger: Duration::from_millis(1),
         brownout_sojourn: Duration::from_secs(10),
         shed_sojourn: Duration::from_secs(60),
         ..ServeConfig::default()

@@ -3,16 +3,14 @@
 //! All model work funnels through one worker thread (the autograd graph is
 //! `Rc`-based, so the model cannot be shared across threads — and a single
 //! owner conveniently serialises weight updates against scoring). Handler
-//! threads enqueue [`WorkItem`]s on a bounded channel; the worker coalesces
-//! concurrent `/predict` requests with the same `(model, timestamp)` into
-//! one batch and cuts the batch at a configurable maximum size. The linger
-//! is the longest a request waits for company, counted from its arrival: a
-//! batch's window closes at its oldest member's `enqueued_at + linger`.
-//! Jobs for other keys received meanwhile are set aside in arrival order;
-//! when their turn comes their own window has usually closed already, and a
-//! closed window means "do not sleep", not "do not look" — whatever the
-//! queue holds for the key right then still joins, so historical traffic
-//! spread over K timestamps pays one linger per request, not up to K.
+//! threads enqueue [`WorkItem`]s on a bounded channel; the worker takes the
+//! oldest item, coalesces with it every `/predict` for the same
+//! `(model, timestamp)` that is queued *right then*, up to a maximum batch
+//! size, and computes. It never waits for company: a batch shares nothing
+//! but the cached encoding and duplicate `(s, r)` pairs, so what joins is
+//! what queued while the previous batch ran. Jobs for other keys met on the
+//! way are set aside in arrival order and still queued; a later batch
+//! absorbs the set-aside jobs for its key wherever they sit.
 //!
 //! Every job carries an absolute deadline. The worker re-checks it at each
 //! dequeue boundary and once more immediately before compute: an expired
@@ -24,14 +22,12 @@
 //!
 //! On shutdown the senders are dropped; the worker drains every queued item
 //! — answering each one — before it exits, so graceful shutdown never
-//! abandons an accepted request. A disconnect observed *mid-window* is not
-//! a linger expiry: it closes the batch and marks the worker unhealthy so
-//! admission stops routing new work at a channel nobody consumes.
+//! abandons an accepted request.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::time::{Duration, Instant};
+use std::sync::mpsc::{Receiver, Sender};
+use std::time::Instant;
 
 use logcl_core::{Prediction, ShardSpec, SoftmaxStat};
 
@@ -184,25 +180,6 @@ impl ServeError {
     }
 }
 
-/// Micro-batching knobs.
-#[derive(Debug, Clone)]
-pub struct BatcherOptions {
-    /// The longest a request waits for company, counted from its arrival
-    /// (`enqueued_at`), not from when its batch is opened.
-    pub linger: Duration,
-    /// Hard cap on coalesced requests per batch.
-    pub max_batch: usize,
-}
-
-impl Default for BatcherOptions {
-    fn default() -> Self {
-        Self {
-            linger: Duration::from_millis(2),
-            max_batch: 32,
-        }
-    }
-}
-
 /// What the worker loop delegates model work to (the real implementation is
 /// [`crate::registry::Registry`]; tests substitute a recorder).
 pub trait BatchHandler {
@@ -284,10 +261,11 @@ fn leave_queue(
 }
 
 /// Runs the worker loop until every sender is gone and the queue is drained.
+/// `max_batch` is the hard cap on coalesced requests per batch.
 pub fn run_batcher<H: BatchHandler>(
     handler: &mut H,
     rx: &Receiver<WorkItem>,
-    opts: &BatcherOptions,
+    max_batch: usize,
     metrics: &Metrics,
     overload: &OverloadState,
 ) {
@@ -329,11 +307,10 @@ pub fn run_batcher<H: BatchHandler>(
             WorkItem::Ingest(job) => {
                 // Coalesce the run of ingests already waiting behind this
                 // one (set-aside queue first, then whatever is sitting in
-                // the channel right now — no lingering) so a durable
-                // handler can amortise one group-commit fsync across all
-                // of them.
+                // the channel right now) so a durable handler can amortise
+                // one group-commit fsync across all of them.
                 let mut ingests = vec![job];
-                while ingests.len() < opts.max_batch {
+                while ingests.len() < max_batch {
                     let next = match pending.pop_front() {
                         Some(item) => item,
                         None => match rx.try_recv() {
@@ -357,20 +334,15 @@ pub fn run_batcher<H: BatchHandler>(
             WorkItem::Predict(job) => job,
         };
 
-        // Open a batch keyed by the first job. The linger is the longest a
-        // request waits for company, counted from its arrival, and `first`
-        // is the oldest member (`pending` is arrival-ordered, anything
-        // absorbed is younger): a job that was set aside while another
-        // key's batch lingered has already done its waiting.
+        // Open a batch keyed by the first job, the oldest item queued.
         let key = (first.model.clone(), first.t);
-        let window_closes = first.enqueued_at + opts.linger;
         let mut group = vec![first];
         // Absorb matching set-aside jobs; other keys keep their order. An
         // item is taken only to join or, its deadline past, to be shed.
         let mut skipped = VecDeque::new();
         let now = Instant::now();
         while let Some(item) = pending.pop_front() {
-            let wanted = group.len() < opts.max_batch && joins(&item, &key);
+            let wanted = group.len() < max_batch && joins(&item, &key);
             if !wanted && now < item.deadline() {
                 skipped.push_back(item);
             } else if let Some(WorkItem::Predict(j)) =
@@ -380,40 +352,22 @@ pub fn run_batcher<H: BatchHandler>(
             }
         }
         pending = skipped;
-        while group.len() < opts.max_batch {
-            // A window that has closed means do not sleep, not do not look:
-            // take what the channel already holds.
-            let received = match window_closes.checked_duration_since(Instant::now()) {
-                Some(left) if !left.is_zero() => rx.recv_timeout(left),
-                _ => rx.try_recv().map_err(|e| match e {
-                    TryRecvError::Empty => RecvTimeoutError::Timeout,
-                    TryRecvError::Disconnected => RecvTimeoutError::Disconnected,
-                }),
-            };
-            match received {
-                Ok(item) => {
-                    if !joins(&item, &key) && Instant::now() < item.deadline() {
-                        pending.push_back(item);
-                    } else if let Some(WorkItem::Predict(j)) =
-                        leave_queue(item, pending.is_empty(), metrics, overload)
-                    {
-                        group.push(j);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Every sender vanished mid-window: that is shutdown or
-                    // worker isolation, not a linger expiry. Close the
-                    // batch now and flag the worker unhealthy so admission
-                    // stops routing work at a channel nobody will consume.
-                    overload.mark_worker_unhealthy();
-                    break;
-                }
+        // Then whatever the channel holds right now. An error is "empty" or
+        // "every sender gone"; either way the batch is what it is, and the
+        // `recv` at the top of the loop is the one place a drain ends.
+        while group.len() < max_batch {
+            let Ok(item) = rx.try_recv() else { break };
+            if !joins(&item, &key) && Instant::now() < item.deadline() {
+                pending.push_back(item);
+            } else if let Some(WorkItem::Predict(j)) =
+                leave_queue(item, pending.is_empty(), metrics, overload)
+            {
+                group.push(j);
             }
         }
 
-        // The linger window may have outlived some deadlines; this is the
-        // last boundary before compute.
+        // Dequeuing took time, and `first` was checked before it began;
+        // this is the last boundary before compute.
         let now = Instant::now();
         let mut live = Vec::with_capacity(group.len());
         for job in group {
@@ -466,6 +420,7 @@ mod tests {
     use std::sync::mpsc;
     use std::sync::Arc;
     use std::thread;
+    use std::time::Duration;
 
     /// Records group shapes and answers every job (so reply channels see a
     /// response, like the real handler guarantees).
@@ -549,16 +504,7 @@ mod tests {
         }
         drop(tx);
         let mut rec = Recorder::default();
-        run_batcher(
-            &mut rec,
-            &rx,
-            &BatcherOptions {
-                linger: Duration::from_millis(1),
-                max_batch: 4,
-            },
-            &Metrics::default(),
-            &overload(),
-        );
+        run_batcher(&mut rec, &rx, 4, &Metrics::default(), &overload());
         let sizes: Vec<usize> = rec.groups.iter().map(|g| g.len()).collect();
         assert_eq!(sizes, vec![4, 4, 2]);
         for r in replies {
@@ -579,13 +525,7 @@ mod tests {
         }
         drop(tx);
         let mut rec = Recorder::default();
-        run_batcher(
-            &mut rec,
-            &rx,
-            &BatcherOptions::default(),
-            &Metrics::default(),
-            &overload(),
-        );
+        run_batcher(&mut rec, &rx, 32, &Metrics::default(), &overload());
         for g in &rec.groups {
             let t0 = g[0].2;
             assert!(g.iter().all(|&(_, _, t)| t == t0), "mixed batch {g:?}");
@@ -601,77 +541,23 @@ mod tests {
     }
 
     #[test]
-    fn linger_expiry_closes_a_batch_before_disconnect() {
+    fn a_lone_job_is_answered_while_the_channel_stays_open() {
         let (tx, rx) = mpsc::sync_channel(64);
+        let worker = thread::spawn(move || {
+            let mut rec = Recorder::default();
+            run_batcher(&mut rec, &rx, 8, &Metrics::default(), &overload());
+            rec.groups
+        });
         let (j, reply) = job(0, 3);
         tx.send(WorkItem::Predict(j)).unwrap();
-        // Keep the sender alive well past the linger so the only way the
-        // batch can close early is the linger deadline.
-        let holder = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(400));
-            drop(tx);
-        });
-        let started = Instant::now();
-        let mut rec = Recorder::default();
-        let state = overload();
-        run_batcher(
-            &mut rec,
-            &rx,
-            &BatcherOptions {
-                linger: Duration::from_millis(20),
-                max_batch: 8,
-            },
-            &Metrics::default(),
-            &state,
-        );
-        reply.recv().unwrap().unwrap();
-        assert!(
-            started.elapsed() >= Duration::from_millis(20),
-            "must linger at least the configured window"
-        );
-        assert_eq!(rec.groups, vec![vec![(0, 0, 3)]]);
-        holder.join().unwrap();
-    }
-
-    #[test]
-    fn disconnect_mid_linger_closes_the_batch_and_marks_unhealthy() {
-        let (tx, rx) = mpsc::sync_channel(64);
-        let (j, reply) = job(0, 3);
-        tx.send(WorkItem::Predict(j)).unwrap();
-        // Drop the sender early inside a long linger window: the batch must
-        // close on the disconnect, not sit out the full linger, and the
-        // worker must read as unhealthy afterwards.
-        let dropper = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(30));
-            drop(tx);
-        });
-        let started = Instant::now();
-        let mut rec = Recorder::default();
-        let state = overload();
-        run_batcher(
-            &mut rec,
-            &rx,
-            &BatcherOptions {
-                linger: Duration::from_millis(2_000),
-                max_batch: 8,
-            },
-            &Metrics::default(),
-            &state,
-        );
-        dropper.join().unwrap();
+        // The sender outlives the answer: a worker that waits for anything
+        // but work — company, a hang-up — never sends it.
         reply
-            .recv()
-            .expect("job accepted before the disconnect must be answered")
+            .recv_timeout(Duration::from_secs(5))
+            .expect("a queued job is computed without waiting for another")
             .expect("recorder answers Ok");
-        assert!(
-            started.elapsed() < Duration::from_millis(1_500),
-            "disconnect must close the batch before the linger expires"
-        );
-        assert_eq!(rec.groups, vec![vec![(0, 0, 3)]]);
-        assert!(
-            !state.worker_healthy(),
-            "mid-linger disconnect must mark the worker unhealthy"
-        );
+        drop(tx);
+        assert_eq!(worker.join().unwrap(), vec![vec![(0, 0, 3)]]);
     }
 
     #[test]
@@ -685,17 +571,7 @@ mod tests {
         }
         drop(tx); // sender gone while the batch is still being assembled
         let mut rec = Recorder::default();
-        let state = overload();
-        run_batcher(
-            &mut rec,
-            &rx,
-            &BatcherOptions {
-                linger: Duration::from_millis(500),
-                max_batch: 8,
-            },
-            &Metrics::default(),
-            &state,
-        );
+        run_batcher(&mut rec, &rx, 8, &Metrics::default(), &overload());
         assert_eq!(rec.groups, vec![vec![(0, 0, 4), (1, 0, 4), (2, 0, 4)]]);
         for r in replies {
             r.recv().unwrap().unwrap();
@@ -725,13 +601,7 @@ mod tests {
         drop(tx);
         let mut rec = Recorder::default();
         let metrics = Metrics::default();
-        run_batcher(
-            &mut rec,
-            &rx,
-            &BatcherOptions::default(),
-            &metrics,
-            &overload(),
-        );
+        run_batcher(&mut rec, &rx, 32, &metrics, &overload());
         // Only the live job reached compute.
         assert_eq!(rec.groups, vec![vec![(1, 0, 2)]]);
         assert_eq!(rec.ingests, 0, "expired ingest must not apply");
@@ -776,13 +646,7 @@ mod tests {
         drop(tx); // "SIGTERM": no more senders
         let mut rec = Recorder::default();
         let metrics = Metrics::default();
-        run_batcher(
-            &mut rec,
-            &rx,
-            &BatcherOptions::default(),
-            &metrics,
-            &overload(),
-        );
+        run_batcher(&mut rec, &rx, 32, &metrics, &overload());
         assert_eq!(rec.groups.len(), 5, "each timestamp drained as a batch");
         assert_eq!(rec.ingests, 1);
         for r in replies {
@@ -817,13 +681,7 @@ mod tests {
         tx.send(WorkItem::Predict(j)).unwrap();
         drop(tx);
         let mut rec = Recorder::default();
-        run_batcher(
-            &mut rec,
-            &rx,
-            &BatcherOptions::default(),
-            &Metrics::default(),
-            &overload(),
-        );
+        run_batcher(&mut rec, &rx, 32, &Metrics::default(), &overload());
         assert_eq!(
             rec.ingest_groups,
             vec![3],
@@ -841,9 +699,8 @@ mod tests {
     //
     // The tests below build jobs with explicit `enqueued_at`s and let the
     // handler own the only sender, so `run_batcher` runs on the test's own
-    // thread with the channel open for exactly as long as work remains: a
-    // sleep the batcher should not take shows up as elapsed time, and no
-    // assertion waits on a timer of the test's own.
+    // thread with the channel open for exactly as long as work remains, and
+    // no assertion waits on a timer of the test's own.
 
     fn job_enqueued(
         s: usize,
@@ -913,67 +770,22 @@ mod tests {
     }
 
     #[test]
-    fn a_closed_window_still_batches_what_is_queued() {
-        // `linger: 0`, and a 1 ms linger that expired a second ago: neither
-        // sleeps, both coalesce the ten queued same-key jobs up to the cap.
-        for (linger, age) in [
-            (Duration::ZERO, Duration::ZERO),
-            (Duration::from_millis(1), Duration::from_secs(1)),
-        ] {
-            let (tx, rx) = mpsc::sync_channel(64);
-            let enqueued_at = Instant::now() - age;
-            let mut replies = Vec::new();
-            for i in 0..10 {
-                let (j, r) = job_enqueued(i, 5, enqueued_at);
-                tx.send(WorkItem::Predict(j)).unwrap();
-                replies.push(r);
-            }
-            drop(tx);
-            let mut rec = Recorder::default();
-            let opts = BatcherOptions {
-                linger,
-                max_batch: 4,
-            };
-            run_batcher(&mut rec, &rx, &opts, &Metrics::default(), &overload());
-            let sizes: Vec<usize> = rec.groups.iter().map(|g| g.len()).collect();
-            assert_eq!(
-                sizes,
-                vec![4, 4, 2],
-                "linger {linger:?}, enqueued {age:?} ago"
-            );
-            for r in replies {
-                r.recv().unwrap().unwrap();
-            }
-        }
-    }
-
-    #[test]
-    fn distinct_keys_enqueued_together_share_one_linger() {
-        let linger = Duration::from_millis(50);
-        let state = overload();
+    fn jobs_queued_long_ago_still_batch_up_to_the_cap() {
+        // A job's age decides nothing about its batch: ten same-key jobs
+        // enqueued a second ago coalesce up to the cap like fresh ones.
         let (tx, rx) = mpsc::sync_channel(64);
-        let started = Instant::now();
+        let enqueued_at = Instant::now() - Duration::from_secs(1);
         let mut replies = Vec::new();
-        for t in 0..8 {
-            let (j, r) = job_enqueued(t, t, started);
-            submit(&tx, &state, j);
+        for i in 0..10 {
+            let (j, r) = job_enqueued(i, 5, enqueued_at);
+            tx.send(WorkItem::Predict(j)).unwrap();
             replies.push(r);
         }
-        let mut script = Script::new(tx, 8, &state);
-        let opts = BatcherOptions {
-            linger,
-            max_batch: 8,
-        };
-        run_batcher(&mut script, &rx, &opts, &Metrics::default(), &state);
-        let elapsed = started.elapsed();
-        // The oldest job waits its window out for company; the seven set
-        // aside meanwhile have then waited just as long and run at once.
-        assert!(elapsed >= linger, "a lone key still lingers: {elapsed:?}");
-        assert!(
-            elapsed < 2 * linger,
-            "eight keys must not pay eight lingers: {elapsed:?}"
-        );
-        assert_eq!(script.rec.groups.len(), 8);
+        drop(tx);
+        let mut rec = Recorder::default();
+        run_batcher(&mut rec, &rx, 4, &Metrics::default(), &overload());
+        let sizes: Vec<usize> = rec.groups.iter().map(|g| g.len()).collect();
+        assert_eq!(sizes, vec![4, 4, 2]);
         for r in replies {
             r.recv().unwrap().unwrap();
         }
@@ -1000,11 +812,7 @@ mod tests {
             replies.push(r);
         }
         let mut script = Script::new(tx, 5, &state);
-        let opts = BatcherOptions {
-            linger: Duration::ZERO,
-            max_batch: 8,
-        };
-        run_batcher(&mut script, &rx, &opts, &Metrics::default(), &state);
+        run_batcher(&mut script, &rx, 8, &Metrics::default(), &state);
         assert_eq!(
             script.rec.groups,
             vec![
@@ -1026,27 +834,20 @@ mod tests {
     }
 
     #[test]
-    fn an_expired_set_aside_job_runs_at_once_and_still_takes_the_channel() {
+    fn a_set_aside_job_still_takes_what_reached_the_channel_meanwhile() {
         // b1 is set aside while a1's batch runs; b2 reaches the channel
-        // during that compute. b1's ten-second window is long closed when
-        // its turn comes: it must not sleep, and must still pick b2 up.
+        // during that compute. b1's batch opens from the set-aside list and
+        // must still look in the channel, where b2 is.
         let state = overload();
         let (tx, rx) = mpsc::sync_channel(64);
-        let old = Instant::now() - Duration::from_secs(20);
-        let (a1, a1_rx) = job_enqueued(0, 1, old);
-        let (b1, b1_rx) = job_enqueued(1, 2, old);
-        let (b2, b2_rx) = job_enqueued(2, 2, Instant::now());
+        let (a1, a1_rx) = job(0, 1);
+        let (b1, b1_rx) = job(1, 2);
+        let (b2, b2_rx) = job(2, 2);
         submit(&tx, &state, a1);
         submit(&tx, &state, b1);
         let mut script = Script::new(tx, 3, &state);
         script.late.push(b2);
-        let opts = BatcherOptions {
-            linger: Duration::from_secs(10),
-            max_batch: 8,
-        };
-        let started = Instant::now();
-        run_batcher(&mut script, &rx, &opts, &Metrics::default(), &state);
-        assert!(started.elapsed() < Duration::from_secs(5), "slept a window");
+        run_batcher(&mut script, &rx, 8, &Metrics::default(), &state);
         assert_eq!(
             script.rec.groups,
             vec![vec![(0, 0, 1)], vec![(1, 0, 2), (2, 0, 2)]]
@@ -1072,11 +873,7 @@ mod tests {
         }
         let mut script = Script::new(tx, 9, &state);
         script.compute = Duration::from_millis(5);
-        let opts = BatcherOptions {
-            linger: Duration::ZERO,
-            max_batch: 8,
-        };
-        run_batcher(&mut script, &rx, &opts, &metrics, &state);
+        run_batcher(&mut script, &rx, 8, &metrics, &state);
         assert_eq!(script.rec.groups.len(), 3);
         // Every job's observed sojourn covers the groups computed ahead of
         // it: at most the first group's three jobs read under 5 ms, at most

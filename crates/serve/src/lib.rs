@@ -47,7 +47,7 @@ pub mod server;
 pub mod shed;
 pub mod wal;
 
-pub use batcher::{BatcherOptions, ServeError, ShardDetail};
+pub use batcher::{ServeError, ShardDetail};
 pub use cache::EncodingCache;
 pub use error::StartError;
 pub use listener::ShutdownState;

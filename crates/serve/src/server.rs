@@ -30,7 +30,7 @@ use logcl_core::ShardSpec;
 use logcl_tkg::TkgDataset;
 use serde_json::{json, Value};
 
-use crate::batcher::{run_batcher, BatcherOptions, IngestJob, PredictJob, ServeError, WorkItem};
+use crate::batcher::{run_batcher, IngestJob, PredictJob, ServeError, WorkItem};
 use crate::error::StartError;
 use crate::http::{HttpError, Request, Response};
 use crate::listener::{Inbound, Listener, ListenerConfig, ShutdownState};
@@ -49,10 +49,8 @@ pub struct ServeConfig {
     /// worker (`0` = auto-detect, `1` = serial). The backends are
     /// bit-identical, so this only affects latency, never rankings.
     pub compute_threads: usize,
-    /// Micro-batch linger: the longest a request waits for company, counted
-    /// from its arrival.
-    pub linger: Duration,
-    /// Micro-batch size cap.
+    /// Micro-batch size cap: how many queued same-`(model, t)` predicts one
+    /// batch takes. The model thread never waits for a batch to fill.
     pub max_batch: usize,
     /// Bounded work-queue depth; excess requests are answered `503`.
     pub queue_cap: usize,
@@ -126,7 +124,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:7878".into(),
             max_connections: 128,
             compute_threads: 0,
-            linger: Duration::from_millis(2),
             max_batch: 32,
             queue_cap: 1024,
             default_k: 10,
@@ -271,10 +268,7 @@ impl Server {
         let worker = {
             let metrics = Arc::clone(&metrics);
             let horizon = Arc::clone(&horizon);
-            let opts = BatcherOptions {
-                linger: cfg.linger,
-                max_batch: cfg.max_batch.max(1),
-            };
+            let max_batch = cfg.max_batch.max(1);
             let registry_options = RegistryOptions {
                 fused: cfg.fused,
                 cache_capacity: cfg.cache_capacity,
@@ -311,7 +305,7 @@ impl Server {
                         }
                     }
                     let _ = ready_tx.send(Ok(()));
-                    run_batcher(&mut registry, &work_rx, &opts, &metrics, &overload);
+                    run_batcher(&mut registry, &work_rx, max_batch, &metrics, &overload);
                     // Shutdown drain: everything acked is already fsynced;
                     // this catches any trailing un-synced appends.
                     registry.flush_durability();

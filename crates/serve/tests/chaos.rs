@@ -16,7 +16,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use logcl_core::LogClConfig;
+use logcl_core::{predict_topk_stream, LogCl, LogClConfig};
 use logcl_serve::fault::{self, FaultPlan, FaultPoint};
 use logcl_serve::http::Client;
 use logcl_serve::{ModelSpec, ServeConfig, Server, StartError};
@@ -59,18 +59,15 @@ fn untrained_spec() -> ModelSpec {
 fn serve_config() -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".into(),
-        linger: Duration::from_millis(1),
         ..ServeConfig::default()
     }
 }
 
-/// One request on its own connection: status, headers, and body.
-fn request(
-    addr: std::net::SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> (u16, Vec<(String, String)>, String) {
+/// Status, headers, and body.
+type Answer = (u16, Vec<(String, String)>, String);
+
+/// One request on its own connection.
+fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> Answer {
     request_with(addr, method, path, body, &[])
 }
 
@@ -80,7 +77,7 @@ fn request_with(
     path: &str,
     body: &str,
     extra_headers: &[(&str, &str)],
-) -> (u16, Vec<(String, String)>, String) {
+) -> Answer {
     let reply = Client::new(addr, Duration::from_secs(120))
         .and_then(|mut client| client.send(method, path, extra_headers, body.as_bytes()))
         .expect("exchange");
@@ -97,6 +94,23 @@ fn header_of<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str>
 
 fn json(body: &str) -> Value {
     serde_json::from_str(body).unwrap_or_else(|e| panic!("bad JSON {body:?}: {e}"))
+}
+
+/// `(entity, probability)` pairs out of a `/predict` response body.
+fn predictions_of(body: &str) -> Vec<(u64, f32)> {
+    json(body)
+        .get("predictions")
+        .and_then(Value::as_array)
+        .expect("predictions array")
+        .iter()
+        .map(|p| {
+            let probability = p.get("probability").and_then(Value::as_f64);
+            (
+                p.get("entity").and_then(Value::as_u64).expect("entity id"),
+                probability.expect("probability") as f32,
+            )
+        })
+        .collect()
 }
 
 fn horizon_of(addr: std::net::SocketAddr) -> u64 {
@@ -239,7 +253,6 @@ fn compute_delay_overload_sheds_then_recovers_bit_identically() {
 /// escalation sticks).
 fn tier_after_backlog(keys: u64) -> String {
     let cfg = ServeConfig {
-        linger: Duration::from_millis(100),
         max_batch: 2,
         brownout_sojourn: Duration::from_millis(80),
         shed_sojourn: Duration::from_secs(60),
@@ -276,12 +289,10 @@ fn tier_after_backlog(keys: u64) -> String {
     tier
 }
 
-/// Four batches of stalled compute queue up either way: under one key the
-/// later jobs wait in the channel, under four they wait set aside in the
-/// batcher — received within a few milliseconds of arriving, while the
-/// first key's window is still open (its second job is the last to come),
-/// and then not looked at again until their turn. Both are queue time, and
-/// both must reach Brownout.
+/// Stalled batches queue up either way: under one key the later jobs wait
+/// in the channel, under four they wait set aside in the batcher — received
+/// when the second batch opens and then not looked at again until their
+/// turn. Both are queue time, and both must reach Brownout.
 #[test]
 fn a_backlog_spread_over_four_keys_browns_out_like_one_key() {
     let _guard = serial();
@@ -350,6 +361,201 @@ fn queue_saturation_fault_sheds_with_retry_after() {
     fault::clear();
     let (status, _, _) = request(addr, "POST", "/predict", &query);
     assert_eq!(status, 200, "cleared saturation must admit again");
+    server.shutdown();
+}
+
+// ------------------------------------------------ a request held in flight
+//
+// The model thread takes what is queued and never waits, so the only thing
+// that keeps a request in flight long enough to act on is a stalled batch:
+// a first request occupies the worker and the one under test queues behind.
+
+/// Polls until `cond` holds (10 s at most).
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let give_up = Instant::now() + Duration::from_secs(10);
+    while !cond() {
+        assert!(Instant::now() < give_up, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Stalls the server's first predict batch — and only that one — for one
+/// to three times `delay`, sends the predict that occupies the model thread
+/// inside it, and returns once the thread is there.
+fn occupy_worker(
+    addr: std::net::SocketAddr,
+    delay: Duration,
+    body: String,
+) -> std::thread::JoinHandle<Answer> {
+    fault::install(FaultPlan {
+        compute_delay: Some(delay),
+        compute_delay_batches: Some(1),
+        ..FaultPlan::default()
+    });
+    let occupier = std::thread::spawn(move || request(addr, "POST", "/predict", &body));
+    wait_until("the first batch stalls", || {
+        fault::fired(FaultPoint::ComputeDelay) == 1
+    });
+    occupier
+}
+
+#[test]
+fn graceful_shutdown_answers_requests_already_in_flight() {
+    let _guard = serial();
+    let server = Server::start(serve_config(), tiny_ds(), vec![untrained_spec()]).expect("start");
+    let addr = server.addr();
+    let t = horizon_of(addr);
+    let overload = server.overload();
+
+    // One request inside the model thread and one queued behind it when the
+    // shutdown endpoint fires.
+    let occupier = occupy_worker(
+        addr,
+        Duration::from_millis(150),
+        format!(r#"{{"subject": 1, "relation": 1, "time": {t}}}"#),
+    );
+    let queued = std::thread::spawn(move || {
+        let body = format!(r#"{{"subject": 2, "relation": 1, "time": {t}}}"#);
+        request(addr, "POST", "/predict", &body)
+    });
+    wait_until("the second request is queued", || {
+        overload.queue_wait(Instant::now()) > Duration::ZERO
+    });
+    let (status, _, _) = request(addr, "POST", "/shutdown", "");
+    assert_eq!(status, 200);
+    server.run(); // returns once every thread is joined
+
+    for client in [occupier, queued] {
+        let (status, _, body) = client.join().unwrap();
+        assert_eq!(status, 200, "in-flight request was dropped: {body}");
+        assert!(!predictions_of(&body).is_empty());
+    }
+    fault::clear();
+}
+
+#[test]
+fn expired_deadline_is_shed_before_compute_and_admitted_work_stays_exact() {
+    // A stalled batch outlasts the short deadline of a job queued behind
+    // it: the expired job must be answered 504 *without* reaching the
+    // model, while the patient job queued next to it is answered exactly
+    // as an unloaded server would. Degradation thresholds are pushed out
+    // of reach so the admitted answer is full-fidelity.
+    let _guard = serial();
+    let cfg = ServeConfig {
+        brownout_sojourn: Duration::from_secs(10),
+        shed_sojourn: Duration::from_secs(60),
+        ..serve_config()
+    };
+    let server = Server::start(cfg, tiny_ds(), vec![untrained_spec()]).expect("start");
+    let addr = server.addr();
+    let t = horizon_of(addr);
+    let overload = server.overload();
+    let occupier = occupy_worker(
+        addr,
+        Duration::from_millis(200),
+        format!(r#"{{"subject": 2, "relation": 0, "time": {t}, "k": 5}}"#),
+    );
+
+    // The impatient client: 100ms budget behind a stall of at least 200ms.
+    let impatient = std::thread::spawn(move || {
+        request_with(
+            addr,
+            "POST",
+            "/predict",
+            &format!(r#"{{"subject": 0, "relation": 0, "time": {t}, "k": 5}}"#),
+            &[("X-LogCL-Deadline-Ms", "100")],
+        )
+    });
+    // The patient client queues behind it for the same (model, t).
+    wait_until("the impatient request is queued", || {
+        overload.queue_wait(Instant::now()) > Duration::ZERO
+    });
+    let patient = std::thread::spawn(move || {
+        let body = format!(r#"{{"subject": 1, "relation": 0, "time": {t}, "k": 5}}"#);
+        request(addr, "POST", "/predict", &body)
+    });
+
+    // The impatient client sees 504 either way the race falls: its handler
+    // times out at the 100ms deadline, or reads the batcher's shed answer.
+    // Either message names the deadline; the counters below prove the job
+    // never reached compute.
+    let (status, headers, body) = impatient.join().unwrap();
+    assert_eq!(status, 504, "{body}");
+    assert!(body.contains("deadline"), "{body}");
+    assert!(
+        header_of(&headers, "Retry-After").is_some(),
+        "shed responses must carry Retry-After: {headers:?}"
+    );
+    let (status, _, body) = occupier.join().unwrap();
+    assert_eq!(status, 200, "{body}");
+    let (status, headers, body) = patient.join().unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(header_of(&headers, "X-LogCL-Degradation"), Some("normal"));
+    let degraded = json(&body).get("degraded").and_then(Value::as_bool);
+    assert_eq!(degraded, Some(false));
+
+    // Byte-identical to the unloaded path: same untrained config scored
+    // sequentially in-process.
+    let ds = tiny_ds();
+    let mut reference = LogCl::new(&ds, tiny_cfg());
+    let expected: Vec<(u64, f32)> = predict_topk_stream(&mut reference, &ds, 1, 0, 5)
+        .unwrap()
+        .into_iter()
+        .map(|p| (p.entity as u64, p.probability))
+        .collect();
+    assert_eq!(
+        predictions_of(&body),
+        expected,
+        "admitted request diverged from the unloaded answer"
+    );
+
+    // The shed happened in the queue, before compute, and the scrape says so.
+    let metrics = server.metrics();
+    assert_eq!(metrics.shed_before_compute.load(Ordering::Relaxed), 1);
+    assert_eq!(metrics.shed_deadline_queue.load(Ordering::Relaxed), 1);
+    let (_, _, text) = request(addr, "GET", "/metrics", "");
+    assert!(
+        text.contains("logcl_shed_total{reason=\"deadline_queue\"} 1"),
+        "{text}"
+    );
+    assert!(text.contains("logcl_shed_before_compute_total 1"), "{text}");
+    fault::clear();
+    server.shutdown();
+}
+
+#[test]
+fn concurrency_shed_is_503_with_retry_after() {
+    // One predict slot: while the first request holds it inside a stalled
+    // batch, a second concurrent request must be shed at admission — 503
+    // with Retry-After, counted as a concurrency shed — and the holder
+    // still answers 200.
+    let _guard = serial();
+    let cfg = ServeConfig {
+        max_inflight_predict: 1,
+        brownout_sojourn: Duration::from_secs(10),
+        shed_sojourn: Duration::from_secs(60),
+        ..serve_config()
+    };
+    let server = Server::start(cfg, tiny_ds(), vec![untrained_spec()]).expect("start");
+    let addr = server.addr();
+    let holder = occupy_worker(
+        addr,
+        Duration::from_millis(150),
+        r#"{"subject": 0, "relation": 0}"#.into(),
+    );
+
+    let (status, headers, body) =
+        request(addr, "POST", "/predict", r#"{"subject": 1, "relation": 0}"#);
+    assert_eq!(status, 503, "{body}");
+    assert!(body.contains("in-flight"), "{body}");
+    assert!(
+        header_of(&headers, "Retry-After").is_some(),
+        "every 503 must carry Retry-After: {headers:?}"
+    );
+    let (status, _, body) = holder.join().unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(server.metrics().shed_concurrency.load(Ordering::Relaxed), 1);
+    fault::clear();
     server.shutdown();
 }
 

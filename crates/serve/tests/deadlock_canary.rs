@@ -41,7 +41,6 @@ fn tiny_cfg() -> LogClConfig {
 fn test_server() -> Server {
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),
-        linger: Duration::from_millis(2),
         max_batch: 32,
         // Overload shedding has its own tests; here every request should
         // be answered, not shed, so completion is the only signal.

@@ -1,8 +1,10 @@
 //! End-to-end tests over real sockets: concurrent clients, micro-batching,
 //! exactness versus the library's `predict_topk` / `predict_topk_stream`
-//! (head and historical timestamps), online ingestion, and graceful
-//! shutdown. Everything runs against an ephemeral port through the
-//! crate's own `http::Client`. What a connection goes through — keep-alive,
+//! (head and historical timestamps) and online ingestion. Everything runs
+//! against an ephemeral port through the crate's own `http::Client`. The
+//! rows that need a request held in flight — the drain on shutdown, the
+//! concurrency shed, the deadline shed — hold it with an injected compute
+//! delay and live in `tests/chaos.rs`. What a connection goes through — keep-alive,
 //! close, 408, 413, the cap, drain — is the same loop as the router's and
 //! is tested once for both, in `crates/cluster/tests/lifecycle.rs`.
 
@@ -44,10 +46,9 @@ fn untrained_spec() -> ModelSpec {
     }
 }
 
-fn test_server(linger_ms: u64) -> Server {
+fn test_server() -> Server {
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),
-        linger: Duration::from_millis(linger_ms),
         max_batch: 32,
         // Tests in this binary run in parallel and contend for CPU; push
         // the degradation thresholds out of reach so exactness tests never
@@ -113,7 +114,7 @@ fn predictions_of(body: &Value) -> Vec<(u64, f32)> {
 
 #[test]
 fn concurrent_clients_get_batched_answers_identical_to_sequential() {
-    let server = test_server(100);
+    let server = test_server();
     let addr = server.addr();
     let t = {
         let (status, body) = request(addr, "GET", "/healthz", "");
@@ -180,7 +181,7 @@ fn concurrent_clients_get_batched_answers_identical_to_sequential() {
 
 #[test]
 fn rejects_malformed_requests_with_proper_statuses() {
-    let server = test_server(1);
+    let server = test_server();
     let addr = server.addr();
 
     let (status, _) = request(addr, "GET", "/nope", "");
@@ -224,7 +225,7 @@ fn rejects_malformed_requests_with_proper_statuses() {
 
 #[test]
 fn ingest_extends_horizon_invalidates_cache_and_changes_predictions() {
-    let server = test_server(1);
+    let server = test_server();
     let addr = server.addr();
     let horizon = {
         let (_, body) = request(addr, "GET", "/healthz", "");
@@ -279,7 +280,7 @@ fn ingest_extends_horizon_invalidates_cache_and_changes_predictions() {
 
 #[test]
 fn freshness_metrics_track_streaming_advance_and_online_adaptation() {
-    let server = test_server(1);
+    let server = test_server();
     let addr = server.addr();
     let horizon = {
         let (_, body) = request(addr, "GET", "/healthz", "");
@@ -377,123 +378,6 @@ fn serial_and_default_backends_rank_identically() {
 }
 
 #[test]
-fn graceful_shutdown_answers_requests_already_in_flight() {
-    let server = test_server(150);
-    let addr = server.addr();
-    let t = {
-        let (_, body) = request(addr, "GET", "/healthz", "");
-        json(&body).get("horizon").and_then(Value::as_u64).unwrap()
-    };
-
-    // A request that will still be lingering in the micro-batcher when the
-    // shutdown endpoint fires.
-    let client = std::thread::spawn(move || {
-        request(
-            addr,
-            "POST",
-            "/predict",
-            &format!(r#"{{"subject": 2, "relation": 1, "time": {t}}}"#),
-        )
-    });
-    std::thread::sleep(Duration::from_millis(40));
-    let (status, _) = request(addr, "POST", "/shutdown", "");
-    assert_eq!(status, 200);
-    server.run(); // returns once every thread is joined
-
-    let (status, body) = client.join().unwrap();
-    assert_eq!(status, 200, "in-flight request was dropped: {body}");
-    assert!(!predictions_of(&json(&body)).is_empty());
-}
-
-#[test]
-fn expired_deadline_is_shed_before_compute_and_admitted_work_stays_exact() {
-    // A long linger holds the batch open past the short deadline: the
-    // expired job must be answered 504 *without* reaching the model, while
-    // the patient job in the same batch is answered exactly as an unloaded
-    // server would. Degradation thresholds are pushed out of reach so the
-    // admitted answer is full-fidelity.
-    let cfg = ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        linger: Duration::from_millis(300),
-        brownout_sojourn: Duration::from_secs(10),
-        shed_sojourn: Duration::from_secs(60),
-        ..ServeConfig::default()
-    };
-    let server = Server::start(cfg, tiny_ds(), vec![untrained_spec()]).expect("start");
-    let addr = server.addr();
-    let t = {
-        let (_, body) = request(addr, "GET", "/healthz", "");
-        json(&body).get("horizon").and_then(Value::as_u64).unwrap() as usize
-    };
-
-    // The impatient client: 100ms budget against a 300ms linger.
-    let impatient = std::thread::spawn(move || {
-        request_full(
-            addr,
-            "POST",
-            "/predict",
-            &format!(r#"{{"subject": 0, "relation": 0, "time": {t}, "k": 5}}"#),
-            &[("X-LogCL-Deadline-Ms", "100")],
-        )
-    });
-    // The patient client joins the same (model, t) batch mid-linger.
-    std::thread::sleep(Duration::from_millis(40));
-    let patient = std::thread::spawn(move || {
-        request_full(
-            addr,
-            "POST",
-            "/predict",
-            &format!(r#"{{"subject": 1, "relation": 0, "time": {t}, "k": 5}}"#),
-            &[],
-        )
-    });
-
-    // The impatient client sees 504 either way the race falls: its handler
-    // times out at the 100ms deadline, or reads the batcher's shed answer.
-    // Either message names the deadline; the counters below prove the job
-    // never reached compute.
-    let (status, headers, body) = impatient.join().unwrap();
-    assert_eq!(status, 504, "{body}");
-    assert!(body.contains("deadline"), "{body}");
-    assert!(
-        header_of(&headers, "Retry-After").is_some(),
-        "shed responses must carry Retry-After: {headers:?}"
-    );
-    let (status, headers, body) = patient.join().unwrap();
-    assert_eq!(status, 200, "{body}");
-    assert_eq!(header_of(&headers, "X-LogCL-Degradation"), Some("normal"));
-    let v = json(&body);
-    assert_eq!(v.get("degraded").and_then(Value::as_bool), Some(false));
-
-    // Byte-identical to the unloaded path: same untrained config scored
-    // sequentially in-process.
-    let ds = tiny_ds();
-    let mut reference = LogCl::new(&ds, tiny_cfg());
-    let expected: Vec<(u64, f32)> = predict_topk_stream(&mut reference, &ds, 1, 0, 5)
-        .unwrap()
-        .into_iter()
-        .map(|p| (p.entity as u64, p.probability))
-        .collect();
-    assert_eq!(
-        predictions_of(&v),
-        expected,
-        "admitted request diverged from the unloaded answer"
-    );
-
-    // The shed happened in the queue, before compute, and the scrape says so.
-    let metrics = server.metrics();
-    assert_eq!(metrics.shed_before_compute.load(Ordering::Relaxed), 1);
-    assert_eq!(metrics.shed_deadline_queue.load(Ordering::Relaxed), 1);
-    let (_, text) = request(addr, "GET", "/metrics", "");
-    assert!(
-        text.contains("logcl_shed_total{reason=\"deadline_queue\"} 1"),
-        "{text}"
-    );
-    assert!(text.contains("logcl_shed_before_compute_total 1"), "{text}");
-    server.shutdown();
-}
-
-#[test]
 fn brownout_degrades_answers_and_names_the_tier() {
     // A zero brownout threshold pins the tier at (at least) Brownout from
     // the first observation: answers must be degraded — capped k, local-only
@@ -548,7 +432,7 @@ fn brownout_degrades_answers_and_names_the_tier() {
 
 #[test]
 fn deadline_header_is_validated_and_expired_budgets_never_queue() {
-    let server = test_server(1);
+    let server = test_server();
     let addr = server.addr();
 
     let (status, _, body) = request_full(
@@ -594,7 +478,7 @@ fn deadline_header_is_validated_and_expired_budgets_never_queue() {
 
 #[test]
 fn deadline_header_rejects_garbage_and_clamps_oversized_budgets() {
-    let server = test_server(1);
+    let server = test_server();
     let addr = server.addr();
 
     // Negative and u64-overflowing values are 400s naming the header —
@@ -639,46 +523,6 @@ fn deadline_header_rejects_garbage_and_clamps_oversized_budgets() {
     server.shutdown();
 }
 
-#[test]
-fn concurrency_shed_is_503_with_retry_after() {
-    // One predict slot and a long linger: while the first request holds
-    // the slot inside the batcher window, a second concurrent request must
-    // be shed at admission — 503 with Retry-After, counted as a
-    // concurrency shed — and the holder still answers 200.
-    let cfg = ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        linger: Duration::from_millis(300),
-        max_inflight_predict: 1,
-        brownout_sojourn: Duration::from_secs(10),
-        shed_sojourn: Duration::from_secs(60),
-        ..ServeConfig::default()
-    };
-    let server = Server::start(cfg, tiny_ds(), vec![untrained_spec()]).expect("start");
-    let addr = server.addr();
-
-    let holder = std::thread::spawn(move || {
-        request(addr, "POST", "/predict", r#"{"subject": 0, "relation": 0}"#)
-    });
-    std::thread::sleep(Duration::from_millis(80));
-    let (status, headers, body) = request_full(
-        addr,
-        "POST",
-        "/predict",
-        r#"{"subject": 1, "relation": 0}"#,
-        &[],
-    );
-    assert_eq!(status, 503, "{body}");
-    assert!(body.contains("in-flight"), "{body}");
-    assert!(
-        header_of(&headers, "Retry-After").is_some(),
-        "every 503 must carry Retry-After: {headers:?}"
-    );
-    let (status, body) = holder.join().unwrap();
-    assert_eq!(status, 200, "{body}");
-    assert_eq!(server.metrics().shed_concurrency.load(Ordering::Relaxed), 1);
-    server.shutdown();
-}
-
 /// `(entity, score_bits)` pairs from a `/predict` reply, in reply order.
 fn ranking_of(body: &Value) -> Vec<(usize, u32)> {
     body.get("predictions")
@@ -720,7 +564,6 @@ fn historical_and_head_answers_stay_exact_across_ingests_and_evictions() {
     const K: usize = 6;
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),
-        linger: Duration::from_millis(1),
         cache_capacity: CACHE_CAPACITY,
         // Exactness test: keep degradation out of reach (see `test_server`).
         brownout_sojourn: Duration::from_secs(10),
@@ -831,82 +674,5 @@ fn historical_and_head_answers_stay_exact_across_ingests_and_evictions() {
     assert_eq!(report.steps, 1);
     check(&ds, &mut twin, "after an online update");
 
-    server.shutdown();
-}
-
-/// Two kept-alive clients at two different historical timestamps keep two
-/// batch keys in flight at once — what `(model, t)` keying makes of any
-/// historical traffic. The linger is counted from each request's arrival,
-/// so the one set aside while the other's window runs has done its waiting
-/// by the time its batch opens: a round trip costs about one linger, not
-/// two, and the time spent set aside shows up as queue sojourn.
-#[test]
-fn two_keys_in_flight_pay_one_linger_each_and_the_sojourn_says_so() {
-    const ROUNDS: usize = 20;
-    const K: usize = 5;
-    let linger = Duration::from_millis(40);
-    let server = test_server(linger.as_millis() as u64);
-    let addr = server.addr();
-    let ds = tiny_ds();
-    let mut twin = LogCl::new(&ds, tiny_cfg());
-    let times = [ds.num_times - 2, ds.num_times - 5];
-
-    let barrier = Arc::new(Barrier::new(times.len()));
-    let clients: Vec<_> = times
-        .iter()
-        .map(|&t| {
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                let mut client = Client::new(addr, Duration::from_secs(120)).expect("connect");
-                let mut ask = |s: usize| {
-                    let body =
-                        format!(r#"{{"subject": {s}, "relation": 0, "time": {t}, "k": {K}}}"#);
-                    let started = std::time::Instant::now();
-                    let reply = client
-                        .send("POST", "/predict", &[], body.as_bytes())
-                        .expect("exchange");
-                    assert_eq!(reply.status, 200, "{}", reply.text());
-                    (started.elapsed(), json(&reply.text()))
-                };
-                // The cold encode of `t` is not what is being timed.
-                ask(0);
-                barrier.wait();
-                (0..ROUNDS).map(|i| ask(i % 7)).collect::<Vec<_>>()
-            })
-        })
-        .collect();
-
-    let mut trips = Vec::new();
-    for (client, &t) in clients.into_iter().zip(&times) {
-        for (i, (trip, reply)) in client.join().expect("client").into_iter().enumerate() {
-            let want: Vec<(usize, u32)> = predict_topk(&mut twin, &ds, i % 7, 0, t, K)
-                .expect("reference")
-                .iter()
-                .map(|p| (p.entity, p.score.to_bits()))
-                .collect();
-            assert_eq!(ranking_of(&reply), want, "subject {} at t = {t}", i % 7);
-            trips.push(trip);
-        }
-    }
-    trips.sort();
-    let median = trips[trips.len() / 2];
-    assert!(
-        median < linger * 3 / 2,
-        "median round trip {median:?} with two keys in flight: a request paid the linger twice"
-    );
-
-    let (_, metrics) = request(addr, "GET", "/metrics", "");
-    let series = |name: &str| -> f64 {
-        metrics
-            .lines()
-            .find_map(|l| l.strip_prefix(name)?.trim().parse().ok())
-            .unwrap_or_else(|| panic!("{name} missing from /metrics"))
-    };
-    let mean_sojourn =
-        series("logcl_queue_sojourn_seconds_sum ") / series("logcl_queue_sojourn_seconds_count ");
-    assert!(
-        mean_sojourn > linger.as_secs_f64() / 4.0,
-        "mean sojourn {mean_sojourn}s hides the time jobs sat set aside"
-    );
     server.shutdown();
 }

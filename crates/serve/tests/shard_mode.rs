@@ -42,7 +42,6 @@ fn spec() -> ModelSpec {
 fn boot(shard: Option<ShardSpec>) -> Server {
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),
-        linger: Duration::from_millis(0),
         shard,
         // Exactness test: keep degradation out of reach (see integration.rs).
         brownout_sojourn: Duration::from_secs(10),

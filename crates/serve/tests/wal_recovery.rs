@@ -56,7 +56,6 @@ fn scratch(name: &str) -> PathBuf {
 fn durable_server(dir: &Path, compact_every: u64) -> Server {
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),
-        linger: Duration::from_millis(1),
         brownout_sojourn: Duration::from_secs(10),
         shed_sojourn: Duration::from_secs(60),
         wal_dir: Some(dir.to_path_buf()),
