@@ -11,19 +11,28 @@
 //! 5xx, an unframeable reply, a timeout or an advertised close is dropped,
 //! never pooled, so a half-dead connection cannot poison a later request. A
 //! pooled socket the worker has closed meanwhile (idle timeout, restart) is
-//! replayed once on a fresh connection inside the same call — `Client`'s
-//! keep-alive lifecycle, not a failure: no health edge, no retry counted, and
-//! for `/ingest` the router's `X-LogCL-Ingest-Id` makes the replay a dedup.
-//! A dead socket fails at once, so the replay runs on what is left of the
-//! same budget; a *timeout* on a reused socket is the deadline speaking and
-//! is never replayed. [`request`] is the same exchange on a connection of
-//! its own, for the prober, whose job is to test the connect path.
+//! found before anything is written on it — a non-blocking peek when it
+//! leaves the pool — and dropped, so the hop goes out on a fresh connection
+//! at once. A close that lands after the write is replayed once on a fresh
+//! connection inside the same call. Both are `Client`'s keep-alive
+//! lifecycle, not a failure: no health edge, no retry counted, and for
+//! `/ingest` the router's `X-LogCL-Ingest-Id` makes a replay a dedup. A dead
+//! socket fails at once, so the replay runs on what is left of the same
+//! budget; a *timeout* on a reused socket is the deadline speaking and is
+//! never replayed. [`request`] is the same exchange on a connection of its
+//! own, for the prober, whose job is to test the connect path.
+//!
+//! An exchange comes in two halves, so the router can put every shard's
+//! request on the wire before it waits for any reply: [`Pool::write`] sends
+//! and returns a [`Hop`], [`Pool::read`] reads its reply (and is where the
+//! replay happens). [`Pool::write_idle`] is the write half that never
+//! connects. [`Pool::request`] is the two halves back to back.
 
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use logcl_serve::deadline::remaining_budget;
-use logcl_serve::http::{Client, ClientError, HttpError, Reply};
+use logcl_serve::http::{Client, ClientError, HttpError, Reply, Sent};
 
 /// Why an outbound hop failed — the retry-accounting taxonomy
 /// (`logcl_router_retries_total{reason=...}`).
@@ -97,11 +106,9 @@ fn open(addr: &str, deadline: Instant, connect_timeout: Duration) -> Result<Clie
     Ok(client)
 }
 
-/// One `method path` exchange on `client`, bounded by what is left of
-/// `deadline` (re-read here, after any handshake). Any 2xx–4xx response
-/// parses as `Ok` — HTTP-level failures below 500 are answers, not transport
-/// faults; 5xx maps to a retryable [`FailReason::Http`].
-fn exchange(
+/// The write half of one `method path` exchange on `client`, within what is
+/// left of `deadline` (re-read here, after any handshake).
+fn write_half(
     client: &mut Client,
     addr: &str,
     method: &str,
@@ -109,14 +116,31 @@ fn exchange(
     headers: &[(&str, &str)],
     body: &[u8],
     deadline: Instant,
-) -> Result<Reply, HopError> {
+) -> Result<Sent, HopError> {
     let budget = remaining_budget(deadline, Instant::now());
     if budget.is_zero() {
         return Err(HopError::timeout("deadline exhausted before the exchange"));
     }
     client.set_io_timeout(budget);
+    client
+        .write(method, path, headers, body)
+        .map_err(|e| HopError::from_client(addr, &e))
+}
+
+/// The read half: waits for the reply within what is left of `deadline`,
+/// floored at 1 ms — a reply that arrived in time is read even when the
+/// caller got to it late. Any 2xx–4xx response parses as `Ok` — HTTP-level
+/// failures below 500 are answers, not transport faults; 5xx maps to a
+/// retryable [`FailReason::Http`].
+fn read_half(
+    client: &mut Client,
+    addr: &str,
+    sent: Sent,
+    deadline: Instant,
+) -> Result<Reply, HopError> {
+    client.set_io_timeout(remaining_budget(deadline, Instant::now()).max(Duration::from_millis(1)));
     let reply = client
-        .send(method, path, headers, body)
+        .read(sent)
         .map_err(|e| HopError::from_client(addr, &e))?;
     if reply.status >= 500 {
         return Err(HopError {
@@ -140,7 +164,23 @@ pub fn request(
     connect_timeout: Duration,
 ) -> Result<Reply, HopError> {
     let mut client = open(addr, deadline, connect_timeout)?;
-    exchange(&mut client, addr, method, path, headers, body, deadline)
+    let sent = write_half(&mut client, addr, method, path, headers, body, deadline)?;
+    read_half(&mut client, addr, sent, deadline)
+}
+
+/// A hop whose request is on the wire and whose reply is still to be read
+/// ([`Pool::write`], then [`Pool::read`]).
+pub struct Hop {
+    client: Client,
+    sent: Sent,
+}
+
+impl Hop {
+    /// Whether the worker has begun to answer (or failed) within `timeout`,
+    /// floored at 1 ms; reads nothing out of the reply.
+    pub fn answered_within(&mut self, timeout: Duration) -> bool {
+        self.sent.answered_within(timeout)
+    }
 }
 
 /// Idle sockets a [`Pool`] keeps; a hop that finds it full on its way back
@@ -184,9 +224,15 @@ impl Pool {
         drop(closing);
     }
 
-    /// The most recently used idle connection, if any.
+    /// The most recently used idle connection the worker has not closed, if
+    /// any. The closed ones it finds on the way are dropped, after the lock.
     fn take(&self) -> Option<Client> {
-        self.lock_idle().pop()
+        loop {
+            let mut client = self.lock_idle().pop()?;
+            if client.is_open() {
+                return Some(client);
+            }
+        }
     }
 
     /// Keeps `client` for a later hop, or — at [`MAX_IDLE`] — lets it close
@@ -211,11 +257,55 @@ impl Pool {
         deadline: Instant,
         connect_timeout: Duration,
     ) -> Result<Reply, HopError> {
-        let mut client = match self.take() {
-            Some(client) => client,
-            None => open(&self.addr, deadline, connect_timeout)?.keep_alive(),
-        };
-        let reply = exchange(
+        let hop = self.write(method, path, headers, body, deadline, connect_timeout)?;
+        self.read(hop, deadline)
+    }
+
+    /// The write half of [`Pool::request`]: the request goes out and the
+    /// call returns without waiting for the worker.
+    pub fn write(
+        &self,
+        method: &str,
+        path: &str,
+        headers: &[(&str, &str)],
+        body: &[u8],
+        deadline: Instant,
+        connect_timeout: Duration,
+    ) -> Result<Hop, HopError> {
+        match self.write_idle(method, path, headers, body, deadline) {
+            Some(written) => written,
+            None => {
+                let client = open(&self.addr, deadline, connect_timeout)?.keep_alive();
+                self.write_on(client, method, path, headers, body, deadline)
+            }
+        }
+    }
+
+    /// [`Pool::write`] that never connects: `None` when no open connection
+    /// is idle, so the caller can put the connect — which may block for the
+    /// whole handshake timeout — where it holds up nobody.
+    pub fn write_idle(
+        &self,
+        method: &str,
+        path: &str,
+        headers: &[(&str, &str)],
+        body: &[u8],
+        deadline: Instant,
+    ) -> Option<Result<Hop, HopError>> {
+        let client = self.take()?;
+        Some(self.write_on(client, method, path, headers, body, deadline))
+    }
+
+    fn write_on(
+        &self,
+        mut client: Client,
+        method: &str,
+        path: &str,
+        headers: &[(&str, &str)],
+        body: &[u8],
+        deadline: Instant,
+    ) -> Result<Hop, HopError> {
+        let sent = write_half(
             &mut client,
             &self.addr,
             method,
@@ -224,6 +314,14 @@ impl Pool {
             body,
             deadline,
         )?;
+        Ok(Hop { client, sent })
+    }
+
+    /// The read half of [`Pool::request`]: the reply to `hop`, read within
+    /// what is left of `deadline` (floored at 1 ms).
+    pub fn read(&self, hop: Hop, deadline: Instant) -> Result<Reply, HopError> {
+        let Hop { mut client, sent } = hop;
+        let reply = read_half(&mut client, &self.addr, sent, deadline)?;
         if reply.keep_alive {
             self.put_back(client);
         }
@@ -482,6 +580,169 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.reason, FailReason::Timeout, "{}", err.detail);
         assert!(started.elapsed() < Duration::from_secs(2));
+        assert_eq!(pool.idle_count(), 0, "a timed-out socket is not pooled");
+        gave_up.send(()).unwrap();
+        assert!(!worker.join().unwrap(), "the timed-out hop was sent again");
+    }
+
+    // ------------------------------------------------------ the two halves
+
+    fn write_on(pool: &Pool, body: &[u8], deadline: Instant) -> Hop {
+        pool.write(
+            "POST",
+            "/predict",
+            &[],
+            body,
+            deadline,
+            Duration::from_millis(500),
+        )
+        .expect("write half")
+    }
+
+    /// Two hops written before either is read, their replies arriving in
+    /// the reverse order: reading the slow one first loses neither, and the
+    /// fast one's reply — already in its socket — is read even once the
+    /// deadline has passed (the read half's 1 ms floor).
+    #[test]
+    fn replies_arriving_in_reverse_order_are_both_read() {
+        /// Answers one request with `{"worker": name}`, running `hold`
+        /// before the answer and `then` after it.
+        fn one_reply(
+            name: &'static str,
+            hold: impl FnOnce() + Send + 'static,
+            then: impl FnOnce() + Send + 'static,
+        ) -> (Pool, std::thread::JoinHandle<Request>) {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let pool = Pool::new(listener.local_addr().unwrap().to_string());
+            let worker = std::thread::spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                let req = read_request(&mut stream).unwrap();
+                hold();
+                let reply = Response::json(200, format!("{{\"worker\":\"{name}\"}}"));
+                write_response(&mut stream, &reply, req.keep_alive).unwrap();
+                then();
+                req
+            });
+            (pool, worker)
+        }
+        let (fast_answered, after_fast) = mpsc::channel::<()>();
+        let (slow, slow_worker) = one_reply("slow", move || after_fast.recv().unwrap(), || {});
+        let (fast, fast_worker) = one_reply("fast", || {}, move || fast_answered.send(()).unwrap());
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let slow_hop = write_on(&slow, b"{\"to\":0}", deadline);
+        let fast_hop = write_on(&fast, b"{\"to\":1}", deadline);
+        let slow_reply = slow.read(slow_hop, deadline).unwrap();
+        let fast_reply = fast.read(fast_hop, Instant::now()).unwrap();
+        assert_eq!(slow_reply.text(), "{\"worker\":\"slow\"}");
+        assert_eq!(fast_reply.text(), "{\"worker\":\"fast\"}");
+        assert_eq!(slow_worker.join().unwrap().body, b"{\"to\":0}");
+        assert_eq!(fast_worker.join().unwrap().body, b"{\"to\":1}");
+        assert_eq!((slow.idle_count(), fast.idle_count()), (1, 1));
+    }
+
+    /// Pooled sockets their workers closed while idle (the workers' read
+    /// timeout, after a quiet spell) are found when they leave the pool,
+    /// before anything is written on them: two hops written back to back
+    /// both reach their workers before either reply is read, instead of the
+    /// second replay waiting behind the first one's read.
+    #[test]
+    fn closed_pooled_sockets_are_found_at_write_time_and_both_hops_go_out() {
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let (addr, closed, worker) = keeping_worker(vec![vec![true], vec![true]]);
+                let pool = Pool::new(addr);
+                hop_on(&pool, "POST", "/predict", b"{}").unwrap();
+                closed.recv().unwrap();
+                (pool, closed, worker)
+            })
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let hops: Vec<Hop> = workers
+            .iter()
+            .map(|(pool, ..)| {
+                let hop = write_on(pool, b"{}", deadline);
+                assert_eq!(pool.idle_count(), 0, "the dead socket was dropped");
+                hop
+            })
+            .collect();
+        // `closed` fires again once a worker has answered its second request
+        // and hung up: both have, and no reply has been read yet.
+        for (_, closed, _) in &workers {
+            closed.recv_timeout(Duration::from_secs(2)).unwrap();
+        }
+        for ((pool, _, worker), hop) in workers.into_iter().zip(hops) {
+            let reply = pool.read(hop, deadline).unwrap();
+            assert_eq!(reply.text(), "{\"n\":1}");
+            assert!(!reply.reused_connection, "written on a fresh connection");
+            let (seen, connected_again) = worker.join().unwrap();
+            assert_eq!(seen.len(), 2, "the dead socket carried nothing");
+            assert!(!connected_again);
+        }
+    }
+
+    /// A close that lands after the write — the worker read the request on
+    /// the reused socket, then hung up without an answer — is left to the
+    /// read half, which replays the request once on a fresh connection. The
+    /// caller sees one `Ok`, so the router counts no retry and moves no
+    /// health state.
+    #[test]
+    fn a_close_after_the_write_is_replayed_once_by_the_read_half() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let pool = Pool::new(listener.local_addr().unwrap().to_string());
+        let worker = std::thread::spawn(move || {
+            let answer = |stream: &mut TcpStream, n: usize| {
+                let req = read_request(stream).unwrap();
+                let resp = Response::json(200, format!("{{\"n\":{n}}}"));
+                write_response(stream, &resp, req.keep_alive).unwrap();
+            };
+            let (mut stream, _) = listener.accept().unwrap();
+            answer(&mut stream, 0);
+            read_request(&mut stream).unwrap(); // read, then hung up on
+            drop(stream);
+            let (mut stream, _) = listener.accept().unwrap();
+            answer(&mut stream, 1);
+            listener.set_nonblocking(true).unwrap();
+            listener.accept().is_ok()
+        });
+        hop_on(&pool, "POST", "/ingest", b"{}").unwrap();
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let hop = write_on(&pool, b"{}", deadline);
+        let reply = pool.read(hop, deadline).unwrap();
+        assert_eq!(reply.text(), "{\"n\":1}");
+        assert!(!reply.reused_connection, "answered on the replay's socket");
+        assert_eq!(pool.idle_count(), 1);
+        assert!(!worker.join().unwrap(), "replayed once, not twice");
+    }
+
+    /// The read half's timeout is the deadline speaking: no replay, and the
+    /// socket — which may yet carry the late reply — never goes back.
+    #[test]
+    fn a_read_half_timeout_is_not_replayed_and_its_socket_is_dropped() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let pool = Pool::new(listener.local_addr().unwrap().to_string());
+        let (gave_up, caller_gave_up) = mpsc::channel::<()>();
+        let worker = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let req = read_request(&mut stream).unwrap();
+            write_response(
+                &mut stream,
+                &Response::json(200, "{}".into()),
+                req.keep_alive,
+            )
+            .unwrap();
+            read_request(&mut stream).unwrap(); // read, never answered
+            caller_gave_up.recv().unwrap();
+            listener.set_nonblocking(true).unwrap();
+            listener.accept().is_ok()
+        });
+        hop_on(&pool, "POST", "/predict", b"{}").unwrap();
+        let hop = write_on(&pool, b"{}", Instant::now() + Duration::from_secs(2));
+        let started = Instant::now();
+        let err = pool
+            .read(hop, started + Duration::from_millis(80))
+            .unwrap_err();
+        assert_eq!(err.reason, FailReason::Timeout, "{}", err.detail);
+        assert!(started.elapsed() < Duration::from_secs(1));
         assert_eq!(pool.idle_count(), 0, "a timed-out socket is not pooled");
         gave_up.send(()).unwrap();
         assert!(!worker.join().unwrap(), "the timed-out hop was sent again");

@@ -21,7 +21,9 @@ use logcl_tensor::rng::splitmix64;
 pub enum FaultPoint {
     /// Outbound connects to one shard fail as refused.
     ConnectRefuse,
-    /// Outbound hops to one shard stall before the request is written.
+    /// Outbound hops to one shard are held back before the request is
+    /// written. The hold delays that shard's hop only: the router writes the
+    /// other shards' hops meanwhile and reads their replies after it.
     ShardStall,
     /// Active health probes are blackholed (fail without reaching the wire).
     ProbeBlackhole,
@@ -36,8 +38,9 @@ pub struct FaultPlan {
     /// Refuse every outbound connect to this shard index (simulates a
     /// worker whose port is gone — the kill -9 signature).
     pub connect_refuse_shard: Option<usize>,
-    /// Stall outbound hops to this shard (simulates a live-but-wedged
-    /// worker that accepts and then goes quiet).
+    /// Hold back outbound hops to this shard (simulates a live-but-wedged
+    /// worker that accepts and then goes quiet); only this shard's hop
+    /// waits, never the other shards' hops of the same scatter.
     pub stall_shard: Option<usize>,
     /// Base stall duration for [`FaultPlan::stall_shard`], jittered 1–3×.
     pub stall: Option<Duration>,

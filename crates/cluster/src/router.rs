@@ -25,6 +25,14 @@
 //! back by an active prober or by passive success); remaining-deadline
 //! propagation via `X-LogCL-Deadline-Ms` on every hop; optional tail-latency
 //! hedging for predict.
+//!
+//! A fan-out runs on the connection thread that read the request, and a
+//! healthy one spawns nothing: every hop is written on an idle kept-alive
+//! connection before any reply is read, then the replies are read in order
+//! (`fan_out`). Only a hop that would otherwise wait on something besides
+//! its own reply leaves that thread for one of its own — a connect (no idle
+//! connection), the fault seam's stall, a failed first attempt's retries, a
+//! hedge that fires — so one such hop never delays the others.
 
 use std::io::ErrorKind;
 use std::net::SocketAddr;
@@ -33,6 +41,7 @@ use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use logcl_serve::answer::{self, Object};
 use logcl_serve::deadline::{self, expired, remaining_budget, remaining_ms, DEADLINE_HEADER};
 use logcl_serve::http::{Reply, Request, Response};
 use logcl_serve::listener::{Inbound, Listener, ListenerConfig};
@@ -43,7 +52,7 @@ use serde_json::{json, Value};
 use crate::client::{self, FailReason, HopError};
 use crate::config::RouterConfig;
 use crate::health::{WorkerHealth, WorkerState};
-use crate::merge::{self, ShardReply};
+use crate::merge::{self, MergedAnswer, ShardReply};
 use crate::metrics::RouterMetrics;
 
 /// One worker process: a replica of one entity shard.
@@ -263,79 +272,206 @@ fn injected_probe_blackhole() -> bool {
 }
 
 #[cfg(feature = "fault-inject")]
-fn injected_hop_fault(
-    ctx: &RouterCtx,
-    shard: usize,
-    attempt_no: u64,
-    deadline: Instant,
-) -> Option<HopError> {
+fn injected_hop_fault(shard: usize, attempt_no: u64) -> Result<Option<Duration>, HopError> {
     if crate::fault::connect_refused(shard) {
-        return Some(HopError {
+        return Err(HopError {
             reason: FailReason::Connect,
             detail: "injected connect refusal".into(),
         });
     }
-    if let Some(stall) = crate::fault::shard_stall(shard, attempt_no) {
-        thread::sleep(stall.min(remaining_budget(deadline, Instant::now())));
-    }
-    let _ = ctx;
-    None
+    Ok(crate::fault::shard_stall(shard, attempt_no))
 }
 
 #[cfg(not(feature = "fault-inject"))]
-fn injected_hop_fault(
-    _ctx: &RouterCtx,
-    _shard: usize,
-    _attempt_no: u64,
-    _deadline: Instant,
-) -> Option<HopError> {
-    None
+fn injected_hop_fault(_shard: usize, _attempt_no: u64) -> Result<Option<Duration>, HopError> {
+    Ok(None)
 }
 
 // ------------------------------------------------------------ outbound hops
 
-/// One attempt against one worker. Propagates the *remaining* deadline
-/// budget (never the client's original figure) as `X-LogCL-Deadline-Ms`,
-/// and feeds the outcome into the worker's health machine.
-#[allow(clippy::too_many_arguments)]
-fn attempt_once(
+/// What every attempt of one fan-out sends, and by when.
+#[derive(Clone, Copy)]
+struct Outbound<'a> {
+    path: &'static str,
+    /// `/ingest`'s `X-LogCL-Ingest-Id`, one for the whole fan-out.
+    ingest_id: Option<&'a str>,
+    body: &'a [u8],
+    deadline: Instant,
+}
+
+/// An [`Outbound`] a thread can own.
+#[derive(Clone)]
+struct OwnedOutbound {
+    path: &'static str,
+    ingest_id: Option<String>,
+    body: Vec<u8>,
+    deadline: Instant,
+}
+
+impl OwnedOutbound {
+    fn of(out: Outbound<'_>) -> Self {
+        Self {
+            path: out.path,
+            ingest_id: out.ingest_id.map(str::to_string),
+            body: out.body.to_vec(),
+            deadline: out.deadline,
+        }
+    }
+
+    fn view(&self) -> Outbound<'_> {
+        Outbound {
+            path: self.path,
+            ingest_id: self.ingest_id.as_deref(),
+            body: &self.body,
+            deadline: self.deadline,
+        }
+    }
+}
+
+/// One hop of a fan-out: its shard, the replicas its attempts walk, and how
+/// many attempts it gets.
+#[derive(Clone)]
+struct Plan {
+    shard: usize,
+    order: Vec<usize>,
+    attempts: usize,
+}
+
+/// One attempt whose request is on the wire.
+struct Attempt {
+    replica: usize,
+    /// When the write began: a hedge fires `hedge_after` from here, and the
+    /// shard's latency runs from here to the end of the read.
+    at: Instant,
+    hop: client::Hop,
+}
+
+/// Where a hop handed off the connection thread picks up.
+// A few per fan-out, moved once: not worth a box.
+#[allow(clippy::large_enum_variant)]
+enum Resume {
+    /// Nothing written yet: the worker had no idle connection (a connect
+    /// may block), or the fault seam holds the hop back by this stall.
+    Start(Option<Duration>),
+    /// The first attempt is on the wire and its hedge is due.
+    Race(Attempt),
+    /// The first attempt failed.
+    Retry(HopError),
+}
+
+/// The fault seams of one attempt (`fault-inject` only): an injected
+/// refusal is the worker's failure, `Some` a stall to hold the hop back by.
+fn seam(ctx: &RouterCtx, shard: usize, replica: usize) -> Result<Option<Duration>, HopError> {
+    let attempt_no = ctx.attempt_seq.fetch_add(1, Ordering::AcqRel);
+    injected_hop_fault(shard, attempt_no).inspect_err(|_| {
+        ctx.shards[shard][replica]
+            .health
+            .note_failure(ctx.cfg.down_after)
+    })
+}
+
+/// When a hop the fault seam stalls may go out: `stall` from now, never past
+/// the deadline (now, with no stall).
+fn held_until(stall: Option<Duration>, deadline: Instant) -> Instant {
+    (Instant::now() + stall.unwrap_or_default()).min(deadline)
+}
+
+fn sleep_until(instant: Instant) {
+    thread::sleep(instant.saturating_duration_since(Instant::now()));
+}
+
+/// Puts one request on the wire, propagating the *remaining* deadline budget
+/// (never the client's original figure) as `X-LogCL-Deadline-Ms`: on an idle
+/// connection to the worker or — `may_connect` — on a new one when none is
+/// idle. `None`: none was idle, and connecting was not allowed.
+fn write(
     ctx: &RouterCtx,
     shard: usize,
-    replica: &Replica,
-    method: &str,
-    path: &str,
-    extra: &[(&str, &str)],
-    body: &[u8],
-    deadline: Instant,
-    attempt_no: u64,
-) -> Result<Reply, HopError> {
-    if let Some(err) = injected_hop_fault(ctx, shard, attempt_no, deadline) {
-        replica.health.note_failure(ctx.cfg.down_after);
-        return Err(err);
+    replica: usize,
+    out: Outbound<'_>,
+    may_connect: bool,
+) -> Option<Result<Attempt, HopError>> {
+    let worker = &ctx.shards[shard][replica];
+    let ms = remaining_ms(out.deadline, Instant::now()).to_string();
+    let mut headers = Vec::with_capacity(2);
+    if let Some(id) = out.ingest_id {
+        headers.push(("X-LogCL-Ingest-Id", id));
     }
-    let ms = remaining_ms(deadline, Instant::now()).to_string();
-    let mut headers = extra.to_vec();
-    headers.push((DEADLINE_HEADER, &ms));
-    let hop_start = Instant::now();
-    match replica.pool.request(
-        method,
-        path,
-        &headers,
-        body,
-        deadline,
-        ctx.cfg.connect_timeout,
-    ) {
+    headers.push((DEADLINE_HEADER, ms.as_str()));
+    let at = Instant::now();
+    let (path, body, deadline) = (out.path, out.body, out.deadline);
+    let written = if may_connect {
+        worker.pool.write(
+            "POST",
+            path,
+            &headers,
+            body,
+            deadline,
+            ctx.cfg.connect_timeout,
+        )
+    } else {
+        worker
+            .pool
+            .write_idle("POST", path, &headers, body, deadline)?
+    };
+    Some(match written {
+        Ok(hop) => Ok(Attempt { replica, at, hop }),
+        Err(e) => {
+            worker.health.note_failure(ctx.cfg.down_after);
+            Err(e)
+        }
+    })
+}
+
+/// [`write`] off the connection thread, where a connect may block.
+fn connect_and_write(
+    ctx: &RouterCtx,
+    shard: usize,
+    replica: usize,
+    out: Outbound<'_>,
+) -> Result<Attempt, HopError> {
+    write(ctx, shard, replica, out, true)
+        // logcl-allow(L002): a write that may connect always writes or fails; `None` is only "none idle, may not connect"
+        .unwrap_or_else(|| unreachable!("a write that may connect returned no outcome"))
+}
+
+/// The read half of one attempt: reads the reply within what is left of the
+/// deadline, floored at 1 ms, so a reply that arrived in time is read even
+/// behind a slower shard that was read first. Feeds the outcome into the
+/// worker's health machine and, from the write to the end of the read, the
+/// shard's latency.
+fn finish(
+    ctx: &RouterCtx,
+    shard: usize,
+    attempt: Attempt,
+    out: Outbound<'_>,
+) -> Result<Reply, HopError> {
+    let worker = &ctx.shards[shard][attempt.replica];
+    match worker.pool.read(attempt.hop, out.deadline) {
         Ok(resp) => {
-            replica.health.note_success();
+            worker.health.note_success();
             ctx.metrics.count_hop_connection(resp.reused_connection);
-            ctx.metrics.shard_latency[shard].observe(hop_start.elapsed().as_secs_f64());
+            ctx.metrics.shard_latency[shard].observe(attempt.at.elapsed().as_secs_f64());
             Ok(resp)
         }
         Err(e) => {
-            replica.health.note_failure(ctx.cfg.down_after);
+            worker.health.note_failure(ctx.cfg.down_after);
             Err(e)
         }
     }
+}
+
+/// One whole attempt off the connection thread: the fault seams (a stall is
+/// slept here), the write — connecting if need be — and the read.
+fn attempt_once(
+    ctx: &RouterCtx,
+    shard: usize,
+    replica: usize,
+    out: Outbound<'_>,
+) -> Result<Reply, HopError> {
+    sleep_until(held_until(seam(ctx, shard, replica)?, out.deadline));
+    let attempt = connect_and_write(ctx, shard, replica, out)?;
+    finish(ctx, shard, attempt, out)
 }
 
 /// Jittered exponential backoff before retry `attempt + 1`, bounded by the
@@ -357,142 +493,297 @@ fn backoff(ctx: &RouterCtx, attempt: usize, deadline: Instant) {
     }
 }
 
-/// Replica preference order for a scatter attempt: healthiest first, stable
-/// by index among equals.
-fn replica_order(group: &[Replica]) -> Vec<usize> {
+/// A predict scatter's plan for one shard: replicas healthiest first (stable
+/// by index among equals), and how many attempts it gets. A shard whose
+/// every replica is Down gets exactly one probe-like attempt — cheap enough
+/// to keep paying, and the only passive recovery signal there is.
+fn shard_plan(ctx: &RouterCtx, shard: usize) -> Plan {
+    let group = &ctx.shards[shard];
     let mut order: Vec<usize> = (0..group.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(group[i].health.state() as u8));
-    order
-}
-
-/// Calls one shard with the full failover policy: bounded retries, each
-/// against the next-preferred replica, jittered backoff between attempts,
-/// and (for predict) one hedged attempt when the first is slow. A shard
-/// whose every replica is Down gets exactly one probe-like attempt — cheap
-/// enough to keep paying, and the only passive recovery signal there is.
-fn call_shard(
-    ctx: &Arc<RouterCtx>,
-    shard: usize,
-    path: &str,
-    extra: &[(&str, &str)],
-    body: &[u8],
-    deadline: Instant,
-    hedge: bool,
-) -> Result<Reply, HopError> {
-    let group = &ctx.shards[shard];
-    let order = replica_order(group);
     let all_down = group.iter().all(|r| r.health.state() == WorkerState::Down);
     let attempts = if all_down {
         1
     } else {
         1 + ctx.cfg.retries as usize
     };
-    let mut last: Option<HopError> = None;
-    for attempt in 0..attempts {
-        if expired(deadline, Instant::now()) {
-            break;
+    Plan {
+        shard,
+        order,
+        attempts,
+    }
+}
+
+/// The first attempt's write half, on the connection thread: the fault
+/// seams, then the request on an idle connection. Nothing here waits: `Err`
+/// is where the hop picks up once it is handed off.
+// `Resume` is large only for `Race`, which `begin` never returns.
+#[allow(clippy::result_large_err)]
+fn begin(ctx: &RouterCtx, plan: &Plan, out: Outbound<'_>) -> Result<Attempt, Resume> {
+    let replica = plan.order[0];
+    match seam(ctx, plan.shard, replica) {
+        Err(e) => Err(Resume::Retry(e)),
+        Ok(Some(stall)) => Err(Resume::Start(Some(stall))),
+        Ok(None) => match write(ctx, plan.shard, replica, out, false) {
+            None => Err(Resume::Start(None)),
+            Some(written) => written.map_err(Resume::Retry),
+        },
+    }
+}
+
+/// When an attempt's hedge is due: `hedge_after` from when it began, never
+/// past the deadline.
+fn hedge_due(began: Instant, hedge_after: Option<Duration>, deadline: Instant) -> Option<Instant> {
+    hedge_after.map(|after| (began + after).min(deadline))
+}
+
+/// Whether the hop's reply has begun (or the worker hung up) by `due`,
+/// waiting until then at most.
+fn answered_by(hop: &mut client::Hop, due: Instant) -> bool {
+    hop.answered_within(due.saturating_duration_since(Instant::now()))
+}
+
+/// The first attempt of a hop handed off before anything was written: the
+/// stall the fault seam asked for, the write (connecting if need be) and the
+/// read, hedged given `hedge_after`. The hedge is due from here — a stall or
+/// a connect is part of the wait it cuts short — so a hop held past it is
+/// raced while it is still held.
+fn first_attempt(
+    ctx: &Arc<RouterCtx>,
+    plan: &Plan,
+    out: Outbound<'_>,
+    stall: Option<Duration>,
+    hedge_after: Option<Duration>,
+) -> Result<Reply, HopError> {
+    let due = hedge_due(Instant::now(), hedge_after, out.deadline);
+    let held = held_until(stall, out.deadline);
+    let (shard, replica) = (plan.shard, plan.order[0]);
+    if let Some(due) = due.filter(|&due| held > due) {
+        sleep_until(due);
+        return race(ctx, plan, out, move |ctx, out| {
+            sleep_until(held);
+            let primary = connect_and_write(ctx, shard, replica, out)?;
+            finish(ctx, shard, primary, out)
+        });
+    }
+    sleep_until(held);
+    let mut primary = connect_and_write(ctx, shard, replica, out)?;
+    match due {
+        Some(due) if !answered_by(&mut primary.hop, due) => {
+            race(ctx, plan, out, move |ctx, out| {
+                finish(ctx, shard, primary, out)
+            })
         }
-        let replica_idx = order[attempt % order.len()];
-        let result = if hedge && attempt == 0 && ctx.cfg.hedge_after.is_some() {
-            hedged_attempt(
-                ctx,
-                shard,
-                replica_idx,
-                order[1 % order.len()],
-                path,
-                body,
-                deadline,
-            )
-        } else {
-            attempt_once(
-                ctx,
-                shard,
-                &group[replica_idx],
-                "POST",
-                path,
-                extra,
-                body,
-                deadline,
-                ctx.attempt_seq.fetch_add(1, Ordering::AcqRel),
-            )
-        };
-        match result {
+        _ => finish(ctx, shard, primary, out),
+    }
+}
+
+/// The rest of a hop handed off the connection thread, from `from`, with the
+/// full failover policy: bounded retries, each against the next replica in
+/// the plan's order, jittered backoff between attempts, and — given
+/// `hedge_after` — a hedged race when the first attempt is slow.
+fn resume(
+    ctx: &Arc<RouterCtx>,
+    plan: &Plan,
+    out: Outbound<'_>,
+    from: Resume,
+    hedge_after: Option<Duration>,
+) -> Result<Reply, HopError> {
+    let shard = plan.shard;
+    let mut result = match from {
+        Resume::Start(stall) => first_attempt(ctx, plan, out, stall, hedge_after),
+        Resume::Race(primary) => race(ctx, plan, out, move |ctx, out| {
+            finish(ctx, shard, primary, out)
+        }),
+        Resume::Retry(e) => Err(e),
+    };
+    for attempt in 1..plan.attempts {
+        let e = match result {
             Ok(resp) => return Ok(resp),
-            Err(e) => {
-                if attempt + 1 < attempts {
-                    ctx.metrics.count_retry(e.reason);
-                    backoff(ctx, attempt, deadline);
-                }
-                last = Some(e);
-            }
+            Err(e) => e,
+        };
+        ctx.metrics.count_retry(e.reason);
+        backoff(ctx, attempt - 1, out.deadline);
+        if expired(out.deadline, Instant::now()) {
+            return Err(e);
+        }
+        result = attempt_once(ctx, plan.shard, plan.order[attempt % plan.order.len()], out);
+    }
+    result
+}
+
+/// A fired hedge: a second attempt — the next-preferred replica, or a second
+/// connection to the same one in a single-replica shard, pooled or new,
+/// never queued behind the primary's — races the `primary` (the rest of the
+/// first attempt, usually its read), each on a thread of its own, and the
+/// first answer wins. Losers run to completion detached; their sends into
+/// the dropped channel are ignored. A thread the OS refuses is done without,
+/// and the primary is awaited alone.
+fn race(
+    ctx: &Arc<RouterCtx>,
+    plan: &Plan,
+    out: Outbound<'_>,
+    primary: impl FnOnce(&RouterCtx, Outbound<'_>) -> Result<Reply, HopError> + Send + 'static,
+) -> Result<Reply, HopError> {
+    ctx.metrics.hedges.fetch_add(1, Ordering::Relaxed);
+    let (shard, secondary) = (plan.shard, plan.order[1 % plan.order.len()]);
+    let (tx, rx) = mpsc::channel();
+    let owned = OwnedOutbound::of(out);
+    let reader = (Arc::clone(ctx), primary, owned.clone(), tx.clone());
+    if let Err((_, primary, ..)) = spawn_with(reader, move |(ctx, primary, out, tx)| {
+        let _ = tx.send(primary(&ctx, out.view()));
+    }) {
+        return primary(ctx, out);
+    }
+    // Refused, this leaves the primary alone on the channel, which closes
+    // after its one result.
+    let _ = spawn_with((Arc::clone(ctx), owned, tx), move |(ctx, out, tx)| {
+        let _ = tx.send(attempt_once(&ctx, shard, secondary, out.view()));
+    });
+    let mut last: Option<HopError> = None;
+    for _ in 0..2 {
+        let wait = remaining_budget(out.deadline, Instant::now()).max(Duration::from_millis(1));
+        match rx.recv_timeout(wait) {
+            Ok(Ok(resp)) => return Ok(resp),
+            Ok(Err(e)) => last = Some(e),
+            Err(_) => break,
         }
     }
     Err(last.unwrap_or(HopError {
         reason: FailReason::Timeout,
-        detail: "deadline exhausted before any attempt".into(),
+        detail: format!("shard {shard}: no attempt answered within the deadline"),
     }))
 }
 
-/// The hedged first attempt for predict: launch against the preferred
-/// replica, and if nothing comes back within `hedge_after`, launch a second
-/// attempt (next-preferred replica — or a second connection to the same one
-/// in a single-replica shard, pooled or new, never queued behind the
-/// primary's) and take whichever answers first. Losers run
-/// to completion on detached threads; their sends into the dropped channel
-/// are ignored.
-fn hedged_attempt(
-    ctx: &Arc<RouterCtx>,
-    shard: usize,
-    primary: usize,
-    secondary: usize,
-    path: &str,
-    body: &[u8],
-    deadline: Instant,
-) -> Result<Reply, HopError> {
-    let hedge_after = ctx.cfg.hedge_after.unwrap_or_default();
-    let (tx, rx) = mpsc::channel();
-    let launch = |replica_idx: usize, tx: mpsc::Sender<Result<Reply, HopError>>| {
-        let ctx = Arc::clone(ctx);
-        let path = path.to_string();
-        let body = body.to_vec();
-        let n = ctx.attempt_seq.fetch_add(1, Ordering::AcqRel);
-        thread::spawn(move || {
-            let result = attempt_once(
-                &ctx,
-                shard,
-                &ctx.shards[shard][replica_idx],
-                "POST",
-                &path,
-                &[],
-                &body,
-                deadline,
-                n,
-            );
-            let _ = tx.send(result);
-        });
-    };
-    launch(primary, tx.clone());
-    let first_wait = hedge_after.min(remaining_budget(deadline, Instant::now()));
-    match rx.recv_timeout(first_wait) {
-        Ok(result) => result, // fast answer (or fast failure → outer retry loop)
-        Err(_) => {
-            ctx.metrics.hedges.fetch_add(1, Ordering::Relaxed);
-            launch(secondary, tx);
-            let mut last: Option<HopError> = None;
-            for _ in 0..2 {
-                let wait = remaining_budget(deadline, Instant::now()).max(Duration::from_millis(1));
-                match rx.recv_timeout(wait) {
-                    Ok(Ok(resp)) => return Ok(resp),
-                    Ok(Err(e)) => last = Some(e),
-                    Err(_) => break,
-                }
+/// Runs `job(work)` on a thread of its own. When the OS refuses the thread,
+/// `work` comes back instead of a panic.
+fn spawn_with<W: Send + 'static>(work: W, job: impl FnOnce(W) + Send + 'static) -> Result<(), W> {
+    // The work crosses over once the thread exists, so a refusal keeps it.
+    let (hand_over, handed) = mpsc::channel();
+    let spawned = thread::Builder::new()
+        .name("logcl-router-hop".into())
+        .spawn(move || {
+            if let Ok(work) = handed.recv() {
+                job(work);
             }
-            Err(last.unwrap_or(HopError {
-                reason: FailReason::Timeout,
-                detail: format!("shard {shard}: no attempt answered within the deadline"),
-            }))
+        });
+    match spawned {
+        Ok(_) => {
+            let _ = hand_over.send(work);
+            Ok(())
+        }
+        Err(_) => Err(work),
+    }
+}
+
+/// A hop's outcome as it comes back from the thread it was handed to.
+type Outcome = (usize, Result<Reply, HopError>);
+
+/// The hops of one fan-out handed off the connection thread, and the channel
+/// their outcomes come back on — opened at the first hand-off, so a fan-out
+/// that hands none off opens none.
+#[derive(Default)]
+struct Away {
+    count: usize,
+    channel: Option<(mpsc::Sender<Outcome>, mpsc::Receiver<Outcome>)>,
+}
+
+impl Away {
+    /// Hands the hop in `slot` off from `from`. `Some` when it settled right
+    /// here instead: a failure with no attempt left, or a thread the OS
+    /// refused — the rest of the hop then runs on this thread.
+    fn hand_off(
+        &mut self,
+        ctx: &Arc<RouterCtx>,
+        slot: usize,
+        plan: &Plan,
+        out: Outbound<'_>,
+        from: Resume,
+        hedge_after: Option<Duration>,
+    ) -> Option<Result<Reply, HopError>> {
+        let from = match from {
+            Resume::Retry(e) if plan.attempts == 1 => return Some(Err(e)),
+            from => from,
+        };
+        let tx = self.channel.get_or_insert_with(mpsc::channel).0.clone();
+        let work = (Arc::clone(ctx), plan.clone(), OwnedOutbound::of(out), from);
+        match spawn_with(work, move |(ctx, plan, out, from)| {
+            let _ = tx.send((slot, resume(&ctx, &plan, out.view(), from, hedge_after)));
+        }) {
+            Ok(()) => {
+                self.count += 1;
+                None
+            }
+            Err((_, _, _, from)) => Some(resume(ctx, plan, out, from, hedge_after)),
         }
     }
+
+    /// Collects the handed-off hops' outcomes into `outcomes` until all are
+    /// in or the deadline has passed (waiting at least 1 ms); a hop still
+    /// out then stays out of the answer.
+    fn gather(self, outcomes: &mut [Option<Result<Reply, HopError>>], deadline: Instant) {
+        let Some((tx, rx)) = self.channel else {
+            return;
+        };
+        drop(tx);
+        for _ in 0..self.count {
+            let wait = remaining_budget(deadline, Instant::now()).max(Duration::from_millis(1));
+            match rx.recv_timeout(wait) {
+                Ok((slot, result)) => outcomes[slot] = Some(result),
+                Err(_) => break,
+            }
+        }
+    }
+}
+
+/// Sends `out` along every plan and returns each hop's outcome, in plan
+/// order. Every first attempt that finds an idle connection is written
+/// before any reply is read, so the workers compute side by side, and the
+/// replies are read here in plan order. A hop that would otherwise wait on
+/// something besides its own reply — a connect (no idle connection), the
+/// fault seam's stall, a failed first attempt's retries, a due hedge — is
+/// handed to a thread of its own, and gathered until the deadline.
+fn fan_out(
+    ctx: &Arc<RouterCtx>,
+    plans: &[Plan],
+    out: Outbound<'_>,
+    hedge_after: Option<Duration>,
+) -> Vec<Result<Reply, HopError>> {
+    let mut outcomes: Vec<Option<Result<Reply, HopError>>> = plans.iter().map(|_| None).collect();
+    let mut away = Away::default();
+    let mut written = Vec::with_capacity(plans.len());
+    for (slot, plan) in plans.iter().enumerate() {
+        match begin(ctx, plan, out) {
+            Ok(attempt) => written.push((slot, attempt)),
+            Err(from) => outcomes[slot] = away.hand_off(ctx, slot, plan, out, from, hedge_after),
+        }
+    }
+    for (slot, mut attempt) in written {
+        let plan = &plans[slot];
+        let from = match hedge_due(attempt.at, hedge_after, out.deadline) {
+            Some(due) if !answered_by(&mut attempt.hop, due) => Resume::Race(attempt),
+            _ => match finish(ctx, plan.shard, attempt, out) {
+                Ok(resp) => {
+                    outcomes[slot] = Some(Ok(resp));
+                    continue;
+                }
+                Err(e) => Resume::Retry(e),
+            },
+        };
+        outcomes[slot] = away.hand_off(ctx, slot, plan, out, from, hedge_after);
+    }
+    away.gather(&mut outcomes, out.deadline);
+    outcomes
+        .into_iter()
+        .map(|outcome| {
+            outcome.unwrap_or_else(|| {
+                Err(HopError {
+                    reason: FailReason::Timeout,
+                    detail: "no answer within the deadline".into(),
+                })
+            })
+        })
+        .collect()
 }
 
 // ----------------------------------------------------------------- routing
@@ -605,33 +896,21 @@ fn predict(ctx: &Arc<RouterCtx>, req: &Request, started: Instant) -> Response {
         .map(|v| v as usize)
         .unwrap_or(ctx.cfg.default_k);
 
-    // Scatter: one thread per shard, each running the full failover policy.
+    // Scatter to every shard, each hop with the full failover policy. Shards
+    // that miss the deadline simply don't make it into the answer
+    // (partial-result degradation).
     let total = ctx.shards.len();
-    let (tx, rx) = mpsc::channel();
-    for shard in 0..total {
-        let ctx = Arc::clone(ctx);
-        let tx = tx.clone();
-        let body = req.body.clone();
-        thread::spawn(move || {
-            let result = call_shard(&ctx, shard, "/predict", &[], &body, deadline, true);
-            let _ = tx.send((shard, result));
-        });
-    }
-    drop(tx);
-
-    // Gather until every shard reported or the deadline passed; stragglers
-    // simply don't make it into the answer (partial-result degradation).
+    let out = Outbound {
+        path: "/predict",
+        ingest_id: None,
+        body: &req.body,
+        deadline,
+    };
+    let plans: Vec<Plan> = (0..total).map(|shard| shard_plan(ctx, shard)).collect();
     let mut replies: Vec<ShardReply> = Vec::with_capacity(total);
     let mut fatal: Option<Reply> = None;
-    let mut heard = 0usize;
-    while heard < total {
-        let wait = remaining_budget(deadline, Instant::now()).max(Duration::from_millis(1));
-        let (_, result) = match rx.recv_timeout(wait) {
-            Ok(item) => item,
-            Err(_) => break,
-        };
-        heard += 1;
-        match result {
+    for outcome in fan_out(ctx, &plans, out, ctx.cfg.hedge_after) {
+        match outcome {
             Ok(resp) if resp.status == 200 => {
                 // A 200 with an unintelligible body is a failed shard, not
                 // a guessable one.
@@ -652,10 +931,12 @@ fn predict(ctx: &Arc<RouterCtx>, req: &Request, started: Instant) -> Response {
         if let Some(f) = fatal {
             return Response::json(f.status, f.text());
         }
-        return Response::json(
-            503,
-            json!({ "error": "no worker shard available", "coverage": 0.0 }).to_string(),
-        );
+        let mut body = String::new();
+        Object::open(&mut body)
+            .float("coverage", 0.0)
+            .str("error", "no worker shard available")
+            .close();
+        return Response::json(503, body);
     }
 
     let merged = merge::merge_replies(&replies, k, total);
@@ -665,27 +946,6 @@ fn predict(ctx: &Arc<RouterCtx>, req: &Request, started: Instant) -> Response {
             .partial_responses
             .fetch_add(1, Ordering::Relaxed);
     }
-    let predictions: Vec<Value> = merged
-        .predictions
-        .iter()
-        .map(|p| {
-            json!({
-                "entity": p.entity,
-                "name": p.name,
-                "probability": p.probability,
-                "score": p.score,
-                "score_bits": p.score.to_bits(),
-            })
-        })
-        .collect();
-    let shard_summary = json!({ "answered": merged.answered, "total": total });
-    let body = json!({
-        "predictions": predictions,
-        "degraded": partial || merged.shard_degraded,
-        "coverage": merged.coverage,
-        "cache_hit": merged.all_cache_hits,
-        "shards": shard_summary,
-    });
     let tier = if partial {
         "partial"
     } else if merged.shard_degraded {
@@ -693,12 +953,38 @@ fn predict(ctx: &Arc<RouterCtx>, req: &Request, started: Instant) -> Response {
     } else {
         "normal"
     };
-    let mut resp = Response::json(200, body.to_string()).with_header("X-LogCL-Degradation", tier);
+    let body = merged_body(&merged, partial || merged.shard_degraded, total);
+    let mut resp = Response::json(200, body).with_header("X-LogCL-Degradation", tier);
     if partial {
         // A partial answer is worth retrying for a full one.
         resp = resp.with_header("Retry-After", ctx.cfg.retry_after_secs.to_string());
     }
     resp
+}
+
+/// The merged answer's text, written straight into its bytes
+/// ([`logcl_serve::answer`]).
+fn merged_body(merged: &MergedAnswer, degraded: bool, total: usize) -> String {
+    let mut text = String::with_capacity(128 + 112 * merged.predictions.len());
+    Object::open(&mut text)
+        .bool("cache_hit", merged.all_cache_hits)
+        .float("coverage", merged.coverage)
+        .bool("degraded", degraded)
+        .field("predictions", |out| {
+            answer::array(out, &merged.predictions, |out, p| {
+                answer::prediction(out, p.entity, &p.name, p.probability, p.score)
+            })
+        })
+        .field("shards", |out| {
+            Object::open(out)
+                .field("answered", |out| {
+                    answer::array(out, &merged.answered, |out, &i| answer::uint(out, i as u64))
+                })
+                .uint("total", total as u64)
+                .close()
+        })
+        .close();
+    text
 }
 
 // ------------------------------------------------------------------ ingest
@@ -742,37 +1028,34 @@ fn ingest(ctx: &Arc<RouterCtx>, req: &Request, started: Instant) -> Response {
     };
 
     // Ingest fans to EVERY worker — each replica holds the full model and
-    // its own WAL; only decoding is entity-partitioned.
-    let (tx, rx) = mpsc::channel();
-    let mut total = 0usize;
-    for (shard, group) in ctx.shards.iter().enumerate() {
-        for replica_idx in 0..group.len() {
-            total += 1;
-            let ctx = Arc::clone(ctx);
-            let tx = tx.clone();
-            let body = req.body.clone();
-            let id = ingest_id.clone();
-            thread::spawn(move || {
-                let result = call_worker_ingest(&ctx, shard, replica_idx, &id, &body, deadline);
-                let _ = tx.send(result);
-            });
-        }
-    }
-    drop(tx);
+    // its own WAL; only decoding is entity-partitioned. Retries stay on
+    // that worker (every worker must ack) and always resend the same id.
+    let out = Outbound {
+        path: "/ingest",
+        ingest_id: Some(&ingest_id),
+        body: &req.body,
+        deadline,
+    };
+    let plans: Vec<Plan> = ctx
+        .shards
+        .iter()
+        .enumerate()
+        .flat_map(|(shard, group)| {
+            (0..group.len()).map(move |replica| Plan {
+                shard,
+                order: vec![replica],
+                attempts: 1 + ctx.cfg.retries as usize,
+            })
+        })
+        .collect();
+    let total = plans.len();
 
     let mut acked = 0usize;
     let mut appended: u64 = 0;
     let mut all_deduplicated = true;
     let mut fatal: Option<Reply> = None;
-    let mut heard = 0usize;
-    while heard < total {
-        let wait = remaining_budget(deadline, Instant::now()).max(Duration::from_millis(1));
-        let result = match rx.recv_timeout(wait) {
-            Ok(item) => item,
-            Err(_) => break,
-        };
-        heard += 1;
-        match result {
+    for outcome in fan_out(ctx, &plans, out, None) {
+        match outcome {
             Ok(resp) if resp.status == 200 => {
                 acked += 1;
                 if let Ok(v) = serde_json::from_slice::<Value>(&resp.body) {
@@ -827,50 +1110,6 @@ fn ingest(ctx: &Arc<RouterCtx>, req: &Request, started: Instant) -> Response {
         )
         .with_header("X-LogCL-Ingest-Id", ingest_id)
     }
-}
-
-/// Ingest hop to one specific worker: retries stay on that worker (every
-/// worker must ack) and always resend the same ingest id.
-fn call_worker_ingest(
-    ctx: &Arc<RouterCtx>,
-    shard: usize,
-    replica_idx: usize,
-    ingest_id: &str,
-    body: &[u8],
-    deadline: Instant,
-) -> Result<Reply, HopError> {
-    let replica = &ctx.shards[shard][replica_idx];
-    let extra = [("X-LogCL-Ingest-Id", ingest_id)];
-    let mut last: Option<HopError> = None;
-    for attempt in 0..=(ctx.cfg.retries as usize) {
-        if expired(deadline, Instant::now()) {
-            break;
-        }
-        match attempt_once(
-            ctx,
-            shard,
-            replica,
-            "POST",
-            "/ingest",
-            &extra,
-            body,
-            deadline,
-            ctx.attempt_seq.fetch_add(1, Ordering::AcqRel),
-        ) {
-            Ok(resp) => return Ok(resp),
-            Err(e) => {
-                if attempt < ctx.cfg.retries as usize {
-                    ctx.metrics.count_retry(e.reason);
-                    backoff(ctx, attempt, deadline);
-                }
-                last = Some(e);
-            }
-        }
-    }
-    Err(last.unwrap_or(HopError {
-        reason: FailReason::Timeout,
-        detail: "deadline exhausted before any attempt".into(),
-    }))
 }
 
 #[cfg(test)]
@@ -983,5 +1222,89 @@ mod tests {
         assert_eq!(resp.status, 504);
         assert_eq!(resp.header("retry-after"), Some("1"));
         router.shutdown();
+    }
+
+    /// The construction `predict` rendered before it wrote the merged
+    /// answer itself: the reference the writer must reproduce byte for byte.
+    fn merged_reference(merged: &MergedAnswer, degraded: bool, total: usize) -> String {
+        let predictions: Vec<Value> = merged
+            .predictions
+            .iter()
+            .map(|p| {
+                json!({
+                    "entity": p.entity,
+                    "name": p.name,
+                    "probability": p.probability,
+                    "score": p.score,
+                    "score_bits": p.score.to_bits(),
+                })
+            })
+            .collect();
+        let shard_summary = json!({ "answered": merged.answered, "total": total });
+        json!({
+            "predictions": predictions,
+            "degraded": degraded,
+            "coverage": merged.coverage,
+            "cache_hit": merged.all_cache_hits,
+            "shards": shard_summary,
+        })
+        .to_string()
+    }
+
+    #[test]
+    fn the_merged_answer_is_byte_identical_to_its_json_construction() {
+        use crate::merge::MergedPrediction;
+        const NAMES: [&str; 8] = [
+            "",
+            "Iraq_1",
+            "\"q\"",
+            "back\\slash",
+            "\n\r\t\u{08}\u{0c}",
+            "\u{01}\u{1f}",
+            "é中𝄞",
+            "a b",
+        ];
+        const FLOATS: [f32; 8] = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            f32::MIN_POSITIVE / 2.0,
+            f32::MAX,
+            0.1,
+            1.0,
+        ];
+        for seed in 0..300u64 {
+            let draw = |i: u64| splitmix64(seed, i);
+            let float = |i: u64| match draw(i) % 3 {
+                0 => FLOATS[(draw(i) / 3 % 8) as usize],
+                _ => f32::from_bits((draw(i) >> 32) as u32),
+            };
+            let total = 1 + (draw(0) % 4) as usize;
+            let answered: Vec<usize> = (0..total)
+                .filter(|&i| seed == 0 || draw(10 + i as u64) % 3 > 0)
+                .collect();
+            let merged = MergedAnswer {
+                predictions: (0..draw(1) % 12)
+                    .map(|i| MergedPrediction {
+                        entity: (draw(20 + i) % 50_000) as usize,
+                        name: NAMES[(draw(40 + i) % 8) as usize]
+                            .repeat(1 + (draw(60 + i) % 2) as usize),
+                        probability: float(80 + i),
+                        score: float(100 + i),
+                    })
+                    .collect(),
+                coverage: answered.len() as f64 / total as f64,
+                shard_degraded: draw(2) % 2 == 0,
+                all_cache_hits: draw(3) % 2 == 0,
+                answered,
+            };
+            let degraded = merged.coverage < 1.0 || merged.shard_degraded;
+            assert_eq!(
+                merged_body(&merged, degraded, total),
+                merged_reference(&merged, degraded, total),
+                "seed {seed}"
+            );
+        }
     }
 }

@@ -436,20 +436,32 @@ pub fn write_request(
     body: &[u8],
     keep_alive: bool,
 ) -> io::Result<()> {
+    w.write_all(&encode_request(method, path, headers, body, keep_alive))?;
+    w.flush()
+}
+
+/// The bytes [`write_request`] writes.
+fn encode_request(
+    method: &str,
+    path: &str,
+    headers: &[(&str, &str)],
+    body: &[u8],
+    keep_alive: bool,
+) -> Vec<u8> {
     let mut out = Vec::with_capacity(256 + body.len());
-    write!(out, "{method} {path} HTTP/1.1\r\n")?;
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(out, "{method} {path} HTTP/1.1\r\n");
     for (name, value) in headers {
-        write!(out, "{name}: {value}\r\n")?;
+        let _ = write!(out, "{name}: {value}\r\n");
     }
-    write!(
+    let _ = write!(
         out,
         "Content-Length: {}\r\nConnection: {}\r\n\r\n",
         body.len(),
         connection_value(keep_alive)
-    )?;
+    );
     out.extend_from_slice(body);
-    w.write_all(&out)?;
-    w.flush()
+    out
 }
 
 /// Reads one response from `r`, leaving whatever follows it unread. The
@@ -570,6 +582,31 @@ impl Client {
         Ok(BufReader::new(stream))
     }
 
+    /// Whether the connection an earlier exchange left open is still fit for
+    /// the next request, found by a non-blocking peek: it is when reading it
+    /// would block. The peer's close, a reset, or bytes nobody asked for all
+    /// mean it is not, and it is dropped here, so the next
+    /// [`Client::write`] opens a fresh one at once instead of leaving the
+    /// replay to [`Client::read`]. `false` when no connection is held.
+    pub fn is_open(&mut self) -> bool {
+        let Some(conn) = &self.conn else {
+            return false;
+        };
+        let open = conn.buffer().is_empty() && {
+            let stream = conn.get_ref();
+            let peeked = stream
+                .set_nonblocking(true)
+                .and_then(|()| stream.peek(&mut [0; 1]));
+            // Left non-blocking, its next read would fail at once.
+            stream.set_nonblocking(false).is_ok()
+                && matches!(peeked, Err(e) if e.kind() == io::ErrorKind::WouldBlock)
+        };
+        if !open {
+            self.conn = None;
+        }
+        open
+    }
+
     /// Sets the read and write timeout of every later exchange.
     pub fn set_io_timeout(&mut self, timeout: Duration) {
         self.io_timeout = timeout;
@@ -577,12 +614,8 @@ impl Client {
 
     /// One `method path` exchange with the given extra headers and body
     /// (`Host`, `Content-Length`, `Connection` and — with a body — a JSON
-    /// `Content-Type` are added here). Any status is `Ok`.
-    ///
-    /// An exchange that finds a connection left open by an earlier one closed
-    /// is retried once on a fresh connection: the server may close an idle
-    /// socket between requests, which is normal keep-alive lifecycle, not an
-    /// error worth reporting. A read timeout is never retried.
+    /// `Content-Type` are added here). Any status is `Ok`. The two halves,
+    /// [`Client::write`] then [`Client::read`].
     pub fn send(
         &mut self,
         method: &str,
@@ -590,48 +623,82 @@ impl Client {
         headers: &[(&str, &str)],
         body: &[u8],
     ) -> Result<Reply, ClientError> {
-        let reused = self.conn.is_some() && self.conn_reused;
-        match self.exchange(method, path, headers, body) {
-            // Only a socket the peer has closed: a timeout is the caller's
-            // deadline speaking, and a reply that does not frame is a reply.
-            Err(ClientError::Exchange(HttpError::UnexpectedEof | HttpError::Io(_))) if reused => {
-                self.exchange(method, path, headers, body)
-            }
-            Ok(reply) => Ok(Reply {
-                reused_connection: reused,
-                ..reply
-            }),
-            Err(e) => Err(e),
-        }
+        let sent = self.write(method, path, headers, body)?;
+        self.read(sent)
     }
 
-    fn exchange(
+    /// The write half of [`Client::send`]: puts the request on the wire and
+    /// returns without waiting for the peer, so a caller can write to
+    /// several peers before it reads from any. A write that fails on a
+    /// socket an earlier exchange left open is not an error yet — the peer
+    /// may have closed it — and is left to [`Client::read`] to replay.
+    pub fn write(
         &mut self,
         method: &str,
         path: &str,
         headers: &[(&str, &str)],
         body: &[u8],
-    ) -> Result<Reply, ClientError> {
-        // Taken, and put back only after a clean keep-alive exchange: any
-        // error, or an advertised close, and the socket is done.
-        let mut conn = match self.conn.take() {
-            Some(conn) => conn,
-            None => self.open()?,
-        };
+    ) -> Result<Sent, ClientError> {
         let mut all = Vec::with_capacity(headers.len() + 2);
         all.push(("Host", self.host.as_str()));
         if !body.is_empty() {
             all.push(("Content-Type", "application/json"));
         }
         all.extend_from_slice(headers);
+        let wire = encode_request(method, path, &all, body, self.keep_alive);
+        // Taken, and put back only after a clean keep-alive exchange: any
+        // error, or an advertised close, and the socket is done.
+        let (conn, reused) = match self.conn.take() {
+            Some(conn) => (conn, self.conn_reused),
+            None => (self.open()?, false),
+        };
+        match self.transmit(conn, &wire) {
+            Err(e) if !reused => Err(ClientError::Exchange(e)),
+            conn => Ok(Sent { conn, wire, reused }),
+        }
+    }
+
+    /// The read half of [`Client::send`]: reads the reply to `sent` within
+    /// the io timeout set now.
+    ///
+    /// A request that finds a connection left open by an earlier exchange
+    /// closed is replayed once, here, on a fresh connection: the server may
+    /// close an idle socket between requests, which is normal keep-alive
+    /// lifecycle, not an error worth reporting. A read timeout is never
+    /// replayed.
+    pub fn read(&mut self, sent: Sent) -> Result<Reply, ClientError> {
+        let Sent { conn, wire, reused } = sent;
+        match conn.and_then(|conn| self.receive(conn)) {
+            // Only a socket the peer has closed: a timeout is the caller's
+            // deadline speaking, and a reply that does not frame is a reply.
+            Err(HttpError::UnexpectedEof | HttpError::Io(_)) if reused => {
+                let conn = self.open()?;
+                self.transmit(conn, &wire)
+                    .and_then(|conn| self.receive(conn))
+                    .map_err(ClientError::Exchange)
+            }
+            Ok(reply) => Ok(Reply {
+                reused_connection: reused,
+                ..reply
+            }),
+            Err(e) => Err(ClientError::Exchange(e)),
+        }
+    }
+
+    fn transmit(
+        &self,
+        mut conn: BufReader<TcpStream>,
+        wire: &[u8],
+    ) -> Result<BufReader<TcpStream>, HttpError> {
         let stream = conn.get_mut();
-        let reply = stream
-            .set_read_timeout(Some(self.io_timeout))
-            .and_then(|()| stream.set_write_timeout(Some(self.io_timeout)))
-            .and_then(|()| write_request(stream, method, path, &all, body, self.keep_alive))
-            .map_err(HttpError::from)
-            .and_then(|()| read_response(&mut conn, MAX_RESPONSE_BYTES))
-            .map_err(ClientError::Exchange)?;
+        stream.set_write_timeout(Some(self.io_timeout))?;
+        stream.write_all(wire)?;
+        Ok(conn)
+    }
+
+    fn receive(&mut self, mut conn: BufReader<TcpStream>) -> Result<Reply, HttpError> {
+        conn.get_ref().set_read_timeout(Some(self.io_timeout))?;
+        let reply = read_response(&mut conn, MAX_RESPONSE_BYTES)?;
         if self.keep_alive && reply.keep_alive {
             self.conn = Some(conn);
             self.conn_reused = true;
@@ -640,11 +707,42 @@ impl Client {
     }
 }
 
+/// A request [`Client::write`] put on the wire whose reply [`Client::read`]
+/// has not read yet.
+pub struct Sent {
+    /// The connection it went out on, or why writing on a reused one failed.
+    conn: Result<BufReader<TcpStream>, HttpError>,
+    /// The request as written, for the one replay on a dead socket.
+    wire: Vec<u8>,
+    /// Whether the connection had carried an earlier exchange.
+    reused: bool,
+}
+
+impl Sent {
+    /// Whether the peer has begun to answer — or hung up — within `timeout`
+    /// (floored at 1 ms). Nothing is taken out of the reply: [`Client::read`]
+    /// still parses all of it.
+    pub fn answered_within(&mut self, timeout: Duration) -> bool {
+        let Ok(conn) = &mut self.conn else {
+            return true;
+        };
+        if !conn.buffer().is_empty() {
+            return true;
+        }
+        let waited = conn
+            .get_ref()
+            .set_read_timeout(Some(timeout.max(Duration::from_millis(1))))
+            .and_then(|()| conn.fill_buf().map(|_| ()));
+        !matches!(waited, Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Cursor;
     use std::net::TcpListener;
+    use std::time::Instant;
 
     /// A reader that hands out `step` bytes per `read` call (1 = the worst
     /// possible TCP fragmentation) and, once drained, either reports EOF or
@@ -1121,6 +1219,40 @@ mod tests {
         // #2 first went down the dead socket, then was answered on a new one.
         assert_eq!(reused, [false, false, true]);
         assert!(replies.iter().all(|r| r.status == 200 && r.keep_alive));
+        assert_eq!(server.join().unwrap().len(), 3);
+    }
+
+    /// `is_open` peeks without taking anything and leaves the socket
+    /// blocking, so the next exchange rides it; once the peer has closed it,
+    /// `is_open` drops it and the next exchange goes out on a new one.
+    #[test]
+    fn is_open_finds_a_closed_connection_and_leaves_an_open_one_as_it_was() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = scripted_server(listener, vec![2, 1]);
+        let mut client = Client::new(addr, Duration::from_secs(5))
+            .unwrap()
+            .keep_alive();
+        assert!(!client.is_open(), "nothing held yet");
+        client.send("GET", "/healthz", &[], b"").unwrap();
+        assert!(client.is_open());
+        let second = client.send("GET", "/healthz", &[], b"").unwrap();
+        assert_eq!(
+            (second.text().as_str(), second.reused_connection),
+            ("{\"n\":1}", true)
+        );
+        // The script now hangs up on the first connection.
+        let gave_up = Instant::now() + Duration::from_secs(2);
+        while client.is_open() {
+            assert!(Instant::now() < gave_up, "the peer's close never showed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(!client.is_open());
+        let third = client.send("GET", "/healthz", &[], b"").unwrap();
+        assert_eq!(
+            (third.text().as_str(), third.reused_connection),
+            ("{\"n\":2}", false)
+        );
         assert_eq!(server.join().unwrap().len(), 3);
     }
 

@@ -13,6 +13,8 @@
 //!   blocking accept, a thread per connection under a cap, the keep-alive
 //!   lifecycle, the shutdown latch and graceful drain. This server and the
 //!   `logcl-cluster` router both run on it.
+//! * [`answer`] — the `/predict` answer written straight into its JSON
+//!   text, byte-identical to the `json!` rendering it replaced.
 //! * [`metrics`] — lock-free Prometheus-format counters and histograms.
 //! * [`cache`] — the per-model snapshot-encoding cache keyed by timestamp.
 //! * [`batcher`] — the single model-worker loop coalescing concurrent
@@ -33,6 +35,7 @@
 //! Start one with [`Server::start`] and a [`ServeConfig`]; see the README's
 //! "Serving" section for the HTTP API.
 
+pub mod answer;
 pub mod batcher;
 pub mod cache;
 pub mod deadline;

@@ -30,7 +30,8 @@ use logcl_core::ShardSpec;
 use logcl_tkg::TkgDataset;
 use serde_json::{json, Value};
 
-use crate::batcher::{run_batcher, IngestJob, PredictJob, ServeError, WorkItem};
+use crate::answer::{self, Object};
+use crate::batcher::{run_batcher, IngestJob, PredictJob, PredictOutcome, ServeError, WorkItem};
 use crate::error::StartError;
 use crate::http::{HttpError, Request, Response};
 use crate::listener::{Inbound, Listener, ListenerConfig, ShutdownState};
@@ -721,49 +722,61 @@ fn predict_inner(
         }),
     )?;
     let outcome = await_reply(&reply_rx, deadline)?;
-    let predictions: Vec<Value> = outcome
-        .predictions
-        .iter()
-        .map(|p| {
-            // `score_bits` is the raw logit's exact f32 bit pattern: JSON
-            // decimal round-trips are not bit-reliable, and the router's
-            // scatter-gather merge needs bit-exact scores to reproduce the
-            // single-node ranking.
-            json!({
-                "entity": p.entity,
-                "name": p.name,
-                "probability": p.probability,
-                "score": p.score,
-                "score_bits": p.score.to_bits(),
+    Ok(Response::json(
+        200,
+        predict_body(&model, [s, r, t], &outcome, ctx.num_entities),
+    ))
+}
+
+/// The `/predict` answer's text for query `[subject, relation, time]`,
+/// written straight into its bytes ([`crate::answer`]).
+fn predict_body(
+    model: &str,
+    query: [usize; 3],
+    outcome: &PredictOutcome,
+    entities: usize,
+) -> String {
+    let [s, r, t] = query.map(|v| v as u64);
+    let mut text = String::with_capacity(256 + 112 * outcome.predictions.len());
+    let body = Object::open(&mut text)
+        .uint("batch_size", outcome.batch_size as u64)
+        .bool("cache_hit", outcome.cache_hit)
+        .bool("degraded", outcome.degraded)
+        .str("model", model)
+        .field("predictions", |out| {
+            answer::array(out, &outcome.predictions, |out, p| {
+                answer::prediction(out, p.entity, &p.name, p.probability, p.score)
             })
         })
-        .collect();
-    let mut response = json!({
-        "model": model,
-        "query": json!({ "subject": s, "relation": r, "time": t }),
-        "predictions": predictions,
-        "batch_size": outcome.batch_size,
-        "cache_hit": outcome.cache_hit,
-        "degraded": outcome.degraded,
-    });
-    if let (Some(shard), Value::Object(map)) = (&outcome.shard, &mut response) {
+        .field("query", |out| {
+            Object::open(out)
+                .uint("relation", r)
+                .uint("subject", s)
+                .uint("time", t)
+                .close()
+        });
+    match &outcome.shard {
         // Shard provenance + softmax partials (as exact bit patterns, since
         // `max` may be -inf and JSON cannot carry infinities) so the router
         // can recombine global probabilities.
-        map.insert(
-            "shard".into(),
-            json!({
-                "index": shard.spec.index,
-                "count": shard.spec.count,
-                "lo": shard.lo,
-                "hi": shard.hi,
-                "entities": ctx.num_entities,
-                "softmax_max_bits": shard.stat.max.to_bits(),
-                "softmax_sum_exp_bits": shard.stat.sum_exp.to_bits(),
-            }),
-        );
+        Some(shard) => body.field("shard", |out| {
+            Object::open(out)
+                .uint("count", shard.spec.count as u64)
+                .uint("entities", entities as u64)
+                .uint("hi", shard.hi as u64)
+                .uint("index", shard.spec.index as u64)
+                .uint("lo", shard.lo as u64)
+                .uint("softmax_max_bits", u64::from(shard.stat.max.to_bits()))
+                .uint(
+                    "softmax_sum_exp_bits",
+                    u64::from(shard.stat.sum_exp.to_bits()),
+                )
+                .close()
+        }),
+        None => body,
     }
-    Ok(Response::json(200, response.to_string()))
+    .close();
+    text
 }
 
 fn ingest(req: &Request, ctx: &HandlerCtx, started: Instant) -> Response {
@@ -858,4 +871,145 @@ fn ingest_inner(req: &Request, ctx: &HandlerCtx, started: Instant) -> Result<Res
         })
         .to_string(),
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::answer::tests::{seeded_f32, seeded_name};
+    use crate::batcher::ShardDetail;
+    use logcl_core::{Prediction, SoftmaxStat};
+    use logcl_tensor::rng::splitmix64;
+
+    /// The construction `predict_inner` rendered before it wrote the text
+    /// itself: the reference the writer must reproduce byte for byte.
+    fn reference(
+        model: &str,
+        [s, r, t]: [usize; 3],
+        outcome: &PredictOutcome,
+        entities: usize,
+    ) -> String {
+        let predictions: Vec<Value> = outcome
+            .predictions
+            .iter()
+            .map(|p| {
+                json!({
+                    "entity": p.entity,
+                    "name": p.name,
+                    "probability": p.probability,
+                    "score": p.score,
+                    "score_bits": p.score.to_bits(),
+                })
+            })
+            .collect();
+        let mut response = json!({
+            "model": model,
+            "query": json!({ "subject": s, "relation": r, "time": t }),
+            "predictions": predictions,
+            "batch_size": outcome.batch_size,
+            "cache_hit": outcome.cache_hit,
+            "degraded": outcome.degraded,
+        });
+        if let (Some(shard), Value::Object(map)) = (&outcome.shard, &mut response) {
+            map.insert(
+                "shard".into(),
+                json!({
+                    "index": shard.spec.index,
+                    "count": shard.spec.count,
+                    "lo": shard.lo,
+                    "hi": shard.hi,
+                    "entities": entities,
+                    "softmax_max_bits": shard.stat.max.to_bits(),
+                    "softmax_sum_exp_bits": shard.stat.sum_exp.to_bits(),
+                }),
+            );
+        }
+        response.to_string()
+    }
+
+    fn outcome(
+        predictions: Vec<Prediction>,
+        shard: Option<ShardDetail>,
+        seed: u64,
+    ) -> PredictOutcome {
+        PredictOutcome {
+            predictions,
+            batch_size: 1 + (splitmix64(seed, 90) % 32) as usize,
+            cache_hit: seed.is_multiple_of(2),
+            degraded: seed.is_multiple_of(3),
+            shard,
+        }
+    }
+
+    fn shard(seed: u64, max: f32, sum_exp: f32) -> ShardDetail {
+        let count = 1 + (splitmix64(seed, 91) % 8) as usize;
+        let index = (splitmix64(seed, 92) % count as u64) as usize;
+        ShardDetail {
+            spec: ShardSpec::new(index, count).expect("index < count"),
+            lo: index * 100,
+            hi: index * 100 + 100,
+            stat: SoftmaxStat { max, sum_exp },
+        }
+    }
+
+    fn prediction(entity: usize, name: &str, probability: f32, score: f32) -> Prediction {
+        Prediction {
+            entity,
+            name: name.into(),
+            probability,
+            score,
+        }
+    }
+
+    #[test]
+    fn the_predict_answer_is_byte_identical_to_its_json_construction() {
+        let table = [
+            outcome(Vec::new(), None, 0),
+            outcome(vec![prediction(0, "", 0.0, -0.0)], None, 1),
+            outcome(
+                vec![
+                    prediction(7, "Iraq_1", 0.5, 2.5),
+                    prediction(3, "say \"hi\"\\\n\t\u{01}", f32::NAN, f32::INFINITY),
+                    prediction(usize::MAX, "é中𝄞", f32::MIN_POSITIVE / 2.0, f32::MAX),
+                ],
+                None,
+                2,
+            ),
+            outcome(
+                vec![prediction(12, "Guinea", 1.0, f32::NEG_INFINITY)],
+                Some(shard(3, f32::NEG_INFINITY, 0.0)),
+                3,
+            ),
+        ];
+        for (i, o) in table.iter().enumerate() {
+            let query = [i, 2 * i, 3 * i];
+            assert_eq!(
+                predict_body("default", query, o, 4000),
+                reference("default", query, o, 4000)
+            );
+        }
+        for seed in 0..300 {
+            let n = (splitmix64(seed, 0) % 12) as usize;
+            let predictions = (0..n as u64)
+                .map(|i| {
+                    prediction(
+                        (splitmix64(seed, 10 + i) % 50_000) as usize,
+                        &seeded_name(seed * 64 + i),
+                        seeded_f32(seed, 30 + i),
+                        seeded_f32(seed, 60 + i),
+                    )
+                })
+                .collect();
+            let shard =
+                (seed % 2 == 1).then(|| shard(seed, seeded_f32(seed, 93), seeded_f32(seed, 94)));
+            let o = outcome(predictions, shard, seed);
+            let model = seeded_name(seed + 1_000_000);
+            let query = [1, 2, 3].map(|k| (splitmix64(seed, 95 + k) % 100_000) as usize);
+            assert_eq!(
+                predict_body(&model, query, &o, 50_000),
+                reference(&model, query, &o, 50_000),
+                "seed {seed}"
+            );
+        }
+    }
 }
