@@ -34,13 +34,10 @@ commands:
                                                         --retries, --retry-base-ms,
                                                         --hedge-after-ms,
                                                         --probe-interval-ms)
-  loadgen    open-loop load harness for serve          (--rps, --duration-ms,
+  loadgen    open-loop load generator for serve        (--rps, --duration-ms,
                                                         --arrival, --predict-pct,
                                                         --req-deadline-ms, --workers,
-                                                        --target, --bench-out,
-                                                        --baseline, --noise-pct,
-                                                        --capacity, --slo-p99-ms,
-                                                        --freshness, --validate)
+                                                        --target, --freshness)
   help       this text
 
 flags:
@@ -126,23 +123,13 @@ flags:
                     uniform deadline jitter, +/- percent [default 50]
   --workers N       loadgen client threads              [default 16]
   --target ADDR     drive an already-running server instead of booting one
-  --bench-out FILE  benchmark report path               [default BENCH_serve.json]
-  --baseline FILE   committed report to ratchet against (regressions beyond
-                    the noise band exit non-zero)
-  --ratchet-report  report ratchet violations without failing (for noisy
-                    shared runners)
-  --noise-pct P     ratchet latency noise band, percent [default 25]
-  --capacity        binary-search capacity at the p99 SLO after the main run
-  --slo-p99-ms MS   p99 objective for --capacity        [default 50]
-  --slo-max-rps F   capacity search ceiling             [default 1000]
   --freshness       run the ingest-to-visible freshness scenario instead of
                     the latency trace (requires a durable target booted by
                     loadgen itself)
   --freshness-rounds N
                     ingest->predict rounds per freshness run [default 8]
   --freshness-slo-ms MS
-                    ingest-to-visible latency objective  [default 1000]
-  --validate FILE   validate a bench report against the schema and exit";
+                    ingest-to-visible latency objective  [default 1000]";
 
 /// Parsed CLI options (superset across commands).
 #[derive(Debug, Clone)]
@@ -226,28 +213,12 @@ pub struct CliOptions {
     pub workers: usize,
     /// Loadgen external target (`host:port`); boots a server when absent.
     pub target: Option<String>,
-    /// Loadgen benchmark report output path.
-    pub bench_out: String,
-    /// Loadgen baseline report to ratchet against.
-    pub baseline: Option<String>,
-    /// Report ratchet violations without failing.
-    pub ratchet_report: bool,
-    /// Ratchet latency noise band, percent.
-    pub noise_pct: u8,
-    /// Run the capacity-at-SLO search after the main trace.
-    pub capacity: bool,
-    /// p99 objective for the capacity search (ms).
-    pub slo_p99_ms: f64,
-    /// Capacity search rate ceiling (requests/second).
-    pub slo_max_rps: f64,
     /// Run the loadgen freshness scenario instead of the latency trace.
     pub freshness: bool,
     /// Ingest→predict rounds per freshness run.
     pub freshness_rounds: usize,
     /// Ingest-to-visible latency objective (ms) for the freshness scenario.
     pub freshness_slo_ms: u64,
-    /// Validate a bench report file and exit.
-    pub validate: Option<String>,
 }
 
 impl Default for CliOptions {
@@ -306,17 +277,9 @@ impl Default for CliOptions {
             deadline_jitter_pct: 50,
             workers: 16,
             target: None,
-            bench_out: "BENCH_serve.json".into(),
-            baseline: None,
-            ratchet_report: false,
-            noise_pct: 25,
-            capacity: false,
-            slo_p99_ms: 50.0,
-            slo_max_rps: 1_000.0,
             freshness: false,
             freshness_rounds: 8,
             freshness_slo_ms: 1_000,
-            validate: None,
         }
     }
 }
@@ -388,17 +351,9 @@ impl CliOptions {
                 }
                 "--workers" => o.workers = num(&value("--workers")?)?,
                 "--target" => o.target = Some(value("--target")?),
-                "--bench-out" => o.bench_out = value("--bench-out")?,
-                "--baseline" => o.baseline = Some(value("--baseline")?),
-                "--ratchet-report" => o.ratchet_report = true,
-                "--noise-pct" => o.noise_pct = num(&value("--noise-pct")?)?,
-                "--capacity" => o.capacity = true,
-                "--slo-p99-ms" => o.slo_p99_ms = num(&value("--slo-p99-ms")?)?,
-                "--slo-max-rps" => o.slo_max_rps = num(&value("--slo-max-rps")?)?,
                 "--freshness" => o.freshness = true,
                 "--freshness-rounds" => o.freshness_rounds = num(&value("--freshness-rounds")?)?,
                 "--freshness-slo-ms" => o.freshness_slo_ms = num(&value("--freshness-slo-ms")?)?,
-                "--validate" => o.validate = Some(value("--validate")?),
                 other => return Err(format!("unknown flag {other}")),
             }
         }
@@ -455,8 +410,20 @@ mod tests {
     #[test]
     fn rejects_unknown_flag_and_bad_scale() {
         assert!(CliOptions::parse(&strs(&["--bogus"])).is_err());
-        let gone = CliOptions::parse(&strs(&["--linger-ms", "5"])).unwrap_err();
-        assert!(gone.starts_with("unknown flag"), "{gone}");
+        for argv in [
+            &["--linger-ms", "5"][..],
+            &["--bench-out", "/tmp/bench.json"],
+            &["--baseline", "BENCH_serve.json"],
+            &["--ratchet-report"],
+            &["--noise-pct", "40"],
+            &["--capacity"],
+            &["--slo-p99-ms", "25"],
+            &["--slo-max-rps", "800"],
+            &["--validate", "BENCH_serve.json"],
+        ] {
+            let gone = CliOptions::parse(&strs(argv)).unwrap_err();
+            assert_eq!(gone, format!("unknown flag {}", argv[0]));
+        }
         assert!(CliOptions::parse(&strs(&["--scale", "0"])).is_err());
         assert!(CliOptions::parse(&strs(&["--scale", "2"])).is_err());
         assert!(CliOptions::parse(&strs(&["--epochs"])).is_err());
@@ -563,18 +530,6 @@ mod tests {
             "4",
             "--target",
             "127.0.0.1:7878",
-            "--bench-out",
-            "/tmp/bench.json",
-            "--baseline",
-            "BENCH_serve.json",
-            "--ratchet-report",
-            "--noise-pct",
-            "40",
-            "--capacity",
-            "--slo-p99-ms",
-            "25",
-            "--slo-max-rps",
-            "800",
         ]))
         .unwrap();
         assert_eq!(o.rps, 120.5);
@@ -585,13 +540,6 @@ mod tests {
         assert_eq!(o.deadline_jitter_pct, 20);
         assert_eq!(o.workers, 4);
         assert_eq!(o.target.as_deref(), Some("127.0.0.1:7878"));
-        assert_eq!(o.bench_out, "/tmp/bench.json");
-        assert_eq!(o.baseline.as_deref(), Some("BENCH_serve.json"));
-        assert!(o.ratchet_report);
-        assert_eq!(o.noise_pct, 40);
-        assert!(o.capacity);
-        assert_eq!(o.slo_p99_ms, 25.0);
-        assert_eq!(o.slo_max_rps, 800.0);
     }
 
     #[test]
@@ -653,10 +601,10 @@ mod tests {
     fn loadgen_defaults_are_sane() {
         let o = CliOptions::parse(&strs(&[])).unwrap();
         assert_eq!(o.rps, 50.0);
-        assert_eq!(o.bench_out, "BENCH_serve.json");
+        assert_eq!(o.duration_ms, 3_000);
         assert_eq!(o.arrival, "poisson");
-        assert!(o.validate.is_none());
-        assert!(!o.ratchet_report);
+        assert_eq!(o.workers, 16);
+        assert!(o.target.is_none());
     }
 
     #[test]

@@ -450,26 +450,14 @@ pub fn router(opts: &CliOptions) -> Result<(), String> {
     Ok(())
 }
 
-/// `logcl loadgen`: open-loop load harness, bench report, perf ratchet.
+/// `logcl loadgen`: replay a seeded open-loop trace and print its summary.
 ///
 /// Default mode boots an in-process server on an ephemeral port with an
-/// *untrained* model (the harness measures the serving stack, not model
-/// quality); `--target` drives an already-running server instead. Writes
-/// `--bench-out` (default `BENCH_serve.json`) and, with `--baseline`,
-/// ratchets against the committed report — regressions beyond the noise
-/// band exit non-zero unless `--ratchet-report` downgrades them.
+/// *untrained* model (the generator loads the serving stack, not model
+/// quality); `--target` drives an already-running server instead. Writes no
+/// file: the perf instrument is `crates/benchmark`.
 pub fn loadgen(opts: &CliOptions) -> Result<(), String> {
-    use logcl_loadgen::{capacity, ratchet, report, runner, schedule};
-
-    // Validate-only mode: schema-check a report and exit.
-    if let Some(path) = &opts.validate {
-        let r = report::BenchReport::read(path).map_err(|e| e.to_string())?;
-        println!(
-            "{path}: valid BENCH_serve.json (schema v{}, {} scheduled, fingerprint {})",
-            r.schema_version, r.scheduled, r.schedule_fingerprint
-        );
-        return Ok(());
-    }
+    use logcl_loadgen::{runner, schedule};
 
     // Dataset: explicit --data/--preset, else a default synthetic slice.
     let ds = match (&opts.data, opts.preset) {
@@ -528,7 +516,7 @@ pub fn loadgen(opts: &CliOptions) -> Result<(), String> {
     };
 
     let run_cfg = runner::RunConfig {
-        addr: addr.clone(),
+        addr,
         workers: opts.workers,
         io_timeout: std::time::Duration::from_secs(60),
         ingest_time,
@@ -544,76 +532,23 @@ pub fn loadgen(opts: &CliOptions) -> Result<(), String> {
         trace.rps
     );
     let stats = runner::run(&planned, &run_cfg).map_err(|e| e.to_string())?;
-    let mut bench = report::BenchReport::from_run(&trace, fp, &stats);
-
-    if let Ok((200, metrics_text)) =
-        runner::http_get(&addr, "/metrics", std::time::Duration::from_secs(10))
-    {
-        bench.build = report::parse_build_info(&metrics_text);
-    }
-
-    if opts.capacity {
-        let policy = capacity::SloPolicy {
-            p99_ms: opts.slo_p99_ms,
-            min_rps: (opts.rps / 10.0).max(1.0),
-            max_rps: opts.slo_max_rps,
-            iterations: 4,
-        };
-        // Each probe replays a shorter trace at the candidate rate.
-        let mut probe = |rps: f64| -> Result<f64, logcl_loadgen::LoadgenError> {
-            let probe_trace = schedule::TraceConfig {
-                rps,
-                duration_ms: trace.duration_ms.min(1_000),
-                ..trace.clone()
-            };
-            let s = schedule::build_schedule(&probe_trace)?;
-            let stats = runner::run(&s, &run_cfg)?;
-            Ok(stats.latency.quantile(0.99) as f64 / 1_000.0)
-        };
-        let cap = capacity::search(&policy, &mut probe).map_err(|e| e.to_string())?;
-        println!(
-            "capacity at p99<={}ms: {:.1} rps ({} probes)",
-            cap.slo_p99_ms,
-            cap.capacity_rps,
-            cap.probes.len()
-        );
-        bench.capacity = Some(cap);
-    }
-
-    bench.validate().map_err(|e| e.to_string())?;
-    bench.write(&opts.bench_out).map_err(|e| e.to_string())?;
+    let ms = |us: u64| us as f64 / 1_000.0;
     println!(
-        "wrote {}: goodput {:.1}% ({} ok, {} degraded, {} shed, {} deadline), \
+        "goodput {:.1}% ({} ok, {} degraded, {} shed, {} deadline), \
          p50 {:.2}ms p99 {:.2}ms p999 {:.2}ms, conn reuse {:.1}%",
-        opts.bench_out,
-        bench.goodput_rate * 100.0,
-        bench.outcomes.ok,
-        bench.outcomes.degraded,
-        bench.outcomes.shed_503,
-        bench.outcomes.deadline_504,
-        bench.latency_ms.p50,
-        bench.latency_ms.p99,
-        bench.latency_ms.p999,
-        bench.connection_reuse_rate * 100.0
+        stats.goodput_rate() * 100.0,
+        stats.ok,
+        stats.degraded,
+        stats.shed_503,
+        stats.deadline_504,
+        ms(stats.latency.quantile(0.50)),
+        ms(stats.latency.quantile(0.99)),
+        ms(stats.latency.quantile(0.999)),
+        stats.connection_reuse_rate() * 100.0
     );
 
     if let Some(server) = server {
         server.shutdown();
-    }
-
-    if let Some(baseline_path) = &opts.baseline {
-        let baseline = report::BenchReport::read(baseline_path).map_err(|e| e.to_string())?;
-        let policy = ratchet::RatchetPolicy::with_noise_pct(opts.noise_pct);
-        match ratchet::check(&bench, &baseline, &policy) {
-            Ok(()) => println!(
-                "ratchet ok against {baseline_path} (noise band {}%)",
-                opts.noise_pct
-            ),
-            Err(e) if opts.ratchet_report => {
-                println!("ratchet (report-only): {e}");
-            }
-            Err(e) => return Err(e.to_string()),
-        }
     }
     Ok(())
 }

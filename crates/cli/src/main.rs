@@ -10,7 +10,7 @@
 //! logcl serve --data data/icews14-s --load model.json --addr 127.0.0.1:7878
 //! logcl serve --data data/icews14-s --load model.json --shard 0/3   # worker
 //! logcl router --shards 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003
-//! logcl loadgen --rps 200 --duration-ms 5000 --baseline BENCH_serve.json
+//! logcl loadgen --rps 200 --duration-ms 5000 --target 127.0.0.1:7878
 //! ```
 
 mod args;

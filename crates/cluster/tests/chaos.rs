@@ -396,8 +396,10 @@ fn a_hop_past_its_deadline_is_not_replayed_and_its_socket_is_dropped() {
     );
     logcl_serve::fault::clear();
 
-    // Each hop thread drops its socket when its exchange ends, a moment
-    // after the router has answered.
+    // The router's connection thread read both hops before it answered:
+    // each ended in `Pool::read` as a timeout (or the worker's 504), and a
+    // socket `Pool::read` does not put back is dropped there. The wait only
+    // covers a hop handed to a thread, which drops its socket when it ends.
     let deadline = Instant::now() + Duration::from_secs(5);
     while !idle_everywhere(&router, 0) {
         assert!(

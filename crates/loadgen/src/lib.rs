@@ -1,8 +1,9 @@
-//! `logcl-loadgen` — an open-loop, trace-driven load harness for
+//! `logcl-loadgen` — an open-loop, trace-driven load generator for
 //! `logcl-serve`.
 //!
-//! The harness separates *what* traffic to send from *when* results are
-//! judged:
+//! It replays traffic and counts what came back; it judges nothing. The
+//! perf instrument is `crates/benchmark`, which links [`timing`] and
+//! [`hist`] from here.
 //!
 //! - [`schedule`] builds a deterministic request schedule from a seed: every
 //!   arrival time, query id and per-request deadline is derived from the
@@ -15,29 +16,21 @@
 //!   the *scheduled* send time as well as the actual one.
 //! - [`hist`] records latencies in log-bucketed histograms (HDR-style,
 //!   integer-only) so tail quantiles stay accurate without unbounded memory.
-//! - [`report`] renders a run as a stable `BENCH_serve.json` document.
-//! - [`capacity`] binary-searches the highest offered rate whose p99 still
-//!   meets an SLO.
-//! - [`ratchet`] compares a fresh report against a committed baseline and
-//!   fails on regressions beyond a configurable noise band.
 //! - [`freshness`] measures ingest-to-visible latency: how long after an
 //!   acked head append the new timestamp answers `/predict`.
 //! - [`timing`] is the only module allowed to read the wall clock
 //!   (enforced by `logcl-analyze` rule L003).
 
-pub mod capacity;
 pub mod freshness;
 pub mod hist;
-pub mod ratchet;
-pub mod report;
 pub mod runner;
 pub mod schedule;
 pub mod timing;
 
 /// Errors surfaced by the load harness.
 ///
-/// Every variant carries enough context to act on: file paths, header names,
-/// and — for ratchet failures — the full list of violated bounds.
+/// Every variant carries enough context to act on: what was being done, and
+/// which setting was rejected.
 #[derive(Debug)]
 pub enum LoadgenError {
     /// An I/O operation failed; `context` names what was being done.
@@ -49,15 +42,6 @@ pub enum LoadgenError {
     },
     /// A trace or run configuration was rejected before any traffic.
     Config(String),
-    /// A benchmark report failed schema validation or did not parse.
-    Schema(String),
-    /// The current run regressed past the baseline's noise band.
-    Ratchet {
-        /// One human-readable line per violated bound.
-        violations: Vec<String>,
-    },
-    /// Baseline and current report measure different workloads.
-    IncomparableBaseline(String),
 }
 
 impl LoadgenError {
@@ -75,17 +59,6 @@ impl std::fmt::Display for LoadgenError {
         match self {
             LoadgenError::Io { context, source } => write!(f, "{context}: {source}"),
             LoadgenError::Config(msg) => write!(f, "invalid loadgen config: {msg}"),
-            LoadgenError::Schema(msg) => write!(f, "bench report schema violation: {msg}"),
-            LoadgenError::Ratchet { violations } => {
-                write!(f, "perf ratchet failed ({} violations):", violations.len())?;
-                for v in violations {
-                    write!(f, "\n  - {v}")?;
-                }
-                Ok(())
-            }
-            LoadgenError::IncomparableBaseline(msg) => {
-                write!(f, "baseline is not comparable: {msg}")
-            }
         }
     }
 }
@@ -104,23 +77,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ratchet_error_lists_every_violation() {
-        let e = LoadgenError::Ratchet {
-            violations: vec!["p99 too slow".into(), "goodput collapsed".into()],
-        };
-        let s = e.to_string();
-        assert!(s.contains("2 violations"), "{s}");
-        assert!(s.contains("p99 too slow"), "{s}");
-        assert!(s.contains("goodput collapsed"), "{s}");
-    }
-
-    #[test]
     fn io_error_keeps_context_and_source() {
         let e = LoadgenError::io(
-            "reading baseline BENCH_serve.json",
+            "connecting to 127.0.0.1:7878",
             std::io::Error::new(std::io::ErrorKind::NotFound, "gone"),
         );
-        assert!(e.to_string().contains("baseline"), "{e}");
+        assert!(e.to_string().contains("connecting"), "{e}");
         assert!(std::error::Error::source(&e).is_some());
     }
 }

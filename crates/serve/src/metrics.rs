@@ -532,8 +532,8 @@ impl Metrics {
             logcl_tensor::kernels::isa(),
             logcl_tensor::kernels::current_threads()
         );
-        // Build identity info-gauge: lets bench reports and dashboards pin
-        // down exactly which binary produced a measurement.
+        // Build identity info-gauge: lets a scrape or a dashboard pin down
+        // exactly which binary produced a measurement.
         let _ = writeln!(
             out,
             "# HELP logcl_build_info Server build identity (value is always 1)."
@@ -608,6 +608,14 @@ mod tests {
         m.batch_size.observe(4.0);
         m.cache_hits.fetch_add(2, Ordering::Relaxed);
         let text = m.render();
+        // The build identity names the compiled features: a binary built
+        // for the chaos suites must say so on every scrape.
+        let features = if cfg!(feature = "fault-inject") {
+            "fault-inject"
+        } else {
+            ""
+        };
+        let build = format!(",features=\"{features}\"}} 1");
         for family in [
             "logcl_requests_total{endpoint=\"predict\"} 1",
             "logcl_responses_total{class=\"2xx\"} 1",
@@ -639,6 +647,7 @@ mod tests {
             "logcl_encoder_state_horizon 0",
             "logcl_post_ingest_cache_hit_ratio 0",
             "logcl_ingest_advance_seconds_count 0",
+            build.as_str(),
         ] {
             assert!(text.contains(family), "missing {family} in:\n{text}");
         }

@@ -224,21 +224,6 @@ impl Server {
         // every model spec agree, so `LogCl::new` (which applies its
         // config's thread count) cannot silently override it.
         logcl_tensor::kernels::set_threads(cfg.compute_threads);
-        // Test-only deterministic-latency knob: a fault-inject build started
-        // with LOGCL_FAULT_COMPUTE_DELAY_US=N slows every compute batch by a
-        // seeded delay around N µs, so the load harness's ratchet tests can
-        // manufacture a reproducible regression without touching the model.
-        #[cfg(feature = "fault-inject")]
-        if let Some(us) = std::env::var("LOGCL_FAULT_COMPUTE_DELAY_US")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&us| us > 0)
-        {
-            crate::fault::install(crate::fault::FaultPlan {
-                compute_delay: Some(std::time::Duration::from_micros(us)),
-                ..crate::fault::FaultPlan::default()
-            });
-        }
         let mut specs = specs;
         for spec in &mut specs {
             spec.cfg.threads = cfg.compute_threads;
