@@ -20,7 +20,7 @@ commands:
                                                         --time, --topk, --inverse)
   serve      HTTP inference server                     (--data | --preset, --load,
                                                         --addr, --threads,
-                                                        --max-batch, --fused,
+                                                        --max-batch,
                                                         --deadline-ms, --max-deadline-ms,
                                                         --write-timeout-ms, --brownout-ms,
                                                         --shed-ms, --brownout-k,
@@ -69,9 +69,8 @@ flags:
   --threads N       compute threads for the kernel backend (1 = serial;
                     results are bit-identical at any count)
                                                         [default: all cores]
-  --max-batch N     most queued same-timestamp requests one batch takes
+  --max-batch N     most queued ingests one group commit takes
                     (the model thread never waits for more) [default 32]
-  --fused           fuse each batch into one forward pass (approximate)
   --deadline-ms MS  default per-request deadline when the client sends no
                     X-LogCL-Deadline-Ms header          [default 30000]
   --max-deadline-ms MS
@@ -162,7 +161,6 @@ pub struct CliOptions {
     /// Kernel-backend compute threads (`0` = auto, `1` = serial).
     pub threads: usize,
     pub max_batch: usize,
-    pub fused: bool,
     /// Default per-request deadline (ms) without a client header.
     pub deadline_ms: u64,
     /// Ceiling (ms) clamped onto client-supplied deadlines.
@@ -251,7 +249,6 @@ impl Default for CliOptions {
             addr: "127.0.0.1:7878".into(),
             threads: 0,
             max_batch: 32,
-            fused: false,
             deadline_ms: 30_000,
             max_deadline_ms: 120_000,
             write_timeout_ms: 10_000,
@@ -323,7 +320,6 @@ impl CliOptions {
                 "--addr" => o.addr = value("--addr")?,
                 "--threads" => o.threads = num(&value("--threads")?)?,
                 "--max-batch" => o.max_batch = num(&value("--max-batch")?)?,
-                "--fused" => o.fused = true,
                 "--deadline-ms" => o.deadline_ms = num(&value("--deadline-ms")?)?,
                 "--max-deadline-ms" => o.max_deadline_ms = num(&value("--max-deadline-ms")?)?,
                 "--write-timeout-ms" => o.write_timeout_ms = num(&value("--write-timeout-ms")?)?,
@@ -412,6 +408,7 @@ mod tests {
         assert!(CliOptions::parse(&strs(&["--bogus"])).is_err());
         for argv in [
             &["--linger-ms", "5"][..],
+            &["--fused"],
             &["--bench-out", "/tmp/bench.json"],
             &["--baseline", "BENCH_serve.json"],
             &["--ratchet-report"],
@@ -438,13 +435,11 @@ mod tests {
             "8",
             "--max-batch",
             "64",
-            "--fused",
         ]))
         .unwrap();
         assert_eq!(o.addr, "0.0.0.0:9000");
         assert_eq!(o.threads, 8);
         assert_eq!(o.max_batch, 64);
-        assert!(o.fused);
     }
 
     #[test]

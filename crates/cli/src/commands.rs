@@ -323,7 +323,8 @@ pub fn predict(opts: &CliOptions) -> Result<(), String> {
 /// `logcl serve`: run the HTTP inference server.
 ///
 /// Loads (or trains) one LogCL model, then serves `/predict` and `/ingest`
-/// with snapshot-encoding caching and micro-batching until `POST /shutdown`
+/// with snapshot-encoding caching, each read on its own connection thread,
+/// until `POST /shutdown`
 /// (or process exit). With `--load` the checkpoint's metadata is validated
 /// against the configuration implied by `--dim`/`--m`/`--seed`.
 pub fn serve(opts: &CliOptions) -> Result<(), String> {
@@ -364,7 +365,6 @@ pub fn serve(opts: &CliOptions) -> Result<(), String> {
         compute_threads: opts.threads,
         max_batch: opts.max_batch,
         default_k: opts.topk,
-        fused: opts.fused,
         default_deadline: std::time::Duration::from_millis(opts.deadline_ms),
         max_deadline: std::time::Duration::from_millis(opts.max_deadline_ms),
         write_timeout: std::time::Duration::from_millis(opts.write_timeout_ms),
@@ -495,7 +495,6 @@ pub fn loadgen(opts: &CliOptions) -> Result<(), String> {
                 compute_threads: opts.threads,
                 max_batch: opts.max_batch,
                 default_k: opts.topk,
-                fused: opts.fused,
                 brownout_sojourn: std::time::Duration::from_millis(opts.brownout_ms),
                 shed_sojourn: std::time::Duration::from_millis(opts.shed_ms),
                 brownout_k_cap: opts.brownout_k,
@@ -573,7 +572,6 @@ fn run_freshness(opts: &CliOptions, ds: TkgDataset) -> Result<(), String> {
         compute_threads: opts.threads,
         max_batch: opts.max_batch,
         default_k: opts.topk,
-        fused: opts.fused,
         // Degradation tiers stay out of reach: a browned-out server skips
         // online adaptation, which would make rounds incomparable.
         brownout_sojourn: std::time::Duration::from_secs(10),

@@ -418,7 +418,7 @@ fn a_hop_past_its_deadline_is_not_replayed_and_its_socket_is_dropped() {
         );
     }
 
-    // The delayed batches drain, then a new request rides new sockets.
+    // The delayed forwards drain, then a new request rides new sockets.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let (status, _, reply) = predict(&router, &query);

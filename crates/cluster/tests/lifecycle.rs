@@ -9,8 +9,8 @@
 //!
 //! Rows that need a malformed, stalled or half-closed exchange write it by
 //! hand on a `TcpStream`; everything else goes through `http::Client`. Rows
-//! that need a request still in flight stall the worker's first batch with
-//! an injected compute delay (`logcl_serve::fault`).
+//! that need a request still in flight stall the worker's forwards with an
+//! injected compute delay (`logcl_serve::fault`).
 
 use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -29,7 +29,7 @@ use serde_json::Value;
 
 /// The settings a row may want changed; the inbound limits apply to both
 /// processes, hedging to the router; `stall` holds the worker's first
-/// predict batch for one to three times its length before compute.
+/// predict for one to three times its length before its forward.
 #[derive(Clone, Copy)]
 struct Limits {
     read_timeout: Duration,
@@ -588,22 +588,28 @@ fn router_shutdown_answers_a_request_already_in_flight() {
         let body = format!(r#"{{"subject": {subject}, "relation": 1}}"#);
         std::thread::spawn(move || send(addr, "POST", "/predict", &body))
     };
-    // One request inside the worker's stalled first batch and one queued
-    // behind it — both in flight on the router — when the router's shutdown
-    // endpoint fires.
-    let occupier = predict(1);
-    wait_until("the first batch stalls", || {
-        fault::fired(FaultPoint::ComputeDelay) == 1
+    // Every compute permit of the worker held by a stalled forward and one
+    // more request waiting for a permit — all in flight on the router —
+    // when the router's shutdown endpoint fires.
+    let permits = pair.server.overload().compute_permits();
+    fault::install(FaultPlan {
+        compute_delay: Some(Duration::from_millis(150)),
+        compute_delay_batches: Some(permits as u64),
+        ..FaultPlan::default()
+    });
+    let occupiers: Vec<_> = (0..permits).map(|i| predict(3 + i)).collect();
+    wait_until("every permit's forward stalls", || {
+        fault::fired(FaultPoint::ComputeDelay) == permits as u64
     });
     let queued = predict(2);
     let overload = pair.server.overload();
-    wait_until("the second request is queued", || {
+    wait_until("the last request waits for a permit", || {
         overload.queue_wait(Instant::now()) > Duration::ZERO
     });
     assert_eq!(send(addr, "POST", "/shutdown", "").status, 200);
     pair.router.run(); // returns once every thread is joined
 
-    for client in [occupier, queued] {
+    for client in occupiers.into_iter().chain([queued]) {
         let reply = client.join().expect("client thread");
         assert_eq!(
             reply.status,
@@ -753,7 +759,7 @@ fn thirty_two_clients_leave_no_more_idle_sockets_than_the_bound() {
 }
 
 /// A hedge never queues behind the primary's connection: with the primary's
-/// request held in the worker's stalled first batch, the hedge opens a
+/// request held in the worker's stalled first forward, the hedge opens a
 /// second socket, and both come back to the pool.
 #[test]
 fn a_hedge_takes_a_second_connection() {

@@ -1,10 +1,11 @@
 //! The assembled LogCL model (Fig. 3).
 
 use std::cell::RefCell;
+use std::sync::{Arc, OnceLock};
 
 use logcl_gnn::ConvTransE;
 use logcl_tensor::autograd::no_grad;
-use logcl_tensor::nn::{Embedding, Mlp, ParamSet};
+use logcl_tensor::nn::{uninitialised, Embedding, Mlp, ParamSet};
 use logcl_tensor::optim::Adam;
 use logcl_tensor::{Rng, Tensor, Var};
 use logcl_tkg::quad::Quad;
@@ -48,6 +49,9 @@ fn recording_if<T>(training: bool, forward: impl FnOnce() -> T) -> T {
 /// training pass does — so an encoding held across an optimizer step still
 /// reads the stepped table through `h0` and, at `t_q = 0`, through the
 /// candidates, exactly as before the layout was kept.
+///
+/// One thawed from a [`FrozenEncoding`] keeps its layout in the frozen
+/// form instead, where every thread's forward reads it.
 pub struct SharedEncoding {
     /// The (possibly noise-perturbed) initial entity embeddings used by
     /// this forward pass.
@@ -56,24 +60,161 @@ pub struct SharedEncoding {
     pub local: Option<LocalEncoding>,
     /// The timestamp encoded for.
     pub t_q: usize,
+    layout: Kept,
+}
+
+/// Where a [`SharedEncoding`]'s candidate layout lives.
+enum Kept {
     /// `(lo, hi)` and `local.h_final[lo..hi]ᵀ`, once a forward has asked.
-    layout: RefCell<Option<((usize, usize), Var)>>,
+    Here(RefCell<Option<((usize, usize), Var)>>),
+    /// In the frozen encoding this one was thawed from.
+    Frozen(Arc<FrozenEncoding>),
 }
 
 impl SharedEncoding {
+    fn new(h0: Var, local: Option<LocalEncoding>, t_q: usize) -> Self {
+        Self {
+            h0,
+            local,
+            t_q,
+            layout: Kept::Here(RefCell::default()),
+        }
+    }
+
     /// `h_final[lo..hi]ᵀ` as the constant the scoring product reads: the
     /// same `gather_rows` and `transpose2` kernels a per-query pass runs,
     /// so the operand's values — and every logit's reduction over them — are
     /// the ones that pass would have produced.
     fn candidate_layout(&self, h_final: &Var, range: (usize, usize)) -> Var {
-        let mut kept = self.layout.borrow_mut();
-        if let Some((_, operand)) = kept.as_ref().filter(|(of, _)| *of == range) {
-            return operand.clone();
+        let lay_out = || {
+            let ids: Vec<usize> = (range.0..range.1).collect();
+            h_final.value().gather_rows(&ids).transpose2()
+        };
+        match &self.layout {
+            Kept::Here(cell) => {
+                let mut kept = cell.borrow_mut();
+                if let Some((_, operand)) = kept.as_ref().filter(|(of, _)| *of == range) {
+                    return operand.clone();
+                }
+                let operand = Var::constant(lay_out());
+                *kept = Some((range, operand.clone()));
+                operand
+            }
+            Kept::Frozen(frozen) => {
+                let (of, operand) = frozen.layout.get_or_init(|| (range, lay_out()));
+                Var::constant(if *of == range {
+                    operand.clone()
+                } else {
+                    lay_out()
+                })
+            }
         }
-        let ids: Vec<usize> = (range.0..range.1).collect();
-        let operand = Var::constant(h_final.value().gather_rows(&ids).transpose2());
-        *kept = Some((range, operand.clone()));
-        operand
+    }
+
+    /// The values of this encoding as a [`FrozenEncoding`], with the layout
+    /// a forward already kept (if any).
+    pub fn freeze(&self) -> FrozenEncoding {
+        let layout = OnceLock::new();
+        if let Kept::Here(cell) = &self.layout {
+            if let Some((range, operand)) = cell.borrow().as_ref() {
+                let _ = layout.set((*range, operand.to_tensor()));
+            }
+        }
+        let values = |vars: &[Var]| vars.iter().map(Var::to_tensor).collect();
+        FrozenEncoding {
+            h0: self.h0.to_tensor(),
+            local: self.local.as_ref().map(|enc| FrozenLocal {
+                h_final: enc.h_final.to_tensor(),
+                rel_final: enc.rel_final.to_tensor(),
+                aggs: values(&enc.aggs),
+                evolved: values(&enc.evolved),
+            }),
+            t_q: self.t_q,
+            layout,
+        }
+    }
+}
+
+/// The values of a [`SharedEncoding`], `Send + Sync`: what every thread's
+/// evaluation forward at `t_q` reads. Freezing and thawing share storage
+/// (tensors are copy-on-write), so either costs a reference count per
+/// matrix. The candidate layout is kept here, laid out by the first forward
+/// on any thread and read by every later one; a forward over another range
+/// than the kept one lays its operand out for itself.
+pub struct FrozenEncoding {
+    h0: Tensor,
+    local: Option<FrozenLocal>,
+    t_q: usize,
+    layout: OnceLock<((usize, usize), Tensor)>,
+}
+
+struct FrozenLocal {
+    h_final: Tensor,
+    rel_final: Tensor,
+    aggs: Vec<Tensor>,
+    evolved: Vec<Tensor>,
+}
+
+impl FrozenEncoding {
+    /// The encoding as constant leaves for a forward on this thread.
+    pub fn thaw(self: &Arc<Self>) -> SharedEncoding {
+        let leaves = |values: &[Tensor]| values.iter().cloned().map(Var::constant).collect();
+        SharedEncoding {
+            h0: Var::constant(self.h0.clone()),
+            local: self.local.as_ref().map(|enc| LocalEncoding {
+                h_final: Var::constant(enc.h_final.clone()),
+                rel_final: Var::constant(enc.rel_final.clone()),
+                aggs: leaves(&enc.aggs),
+                evolved: leaves(&enc.evolved),
+            }),
+            t_q: self.t_q,
+            layout: Kept::Frozen(Arc::clone(self)),
+        }
+    }
+}
+
+/// Every parameter of a [`LogCl`] with the configuration that shapes them,
+/// `Send + Sync`: what [`LogCl::from_frozen`] rebuilds a model from. A
+/// freeze costs a reference count per tensor, and an optimizer step on the
+/// model afterwards copies what it writes rather than change the snapshot.
+pub struct FrozenWeights {
+    cfg: LogClConfig,
+    params: Vec<(String, Tensor)>,
+}
+
+thread_local! {
+    /// This thread's models rebuilt from frozen weights, keyed by the
+    /// weights' identity.
+    static REPLICAS: RefCell<Vec<(Arc<FrozenWeights>, LogCl)>> = const { RefCell::new(Vec::new()) };
+}
+
+impl FrozenWeights {
+    /// The configuration the weights belong to.
+    pub fn cfg(&self) -> &LogClConfig {
+        &self.cfg
+    }
+
+    /// Runs `f` on this thread's model rebuilt from these weights, building
+    /// it on first use. A replica lives as long as someone else still holds
+    /// its weights: a build drops every replica whose weights only this
+    /// thread still refers to.
+    pub fn with_replica<T>(
+        self: &Arc<Self>,
+        ds: &TkgDataset,
+        f: impl FnOnce(&mut LogCl) -> T,
+    ) -> T {
+        REPLICAS.with(|cell| {
+            let mut replicas = cell.borrow_mut();
+            let at = match replicas.iter().position(|(w, _)| Arc::ptr_eq(w, self)) {
+                Some(at) => at,
+                None => {
+                    replicas.retain(|(w, _)| Arc::strong_count(w) > 1);
+                    replicas.push((Arc::clone(self), LogCl::from_frozen(ds, self)));
+                    replicas.len() - 1
+                }
+            };
+            f(&mut replicas[at].1)
+        })
     }
 }
 
@@ -110,12 +251,44 @@ impl LogCl {
     /// Builds a model sized for `ds` (entity/relation vocabulary) under
     /// `cfg`.
     pub fn new(ds: &TkgDataset, cfg: LogClConfig) -> Self {
-        cfg.validate();
         // Select the process-wide kernel backend. Backends are bit-identical,
         // so this affects wall-clock only, never results (see logcl-tensor's
         // kernels module) — which is why `threads` stays out of the config
         // fingerprint and checkpoints remain portable across thread counts.
         logcl_tensor::kernels::set_threads(cfg.threads);
+        Self::assemble(ds, cfg)
+    }
+
+    /// Rebuilds the model `weights` were frozen from, for evaluation: the
+    /// same modules over `ds`'s vocabulary (and static graph), every
+    /// parameter set to its frozen value with no initialisation drawn
+    /// first. Leaves the kernel backend alone. Its RNG starts from the
+    /// config's seed, which an evaluation forward draws from only under a
+    /// noisy config.
+    pub fn from_frozen(ds: &TkgDataset, weights: &FrozenWeights) -> Self {
+        let model = uninitialised(|| Self::assemble(ds, weights.cfg.clone()));
+        assert_eq!(model.params.len(), weights.params.len());
+        for ((name, var), (frozen, value)) in model.params.iter().zip(&weights.params) {
+            assert_eq!(name, frozen, "frozen weights come from another config");
+            var.set_value(value.clone());
+        }
+        model
+    }
+
+    /// Every parameter's current value, for [`LogCl::from_frozen`].
+    pub fn freeze(&self) -> FrozenWeights {
+        FrozenWeights {
+            cfg: self.cfg.clone(),
+            params: self
+                .params
+                .iter()
+                .map(|(name, var)| (name.to_string(), var.to_tensor()))
+                .collect(),
+        }
+    }
+
+    fn assemble(ds: &TkgDataset, cfg: LogClConfig) -> Self {
+        cfg.validate();
         let mut rng = Rng::seed(cfg.seed);
         let dim = cfg.dim;
         let ent = Embedding::new(ds.num_entities, dim, &mut rng);
@@ -217,12 +390,7 @@ impl LogCl {
             } else {
                 None
             };
-            SharedEncoding {
-                h0,
-                local,
-                t_q,
-                layout: RefCell::default(),
-            }
+            SharedEncoding::new(h0, local, t_q)
         })
     }
 
@@ -255,12 +423,11 @@ impl LogCl {
     /// forecast queries at `t = state.horizon`, without touching the
     /// snapshot history.
     pub fn shared_from_state(&self, state: &EncoderState) -> SharedEncoding {
-        SharedEncoding {
-            h0: Var::constant(state.h0.clone()),
-            local: state.local.then(|| self.local.encoding_from_state(state)),
-            t_q: state.horizon,
-            layout: RefCell::default(),
-        }
+        SharedEncoding::new(
+            Var::constant(state.h0.clone()),
+            state.local.then(|| self.local.encoding_from_state(state)),
+            state.horizon,
+        )
     }
 
     /// One propagation phase: scores `queries` (all at `shared.t_q`)
@@ -651,8 +818,11 @@ mod tests {
 
     /// The layout is built by the first forward over a range and by nothing
     /// after it: the buffer a second (and a local-only) forward reads is the
-    /// very allocation the first one made. Another range replaces it; a
-    /// parameter-backed or recorded candidate matrix never gets one.
+    /// very allocation the first one made — whichever thaw of the frozen
+    /// encoding, and whichever thread, ran either forward. Another range is
+    /// laid out for its own forward and leaves the kept one alone; in the
+    /// unfrozen form it replaces it, and a parameter-backed or recorded
+    /// candidate matrix never gets one.
     #[test]
     fn a_second_forward_on_the_same_encoding_lays_nothing_out() {
         let ds = tiny_ds();
@@ -660,37 +830,123 @@ mod tests {
         let snaps = ds.snapshots();
         let history = HistoryIndex::build(&snaps);
         let queries = queries_at(&ds, 10, 5);
-        let kept = |shared: &SharedEncoding| {
-            let layout = shared.layout.borrow();
-            layout
-                .as_ref()
-                .map(|(range, operand)| (*range, operand.value().data().as_ptr()))
+        let kept = |frozen: &FrozenEncoding| {
+            frozen
+                .layout
+                .get()
+                .map(|(range, operand)| (*range, operand.data().as_ptr() as usize))
         };
 
-        let shared = model.encode(&snaps, 10, false);
+        let frozen = Arc::new(model.encode(&snaps, 10, false).freeze());
         assert!(
-            kept(&shared).is_none(),
+            kept(&frozen).is_none(),
             "nothing is laid out before it is asked for"
         );
-        model.forward_queries_in_range(&shared, &history, &queries, false, (3, 40));
-        let first = kept(&shared).expect("the first forward lays the range out");
+        model.forward_queries_in_range(&frozen.thaw(), &history, &queries, false, (3, 40));
+        let first = kept(&frozen).expect("the first forward lays the range out");
         assert_eq!(first.0, (3, 40));
-        model.forward_queries_in_range(&shared, &history, &queries[..1], false, (3, 40));
-        model.forward_queries_in_range(&shared, &history, &queries, true, (3, 40));
-        assert_eq!(kept(&shared), Some(first));
-        model.forward_queries(&shared, &history, &queries, false);
-        assert_eq!(kept(&shared).map(|k| k.0), Some((0, ds.num_entities)));
+        model.forward_queries_in_range(&frozen.thaw(), &history, &queries[..1], false, (3, 40));
+        model.forward_queries_in_range(&frozen.thaw(), &history, &queries, true, (3, 40));
+        let weights = Arc::new(model.freeze());
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                weights.with_replica(&ds, |replica| {
+                    replica.forward_queries_in_range(
+                        &frozen.thaw(),
+                        &history,
+                        &queries,
+                        false,
+                        (3, 40),
+                    )
+                });
+            });
+        });
+        assert_eq!(kept(&frozen), Some(first));
+        model.forward_queries(&frozen.thaw(), &history, &queries, false);
+        assert_eq!(kept(&frozen), Some(first), "another range keeps nothing");
 
+        let shared = model.encode(&snaps, 10, false);
+        model.forward_queries_in_range(&shared, &history, &queries, false, (3, 40));
+        model.forward_queries(&shared, &history, &queries, false);
+        let replaced = shared.freeze();
+        assert_eq!(
+            replaced.layout.get().map(|(range, _)| *range),
+            Some((0, ds.num_entities)),
+            "unfrozen, another range replaces the kept one"
+        );
         let at_zero = model.encode(&snaps, 0, false);
         model.forward_queries(&at_zero, &history, &queries_at(&ds, 0, 2), false);
         assert!(
-            kept(&at_zero).is_none(),
+            at_zero.freeze().layout.get().is_none(),
             "h_final is the live table at t_q = 0"
         );
         let recorded = model.encode(&snaps, 10, true);
         model.forward_queries(&recorded, &history, &queries, false);
         model.forward_queries(&recorded, &history, &queries, true);
-        assert!(kept(&recorded).is_none());
+        assert!(recorded.freeze().layout.get().is_none());
+    }
+
+    /// A replica rebuilt from frozen weights scores what the model scored
+    /// when it was frozen, to the bit — also after the model takes an
+    /// optimizer step, which copies what it writes instead of changing the
+    /// snapshot — and both frozen forms can cross threads.
+    #[test]
+    fn a_replica_of_frozen_weights_scores_the_bits_of_the_model_it_was_frozen_from() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<FrozenWeights>();
+        send_sync::<FrozenEncoding>();
+        let ds = tiny_ds();
+        let mut model = LogCl::new(&ds, tiny_cfg());
+        let snaps = ds.snapshots();
+        let history = HistoryIndex::build(&snaps);
+        let queries = queries_at(&ds, 10, 5);
+        let bits = |out: ForwardOutput| -> Vec<u32> {
+            out.logits
+                .to_tensor()
+                .data()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        let encoding = Arc::new(model.encode(&snaps, 10, false).freeze());
+        let before = bits(model.forward_queries(&encoding.thaw(), &history, &queries, false));
+        let weights = Arc::new(model.freeze());
+
+        let targets: Vec<usize> = queries.iter().map(|q| q.o).collect();
+        let mut opt = Adam::new(&model.params, 1e-2);
+        let shared = model.encode(&snaps, 10, true);
+        let out = model.forward_queries(&shared, &history, &queries, true);
+        out.logits.cross_entropy(&targets).backward();
+        opt.step();
+        let stepped = bits(model.forward_queries(&encoding.thaw(), &history, &queries, false));
+        assert_ne!(stepped, before, "the step must change the live model");
+
+        let replayed = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    weights.with_replica(&ds, |replica| {
+                        let replica_encoding = Arc::new(replica.encode(&snaps, 10, false).freeze());
+                        (
+                            bits(replica.forward_queries(
+                                &encoding.thaw(),
+                                &history,
+                                &queries,
+                                false,
+                            )),
+                            bits(replica.forward_queries(
+                                &replica_encoding.thaw(),
+                                &history,
+                                &queries,
+                                false,
+                            )),
+                        )
+                    })
+                })
+                .join()
+                .expect("replica thread")
+        });
+        assert_eq!(replayed.0, before);
+        assert_eq!(replayed.1, before, "a replica's own encode is the model's");
     }
 
     /// A training pass still back-propagates into every registered

@@ -1,7 +1,8 @@
 //! Burst-vs-brownout chaos scenario: replay a seeded bursty trace against a
 //! real server whose brownout threshold is within reach, with a
-//! fault-injected per-batch compute delay so the queue sojourn is governed
-//! by the plan rather than CI machine speed. The server must brown out
+//! fault-injected per-forward compute delay — held under every compute
+//! permit — so the wait for a permit is governed by the plan rather than CI
+//! machine speed. The server must brown out
 //! during the peaks, keep answering (every request completes, every
 //! 503/504 carries Retry-After), and return to the normal tier once the
 //! burst traffic stops.
@@ -20,13 +21,10 @@ fn bursty_load_browns_out_and_recovers_to_normal() {
     let ds = SyntheticPreset::Icews14.generate_scaled(0.15);
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),
-        // One request per batch so the injected per-batch delay caps the
-        // service rate at a known ~250 rps, well under the burst peaks.
-        max_batch: 1,
-        // Brownout within easy reach of the peaks (queue depth in the tens
-        // of injected 4ms batches) but above the single-batch sojourn seen
-        // at the base rate; shedding out of reach so the scenario isolates
-        // the brownout tier.
+        // Brownout within easy reach of the peaks (a permit queue tens of
+        // injected stalls deep) but above the single-stall wait seen at the
+        // base rate; shedding out of reach so the scenario isolates the
+        // brownout tier.
         brownout_sojourn: Duration::from_millis(25),
         shed_sojourn: Duration::from_secs(60),
         ..ServeConfig::default()
@@ -43,11 +41,15 @@ fn bursty_load_browns_out_and_recovers_to_normal() {
         checkpoint: None,
         train: None,
     };
+    let server = Server::start(cfg, ds.clone(), vec![spec]).expect("server must start");
+    // Every forward stalls 4 ms per compute permit, so however many permits
+    // the host grants, the service rate is capped at a known ~250 rps, well
+    // under the burst peaks.
+    let permits = server.overload().compute_permits() as u32;
     fault::install(FaultPlan {
-        compute_delay: Some(Duration::from_millis(4)),
+        compute_delay: Some(Duration::from_millis(4) * permits),
         ..FaultPlan::default()
     });
-    let server = Server::start(cfg, ds.clone(), vec![spec]).expect("server must start");
     let addr = server.addr().to_string();
 
     // 3 burst periods: 200ms peaks at 8x the 50 rps base rate (~400 rps,

@@ -31,6 +31,7 @@ use std::collections::BTreeMap;
 
 /// A bounded map from timestamp to cached value, evicting the smallest
 /// (oldest) timestamp first — serving traffic clusters near the horizon.
+#[derive(Clone)]
 pub struct EncodingCache<V> {
     map: BTreeMap<usize, V>,
     capacity: usize,

@@ -36,6 +36,12 @@ pub enum StartError {
         /// The underlying I/O failure.
         source: std::io::Error,
     },
+    /// A model's config adds input noise: its answer would depend on the
+    /// RNG of whichever connection thread computed it.
+    NoisyModel {
+        /// The registry key of the offending model spec.
+        model: String,
+    },
     /// The model worker thread died before reporting readiness.
     WorkerDied,
     /// The write-ahead log could not be opened or replayed at startup.
@@ -64,6 +70,9 @@ impl std::fmt::Display for StartError {
                 write!(f, "model {model:?}: training failed: {source}")
             }
             StartError::Io { context, source } => write!(f, "{context}: {source}"),
+            StartError::NoisyModel { model } => {
+                write!(f, "model {model:?}: serving needs clean input noise")
+            }
             StartError::WorkerDied => write!(f, "model worker died during startup"),
             StartError::Wal { context, source } => write!(f, "{context}: {source}"),
             StartError::Recovery { context } => {
@@ -81,6 +90,7 @@ impl std::error::Error for StartError {
             StartError::Io { source, .. } => Some(source),
             StartError::Wal { source, .. } => Some(source),
             StartError::NoModels | StartError::WorkerDied | StartError::Recovery { .. } => None,
+            StartError::NoisyModel { .. } => None,
         }
     }
 }

@@ -1,7 +1,8 @@
 //! Deterministic fault injection for the serve stack (chaos testing).
 //!
 //! This module only exists under the `fault-inject` cargo feature; the
-//! audited call sites in `server.rs`, `batcher.rs`, and `registry.rs` are
+//! audited call sites in `server.rs`, `batcher.rs`, `registry.rs` and
+//! `wal.rs` are
 //! each wrapped in `#[cfg(feature = "fault-inject")]`, and lint L008
 //! (`logcl-analyze`) proves no hook escapes the gate — default release
 //! builds contain none of this code.
@@ -20,13 +21,16 @@ use logcl_tensor::rng::splitmix64;
 /// Audited boundaries where a fault can fire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPoint {
-    /// Artificial delay before a predict batch enters compute.
+    /// Artificial delay in a predict holding its compute permit, after it
+    /// found (or inserted) its encoding's cache slot, before the encode and
+    /// forward.
     ComputeDelay,
     /// Checkpoint restore fails during registry build (startup).
     CheckpointRead,
-    /// The batcher thread exits as if it died.
+    /// The model thread exits as if it died.
     BatcherDeath,
-    /// The work queue reports saturation on submit.
+    /// A queue reports saturation: the ingest channel on submit, the
+    /// compute-permit queue when a predict asks for a permit.
     QueueSaturate,
     /// The connection handler stalls before reading the request.
     SocketStall,
@@ -39,19 +43,20 @@ pub enum FaultPoint {
 /// A seeded, fully deterministic schedule of injected faults.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    /// Seed for the per-batch delay jitter; two runs with the same seed
+    /// Seed for the per-forward delay jitter; two runs with the same seed
     /// and traffic fire identical faults.
     pub seed: u64,
-    /// Base compute delay injected before each predict batch.
+    /// Base compute delay a predict holds its compute permit (and its cache
+    /// slot) for.
     pub compute_delay: Option<Duration>,
-    /// Inject the compute delay only into the first N batches
-    /// (`None` = every batch while the plan is installed).
+    /// Inject the compute delay only into the first N predicts granted a
+    /// permit (`None` = every one while the plan is installed).
     pub compute_delay_batches: Option<u64>,
     /// Fail checkpoint reads during `Registry::build`.
     pub checkpoint_read_error: bool,
-    /// The batcher thread dies before executing batch N (0-based).
+    /// The model thread dies before applying ingest run N (0-based).
     pub batcher_death_at_batch: Option<u64>,
-    /// `submit` behaves as if the bounded queue were full.
+    /// Ingest submits and predict admissions see a full queue.
     pub queue_saturated: bool,
     /// Connection handlers stall this long before reading the request
     /// (simulates a slow/stalled client socket holding a handler thread).
@@ -75,6 +80,9 @@ struct Counters {
 }
 
 static PLAN: Mutex<Option<FaultPlan>> = Mutex::new(None);
+/// Predicts granted a compute permit since `install`: the index
+/// [`compute_delay`] schedules by.
+static COMPUTES: AtomicU64 = AtomicU64::new(0);
 static FIRED: Counters = Counters {
     compute_delay: AtomicU64::new(0),
     checkpoint_read: AtomicU64::new(0),
@@ -113,6 +121,7 @@ pub fn install(plan: FaultPlan) {
         &FIRED.socket_stall,
         &FIRED.wal_append,
         &FIRED.wal_fsync,
+        &COMPUTES,
     ] {
         c.store(0, Ordering::Release);
     }
@@ -130,9 +139,11 @@ pub fn fired(point: FaultPoint) -> u64 {
     counter(point).load(Ordering::Acquire)
 }
 
-/// Delay to inject before executing predict batch `batch_idx`, if any.
-/// Jittered deterministically from the seed: 1–3 × the base delay.
-pub fn compute_delay(batch_idx: u64) -> Option<Duration> {
+/// Delay to inject into the next predict granted a compute permit, if any.
+/// Jittered deterministically from the seed and that predict's index since
+/// `install`: 1–3 × the base delay.
+pub fn compute_delay() -> Option<Duration> {
+    let batch_idx = COMPUTES.fetch_add(1, Ordering::AcqRel);
     with_plan(|p| {
         let base = p.compute_delay?;
         if let Some(n) = p.compute_delay_batches {
@@ -158,7 +169,8 @@ pub fn checkpoint_read_error() -> bool {
     .is_some()
 }
 
-/// Whether the batcher thread should die before executing `batch_idx`.
+/// Whether the model thread should die before applying ingest run
+/// `batch_idx`.
 pub fn batcher_dies(batch_idx: u64) -> bool {
     with_plan(|p| {
         let at = p.batcher_death_at_batch?;
@@ -171,7 +183,7 @@ pub fn batcher_dies(batch_idx: u64) -> bool {
     .is_some()
 }
 
-/// Whether submit should behave as if the bounded work queue were full.
+/// Whether an ingest submit or a predict's admission sees a full queue.
 pub fn queue_saturated() -> bool {
     with_plan(|p| {
         if !p.queue_saturated {
@@ -242,14 +254,14 @@ mod tests {
             compute_delay_batches: Some(4),
             ..FaultPlan::default()
         });
-        let first: Vec<_> = (0..6).map(compute_delay).collect();
+        let first: Vec<_> = (0..6).map(|_| compute_delay()).collect();
         install(FaultPlan {
             seed: 7,
             compute_delay: Some(Duration::from_millis(10)),
             compute_delay_batches: Some(4),
             ..FaultPlan::default()
         });
-        let second: Vec<_> = (0..6).map(compute_delay).collect();
+        let second: Vec<_> = (0..6).map(|_| compute_delay()).collect();
         assert_eq!(first, second, "same seed must replay identically");
         assert!(first[4].is_none() && first[5].is_none());
         assert_eq!(fired(FaultPoint::ComputeDelay), 4);
@@ -257,7 +269,7 @@ mod tests {
             assert!(d >= Duration::from_millis(10) && d <= Duration::from_millis(30));
         }
         clear();
-        assert!(compute_delay(0).is_none(), "cleared plan must be inert");
+        assert!(compute_delay().is_none(), "cleared plan must be inert");
     }
 
     #[test]
@@ -269,7 +281,7 @@ mod tests {
                 compute_delay: Some(Duration::from_millis(10)),
                 ..FaultPlan::default()
             });
-            (0..32).map(compute_delay).collect()
+            (0..32).map(|_| compute_delay()).collect()
         };
         let a = schedule(1);
         let b = schedule(2);

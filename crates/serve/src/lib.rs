@@ -17,14 +17,15 @@
 //!   text, byte-identical to the `json!` rendering it replaced.
 //! * [`metrics`] — lock-free Prometheus-format counters and histograms.
 //! * [`cache`] — the per-model snapshot-encoding cache keyed by timestamp.
-//! * [`batcher`] — the single model-worker loop coalescing concurrent
-//!   predict requests at the same timestamp into micro-batches.
-//! * [`registry`] — checkpoint loading/validation and the actual model
-//!   calls behind the batcher.
-//! * [`server`] — configuration, the model worker, and the endpoint
+//! * [`batcher`] — the model thread's ingest loop (group commit) and the
+//!   request/answer types of the model boundary.
+//! * [`registry`] — checkpoint loading/validation, ingestion on the model
+//!   thread, and the generations it publishes, which every `/predict` is
+//!   computed from on its own connection thread.
+//! * [`server`] — configuration, the model thread, and the endpoint
 //!   routing handed to [`listener`].
-//! * [`shed`] — overload resilience: deadline-aware shedding and the
-//!   Normal → Brownout → Shed degradation state machine.
+//! * [`shed`] — overload resilience: compute permits, deadline-aware
+//!   shedding and the Normal → Brownout → Shed degradation state machine.
 //! * [`wal`] — the durable-ingest write-ahead log: CRC32-framed records,
 //!   group-commit fsync, torn-tail truncation on replay.
 //!

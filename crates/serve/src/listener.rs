@@ -8,8 +8,8 @@
 //! `accept()` blocks, so a connection is picked up the moment the kernel
 //! completes its handshake, and each gets its own thread: none can hold up
 //! another, so none is ever asked to yield, and requests queue in exactly
-//! one place — the application's bounded work queue, where its deadlines
-//! and shed machinery see them. A connection serves requests until the peer
+//! one place — the application's own (serve: the wait for a compute
+//! permit), where its deadlines and shed machinery see them. A connection serves requests until the peer
 //! asks to close, a message cannot be framed (answered once, then closed),
 //! the peer leaves or idles out between requests (closed in silence —
 //! keep-alive ending is not an error), or shutdown begins.

@@ -1,6 +1,6 @@
 //! Lock-free serving metrics rendered in the Prometheus text exposition
 //! format: request counters per endpoint, a latency histogram, the
-//! micro-batch size histogram, encoding-cache hit/miss counters, and
+//! ingest-run length histogram, encoding-cache hit/miss counters, and
 //! kernel-backend utilisation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -8,10 +8,10 @@ use std::time::Duration;
 
 /// Latency buckets in seconds (upper bounds; `+Inf` is implicit).
 pub const LATENCY_BUCKETS: [f64; 9] = [0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.5, 2.0];
-/// Batch-size buckets (upper bounds; `+Inf` is implicit).
+/// Run-length buckets (upper bounds; `+Inf` is implicit).
 pub const BATCH_BUCKETS: [f64; 7] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
 /// Compute-utilisation buckets: average pool compute threads busy per
-/// wall-clock second while a batch executed (upper bounds; `+Inf` implicit).
+/// wall-clock second while a forward ran (upper bounds; `+Inf` implicit).
 pub const UTIL_BUCKETS: [f64; 8] = [0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 8.0];
 
 /// A fixed-bucket histogram over `AtomicU64` counters.
@@ -128,7 +128,7 @@ pub struct Metrics {
     pub responses_server_error: AtomicU64,
     /// End-to-end request latency.
     pub latency: Histogram,
-    /// Micro-batch sizes, one observation per executed batch.
+    /// Ingests per group-commit run, one observation per run.
     pub batch_size: Histogram,
     /// Requests answered from a cached snapshot encoding.
     pub cache_hits: AtomicU64,
@@ -145,16 +145,16 @@ pub struct Metrics {
     pub read_timeouts: AtomicU64,
     /// Requests answered `413` because the declared body exceeded the limit.
     pub oversized_bodies: AtomicU64,
-    /// Requests answered `503` because the bounded work queue was full.
+    /// Requests answered `503` because the bounded ingest queue was full.
     pub shed_queue_full: AtomicU64,
     /// Requests answered `504` at admission: the deadline had already
     /// passed (or was unsatisfiable) before any work was queued.
     pub shed_deadline_admission: AtomicU64,
-    /// Requests answered `504` by the batcher: the deadline expired while
-    /// the request sat in the work queue (shed *before* compute).
+    /// Requests answered `504` after admission, before compute: the
+    /// deadline expired while waiting for a compute permit or the writer.
     pub shed_deadline_queue: AtomicU64,
     /// Requests answered `503` by queue-delay admission control (the
-    /// CoDel-style sojourn signal or the Shed degradation tier).
+    /// CoDel-style permit-wait signal or the Shed degradation tier).
     pub shed_overload: AtomicU64,
     /// Requests answered `503` by the per-endpoint concurrency cap.
     pub shed_concurrency: AtomicU64,
@@ -162,8 +162,8 @@ pub struct Metrics {
     /// already open.
     pub shed_connections: AtomicU64,
     /// Requests shed after admission but before entering model compute
-    /// (the load-shedding guarantee: expired work never burns the model
-    /// worker). Superset sum lives in `logcl_shed_total`.
+    /// (the load-shedding guarantee: expired work never burns compute).
+    /// Superset sum lives in `logcl_shed_total`.
     pub shed_before_compute: AtomicU64,
     /// Predict requests answered under a degraded tier (Brownout effects:
     /// reduced top-k and/or local-only decoding).
@@ -171,14 +171,15 @@ pub struct Metrics {
     /// Current degradation tier (0 = normal, 1 = brownout, 2 = shed),
     /// mirrored from the overload state machine on every transition.
     pub degradation_tier: AtomicU64,
-    /// Queue sojourn (enqueue → dequeue) of work items, observed by the
-    /// batcher — the CoDel-style overload signal.
+    /// Each predict's wait for a compute permit (asking → granted, or
+    /// leaving at its deadline) — the CoDel-style overload signal.
     pub queue_sojourn: Histogram,
     /// Average kernel-pool compute threads busy per wall-clock second while
-    /// each predict batch executed (0 under the serial backend, which runs
-    /// on the model worker thread itself).
+    /// each predict's forward ran (0 under the serial backend, which runs
+    /// on the connection thread itself).
     pub compute_utilisation: Histogram,
-    /// Kernel-pool busy time attributed to predict batches, in microseconds.
+    /// Kernel-pool busy time while predict forwards ran, in microseconds,
+    /// summed per forward (overlapping forwards each count it).
     pub kernel_busy_micros: AtomicU64,
     /// Frames appended to the ingest write-ahead log.
     pub wal_appended_frames: AtomicU64,
@@ -389,7 +390,7 @@ impl Metrics {
         counter(
             &mut out,
             "logcl_shed_before_compute_total",
-            "Admitted requests shed by the batcher before model compute.",
+            "Admitted requests shed before model compute.",
             &[("", load(&self.shed_before_compute))],
         );
         counter(
@@ -411,7 +412,7 @@ impl Metrics {
         counter(
             &mut out,
             "logcl_kernel_busy_micros_total",
-            "Kernel-pool busy time attributed to predict batches (us).",
+            "Kernel-pool busy time while predict forwards ran, summed per forward (us).",
             &[("", load(&self.kernel_busy_micros))],
         );
         counter(
@@ -560,17 +561,17 @@ impl Metrics {
         );
         self.batch_size.render(
             "logcl_batch_size",
-            "Queries coalesced per executed micro-batch.",
+            "Ingests applied per group-commit run (predicts are never batched).",
             &mut out,
         );
         self.queue_sojourn.render(
             "logcl_queue_sojourn_seconds",
-            "Work-queue sojourn per item: enqueue to leaving the queue for a batch, set-aside time included.",
+            "Wait for a compute permit per predict: asking to granted, or to leaving at the deadline.",
             &mut out,
         );
         self.compute_utilisation.render(
             "logcl_compute_utilisation",
-            "Pool compute threads busy per wall-second, per predict batch.",
+            "Pool compute threads busy per wall-second, per predict forward.",
             &mut out,
         );
         self.ingest_advance.render(

@@ -1,11 +1,18 @@
 //! The model registry: loads checkpoints, validates them against their
-//! configuration, and executes batched predictions and online ingestion.
+//! configuration, applies online ingestion, and publishes what every
+//! prediction is answered from.
 //!
-//! The registry lives on the single worker thread (a `Var` is an `Rc`
-//! handle and therefore not `Send`, whether or not a graph hangs off it —
-//! serving records none), so it is built *on* that thread
-//! from a [`ModelSpec`] list; startup errors are reported back through a
-//! channel before the server starts accepting traffic.
+//! [`Registry`] lives on the model thread (a `Var` is an `Rc` handle and
+//! therefore not `Send`), built *on* that thread from a [`ModelSpec`] list;
+//! startup errors are reported back through a channel before the server
+//! starts accepting traffic. At boot, and after every applied ingest
+//! (before its ack), it publishes a [`Published`] generation by pointer
+//! swap: per model the frozen weights and the head encoding, plus the
+//! history index, the snapshots, the dataset and this generation's encoding
+//! cache — tensors shared copy-on-write, so a publish costs reference
+//! counts and copies of what the ingest changed. A `/predict` loads one
+//! generation and computes on its own connection thread, on that thread's
+//! replica of the published weights ([`FrozenWeights::with_replica`]).
 //!
 //! With durability enabled ([`Registry::enable_durability`]) the registry
 //! also owns the ingest [`Wal`]: recovery loads the last compaction
@@ -15,16 +22,17 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-use logcl_core::model::SharedEncoding;
+use logcl_core::model::{FrozenEncoding, FrozenWeights};
 use logcl_core::serving_snapshot::SERVING_SNAPSHOT_VERSION;
 use logcl_core::{
     trainer, DedupEntry, EncoderState, EvalContext, LogCl, LogClConfig, ModelParamSnapshot,
     ServingSnapshot, ShardSpec, TrainOptions,
 };
 use logcl_tensor::serialize::Checkpoint;
+use logcl_tensor::Tensor;
 use logcl_tkg::quad::Quad;
 use logcl_tkg::{DatasetExtension, HistoryIndex, Snapshot, TkgDataset};
 
@@ -50,7 +58,8 @@ pub struct ModelSpec {
     /// Registry key; `/predict` bodies select it via `"model"` (default
     /// `"default"`).
     pub name: String,
-    /// Model configuration; must match the checkpoint's fingerprint.
+    /// Model configuration; must match the checkpoint's fingerprint, and
+    /// its noise must be clean.
     pub cfg: LogClConfig,
     /// Pre-trained parameters to restore, validated on load.
     pub checkpoint: Option<Checkpoint>,
@@ -58,26 +67,25 @@ pub struct ModelSpec {
     pub train: Option<TrainOptions>,
 }
 
+/// One model on the writer.
 struct ModelEntry {
     name: String,
     model: LogCl,
-    /// The query-independent forward state per timestamp. Entries hold
-    /// encodings only — as values, with no autograd graph behind them
-    /// (`LogCl::encode(.., false)` records none): the history every one of
-    /// them is scored against is the registry's single [`HistoryIndex`],
-    /// read as of the entry's `t`.
-    cache: EncodingCache<SharedEncoding>,
     /// The incrementally-advanced streaming encoder state (always equal to
     /// what a from-scratch build over the current parameters + snapshots
     /// would produce; head ingests advance it in O(Δ)).
     state: EncoderState,
+    /// `model`'s parameters as of its last weight change, shared by every
+    /// generation published since.
+    weights: Arc<FrozenWeights>,
 }
 
 /// Registry tunables that aren't shared handles (bundled so
 /// [`Registry::build`] stays readable as knobs accumulate).
 #[derive(Debug, Clone, Copy)]
 pub struct RegistryOptions {
-    /// Fuse each batch's unique queries into one `forward_queries` call.
+    /// No effect: every predict is computed on its own. Kept because
+    /// `crates/benchmark` names it.
     pub fused: bool,
     /// Cached snapshot encodings retained per model.
     pub cache_capacity: usize,
@@ -97,6 +105,253 @@ impl Default for RegistryOptions {
             online_steps: 1,
             shard: None,
         }
+    }
+}
+
+/// A cached encoding, computed once by whichever reader inserted the slot;
+/// readers that find it being computed wait for that one computation.
+type Slot = Arc<OnceLock<Arc<FrozenEncoding>>>;
+
+/// Locks a cache (a map) or the current generation (a pointer): neither can
+/// be left half-written by a panic elsewhere.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// One model in a [`Published`] generation.
+struct PublishedModel {
+    name: String,
+    weights: Arc<FrozenWeights>,
+    /// The streamed state at the horizon, read out as an encoding.
+    head: Arc<FrozenEncoding>,
+    /// Encodings per timestamp, scored against the generation's one
+    /// [`HistoryIndex`] read as of the entry's `t`.
+    cache: Mutex<EncodingCache<Slot>>,
+}
+
+impl PublishedModel {
+    fn of(entry: &ModelEntry, cache: EncodingCache<Slot>) -> Self {
+        Self {
+            name: entry.name.clone(),
+            weights: Arc::clone(&entry.weights),
+            head: Arc::new(entry.model.shared_from_state(&entry.state).freeze()),
+            cache: Mutex::new(cache),
+        }
+    }
+}
+
+/// One generation of what predictions are answered from: immutable but for
+/// its encoding cache, and every part the writer's state after one ingest.
+pub struct Published {
+    ds: Arc<TkgDataset>,
+    snapshots: Arc<Vec<Snapshot>>,
+    history: Arc<HistoryIndex>,
+    models: Vec<PublishedModel>,
+    /// The candidate range `[lo, hi)` every decode is restricted to: the
+    /// shard's, or the whole (immutable) entity vocabulary — an unsharded
+    /// node is shard 0 of 1.
+    entity_range: (usize, usize),
+    /// Entity-shard assignment (`None` = single-node serving); answers carry
+    /// shard provenance only when it is set.
+    shard: Option<ShardSpec>,
+}
+
+/// One `/predict` as the read path takes it: the fields of a
+/// [`PredictJob`] but its reply channel.
+pub struct Query<'a> {
+    pub model: &'a str,
+    pub s: usize,
+    pub r: usize,
+    pub t: usize,
+    pub k: usize,
+    pub enqueued_at: Instant,
+    pub deadline: Instant,
+}
+
+impl Published {
+    /// The horizon `|T|` of this generation: a query without a `time` is
+    /// the one-step forecast at it.
+    pub fn horizon(&self) -> usize {
+        self.ds.num_times
+    }
+
+    /// Answers `query` from this generation on the calling thread, once it
+    /// holds a compute permit (a deadline that passes first is a `504`):
+    /// bit-identical to sequential `predict_topk_stream` at the head and
+    /// `predict_topk` at historical timestamps over this generation.
+    pub fn serve(
+        &self,
+        query: &Query<'_>,
+        metrics: &Metrics,
+        overload: &OverloadState,
+    ) -> Result<PredictOutcome, ServeError> {
+        let _permit = overload
+            .acquire_compute(query.enqueued_at, query.deadline)
+            .map_err(|waited| {
+                metrics.shed_deadline_queue.fetch_add(1, Ordering::Relaxed);
+                metrics.shed_before_compute.fetch_add(1, Ordering::Relaxed);
+                ServeError {
+                    status: 504,
+                    message: format!(
+                        "deadline exceeded after {}ms waiting for a compute permit; \
+                         shed before compute",
+                        waited.as_millis()
+                    ),
+                }
+            })?;
+        // Utilisation = pool busy-time accrued during the forward divided by
+        // wall time: the average number of compute threads kept busy. The
+        // serial backend bypasses the pool, so it reads as 0 by design.
+        let busy0 = logcl_tensor::kernels::busy_nanos();
+        let started = Instant::now();
+        let answer = self.predict(query, metrics, overload);
+        let wall = started.elapsed().as_secs_f64();
+        let busy = logcl_tensor::kernels::busy_nanos().saturating_sub(busy0);
+        metrics
+            .kernel_busy_micros
+            .fetch_add(busy / 1_000, Ordering::Relaxed);
+        if wall > 0.0 {
+            let util = busy as f64 / 1e9 / wall;
+            metrics.compute_utilisation.observe(util);
+            overload.observe_utilisation(util);
+        }
+        answer
+    }
+
+    fn predict(
+        &self,
+        query: &Query<'_>,
+        metrics: &Metrics,
+        overload: &OverloadState,
+    ) -> Result<PredictOutcome, ServeError> {
+        let Query { s, r, t, k, .. } = *query;
+        let Some(model) = self.models.iter().find(|m| m.name == query.model) else {
+            return Err(ServeError::not_found(format!(
+                "unknown model {:?}",
+                query.model
+            )));
+        };
+        logcl_core::validate_query(&self.ds, s, r, t)
+            .map_err(|e| ServeError::bad_request(e.to_string()))?;
+
+        // Brownout degradation (crate::shed): under pressure, cap the
+        // effective top-k and — when the model has a local encoder to fall
+        // back on — skip the per-query global subgraph encoder entirely, so
+        // the cached snapshot encoding alone answers the query (the decoder
+        // λ-mixture, Eq. 18–19, collapses to its local term). The skip buys
+        // ≈0.15–0.3 ms per forward (crate::shed's header has the numbers).
+        let brownout = overload.tier(Instant::now()) >= Tier::Brownout;
+        let policy = overload.policy();
+        let k_cap = if brownout {
+            policy.brownout_k_cap.max(1)
+        } else {
+            usize::MAX
+        };
+        let cfg = model.weights.cfg();
+        let skip_global =
+            brownout && policy.brownout_skip_global && cfg.use_local && cfg.use_global;
+
+        let (encoding, cache_hit) = self.encoding(model, t, metrics);
+        // Every decode is restricted to this worker's candidate range (the
+        // whole vocabulary unless `--shard i/N` narrowed it): the scores are
+        // a *slice* (`scores[j]` is the logit of global entity `lo + j`),
+        // bit-identical per entity whatever the range. An empty range
+        // yields an empty slice without touching the model.
+        let (lo, hi) = self.entity_range;
+        let logits = (lo < hi).then(|| {
+            model.weights.with_replica(&self.ds, |replica| {
+                let out = replica.forward_queries_in_range(
+                    &encoding.thaw(),
+                    &self.history,
+                    &[Quad::new(s, r, 0, t)],
+                    skip_global,
+                    self.entity_range,
+                );
+                out.logits.to_tensor()
+            })
+        });
+        let scores = logits.as_ref().map_or(&[][..], Tensor::data);
+
+        let k_eff = k.min(k_cap);
+        let degraded = skip_global || k_eff < k;
+        if degraded {
+            metrics.degraded_responses.fetch_add(1, Ordering::Relaxed);
+        }
+        // Ranking + softmax over this worker's range. On a shard the
+        // probabilities are range-local, and the router recombines global
+        // ones from the per-shard stats.
+        let (predictions, stat) = logcl_core::topk_in_range(&self.ds, scores, lo, k_eff);
+        let shard = self.shard.map(|spec| ShardDetail { spec, lo, hi, stat });
+        Ok(PredictOutcome {
+            predictions,
+            batch_size: 1,
+            cache_hit,
+            degraded,
+            shard,
+        })
+    }
+
+    /// The encoding at `t` and whether it was cached: the streamed head, or
+    /// a historical window encoded on this thread — once per generation.
+    fn encoding(
+        &self,
+        model: &PublishedModel,
+        t: usize,
+        metrics: &Metrics,
+    ) -> (Arc<FrozenEncoding>, bool) {
+        let (slot, hit) = {
+            let mut cache = lock(&model.cache);
+            match cache.get(t) {
+                Some(slot) => (Arc::clone(slot), true),
+                None => {
+                    let slot = Slot::default();
+                    cache.insert(t, Arc::clone(&slot));
+                    (slot, false)
+                }
+            }
+        };
+        if hit {
+            metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
+        }
+        // A stalled read holds its permit and this generation's slot: a
+        // miss's slot is in the cache, not yet filled, while it waits.
+        #[cfg(feature = "fault-inject")]
+        {
+            if let Some(delay) = crate::fault::compute_delay() {
+                std::thread::sleep(delay);
+            }
+        }
+        let encoding = slot.get_or_init(|| {
+            if t == self.horizon() {
+                Arc::clone(&model.head)
+            } else {
+                model.weights.with_replica(&self.ds, |replica| {
+                    Arc::new(replica.encode(&self.snapshots, t, false).freeze())
+                })
+            }
+        });
+        (Arc::clone(encoding), hit)
+    }
+}
+
+/// The current generation, replaced whole by pointer swap: the lock is
+/// held only to clone or swap the `Arc`.
+pub struct Publisher {
+    current: Mutex<Arc<Published>>,
+}
+
+impl Publisher {
+    /// The generation published last. A request loads it once and answers
+    /// from it throughout, whatever is published meanwhile.
+    pub fn load(&self) -> Arc<Published> {
+        Arc::clone(&lock(&self.current))
+    }
+
+    fn store(&self, next: Arc<Published>) {
+        // Freed (if this was its last reader) outside the lock.
+        let _previous = std::mem::replace(&mut *lock(&self.current), next);
     }
 }
 
@@ -188,37 +443,26 @@ pub struct RecoveryStats {
     pub truncated_bytes: u64,
 }
 
-/// The worker-side model store and [`BatchHandler`] implementation.
+/// The writer-side model store and [`BatchHandler`] implementation.
 pub struct Registry {
-    ds: TkgDataset,
-    snapshots: Vec<Snapshot>,
+    ds: Arc<TkgDataset>,
+    snapshots: Arc<Vec<Snapshot>>,
     entries: Vec<ModelEntry>,
     metrics: Arc<Metrics>,
-    /// Mirrors `ds.num_times` for handler threads (default query time).
+    /// Mirrors `ds.num_times` for the caller of [`Registry::build`].
     horizon: Arc<AtomicUsize>,
-    /// Fuse each batch's unique queries into one `forward_queries` call
-    /// (faster, but the global encoder then unions the batch's query
-    /// subgraphs — answers may depend on co-batched requests). Off by
-    /// default: exact single-query semantics, encoding still shared.
-    fused: bool,
     /// Degradation tier and brownout policy, shared with the admission
-    /// path; in Brownout predictions are answered with a capped top-k and
-    /// (optionally) without the global encoder.
+    /// path; the read path and the ingest path both consult the tier.
     overload: Arc<OverloadState>,
     /// The one global history vocabulary, over every consumed snapshot:
-    /// advanced in place by head ingests, rebuilt only on the rare backfill
-    /// path. Every prediction and every online adaptation, at the head or
-    /// at a historical `t`, reads it as of its own query time.
-    head_history: HistoryIndex,
+    /// advanced by head ingests, rebuilt only on the rare backfill path.
+    /// Every prediction and every online adaptation, at the head or at a
+    /// historical `t`, reads it as of its own query time.
+    head_history: Arc<HistoryIndex>,
     /// Max online fine-tuning steps per `update:true` ingest.
     online_steps: usize,
-    /// Entity-shard assignment (`None` = single-node serving); replies
-    /// carry shard provenance only when it is set.
-    shard: Option<ShardSpec>,
-    /// The candidate range `[lo, hi)` every decode is restricted to: the
-    /// shard's, or the whole (immutable) entity vocabulary — an unsharded
-    /// node is shard 0 of 1.
-    entity_range: (usize, usize),
+    /// What readers answer from.
+    publisher: Arc<Publisher>,
     /// Durable-ingest state; `None` = memory-only ingestion.
     durable: Option<DurableState>,
     /// Idempotency window (active with or without durability).
@@ -230,31 +474,12 @@ pub struct Registry {
     applied_ingests: u64,
 }
 
-/// Scores `queries` over the shared encoding against the candidate
-/// entities in `entity_range`, honouring the brownout local-only fallback.
-/// Returns one score vector per query: `scores[j]` is the logit of entity
-/// `lo + j` — all of `|E|` on a single node, which is shard 0 of 1. An
-/// empty range yields empty slices without touching the model (a zero-row
-/// candidate matmul has nothing to compute).
-fn score_queries(
-    model: &mut LogCl,
-    shared: &SharedEncoding,
-    history: &HistoryIndex,
-    queries: &[Quad],
-    skip_global: bool,
-    entity_range: (usize, usize),
-) -> Vec<Vec<f32>> {
-    if entity_range.0 == entity_range.1 {
-        return vec![Vec::new(); queries.len()];
-    }
-    let out = model.forward_queries_in_range(shared, history, queries, skip_global, entity_range);
-    let logits = out.logits.to_tensor();
-    (0..queries.len()).map(|i| logits.row(i).to_vec()).collect()
-}
-
 impl Registry {
-    /// Builds every model, restoring and validating checkpoints; returns a
-    /// typed [`StartError`] (not a panic) for any mismatch.
+    /// Builds every model, restoring and validating checkpoints, and
+    /// publishes the first generation; returns a typed [`StartError`] (not
+    /// a panic) for any mismatch. A model whose configuration adds noise is
+    /// refused: its evaluation forward draws from the model's RNG, so an
+    /// answer would depend on which thread computed it.
     pub fn build(
         ds: TkgDataset,
         specs: Vec<ModelSpec>,
@@ -265,6 +490,11 @@ impl Registry {
     ) -> Result<Self, StartError> {
         if specs.is_empty() {
             return Err(StartError::NoModels);
+        }
+        if let Some(noisy) = specs.iter().find(|s| !s.cfg.noise.is_clean()) {
+            return Err(StartError::NoisyModel {
+                model: noisy.name.clone(),
+            });
         }
         let snapshots = ds.snapshots();
         let mut entries = Vec::with_capacity(specs.len());
@@ -308,37 +538,86 @@ impl Registry {
                 .fetch_add(1, Ordering::Relaxed);
             entries.push(ModelEntry {
                 name: spec.name,
+                weights: Arc::new(model.freeze()),
                 model,
-                cache: EncodingCache::new(options.cache_capacity),
                 state,
             });
         }
-        let head_history = HistoryIndex::build(&snapshots);
         horizon.store(ds.num_times, Ordering::SeqCst);
         metrics
             .encoder_state_horizon
             .store(ds.num_times as u64, Ordering::Relaxed);
         let base_test_len = ds.test.len();
         let num_entities = ds.num_entities;
-        Ok(Self {
-            ds,
-            snapshots,
-            entries,
-            metrics,
-            horizon,
-            fused: options.fused,
-            overload,
-            head_history,
-            online_steps: options.online_steps,
-            shard: options.shard,
+        let first = Published {
+            history: Arc::new(HistoryIndex::build(&snapshots)),
+            ds: Arc::new(ds),
+            snapshots: Arc::new(snapshots),
+            models: entries
+                .iter()
+                .map(|e| PublishedModel::of(e, EncodingCache::new(options.cache_capacity)))
+                .collect(),
             entity_range: options
                 .shard
                 .map_or((0, num_entities), |s| s.range(num_entities)),
+            shard: options.shard,
+        };
+        Ok(Self {
+            ds: Arc::clone(&first.ds),
+            snapshots: Arc::clone(&first.snapshots),
+            head_history: Arc::clone(&first.history),
+            entries,
+            metrics,
+            horizon,
+            overload,
+            online_steps: options.online_steps,
+            publisher: Arc::new(Publisher {
+                current: Mutex::new(Arc::new(first)),
+            }),
             durable: None,
             dedup: DedupWindow::default(),
             base_test_len,
             applied_ingests: 0,
         })
+    }
+
+    /// Where readers load the current generation from.
+    pub fn publisher(&self) -> Arc<Publisher> {
+        Arc::clone(&self.publisher)
+    }
+
+    /// Publishes the writer's state as the next generation. Its caches
+    /// start from the previous generation's entries, minus those at or
+    /// after `stale_from` and — its weights changed — every one of the
+    /// `reweighted` model's; returns how many entries that dropped.
+    fn publish(&mut self, stale_from: Option<usize>, reweighted: Option<usize>) -> usize {
+        let previous = self.publisher.load();
+        let mut invalidated = 0;
+        let models = self
+            .entries
+            .iter()
+            .zip(&previous.models)
+            .enumerate()
+            .map(|(i, (entry, before))| {
+                let mut cache = lock(&before.cache).clone();
+                if let Some(t) = stale_from {
+                    invalidated += cache.invalidate_from(t);
+                }
+                if reweighted == Some(i) {
+                    invalidated += cache.clear();
+                }
+                PublishedModel::of(entry, cache)
+            })
+            .collect();
+        self.publisher.store(Arc::new(Published {
+            ds: Arc::clone(&self.ds),
+            snapshots: Arc::clone(&self.snapshots),
+            history: Arc::clone(&self.head_history),
+            models,
+            entity_range: previous.entity_range,
+            shard: previous.shard,
+        }));
+        invalidated
     }
 
     /// Model names in registration order.
@@ -350,188 +629,11 @@ impl Registry {
         self.entries.iter().position(|e| e.name == name)
     }
 
-    /// Scores one group of same-`(model, t)` jobs against the shared (and
-    /// cached) snapshot encoding, answering every job.
-    fn predict_group(&mut self, group: Vec<PredictJob>) {
-        // The batcher only forms non-empty groups; an empty one is a no-op,
-        // not a panic.
-        let Some(first) = group.first() else {
-            return;
-        };
-        let t = first.t;
-        let Some(idx) = self.entry_index(&first.model) else {
-            let err = ServeError::not_found(format!("unknown model {:?}", first.model));
-            for job in group {
-                let _ = job.reply.send(Err(err.clone()));
-            }
-            return;
-        };
-
-        // Per-job validation; invalid jobs are answered and dropped here so
-        // they can never panic the model.
-        let mut valid = Vec::with_capacity(group.len());
-        for job in group {
-            match logcl_core::validate_query(&self.ds, job.s, job.r, job.t) {
-                Ok(()) => valid.push(job),
-                Err(e) => {
-                    let _ = job.reply.send(Err(ServeError::bad_request(e.to_string())));
-                }
-            }
-        }
-        if valid.is_empty() {
-            return;
-        }
-        let batch_size = valid.len();
-
-        // Brownout degradation (crate::shed): under pressure, cap the
-        // effective top-k and — when the model has a local encoder to fall
-        // back on — skip the per-query global subgraph encoder entirely, so
-        // the cached snapshot encoding alone answers the batch (the decoder
-        // λ-mixture, Eq. 18–19, collapses to its local term). The skip buys
-        // ≈0.15–0.3 ms per forward (crate::shed's header has the numbers).
-        let brownout = self.overload.tier(Instant::now()) >= Tier::Brownout;
-        let policy = self.overload.policy();
-        let k_cap = if brownout {
-            policy.brownout_k_cap.max(1)
-        } else {
-            usize::MAX
-        };
-        // Only meaningful for models that actually have a local encoding to
-        // fall back on; global-only variants keep full-fidelity decoding.
-        let skip_global = brownout
-            && policy.brownout_skip_global
-            && self.entries[idx].model.cfg.use_local
-            && self.entries[idx].model.cfg.use_global;
-
-        // Snapshot-encoding cache: compute once per (model, t), reuse for
-        // every other request in this batch and every later one at `t`.
-        let at_head = t == self.ds.num_times;
+    /// Re-freezes model `idx`'s weights after they changed, for the next
+    /// generation.
+    fn refreeze(&mut self, idx: usize) {
         let entry = &mut self.entries[idx];
-        let cache_hit = entry.cache.contains(t);
-        if cache_hit {
-            self.metrics
-                .cache_hits
-                .fetch_add(batch_size as u64, Ordering::Relaxed);
-        } else {
-            let shared = if at_head {
-                // Head query: the streaming state already holds the fully
-                // evolved encoding — materialise it instead of re-encoding
-                // the window.
-                entry.model.shared_from_state(&entry.state)
-            } else {
-                // Historical query: encode the query-relative window from
-                // scratch. Evaluation mode records no graph, so the entry
-                // cached below keeps the encoding's matrices alone.
-                entry.model.encode(&self.snapshots, t, false)
-            };
-            entry.cache.insert(t, shared);
-            self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-            if batch_size > 1 {
-                self.metrics
-                    .cache_hits
-                    .fetch_add(batch_size as u64 - 1, Ordering::Relaxed);
-            }
-        }
-        let Some(shared) = entry.cache.get(t) else {
-            // Unreachable by construction (inserted above when absent), but
-            // a cache miss here must degrade to an error reply, not a panic
-            // that takes the model worker down with it.
-            let err = ServeError {
-                status: 500,
-                message: "encoding cache lost the entry it just admitted".into(),
-            };
-            for job in valid {
-                let _ = job.reply.send(Err(err.clone()));
-            }
-            return;
-        };
-        // `forward_queries*` reads this as of `shared.t_q`, which is `t`.
-        let history = &self.head_history;
-
-        // Unique (s, r) pairs: concurrent requests for the same hot query
-        // share one decode whichever mode is active.
-        let mut uniques: Vec<(usize, usize)> = Vec::new();
-        for job in &valid {
-            if !uniques.contains(&(job.s, job.r)) {
-                uniques.push((job.s, job.r));
-            }
-        }
-
-        // Every decode is restricted to this worker's candidate range (the
-        // whole vocabulary unless `--shard i/N` narrowed it): the scores
-        // below are *slices* (`scores[j]` is the logit of global entity
-        // `lo + j`), bit-identical per entity whatever the range.
-        let entity_range = self.entity_range;
-        let (lo, hi) = entity_range;
-        let mut scores: Vec<Vec<f32>> = Vec::with_capacity(uniques.len());
-        if self.fused {
-            // One forward_queries call for the whole batch — the repo's
-            // batched-evaluation semantics (query subgraphs unioned).
-            let queries: Vec<Quad> = uniques
-                .iter()
-                .map(|&(s, r)| Quad::new(s, r, 0, t))
-                .collect();
-            scores = score_queries(
-                &mut entry.model,
-                shared,
-                history,
-                &queries,
-                skip_global,
-                entity_range,
-            );
-        } else {
-            // Exact mode: per-unique-query decode over the shared encoding —
-            // bit-identical to sequential `predict_topk_stream` at the head
-            // and `predict_topk` at historical timestamps, independent of
-            // whatever else happens to be in the batch.
-            for &(s, r) in &uniques {
-                let query = [Quad::new(s, r, 0, t)];
-                let mut one = score_queries(
-                    &mut entry.model,
-                    shared,
-                    history,
-                    &query,
-                    skip_global,
-                    entity_range,
-                );
-                scores.push(one.remove(0));
-            }
-        }
-
-        for job in valid {
-            let scored = uniques
-                .iter()
-                .position(|&p| p == (job.s, job.r))
-                .and_then(|u| scores.get(u));
-            let Some(scored) = scored else {
-                // Every valid job seeded `uniques`, so this cannot happen —
-                // but answering 500 beats poisoning the worker thread.
-                let _ = job.reply.send(Err(ServeError {
-                    status: 500,
-                    message: "batch bookkeeping lost a query's scores".into(),
-                }));
-                continue;
-            };
-            let k_eff = job.k.min(k_cap);
-            let degraded = skip_global || k_eff < job.k;
-            if degraded {
-                self.metrics
-                    .degraded_responses
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            // Ranking + softmax over this worker's range. On a shard the
-            // probabilities are range-local, and the router recombines
-            // global ones from the per-shard stats.
-            let (predictions, stat) = logcl_core::topk_in_range(&self.ds, scored, lo, k_eff);
-            let shard = self.shard.map(|spec| ShardDetail { spec, lo, hi, stat });
-            let _ = job.reply.send(Ok(PredictOutcome {
-                predictions,
-                batch_size,
-                cache_hit,
-                degraded,
-                shard,
-            }));
-        }
+        entry.weights = Arc::new(entry.model.freeze());
     }
 
     /// Fail-closed admission for one ingest: resolves the model and checks
@@ -616,21 +718,15 @@ impl Registry {
             .map(|&(s, r, o)| Quad::new(s, r, o, t))
             .collect();
         let appended = fresh.len();
-        self.ds.test.extend_from_slice(&fresh);
-        self.ds.num_times = self.ds.num_times.max(t + 1);
-        self.snapshots = self.ds.snapshots();
+        let ds = Arc::make_mut(&mut self.ds);
+        ds.test.extend_from_slice(&fresh);
+        ds.num_times = ds.num_times.max(t + 1);
+        self.snapshots = Arc::new(self.ds.snapshots());
         self.horizon.store(self.ds.num_times, Ordering::SeqCst);
         self.applied_ingests += 1;
         self.metrics
             .ingested_facts
             .fetch_add(appended as u64, Ordering::Relaxed);
-
-        // Structural invalidation: encodings at and after t read (or are
-        // about to read) the changed snapshot.
-        let mut invalidated = 0;
-        for entry in &mut self.entries {
-            invalidated += entry.cache.invalidate_from(t);
-        }
 
         // Bounded online fine-tuning on the fresh facts, head append and
         // backfill alike: the model reads `head_history` as of `t`, and what
@@ -650,7 +746,8 @@ impl Registry {
                 history: &self.head_history,
                 t,
             };
-            report = trainer::online_adapt(&mut self.entries[idx].model, &ctx, &fresh, &opts);
+            let model = &mut self.entries[idx].model;
+            report = trainer::online_adapt(model, &ctx, &fresh, &opts);
             self.metrics.online_updates.fetch_add(1, Ordering::Relaxed);
             self.metrics
                 .online_steps
@@ -663,10 +760,7 @@ impl Registry {
         }
         let params_changed = report.steps > 0;
         if params_changed {
-            // Weight update: only the adapted model's cached encodings are
-            // stale (models do not share parameters), so other models keep
-            // every entry below `t`.
-            invalidated += self.entries[idx].cache.clear();
+            self.refreeze(idx);
         }
 
         // Incremental advance (the streaming invariant): keep
@@ -686,7 +780,7 @@ impl Registry {
                     .weight_update
                     .fetch_add(1, Ordering::Relaxed);
             }
-            self.head_history.advance(&self.snapshots[t]);
+            Arc::make_mut(&mut self.head_history).advance(&self.snapshots[t]);
             for entry in &mut self.entries {
                 if entry.state.horizon == t {
                     entry
@@ -698,7 +792,7 @@ impl Registry {
             // Backfill: an already-consumed snapshot changed under the
             // advance-only structures, so O(Δ) is off the table — rebuild
             // them over the amended timeline (the rare path by design).
-            self.head_history = HistoryIndex::build(&self.snapshots);
+            self.head_history = Arc::new(HistoryIndex::build(&self.snapshots));
             for entry in &mut self.entries {
                 let rebuilt = entry.model.init_encoder_state(&self.snapshots);
                 entry.state = rebuilt;
@@ -712,6 +806,11 @@ impl Registry {
             .ingest_advance
             .observe(advance_started.elapsed().as_secs_f64());
 
+        // Structural invalidation: encodings at and after t read (or are
+        // about to read) the changed snapshot. A weight update makes every
+        // cached encoding of the adapted model stale (models do not share
+        // parameters), so other models keep every entry below `t`.
+        let invalidated = self.publish(Some(t), params_changed.then_some(idx));
         self.metrics
             .cache_invalidations
             .fetch_add(invalidated as u64, Ordering::Relaxed);
@@ -756,13 +855,13 @@ impl Registry {
                 source: e,
             })?;
             snap.extension
-                .apply(&mut self.ds)
+                .apply(Arc::make_mut(&mut self.ds))
                 .map_err(|e| StartError::Recovery {
                     context: format!("applying the snapshot's dataset extension: {e}"),
                 })?;
             stats.snapshot_loaded = true;
             stats.snapshot_facts = snap.extension.quads.len();
-            self.snapshots = self.ds.snapshots();
+            self.snapshots = Arc::new(self.ds.snapshots());
             self.horizon.store(self.ds.num_times, Ordering::SeqCst);
             for ms in &snap.models {
                 let Some(idx) = self.entry_index(&ms.name) else {
@@ -791,6 +890,7 @@ impl Registry {
                         },
                     )?;
                 }
+                self.refreeze(idx);
                 if let Some(rng) = &ms.rng {
                     // Resume the model's random stream so online adaptation
                     // after the restart continues exactly where the
@@ -817,7 +917,7 @@ impl Registry {
                     }
                 }
             }
-            self.head_history = HistoryIndex::build(&self.snapshots);
+            self.head_history = Arc::new(HistoryIndex::build(&self.snapshots));
             self.metrics
                 .encoder_state_horizon
                 .store(self.ds.num_times as u64, Ordering::Relaxed);
@@ -873,6 +973,7 @@ impl Registry {
             compact_every,
             since_compact: frames_in_log,
         });
+        self.publish(None, None);
         Ok(stats)
     }
 
@@ -951,8 +1052,23 @@ impl Registry {
 }
 
 impl BatchHandler for Registry {
+    /// Answers each job through the read path on the calling thread, from
+    /// the generation published last.
     fn handle_predict_group(&mut self, group: Vec<PredictJob>) {
-        self.predict_group(group);
+        let published = self.publisher.load();
+        for job in group {
+            let query = Query {
+                model: &job.model,
+                s: job.s,
+                r: job.r,
+                t: job.t,
+                k: job.k,
+                enqueued_at: job.enqueued_at,
+                deadline: job.deadline,
+            };
+            let answer = published.serve(&query, &self.metrics, &self.overload);
+            let _ = job.reply.send(answer);
+        }
     }
 
     fn handle_ingest(&mut self, job: IngestJob) {
@@ -1152,6 +1268,12 @@ mod tests {
         assert!(err.to_string().contains("mismatch"), "{err}");
     }
 
+    /// Whether the generation published last has model `i`'s encoding at
+    /// `t` cached.
+    fn cached(reg: &Registry, i: usize, t: usize) -> bool {
+        lock(&reg.publisher.load().models[i].cache).contains(t)
+    }
+
     #[test]
     fn weight_update_clears_only_the_updated_models_cache() {
         let mut reg = build(vec![
@@ -1173,7 +1295,7 @@ mod tests {
         // Warm model a's cache at a historical timestamp (below the head).
         let t0 = reg.ds.num_times - 1;
         let (tx, rx) = std::sync::mpsc::channel();
-        reg.predict_group(vec![PredictJob {
+        reg.handle_predict_group(vec![PredictJob {
             model: "a".into(),
             s: 0,
             r: 0,
@@ -1184,26 +1306,48 @@ mod tests {
             reply: tx,
         }]);
         rx.recv().unwrap().unwrap();
-        assert!(reg.entries[0].cache.contains(t0));
+        assert!(cached(&reg, 0, t0));
 
         // Model b ingests at the head with update:true. Its own cache is
         // cleared by the weight update, but model a's historical entry is
-        // untouched — the clear is scoped to the adapted model.
+        // carried into the next generation — the clear is scoped to the
+        // adapted model.
         let head = reg.ds.num_times;
         let idx_b = reg.entry_index("b").unwrap();
         let outcome = reg.apply_ingest(idx_b, head, &[(0, 0, 1), (1, 1, 2)], true);
         assert!(outcome.updated, "online adaptation should have stepped");
         assert!(
-            reg.entries[0].cache.contains(t0),
+            cached(&reg, 0, t0),
             "model a's cache must survive model b's update:true ingest"
         );
 
         // The streaming invariant held throughout: every state and the
-        // shared history index cover the (now extended) full timeline.
+        // shared history index cover the (now extended) full timeline, and
+        // so does what readers load.
         for entry in &reg.entries {
             assert_eq!(entry.state.horizon, reg.ds.num_times);
         }
         assert_eq!(outcome.horizon, head + 1);
+        assert_eq!(reg.publisher.load().horizon(), head + 1);
+    }
+
+    #[test]
+    fn a_noisy_config_is_refused_with_a_typed_error() {
+        let err = build(vec![ModelSpec {
+            name: "noisy".into(),
+            cfg: LogClConfig {
+                noise: logcl_tkg::NoiseSpec::with_std(0.5),
+                ..tiny_cfg()
+            },
+            checkpoint: None,
+            train: None,
+        }])
+        .err()
+        .expect("a noisy config must be refused");
+        assert!(
+            matches!(&err, StartError::NoisyModel { model } if model == "noisy"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,7 +1,10 @@
-//! The inference server: configuration, the model worker, and the JSON
+//! The inference server: configuration, the model thread, and the JSON
 //! endpoint routing handed to the shared connection loop
 //! ([`crate::listener`]), which owns accepting, connection lifecycle and
-//! drain.
+//! drain. A `/predict` is computed on the connection thread that parsed
+//! it, from the generation the model thread published last
+//! ([`crate::registry::Published`]); an `/ingest` is handed to the model
+//! thread and answered when it is applied and logged.
 //!
 //! Endpoints:
 //! * `GET  /healthz`  — liveness probe.
@@ -21,7 +24,7 @@
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{self, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -31,12 +34,12 @@ use logcl_tkg::TkgDataset;
 use serde_json::{json, Value};
 
 use crate::answer::{self, Object};
-use crate::batcher::{run_batcher, IngestJob, PredictJob, PredictOutcome, ServeError, WorkItem};
+use crate::batcher::{run_batcher, IngestJob, PredictOutcome, ServeError};
 use crate::error::StartError;
 use crate::http::{HttpError, Request, Response};
 use crate::listener::{Inbound, Listener, ListenerConfig, ShutdownState};
 use crate::metrics::Metrics;
-use crate::registry::{ModelSpec, Registry, RegistryOptions};
+use crate::registry::{ModelSpec, Publisher, Query, Registry, RegistryOptions};
 use crate::shed::{OverloadPolicy, OverloadState};
 
 /// Server configuration.
@@ -46,22 +49,21 @@ pub struct ServeConfig {
     pub addr: String,
     /// Concurrent inbound connections handled (excess answered `503`).
     pub max_connections: usize,
-    /// Kernel-backend compute threads shared by the micro-batcher's model
-    /// worker (`0` = auto-detect, `1` = serial). The backends are
-    /// bit-identical, so this only affects latency, never rankings.
+    /// Kernel-backend compute threads shared by every forward and ingest
+    /// (`0` = auto-detect, `1` = serial). The backends are bit-identical,
+    /// so this only affects latency, never rankings.
     pub compute_threads: usize,
-    /// Micro-batch size cap: how many queued same-`(model, t)` predicts one
-    /// batch takes. The model thread never waits for a batch to fill.
+    /// Ingest-run cap: how many queued ingests one group commit takes. The
+    /// model thread never waits for a run to fill.
     pub max_batch: usize,
-    /// Bounded work-queue depth; excess requests are answered `503`.
+    /// Bounded ingest-queue depth; excess ingests are answered `503`.
     pub queue_cap: usize,
     /// `k` when a predict request does not specify one.
     pub default_k: usize,
     /// Cached encodings kept per model.
     pub cache_capacity: usize,
-    /// Fuse a batch's unique queries into one `forward_queries` call (see
-    /// [`crate::registry::Registry`]); default off for exact per-query
-    /// semantics.
+    /// No effect: every predict is computed on its own. Kept because
+    /// `crates/benchmark` names it.
     pub fused: bool,
     /// Serve `POST /shutdown` (disable when fronted by untrusted traffic).
     pub enable_shutdown_endpoint: bool,
@@ -78,12 +80,12 @@ pub struct ServeConfig {
     pub default_deadline: Duration,
     /// Ceiling clamped onto client-supplied deadlines.
     pub max_deadline: Duration,
-    /// Queue sojourn at which the degradation tier escalates to Brownout
-    /// ([`crate::shed`]).
+    /// Wait for a compute permit at which the degradation tier escalates
+    /// to Brownout ([`crate::shed`]).
     pub brownout_sojourn: Duration,
-    /// Queue sojourn at which the degradation tier escalates to Shed and
-    /// incoming `/predict` is answered `503` (`/healthz` and `/metrics`
-    /// are never shed).
+    /// Wait for a compute permit at which the degradation tier escalates
+    /// to Shed and incoming `/predict` is answered `503` (`/healthz` and
+    /// `/metrics` are never shed).
     pub shed_sojourn: Duration,
     /// Consecutive healthy observations needed to step the tier down once.
     pub recovery_streak: u32,
@@ -95,7 +97,8 @@ pub struct ServeConfig {
     /// Skip the per-query global encoder in Brownout: decode local-only,
     /// i.e. the λ-mixture of Eq. 18–19 collapses to its local term.
     pub brownout_skip_global: bool,
-    /// Concurrent in-flight `/predict` requests admitted.
+    /// Concurrent in-flight `/predict` requests admitted, computing or
+    /// waiting for a compute permit.
     pub max_inflight_predict: usize,
     /// Concurrent in-flight `/ingest` requests admitted.
     pub max_inflight_ingest: usize,
@@ -155,7 +158,7 @@ impl Default for ServeConfig {
 
 /// Immutable vocabulary shared with handler threads for name resolution
 /// (entity/relation vocabularies never change; the horizon may grow, so it
-/// lives in an atomic).
+/// is read from the published generation).
 struct Vocab {
     num_rels: usize,
     entity_by_name: BTreeMap<String, usize>,
@@ -184,10 +187,10 @@ impl Vocab {
 
 struct HandlerCtx {
     vocab: Vocab,
-    work_tx: SyncSender<WorkItem>,
+    ingest_tx: SyncSender<IngestJob>,
+    publisher: Arc<Publisher>,
     metrics: Arc<Metrics>,
     shutdown: Arc<ShutdownState>,
-    horizon: Arc<AtomicUsize>,
     overload: Arc<OverloadState>,
     default_k: usize,
     enable_shutdown_endpoint: bool,
@@ -212,9 +215,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds, builds the model registry on the worker thread (propagating
+    /// Binds, builds the model registry on the model thread (propagating
     /// load/validation errors as typed [`StartError`]s), and starts
-    /// accepting connections.
+    /// accepting connections once its first generation is published.
     pub fn start(
         cfg: ServeConfig,
         ds: TkgDataset,
@@ -243,17 +246,16 @@ impl Server {
             },
             Arc::clone(&metrics),
         ));
-        let horizon = Arc::new(AtomicUsize::new(ds.num_times));
         let vocab = Vocab::from_dataset(&ds);
         let num_entities = ds.num_entities;
-        let (work_tx, work_rx) = mpsc::sync_channel::<WorkItem>(cfg.queue_cap.max(1));
+        let (ingest_tx, ingest_rx) = mpsc::sync_channel::<IngestJob>(cfg.queue_cap.max(1));
 
-        // Model worker: owns the registry (the model is not Send, so it is
-        // built on this thread); reports startup success/failure first.
-        let (ready_tx, ready_rx) = mpsc::channel::<Result<(), StartError>>();
+        // Model thread: owns the registry (the model is not Send, so it is
+        // built on this thread) and applies every ingest; reports startup
+        // success — where readers load its generations from — or failure.
+        let (ready_tx, ready_rx) = mpsc::channel::<Result<Arc<Publisher>, StartError>>();
         let worker = {
             let metrics = Arc::clone(&metrics);
-            let horizon = Arc::clone(&horizon);
             let max_batch = cfg.max_batch.max(1);
             let registry_options = RegistryOptions {
                 fused: cfg.fused,
@@ -271,7 +273,7 @@ impl Server {
                         ds,
                         specs,
                         Arc::clone(&metrics),
-                        horizon,
+                        Arc::new(AtomicUsize::new(0)),
                         registry_options,
                         Arc::clone(&overload),
                     ) {
@@ -290,8 +292,8 @@ impl Server {
                             return;
                         }
                     }
-                    let _ = ready_tx.send(Ok(()));
-                    run_batcher(&mut registry, &work_rx, max_batch, &metrics, &overload);
+                    let _ = ready_tx.send(Ok(registry.publisher()));
+                    run_batcher(&mut registry, &ingest_rx, max_batch, &metrics, &overload);
                     // Shutdown drain: everything acked is already fsynced;
                     // this catches any trailing un-synced appends.
                     registry.flush_durability();
@@ -301,8 +303,8 @@ impl Server {
                     source: e,
                 })?
         };
-        match ready_rx.recv() {
-            Ok(Ok(())) => {}
+        let publisher = match ready_rx.recv() {
+            Ok(Ok(publisher)) => publisher,
             Ok(Err(e)) => {
                 let _ = worker.join();
                 return Err(e);
@@ -311,17 +313,17 @@ impl Server {
                 let _ = worker.join();
                 return Err(StartError::WorkerDied);
             }
-        }
+        };
 
-        // The handlers own the only `work_tx`: the listener drops them at
-        // the end of its drain, and only then does the model worker — every
-        // queued job answered — see its queue close.
+        // The handlers own the only `ingest_tx`: the listener drops them at
+        // the end of its drain, and only then does the model thread — every
+        // queued ingest answered — see its queue close.
         let ctx = HandlerCtx {
             vocab,
-            work_tx,
+            ingest_tx,
+            publisher,
             metrics: Arc::clone(&metrics),
             shutdown: Arc::clone(&shutdown),
-            horizon,
             overload: Arc::clone(&overload),
             default_k: cfg.default_k.max(1),
             enable_shutdown_endpoint: cfg.enable_shutdown_endpoint,
@@ -363,8 +365,8 @@ impl Server {
         Arc::clone(&self.metrics)
     }
 
-    /// The overload/degradation state (tier machine, queue-age signal) —
-    /// shared with admission and the batcher; useful for tests and
+    /// The overload/degradation state (compute permits, tier machine,
+    /// queue-age signal) — shared with admission; useful for tests and
     /// programmatic health probes.
     pub fn overload(&self) -> Arc<OverloadState> {
         Arc::clone(&self.overload)
@@ -384,13 +386,13 @@ impl Server {
     }
 
     /// Triggers shutdown and drains: stop accepting, finish in-flight
-    /// connections, answer every queued job, join all threads.
+    /// connections, answer every queued ingest, join all threads.
     pub fn shutdown(mut self) {
         self.drain();
     }
 
     fn drain(&mut self) {
-        self.listener.drain(); // in-flight answered, last work_tx dropped
+        self.listener.drain(); // in-flight answered, last ingest_tx dropped
         if let Some(worker) = self.worker.take() {
             let _ = worker.join();
         }
@@ -449,7 +451,7 @@ fn route(req: &Request, ctx: &HandlerCtx, started: Instant) -> Response {
             200,
             json!({
                 "status": "ok",
-                "horizon": ctx.horizon.load(Ordering::SeqCst),
+                "horizon": ctx.publisher.load().horizon(),
                 "tier": ctx.overload.tier(Instant::now()).name(),
                 "entities": ctx.num_entities,
                 "shard": shard_json(ctx.shard),
@@ -564,7 +566,8 @@ fn queue_full_error() -> ServeError {
     }
 }
 
-fn submit(ctx: &HandlerCtx, item: WorkItem) -> Result<(), ServeError> {
+/// Hands an ingest to the model thread.
+fn submit(ctx: &HandlerCtx, job: IngestJob) -> Result<(), ServeError> {
     #[cfg(feature = "fault-inject")]
     {
         if crate::fault::queue_saturated() {
@@ -572,26 +575,16 @@ fn submit(ctx: &HandlerCtx, item: WorkItem) -> Result<(), ServeError> {
             return Err(queue_full_error());
         }
     }
-    let enqueued_at = match &item {
-        WorkItem::Predict(j) => j.enqueued_at,
-        WorkItem::Ingest(j) => j.enqueued_at,
-    };
-    // Count the enqueue *before* the send makes the item visible: if the
-    // batcher's dequeue accounting ran first, the queue-age anchor would be
-    // left permanently stale (see OverloadState::note_enqueued).
-    ctx.overload.note_enqueued(enqueued_at);
-    match ctx.work_tx.try_send(item) {
+    match ctx.ingest_tx.try_send(job) {
         Ok(()) => Ok(()),
         Err(TrySendError::Full(_)) => {
-            ctx.overload.note_send_failed();
             ctx.metrics.shed_queue_full.fetch_add(1, Ordering::Relaxed);
             Err(queue_full_error())
         }
         Err(TrySendError::Disconnected(_)) => {
-            // The worker's receiver is gone while we are still admitting:
-            // the model worker died (graceful shutdown keeps it alive until
+            // The model thread's receiver is gone while we are still
+            // admitting: it died (graceful shutdown keeps it alive until
             // every handler finishes). Route future admissions to Shed.
-            ctx.overload.note_send_failed();
             ctx.overload.mark_worker_unhealthy();
             Err(ServeError {
                 status: 503,
@@ -602,7 +595,7 @@ fn submit(ctx: &HandlerCtx, item: WorkItem) -> Result<(), ServeError> {
 }
 
 fn await_reply<T>(
-    rx: &Receiver<Result<T, ServeError>>,
+    rx: &mpsc::Receiver<Result<T, ServeError>>,
     deadline: Instant,
 ) -> Result<T, ServeError> {
     let budget = crate::deadline::remaining_budget(deadline, Instant::now());
@@ -632,10 +625,11 @@ fn predict_inner(
     started: Instant,
 ) -> Result<Response, ServeError> {
     let deadline = admit_deadline(req, ctx, started)?;
-    // CoDel-style admission: in the Shed tier with a live backlog (or a
-    // dead worker) `/predict` is refused before any parsing or queueing
-    // (the central header logic adds Retry-After). With the queue drained,
-    // probes pass through so recovery observations can happen at all.
+    // CoDel-style admission: in the Shed tier with requests waiting for a
+    // compute permit (or a dead model thread) `/predict` is refused before
+    // any parsing (the central header logic adds Retry-After). With nobody
+    // waiting, probes pass through so recovery observations can happen at
+    // all.
     let now = Instant::now();
     if ctx.overload.should_shed_predict(now) {
         ctx.metrics.shed_overload.fetch_add(1, Ordering::Relaxed);
@@ -670,13 +664,17 @@ fn predict_inner(
     {
         r += ctx.vocab.num_rels;
     }
+    // One generation answers the whole request: a head read is the
+    // forecast at this generation's horizon, whatever is ingested while it
+    // waits or computes.
+    let published = ctx.publisher.load();
     let t = match body.get("time") {
         Some(v) => v
             .as_u64()
             .map(|v| v as usize)
             .ok_or_else(|| ServeError::bad_request("\"time\" must be a non-negative integer"))?,
         // Default: one-step-ahead forecast over the full current history.
-        None => ctx.horizon.load(Ordering::SeqCst),
+        None => published.horizon(),
     };
     let k = match body.get("k") {
         Some(v) => v
@@ -689,27 +687,27 @@ fn predict_inner(
     let model = body
         .get("model")
         .and_then(Value::as_str)
-        .unwrap_or("default")
-        .to_string();
-
-    let (reply, reply_rx) = mpsc::channel();
-    submit(
-        ctx,
-        WorkItem::Predict(PredictJob {
-            model: model.clone(),
-            s,
-            r,
-            t,
-            k,
-            deadline,
-            enqueued_at: Instant::now(),
-            reply,
-        }),
-    )?;
-    let outcome = await_reply(&reply_rx, deadline)?;
+        .unwrap_or("default");
+    #[cfg(feature = "fault-inject")]
+    {
+        if crate::fault::queue_saturated() {
+            ctx.metrics.shed_queue_full.fetch_add(1, Ordering::Relaxed);
+            return Err(queue_full_error());
+        }
+    }
+    let query = Query {
+        model,
+        s,
+        r,
+        t,
+        k,
+        enqueued_at: Instant::now(),
+        deadline,
+    };
+    let outcome = published.serve(&query, &ctx.metrics, &ctx.overload)?;
     Ok(Response::json(
         200,
-        predict_body(&model, [s, r, t], &outcome, ctx.num_entities),
+        predict_body(model, [s, r, t], &outcome, ctx.num_entities),
     ))
 }
 
@@ -832,7 +830,7 @@ fn ingest_inner(req: &Request, ctx: &HandlerCtx, started: Instant) -> Result<Res
     let (reply, reply_rx) = mpsc::channel();
     submit(
         ctx,
-        WorkItem::Ingest(IngestJob {
+        IngestJob {
             model,
             t,
             facts,
@@ -841,7 +839,7 @@ fn ingest_inner(req: &Request, ctx: &HandlerCtx, started: Instant) -> Result<Res
             deadline,
             enqueued_at: Instant::now(),
             reply,
-        }),
+        },
     )?;
     let outcome = await_reply(&reply_rx, deadline)?;
     Ok(Response::json(

@@ -1,15 +1,15 @@
-//! Overload resilience: the degradation-tier state machine and the
-//! queue-delay admission signal.
+//! Overload resilience: compute permits, deadline-aware shedding and the
+//! degradation-tier state machine.
 //!
-//! LogCL inference cost is history-dependent (local recurrence over `m`
-//! snapshots plus a query-dependent global two-hop subgraph, Eq. 9–14), so
-//! per-request cost varies widely and a binary "queue full" signal sheds
-//! far too late. This module implements CoDel-style control instead: the
-//! batcher observes the *sojourn time* of every work item — enqueue to the
-//! moment it leaves the queue for a batch (or is shed as expired), the time
-//! it spent set aside behind another key's batch included — and a
-//! three-tier state machine reacts long before the queue hits its capacity
-//! bound:
+//! A `/predict` computes under one of `available_parallelism()` *compute
+//! permits* (read once), granted first come first served. The wait for a
+//! permit is the queue: its depth and oldest waiter's age are the
+//! instantaneous admission signal, and each request's wait — observed at
+//! its grant, or when its deadline makes it leave (`504`, never computed)
+//! — is the CoDel-style *sojourn*. LogCL inference cost is
+//! history-dependent (local recurrence over `m` snapshots plus a
+//! query-dependent global two-hop subgraph, Eq. 9–14), so a binary "queue
+//! full" signal sheds far too late; three tiers react to the sojourn:
 //!
 //! * **Normal** — full fidelity.
 //! * **Brownout** — predict requests are still admitted, but answered
@@ -22,24 +22,25 @@
 //!   either way. Every response names the tier in an
 //!   `X-LogCL-Degradation` header.
 //! * **Shed** — incoming `/predict` is answered `503` + `Retry-After`
-//!   without being queued, for as long as a backlog exists (or the worker
-//!   is gone). Once the queue drains, probe requests are admitted even at
-//!   stored-tier Shed — their sojourn observations are what drives the
-//!   recovery streak. `/healthz` and `/metrics` are **never** shed.
+//!   without waiting for a permit, for as long as anyone is waiting (or the
+//!   model thread is gone). Once no request waits, probe requests are
+//!   admitted even at stored-tier Shed — their sojourn observations are
+//!   what drives the recovery streak. `/healthz` and `/metrics` are
+//!   **never** shed.
 //!
 //! Escalation is immediate (one bad observation is enough — by the time
 //! sojourn crosses a threshold the queue is already old); recovery steps
 //! down one tier at a time after [`OverloadPolicy::recovery_streak`]
 //! consecutive healthy observations, so the tier cannot flap on a single
-//! quiet dequeue and provably returns to Normal within
+//! quiet grant and provably returns to Normal within
 //! `2 × recovery_streak` requests once load clears.
 //!
-//! The state is written by the single batcher thread (observations) and
-//! read by handler threads (admission), so plain atomic loads/stores
-//! suffice — there is no read-modify-write race on the tier.
+//! Observations are made under the permit lock; handler threads read the
+//! tier and the queue signal with plain atomic loads.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::metrics::Metrics;
@@ -54,7 +55,7 @@ pub enum Tier {
     Normal = 0,
     /// Degraded answers: capped top-k, local-only decoding.
     Brownout = 1,
-    /// Incoming `/predict` is answered `503` without queueing.
+    /// Incoming `/predict` is answered `503` without waiting for a permit.
     Shed = 2,
 }
 
@@ -118,26 +119,38 @@ impl Default for OverloadPolicy {
     }
 }
 
-/// Shared overload state: tier, queue-age signal, worker health, and the
-/// per-endpoint in-flight counters.
+/// Shared overload state: compute permits, tier, queue-age signal, worker
+/// health, and the per-endpoint in-flight counters.
 pub struct OverloadState {
     policy: OverloadPolicy,
     /// Epoch for the micros-since-start encoding of enqueue times.
     t0: Instant,
     tier: AtomicU8,
     healthy_streak: AtomicU32,
-    /// Lowered when the batcher exits or its channel disconnects while the
-    /// server is still answering — the strongest possible shed signal.
+    /// Lowered when the model thread exits or its channel disconnects
+    /// while the server is still answering — the strongest possible shed
+    /// signal.
     worker_healthy: AtomicBool,
+    /// Requests waiting for a compute permit (mirrors `permits`).
     queue_depth: AtomicUsize,
-    /// Enqueue time (micros since `t0`) of (approximately) the oldest item
-    /// still queued; [`EMPTY`] when the queue was last seen empty. An
-    /// *under*-estimate of queue age is impossible by construction: the
-    /// value only moves forward when the batcher actually dequeues.
+    /// Enqueue time (micros since `t0`) of the oldest request waiting for a
+    /// permit; [`EMPTY`] when none waits (mirrors `permits`).
     head_enqueued_micros: AtomicU64,
+    /// How many forwards may run at once.
+    compute_permits: usize,
+    permits: Mutex<Permits>,
+    /// Signalled when a permit is returned or a waiter leaves the queue.
+    released: Condvar,
     inflight_predict: AtomicUsize,
     inflight_ingest: AtomicUsize,
     metrics: Arc<Metrics>,
+}
+
+/// The permits not held, and who waits for one, oldest first.
+struct Permits {
+    free: usize,
+    waiting: VecDeque<(u64, Instant)>,
+    next_ticket: u64,
 }
 
 /// RAII token for one admitted in-flight request (concurrency cap).
@@ -151,9 +164,23 @@ impl Drop for InflightGuard<'_> {
     }
 }
 
+/// One forward's right to compute; returned on drop.
+pub struct ComputePermit<'a> {
+    state: &'a OverloadState,
+}
+
+impl Drop for ComputePermit<'_> {
+    fn drop(&mut self) {
+        self.state.lock_permits().free += 1;
+        self.state.released.notify_all();
+    }
+}
+
 impl OverloadState {
-    /// A fresh state at tier Normal.
+    /// A fresh state at tier Normal, with one compute permit per unit of
+    /// the host's available parallelism.
     pub fn new(policy: OverloadPolicy, metrics: Arc<Metrics>) -> Self {
+        let compute_permits = std::thread::available_parallelism().map_or(1, |n| n.get());
         Self {
             policy,
             t0: Instant::now(),
@@ -162,6 +189,13 @@ impl OverloadState {
             worker_healthy: AtomicBool::new(true),
             queue_depth: AtomicUsize::new(0),
             head_enqueued_micros: AtomicU64::new(EMPTY),
+            compute_permits,
+            permits: Mutex::new(Permits {
+                free: compute_permits,
+                waiting: VecDeque::new(),
+                next_ticket: 0,
+            }),
+            released: Condvar::new(),
             inflight_predict: AtomicUsize::new(0),
             inflight_ingest: AtomicUsize::new(0),
             metrics,
@@ -174,78 +208,74 @@ impl OverloadState {
         &self.policy
     }
 
+    /// How many forwards may run at once.
+    pub fn compute_permits(&self) -> usize {
+        self.compute_permits
+    }
+
     fn micros(&self, at: Instant) -> u64 {
         at.saturating_duration_since(self.t0).as_micros() as u64
     }
 
-    /// Records one item entering the work queue. Must be called *before*
-    /// the send that makes the item visible to the batcher — otherwise the
-    /// dequeue accounting can run first and leave a permanently stale head
-    /// anchor (an empty queue that reads as ever-growing age). A send that
-    /// then fails must be rolled back with [`Self::note_send_failed`].
-    pub fn note_enqueued(&self, at: Instant) {
-        self.queue_depth.fetch_add(1, Ordering::AcqRel);
-        // Only claim the head slot when the queue was believed empty —
-        // otherwise an older item already anchors the age signal.
-        let _ = self.head_enqueued_micros.compare_exchange(
-            EMPTY,
-            self.micros(at),
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        );
+    /// Locks the permit queue, shrugging off poison: it is a counter and a
+    /// list left coherent before every unlock.
+    fn lock_permits(&self) -> MutexGuard<'_, Permits> {
+        self.permits.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Rolls back a [`Self::note_enqueued`] whose send failed (queue full
-    /// or disconnected): the item never became visible to the batcher. The
-    /// head anchor may transiently keep the failed item's timestamp when
-    /// other work is queued — a conservative over-estimate of queue age
-    /// that the next real dequeue corrects.
-    pub fn note_send_failed(&self) {
-        let depth = self
-            .queue_depth
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |d| {
-                Some(d.saturating_sub(1))
-            })
-            .unwrap_or(1)
-            .saturating_sub(1);
-        if depth == 0 {
-            self.head_enqueued_micros.store(EMPTY, Ordering::Release);
+    /// Waits, first come first served, for a compute permit. A request
+    /// enqueued at `enqueued_at` whose `deadline` passes before it is
+    /// granted — or at the grant — leaves without one: `Err` carries how
+    /// long it waited, and the caller answers `504` before any compute.
+    /// Either way the wait is observed as the request's sojourn.
+    pub fn acquire_compute(
+        &self,
+        enqueued_at: Instant,
+        deadline: Instant,
+    ) -> Result<ComputePermit<'_>, Duration> {
+        let mut permits = self.lock_permits();
+        let ticket = permits.next_ticket;
+        permits.next_ticket += 1;
+        permits.waiting.push_back((ticket, enqueued_at));
+        self.mirror(&permits);
+        loop {
+            let now = Instant::now();
+            let first = permits.waiting.front().is_some_and(|&(t, _)| t == ticket);
+            if (first && permits.free > 0) || now >= deadline {
+                permits.waiting.retain(|&(t, _)| t != ticket);
+                self.mirror(&permits);
+                let waited = self.observe_sojourn(enqueued_at, now);
+                if now < deadline {
+                    permits.free -= 1;
+                    return Ok(ComputePermit { state: self });
+                }
+                drop(permits);
+                self.released.notify_all();
+                return Err(waited);
+            }
+            permits = self
+                .released
+                .wait_timeout(permits, deadline - now)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
         }
     }
 
-    /// Records the oldest queued item leaving the work queue *for work* — it
-    /// joins a batch or is shed as expired; an item the batcher only sets
-    /// aside for a later batch is still queued. Feeds the sojourn signal
-    /// into the state machine and returns the observed sojourn. Called by
-    /// the batcher thread only.
-    pub fn note_dequeued(&self, enqueued_at: Instant, now: Instant) -> Duration {
-        self.dequeue(enqueued_at, now, true)
+    /// Publishes the queue's depth and oldest enqueue time for lock-free
+    /// readers. Called with the permit lock held.
+    fn mirror(&self, permits: &Permits) {
+        self.queue_depth
+            .store(permits.waiting.len(), Ordering::Release);
+        let head = permits
+            .waiting
+            .front()
+            .map_or(EMPTY, |&(_, at)| self.micros(at));
+        self.head_enqueued_micros.store(head, Ordering::Release);
     }
 
-    /// [`Self::note_dequeued`] for an item taken past older ones that stay
-    /// queued (a same-key job absorbed into an open batch from behind
-    /// another key's): the age anchor stays on the older item.
-    pub fn note_dequeued_past_older(&self, enqueued_at: Instant, now: Instant) -> Duration {
-        self.dequeue(enqueued_at, now, false)
-    }
-
-    fn dequeue(&self, enqueued_at: Instant, now: Instant, oldest: bool) -> Duration {
-        let depth = self
-            .queue_depth
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |d| {
-                Some(d.saturating_sub(1))
-            })
-            .unwrap_or(1)
-            .saturating_sub(1);
-        if depth == 0 {
-            self.head_enqueued_micros.store(EMPTY, Ordering::Release);
-        } else if oldest {
-            // Anything still queued arrived at or after this item: advance
-            // the age anchor to the dequeued item's enqueue time (a slight
-            // over-estimate of the head's age — conservative by design).
-            self.head_enqueued_micros
-                .store(self.micros(enqueued_at), Ordering::Release);
-        }
+    /// Feeds one request's permit wait into the state machine and returns
+    /// it. Called with the permit lock held, so observations never race.
+    fn observe_sojourn(&self, enqueued_at: Instant, now: Instant) -> Duration {
         let sojourn = now.saturating_duration_since(enqueued_at);
         self.metrics.queue_sojourn.observe(sojourn.as_secs_f64());
         let target = if sojourn >= self.policy.shed_sojourn {
@@ -260,7 +290,7 @@ impl OverloadState {
     }
 
     /// Feeds one compute-utilisation observation (pool threads busy per
-    /// wall-second over a batch) into the state machine. A no-op when the
+    /// wall-second over a forward) into the state machine. A no-op when the
     /// utilisation signal is disabled (`brownout_utilisation == 0`).
     pub fn observe_utilisation(&self, util: f64) {
         if self.policy.brownout_utilisation <= 0.0 {
@@ -271,12 +301,13 @@ impl OverloadState {
         } else {
             Tier::Normal
         };
+        let _serial = self.lock_permits();
         self.observe_target(target);
     }
 
     /// The transition function: escalate immediately, recover one tier per
-    /// `recovery_streak` consecutive healthy observations. Single-writer
-    /// (the batcher thread).
+    /// `recovery_streak` consecutive healthy observations. Called with the
+    /// permit lock held (one writer at a time).
     fn observe_target(&self, target: Tier) {
         let cur = Tier::from_u8(self.tier.load(Ordering::Acquire));
         let next = if target >= cur {
@@ -297,9 +328,10 @@ impl OverloadState {
             .store(next as u64, Ordering::Relaxed);
     }
 
-    /// Age of the oldest queued work (zero when the queue is empty) — the
-    /// instantaneous admission signal, valid even when the batcher is
-    /// wedged in a long batch and produces no fresh observations.
+    /// How long the oldest request waiting for a compute permit has waited
+    /// (zero when none waits) — the instantaneous admission signal, valid
+    /// even while every permit is held by a long forward and no grant
+    /// produces a fresh observation.
     pub fn queue_wait(&self, now: Instant) -> Duration {
         let head = self.head_enqueued_micros.load(Ordering::Acquire);
         if head == EMPTY {
@@ -327,8 +359,8 @@ impl OverloadState {
     }
 
     /// Whether an incoming `/predict` should be refused outright. Shed
-    /// refuses only while there is an actual backlog (or the worker is
-    /// gone): once the queue drains, probe requests are admitted even at
+    /// refuses only while someone waits for a permit (or the model thread
+    /// is gone): once the queue drains, probe requests are admitted even at
     /// stored-tier Shed — their healthy sojourn observations are the only
     /// signal that can drive the recovery streak, so a hard refusal would
     /// otherwise wedge the server at Shed forever.
@@ -339,14 +371,14 @@ impl OverloadState {
         self.tier(now) == Tier::Shed && self.queue_depth.load(Ordering::Acquire) > 0
     }
 
-    /// Items enqueued and not yet taken for work, set-aside ones included.
+    /// Requests waiting for a compute permit.
     #[cfg(test)]
     pub(crate) fn queue_depth(&self) -> usize {
         self.queue_depth.load(Ordering::Acquire)
     }
 
-    /// Marks the model worker unhealthy (batcher exit, channel disconnect,
-    /// injected death). The tier reads as Shed from now on.
+    /// Marks the model thread unhealthy (its loop exited, its channel
+    /// disconnected, an injected death). The tier reads as Shed from now on.
     pub fn mark_worker_unhealthy(&self) {
         self.worker_healthy.store(false, Ordering::Release);
         self.metrics
@@ -354,7 +386,7 @@ impl OverloadState {
             .store(Tier::Shed as u64, Ordering::Relaxed);
     }
 
-    /// Whether the model worker is still believed healthy.
+    /// Whether the model thread is still believed healthy.
     pub fn worker_healthy(&self) -> bool {
         self.worker_healthy.load(Ordering::Acquire)
     }
@@ -436,72 +468,119 @@ mod tests {
         let s = state(policy());
         let t = Instant::now();
         // 300ms sojourn (>= shed threshold) escalates straight to Shed.
-        let sojourn = s.note_dequeued(t, t + Duration::from_millis(300));
+        let sojourn = s.observe_sojourn(t, t + Duration::from_millis(300));
         assert_eq!(sojourn, Duration::from_millis(300));
         assert_eq!(s.tier(t), Tier::Shed);
-        // 100ms sojourns are in the brownout band: they hold Shed back
-        // from recovering only until the streak of sub-brownout ones.
+        // Sub-brownout sojourns walk it back down, one tier a streak.
         for _ in 0..6 {
-            s.note_dequeued(t, t + Duration::from_millis(1));
+            s.observe_sojourn(t, t + Duration::from_millis(1));
         }
         assert_eq!(s.tier(t), Tier::Normal);
     }
 
-    #[test]
-    fn queue_wait_tracks_oldest_enqueue_and_escalates_admission() {
-        let s = state(policy());
-        let t = Instant::now();
-        assert_eq!(s.queue_wait(t), Duration::ZERO);
-        s.note_enqueued(t);
-        // A later enqueue does not move the head anchor.
-        s.note_enqueued(t + Duration::from_millis(10));
-        let wait = s.queue_wait(t + Duration::from_millis(300));
-        assert!(wait >= Duration::from_millis(299), "{wait:?}");
-        // Stored tier is still Normal (no dequeues), yet admission sees
-        // Shed through the instantaneous signal.
-        assert_eq!(s.tier(t + Duration::from_millis(300)), Tier::Shed);
-        // Draining both items empties the signal.
-        s.note_dequeued(t, t + Duration::from_millis(301));
-        s.note_dequeued(
-            t + Duration::from_millis(10),
-            t + Duration::from_millis(301),
-        );
-        assert_eq!(s.queue_wait(t + Duration::from_millis(302)), Duration::ZERO);
+    /// Every permit held by the test thread, so whoever asks waits.
+    fn held(s: &OverloadState) -> Vec<ComputePermit<'_>> {
+        let far = Instant::now() + Duration::from_secs(60);
+        (0..s.compute_permits())
+            .map(|_| {
+                s.acquire_compute(Instant::now(), far)
+                    .expect("a free permit")
+            })
+            .collect()
+    }
+
+    fn wait_for_depth(s: &OverloadState, depth: usize) {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while s.queue_depth() != depth {
+            assert!(Instant::now() < give_up, "depth never reached {depth}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]
-    fn a_take_past_an_older_item_leaves_the_anchor_on_it() {
-        let s = state(policy());
-        let t = Instant::now();
-        s.note_enqueued(t);
-        s.note_enqueued(t + Duration::from_millis(200));
-        s.note_enqueued(t + Duration::from_millis(250));
-        // The 250 ms item joins an open batch from behind the other two:
-        // the queue is still as old as its oldest member.
-        let later = t + Duration::from_millis(300);
-        s.note_dequeued_past_older(t + Duration::from_millis(250), later);
-        assert!(s.queue_wait(later) >= Duration::from_millis(299));
-        assert_eq!(s.tier(later), Tier::Shed);
-        // Taking the oldest moves the anchor on; taking the last empties it.
-        s.note_dequeued(t, later);
-        assert!(s.queue_wait(later) <= Duration::from_millis(300));
-        s.note_dequeued(t + Duration::from_millis(200), later);
-        assert_eq!(s.queue_wait(later), Duration::ZERO);
+    fn permits_go_first_come_first_served_and_the_queue_signal_is_the_oldest_waiter() {
+        let s = state(OverloadPolicy {
+            brownout_sojourn: Duration::from_millis(20),
+            shed_sojourn: Duration::from_millis(40),
+            ..policy()
+        });
+        let older = Instant::now();
+        let mut permits = held(&s);
+        std::thread::sleep(Duration::from_millis(50));
+        let far = Instant::now() + Duration::from_secs(60);
+        let (granted_tx, granted) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            for (name, enqueued_at) in [("a", older), ("b", Instant::now())] {
+                let (state, granted_tx) = (&s, granted_tx.clone());
+                scope.spawn(move || {
+                    let permit = state.acquire_compute(enqueued_at, far).expect("granted");
+                    granted_tx.send(name).expect("report the grant");
+                    drop(permit);
+                });
+                wait_for_depth(&s, if name == "a" { 1 } else { 2 });
+            }
+            let now = Instant::now();
+            assert!(s.queue_wait(now) >= Duration::from_millis(50), "a's age");
+            assert_eq!(s.tier(now), Tier::Shed, "the instantaneous signal");
+            assert!(s.should_shed_predict(now));
+            permits.pop();
+            assert_eq!(granted.recv().expect("a grant"), "a");
+            assert_eq!(granted.recv().expect("a grant"), "b");
+        });
         assert_eq!(s.queue_depth(), 0);
+        assert_eq!(s.queue_wait(Instant::now()), Duration::ZERO);
+        assert!(!s.should_shed_predict(Instant::now()));
+        drop(permits);
+        assert_eq!(
+            held(&s).len(),
+            s.compute_permits(),
+            "every permit came back"
+        );
     }
 
     #[test]
-    fn failed_send_rolls_back_the_queue_age_anchor() {
+    fn a_waiter_past_its_deadline_leaves_without_a_permit() {
+        let metrics = Arc::new(Metrics::default());
+        let s = OverloadState::new(policy(), Arc::clone(&metrics));
+        let permits = held(&s);
+        let enqueued_at = Instant::now();
+        let waited = s
+            .acquire_compute(enqueued_at, enqueued_at + Duration::from_millis(20))
+            .map(|_| ())
+            .expect_err("no permit frees up in time");
+        assert!(waited >= Duration::from_millis(20), "{waited:?}");
+        assert_eq!(s.queue_depth(), 0);
+        drop(permits);
+        assert!(
+            s.acquire_compute(Instant::now(), Instant::now()).is_err(),
+            "a grant at or past the deadline is no grant"
+        );
+        assert_eq!(held(&s).len(), s.compute_permits());
+        assert!(metrics.queue_sojourn.total() >= 2, "both waits observed");
+    }
+
+    #[test]
+    fn shed_admits_probes_once_the_backlog_drains() {
         let s = state(policy());
         let t = Instant::now();
-        s.note_enqueued(t);
-        s.note_send_failed();
-        assert_eq!(
-            s.queue_wait(t + Duration::from_secs(5)),
-            Duration::ZERO,
-            "a rolled-back enqueue must not read as queue age"
-        );
-        assert_eq!(s.tier(t + Duration::from_secs(5)), Tier::Normal);
+        // A 300ms sojourn pins the stored tier at Shed…
+        s.observe_sojourn(t, t + Duration::from_millis(300));
+        assert_eq!(s.tier(t), Tier::Shed);
+        // …but with nobody waiting, predicts are admitted as probes: the
+        // resulting observations are the only path back to Normal.
+        assert!(!s.should_shed_predict(t));
+        // While someone waits for a permit, Shed refuses.
+        let permits = held(&s);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let far = Instant::now() + Duration::from_secs(60);
+                drop(s.acquire_compute(Instant::now(), far));
+            });
+            wait_for_depth(&s, 1);
+            assert!(s.should_shed_predict(Instant::now()));
+            drop(permits);
+        });
+        assert!(!s.should_shed_predict(Instant::now()));
     }
 
     #[test]
@@ -511,23 +590,6 @@ mod tests {
         s.mark_worker_unhealthy();
         assert_eq!(s.tier(Instant::now()), Tier::Shed);
         assert!(s.should_shed_predict(Instant::now()));
-    }
-
-    #[test]
-    fn shed_admits_probes_once_the_backlog_drains() {
-        let s = state(policy());
-        let t = Instant::now();
-        // A 300ms sojourn pins the stored tier at Shed…
-        s.note_dequeued(t, t + Duration::from_millis(300));
-        assert_eq!(s.tier(t), Tier::Shed);
-        // …but with an empty queue, predicts are admitted as probes: the
-        // resulting observations are the only path back to Normal.
-        assert!(!s.should_shed_predict(t));
-        // While a backlog exists, Shed refuses.
-        s.note_enqueued(t);
-        assert!(s.should_shed_predict(t));
-        s.note_dequeued(t, t + Duration::from_millis(1));
-        assert!(!s.should_shed_predict(t));
     }
 
     #[test]

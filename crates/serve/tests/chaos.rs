@@ -16,11 +16,14 @@ use std::sync::atomic::Ordering;
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use logcl_core::{predict_topk_stream, LogCl, LogClConfig};
+use logcl_core::{
+    online_adapt, predict_topk, predict_topk_stream, EvalContext, LogCl, LogClConfig,
+    OnlineAdaptOptions, Prediction,
+};
 use logcl_serve::fault::{self, FaultPlan, FaultPoint};
 use logcl_serve::http::Client;
 use logcl_serve::{ModelSpec, ServeConfig, Server, StartError};
-use logcl_tkg::{SyntheticPreset, TkgDataset};
+use logcl_tkg::{HistoryIndex, Quad, SyntheticPreset, TkgDataset};
 use serde_json::Value;
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -182,26 +185,39 @@ fn compute_delay_overload_sheds_then_recovers_bit_identically() {
         .expect("predictions array")
         .to_string();
 
-    // Inject a deterministic compute stall into every batch, then pile
-    // work up behind it.
+    // Inject a deterministic compute stall into every forward, hold every
+    // compute permit with one, then queue one more request behind them.
     fault::install(FaultPlan {
         seed: 42,
         compute_delay: Some(Duration::from_millis(400)),
         ..FaultPlan::default()
     });
-    let stalled = std::thread::spawn(move || {
-        let body = format!(r#"{{"subject": 1, "relation": 0, "time": {t}, "k": 5}}"#);
+    let permits = server.overload().compute_permits();
+    let stalled: Vec<_> = (1..=permits)
+        .map(|s| {
+            let body = format!(r#"{{"subject": {s}, "relation": 0, "time": {t}, "k": 5}}"#);
+            std::thread::spawn(move || request(addr, "POST", "/predict", &body))
+        })
+        .collect();
+    wait_until("every permit is held by a stalled forward", || {
+        fault::fired(FaultPoint::ComputeDelay) == permits as u64
+    });
+    let queued = std::thread::spawn(move || {
+        let body = format!(
+            r#"{{"subject": {}, "relation": 0, "time": {t}, "k": 5}}"#,
+            permits + 1
+        );
         request(addr, "POST", "/predict", &body)
+    });
+    let overload = server.overload();
+    wait_until("a request waits for a permit", || {
+        overload.queue_wait(Instant::now()) > Duration::ZERO
     });
     std::thread::sleep(Duration::from_millis(100));
-    let queued = std::thread::spawn(move || {
-        let body = format!(r#"{{"subject": 2, "relation": 0, "time": {t}, "k": 5}}"#);
-        request(addr, "POST", "/predict", &body)
-    });
-    std::thread::sleep(Duration::from_millis(150));
 
-    // By now the queued job is far older than shed_sojourn: fresh predicts
-    // must be refused with Retry-After, while liveness stays untouched.
+    // By now the waiting request is far older than shed_sojourn: fresh
+    // predicts must be refused with Retry-After, while liveness stays
+    // untouched.
     let (status, headers, body) = request(addr, "POST", "/predict", &query);
     assert_eq!(status, 503, "overloaded server must shed: {body}");
     assert!(
@@ -212,10 +228,10 @@ fn compute_delay_overload_sheds_then_recovers_bit_identically() {
     assert_ne!(tier, "normal", "tier must reflect the episode");
 
     // Work admitted before the overload is still answered, not dropped.
-    let (status, _, body) = stalled.join().unwrap();
-    assert_eq!(status, 200, "{body}");
-    let (status, _, body) = queued.join().unwrap();
-    assert_eq!(status, 200, "{body}");
+    for client in stalled.into_iter().chain([queued]) {
+        let (status, _, body) = client.join().unwrap();
+        assert_eq!(status, 200, "{body}");
+    }
     assert!(fault::fired(FaultPoint::ComputeDelay) >= 1);
     assert!(
         server.metrics().shed_overload.load(Ordering::Relaxed) >= 1,
@@ -246,14 +262,13 @@ fn compute_delay_overload_sheds_then_recovers_bit_identically() {
     server.shutdown();
 }
 
-/// Offers eight predicts 3 ms apart, two at each of the last `keys`
-/// timestamps with the first one's second request last, to a server that
-/// stalls every batch ≥ 40 ms and batches two at a time; returns the tier
+/// Offers four predicts per compute permit, 3 ms apart, at the last `keys`
+/// timestamps in turn, to a server that stalls every forward ≥ 40 ms: the
+/// last wave waits at least three stalls for a permit. Returns the tier
 /// once all are answered (the recovery streak is out of reach, so an
 /// escalation sticks).
-fn tier_after_backlog(keys: u64) -> String {
+fn tier_after_backlog(keys: usize) -> String {
     let cfg = ServeConfig {
-        max_batch: 2,
         brownout_sojourn: Duration::from_millis(80),
         shed_sojourn: Duration::from_secs(60),
         recovery_streak: 1_000,
@@ -261,17 +276,15 @@ fn tier_after_backlog(keys: u64) -> String {
     };
     let server = Server::start(cfg, tiny_ds(), vec![untrained_spec()]).expect("start");
     let addr = server.addr();
-    let head = horizon_of(addr);
+    let head = horizon_of(addr) as usize;
     fault::install(FaultPlan {
         seed: 7,
         compute_delay: Some(Duration::from_millis(40)),
         ..FaultPlan::default()
     });
-    let clients: Vec<_> = [0, 1, 2, 3, 1, 2, 3, 0]
-        .into_iter()
-        .enumerate()
-        .map(|(i, key)| {
-            let t = head - key % keys;
+    let clients: Vec<_> = (0..4 * server.overload().compute_permits())
+        .map(|i| {
+            let t = head - i % keys;
             std::thread::sleep(Duration::from_millis(3));
             std::thread::spawn(move || {
                 let body = format!(r#"{{"subject": {i}, "relation": 0, "time": {t}, "k": 5}}"#);
@@ -289,19 +302,14 @@ fn tier_after_backlog(keys: u64) -> String {
     tier
 }
 
-/// Stalled batches queue up either way: under one key the later jobs wait
-/// in the channel, under four they wait set aside in the batcher — received
-/// when the second batch opens and then not looked at again until their
-/// turn. Both are queue time, and both must reach Brownout.
+/// Stalled forwards back requests up whatever their keys: under one
+/// timestamp or four, the later requests wait for a compute permit, and
+/// that wait must reach Brownout.
 #[test]
 fn a_backlog_spread_over_four_keys_browns_out_like_one_key() {
     let _guard = serial();
     assert_eq!(tier_after_backlog(1), "brownout", "one key");
-    assert_eq!(
-        tier_after_backlog(4),
-        "brownout",
-        "four keys: set-aside time must count as sojourn"
-    );
+    assert_eq!(tier_after_backlog(4), "brownout", "four keys");
 }
 
 #[test]
@@ -312,7 +320,7 @@ fn batcher_death_sheds_predicts_but_leaves_liveness_up() {
     let t = horizon_of(addr);
     let query = format!(r#"{{"subject": 0, "relation": 0, "time": {t}}}"#);
 
-    // One healthy answer first (also advances the batch counter past 0).
+    // One healthy answer first.
     let (status, _, _) = request(addr, "POST", "/predict", &query);
     assert_eq!(status, 200);
 
@@ -320,9 +328,10 @@ fn batcher_death_sheds_predicts_but_leaves_liveness_up() {
         batcher_death_at_batch: Some(0),
         ..FaultPlan::default()
     });
-    // The next dequeue kills the worker: the in-hand request is answered
-    // 503 (dropped reply channel), not left hanging.
-    let (status, headers, body) = request(addr, "POST", "/predict", &query);
+    // The next ingest run kills the model thread: the in-hand ingest is
+    // answered 503 (dropped reply channel), not left hanging.
+    let ingest = format!(r#"{{"time": {t}, "facts": [[1, 0, 2]], "update": false}}"#);
+    let (status, headers, body) = request(addr, "POST", "/ingest", &ingest);
     assert_eq!(status, 503, "{body}");
     assert!(header_of(&headers, "Retry-After").is_some(), "{headers:?}");
     assert_eq!(fault::fired(FaultPoint::BatcherDeath), 1);
@@ -366,9 +375,10 @@ fn queue_saturation_fault_sheds_with_retry_after() {
 
 // ------------------------------------------------ a request held in flight
 //
-// The model thread takes what is queued and never waits, so the only thing
-// that keeps a request in flight long enough to act on is a stalled batch:
-// a first request occupies the worker and the one under test queues behind.
+// A predict computes on its own connection thread as soon as it holds a
+// compute permit, so the only thing that keeps one in flight long enough to
+// act on is a stalled forward: the requests that stall hold permits, and a
+// request under test waits behind them once every permit is held.
 
 /// Polls until `cond` holds (10 s at most).
 fn wait_until(what: &str, cond: impl Fn() -> bool) {
@@ -379,24 +389,39 @@ fn wait_until(what: &str, cond: impl Fn() -> bool) {
     }
 }
 
-/// Stalls the server's first predict batch — and only that one — for one
-/// to three times `delay`, sends the predict that occupies the model thread
-/// inside it, and returns once the thread is there.
-fn occupy_worker(
+/// Stalls the next `bodies.len()` forwards — and only those — for one to
+/// three times `delay` each, sends one predict per body, and returns once
+/// every one of them holds a compute permit inside its stall.
+fn occupy(
     addr: std::net::SocketAddr,
     delay: Duration,
-    body: String,
-) -> std::thread::JoinHandle<Answer> {
+    bodies: Vec<String>,
+) -> Vec<std::thread::JoinHandle<Answer>> {
+    let n = bodies.len() as u64;
     fault::install(FaultPlan {
         compute_delay: Some(delay),
-        compute_delay_batches: Some(1),
+        compute_delay_batches: Some(n),
         ..FaultPlan::default()
     });
-    let occupier = std::thread::spawn(move || request(addr, "POST", "/predict", &body));
-    wait_until("the first batch stalls", || {
-        fault::fired(FaultPoint::ComputeDelay) == 1
+    let occupiers = bodies
+        .into_iter()
+        .map(|body| std::thread::spawn(move || request(addr, "POST", "/predict", &body)))
+        .collect();
+    wait_until("every occupier stalls", || {
+        fault::fired(FaultPoint::ComputeDelay) == n
     });
-    occupier
+    occupiers
+}
+
+/// [`occupy`] with one stalled predict per compute permit, the `i`-th
+/// asking `body(i)`: from here on a predict waits for a permit.
+fn occupy_every_permit(
+    server: &Server,
+    delay: Duration,
+    body: impl Fn(usize) -> String,
+) -> Vec<std::thread::JoinHandle<Answer>> {
+    let permits = server.overload().compute_permits();
+    occupy(server.addr(), delay, (0..permits).map(body).collect())
 }
 
 #[test]
@@ -407,25 +432,23 @@ fn graceful_shutdown_answers_requests_already_in_flight() {
     let t = horizon_of(addr);
     let overload = server.overload();
 
-    // One request inside the model thread and one queued behind it when the
-    // shutdown endpoint fires.
-    let occupier = occupy_worker(
-        addr,
-        Duration::from_millis(150),
-        format!(r#"{{"subject": 1, "relation": 1, "time": {t}}}"#),
-    );
+    // Every permit held by a stalled request and one more waiting for a
+    // permit when the shutdown endpoint fires.
+    let occupiers = occupy_every_permit(&server, Duration::from_millis(150), |i| {
+        format!(r#"{{"subject": {}, "relation": 1, "time": {t}}}"#, 3 + i)
+    });
     let queued = std::thread::spawn(move || {
         let body = format!(r#"{{"subject": 2, "relation": 1, "time": {t}}}"#);
         request(addr, "POST", "/predict", &body)
     });
-    wait_until("the second request is queued", || {
+    wait_until("the last request waits for a permit", || {
         overload.queue_wait(Instant::now()) > Duration::ZERO
     });
     let (status, _, _) = request(addr, "POST", "/shutdown", "");
     assert_eq!(status, 200);
     server.run(); // returns once every thread is joined
 
-    for client in [occupier, queued] {
+    for client in occupiers.into_iter().chain([queued]) {
         let (status, _, body) = client.join().unwrap();
         assert_eq!(status, 200, "in-flight request was dropped: {body}");
         assert!(!predictions_of(&body).is_empty());
@@ -435,11 +458,12 @@ fn graceful_shutdown_answers_requests_already_in_flight() {
 
 #[test]
 fn expired_deadline_is_shed_before_compute_and_admitted_work_stays_exact() {
-    // A stalled batch outlasts the short deadline of a job queued behind
-    // it: the expired job must be answered 504 *without* reaching the
-    // model, while the patient job queued next to it is answered exactly
-    // as an unloaded server would. Degradation thresholds are pushed out
-    // of reach so the admitted answer is full-fidelity.
+    // Stalled forwards hold every compute permit for longer than the short
+    // deadline of a request waiting behind them: the expired request must
+    // be answered 504 *without* reaching the model, while the patient
+    // request waiting next to it is answered exactly as an unloaded server
+    // would. Degradation thresholds are pushed out of reach so the
+    // admitted answer is full-fidelity.
     let _guard = serial();
     let cfg = ServeConfig {
         brownout_sojourn: Duration::from_secs(10),
@@ -450,11 +474,12 @@ fn expired_deadline_is_shed_before_compute_and_admitted_work_stays_exact() {
     let addr = server.addr();
     let t = horizon_of(addr);
     let overload = server.overload();
-    let occupier = occupy_worker(
-        addr,
-        Duration::from_millis(200),
-        format!(r#"{{"subject": 2, "relation": 0, "time": {t}, "k": 5}}"#),
-    );
+    let occupiers = occupy_every_permit(&server, Duration::from_millis(200), |i| {
+        format!(
+            r#"{{"subject": {}, "relation": 0, "time": {t}, "k": 5}}"#,
+            2 + i
+        )
+    });
 
     // The impatient client: 100ms budget behind a stall of at least 200ms.
     let impatient = std::thread::spawn(move || {
@@ -466,8 +491,8 @@ fn expired_deadline_is_shed_before_compute_and_admitted_work_stays_exact() {
             &[("X-LogCL-Deadline-Ms", "100")],
         )
     });
-    // The patient client queues behind it for the same (model, t).
-    wait_until("the impatient request is queued", || {
+    // The patient client waits behind it for a permit.
+    wait_until("the impatient request waits for a permit", || {
         overload.queue_wait(Instant::now()) > Duration::ZERO
     });
     let patient = std::thread::spawn(move || {
@@ -475,9 +500,8 @@ fn expired_deadline_is_shed_before_compute_and_admitted_work_stays_exact() {
         request(addr, "POST", "/predict", &body)
     });
 
-    // The impatient client sees 504 either way the race falls: its handler
-    // times out at the 100ms deadline, or reads the batcher's shed answer.
-    // Either message names the deadline; the counters below prove the job
+    // The impatient client leaves the permit queue at its 100ms deadline:
+    // a 504 naming the deadline, and the counters below prove the request
     // never reached compute.
     let (status, headers, body) = impatient.join().unwrap();
     assert_eq!(status, 504, "{body}");
@@ -486,8 +510,10 @@ fn expired_deadline_is_shed_before_compute_and_admitted_work_stays_exact() {
         header_of(&headers, "Retry-After").is_some(),
         "shed responses must carry Retry-After: {headers:?}"
     );
-    let (status, _, body) = occupier.join().unwrap();
-    assert_eq!(status, 200, "{body}");
+    for occupier in occupiers {
+        let (status, _, body) = occupier.join().unwrap();
+        assert_eq!(status, 200, "{body}");
+    }
     let (status, headers, body) = patient.join().unwrap();
     assert_eq!(status, 200, "{body}");
     assert_eq!(header_of(&headers, "X-LogCL-Degradation"), Some("normal"));
@@ -509,7 +535,8 @@ fn expired_deadline_is_shed_before_compute_and_admitted_work_stays_exact() {
         "admitted request diverged from the unloaded answer"
     );
 
-    // The shed happened in the queue, before compute, and the scrape says so.
+    // The shed happened waiting for a permit, before compute, and the scrape
+    // says so.
     let metrics = server.metrics();
     assert_eq!(metrics.shed_before_compute.load(Ordering::Relaxed), 1);
     assert_eq!(metrics.shed_deadline_queue.load(Ordering::Relaxed), 1);
@@ -526,7 +553,7 @@ fn expired_deadline_is_shed_before_compute_and_admitted_work_stays_exact() {
 #[test]
 fn concurrency_shed_is_503_with_retry_after() {
     // One predict slot: while the first request holds it inside a stalled
-    // batch, a second concurrent request must be shed at admission — 503
+    // forward, a second concurrent request must be shed at admission — 503
     // with Retry-After, counted as a concurrency shed — and the holder
     // still answers 200.
     let _guard = serial();
@@ -538,10 +565,10 @@ fn concurrency_shed_is_503_with_retry_after() {
     };
     let server = Server::start(cfg, tiny_ds(), vec![untrained_spec()]).expect("start");
     let addr = server.addr();
-    let holder = occupy_worker(
+    let holder = occupy(
         addr,
         Duration::from_millis(150),
-        r#"{"subject": 0, "relation": 0}"#.into(),
+        vec![r#"{"subject": 0, "relation": 0}"#.into()],
     );
 
     let (status, headers, body) =
@@ -552,10 +579,219 @@ fn concurrency_shed_is_503_with_retry_after() {
         header_of(&headers, "Retry-After").is_some(),
         "every 503 must carry Retry-After: {headers:?}"
     );
-    let (status, _, body) = holder.join().unwrap();
-    assert_eq!(status, 200, "{body}");
+    for holder in holder {
+        let (status, _, body) = holder.join().unwrap();
+        assert_eq!(status, 200, "{body}");
+    }
     assert_eq!(server.metrics().shed_concurrency.load(Ordering::Relaxed), 1);
     fault::clear();
+    server.shutdown();
+}
+
+// ------------------------------------------- reads on connection threads
+
+/// `(entity, score_bits, probability_bits)` of a `/predict` reply, in reply
+/// order.
+fn bits_of(body: &str) -> Vec<(u64, u32, u32)> {
+    json(body)
+        .get("predictions")
+        .and_then(Value::as_array)
+        .expect("predictions array")
+        .iter()
+        .map(|p| {
+            let field = |name: &str| p.get(name).and_then(Value::as_u64).expect(name);
+            let probability = p.get("probability").and_then(Value::as_f64).unwrap() as f32;
+            (
+                field("entity"),
+                field("score_bits") as u32,
+                probability.to_bits(),
+            )
+        })
+        .collect()
+}
+
+/// The same triples of a library answer.
+fn twin_bits(predictions: Vec<Prediction>) -> Vec<(u64, u32, u32)> {
+    predictions
+        .into_iter()
+        .map(|p| (p.entity as u64, p.score.to_bits(), p.probability.to_bits()))
+        .collect()
+}
+
+fn time_of(body: &str) -> u64 {
+    json(body)
+        .get("query")
+        .and_then(|q| q.get("time"))
+        .and_then(Value::as_u64)
+        .expect("query.time")
+}
+
+/// What `/ingest` does to the registry's dataset, done to a twin's: the
+/// facts not already present at `t` join the test split and the horizon
+/// covers `t`. Returns the facts that were new.
+fn extend(ds: &mut TkgDataset, t: usize, facts: &[(usize, usize, usize)]) -> Vec<Quad> {
+    let fresh: Vec<Quad> = facts
+        .iter()
+        .filter(|f| !ds.all_quads().iter().any(|q| q.t == t && q.triple() == **f))
+        .map(|&(s, r, o)| Quad::new(s, r, o, t))
+        .collect();
+    ds.test.extend_from_slice(&fresh);
+    ds.num_times = ds.num_times.max(t + 1);
+    fresh
+}
+
+/// Two reads overlap: while one connection's predict is stalled inside its
+/// forward, another connection's predict is computed and answered — bit for
+/// bit the library's answer — before the first returns.
+#[test]
+fn a_read_stalled_in_compute_does_not_hold_up_another_connections_read() {
+    let _guard = serial();
+    let server = Server::start(serve_config(), tiny_ds(), vec![untrained_spec()]).expect("start");
+    let addr = server.addr();
+    if server.overload().compute_permits() < 2 {
+        eprintln!("one compute permit on this host: reads cannot overlap here");
+        return;
+    }
+    let stalled = occupy(
+        addr,
+        Duration::from_secs(2),
+        vec![r#"{"subject": 1, "relation": 0, "k": 5}"#.into()],
+    );
+    let (status, _, body) = request(
+        addr,
+        "POST",
+        "/predict",
+        r#"{"subject": 2, "relation": 1, "k": 5}"#,
+    );
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        !stalled[0].is_finished(),
+        "the second read waited for the stalled one"
+    );
+    let ds = tiny_ds();
+    let mut twin = LogCl::new(&ds, tiny_cfg());
+    let want = twin_bits(predict_topk_stream(&mut twin, &ds, 2, 1, 5).unwrap());
+    assert_eq!(bits_of(&body), want);
+    for client in stalled {
+        let (status, _, body) = client.join().unwrap();
+        assert_eq!(status, 200, "{body}");
+        let want = twin_bits(predict_topk_stream(&mut twin, &ds, 1, 0, 5).unwrap());
+        assert_eq!(bits_of(&body), want);
+    }
+    fault::clear();
+    server.shutdown();
+}
+
+/// A head read in flight across an `/ingest` is answered at the horizon it
+/// was parsed at — bit-equal to `predict_topk_stream` over the snapshots of
+/// then, from the streamed state that answered that horizon a moment
+/// earlier, with no encode — while the ingest is applied and acked beside
+/// it; the next head read is at the new horizon.
+#[test]
+fn a_head_read_in_flight_across_an_ingest_is_answered_at_its_horizon() {
+    let _guard = serial();
+    let server = Server::start(serve_config(), tiny_ds(), vec![untrained_spec()]).expect("start");
+    let addr = server.addr();
+    let h = horizon_of(addr) as usize;
+    let head_read = r#"{"subject": 3, "relation": 1, "k": 5}"#;
+    for _ in 0..2 {
+        let (status, _, body) = request(addr, "POST", "/predict", head_read);
+        assert_eq!(status, 200, "{body}");
+    }
+    let misses = server.metrics().cache_misses.load(Ordering::Relaxed);
+
+    let in_flight = occupy(addr, Duration::from_secs(1), vec![head_read.into()]);
+    let facts = [(3, 1, 7), (8, 0, 3)];
+    let ingest = format!(r#"{{"time": {h}, "facts": [[3, 1, 7], [8, 0, 3]], "update": false}}"#);
+    let (status, _, body) = request(addr, "POST", "/ingest", &ingest);
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        !in_flight[0].is_finished(),
+        "the ingest waited for the read in flight"
+    );
+    assert_eq!(horizon_of(addr) as usize, h + 1);
+
+    let mut ds = tiny_ds();
+    let mut twin = LogCl::new(&ds, tiny_cfg());
+    for client in in_flight {
+        let (status, _, body) = client.join().unwrap();
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(time_of(&body) as usize, h, "answered at its horizon");
+        let want = twin_bits(predict_topk_stream(&mut twin, &ds, 3, 1, 5).unwrap());
+        assert_eq!(bits_of(&body), want);
+    }
+    assert_eq!(
+        server.metrics().cache_misses.load(Ordering::Relaxed),
+        misses,
+        "the read in flight encoded nothing"
+    );
+
+    fault::clear();
+    let (status, _, body) = request(addr, "POST", "/predict", head_read);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(time_of(&body) as usize, h + 1);
+    extend(&mut ds, h, &facts);
+    let want = twin_bits(predict_topk_stream(&mut twin, &ds, 3, 1, 5).unwrap());
+    assert_eq!(bits_of(&body), want);
+    server.shutdown();
+}
+
+/// A cold historical encode under the old weights that races an
+/// `update: true` is never served under the new ones: the racing read's
+/// cache slot is in its generation, still unfilled, when the update is
+/// published; once the update is acked, the same query misses the cache
+/// and equals a twin holding the updated weights.
+#[test]
+fn a_cold_encode_racing_a_weight_update_is_never_served_after_it() {
+    let _guard = serial();
+    let server = Server::start(serve_config(), tiny_ds(), vec![untrained_spec()]).expect("start");
+    let addr = server.addr();
+    let h = horizon_of(addr) as usize;
+    let t0 = h - 5;
+    let cold = format!(r#"{{"subject": 2, "relation": 1, "time": {t0}, "k": 5}}"#);
+
+    let racing = occupy(addr, Duration::from_secs(1), vec![cold.clone()]);
+    let facts = [(2, 0, 1), (5, 1, 3)];
+    let ingest = format!(r#"{{"time": {h}, "facts": [[2, 0, 1], [5, 1, 3]], "update": true}}"#);
+    let (status, _, body) = request(addr, "POST", "/ingest", &ingest);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(
+        json(&body).get("online_update").and_then(Value::as_bool),
+        Some(true)
+    );
+
+    let mut ds = tiny_ds();
+    let mut twin = LogCl::new(&ds, tiny_cfg());
+    // The racing read answers from the generation it loaded: old weights.
+    let before = twin_bits(predict_topk(&mut twin, &ds, 2, 1, t0, 5).unwrap());
+    for client in racing {
+        let (status, _, body) = client.join().unwrap();
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(bits_of(&body), before);
+    }
+    fault::clear();
+
+    let fresh = extend(&mut ds, h, &facts);
+    let snapshots = ds.snapshots();
+    let history = HistoryIndex::build(&snapshots);
+    let ctx = EvalContext {
+        ds: &ds,
+        snapshots: &snapshots,
+        history: &history,
+        t: h,
+    };
+    let report = online_adapt(&mut twin, &ctx, &fresh, &OnlineAdaptOptions::default());
+    assert_eq!(report.steps, 1);
+    let after = twin_bits(predict_topk(&mut twin, &ds, 2, 1, t0, 5).unwrap());
+    assert_ne!(after, before, "the update must move this answer");
+    let (status, _, body) = request(addr, "POST", "/predict", &cold);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(
+        json(&body).get("cache_hit").and_then(Value::as_bool),
+        Some(false),
+        "the old weights' encoding was not carried over"
+    );
+    assert_eq!(bits_of(&body), after);
     server.shutdown();
 }
 

@@ -1,6 +1,6 @@
 //! Deadlock canary: four threads hammer one server with the operations
 //! whose lock interactions L009/L010 reason about statically — predict
-//! (batcher + encoding cache), head ingest without adaptation, head ingest
+//! (compute permits + encoding cache), head ingest without adaptation, head ingest
 //! with `update: true` (weight-update rebuild path), and `/metrics`
 //! scrapes — and the test simply requires that all of them finish inside a
 //! generous wall-clock bound. A lock-order inversion or a blocking call
@@ -83,7 +83,7 @@ fn concurrent_predict_ingest_update_and_scrape_all_complete() {
 
     let mut handles = Vec::new();
 
-    // 1) Predict hammer: exercises the batcher, the encoding cache, and
+    // 1) Predict hammer: exercises the compute permits, the encoding cache, and
     //    the kernel pool while ingests invalidate the cache under it.
     {
         let tx = done_tx.clone();

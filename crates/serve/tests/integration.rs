@@ -1,4 +1,4 @@
-//! End-to-end tests over real sockets: concurrent clients, micro-batching,
+//! End-to-end tests over real sockets: concurrent clients and a head feed,
 //! exactness versus the library's `predict_topk` / `predict_topk_stream`
 //! (head and historical timestamps) and online ingestion. Everything runs
 //! against an ephemeral port through the crate's own `http::Client`. The
@@ -113,7 +113,7 @@ fn predictions_of(body: &Value) -> Vec<(u64, f32)> {
 }
 
 #[test]
-fn concurrent_clients_get_batched_answers_identical_to_sequential() {
+fn concurrent_clients_get_answers_identical_to_sequential() {
     let server = test_server();
     let addr = server.addr();
     let t = {
@@ -122,7 +122,7 @@ fn concurrent_clients_get_batched_answers_identical_to_sequential() {
         json(&body).get("horizon").and_then(Value::as_u64).unwrap() as usize
     };
 
-    // Warm the encoding cache so the batch below exercises the hit path.
+    // Warm the encoding cache so the burst below exercises the hit path.
     let (status, _) = request(
         addr,
         "POST",
@@ -149,7 +149,6 @@ fn concurrent_clients_get_batched_answers_identical_to_sequential() {
     // Reference: the same untrained config scored sequentially in-process.
     let ds = tiny_ds();
     let mut reference = LogCl::new(&ds, tiny_cfg());
-    let mut max_batch = 0u64;
     let mut any_cache_hit = false;
     for (i, (status, body)) in responses.iter().enumerate() {
         assert_eq!(*status, 200, "client {i}: {body}");
@@ -161,10 +160,13 @@ fn concurrent_clients_get_batched_answers_identical_to_sequential() {
             .map(|p| (p.entity as u64, p.probability))
             .collect();
         assert_eq!(got, expected, "client {i} diverged from sequential path");
-        max_batch = max_batch.max(v.get("batch_size").and_then(Value::as_u64).unwrap());
+        assert_eq!(
+            v.get("batch_size").and_then(Value::as_u64),
+            Some(1),
+            "every forward answers one request"
+        );
         any_cache_hit |= v.get("cache_hit").and_then(Value::as_bool).unwrap();
     }
-    assert!(max_batch > 1, "concurrent requests never coalesced");
     assert!(any_cache_hit, "warm encoding was never reused");
 
     let metrics = server.metrics();
@@ -674,5 +676,98 @@ fn historical_and_head_answers_stay_exact_across_ingests_and_evictions() {
     assert_eq!(report.steps, 1);
     check(&ds, &mut twin, "after an online update");
 
+    server.shutdown();
+}
+
+/// Four clients mix head and historical reads while a feed appends at the
+/// head. Every answer is bit-equal to a from-scratch twin at the `time` it
+/// reports: `predict_topk_stream` over the dataset as extended up to that
+/// horizon for a head read, `predict_topk` for a historical one.
+#[test]
+fn mixed_reads_beside_a_head_feed_stay_exact_at_the_time_they_report() {
+    const K: usize = 5;
+    const FEED: usize = 4;
+    let server = test_server();
+    let addr = server.addr();
+    let base = tiny_ds().num_times;
+    let feed: Vec<[(usize, usize, usize); 2]> = (0..FEED)
+        .map(|i| [(1 + i, 0, 2 + i), (4, 1, 6 + i)])
+        .collect();
+
+    let answers: Vec<(Option<usize>, usize, usize, String)> = std::thread::scope(|scope| {
+        let feeder = scope.spawn(|| {
+            for (i, facts) in feed.iter().enumerate() {
+                let t = base + i;
+                let body = format!(
+                    r#"{{"time": {t}, "facts": [[{}, {}, {}], [{}, {}, {}]], "update": false}}"#,
+                    facts[0].0, facts[0].1, facts[0].2, facts[1].0, facts[1].1, facts[1].2
+                );
+                let (status, reply) = request(addr, "POST", "/ingest", &body);
+                assert_eq!(status, 200, "{reply}");
+                std::thread::sleep(Duration::from_millis(15));
+            }
+        });
+        let clients: Vec<_> = (0..4)
+            .map(|c| {
+                scope.spawn(move || {
+                    (0..16)
+                        .map(|i| {
+                            let (s, r) = ((c * 7 + i) % 20, (c + i) % 4);
+                            let time = (i % 2 == 1).then(|| base - 1 - (c + i) % 6);
+                            let body = match time {
+                                Some(t) => format!(
+                                    r#"{{"subject": {s}, "relation": {r}, "time": {t}, "k": {K}}}"#
+                                ),
+                                None => format!(r#"{{"subject": {s}, "relation": {r}, "k": {K}}}"#),
+                            };
+                            let (status, reply) = request(addr, "POST", "/predict", &body);
+                            assert_eq!(status, 200, "{body}: {reply}");
+                            (time, s, r, reply)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        feeder.join().expect("feeder");
+        clients
+            .into_iter()
+            .flat_map(|c| c.join().expect("client"))
+            .collect()
+    });
+
+    // The dataset at every horizon the feed passed through.
+    let mut ds = tiny_ds();
+    let mut at_horizon = vec![ds.clone()];
+    for (i, facts) in feed.iter().enumerate() {
+        extend(&mut ds, base + i, facts);
+        at_horizon.push(ds.clone());
+    }
+    let mut twin = LogCl::new(&ds, tiny_cfg());
+    let mut heads = 0;
+    for (time, s, r, reply) in answers {
+        let reply = json(&reply);
+        let reported = reply
+            .get("query")
+            .and_then(|q| q.get("time"))
+            .and_then(Value::as_u64)
+            .expect("query.time") as usize;
+        let want = match time {
+            Some(t) => {
+                assert_eq!(reported, t);
+                predict_topk(&mut twin, &ds, s, r, t, K)
+            }
+            None => {
+                heads += 1;
+                predict_topk_stream(&mut twin, &at_horizon[reported - base], s, r, K)
+            }
+        };
+        let want: Vec<(usize, u32)> = want
+            .expect("reference")
+            .iter()
+            .map(|p| (p.entity, p.score.to_bits()))
+            .collect();
+        assert_eq!(ranking_of(&reply), want, "({s}, {r}) at t = {reported}");
+    }
+    assert_eq!(heads, 32);
     server.shutdown();
 }

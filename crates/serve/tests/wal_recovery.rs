@@ -229,7 +229,14 @@ fn compacted_state_recovers_from_the_snapshot_alone() {
     ingest(addr, t0 + 1, "[[2, 0, 5]]", false, None);
     let horizon = horizon_of(addr);
     let uninterrupted = predict_answer(addr, horizon);
-    assert_eq!(server.metrics().wal_compactions.load(Ordering::Relaxed), 2);
+    // A run compacts right after it acks, on the model thread, which a
+    // predict no longer waits behind: wait for the second compaction.
+    let compactions = || server.metrics().wal_compactions.load(Ordering::Relaxed);
+    let give_up = std::time::Instant::now() + Duration::from_secs(10);
+    while compactions() < 2 && std::time::Instant::now() < give_up {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(compactions(), 2);
 
     let crash = scratch("compact-crash");
     copy_dir(&dir, &crash);

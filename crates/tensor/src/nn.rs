@@ -1,6 +1,8 @@
 //! Neural-network building blocks: initialisation, layers and a named
 //! parameter registry.
 
+use std::cell::Cell;
+
 use crate::autograd::Var;
 use crate::rng::Rng;
 use crate::tensor::Tensor;
@@ -11,14 +13,47 @@ pub const RRELU_EVAL_SLOPE: f32 = (1.0 / 8.0 + 1.0 / 3.0) / 2.0;
 
 // ---------------------------------------------------------------------- init
 
+thread_local! {
+    /// Whether layers built on this thread are inside an [`uninitialised`]
+    /// scope.
+    static UNINITIALISED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `build` with parameter initialisation off on this thread:
+/// [`xavier_uniform`] and [`normal_init`] return zeros and draw nothing from
+/// their `Rng`. For a model whose every parameter is overwritten right after
+/// (a replica of published weights), so the draws would be thrown away.
+/// Scopes nest; the previous state comes back when `build` returns or
+/// unwinds.
+pub fn uninitialised<T>(build: impl FnOnce() -> T) -> T {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            UNINITIALISED.with(|flag| flag.set(self.0));
+        }
+    }
+    let _restore = Restore(UNINITIALISED.with(|flag| flag.replace(true)));
+    build()
+}
+
+fn initialising() -> bool {
+    !UNINITIALISED.with(Cell::get)
+}
+
 /// Xavier/Glorot uniform initialisation for a `[fan_in, fan_out]` matrix.
 pub fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut Rng) -> Tensor {
+    if !initialising() {
+        return Tensor::zeros(&[fan_in, fan_out]);
+    }
     let bound = (6.0 / (fan_in + fan_out) as f32).sqrt();
     Tensor::rand_uniform(&[fan_in, fan_out], -bound, bound, rng)
 }
 
 /// Normal(0, std²) initialisation of arbitrary shape.
 pub fn normal_init(shape: &[usize], std: f32, rng: &mut Rng) -> Tensor {
+    if !initialising() {
+        return Tensor::zeros(shape);
+    }
     Tensor::randn(shape, std, rng)
 }
 
@@ -349,5 +384,23 @@ mod tests {
         let w = xavier_uniform(100, 100, &mut rng);
         let bound = (6.0f32 / 200.0).sqrt();
         assert!(w.data().iter().all(|&x| x.abs() <= bound));
+    }
+
+    #[test]
+    fn an_uninitialised_scope_draws_nothing_and_ends_with_its_closure() {
+        let mut rng = Rng::seed(8);
+        let before = rng.state();
+        let (w, e) = uninitialised(|| {
+            (
+                xavier_uniform(3, 4, &mut rng),
+                normal_init(&[2, 5], 1.0, &mut rng),
+            )
+        });
+        assert_eq!(rng.state(), before, "no draw inside the scope");
+        assert!(w.data().iter().chain(e.data()).all(|&x| x == 0.0));
+        assert_eq!((w.shape(), e.shape()), (&[3, 4][..], &[2, 5][..]));
+        let _ = std::panic::catch_unwind(|| uninitialised(|| panic!("unwinds")));
+        let drawn = xavier_uniform(3, 4, &mut rng);
+        assert!(drawn.data().iter().any(|&x| x != 0.0), "scope restored");
     }
 }

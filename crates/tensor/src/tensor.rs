@@ -1,13 +1,18 @@
 //! The raw dense tensor type: storage, construction and gradient-free math.
 //!
-//! [`Tensor`] is deliberately simple — a `Vec<f32>` plus a shape — and all
-//! operations are eager and allocate their result. The autograd layer
+//! [`Tensor`] is deliberately simple — a shared `Vec<f32>` plus a shape —
+//! and all operations are eager and allocate their result. Storage is
+//! copy-on-write: a clone shares the buffer, and the first write through
+//! either handle copies it, so a frozen snapshot of a model's tensors costs
+//! a reference count and is never changed by a later optimizer step. The autograd layer
 //! ([`crate::autograd`]) builds on these primitives; evaluation-time code
 //! (ranking, metric computation) uses them directly.
 //!
 //! No compute loop lives here: every op validates shapes and dispatches to
 //! [`crate::kernels`], which executes it on the process-wide backend
 //! (serial or deterministic multi-threaded — bit-identical either way).
+
+use std::sync::Arc;
 
 use crate::kernels::{self, ops, Binary, Unary};
 use crate::rng::Rng;
@@ -25,7 +30,9 @@ use crate::shape;
 #[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
-    data: Vec<f32>,
+    /// `Arc<Vec<_>>` rather than `Arc<[_]>`: an op's fresh result moves into
+    /// its `Arc` without a copy.
+    data: Arc<Vec<f32>>,
 }
 
 impl std::fmt::Debug for Tensor {
@@ -55,7 +62,7 @@ impl Tensor {
         );
         Self {
             shape: shape.to_vec(),
-            data,
+            data: Arc::new(data),
         }
     }
 
@@ -64,7 +71,7 @@ impl Tensor {
         shape::validate(shape);
         Self {
             shape: shape.to_vec(),
-            data: vec![0.0; shape::numel(shape)],
+            data: Arc::new(vec![0.0; shape::numel(shape)]),
         }
     }
 
@@ -78,7 +85,7 @@ impl Tensor {
         shape::validate(shape);
         Self {
             shape: shape.to_vec(),
-            data: vec![value; shape::numel(shape)],
+            data: Arc::new(vec![value; shape::numel(shape)]),
         }
     }
 
@@ -87,7 +94,7 @@ impl Tensor {
     pub fn scalar(value: f32) -> Self {
         Self {
             shape: vec![1],
-            data: vec![value],
+            data: Arc::new(vec![value]),
         }
     }
 
@@ -99,7 +106,7 @@ impl Tensor {
             .collect();
         Self {
             shape: shape.to_vec(),
-            data,
+            data: Arc::new(data),
         }
     }
 
@@ -111,7 +118,7 @@ impl Tensor {
             .collect();
         Self {
             shape: shape.to_vec(),
-            data,
+            data: Arc::new(data),
         }
     }
 
@@ -119,7 +126,7 @@ impl Tensor {
     pub fn arange(n: usize) -> Self {
         Self {
             shape: vec![n],
-            data: (0..n).map(|i| i as f32).collect(),
+            data: Arc::new((0..n).map(|i| i as f32).collect()),
         }
     }
 
@@ -130,7 +137,7 @@ impl Tensor {
             .collect();
         Self {
             shape: vec![n, n],
-            data,
+            data: Arc::new(data),
         }
     }
 
@@ -164,12 +171,13 @@ impl Tensor {
     #[inline]
     // logcl-allow(L001): sanctioned accessor seam — hands the buffer *to* the kernel boundary; no compute happens here
     pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
-    /// Consumes the tensor, returning its buffer.
+    /// Consumes the tensor, returning its buffer (a copy when another
+    /// handle still shares it).
     pub fn into_vec(self) -> Vec<f32> {
-        self.data
+        Arc::try_unwrap(self.data).unwrap_or_else(|shared| (*shared).clone())
     }
 
     /// The single value of a one-element tensor.
@@ -194,7 +202,8 @@ impl Tensor {
     #[inline]
     pub fn set2(&mut self, i: usize, j: usize, v: f32) {
         debug_assert_eq!(self.rank(), 2);
-        self.data[i * self.shape[1] + j] = v;
+        let c = self.shape[1];
+        Arc::make_mut(&mut self.data)[i * c + j] = v;
     }
 
     /// Borrow of row `i` of a rank-2 tensor.
@@ -219,13 +228,13 @@ impl Tensor {
             self.shape
         );
         let c = self.shape[1];
-        &mut self.data[i * c..(i + 1) * c]
+        &mut Arc::make_mut(&mut self.data)[i * c..(i + 1) * c]
     }
 
     // ------------------------------------------------------------- reshapes
 
-    /// Returns a tensor sharing no storage but with the same data and a new
-    /// shape of identical element count.
+    /// Returns a tensor with the same data and a new shape of identical
+    /// element count; the two share storage until either is written.
     pub fn reshape(&self, shape: &[usize]) -> Tensor {
         assert_eq!(
             shape::numel(shape),
@@ -234,7 +243,11 @@ impl Tensor {
             self.shape,
             shape
         );
-        Tensor::from_vec(self.data.clone(), shape)
+        shape::validate(shape);
+        Tensor {
+            shape: shape.to_vec(),
+            data: Arc::clone(&self.data),
+        }
     }
 
     /// Transpose of a rank-2 tensor.
@@ -256,13 +269,13 @@ impl Tensor {
     pub fn unary(&self, op: Unary) -> Tensor {
         Tensor {
             shape: self.shape.clone(),
-            data: ops::unary(&*kernels::backend(), op, &self.data),
+            data: Arc::new(ops::unary(&*kernels::backend(), op, &self.data)),
         }
     }
 
     /// In-place variant of [`Tensor::unary`].
     pub fn unary_inplace(&mut self, op: Unary) {
-        ops::unary_inplace(&*kernels::backend(), op, &mut self.data);
+        ops::unary_inplace(&*kernels::backend(), op, self.data_mut());
     }
 
     /// Applies a named binary kernel with broadcasting.
@@ -271,7 +284,7 @@ impl Tensor {
         if self.shape == other.shape {
             return Tensor {
                 shape: self.shape.clone(),
-                data: ops::binary(&*bk, op, &self.data, &other.data),
+                data: Arc::new(ops::binary(&*bk, op, &self.data, &other.data)),
             };
         }
         let out_shape = shape::broadcast_shape(&self.shape, &other.shape);
@@ -286,7 +299,7 @@ impl Tensor {
         );
         Tensor {
             shape: out_shape,
-            data,
+            data: Arc::new(data),
         }
     }
 
@@ -297,13 +310,13 @@ impl Tensor {
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         Tensor {
             shape: self.shape.clone(),
-            data: ops::map_fallback(&f, &self.data),
+            data: Arc::new(ops::map_fallback(&f, &self.data)),
         }
     }
 
     /// In-place elementwise update.
     pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        ops::map_fallback_inplace(&f, &mut self.data);
+        ops::map_fallback_inplace(&f, self.data_mut());
     }
 
     /// Broadcasting binary op. The result has the broadcast shape of the two
@@ -325,7 +338,7 @@ impl Tensor {
         );
         Tensor {
             shape: out_shape,
-            data,
+            data: Arc::new(data),
         }
     }
 
@@ -357,13 +370,13 @@ impl Tensor {
     /// `self += other` where shapes match exactly.
     pub fn add_assign(&mut self, other: &Tensor) {
         assert_eq!(self.shape, other.shape, "add_assign shape mismatch");
-        ops::add_assign(&*kernels::backend(), &mut self.data, &other.data);
+        ops::add_assign(&*kernels::backend(), self.data_mut(), &other.data);
     }
 
     /// `self += s * other` (axpy) where shapes match exactly.
     pub fn axpy(&mut self, s: f32, other: &Tensor) {
         assert_eq!(self.shape, other.shape, "axpy shape mismatch");
-        ops::axpy(&*kernels::backend(), &mut self.data, s, &other.data);
+        ops::axpy(&*kernels::backend(), self.data_mut(), s, &other.data);
     }
 
     // ----------------------------------------------------------- reductions
@@ -658,5 +671,24 @@ mod tests {
     fn eye_has_unit_diagonal() {
         let i = Tensor::eye(3);
         assert_eq!(i.data(), &[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]);
+    }
+
+    #[test]
+    fn clones_share_storage_until_one_is_written() {
+        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
+        let mut b = a.clone();
+        let view = a.reshape(&[4]);
+        assert_eq!(b.data().as_ptr(), a.data().as_ptr());
+        assert_eq!(view.data().as_ptr(), a.data().as_ptr());
+        b.set2(0, 1, 9.0);
+        assert_ne!(b.data().as_ptr(), a.data().as_ptr(), "the write copied");
+        assert_eq!(a.data(), &[1.0, 2.0, 3.0, 4.0], "the original is untouched");
+        assert_eq!(b.data(), &[1.0, 9.0, 3.0, 4.0]);
+        let written = b.data().as_ptr();
+        b.row_mut(1)[0] = 7.0;
+        b.axpy(1.0, &Tensor::ones(&[2, 2]));
+        assert_eq!(b.data().as_ptr(), written, "a sole owner writes in place");
+        assert_eq!(view.clone().into_vec(), vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(b.into_vec(), vec![2.0, 10.0, 8.0, 5.0]);
     }
 }

@@ -62,7 +62,7 @@ impl QuerySubgraph {
 /// let g = idx.as_of(1).query_subgraph(0, 1, 10); // one-hop of 0 ∪ one-hop of answer 2
 /// assert_eq!(g.entities(), vec![0, 2, 3]);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct HistoryIndex {
     /// `(s, r)` → every occurrence as `(time, object)`, in arrival order and
     /// so ascending in time (the CyGNet/CENET "copy vocabulary" and the
