@@ -77,8 +77,8 @@ flags:
                     ceiling clamped onto client deadlines [default 120000]
   --write-timeout-ms MS
                     per-connection socket write timeout [default 10000]
-  --brownout-ms MS  queue sojourn entering the Brownout tier (capped top-k,
-                    local-only decode)                  [default 50]
+  --brownout-ms MS  queue sojourn entering the Brownout tier (top-k capped
+                    at --brownout-k, scores exact)      [default 50]
   --shed-ms MS      queue sojourn entering the Shed tier (503 + Retry-After
                     on /predict; /healthz and /metrics never shed)
                                                         [default 250]

@@ -94,8 +94,6 @@ pub struct RouterConfig {
     pub read_timeout: Duration,
     /// Per-request body-size cap in bytes on the inbound side.
     pub max_body_bytes: usize,
-    /// `Retry-After` seconds advertised on 503/504 and partial responses.
-    pub retry_after_secs: u64,
     /// Consecutive failures that walk a worker Suspect → Down.
     pub down_after: u32,
     /// Serve `POST /shutdown` (disable when fronted by untrusted traffic).
@@ -120,7 +118,6 @@ impl Default for RouterConfig {
             connect_timeout: Duration::from_millis(500),
             read_timeout: Duration::from_secs(10),
             max_body_bytes: logcl_serve::http::MAX_BODY_BYTES,
-            retry_after_secs: 1,
             down_after: 3,
             enable_shutdown_endpoint: true,
             seed: 0x5eed_c1a5,

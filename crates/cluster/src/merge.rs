@@ -138,7 +138,8 @@ pub struct MergedPrediction {
 /// The router's merged answer.
 #[derive(Debug)]
 pub struct MergedAnswer {
-    /// Global top-k over every answering shard.
+    /// Global top-k over every answering shard, ended early where a capped
+    /// reply's depth ends ([`merge_replies`]).
     pub predictions: Vec<MergedPrediction>,
     /// Fraction of the entity vocabulary actually scored: `1.0` when every
     /// shard answered, less when the answer is partial.
@@ -154,11 +155,27 @@ pub struct MergedAnswer {
 /// Merges the shard replies that made it back. `total_shards` is the
 /// configured cluster width; missing shards shrink `coverage` below `1.0`
 /// (the partial-result degradation contract) but never fail the merge.
+///
+/// A reply holding `min(k, hi − lo)` candidates is its shard's ranking to
+/// depth `k`; a shorter one — a worker in Brownout caps `k` — only to its
+/// own length. The merged list ends at the shallowest depth, so every rank
+/// it holds is the global one.
 pub fn merge_replies(replies: &[ShardReply], k: usize, total_shards: usize) -> MergedAnswer {
     let per_shard: Vec<Vec<ScoredEntity>> = replies.iter().map(|r| r.candidates.clone()).collect();
     let stats: Vec<SoftmaxStat> = replies.iter().map(|r| r.stat).collect();
     let global = SoftmaxStat::combine(&stats);
-    let merged = merge_topk(&per_shard, k);
+    let depth = replies
+        .iter()
+        .map(|r| {
+            let len = r.candidates.len();
+            if len >= k.min(r.hi.saturating_sub(r.lo)) {
+                k
+            } else {
+                len
+            }
+        })
+        .fold(k, usize::min);
+    let merged = merge_topk(&per_shard, depth);
     let predictions = merged
         .into_iter()
         .map(|c| MergedPrediction {
@@ -235,8 +252,8 @@ mod tests {
 
     #[test]
     fn parses_and_merges_bit_exactly() {
-        let a = parse_shard_reply(&reply_json(0, 0, 5, &[(1, 2.5), (0, 1.0)])).unwrap();
-        let b = parse_shard_reply(&reply_json(1, 5, 10, &[(7, 2.5), (9, 0.5)])).unwrap();
+        let a = parse_shard_reply(&reply_json(0, 0, 5, &[(1, 2.5), (0, 1.0), (3, 0.25)])).unwrap();
+        let b = parse_shard_reply(&reply_json(1, 5, 10, &[(7, 2.5), (9, 0.5), (5, 0.0)])).unwrap();
         let merged = merge_replies(&[a, b], 3, 2);
         assert_eq!(merged.coverage, 1.0);
         assert!(!merged.shard_degraded);
@@ -262,6 +279,33 @@ mod tests {
         assert_eq!(empty.coverage, 0.0);
         assert!(empty.predictions.is_empty());
         assert!(!empty.all_cache_hits);
+    }
+
+    /// A shard capped at 3 of `k = 5` holds its ranking to depth 3 only, so
+    /// the merge ends there — where the single-node ranking agrees with it.
+    /// Read past rank 3, it would miss entity 3 (shard 0's fourth, the
+    /// global fifth) and rank entity 6 there instead.
+    #[test]
+    fn a_capped_shard_ends_the_merge_at_its_depth() {
+        let scores = [3.0f32, 2.75, 2.625, 2.375, 0.125, 2.5, 2.25, 2.0, 1.0, 0.75];
+        let ds = logcl_tkg::TkgDataset::from_quads("ten", scores.len(), 1, Vec::new());
+        let shard = |index: usize, lo: usize, hi: usize, k: usize| {
+            let (top, _) = logcl_core::topk_in_range(&ds, &scores[lo..hi], lo, k);
+            let top: Vec<(usize, f32)> = top.iter().map(|p| (p.entity, p.score)).collect();
+            parse_shard_reply(&reply_json(index, lo, hi, &top)).unwrap()
+        };
+        let merged = merge_replies(&[shard(0, 0, 5, 3), shard(1, 5, 10, 5)], 5, 2);
+        let got: Vec<(usize, u32)> = merged
+            .predictions
+            .iter()
+            .map(|p| (p.entity, p.score.to_bits()))
+            .collect();
+        let want: Vec<(usize, u32)> = logcl_core::topk_from_scores(&ds, &scores, 5)
+            .iter()
+            .take(3)
+            .map(|p| (p.entity, p.score.to_bits()))
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

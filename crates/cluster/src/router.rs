@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 use logcl_serve::answer::{self, Object};
 use logcl_serve::deadline::{self, expired, remaining_budget, remaining_ms, DEADLINE_HEADER};
 use logcl_serve::http::{Reply, Request, Response};
-use logcl_serve::listener::{Inbound, Listener, ListenerConfig};
+use logcl_serve::listener::{Inbound, Listener, ListenerConfig, RETRY_AFTER_SECS};
 use logcl_serve::{ShutdownState, StartError};
 use logcl_tensor::rng::splitmix64;
 use serde_json::{json, Value};
@@ -124,7 +124,6 @@ impl Router {
                     read_timeout: ctx.cfg.read_timeout,
                     write_timeout: ctx.cfg.read_timeout,
                     max_body_bytes: ctx.cfg.max_body_bytes,
-                    retry_after_secs: ctx.cfg.retry_after_secs,
                 },
                 Arc::clone(&ctx.shutdown),
                 Box::new(move |inbound, started| match inbound {
@@ -957,7 +956,7 @@ fn predict(ctx: &Arc<RouterCtx>, req: &Request, started: Instant) -> Response {
     let mut resp = Response::json(200, body).with_header("X-LogCL-Degradation", tier);
     if partial {
         // A partial answer is worth retrying for a full one.
-        resp = resp.with_header("Retry-After", ctx.cfg.retry_after_secs.to_string());
+        resp = resp.with_header("Retry-After", RETRY_AFTER_SECS.to_string());
     }
     resp
 }

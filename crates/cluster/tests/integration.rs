@@ -1,5 +1,6 @@
 //! Router + real workers end-to-end: scatter-gather predict bit-identical
-//! to single-node, exactly-once ingest fan-out (including the
+//! to single-node (to the cap's depth when a shard is in Brownout),
+//! exactly-once ingest fan-out (including the
 //! double-send-across-a-worker-restart case), partial-result degradation
 //! when a shard dies, recovery back to full coverage, and metrics.
 
@@ -173,6 +174,51 @@ fn router_predict_is_bit_identical_to_single_node() {
     for w in workers {
         w.shutdown();
     }
+    single.shutdown();
+}
+
+/// A worker in Brownout caps its `k` and keeps its scores exact, so a router
+/// over it and a Normal-tier peer answers the single node's ranking to the
+/// cap's depth, bit-for-bit — flagged degraded, tier `brownout`.
+#[test]
+fn a_browned_out_shard_merges_to_the_single_node_prefix() {
+    let single = worker(None, "127.0.0.1:0", None);
+    let normal = worker(Some(ShardSpec::new(0, 2).unwrap()), "127.0.0.1:0", None);
+    // A zero threshold pins this worker at (at least) Brownout.
+    let browned_out = Server::start(
+        ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            shard: Some(ShardSpec::new(1, 2).unwrap()),
+            brownout_sojourn: Duration::ZERO,
+            shed_sojourn: Duration::from_secs(60),
+            ..ServeConfig::default()
+        },
+        tiny_ds(),
+        vec![spec()],
+    )
+    .expect("worker must start");
+    let cap = ServeConfig::default().brownout_k_cap;
+    let router = router_over(&[&normal, &browned_out]);
+    let t = horizon_of(single.addr());
+
+    for (s, r) in [(0u64, 0u64), (1, 0), (3, 1)] {
+        let query = format!(r#"{{"subject": {s}, "relation": {r}, "time": {t}, "k": 7}}"#);
+        let (status, want_body) = request(single.addr(), "POST", "/predict", &query);
+        assert_eq!(status, 200, "{want_body}");
+        let want = ranking(&json(&want_body));
+
+        let (status, headers, body) = request_full(router.addr(), "POST", "/predict", &query, &[]);
+        assert_eq!(status, 200, "{body}");
+        let reply = json(&body);
+        assert_eq!(ranking(&reply), want[..cap], "query ({s},{r}) diverged");
+        assert_eq!(reply.get("degraded").and_then(Value::as_bool), Some(true));
+        assert_eq!(reply.get("coverage").and_then(Value::as_f64), Some(1.0));
+        assert_eq!(header_of(&headers, "x-logcl-degradation"), Some("brownout"));
+    }
+
+    router.shutdown();
+    normal.shutdown();
+    browned_out.shutdown();
     single.shutdown();
 }
 

@@ -189,11 +189,6 @@ thread_local! {
 }
 
 impl FrozenWeights {
-    /// The configuration the weights belong to.
-    pub fn cfg(&self) -> &LogClConfig {
-        &self.cfg
-    }
-
     /// Runs `f` on this thread's model rebuilt from these weights, building
     /// it on first use. A replica lives as long as someone else still holds
     /// its weights: a build drops every replica whose weights only this
@@ -447,13 +442,12 @@ impl LogCl {
     /// [`LogCl::forward_queries`] with the global two-hop encoder skipped:
     /// the decoder input falls back to the pure local representation (the
     /// λ-mixture of Eq. 19 collapses to its local term) and the candidate
-    /// matrix stays the local evolved entity matrix of Eq. 18. Used by the
-    /// serving stack's brownout tier to drop the query-dependent global
-    /// subgraph encoding — ≈0.15–0.3 ms of a forward, as that encoding runs
-    /// over the subgraph's own rows (measured in `logcl_serve::shed`'s
-    /// header). The skip is a no-op when the configuration has no local
-    /// encoder (there would be nothing to fall back to) or no global encoder
-    /// (nothing to skip).
+    /// matrix stays the local evolved entity matrix of Eq. 18 — the paper's
+    /// −G ablation, evaluated on a model trained with both encoders. Nothing
+    /// serves it: it is the path the golden `LocalOnly` rows pin and the
+    /// benchmark times. The skip is a no-op when the configuration has no
+    /// local encoder (there would be nothing to fall back to) or no global
+    /// encoder (nothing to skip).
     pub fn forward_queries_local_only(
         &mut self,
         shared: &SharedEncoding,
@@ -463,10 +457,9 @@ impl LogCl {
         self.forward_queries_impl(shared, history, queries, false, true, None)
     }
 
-    /// The serving entry point both of the above are instances of:
-    /// evaluation-mode scoring, with or without the global encoder
-    /// (`skip_global`, as in [`LogCl::forward_queries_local_only`]),
-    /// restricted to the candidate entities in `[lo, hi)`. The Eq. 18
+    /// The serving entry point: evaluation-mode scoring, as
+    /// [`LogCl::forward_queries`], restricted to the candidate entities in
+    /// `[lo, hi)`. The Eq. 18
     /// scoring matmul reads the candidate rows `[lo, hi)` only, so a worker
     /// owning one entity shard computes only its share of the decoder's
     /// work; each logit's reduction runs over the embedding dimension
@@ -483,17 +476,9 @@ impl LogCl {
         shared: &SharedEncoding,
         history: &HistoryIndex,
         queries: &[Quad],
-        skip_global: bool,
         entity_range: (usize, usize),
     ) -> ForwardOutput {
-        self.forward_queries_impl(
-            shared,
-            history,
-            queries,
-            false,
-            skip_global,
-            Some(entity_range),
-        )
+        self.forward_queries_impl(shared, history, queries, false, false, Some(entity_range))
     }
 
     fn forward_queries_impl(
@@ -800,7 +785,7 @@ mod tests {
         );
         assert!(
             model
-                .forward_queries_in_range(&shared, &history, &queries, false, (3, 40))
+                .forward_queries_in_range(&shared, &history, &queries, (3, 40))
                 .logits
                 .is_leaf(),
             "forward_queries_in_range"
@@ -817,10 +802,11 @@ mod tests {
     }
 
     /// The layout is built by the first forward over a range and by nothing
-    /// after it: the buffer a second (and a local-only) forward reads is the
-    /// very allocation the first one made — whichever thaw of the frozen
-    /// encoding, and whichever thread, ran either forward. Another range is
-    /// laid out for its own forward and leaves the kept one alone; in the
+    /// after it: the buffer a second forward reads is the very allocation
+    /// the first one made — whichever thaw of the frozen encoding, and
+    /// whichever thread, ran either forward. Another range (the whole one,
+    /// with or without the global encoder) is laid out for its own forward
+    /// and leaves the kept one alone; in the
     /// unfrozen form it replaces it, and a parameter-backed or recorded
     /// candidate matrix never gets one.
     #[test]
@@ -842,31 +828,25 @@ mod tests {
             kept(&frozen).is_none(),
             "nothing is laid out before it is asked for"
         );
-        model.forward_queries_in_range(&frozen.thaw(), &history, &queries, false, (3, 40));
+        model.forward_queries_in_range(&frozen.thaw(), &history, &queries, (3, 40));
         let first = kept(&frozen).expect("the first forward lays the range out");
         assert_eq!(first.0, (3, 40));
-        model.forward_queries_in_range(&frozen.thaw(), &history, &queries[..1], false, (3, 40));
-        model.forward_queries_in_range(&frozen.thaw(), &history, &queries, true, (3, 40));
+        model.forward_queries_in_range(&frozen.thaw(), &history, &queries[..1], (3, 40));
         let weights = Arc::new(model.freeze());
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 weights.with_replica(&ds, |replica| {
-                    replica.forward_queries_in_range(
-                        &frozen.thaw(),
-                        &history,
-                        &queries,
-                        false,
-                        (3, 40),
-                    )
+                    replica.forward_queries_in_range(&frozen.thaw(), &history, &queries, (3, 40))
                 });
             });
         });
         assert_eq!(kept(&frozen), Some(first));
         model.forward_queries(&frozen.thaw(), &history, &queries, false);
+        model.forward_queries_local_only(&frozen.thaw(), &history, &queries);
         assert_eq!(kept(&frozen), Some(first), "another range keeps nothing");
 
         let shared = model.encode(&snaps, 10, false);
-        model.forward_queries_in_range(&shared, &history, &queries, false, (3, 40));
+        model.forward_queries_in_range(&shared, &history, &queries, (3, 40));
         model.forward_queries(&shared, &history, &queries, false);
         let replaced = shared.freeze();
         assert_eq!(

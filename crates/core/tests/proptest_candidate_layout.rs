@@ -13,10 +13,10 @@
 //! (`encode(.., false)`, `t_q = 0` included) and head (`shared_from_state`)
 //! encodings, the whole range, every `ShardSpec::new(i, n)` range for
 //! `n ∈ {2, 3, 7, |E|}` and single rows — asked of **one** encoding in turn,
-//! so each forward meets the layout the previous range left behind — with
-//! and without the global encoder (`forward_queries_local_only`), for
-//! multi-query batches with a duplicate (the fused shape) and each query
-//! alone (the exact shape).
+//! so each forward meets the layout the previous range left behind — and,
+//! over the whole range, without the global encoder
+//! (`forward_queries_local_only`), for multi-query batches with a duplicate
+//! (the fused shape) and each query alone (the exact shape).
 
 use proptest::prelude::*;
 
@@ -91,21 +91,19 @@ fn check_encoding(
     row: usize,
 ) -> Result<(), TestCaseError> {
     for (at, range) in ranges(e, row).into_iter().enumerate() {
-        let skip_global = at % 3 == 2;
-        let out = model.forward_queries_in_range(shared, history, queries, skip_global, range);
+        let out = model.forward_queries_in_range(shared, history, queries, range);
         prop_assert_eq!(out.logits.shape(), vec![queries.len(), range.1 - range.0]);
         prop_assert_eq!(
             bits(&out.logits),
             spec(shared, &out.decoded, range),
-            "range {:?}, skip_global {}",
-            range,
-            skip_global
+            "range {:?}",
+            range
         );
         // The exact-batching shape on a few of the ranges: each query alone.
         if at % 5 == 0 {
             for q in queries {
                 let one = std::slice::from_ref(q);
-                let out = model.forward_queries_in_range(shared, history, one, false, range);
+                let out = model.forward_queries_in_range(shared, history, one, range);
                 prop_assert_eq!(
                     bits(&out.logits),
                     spec(shared, &out.decoded, range),
@@ -208,7 +206,7 @@ fn a_reused_encoding_answers_as_a_fresh_one_does() {
         } else {
             model.encode(&snaps, t, false)
         };
-        let out = model.forward_queries_in_range(&shared, &history, &queries, false, range);
+        let out = model.forward_queries_in_range(&shared, &history, &queries, range);
         bits(&out.logits)
     };
     for head in [false, true] {
@@ -219,7 +217,7 @@ fn a_reused_encoding_answers_as_a_fresh_one_does() {
         };
         let turns = [(0, e), (e / 3, e - 1), (7, 8), (0, e), (e / 3, e - 1)];
         for range in turns.into_iter().chain([(5, e / 2); 50]) {
-            let out = model.forward_queries_in_range(&held, &history, &queries, false, range);
+            let out = model.forward_queries_in_range(&held, &history, &queries, range);
             assert_eq!(
                 bits(&out.logits),
                 fresh(&mut model, head, range),
@@ -241,7 +239,7 @@ fn query_dependent_candidates_are_scored_as_before() {
     let whole = model.forward_queries(&shared, &history, &queries, false);
     let whole = whole.logits.to_tensor();
     for (lo, hi) in [(0, e), (3, 40), (e - 1, e), (3, 40)] {
-        let out = model.forward_queries_in_range(&shared, &history, &queries, false, (lo, hi));
+        let out = model.forward_queries_in_range(&shared, &history, &queries, (lo, hi));
         let part = out.logits.to_tensor();
         for q in 0..queries.len() {
             assert_eq!(
@@ -273,7 +271,7 @@ fn an_encoding_that_aliases_the_live_table_follows_an_optimizer_step() {
         .iter()
         .map(|&r| {
             let held = model.encode(&snaps, 0, false);
-            let out = model.forward_queries_in_range(&held, &history, &queries, false, r);
+            let out = model.forward_queries_in_range(&held, &history, &queries, r);
             assert_eq!(bits(&out.logits), spec(&held, &out.decoded, r));
             let before = bits(&out.logits);
             (held, before)
@@ -290,8 +288,8 @@ fn an_encoding_that_aliases_the_live_table_follows_an_optimizer_step() {
 
     let fresh = model.encode(&snaps, 0, false);
     for (&r, (held, before)) in ranges.iter().zip(&held) {
-        let again = model.forward_queries_in_range(held, &history, &queries, false, r);
-        let anew = model.forward_queries_in_range(&fresh, &history, &queries, false, r);
+        let again = model.forward_queries_in_range(held, &history, &queries, r);
+        let anew = model.forward_queries_in_range(&fresh, &history, &queries, r);
         assert_ne!(&bits(&again.logits), before, "the step moved nothing");
         assert_eq!(bits(&again.logits), bits(&anew.logits));
         assert_eq!(bits(&again.logits), spec(held, &again.decoded, r));

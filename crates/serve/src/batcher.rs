@@ -75,8 +75,8 @@ pub struct PredictOutcome {
     pub batch_size: usize,
     /// Whether the snapshot encoding came from the cache.
     pub cache_hit: bool,
-    /// Whether the answer was degraded (Brownout: capped k and/or
-    /// local-only decoding).
+    /// Whether Brownout's `k` cap shortened the answer (its scores are
+    /// exact either way).
     pub degraded: bool,
     /// `Some` when this worker scored only an entity shard; the
     /// probabilities above are then shard-local, and the merge happens at

@@ -88,6 +88,10 @@ impl ShutdownState {
     }
 }
 
+/// `Retry-After` seconds stamped on every `503`/`504` and on a router's
+/// partial answer.
+pub const RETRY_AFTER_SECS: u64 = 1;
+
 /// What a process tells the loop about its inbound side.
 pub struct ListenerConfig {
     /// Thread-name prefix (`<name>-accept`, `<name>-conn`).
@@ -103,8 +107,6 @@ pub struct ListenerConfig {
     pub write_timeout: Duration,
     /// Per-request body cap in bytes (→ `413` above it, body unread).
     pub max_body_bytes: usize,
-    /// `Retry-After` seconds stamped on every `503`/`504`.
-    pub retry_after_secs: u64,
 }
 
 /// What the loop hands the application callback. The two refusals come
@@ -235,7 +237,7 @@ impl Shared {
         if matches!(resp.status, 503 | 504)
             && !resp.headers.iter().any(|(name, _)| *name == "Retry-After")
         {
-            return resp.with_header("Retry-After", self.cfg.retry_after_secs.to_string());
+            return resp.with_header("Retry-After", RETRY_AFTER_SECS.to_string());
         }
         resp
     }

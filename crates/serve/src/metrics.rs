@@ -165,8 +165,7 @@ pub struct Metrics {
     /// (the load-shedding guarantee: expired work never burns compute).
     /// Superset sum lives in `logcl_shed_total`.
     pub shed_before_compute: AtomicU64,
-    /// Predict requests answered under a degraded tier (Brownout effects:
-    /// reduced top-k and/or local-only decoding).
+    /// Predict requests whose answer Brownout's `k` cap shortened.
     pub degraded_responses: AtomicU64,
     /// Current degradation tier (0 = normal, 1 = brownout, 2 = shed),
     /// mirrored from the overload state machine on every transition.
@@ -396,7 +395,7 @@ impl Metrics {
         counter(
             &mut out,
             "logcl_degraded_responses_total",
-            "Predict responses answered under a degraded (brownout) tier.",
+            "Predict responses whose top-k the brownout cap shortened.",
             &[("", load(&self.degraded_responses))],
         );
         let _ = writeln!(

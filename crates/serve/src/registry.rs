@@ -97,17 +97,6 @@ pub struct RegistryOptions {
     pub shard: Option<ShardSpec>,
 }
 
-impl Default for RegistryOptions {
-    fn default() -> Self {
-        Self {
-            fused: false,
-            cache_capacity: 16,
-            online_steps: 1,
-            shard: None,
-        }
-    }
-}
-
 /// A cached encoding, computed once by whichever reader inserted the slot;
 /// readers that find it being computed wait for that one computation.
 type Slot = Arc<OnceLock<Arc<FrozenEncoding>>>;
@@ -213,7 +202,6 @@ impl Published {
         if wall > 0.0 {
             let util = busy as f64 / 1e9 / wall;
             metrics.compute_utilisation.observe(util);
-            overload.observe_utilisation(util);
         }
         answer
     }
@@ -235,21 +223,13 @@ impl Published {
             .map_err(|e| ServeError::bad_request(e.to_string()))?;
 
         // Brownout degradation (crate::shed): under pressure, cap the
-        // effective top-k and — when the model has a local encoder to fall
-        // back on — skip the per-query global subgraph encoder entirely, so
-        // the cached snapshot encoding alone answers the query (the decoder
-        // λ-mixture, Eq. 18–19, collapses to its local term). The skip buys
-        // ≈0.15–0.3 ms per forward (crate::shed's header has the numbers).
-        let brownout = overload.tier(Instant::now()) >= Tier::Brownout;
-        let policy = overload.policy();
-        let k_cap = if brownout {
-            policy.brownout_k_cap.max(1)
+        // effective top-k. The forward is the full model's either way, so a
+        // capped answer is the prefix of the uncapped one.
+        let k_cap = if overload.tier(Instant::now()) >= Tier::Brownout {
+            overload.policy().brownout_k_cap.max(1)
         } else {
             usize::MAX
         };
-        let cfg = model.weights.cfg();
-        let skip_global =
-            brownout && policy.brownout_skip_global && cfg.use_local && cfg.use_global;
 
         let (encoding, cache_hit) = self.encoding(model, t, metrics);
         // Every decode is restricted to this worker's candidate range (the
@@ -264,7 +244,6 @@ impl Published {
                     &encoding.thaw(),
                     &self.history,
                     &[Quad::new(s, r, 0, t)],
-                    skip_global,
                     self.entity_range,
                 );
                 out.logits.to_tensor()
@@ -273,7 +252,7 @@ impl Published {
         let scores = logits.as_ref().map_or(&[][..], Tensor::data);
 
         let k_eff = k.min(k_cap);
-        let degraded = skip_global || k_eff < k;
+        let degraded = k_eff < k;
         if degraded {
             metrics.degraded_responses.fetch_add(1, Ordering::Relaxed);
         }
@@ -1203,13 +1182,24 @@ mod tests {
         SyntheticPreset::Icews14.generate_scaled(0.15)
     }
 
+    /// The options a default server builds its registry with.
+    fn options() -> RegistryOptions {
+        let defaults = crate::ServeConfig::default();
+        RegistryOptions {
+            fused: defaults.fused,
+            cache_capacity: defaults.cache_capacity,
+            online_steps: defaults.online_steps,
+            shard: defaults.shard,
+        }
+    }
+
     fn build(specs: Vec<ModelSpec>) -> Result<Registry, StartError> {
         Registry::build(
             tiny_ds(),
             specs,
             Arc::new(Metrics::default()),
             Arc::new(AtomicUsize::new(0)),
-            RegistryOptions::default(),
+            options(),
             Arc::new(OverloadState::new(
                 crate::shed::OverloadPolicy::default(),
                 Arc::new(Metrics::default()),
@@ -1370,7 +1360,7 @@ mod tests {
             }],
             Arc::new(Metrics::default()),
             horizon.clone(),
-            RegistryOptions::default(),
+            options(),
             Arc::new(OverloadState::new(
                 crate::shed::OverloadPolicy::default(),
                 Arc::new(Metrics::default()),

@@ -42,6 +42,9 @@ use crate::metrics::Metrics;
 use crate::registry::{ModelSpec, Publisher, Query, Registry, RegistryOptions};
 use crate::shed::{OverloadPolicy, OverloadState};
 
+/// Bounded ingest-queue depth; excess ingests are answered `503`.
+const INGEST_QUEUE_CAP: usize = 1024;
+
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -56,8 +59,6 @@ pub struct ServeConfig {
     /// Ingest-run cap: how many queued ingests one group commit takes. The
     /// model thread never waits for a run to fill.
     pub max_batch: usize,
-    /// Bounded ingest-queue depth; excess ingests are answered `503`.
-    pub queue_cap: usize,
     /// `k` when a predict request does not specify one.
     pub default_k: usize,
     /// Cached encodings kept per model.
@@ -89,21 +90,11 @@ pub struct ServeConfig {
     pub shed_sojourn: Duration,
     /// Consecutive healthy observations needed to step the tier down once.
     pub recovery_streak: u32,
-    /// Compute-utilisation threshold feeding Brownout (`0.0` disables the
-    /// utilisation signal).
-    pub brownout_utilisation: f64,
     /// Effective top-k cap applied to predictions while in Brownout.
     pub brownout_k_cap: usize,
-    /// Skip the per-query global encoder in Brownout: decode local-only,
-    /// i.e. the λ-mixture of Eq. 18–19 collapses to its local term.
-    pub brownout_skip_global: bool,
     /// Concurrent in-flight `/predict` requests admitted, computing or
     /// waiting for a compute permit.
     pub max_inflight_predict: usize,
-    /// Concurrent in-flight `/ingest` requests admitted.
-    pub max_inflight_ingest: usize,
-    /// `Retry-After` seconds advertised on shed (503/504) responses.
-    pub retry_after_secs: u64,
     /// Directory for the durable-ingest write-ahead log and serving
     /// snapshot; `None` disables durability (accepted ingests live only in
     /// memory and are lost on crash).
@@ -124,12 +115,12 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
+        let overload = OverloadPolicy::default();
         Self {
             addr: "127.0.0.1:7878".into(),
             max_connections: 128,
             compute_threads: 0,
             max_batch: 32,
-            queue_cap: 1024,
             default_k: 10,
             cache_capacity: 64,
             fused: false,
@@ -139,15 +130,11 @@ impl Default for ServeConfig {
             write_timeout: Duration::from_secs(10),
             default_deadline: Duration::from_secs(30),
             max_deadline: Duration::from_secs(120),
-            brownout_sojourn: Duration::from_millis(50),
-            shed_sojourn: Duration::from_millis(250),
-            recovery_streak: 3,
-            brownout_utilisation: 0.0,
-            brownout_k_cap: 3,
-            brownout_skip_global: true,
-            max_inflight_predict: 256,
-            max_inflight_ingest: 32,
-            retry_after_secs: 1,
+            brownout_sojourn: overload.brownout_sojourn,
+            shed_sojourn: overload.shed_sojourn,
+            recovery_streak: overload.recovery_streak,
+            brownout_k_cap: overload.brownout_k_cap,
+            max_inflight_predict: overload.max_inflight_predict,
             wal_dir: None,
             wal_compact_every: 64,
             online_steps: 1,
@@ -238,17 +225,14 @@ impl Server {
                 brownout_sojourn: cfg.brownout_sojourn,
                 shed_sojourn: cfg.shed_sojourn.max(cfg.brownout_sojourn),
                 recovery_streak: cfg.recovery_streak.max(1),
-                brownout_utilisation: cfg.brownout_utilisation,
                 brownout_k_cap: cfg.brownout_k_cap,
-                brownout_skip_global: cfg.brownout_skip_global,
                 max_inflight_predict: cfg.max_inflight_predict,
-                max_inflight_ingest: cfg.max_inflight_ingest,
             },
             Arc::clone(&metrics),
         ));
         let vocab = Vocab::from_dataset(&ds);
         let num_entities = ds.num_entities;
-        let (ingest_tx, ingest_rx) = mpsc::sync_channel::<IngestJob>(cfg.queue_cap.max(1));
+        let (ingest_tx, ingest_rx) = mpsc::sync_channel::<IngestJob>(INGEST_QUEUE_CAP);
 
         // Model thread: owns the registry (the model is not Send, so it is
         // built on this thread) and applies every ingest; reports startup
@@ -340,7 +324,6 @@ impl Server {
                 read_timeout: cfg.read_timeout,
                 write_timeout: cfg.write_timeout,
                 max_body_bytes: cfg.max_body_bytes,
-                retry_after_secs: cfg.retry_after_secs.max(1),
             },
             Arc::clone(&shutdown),
             Box::new(move |inbound, started| respond(inbound, &ctx, started)),

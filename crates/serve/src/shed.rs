@@ -12,15 +12,12 @@
 //! full" signal sheds far too late; three tiers react to the sojourn:
 //!
 //! * **Normal** — full fidelity.
-//! * **Brownout** — predict requests are still admitted, but answered
-//!   degraded: the effective top-k is capped and (when the model has a
-//!   local encoder) the per-query global encoding is skipped, so the
-//!   cached snapshot encoding alone answers the query
-//!   ([`crate::registry`]). That encoding was 0.87–0.94 of a forward while
-//!   it swept all `|E|` rows; over the query subgraph's own rows (PR 15) it
-//!   is ≈0.2 of one at |E| = 4 000 and ≈0.5 at |E| = 1 000, ≈0.15–0.3 ms
-//!   either way. Every response names the tier in an
-//!   `X-LogCL-Degradation` header.
+//! * **Brownout** — predict requests are still admitted and answered by
+//!   the full model, but the effective top-k is capped
+//!   ([`OverloadPolicy::brownout_k_cap`]) and an answer the cap shortened
+//!   is flagged `degraded`. The scores stay exact: a capped answer is the
+//!   prefix of the Normal-tier one ([`crate::registry`]). Every response
+//!   names the tier in an `X-LogCL-Degradation` header.
 //! * **Shed** — incoming `/predict` is answered `503` + `Retry-After`
 //!   without waiting for a permit, for as long as anyone is waiting (or the
 //!   model thread is gone). Once no request waits, probe requests are
@@ -48,12 +45,15 @@ use crate::metrics::Metrics;
 /// Sentinel for "the queue is (as far as we know) empty".
 const EMPTY: u64 = u64::MAX;
 
+/// Concurrent in-flight `/ingest` requests admitted.
+const MAX_INFLIGHT_INGEST: usize = 32;
+
 /// Degradation tier, in escalation order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Tier {
     /// Full fidelity.
     Normal = 0,
-    /// Degraded answers: capped top-k, local-only decoding.
+    /// Exact answers with a capped top-k.
     Brownout = 1,
     /// Incoming `/predict` is answered `503` without waiting for a permit.
     Shed = 2,
@@ -78,8 +78,8 @@ impl Tier {
     }
 }
 
-/// Thresholds and degradation knobs driving the state machine
-/// (defaults mirror [`crate::ServeConfig`]).
+/// Thresholds driving the state machine, the Brownout cap and the
+/// `/predict` concurrency cap.
 #[derive(Debug, Clone)]
 pub struct OverloadPolicy {
     /// Sojourn at or above this escalates to at least Brownout.
@@ -88,20 +88,10 @@ pub struct OverloadPolicy {
     pub shed_sojourn: Duration,
     /// Consecutive healthy observations required to step *down* one tier.
     pub recovery_streak: u32,
-    /// Compute utilisation (pool threads busy per wall-second) at or above
-    /// this escalates to at least Brownout; `0.0` disables the signal.
-    pub brownout_utilisation: f64,
     /// Effective top-k cap applied to predict requests in Brownout.
     pub brownout_k_cap: usize,
-    /// Skip the global encoder (decode local-only, Eq. 18–19 with the
-    /// λ-mixture collapsed to its local term) in Brownout. Saves ≈0.15–0.3 ms
-    /// of a forward (module header); what it mostly decides is whether the
-    /// reply is counted `degraded`.
-    pub brownout_skip_global: bool,
     /// Concurrent in-flight `/predict` requests admitted.
     pub max_inflight_predict: usize,
-    /// Concurrent in-flight `/ingest` requests admitted.
-    pub max_inflight_ingest: usize,
 }
 
 impl Default for OverloadPolicy {
@@ -110,11 +100,8 @@ impl Default for OverloadPolicy {
             brownout_sojourn: Duration::from_millis(50),
             shed_sojourn: Duration::from_millis(250),
             recovery_streak: 3,
-            brownout_utilisation: 0.0,
             brownout_k_cap: 3,
-            brownout_skip_global: true,
             max_inflight_predict: 256,
-            max_inflight_ingest: 32,
         }
     }
 }
@@ -203,7 +190,7 @@ impl OverloadState {
     }
 
     /// The policy this state was built with (read by the registry for the
-    /// Brownout degradation knobs).
+    /// Brownout cap).
     pub fn policy(&self) -> &OverloadPolicy {
         &self.policy
     }
@@ -287,22 +274,6 @@ impl OverloadState {
         };
         self.observe_target(target);
         sojourn
-    }
-
-    /// Feeds one compute-utilisation observation (pool threads busy per
-    /// wall-second over a forward) into the state machine. A no-op when the
-    /// utilisation signal is disabled (`brownout_utilisation == 0`).
-    pub fn observe_utilisation(&self, util: f64) {
-        if self.policy.brownout_utilisation <= 0.0 {
-            return;
-        }
-        let target = if util >= self.policy.brownout_utilisation {
-            Tier::Brownout
-        } else {
-            Tier::Normal
-        };
-        let _serial = self.lock_permits();
-        self.observe_target(target);
     }
 
     /// The transition function: escalate immediately, recover one tier per
@@ -398,7 +369,7 @@ impl OverloadState {
 
     /// Admits one `/ingest` under the concurrency cap, or refuses.
     pub fn try_acquire_ingest(&self) -> Option<InflightGuard<'_>> {
-        Self::acquire(&self.inflight_ingest, self.policy.max_inflight_ingest)
+        Self::acquire(&self.inflight_ingest, MAX_INFLIGHT_INGEST)
     }
 
     fn acquire<'a>(counter: &'a AtomicUsize, cap: usize) -> Option<InflightGuard<'a>> {
@@ -604,18 +575,5 @@ mod tests {
         assert!(s.try_acquire_predict().is_none(), "cap must refuse a third");
         drop(a);
         assert!(s.try_acquire_predict().is_some(), "release must reopen");
-    }
-
-    #[test]
-    fn utilisation_signal_escalates_only_when_enabled() {
-        let off = state(policy());
-        off.observe_utilisation(100.0);
-        assert_eq!(off.tier(Instant::now()), Tier::Normal);
-        let on = state(OverloadPolicy {
-            brownout_utilisation: 2.0,
-            ..policy()
-        });
-        on.observe_utilisation(2.5);
-        assert_eq!(on.tier(Instant::now()), Tier::Brownout);
     }
 }

@@ -382,8 +382,8 @@ fn serial_and_default_backends_rank_identically() {
 #[test]
 fn brownout_degrades_answers_and_names_the_tier() {
     // A zero brownout threshold pins the tier at (at least) Brownout from
-    // the first observation: answers must be degraded — capped k, local-only
-    // decoding — and every response must name the tier. /healthz is never
+    // the first observation: answers must be degraded — capped k, exact
+    // scores — and every response must name the tier. /healthz is never
     // shed and reports the tier too.
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),
@@ -406,14 +406,17 @@ fn brownout_degrades_answers_and_names_the_tier() {
         assert_eq!(v.get("tier").and_then(Value::as_str), Some("brownout"));
         v.get("horizon").and_then(Value::as_u64).unwrap()
     };
+    let query = |k: usize| format!(r#"{{"subject": 0, "relation": 0, "time": {t}, "k": {k}}}"#);
 
-    let (status, headers, body) = request_full(
-        addr,
-        "POST",
-        "/predict",
-        &format!(r#"{{"subject": 0, "relation": 0, "time": {t}, "k": 7}}"#),
-        &[],
-    );
+    // The same query at the Normal tier: what a capped answer is a prefix of.
+    let normal = test_server();
+    let (status, body) = request(normal.addr(), "POST", "/predict", &query(7));
+    assert_eq!(status, 200, "{body}");
+    let exact = ranking_of(&json(&body));
+    assert_eq!(exact.len(), 7, "{body}");
+    normal.shutdown();
+
+    let (status, headers, body) = request_full(addr, "POST", "/predict", &query(7), &[]);
     assert_eq!(status, 200, "{body}");
     assert_eq!(header_of(&headers, "X-LogCL-Degradation"), Some("brownout"));
     let v = json(&body);
@@ -422,11 +425,25 @@ fn brownout_degrades_answers_and_names_the_tier() {
         Some(true),
         "{body}"
     );
-    assert!(
-        predictions_of(&v).len() <= 2,
-        "brownout must cap k at brownout_k_cap: {body}"
+    assert_eq!(
+        ranking_of(&v),
+        exact[..2],
+        "brownout caps k at brownout_k_cap and keeps the exact scores: {body}"
     );
     assert!(server.metrics().degraded_responses.load(Ordering::Relaxed) >= 1);
+
+    // A request the cap does not shorten is the exact, undegraded answer.
+    let (status, headers, body) = request_full(addr, "POST", "/predict", &query(2), &[]);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(header_of(&headers, "X-LogCL-Degradation"), Some("brownout"));
+    let v = json(&body);
+    assert_eq!(
+        v.get("degraded").and_then(Value::as_bool),
+        Some(false),
+        "{body}"
+    );
+    assert_eq!(ranking_of(&v), exact[..2], "{body}");
+
     let (_, text) = request(addr, "GET", "/metrics", "");
     assert!(text.contains("logcl_degradation_tier 1"), "{text}");
     server.shutdown();

@@ -26,8 +26,8 @@ enum Path {
     Topk,
     /// `predict_topk_stream`: the streamed encoder state, head only.
     Stream,
-    /// `forward_queries_local_only` on the streamed state: what a browned-out
-    /// server answers.
+    /// `forward_queries_local_only` on the streamed state: the paper's −G
+    /// ablation, which no server answers.
     LocalOnly,
 }
 
