@@ -40,7 +40,8 @@ pub use client::{FailReason, HopError};
 pub use config::{parse_shards, ClusterError, RouterConfig};
 pub use health::{WorkerHealth, WorkerState};
 pub use merge::{
-    merge_replies, parse_shard_reply, MergedAnswer, MergedPrediction, ShardReply, ShardReplyError,
+    merge_replies, parse_shard_reply, MergedAnswer, MergedPrediction, ShardCandidate, ShardReply,
+    ShardReplyError,
 };
 pub use metrics::RouterMetrics;
 pub use router::Router;

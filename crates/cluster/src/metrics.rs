@@ -34,6 +34,9 @@ pub struct RouterMetrics {
     pub hedges: AtomicU64,
     /// Predict answers returned with `coverage < 1.0`.
     pub partial_responses: AtomicU64,
+    /// Shard `200` answers to `/predict` that could not be read as a shard
+    /// reply, and so were left out of the merge.
+    pub unreadable_replies: AtomicU64,
     /// Requests shed at admission because their deadline was spent.
     pub shed_deadline: AtomicU64,
     /// Connections refused because the connection cap was reached.
@@ -57,6 +60,7 @@ impl RouterMetrics {
             hop_connections: [AtomicU64::new(0), AtomicU64::new(0)],
             hedges: AtomicU64::new(0),
             partial_responses: AtomicU64::new(0),
+            unreadable_replies: AtomicU64::new(0),
             shed_deadline: AtomicU64::new(0),
             shed_connections: AtomicU64::new(0),
             probes: AtomicU64::new(0),
@@ -149,6 +153,12 @@ impl RouterMetrics {
         );
         counter(
             &mut out,
+            "logcl_router_unreadable_replies_total",
+            "Shard 200 answers to /predict that were not a readable shard reply.",
+            self.unreadable_replies.load(Ordering::Relaxed),
+        );
+        counter(
+            &mut out,
             "logcl_router_shed_deadline_total",
             "Requests shed at admission with their deadline already spent.",
             self.shed_deadline.load(Ordering::Relaxed),
@@ -211,6 +221,7 @@ mod tests {
         assert!(out.contains("logcl_router_shard_state{shard=\"1\",replica=\"1\"} 2"));
         assert!(out.contains("logcl_router_shard_0_latency_seconds_count 0"));
         assert!(out.contains("logcl_partial_responses_total 0"));
+        assert!(out.contains("logcl_router_unreadable_replies_total 0"));
         assert!(out.contains("logcl_router_hedges_total 0"));
         assert!(out.contains("logcl_router_hop_connections_total{reused=\"true\"} 0"));
         assert!(out.contains("logcl_router_hop_connections_total{reused=\"false\"} 0"));

@@ -913,8 +913,13 @@ fn predict(ctx: &Arc<RouterCtx>, req: &Request, started: Instant) -> Response {
             Ok(resp) if resp.status == 200 => {
                 // A 200 with an unintelligible body is a failed shard, not
                 // a guessable one.
-                if let Ok(reply) = merge::parse_shard_reply(&resp.body) {
-                    replies.push(reply);
+                match merge::parse_shard_reply(&resp.body) {
+                    Ok(reply) => replies.push(reply),
+                    Err(_) => {
+                        ctx.metrics
+                            .unreadable_replies
+                            .fetch_add(1, Ordering::Relaxed);
+                    }
                 }
             }
             // A 4xx is an answer about the *request* (unknown entity, bad

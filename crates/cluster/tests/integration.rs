@@ -4,12 +4,13 @@
 //! double-send-across-a-worker-restart case), partial-result degradation
 //! when a shard dies, recovery back to full coverage, and metrics.
 
+use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use logcl_cluster::{Router, RouterConfig, WorkerState};
 use logcl_core::{LogClConfig, ShardSpec};
-use logcl_serve::http::Client;
+use logcl_serve::http::{read_request, write_response, Client, Response};
 use logcl_serve::{ModelSpec, ServeConfig, Server};
 use logcl_tkg::{SyntheticPreset, TkgDataset};
 use serde_json::Value;
@@ -482,4 +483,77 @@ fn metrics_scrape_reflects_cluster_traffic() {
     for w in workers {
         w.shutdown();
     }
+}
+
+/// A stand-in for a worker whose every answer is a `200` the router cannot
+/// read as a shard reply: a real shard answer cut off mid-candidate. It
+/// serves until the test process ends.
+fn unreadable_worker() -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        for mut stream in listener.incoming().flatten() {
+            std::thread::spawn(move || {
+                while let Ok(req) = read_request(&mut stream) {
+                    let body = r#"{"predictions":[{"entity":1,"name":"e1","score_bits":10"#;
+                    let resp = Response::json(200, body.to_string());
+                    if write_response(&mut stream, &resp, req.keep_alive).is_err()
+                        || !req.keep_alive
+                    {
+                        break;
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
+/// A shard whose `200` cannot be read is a failed shard, never merged on a
+/// guess — and never dropped without a trace: the answer is partial
+/// (shard 0 alone, coverage its half of the vocabulary) and
+/// `logcl_router_unreadable_replies_total` reads 1.
+#[test]
+fn an_unreadable_shard_reply_is_counted_and_answered_partially() {
+    let live = worker(Some(ShardSpec::new(0, 2).unwrap()), "127.0.0.1:0", None);
+    let router = Router::start(RouterConfig {
+        shards: vec![vec![live.addr().to_string()], vec![unreadable_worker()]],
+        probe_interval: Duration::from_millis(50),
+        connect_timeout: Duration::from_millis(250),
+        ..RouterConfig::default()
+    })
+    .expect("router must start");
+    let t = horizon_of(live.addr());
+    let query = format!(r#"{{"subject": 0, "relation": 0, "time": {t}, "k": 5}}"#);
+
+    let (status, headers, body) = request_full(router.addr(), "POST", "/predict", &query, &[]);
+    assert_eq!(status, 200, "{body}");
+    let reply = json(&body);
+    // Shard 0 of 2 holds 26 of the smoke graph's 51 entities: ≈ half.
+    let entities = tiny_ds().num_entities;
+    let (lo, hi) = ShardSpec::new(0, 2).unwrap().range(entities);
+    let half = (hi - lo) as f64 / entities as f64;
+    assert_eq!(reply.get("coverage").and_then(Value::as_f64), Some(half));
+    assert_eq!(reply.get("degraded").and_then(Value::as_bool), Some(true));
+    let answered: Vec<u64> = reply
+        .get("shards")
+        .and_then(|s| s.get("answered"))
+        .and_then(Value::as_array)
+        .expect("answered shard list")
+        .iter()
+        .filter_map(Value::as_u64)
+        .collect();
+    assert_eq!(answered, vec![0], "{reply}");
+    assert_eq!(header_of(&headers, "x-logcl-degradation"), Some("partial"));
+
+    let (status, text) = request(router.addr(), "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    assert!(
+        text.contains("logcl_router_unreadable_replies_total 1"),
+        "{text}"
+    );
+    assert!(text.contains("logcl_partial_responses_total 1"), "{text}");
+
+    router.shutdown();
+    live.shutdown();
 }

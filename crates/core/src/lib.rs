@@ -40,7 +40,7 @@ pub use predict::{
 };
 pub use serving_snapshot::{DedupEntry, ModelParamSnapshot, ServingSnapshot};
 pub use shard::{
-    merge_topk, rank_order, shard_topk, ScoredEntity, ShardError, ShardSpec, SoftmaxStat,
+    merge_topk, rank_order, shard_topk, top_k_by, ScoredEntity, ShardError, ShardSpec, SoftmaxStat,
 };
 pub use trainer::{
     evaluate_online, online_adapt, OnlineAdaptOptions, OnlineAdaptReport, TrainReport,

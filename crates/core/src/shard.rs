@@ -172,8 +172,8 @@ impl SoftmaxStat {
 /// score descending, entity id ascending on exact ties (`-0.0` and `0.0` are
 /// such a tie). A NaN score — which the model never produces — ranks after
 /// every number, `-inf` included, and NaNs order among themselves by entity
-/// id: the order is total, so a sort and a selection agree on it and neither
-/// can panic on an inconsistent comparator.
+/// id: the order is total, so a full sort and the heap of [`top_k_by`] agree
+/// on it and neither can panic on an inconsistent comparator.
 pub fn rank_order(a: &ScoredEntity, b: &ScoredEntity) -> std::cmp::Ordering {
     b.score
         .partial_cmp(&a.score)
@@ -181,32 +181,68 @@ pub fn rank_order(a: &ScoredEntity, b: &ScoredEntity) -> std::cmp::Ordering {
         .then_with(|| a.entity.cmp(&b.entity))
 }
 
-/// The first `k` of `all` in [`rank_order`]: selects the `k` best, then sorts
-/// only those — `k` is a handful, `all` is `|E|`. Entity ids are distinct, so
-/// the order has no equal pair and the result is exactly the prefix of the
-/// full sort.
-fn top_k(mut all: Vec<ScoredEntity>, k: usize) -> Vec<ScoredEntity> {
-    if k < all.len() {
-        all.select_nth_unstable_by(k, rank_order);
-        all.truncate(k);
+/// A candidate kept by [`top_k_by`], ordered by [`rank_order`] of its key:
+/// the greatest is the worst kept, so it sits at the root of the max-heap.
+struct Ranked<T>(ScoredEntity, T);
+
+impl<T> PartialEq for Ranked<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
     }
-    all.sort_by(rank_order);
-    all
+}
+
+impl<T> Eq for Ranked<T> {}
+
+impl<T> PartialOrd for Ranked<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> Ord for Ranked<T> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        rank_order(&self.0, &other.0)
+    }
+}
+
+/// The first `k` of `items` in [`rank_order`] of `key`, best first, in one
+/// pass: a heap holds the `k` best so far with the worst of them on top, and
+/// a candidate that does not beat it is rejected with one comparison. No
+/// buffer longer than `k` is built, and `k = |E|` costs O(n log k). Entity
+/// ids are distinct wherever this ranks, so the order has no equal pair and
+/// the result is exactly the prefix of the full sort.
+pub fn top_k_by<T>(
+    items: impl IntoIterator<Item = T>,
+    k: usize,
+    key: impl Fn(&T) -> ScoredEntity,
+) -> Vec<T> {
+    let items = items.into_iter();
+    let mut kept = std::collections::BinaryHeap::with_capacity(k.min(items.size_hint().0));
+    for item in items {
+        let candidate = Ranked(key(&item), item);
+        if kept.len() < k {
+            kept.push(candidate);
+        } else if kept.peek().is_some_and(|worst| candidate < *worst) {
+            if let Some(mut worst) = kept.peek_mut() {
+                *worst = candidate;
+            }
+        }
+    }
+    kept.into_sorted_vec()
+        .into_iter()
+        .map(|Ranked(_, item)| item)
+        .collect()
 }
 
 /// Top-k of one shard's score slice. `scores[i]` is the logit of global
 /// entity `lo + i`; the result is ranked by [`rank_order`] and truncated
-/// to `k`.
+/// to `k`, in one pass over the slice ([`top_k_by`]).
 pub fn shard_topk(scores: &[f32], lo: usize, k: usize) -> Vec<ScoredEntity> {
-    let all = scores
-        .iter()
-        .enumerate()
-        .map(|(i, &score)| ScoredEntity {
-            entity: lo + i,
-            score,
-        })
-        .collect();
-    top_k(all, k)
+    let all = scores.iter().enumerate().map(|(i, &score)| ScoredEntity {
+        entity: lo + i,
+        score,
+    });
+    top_k_by(all, k, |c| *c)
 }
 
 /// Merges per-shard top-k lists into the global top-k.
@@ -216,12 +252,92 @@ pub fn shard_topk(scores: &[f32], lo: usize, k: usize) -> Vec<ScoredEntity> {
 /// `min(k, shard_width)` in [`rank_order`] — the standard scatter-gather
 /// argument: any entity in the global top-k is in its own shard's top-k.
 pub fn merge_topk(per_shard: &[Vec<ScoredEntity>], k: usize) -> Vec<ScoredEntity> {
-    top_k(per_shard.iter().flatten().copied().collect(), k)
+    top_k_by(per_shard.iter().flatten().copied(), k, |c| *c)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use logcl_tensor::rng::splitmix64;
+
+    /// The top-k this module ran before [`top_k_by`]: select the `k` best
+    /// with `select_nth_unstable_by`, then sort only those. The reference
+    /// the one-pass heap must reproduce.
+    fn select_top_k(mut all: Vec<ScoredEntity>, k: usize) -> Vec<ScoredEntity> {
+        if k < all.len() {
+            all.select_nth_unstable_by(k, rank_order);
+            all.truncate(k);
+        }
+        all.sort_by(rank_order);
+        all
+    }
+
+    fn bits(ranked: &[ScoredEntity]) -> Vec<(usize, u32)> {
+        ranked
+            .iter()
+            .map(|c| (c.entity, c.score.to_bits()))
+            .collect()
+    }
+
+    /// One-pass top-k ≡ select + sort, entity for entity and bit for bit:
+    /// seeded score vectors drawn from NaN (both signs), ±0, ±inf and a few
+    /// repeated values (ties), or from raw bit patterns; every `k` around 0
+    /// and `n` plus a random one; a non-zero `lo`; `shard_topk` alone, and
+    /// `merge_topk` over both the two halves' top-k lists and the raw halves.
+    #[test]
+    fn one_pass_topk_equals_select_then_sort() {
+        const PALETTE: [f32; 9] = [
+            f32::NAN,
+            -f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1.0,
+            -1.0,
+            0.5,
+        ];
+        for seed in 0..2_000u64 {
+            let draw = |i: u64| splitmix64(seed, i);
+            let n = (draw(0) % 64) as usize;
+            let lo = (draw(1) % 1_000) as usize;
+            let scores: Vec<f32> = (0..n as u64)
+                .map(|i| match draw(10 + i) {
+                    d if d % 4 == 0 => f32::from_bits((d >> 32) as u32),
+                    d => PALETTE[(d >> 8) as usize % PALETTE.len()],
+                })
+                .collect();
+            let all: Vec<ScoredEntity> = scores
+                .iter()
+                .enumerate()
+                .map(|(i, &score)| ScoredEntity {
+                    entity: lo + i,
+                    score,
+                })
+                .collect();
+            let cut = (draw(2) % (n as u64 + 1)) as usize;
+            for k in [
+                0,
+                1,
+                2,
+                n.saturating_sub(1),
+                n,
+                n + 1,
+                (draw(3) % 80) as usize,
+            ] {
+                let want = bits(&select_top_k(all.clone(), k));
+                assert_eq!(bits(&shard_topk(&scores, lo, k)), want, "seed {seed} k {k}");
+                let lists = [
+                    shard_topk(&scores[cut..], lo + cut, k),
+                    shard_topk(&scores[..cut], lo, k),
+                ];
+                assert_eq!(bits(&merge_topk(&lists, k)), want, "seed {seed} k {k}");
+                let halves = [all[cut..].to_vec(), all[..cut].to_vec()];
+                assert_eq!(bits(&merge_topk(&halves, k)), want, "seed {seed} k {k}");
+            }
+        }
+    }
 
     #[test]
     fn spec_validation_and_parse() {
