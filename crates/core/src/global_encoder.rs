@@ -13,17 +13,21 @@
 //! subgraph semantics: each query only reads its own subject row, whose
 //! receptive field is its own subgraph's neighbourhood.
 //!
-//! The GNN runs over the subgraphs' **row set** — the query subjects and the
-//! edge endpoints, at most `2 · max_subgraph_edges + 1` entities per query —
-//! gathered out of `h0` and relabelled, not over all `|E|` rows. Every row
-//! it produces has the bits the whole-vocabulary pass would give that
-//! entity: the matmul kernel computes an output row from its own input row,
-//! scatter-add accumulates each object's messages in edge order (relabelling
-//! keeps it), and in-degrees / attention segments are per object over the
-//! same edges. An entity outside the row set would only ever carry its
-//! self-loop transform, and nothing reads it. Measured (PR 15, traced
-//! benchmark replay): the global encoder's share of a served forward fell
-//! from 0.94 to ≈0.2 at |E| = 4 000 and from 0.93 to ≈0.5 at |E| = 1 000.
+//! The forward reads one row of `H_g^{Agg}` per query: its subject's. So
+//! the encoder reads out **the query subjects only** (every row for LogCL-G,
+//! whose decoder scores against `H_g^{Agg}` itself), and the GNN computes
+//! only what those rows depend on ([`RelGnn::forward_rows`]): layer `ℓ` of
+//! `ω` computes the rows within `ω − ℓ` hops upstream of the subjects, over
+//! the edges into them. Every row it computes has the bits the
+//! whole-vocabulary pass gives that entity: the matmul kernel computes an
+//! output row from its own input row, every in-edge of a computed row is
+//! kept, so its in-degree is the whole graph's, and scatter-add
+//! accumulates each row's messages in edge order. KBGAT is exempt — its
+//! scatter softmax subtracts the largest logit over the layer's whole edge
+//! list — and computes the subjects and every edge endpoint at each layer.
+//! In the default two-layer R-GCN the last layer computes the subject rows
+//! alone and the first those plus their in-neighbours (DESIGN.md, "What a
+//! query's global encoding costs", has the counts).
 
 use logcl_gnn::aggregator::EdgeBatch;
 use logcl_gnn::{GlobalEntityAttention, RelGnn};
@@ -36,8 +40,7 @@ use crate::config::LogClConfig;
 
 /// The outputs of one global encoding pass.
 pub struct GlobalEncoding {
-    /// The entities the GNN ran over, ascending: the query subjects and
-    /// every endpoint of the unioned subgraph edges — or the whole
+    /// The entities read out, ascending: the query subjects — or the whole
     /// vocabulary for LogCL-G, whose decoder candidates are `h_agg` itself.
     pub rows: Vec<usize>,
     /// Aggregated entity matrix `H_g^{Agg}` over the unioned query
@@ -46,8 +49,8 @@ pub struct GlobalEncoding {
 }
 
 impl GlobalEncoding {
-    /// The `H_g^{Agg}` rows of `entities`, each of which must be in the row
-    /// set (every query subject is).
+    /// The `H_g^{Agg}` rows of `entities`, each of which must be read out
+    /// (every query subject is).
     pub fn gather(&self, entities: &[usize]) -> Var {
         self.h_agg.gather_rows(&positions(&self.rows, entities))
     }
@@ -90,10 +93,11 @@ impl GlobalEncoder {
         }
     }
 
-    /// Samples and unions the historical query subgraphs of `queries`
-    /// (unique `(s, r)` pairs) from `history` — the index as of the query
-    /// time — then aggregates them with the global GNN over their row set
-    /// of the initial embeddings `h0` / `rel0` (Eq. 12).
+    /// Samples and unions the historical query subgraphs of `queries` from
+    /// `history` — the index as of the query time — then aggregates them
+    /// with the global GNN over the initial embeddings `h0` / `rel0`
+    /// (Eq. 12), reading out the query subjects' rows only (every row for
+    /// LogCL-G).
     pub fn encode(
         &self,
         h0: &Var,
@@ -101,44 +105,49 @@ impl GlobalEncoder {
         history: HistoryView<'_>,
         queries: &[(usize, usize)],
     ) -> GlobalEncoding {
-        let mut seen_pairs: BTreeSet<(usize, usize)> = BTreeSet::new();
-        let mut edge_set: BTreeSet<(usize, usize, usize)> = BTreeSet::new();
-        let mut s_idx = Vec::new();
-        let mut r_idx = Vec::new();
-        let mut o_idx = Vec::new();
-        for &(s, r) in queries {
-            if !seen_pairs.insert((s, r)) {
-                continue;
+        let cap = self.max_edges_per_query;
+        let edges = match queries {
+            [first, rest @ ..] if rest.iter().all(|q| q == first) => {
+                history.query_subgraph(first.0, first.1, cap).edges
             }
-            let sub = history.query_subgraph(s, r, self.max_edges_per_query);
-            for (es, er, eo) in sub.edges {
-                if edge_set.insert((es, er, eo)) {
-                    s_idx.push(es);
-                    r_idx.push(er);
-                    o_idx.push(eo);
+            _ => {
+                // The union in first-occurrence order, each `(s, r)` once.
+                let mut seen_pairs: BTreeSet<(usize, usize)> = BTreeSet::new();
+                let mut seen_edges: BTreeSet<(usize, usize, usize)> = BTreeSet::new();
+                let mut edges = Vec::new();
+                for &(s, r) in queries.iter().filter(|&&q| seen_pairs.insert(q)) {
+                    let sub = history.query_subgraph(s, r, cap);
+                    edges.extend(sub.edges.into_iter().filter(|&e| seen_edges.insert(e)));
                 }
+                edges
             }
-        }
+        };
+        let (s_idx, (r_idx, o_idx)): (Vec<usize>, (Vec<usize>, Vec<usize>)) =
+            edges.iter().map(|&(s, r, o)| (s, (r, o))).unzip();
+        let num_entities = h0.shape()[0];
         let rows: Vec<usize> = if self.whole_vocabulary {
-            (0..h0.shape()[0]).collect()
+            (0..num_entities).collect()
         } else {
-            let subjects = queries.iter().map(|&(s, _)| s);
-            let endpoints = s_idx.iter().chain(&o_idx).copied();
-            let mut rows: Vec<usize> = subjects.chain(endpoints).collect();
-            rows.sort_unstable();
-            rows.dedup();
-            rows
+            let mut subjects: Vec<usize> = queries.iter().map(|&(s, _)| s).collect();
+            subjects.sort_unstable();
+            subjects.dedup();
+            subjects
         };
-        // Edge order is kept, so each object accumulates its messages in the
-        // order it would over the whole vocabulary.
-        let (s_pos, o_pos) = (positions(&rows, &s_idx), positions(&rows, &o_idx));
         let edges = EdgeBatch {
-            subjects: &s_pos,
+            subjects: &s_idx,
             relations: &r_idx,
-            objects: &o_pos,
-            num_entities: rows.len(),
+            objects: &o_idx,
+            num_entities,
         };
-        let h_agg = self.gnn.forward(&h0.gather_rows(&rows), rel0, &edges);
+        // LogCL-G's GNN input stays the gathered copy it has always been:
+        // its gradient then reaches the entity table as one sum, in the
+        // order training has always added it.
+        let h = if self.whole_vocabulary {
+            h0.gather_rows(&rows)
+        } else {
+            h0.clone()
+        };
+        let h_agg = self.gnn.forward_rows(&h, rel0, &edges, &rows);
         GlobalEncoding { rows, h_agg }
     }
 
@@ -201,11 +210,11 @@ mod tests {
     fn encode_and_read_out() {
         let (enc, h0, rel0) = setup();
         let hist = history();
-        let out = enc.encode(&h0, &rel0, hist.as_of(2), &[(0, 0), (2, 1)]);
-        // Subjects 0 and 2 plus their subgraphs' endpoints; 3 and 4 only
-        // touch each other.
-        assert_eq!(out.rows, vec![0, 1, 2]);
-        assert_eq!(out.h_agg.shape(), vec![3, 8]);
+        let out = enc.encode(&h0, &rel0, hist.as_of(2), &[(0, 0), (2, 1), (0, 0)]);
+        // The subjects, ascending, once each: their subgraphs' other
+        // endpoints are computed on the way and never read out.
+        assert_eq!(out.rows, vec![0, 2]);
+        assert_eq!(out.h_agg.shape(), vec![2, 8]);
         let rep = enc.query_representation(&out, &h0, &[0, 2], true);
         assert_eq!(rep.shape(), vec![2, 8]);
         assert!(rep.value().all_finite());

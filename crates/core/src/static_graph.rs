@@ -70,7 +70,10 @@ impl StaticGraph {
             objects: &self.objects,
             num_entities: self.num_entities,
         };
-        let agg = self.gnn.forward(h0, &self.rel_emb.weight, &edges);
+        let every: Vec<usize> = (0..self.num_entities).collect();
+        let agg = self
+            .gnn
+            .forward(h0, &self.rel_emb.weight, Some(&edges), &every);
         h0.add(&agg.scale(0.5))
     }
 

@@ -8,7 +8,7 @@
 use logcl_tensor::nn::{xavier_uniform, ParamSet};
 use logcl_tensor::{Rng, Tensor, Var};
 
-use crate::aggregator::{Aggregator, EdgeBatch};
+use crate::aggregator::{rows_at, Aggregator, EdgeBatch};
 
 /// The entity–relation composition function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,11 +48,11 @@ impl CompGcnLayer {
 }
 
 impl Aggregator for CompGcnLayer {
-    fn forward(&self, h: &Var, rel: &Var, edges: &EdgeBatch<'_>) -> Var {
-        let self_loop = h.matmul(&self.w2);
-        if edges.is_empty() {
+    fn forward(&self, h: &Var, rel: &Var, edges: Option<&EdgeBatch<'_>>, out: &[usize]) -> Var {
+        let self_loop = rows_at(h, out).matmul(&self.w2);
+        let Some(edges) = edges else {
             return self_loop.rrelu();
-        }
+        };
         let h_s = h.gather_rows(edges.subjects);
         let r_e = rel.matmul(&self.w_rel).gather_rows(edges.relations);
         let composed = match self.comp {
@@ -78,6 +78,7 @@ impl Aggregator for CompGcnLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregator::every_row;
 
     fn run(comp: Composition) -> Var {
         let mut rng = Rng::seed(31);
@@ -91,7 +92,7 @@ mod tests {
             objects: &o,
             num_entities: 4,
         };
-        layer.forward(&h, &rel, &edges)
+        layer.forward(&h, &rel, Some(&edges), &every_row(&h))
     }
 
     #[test]
@@ -115,7 +116,10 @@ mod tests {
             objects: &o,
             num_entities: 4,
         };
-        layer.forward(&h, &rel, &edges).sum().backward();
+        layer
+            .forward(&h, &rel, Some(&edges), &every_row(&h))
+            .sum()
+            .backward();
         assert!(
             layer.w_rel.grad().is_some(),
             "relation projection must be trained"

@@ -8,7 +8,7 @@
 use logcl_tensor::nn::{xavier_uniform, ParamSet};
 use logcl_tensor::{Rng, Var};
 
-use crate::aggregator::{Aggregator, EdgeBatch};
+use crate::aggregator::{rows_at, Aggregator, EdgeBatch};
 
 /// One KBGAT-style attention layer.
 pub struct KbgatLayer {
@@ -52,16 +52,17 @@ impl KbgatLayer {
 }
 
 impl Aggregator for KbgatLayer {
-    fn forward(&self, h: &Var, rel: &Var, edges: &EdgeBatch<'_>) -> Var {
-        let self_loop = h.matmul(&self.w_self);
-        if edges.is_empty() {
+    fn forward(&self, h: &Var, rel: &Var, edges: Option<&EdgeBatch<'_>>, out: &[usize]) -> Var {
+        let self_loop = rows_at(h, out).matmul(&self.w_self);
+        let Some(edges) = edges else {
             return self_loop.rrelu();
-        }
+        };
         let hw = h.matmul(&self.w);
         let rw = rel.matmul(&self.w);
         let h_s = hw.gather_rows(edges.subjects);
         let r_e = rw.gather_rows(edges.relations);
-        let h_o = hw.gather_rows(edges.objects);
+        let objects_in_h: Vec<usize> = edges.objects.iter().map(|&o| out[o]).collect();
+        let h_o = hw.gather_rows(&objects_in_h);
         let feat = h_s.concat_cols(&r_e).concat_cols(&h_o); // [M, 3D]
         let logits = feat.matmul(&self.a).leaky_relu(self.slope); // [M, 1]
         let alpha = self.scatter_softmax(&logits, edges); // [M, 1]
@@ -80,6 +81,7 @@ impl Aggregator for KbgatLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregator::every_row;
     use logcl_tensor::Tensor;
 
     #[test]
@@ -124,7 +126,7 @@ mod tests {
             objects: &o,
             num_entities: 4,
         };
-        let out = layer.forward(&h, &rel, &edges);
+        let out = layer.forward(&h, &rel, Some(&edges), &every_row(&h));
         assert_eq!(out.shape(), vec![4, 6]);
         out.sum().backward();
         assert!(layer.a.grad().is_some(), "attention vector must train");

@@ -11,7 +11,7 @@
 use logcl_tensor::nn::{xavier_uniform, ParamSet};
 use logcl_tensor::{Rng, Tensor, Var};
 
-use crate::aggregator::{Aggregator, EdgeBatch};
+use crate::aggregator::{rows_at, Aggregator, EdgeBatch};
 
 /// One R-GCN layer (Eq. 4).
 pub struct RgcnLayer {
@@ -32,11 +32,11 @@ impl RgcnLayer {
 }
 
 impl Aggregator for RgcnLayer {
-    fn forward(&self, h: &Var, rel: &Var, edges: &EdgeBatch<'_>) -> Var {
-        let self_loop = h.matmul(&self.w2);
-        if edges.is_empty() {
+    fn forward(&self, h: &Var, rel: &Var, edges: Option<&EdgeBatch<'_>>, out: &[usize]) -> Var {
+        let self_loop = rows_at(h, out).matmul(&self.w2);
+        let Some(edges) = edges else {
             return self_loop.rrelu();
-        }
+        };
         // Per-edge message W₁(h_s + r), normalised by 1/c_o.
         let h_s = h.gather_rows(edges.subjects);
         let r_e = rel.gather_rows(edges.relations);
@@ -57,6 +57,7 @@ impl Aggregator for RgcnLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregator::every_row;
 
     fn setup(dim: usize) -> (RgcnLayer, Var, Var) {
         let mut rng = Rng::seed(17);
@@ -76,7 +77,7 @@ mod tests {
             objects: &o,
             num_entities: 5,
         };
-        let out = layer.forward(&h, &rel, &edges);
+        let out = layer.forward(&h, &rel, Some(&edges), &every_row(&h));
         assert_eq!(out.shape(), vec![5, 6]);
     }
 
@@ -90,7 +91,7 @@ mod tests {
             objects: &o,
             num_entities: 5,
         };
-        let out = layer.forward(&h, &rel, &edges);
+        let out = layer.forward(&h, &rel, Some(&edges), &every_row(&h));
         // Entity 3 is isolated: output equals RReLU(W₂ h₃).
         let expected = h.matmul(&layer.w2).rrelu();
         let got = out.value().row(3).to_vec();
@@ -129,8 +130,8 @@ mod tests {
             num_entities: 3,
         };
 
-        let out1 = layer.forward(&h, &rel, &e1);
-        let out2 = layer.forward(&h, &rel, &e2);
+        let out1 = layer.forward(&h, &rel, Some(&e1), &every_row(&h));
+        let out2 = layer.forward(&h, &rel, Some(&e2), &every_row(&h));
         for (a, b) in out1.value().row(2).iter().zip(out2.value().row(2)) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
         }
@@ -146,9 +147,23 @@ mod tests {
             objects: &o,
             num_entities: 5,
         };
-        let out = layer.forward(&h, &rel, &edges);
+        let out = layer.forward(&h, &rel, None, &every_row(&h));
         let expected = h.matmul(&layer.w2).rrelu();
         assert_eq!(out.value().data(), expected.value().data());
+        // Rows with no edge into them inside a graph that has edges still
+        // run the message path: `w1` gets a zero gradient, not none.
+        let into_two = EdgeBatch {
+            num_entities: 2,
+            ..edges
+        };
+        let out = layer.forward(&h, &rel, Some(&into_two), &[1, 3]);
+        assert_eq!(
+            out.value().data(),
+            expected.value().gather_rows(&[1, 3]).data()
+        );
+        out.sum().backward();
+        let g1 = layer.w1.grad().expect("the message path ran");
+        assert!(g1.data().iter().all(|&g| g == 0.0));
     }
 
     #[test]
@@ -161,7 +176,10 @@ mod tests {
             objects: &o,
             num_entities: 5,
         };
-        layer.forward(&h, &rel, &edges).sum().backward();
+        layer
+            .forward(&h, &rel, Some(&edges), &every_row(&h))
+            .sum()
+            .backward();
         assert!(layer.w1.grad().is_some());
         assert!(layer.w2.grad().is_some());
         assert!(h.grad().unwrap().all_finite());

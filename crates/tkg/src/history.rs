@@ -70,7 +70,8 @@ pub struct HistoryIndex {
     /// of the keys, never of hasher internals.
     occurrences: BTreeMap<(EntityId, RelId), Vec<(Time, EntityId)>>,
     /// Entity → incident triples in first-seen order, each with the time it
-    /// was first seen (ascending); the set deduplicates.
+    /// was first seen (ascending); the set deduplicates, so a triple sits in
+    /// the list of each of its endpoints exactly once.
     incident: BTreeMap<EntityId, Vec<(Time, Triple)>>,
     seen: BTreeSet<Triple>,
     /// Next timestamp expected by [`HistoryIndex::advance`].
@@ -112,10 +113,13 @@ impl HistoryIndex {
                     .entry(s)
                     .or_default()
                     .push((snap.t, (s, r, o)));
-                self.incident
-                    .entry(o)
-                    .or_default()
-                    .push((snap.t, (s, r, o)));
+                // A self-loop is incident to its one endpoint once.
+                if o != s {
+                    self.incident
+                        .entry(o)
+                        .or_default()
+                        .push((snap.t, (s, r, o)));
+                }
             }
         }
     }
@@ -189,7 +193,37 @@ impl HistoryView<'_> {
     /// is recency within one list, not across them; the order is pinned by
     /// every checkpoint and recorded result, so it is documented, not
     /// changed.
+    ///
+    /// No set is needed to deduplicate: a triple sits in the incident list
+    /// of each of its endpoints, once, and in no other, so it first appears
+    /// in an answer's list exactly when its *other* endpoint's list does
+    /// not come earlier — that endpoint is neither `s` nor a smaller answer.
     pub fn query_subgraph(&self, s: EntityId, r: RelId, max_edges: usize) -> QuerySubgraph {
+        let mut answers: Vec<EntityId> = before(self.index.occurrences.get(&(s, r)), self.t)
+            .iter()
+            .map(|&(_, o)| o)
+            .collect();
+        answers.sort_unstable();
+        answers.dedup();
+        let incident = |e: EntityId| before(self.index.incident.get(&e), self.t);
+        let mut edges: Vec<Triple> = incident(s).iter().map(|&(_, tr)| tr).collect();
+        for &answer in answers.iter().filter(|&&o| o != s) {
+            let earlier = |e: EntityId| e == s || (e < answer && answers.binary_search(&e).is_ok());
+            edges.extend(incident(answer).iter().filter_map(|&(_, tr @ (a, _, b))| {
+                let other = if a == answer { b } else { a };
+                (!earlier(other)).then_some(tr)
+            }));
+        }
+        if edges.len() > max_edges {
+            edges.drain(..edges.len() - max_edges);
+        }
+        QuerySubgraph { edges }
+    }
+
+    /// The ordered-set construction [`HistoryView::query_subgraph`]
+    /// replaced, kept as the reference it is tested against.
+    #[cfg(test)]
+    fn query_subgraph_reference(&self, s: EntityId, r: RelId, max_edges: usize) -> QuerySubgraph {
         let mut edges: Vec<Triple> = Vec::new();
         let mut dedup: BTreeSet<Triple> = BTreeSet::new();
         let answers = self.seen_objects(s, r);
@@ -296,6 +330,68 @@ mod tests {
         assert!(!idx.as_of(3).entity_seen(9));
         assert!(idx.as_of(3).entity_seen(4));
         assert!(!idx.as_of(2).entity_seen(4));
+    }
+
+    #[test]
+    fn a_self_loop_is_incident_to_its_entity_once() {
+        let mut idx = HistoryIndex::new();
+        idx.advance(&Snapshot {
+            t: 0,
+            edges: vec![(2, 0, 2), (2, 1, 3), (2, 0, 2)],
+        });
+        assert_eq!(idx.incident[&2], vec![(0, (2, 0, 2)), (0, (2, 1, 3))]);
+        assert_eq!(
+            idx.query_subgraph(2, 0, 10).edges,
+            vec![(2, 0, 2), (2, 1, 3)]
+        );
+    }
+
+    /// The set-free builder against the ordered-set reference, edge list
+    /// for edge list: seeded random timelines over a few entities and
+    /// relations (so self-loops, repeated facts and answers equal to the
+    /// subject are common), every `(s, r)`, every `as_of` cut and every cap
+    /// from 0 to one past the uncapped size.
+    #[test]
+    fn query_subgraph_matches_the_ordered_set_reference() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let (mut self_loops, mut subject_answers, mut compared) = (0, 0, 0);
+        for _ in 0..200 {
+            let (entities, rels, times) = (2 + next(6), 1 + next(3), 1 + next(6));
+            let snaps: Vec<Snapshot> = (0..times)
+                .map(|t| Snapshot {
+                    t,
+                    edges: (0..next(7))
+                        .map(|_| (next(entities), next(rels), next(entities)))
+                        .collect(),
+                })
+                .collect();
+            let idx = HistoryIndex::build(&snaps);
+            for t in 0..=times + 1 {
+                let view = idx.as_of(t);
+                for s in 0..entities {
+                    for r in 0..rels {
+                        let whole = view.query_subgraph_reference(s, r, usize::MAX);
+                        self_loops += whole.edges.iter().filter(|&&(a, _, b)| a == b).count();
+                        subject_answers += usize::from(view.count(s, r, s) > 0);
+                        for cap in 0..=whole.len() + 1 {
+                            assert_eq!(
+                                view.query_subgraph(s, r, cap).edges,
+                                view.query_subgraph_reference(s, r, cap).edges,
+                                "as_of({t}), query ({s}, {r}, ?), cap {cap}, timeline {snaps:?}"
+                            );
+                            compared += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(self_loops > 100 && subject_answers > 100 && compared > 10_000);
     }
 
     #[test]
