@@ -44,7 +44,7 @@ pub fn globally_exempt(path: &str) -> bool {
 }
 
 /// L001 kernel-boundary: raw f32/f64 buffer compute may exist only inside
-/// `crates/tensor/src/kernels/` (the `Backend` seam of PR 3).
+/// `crates/tensor/src/kernels/`.
 pub const L001_SCOPE: Scope = Scope {
     include: &["crates/", "src/"],
     exclude: &["crates/tensor/src/kernels/", "crates/analyze/"],
@@ -114,9 +114,9 @@ pub const L004_SCOPE: Scope = Scope {
 };
 
 /// L005 lock hygiene: guards must not span a blocking wait on another
-/// primitive. Scoped to the places that hold locks around channels and
-/// condvars: the kernel thread pool and the serving stack (worker and
-/// router alike).
+/// primitive. Scoped to the serving stack (worker and router alike), which
+/// holds locks around channels and condvars, and to the kernels, which
+/// hold none and must keep it that way.
 pub const L005_SCOPE: Scope = Scope {
     include: &[
         "crates/tensor/src/kernels/",
@@ -160,8 +160,8 @@ pub const L008_SCOPE: Scope = Scope {
 };
 
 /// L009 lock-order: the cross-file lock-acquisition graph must stay
-/// acyclic. Same scope as L005 — the kernel thread pool and the serving
-/// stack (worker and router) are the only places that hold named guards.
+/// acyclic. Same scope as L005 — the serving stack (worker and router) is
+/// the only place that holds named guards.
 pub const L009_SCOPE: Scope = Scope {
     include: &[
         "crates/tensor/src/kernels/",
@@ -274,7 +274,7 @@ mod tests {
         assert!(!L003_TIME_SCOPE.contains("crates/cluster/src/router.rs"));
         assert!(L003_COLLECTIONS_SCOPE.contains("crates/cluster/src/merge.rs"));
         assert!(L009_SCOPE.contains("crates/serve/src/wal.rs"));
-        assert!(L009_SCOPE.contains("crates/tensor/src/kernels/pool.rs"));
+        assert!(L009_SCOPE.contains("crates/tensor/src/kernels/ops.rs"));
         assert!(!L010_SCOPE.contains("crates/tensor/src/parallel_glue.rs"));
         assert!(L011_SCOPE.contains("crates/serve/src/shed.rs"));
         assert!(!L011_SCOPE.contains("crates/serve/src/metrics.rs"));

@@ -239,8 +239,8 @@ fn match_at(tokens: &[Token], i: usize, pats: &[Pat]) -> bool {
 /// Raw-buffer compute outside the kernel boundary: `&mut [f32]`/`&mut [f64]`
 /// signatures, mutable slice partitioning (`chunks_mut`, `split_at_mut`),
 /// and raw-pointer buffer access. Inner loops over tensor data belong in
-/// `crates/tensor/src/kernels/` behind the `Backend` trait, where the PR 3
-/// property tests prove them bit-identical across thread counts.
+/// `crates/tensor/src/kernels/`, where property tests hold them to scalar
+/// references bit for bit.
 fn l001_kernel_boundary(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     let ts = &file.tokens;
     for i in 0..ts.len() {
@@ -257,7 +257,7 @@ fn l001_kernel_boundary(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 file,
                 &ts[i],
                 "mutable raw float-buffer (`&mut [f32]`/`&mut [f64]`) outside \
-                 crates/tensor/src/kernels/ — move the inner loop behind the Backend trait"
+                 crates/tensor/src/kernels/ — move the inner loop into the kernels"
                     .into(),
             ));
         }

@@ -1,61 +1,58 @@
-//! `bench` — microbenchmarks for the pluggable kernel backend.
+//! `bench` — microbenchmarks for the kernels, a training epoch and ingest.
 //!
 //! ```sh
 //! cargo run --release -p logcl-bench --bin bench -- kernels
-//! cargo run --release -p logcl-bench --bin bench -- epoch --threads 1,2,4
+//! cargo run --release -p logcl-bench --bin bench -- epoch
+//! cargo run --release -p logcl-bench --bin bench -- ingest
 //! ```
 //!
-//! `bench kernels` times every major kernel entry point on each backend and
-//! writes `BENCH_kernels.json`; `bench epoch` times a full training epoch
-//! end to end and writes `BENCH_epoch.json`. Speedups are reported against
-//! the serial backend — whose output every parallel run must also match
-//! bit-for-bit, which this harness asserts as it measures.
-//!
-//! Records carry `host_threads` (the machine's available parallelism) so a
-//! reader can tell a kernel that failed to scale from a host with nothing
-//! to scale onto: on a single-core container every speedup is pinned ≈ 1.
+//! `bench kernels` times every major kernel entry point and writes
+//! `BENCH_kernels.json`; `bench epoch` times a full training epoch end to
+//! end and writes `BENCH_epoch.json`; `bench ingest` times a streaming head
+//! append against a from-scratch re-encode and writes `BENCH_ingest.json`.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use logcl_core::{LogCl, LogClConfig, TkgModel, TrainOptions};
-use logcl_tensor::kernels::{ops, Backend, Parallel, Serial};
+use logcl_tensor::kernels::{ops, Binary, Serial, Unary};
 use logcl_tensor::{Rng, Tensor};
 use logcl_tkg::SyntheticPreset;
 use serde::Serialize;
 
-const USAGE: &str = "usage: bench <kernels|epoch|ingest> [--threads 1,2,4] [--min-ms MS] \
-                     [--scale S] [--dim D] [--epochs N] [--out DIR]";
+const USAGE: &str = "usage: bench <kernels|epoch|ingest> [--min-ms MS] [--scale S] [--dim D] \
+                     [--epochs N] [--out DIR]";
 
 /// One measurement row in the emitted JSON.
 #[derive(Debug, Clone, Serialize)]
 struct Record {
-    /// Kernel or stage name (`matmul`, `train_epoch`, ...).
+    /// Kernel or stage name (`matmul`, `train_epoch`, `ingest_advance`, ...).
     op: String,
     /// Problem shape, human-readable.
     shape: String,
-    /// Backend name (`serial` / `parallel`).
-    backend: String,
-    /// Compute threads the backend was built with.
-    threads: usize,
     /// Mean wall time per iteration.
     ns_per_iter: f64,
-    /// `serial ns_per_iter / this ns_per_iter` for the same op + shape.
-    speedup_vs_serial: f64,
+}
+
+impl Record {
+    fn new(op: &str, shape: &str, ns_per_iter: f64) -> Record {
+        eprintln!("  {op:<18} {shape:<36} {ns_per_iter:>14.0} ns/iter");
+        Record {
+            op: op.into(),
+            shape: shape.into(),
+            ns_per_iter,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Serialize)]
 struct Dump {
     command: String,
-    /// Available parallelism of the machine that produced the numbers.
-    host_threads: usize,
     records: Vec<Record>,
 }
 
 #[derive(Debug, Clone)]
 struct BenchConfig {
-    threads: Vec<usize>,
     min_ms: u64,
     scale: f64,
     dim: usize,
@@ -66,7 +63,6 @@ struct BenchConfig {
 impl Default for BenchConfig {
     fn default() -> Self {
         Self {
-            threads: vec![1, 2, 4],
             min_ms: 200,
             scale: 0.3,
             dim: 48,
@@ -87,15 +83,6 @@ impl BenchConfig {
                     .ok_or_else(|| format!("missing value for {name}"))
             };
             match arg.as_str() {
-                "--threads" => {
-                    cfg.threads = value("--threads")?
-                        .split(',')
-                        .map(|x| x.parse().map_err(|e| format!("bad thread count {x}: {e}")))
-                        .collect::<Result<Vec<usize>, String>>()?;
-                    if cfg.threads.is_empty() || cfg.threads.contains(&0) {
-                        return Err("--threads needs positive counts".into());
-                    }
-                }
                 "--min-ms" => {
                     cfg.min_ms = value("--min-ms")?.parse().map_err(|e| format!("{e}"))?
                 }
@@ -108,39 +95,14 @@ impl BenchConfig {
                 other => return Err(format!("unknown argument {other}")),
             }
         }
-        if !cfg.threads.contains(&1) {
-            // Speedups are defined against serial, so it always runs.
-            cfg.threads.insert(0, 1);
-        }
-        cfg.threads.sort_unstable();
-        cfg.threads.dedup();
         Ok(cfg)
     }
-
-    fn backends(&self) -> Vec<Arc<dyn Backend>> {
-        self.threads
-            .iter()
-            .map(|&t| -> Arc<dyn Backend> {
-                if t == 1 {
-                    Arc::new(Serial)
-                } else {
-                    Arc::new(Parallel::new(t))
-                }
-            })
-            .collect()
-    }
-}
-
-fn host_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Runs `f` repeatedly for at least `min_ms` (after one warmup call) and
 /// returns the mean wall time per call in nanoseconds.
 fn time_ns(min_ms: u64, mut f: impl FnMut()) -> f64 {
-    f(); // warmup: faults pages, primes the pool
+    f(); // warmup: faults pages
     let budget = Duration::from_millis(min_ms);
     let start = Instant::now();
     let mut iters: u64 = 0;
@@ -156,8 +118,8 @@ fn randn(n: usize, rng: &mut Rng) -> Vec<f32> {
 }
 
 /// One kernel case: a name, a shape label, and a runner returning the
-/// output (used both for timing and for the serial bit-identity check).
-type KernelRun = Box<dyn Fn(&dyn Backend) -> Vec<f32>>;
+/// output.
+type KernelRun = Box<dyn Fn() -> Vec<f32>>;
 
 struct Case {
     op: &'static str,
@@ -187,7 +149,7 @@ fn kernel_cases() -> Vec<Case> {
             shape: "256x256 . 256x256".into(),
             run: {
                 let (a, b) = (a256.clone(), b256.clone());
-                Box::new(move |bk| ops::matmul(bk, &a, &b, 256, 256, 256))
+                Box::new(move || ops::matmul(&Serial, &a, &b, 256, 256, 256))
             },
         },
         Case {
@@ -195,7 +157,7 @@ fn kernel_cases() -> Vec<Case> {
             shape: "4096x64 . 64x64".into(),
             run: {
                 let (a, b) = (a_tall.clone(), b_small.clone());
-                Box::new(move |bk| ops::matmul(bk, &a, &b, 4096, 64, 64))
+                Box::new(move || ops::matmul(&Serial, &a, &b, 4096, 64, 64))
             },
         },
         Case {
@@ -203,7 +165,7 @@ fn kernel_cases() -> Vec<Case> {
             shape: "4096x64 . 64x64".into(),
             run: {
                 let (a, b) = (a_tall, b_small);
-                Box::new(move |bk| ops::matmul_sparse_lhs(bk, &a, &b, 4096, 64, 64))
+                Box::new(move || ops::matmul_sparse_lhs(&a, &b, 4096, 64, 64))
             },
         },
         Case {
@@ -211,7 +173,7 @@ fn kernel_cases() -> Vec<Case> {
             shape: "1048576".into(),
             run: {
                 let x = x1m.clone();
-                Box::new(move |bk| ops::unary(bk, logcl_tensor::kernels::Unary::Sigmoid, &x))
+                Box::new(move || ops::unary(Unary::Sigmoid, &x))
             },
         },
         Case {
@@ -219,7 +181,7 @@ fn kernel_cases() -> Vec<Case> {
             shape: "1048576".into(),
             run: {
                 let (x, y) = (x1m.clone(), y1m);
-                Box::new(move |bk| ops::binary(bk, logcl_tensor::kernels::Binary::Add, &x, &y))
+                Box::new(move || ops::binary(Binary::Add, &x, &y))
             },
         },
         Case {
@@ -227,7 +189,7 @@ fn kernel_cases() -> Vec<Case> {
             shape: "1048576".into(),
             run: {
                 let x = x1m;
-                Box::new(move |bk| vec![ops::sum(bk, &x)])
+                Box::new(move || vec![ops::sum(&x)])
             },
         },
         Case {
@@ -235,7 +197,7 @@ fn kernel_cases() -> Vec<Case> {
             shape: "512x512".into(),
             run: {
                 let x = soft;
-                Box::new(move |bk| ops::softmax_rows(bk, &x, 512, 512))
+                Box::new(move || ops::softmax_rows(&x, 512, 512))
             },
         },
         Case {
@@ -243,7 +205,7 @@ fn kernel_cases() -> Vec<Case> {
             shape: "65536 of 4096x64".into(),
             run: {
                 let (x, idx) = (table, idx.clone());
-                Box::new(move |bk| ops::gather_rows(bk, &x, 64, &idx))
+                Box::new(move || ops::gather_rows(&x, 64, &idx))
             },
         },
         Case {
@@ -251,60 +213,22 @@ fn kernel_cases() -> Vec<Case> {
             shape: "65536 -> 4096x64".into(),
             run: {
                 let (src, idx) = (scatter_src, idx);
-                Box::new(move |bk| ops::scatter_add_rows(bk, &src, 64, &idx, 4096))
+                Box::new(move || ops::scatter_add_rows(&src, 64, &idx, 4096))
             },
         },
     ]
 }
 
 fn bench_kernels(cfg: &BenchConfig) -> Vec<Record> {
-    let backends = cfg.backends();
-    let mut records = Vec::new();
-    for case in kernel_cases() {
-        let reference = (case.run)(&Serial);
-        let mut serial_ns = f64::NAN;
-        for bk in &backends {
-            // Bit-identity is part of the backend contract; assert it on the
-            // exact inputs being timed before trusting the numbers.
-            let got = (case.run)(bk.as_ref());
-            assert_eq!(got.len(), reference.len(), "{}: length mismatch", case.op);
-            for (i, (g, r)) in got.iter().zip(&reference).enumerate() {
-                assert_eq!(
-                    g.to_bits(),
-                    r.to_bits(),
-                    "{} [{}] diverged from serial at element {i} on {} threads",
-                    case.op,
-                    case.shape,
-                    bk.threads()
-                );
-            }
+    kernel_cases()
+        .into_iter()
+        .map(|case| {
             let ns = time_ns(cfg.min_ms, || {
-                std::hint::black_box((case.run)(bk.as_ref()));
+                std::hint::black_box((case.run)());
             });
-            if bk.threads() == 1 {
-                serial_ns = ns;
-            }
-            let record = Record {
-                op: case.op.into(),
-                shape: case.shape.clone(),
-                backend: bk.name().into(),
-                threads: bk.threads(),
-                ns_per_iter: ns,
-                speedup_vs_serial: serial_ns / ns,
-            };
-            eprintln!(
-                "  {:<18} {:<20} {:>8} t={:<2} {:>12.0} ns/iter  {:>5.2}x",
-                record.op,
-                record.shape,
-                record.backend,
-                record.threads,
-                record.ns_per_iter,
-                record.speedup_vs_serial
-            );
-            records.push(record);
-        }
-    }
-    records
+            Record::new(case.op, &case.shape, ns)
+        })
+        .collect()
 }
 
 fn bench_epoch(cfg: &BenchConfig) -> Vec<Record> {
@@ -319,39 +243,17 @@ fn bench_epoch(cfg: &BenchConfig) -> Vec<Record> {
         verbose: false,
         ..Default::default()
     };
-    let mut records = Vec::new();
-    let mut serial_ns = f64::NAN;
-    for &t in &cfg.threads {
-        let model_cfg = LogClConfig {
-            dim: cfg.dim,
-            time_bank: (cfg.dim / 4).max(4),
-            m: 4,
-            threads: t,
-            ..Default::default()
-        };
-        // `LogCl::new` selects the process-wide backend from the config.
-        let mut model = LogCl::new(&ds, model_cfg);
-        let start = Instant::now();
-        model.fit(&ds, &opts).expect("training failed");
-        let ns = start.elapsed().as_nanos() as f64 / cfg.epochs as f64;
-        if t == 1 {
-            serial_ns = ns;
-        }
-        let record = Record {
-            op: "train_epoch".into(),
-            shape: shape.clone(),
-            backend: if t == 1 { "serial" } else { "parallel" }.into(),
-            threads: t,
-            ns_per_iter: ns,
-            speedup_vs_serial: serial_ns / ns,
-        };
-        eprintln!(
-            "  {:<18} {:>8} t={:<2} {:>12.0} ns/epoch  {:>5.2}x",
-            record.op, record.backend, record.threads, record.ns_per_iter, record.speedup_vs_serial
-        );
-        records.push(record);
-    }
-    records
+    let model_cfg = LogClConfig {
+        dim: cfg.dim,
+        time_bank: (cfg.dim / 4).max(4),
+        m: 4,
+        ..Default::default()
+    };
+    let mut model = LogCl::new(&ds, model_cfg);
+    let start = Instant::now();
+    model.fit(&ds, &opts).expect("training failed");
+    let ns = start.elapsed().as_nanos() as f64 / cfg.epochs as f64;
+    vec![Record::new("train_epoch", &shape, ns)]
 }
 
 /// Incremental streaming ingest vs from-scratch re-encode, at growing
@@ -363,9 +265,8 @@ fn bench_epoch(cfg: &BenchConfig) -> Vec<Record> {
 /// structures from scratch over the full prefix ([`LogCl::init_encoder_state`]
 /// and [`HistoryIndex::build`]) — O(T·|Δ|), the cost every head append would
 /// pay without the streaming refactor (and what the rare backfill path
-/// still pays). The `speedup_vs_serial` column on `advance` rows is
-/// re-encode time over advance time at the same depth; O(Δ) holds iff it
-/// grows linearly with depth.
+/// still pays). O(Δ) holds iff re-encode time over advance time at the
+/// same depth grows linearly with depth.
 fn bench_ingest(cfg: &BenchConfig) -> Vec<Record> {
     let ds = SyntheticPreset::Icews14.generate_scaled(cfg.scale);
     eprintln!("  dataset: {ds}");
@@ -378,7 +279,6 @@ fn bench_ingest(cfg: &BenchConfig) -> Vec<Record> {
         dim: cfg.dim,
         time_bank: (cfg.dim / 4).max(4),
         m: 4,
-        threads: 1,
         ..Default::default()
     };
     let mut model = LogCl::new(&ds, model_cfg);
@@ -408,28 +308,9 @@ fn bench_ingest(cfg: &BenchConfig) -> Vec<Record> {
             delta.t += 1;
         });
 
-        for (op, backend, ns, speedup) in [
-            ("ingest", "reencode", reencode_ns, 1.0),
-            ("ingest", "advance", advance_ns, reencode_ns / advance_ns),
-        ] {
-            let record = Record {
-                op: op.into(),
-                shape: shape.clone(),
-                backend: backend.into(),
-                threads: 1,
-                ns_per_iter: ns,
-                speedup_vs_serial: speedup,
-            };
-            eprintln!(
-                "  {:<18} {:<28} {:>8} {:>12.0} ns/ingest  {:>6.2}x",
-                record.op,
-                record.shape,
-                record.backend,
-                record.ns_per_iter,
-                record.speedup_vs_serial
-            );
-            records.push(record);
-        }
+        eprintln!("  reencode / advance: {:.2}x", reencode_ns / advance_ns);
+        records.push(Record::new("ingest_reencode", &shape, reencode_ns));
+        records.push(Record::new("ingest_advance", &shape, advance_ns));
     }
     records
 }
@@ -437,7 +318,6 @@ fn bench_ingest(cfg: &BenchConfig) -> Vec<Record> {
 fn write_dump(cfg: &BenchConfig, name: &str, command: &str, records: Vec<Record>) {
     let dump = Dump {
         command: command.into(),
-        host_threads: host_threads(),
         records,
     };
     if let Err(e) = std::fs::create_dir_all(&cfg.out_dir) {
@@ -465,11 +345,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    eprintln!(
-        "bench {cmd}: threads={:?} host_threads={}",
-        cfg.threads,
-        host_threads()
-    );
+    eprintln!("bench {cmd}");
     match cmd.as_str() {
         "kernels" => {
             let records = bench_kernels(&cfg);

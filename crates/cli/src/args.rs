@@ -11,7 +11,7 @@ commands:
   info       print dataset statistics                  (--data | --preset)
   train      train a model and optionally save it      (--data | --preset, --model,
                                                         --epochs, --dim, --m, --lr,
-                                                        --seed, --threads, --save,
+                                                        --seed, --save,
                                                         --checkpoint, --checkpoint-every,
                                                         --resume, --max-rollbacks)
   eval       evaluate a trained or fresh model         (same as train, plus --load,
@@ -19,8 +19,7 @@ commands:
   predict    top-k forecast for one query              (--load, --subject, --relation,
                                                         --time, --topk, --inverse)
   serve      HTTP inference server                     (--data | --preset, --load,
-                                                        --addr, --threads,
-                                                        --max-batch,
+                                                        --addr, --max-batch,
                                                         --deadline-ms, --max-deadline-ms,
                                                         --write-timeout-ms, --brownout-ms,
                                                         --shed-ms, --brownout-k,
@@ -66,9 +65,6 @@ flags:
   --phase P         fp | sp | both                      [default both]
   --subject NAME|ID --relation NAME|ID --time T --topk K --inverse
   --addr HOST:PORT  serve bind address                  [default 127.0.0.1:7878]
-  --threads N       compute threads for the kernel backend (1 = serial;
-                    results are bit-identical at any count)
-                                                        [default: all cores]
   --max-batch N     most queued ingests one group commit takes
                     (the model thread never waits for more) [default 32]
   --deadline-ms MS  default per-request deadline when the client sends no
@@ -158,8 +154,6 @@ pub struct CliOptions {
     pub topk: usize,
     pub inverse: bool,
     pub addr: String,
-    /// Kernel-backend compute threads (`0` = auto, `1` = serial).
-    pub threads: usize,
     pub max_batch: usize,
     /// Default per-request deadline (ms) without a client header.
     pub deadline_ms: u64,
@@ -247,7 +241,6 @@ impl Default for CliOptions {
             topk: 5,
             inverse: false,
             addr: "127.0.0.1:7878".into(),
-            threads: 0,
             max_batch: 32,
             deadline_ms: 30_000,
             max_deadline_ms: 120_000,
@@ -318,7 +311,6 @@ impl CliOptions {
                 "--topk" => o.topk = num(&value("--topk")?)?,
                 "--inverse" => o.inverse = true,
                 "--addr" => o.addr = value("--addr")?,
-                "--threads" => o.threads = num(&value("--threads")?)?,
                 "--max-batch" => o.max_batch = num(&value("--max-batch")?)?,
                 "--deadline-ms" => o.deadline_ms = num(&value("--deadline-ms")?)?,
                 "--max-deadline-ms" => o.max_deadline_ms = num(&value("--max-deadline-ms")?)?,
@@ -417,6 +409,7 @@ mod tests {
             &["--slo-p99-ms", "25"],
             &["--slo-max-rps", "800"],
             &["--validate", "BENCH_serve.json"],
+            &["--threads", "4"],
         ] {
             let gone = CliOptions::parse(&strs(argv)).unwrap_err();
             assert_eq!(gone, format!("unknown flag {}", argv[0]));
@@ -428,17 +421,8 @@ mod tests {
 
     #[test]
     fn parses_serve_flags() {
-        let o = CliOptions::parse(&strs(&[
-            "--addr",
-            "0.0.0.0:9000",
-            "--threads",
-            "8",
-            "--max-batch",
-            "64",
-        ]))
-        .unwrap();
+        let o = CliOptions::parse(&strs(&["--addr", "0.0.0.0:9000", "--max-batch", "64"])).unwrap();
         assert_eq!(o.addr, "0.0.0.0:9000");
-        assert_eq!(o.threads, 8);
         assert_eq!(o.max_batch, 64);
     }
 

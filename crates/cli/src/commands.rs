@@ -25,15 +25,11 @@ fn logcl_config(opts: &CliOptions) -> LogClConfig {
         time_bank: (opts.dim / 4).max(4),
         m: opts.m,
         seed: opts.seed,
-        threads: opts.threads,
         ..Default::default()
     }
 }
 
 fn build_model(opts: &CliOptions, ds: &TkgDataset) -> Result<Box<dyn TkgModel>, String> {
-    // Baselines bypass `LogCl::new` (which applies `LogClConfig::threads`),
-    // so select the kernel backend here for every model kind.
-    logcl_tensor::kernels::set_threads(opts.threads);
     let kind = match opts.model.as_str() {
         "logcl" => return Ok(Box::new(LogCl::new(ds, logcl_config(opts)))),
         "regcn" | "re-gcn" => BaselineKind::ReGcn,
@@ -362,7 +358,6 @@ pub fn serve(opts: &CliOptions) -> Result<(), String> {
         .transpose()?;
     let serve_cfg = ServeConfig {
         addr: opts.addr.clone(),
-        compute_threads: opts.threads,
         max_batch: opts.max_batch,
         default_k: opts.topk,
         default_deadline: std::time::Duration::from_millis(opts.deadline_ms),
@@ -492,7 +487,6 @@ pub fn loadgen(opts: &CliOptions) -> Result<(), String> {
         None => {
             let serve_cfg = ServeConfig {
                 addr: "127.0.0.1:0".into(),
-                compute_threads: opts.threads,
                 max_batch: opts.max_batch,
                 default_k: opts.topk,
                 brownout_sojourn: std::time::Duration::from_millis(opts.brownout_ms),
@@ -569,7 +563,6 @@ fn run_freshness(opts: &CliOptions, ds: TkgDataset) -> Result<(), String> {
     std::fs::create_dir_all(&wal_dir).map_err(|e| e.to_string())?;
     let serve_cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),
-        compute_threads: opts.threads,
         max_batch: opts.max_batch,
         default_k: opts.topk,
         // Degradation tiers stay out of reach: a browned-out server skips

@@ -89,10 +89,6 @@ pub struct LogClConfig {
     pub noise: NoiseSpec,
     /// Parameter-initialisation / dropout seed.
     pub seed: u64,
-    /// Compute threads for the kernel backend (`0` = auto-detect, `1` =
-    /// serial). Excluded from the fingerprint: both backends are
-    /// bit-identical, so checkpoints are portable across thread counts.
-    pub threads: usize,
 }
 
 impl Default for LogClConfig {
@@ -117,7 +113,6 @@ impl Default for LogClConfig {
             use_static: false,
             noise: NoiseSpec::CLEAN,
             seed: 42,
-            threads: 0,
         }
     }
 }
@@ -166,9 +161,10 @@ impl LogClConfig {
     }
 
     /// A stable, human-readable fingerprint of every field that shapes the
-    /// parameter set or the forward pass — everything except the RNG seed,
-    /// the (test-time) input noise and the compute-thread count (the kernel
-    /// backends are bit-identical, so `threads` cannot change results).
+    /// parameter set or the forward pass — everything except the RNG seed
+    /// and the (test-time) input noise. The kernel backend is not part of
+    /// the config: backends are bit-identical, so checkpoints are portable
+    /// across thread counts.
     /// Stamped into checkpoint metadata so loaders can reject parameters
     /// trained under a different configuration with a clear message instead
     /// of a shape panic.
@@ -274,13 +270,6 @@ mod tests {
             ..LogClConfig::default()
         };
         assert_eq!(base.fingerprint(), same.fingerprint());
-        // Thread count never shapes results (bit-identical backends), so
-        // checkpoints must stay portable across it.
-        let threaded = LogClConfig {
-            threads: 8,
-            ..LogClConfig::default()
-        };
-        assert_eq!(base.fingerprint(), threaded.fingerprint());
         let wider = LogClConfig {
             dim: 128,
             ..LogClConfig::default()

@@ -243,25 +243,13 @@ pub struct LogCl {
 }
 
 impl LogCl {
-    /// Builds a model sized for `ds` (entity/relation vocabulary) under
-    /// `cfg`.
-    pub fn new(ds: &TkgDataset, cfg: LogClConfig) -> Self {
-        // Select the process-wide kernel backend. Backends are bit-identical,
-        // so this affects wall-clock only, never results (see logcl-tensor's
-        // kernels module) — which is why `threads` stays out of the config
-        // fingerprint and checkpoints remain portable across thread counts.
-        logcl_tensor::kernels::set_threads(cfg.threads);
-        Self::assemble(ds, cfg)
-    }
-
     /// Rebuilds the model `weights` were frozen from, for evaluation: the
     /// same modules over `ds`'s vocabulary (and static graph), every
     /// parameter set to its frozen value with no initialisation drawn
-    /// first. Leaves the kernel backend alone. Its RNG starts from the
-    /// config's seed, which an evaluation forward draws from only under a
-    /// noisy config.
+    /// first. Its RNG starts from the config's seed, which an evaluation
+    /// forward draws from only under a noisy config.
     pub fn from_frozen(ds: &TkgDataset, weights: &FrozenWeights) -> Self {
-        let model = uninitialised(|| Self::assemble(ds, weights.cfg.clone()));
+        let model = uninitialised(|| Self::new(ds, weights.cfg.clone()));
         assert_eq!(model.params.len(), weights.params.len());
         for ((name, var), (frozen, value)) in model.params.iter().zip(&weights.params) {
             assert_eq!(name, frozen, "frozen weights come from another config");
@@ -282,7 +270,9 @@ impl LogCl {
         }
     }
 
-    fn assemble(ds: &TkgDataset, cfg: LogClConfig) -> Self {
+    /// Builds a model sized for `ds` (entity/relation vocabulary) under
+    /// `cfg`.
+    pub fn new(ds: &TkgDataset, cfg: LogClConfig) -> Self {
         cfg.validate();
         let mut rng = Rng::seed(cfg.seed);
         let dim = cfg.dim;

@@ -4,12 +4,6 @@
 //! checkpoint must reproduce the uninterrupted run's final loss, final
 //! parameters and test MRR **bit for bit** under a fixed seed — the
 //! checkpoint provably captures the complete training state.
-//!
-//! The reference run uses the serial kernel backend while the interrupted
-//! and resumed runs use the 4-thread parallel backend, so this test also
-//! proves the two stronger guarantees at once: checkpoints are portable
-//! across thread counts, and a multi-threaded resumed run is bit-identical
-//! to a single-threaded uninterrupted one.
 
 use logcl_core::api::evaluate;
 use logcl_core::checkpoint::CheckpointPolicy;
@@ -25,7 +19,7 @@ fn dataset() -> TkgDataset {
     SyntheticPreset::Icews14.generate_scaled(0.15)
 }
 
-fn model(ds: &TkgDataset, threads: usize) -> LogCl {
+fn model(ds: &TkgDataset) -> LogCl {
     LogCl::new(
         ds,
         LogClConfig {
@@ -34,7 +28,6 @@ fn model(ds: &TkgDataset, threads: usize) -> LogCl {
             channels: 6,
             m: 3,
             seed: 20240807,
-            threads,
             ..Default::default()
         },
     )
@@ -68,15 +61,15 @@ fn interrupted_plus_resume_matches_uninterrupted_bit_for_bit() {
 
     let ds = dataset();
 
-    // --- Reference: one uninterrupted run on the serial backend. --------
-    let mut reference = model(&ds, 1);
+    // --- Reference: one uninterrupted run. --------------------------------
+    let mut reference = model(&ds);
     let ref_report = train(&mut reference, &ds, &opts()).unwrap();
     let test = ds.test.clone();
     let ref_metrics = evaluate(&mut reference, &ds, &test);
 
     // --- Interrupted run: killed right after epoch HALT_AFTER's
-    //     checkpoint hit the disk; runs on the 4-thread backend. ----------
-    let mut interrupted = model(&ds, 4);
+    //     checkpoint hit the disk. ---------------------------------------
+    let mut interrupted = model(&ds);
     let mut halt_opts = opts();
     halt_opts.checkpoint = Some(CheckpointPolicy::new(&ckpt_path, 1));
     halt_opts.halt_after_epoch = Some(HALT_AFTER);
@@ -84,9 +77,8 @@ fn interrupted_plus_resume_matches_uninterrupted_bit_for_bit() {
     assert_eq!(halt_report.halted_at_epoch, Some(HALT_AFTER));
     assert_eq!(halt_report.epoch_losses.len(), HALT_AFTER + 1);
 
-    // --- Resumed run: a fresh process restores everything, still on the
-    //     4-thread backend. ----------------------------------------------
-    let mut resumed = model(&ds, 4);
+    // --- Resumed run: a fresh process restores everything. --------------
+    let mut resumed = model(&ds);
     let mut resume_opts = opts();
     resume_opts.resume = Some(ckpt_path.clone());
     let res_report = train(&mut resumed, &ds, &resume_opts).unwrap();

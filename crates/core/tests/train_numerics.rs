@@ -1,16 +1,13 @@
-//! Pins the numerics of training. The checkpoint that CI's backend-divergence
-//! gate trains —
+//! Pins the numerics of training. The checkpoint that CI's CRC pin
+//! trains —
 //! `logcl train --preset icews14 --scale 0.15 --dim 8 --m 2 --epochs 1 --save F`
 //! — is reproduced here in process, and the CRC32 of the file's bytes must be
 //! the committed one. The fixture was generated by the binary of the commit
 //! *before* the matmul kernel was tiled and inference stopped recording the
 //! autograd graph, so this test passing is the proof that neither moved a
 //! trained bit. A change that means to move them regenerates the fixture
-//! with the command above (any `--threads`; the backends agree) and says so.
-//!
-//! `threads: 0` takes the backend from `LOGCL_THREADS`, which CI sets to 1
-//! and to 4 around `cargo test --workspace`; CI also checks the same CRC on
-//! the files the real binary saves under `--threads 1` and `--threads 4`.
+//! with the command above and says so. CI also checks the same CRC on the
+//! file the real binary saves.
 
 use logcl_core::{LogCl, LogClConfig, TkgModel, TrainOptions};
 use logcl_tensor::serialize::{crc32, save_with_meta};
@@ -25,7 +22,6 @@ fn one_epoch_checkpoint_has_the_committed_crc32() {
         time_bank: 4,
         m: 2,
         seed: 42,
-        threads: 0,
         ..Default::default()
     };
     let mut model = LogCl::new(&ds, cfg.clone());

@@ -1,7 +1,7 @@
 //! Lock-free serving metrics rendered in the Prometheus text exposition
 //! format: request counters per endpoint, a latency histogram, the
 //! ingest-run length histogram, encoding-cache hit/miss counters, and
-//! kernel-backend utilisation.
+//! kernel-backend identity.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -10,9 +10,6 @@ use std::time::Duration;
 pub const LATENCY_BUCKETS: [f64; 9] = [0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.5, 2.0];
 /// Run-length buckets (upper bounds; `+Inf` is implicit).
 pub const BATCH_BUCKETS: [f64; 7] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
-/// Compute-utilisation buckets: average pool compute threads busy per
-/// wall-clock second while a forward ran (upper bounds; `+Inf` implicit).
-pub const UTIL_BUCKETS: [f64; 8] = [0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 8.0];
 
 /// A fixed-bucket histogram over `AtomicU64` counters.
 pub struct Histogram {
@@ -173,13 +170,6 @@ pub struct Metrics {
     /// Each predict's wait for a compute permit (asking → granted, or
     /// leaving at its deadline) — the CoDel-style overload signal.
     pub queue_sojourn: Histogram,
-    /// Average kernel-pool compute threads busy per wall-clock second while
-    /// each predict's forward ran (0 under the serial backend, which runs
-    /// on the connection thread itself).
-    pub compute_utilisation: Histogram,
-    /// Kernel-pool busy time while predict forwards ran, in microseconds,
-    /// summed per forward (overlapping forwards each count it).
-    pub kernel_busy_micros: AtomicU64,
     /// Frames appended to the ingest write-ahead log.
     pub wal_appended_frames: AtomicU64,
     /// Group-commit fsyncs of the write-ahead log (each may cover several
@@ -249,8 +239,6 @@ impl Default for Metrics {
             degraded_responses: AtomicU64::new(0),
             degradation_tier: AtomicU64::new(0),
             queue_sojourn: Histogram::new(&LATENCY_BUCKETS),
-            compute_utilisation: Histogram::new(&UTIL_BUCKETS),
-            kernel_busy_micros: AtomicU64::new(0),
             wal_appended_frames: AtomicU64::new(0),
             wal_fsyncs: AtomicU64::new(0),
             wal_replayed_frames: AtomicU64::new(0),
@@ -410,12 +398,6 @@ impl Metrics {
         );
         counter(
             &mut out,
-            "logcl_kernel_busy_micros_total",
-            "Kernel-pool busy time while predict forwards ran, summed per forward (us).",
-            &[("", load(&self.kernel_busy_micros))],
-        );
-        counter(
-            &mut out,
             "logcl_wal_frames_total",
             "Write-ahead-log frame activity, by kind.",
             &[
@@ -517,20 +499,18 @@ impl Metrics {
             "logcl_post_ingest_cache_hit_ratio {}",
             load(&self.post_ingest_hit_ratio_ppm) as f64 / 1e6
         );
-        // Backend identity gauge: labels carry the backend's name and which
-        // compiled copy of the matmul tile this CPU runs, value the thread
-        // count, following the Prometheus `_info` convention.
+        // Backend identity gauge: the kernels run serially on the calling
+        // thread; the `isa` label says which compiled copy of the matmul tile
+        // this CPU runs. Value = compute threads, always 1.
         let _ = writeln!(
             out,
-            "# HELP logcl_kernel_backend_info Active kernel backend and vector ISA (value = compute threads)."
+            "# HELP logcl_kernel_backend_info Kernel backend and vector ISA (value = compute threads)."
         );
         let _ = writeln!(out, "# TYPE logcl_kernel_backend_info gauge");
         let _ = writeln!(
             out,
-            "logcl_kernel_backend_info{{backend=\"{}\",isa=\"{}\"}} {}",
-            logcl_tensor::kernels::backend_name(),
+            "logcl_kernel_backend_info{{backend=\"serial\",isa=\"{}\"}} 1",
             logcl_tensor::kernels::isa(),
-            logcl_tensor::kernels::current_threads()
         );
         // Build identity info-gauge: lets a scrape or a dashboard pin down
         // exactly which binary produced a measurement.
@@ -547,10 +527,9 @@ impl Metrics {
         // time; plain local builds report "unknown".
         let _ = writeln!(
             out,
-            "logcl_build_info{{version=\"{}\",git=\"{}\",backend=\"{}\",features=\"{}\"}} 1",
+            "logcl_build_info{{version=\"{}\",git=\"{}\",backend=\"serial\",features=\"{}\"}} 1",
             env!("CARGO_PKG_VERSION"),
             option_env!("LOGCL_GIT_HASH").unwrap_or("unknown"),
-            logcl_tensor::kernels::backend_name(),
             features.join(",")
         );
         self.latency.render(
@@ -566,11 +545,6 @@ impl Metrics {
         self.queue_sojourn.render(
             "logcl_queue_sojourn_seconds",
             "Wait for a compute permit per predict: asking to granted, or to leaving at the deadline.",
-            &mut out,
-        );
-        self.compute_utilisation.render(
-            "logcl_compute_utilisation",
-            "Pool compute threads busy per wall-second, per predict forward.",
             &mut out,
         );
         self.ingest_advance.render(
@@ -622,10 +596,8 @@ mod tests {
             "logcl_encoding_cache_hits_total 2",
             "logcl_request_duration_seconds_bucket",
             "logcl_batch_size_count 1",
-            "logcl_kernel_backend_info{backend=",
+            "logcl_kernel_backend_info{backend=\"serial\",",
             "logcl_build_info{version=\"",
-            "logcl_compute_utilisation_bucket",
-            "logcl_kernel_busy_micros_total",
             "logcl_shed_total{reason=\"queue_full\"} 0",
             "logcl_shed_total{reason=\"deadline_queue\"} 0",
             "logcl_shed_before_compute_total 0",

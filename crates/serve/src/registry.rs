@@ -188,22 +188,7 @@ impl Published {
                     ),
                 }
             })?;
-        // Utilisation = pool busy-time accrued during the forward divided by
-        // wall time: the average number of compute threads kept busy. The
-        // serial backend bypasses the pool, so it reads as 0 by design.
-        let busy0 = logcl_tensor::kernels::busy_nanos();
-        let started = Instant::now();
-        let answer = self.predict(query, metrics, overload);
-        let wall = started.elapsed().as_secs_f64();
-        let busy = logcl_tensor::kernels::busy_nanos().saturating_sub(busy0);
-        metrics
-            .kernel_busy_micros
-            .fetch_add(busy / 1_000, Ordering::Relaxed);
-        if wall > 0.0 {
-            let util = busy as f64 / 1e9 / wall;
-            metrics.compute_utilisation.observe(util);
-        }
-        answer
+        self.predict(query, metrics, overload)
     }
 
     fn predict(

@@ -52,10 +52,6 @@ pub struct ServeConfig {
     pub addr: String,
     /// Concurrent inbound connections handled (excess answered `503`).
     pub max_connections: usize,
-    /// Kernel-backend compute threads shared by every forward and ingest
-    /// (`0` = auto-detect, `1` = serial). The backends are bit-identical,
-    /// so this only affects latency, never rankings.
-    pub compute_threads: usize,
     /// Ingest-run cap: how many queued ingests one group commit takes. The
     /// model thread never waits for a run to fill.
     pub max_batch: usize,
@@ -119,7 +115,6 @@ impl Default for ServeConfig {
         Self {
             addr: "127.0.0.1:7878".into(),
             max_connections: 128,
-            compute_threads: 0,
             max_batch: 32,
             default_k: 10,
             cache_capacity: 64,
@@ -210,14 +205,6 @@ impl Server {
         ds: TkgDataset,
         specs: Vec<ModelSpec>,
     ) -> Result<Server, StartError> {
-        // The server owns the compute-thread budget: apply it now and make
-        // every model spec agree, so `LogCl::new` (which applies its
-        // config's thread count) cannot silently override it.
-        logcl_tensor::kernels::set_threads(cfg.compute_threads);
-        let mut specs = specs;
-        for spec in &mut specs {
-            spec.cfg.threads = cfg.compute_threads;
-        }
         let metrics = Arc::new(Metrics::default());
         let shutdown = Arc::new(ShutdownState::new());
         let overload = Arc::new(OverloadState::new(

@@ -83,8 +83,8 @@ fn concurrent_predict_ingest_update_and_scrape_all_complete() {
 
     let mut handles = Vec::new();
 
-    // 1) Predict hammer: exercises the compute permits, the encoding cache, and
-    //    the kernel pool while ingests invalidate the cache under it.
+    // 1) Predict hammer: exercises the compute permits and the encoding cache
+    //    while ingests invalidate the cache under it.
     {
         let tx = done_tx.clone();
         handles.push(std::thread::spawn(move || {

@@ -333,53 +333,6 @@ fn freshness_metrics_track_streaming_advance_and_online_adaptation() {
 }
 
 #[test]
-fn serial_and_default_backends_rank_identically() {
-    // `--threads 1` (serial backend) and the default (auto-detected thread
-    // count) must produce byte-identical /predict answers: the kernel
-    // backends are bit-identical by construction, and serving must preserve
-    // that guarantee end to end.
-    let answers = |compute_threads: usize| -> Vec<Vec<(u64, f32)>> {
-        let cfg = ServeConfig {
-            addr: "127.0.0.1:0".into(),
-            compute_threads,
-            brownout_sojourn: Duration::from_secs(10),
-            shed_sojourn: Duration::from_secs(60),
-            ..ServeConfig::default()
-        };
-        let server = Server::start(cfg, tiny_ds(), vec![untrained_spec()]).expect("start");
-        let addr = server.addr();
-        let t = {
-            let (_, body) = request(addr, "GET", "/healthz", "");
-            json(&body).get("horizon").and_then(Value::as_u64).unwrap()
-        };
-        let out = (0..4)
-            .map(|s| {
-                let body = format!(r#"{{"subject": {s}, "relation": 0, "time": {t}, "k": 7}}"#);
-                let (status, body) = request(addr, "POST", "/predict", &body);
-                assert_eq!(status, 200, "{body}");
-                predictions_of(&json(&body))
-            })
-            .collect();
-        // The scrape endpoint names the active backend while we're here.
-        let (_, metrics) = request(addr, "GET", "/metrics", "");
-        assert!(
-            metrics.contains("logcl_kernel_backend_info{backend="),
-            "{metrics}"
-        );
-        assert!(
-            metrics.contains("logcl_compute_utilisation_count"),
-            "{metrics}"
-        );
-        server.shutdown();
-        out
-    };
-    let serial = answers(1);
-    let auto = answers(0);
-    assert!(!serial[0].is_empty());
-    assert_eq!(serial, auto, "thread count changed /predict rankings");
-}
-
-#[test]
 fn brownout_degrades_answers_and_names_the_tier() {
     // A zero brownout threshold pins the tier at (at least) Brownout from
     // the first observation: answers must be degraded — capped k, exact

@@ -2,7 +2,7 @@
 //! and the im2col unrolling used by the ConvTransE decoder.
 
 use super::Var;
-use crate::kernels::{self, ops};
+use crate::kernels::ops;
 use crate::tensor::Tensor;
 
 impl Var {
@@ -49,7 +49,7 @@ impl Var {
         assert_eq!(e.rank(), 2, "conv_im2col entity input must be rank-2");
         assert_eq!(e.shape(), r.shape(), "conv_im2col inputs must share shape");
         let (b, d) = (e.shape()[0], e.shape()[1]);
-        let data = ops::im2col3(&*kernels::backend(), e.data(), r.data(), b, d);
+        let data = ops::im2col3(e.data(), r.data(), b, d);
         drop(e);
         drop(r);
         let value = Tensor::from_vec(data, &[b * d, 6]);
@@ -57,7 +57,7 @@ impl Var {
             value,
             vec![self.clone(), rel.clone()],
             Box::new(move |g, _, _| {
-                let (ge, gr) = ops::im2col3_bwd(&*kernels::backend(), g.data(), b, d);
+                let (ge, gr) = ops::im2col3_bwd(g.data(), b, d);
                 vec![
                     Some(Tensor::from_vec(ge, &[b, d])),
                     Some(Tensor::from_vec(gr, &[b, d])),

@@ -2,7 +2,7 @@
 //! concatenation.
 
 use super::Var;
-use crate::kernels::{self, ops};
+use crate::kernels::ops;
 use crate::tensor::Tensor;
 
 impl Var {
@@ -71,7 +71,7 @@ impl Var {
         assert_eq!(b.rank(), 2, "concat_cols rhs must be rank-2");
         assert_eq!(a.shape()[0], b.shape()[0], "concat_cols row mismatch");
         let (n, da, db) = (a.shape()[0], a.shape()[1], b.shape()[1]);
-        let data = ops::concat_cols(&*kernels::backend(), a.data(), b.data(), n, da, db);
+        let data = ops::concat_cols(a.data(), b.data(), n, da, db);
         drop(a);
         drop(b);
         let value = Tensor::from_vec(data, &[n, da + db]);
@@ -79,7 +79,7 @@ impl Var {
             value,
             vec![self.clone(), other.clone()],
             Box::new(move |g, _, _| {
-                let (ga, gb) = ops::split_cols(&*kernels::backend(), g.data(), n, da, db);
+                let (ga, gb) = ops::split_cols(g.data(), n, da, db);
                 vec![
                     Some(Tensor::from_vec(ga, &[n, da])),
                     Some(Tensor::from_vec(gb, &[n, db])),

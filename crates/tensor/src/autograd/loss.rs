@@ -1,7 +1,7 @@
 //! Fused loss and normalization ops.
 
 use super::Var;
-use crate::kernels::{self, ops};
+use crate::kernels::ops;
 use crate::tensor::Tensor;
 
 impl Var {
@@ -20,8 +20,7 @@ impl Var {
             // logcl-allow(L002): bounds contract, same class as the adjacent asserts — a bad target is a caller bug, not a representable state
             panic!("target {bad} out of bounds for {c} classes");
         }
-        let loss =
-            ops::cross_entropy_fwd(&*kernels::backend(), logits.data(), n, c, targets) / n as f32;
+        let loss = ops::cross_entropy_fwd(logits.data(), n, c, targets) / n as f32;
         drop(logits);
         let targets_owned: Vec<usize> = targets.to_vec();
         Var::from_op(
@@ -30,14 +29,7 @@ impl Var {
             Box::new(move |g, _, parents| {
                 let logits = parents[0].value();
                 let scale = g.item() / n as f32;
-                let grad = ops::cross_entropy_bwd(
-                    &*kernels::backend(),
-                    logits.data(),
-                    n,
-                    c,
-                    &targets_owned,
-                    scale,
-                );
+                let grad = ops::cross_entropy_bwd(logits.data(), n, c, &targets_owned, scale);
                 vec![Some(Tensor::from_vec(grad, &[n, c]))]
             }),
         )
@@ -49,21 +41,14 @@ impl Var {
         let x = self.value();
         assert_eq!(x.rank(), 2, "l2_normalize_rows expects rank-2");
         let (n, d) = (x.shape()[0], x.shape()[1]);
-        let (out, norms) = ops::l2_normalize_rows_fwd(&*kernels::backend(), x.data(), n, d);
+        let (out, norms) = ops::l2_normalize_rows_fwd(x.data(), n, d);
         drop(x);
         Var::from_op(
             Tensor::from_vec(out, &[n, d]),
             vec![self.clone()],
             Box::new(move |g, out_val, _| {
                 // grad_x = (g - (g·y) y) / ‖x‖ per row
-                let grad = ops::l2_normalize_rows_bwd(
-                    &*kernels::backend(),
-                    out_val.data(),
-                    g.data(),
-                    &norms,
-                    n,
-                    d,
-                );
+                let grad = ops::l2_normalize_rows_bwd(out_val.data(), g.data(), &norms, n, d);
                 vec![Some(Tensor::from_vec(grad, &[n, d]))]
             }),
         )
@@ -77,7 +62,7 @@ impl Var {
         assert_eq!(x.rank(), 2, "bce_with_logits expects [N, C]");
         let n = x.shape()[0].max(1) as f32;
         // loss = max(x,0) - x*y + ln(1 + e^{-|x|}), the numerically stable form.
-        let loss = ops::bce_fwd(&*kernels::backend(), x.data(), labels.data()) / n;
+        let loss = ops::bce_fwd(x.data(), labels.data()) / n;
         drop(x);
         let labels_owned = labels.clone();
         Var::from_op(
@@ -86,7 +71,7 @@ impl Var {
             Box::new(move |g, _, parents| {
                 let x = parents[0].value();
                 let scale = g.item() / n;
-                let grad = ops::bce_bwd(&*kernels::backend(), x.data(), labels_owned.data(), scale);
+                let grad = ops::bce_bwd(x.data(), labels_owned.data(), scale);
                 vec![Some(Tensor::from_vec(grad, x.shape()))]
             }),
         )

@@ -1,7 +1,7 @@
 //! Elementwise arithmetic, activations and reductions for [`Var`].
 
 use super::Var;
-use crate::kernels::{self, ops, Binary, Unary};
+use crate::kernels::{ops, Binary, Unary};
 use crate::tensor::Tensor;
 
 impl Var {
@@ -227,7 +227,7 @@ impl Var {
             Box::new(|g, out, _| {
                 // dx = y * (g - sum(g*y, row))
                 let (n, d) = (out.shape()[0], out.shape()[1]);
-                let grad = ops::softmax_rows_bwd(&*kernels::backend(), out.data(), g.data(), n, d);
+                let grad = ops::softmax_rows_bwd(out.data(), g.data(), n, d);
                 vec![Some(Tensor::from_vec(grad, &[n, d]))]
             }),
         )

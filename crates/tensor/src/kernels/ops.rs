@@ -1,130 +1,22 @@
 //! The kernel implementations: every inner loop of the tensor engine.
 //!
-//! Each kernel takes the [`Backend`] it should run on and raw slices plus
-//! dimensions; shape validation lives in the calling layer (`Tensor`/`Var`).
-//! Parallel execution always follows the same recipe — split the *output*
-//! into disjoint regions, compute each region with a fixed per-element flop
-//! order — so results are bit-identical across backends and thread counts
-//! (see the module docs of [`super`] for the full determinism contract).
+//! Each kernel takes raw slices plus dimensions and runs on the calling
+//! thread; shape validation lives in the calling layer (`Tensor`/`Var`).
+//! Every output element is computed with a fixed, input-independent flop
+//! order (see the module docs of [`super`] for the full contract).
 
-use super::Backend;
+use super::Serial;
 use crate::shape;
 
 /// Fixed chunk size (elements) of the reduction tree used by full
-/// reductions. Compile-time constant so the tree shape never depends on
-/// thread count.
+/// reductions: partial sums of `REDUCE_CHUNK` elements, folded in order. The
+/// tree's shape is part of the bits of every sum, and so of every
+/// checkpoint.
 pub const REDUCE_CHUNK: usize = 4096;
-
-/// Target elements per task for elementwise kernels.
-const ELEM_CHUNK: usize = 16 * 1024;
-
-/// Target multiply-adds per task for matmul kernels.
-const MATMUL_TASK_FLOPS: usize = 64 * 1024;
-
-/// Target elements per task for row-structured kernels (softmax, norms...).
-const ROW_TASK_ELEMS: usize = 4096;
-
-/// Reduction-tree chunks folded per parallel task.
-const PARTIALS_PER_TASK: usize = 8;
-
-/// Minimum scatter work (source elements) before segmenting the output.
-const SCATTER_MIN_WORK: usize = 16 * 1024;
-
-/// Upper bound on scatter segments (each segment scans the full index list).
-const SCATTER_MAX_SEGMENTS: usize = 32;
-
-// ------------------------------------------------------------ partitioning
-
-/// Raw mutable base pointer that may cross threads. Tasks derive disjoint
-/// slices from it; the caller guarantees the allocation outlives the kernel.
-#[derive(Clone, Copy)]
-struct MutPtr(*mut f32);
-// SAFETY: the one field is the base address of a `&mut [f32]` that the
-// function building the `MutPtr` (`par_chunks`, `par_row_chunks2`,
-// `adam_step`) holds exclusively for its whole body. `Backend::run_tasks`
-// returns only after every task has run, so no task — on whichever thread —
-// outlives that borrow, and moving the address to a worker moves no ownership
-// (`f32` has no drop and no thread affinity).
-unsafe impl Send for MutPtr {}
-// SAFETY: sharing the wrapper shares only the address (`get` copies it out);
-// nothing is read or written through `&MutPtr` itself. Every task turns the
-// address into a slice over its own `[lo, hi)` range, the ranges of distinct
-// task indices are disjoint by construction, and `run_tasks` hands each index
-// to exactly one task, so no two threads ever hold a slice over the same
-// element and the underlying `&mut [f32]` is never aliased.
-unsafe impl Sync for MutPtr {}
-
-impl MutPtr {
-    /// Accessor used inside task closures: going through a method makes the
-    /// closure capture the whole (Sync) wrapper rather than the raw pointer
-    /// field, which edition-2021 precise capture would otherwise pick.
-    #[inline(always)]
-    fn get(self) -> *mut f32 {
-        self.0
-    }
-}
-
-/// Splits `out` into `chunk`-element pieces and runs `f(offset, piece)` for
-/// each on the backend. The pieces are disjoint, so any execution order
-/// yields the same bytes.
-fn par_chunks(
-    bk: &dyn Backend,
-    out: &mut [f32],
-    chunk: usize,
-    f: impl Fn(usize, &mut [f32]) + Sync,
-) {
-    let n = out.len();
-    if n == 0 {
-        return;
-    }
-    let chunk = chunk.max(1);
-    let ptr = MutPtr(out.as_mut_ptr());
-    bk.run_tasks(n.div_ceil(chunk), &|t| {
-        let lo = t * chunk;
-        let hi = (lo + chunk).min(n);
-        // SAFETY: tasks cover disjoint [lo, hi) ranges of a live allocation.
-        let piece = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(lo), hi - lo) };
-        f(lo, piece);
-    });
-}
-
-/// Row-range variant of [`par_chunks`] for two parallel outputs of `rows`
-/// rows each (`da`/`db` columns): runs `f(row_lo, n_rows, a_piece, b_piece)`
-/// over disjoint row ranges.
-#[allow(clippy::too_many_arguments)]
-fn par_row_chunks2(
-    bk: &dyn Backend,
-    a: &mut [f32],
-    da: usize,
-    b: &mut [f32],
-    db: usize,
-    rows: usize,
-    rows_per_task: usize,
-    f: impl Fn(usize, usize, &mut [f32], &mut [f32]) + Sync,
-) {
-    if rows == 0 {
-        return;
-    }
-    let rows_per_task = rows_per_task.max(1);
-    let pa = MutPtr(a.as_mut_ptr());
-    let pb = MutPtr(b.as_mut_ptr());
-    bk.run_tasks(rows.div_ceil(rows_per_task), &|t| {
-        let lo = t * rows_per_task;
-        let hi = (lo + rows_per_task).min(rows);
-        // SAFETY: disjoint row ranges of two live allocations.
-        let (sa, sb) = unsafe {
-            (
-                std::slice::from_raw_parts_mut(pa.get().add(lo * da), (hi - lo) * da),
-                std::slice::from_raw_parts_mut(pb.get().add(lo * db), (hi - lo) * db),
-            )
-        };
-        f(lo, hi - lo, sa, sb);
-    });
-}
 
 // ------------------------------------------------------------- elementwise
 
-/// Named unary kernels (object-safe dispatch, no closures across threads).
+/// Named unary kernels: callers pass an op as data, not as a closure.
 #[derive(Clone, Copy, Debug)]
 pub enum Unary {
     /// `x * s`
@@ -191,24 +83,23 @@ macro_rules! with_unary {
 }
 
 /// Applies a named unary op elementwise.
-pub fn unary(bk: &dyn Backend, op: Unary, x: &[f32]) -> Vec<f32> {
+pub fn unary(op: Unary, x: &[f32]) -> Vec<f32> {
     let mut out = vec![0.0f32; x.len()];
-    with_unary!(op, |f| par_chunks(bk, &mut out, ELEM_CHUNK, |lo, piece| {
-        let len = piece.len();
-        for (o, &v) in piece.iter_mut().zip(&x[lo..lo + len]) {
+    with_unary!(op, |f| {
+        for (o, &v) in out.iter_mut().zip(x) {
             *o = f(v);
         }
-    }));
+    });
     out
 }
 
 /// In-place variant of [`unary`].
-pub fn unary_inplace(bk: &dyn Backend, op: Unary, x: &mut [f32]) {
-    with_unary!(op, |f| par_chunks(bk, x, ELEM_CHUNK, |_, piece| {
-        for v in piece.iter_mut() {
+pub fn unary_inplace(op: Unary, x: &mut [f32]) {
+    with_unary!(op, |f| {
+        for v in x.iter_mut() {
             *v = f(*v);
         }
-    }));
+    });
 }
 
 /// Escape hatch for `Tensor::map` with an arbitrary (non-`Sync`) closure:
@@ -292,22 +183,20 @@ macro_rules! with_binary {
 }
 
 /// Applies a named binary op to equal-length slices.
-pub fn binary(bk: &dyn Backend, op: Binary, a: &[f32], b: &[f32]) -> Vec<f32> {
+pub fn binary(op: Binary, a: &[f32], b: &[f32]) -> Vec<f32> {
     debug_assert_eq!(a.len(), b.len());
     let mut out = vec![0.0f32; a.len()];
-    with_binary!(op, |f| par_chunks(bk, &mut out, ELEM_CHUNK, |lo, piece| {
-        let len = piece.len();
-        for ((o, &x), &y) in piece.iter_mut().zip(&a[lo..lo + len]).zip(&b[lo..lo + len]) {
+    with_binary!(op, |f| {
+        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
             *o = f(x, y);
         }
-    }));
+    });
     out
 }
 
 /// Broadcasting variant of [`binary`]; returns the output buffer for the
 /// already-computed broadcast shape `out_shape`.
 pub fn binary_bcast(
-    bk: &dyn Backend,
     op: Binary,
     a: &[f32],
     shape_a: &[usize],
@@ -319,10 +208,10 @@ pub fn binary_bcast(
     let sb = shape::broadcast_strides(shape_b, out_shape);
     let mut out = vec![0.0f32; shape::numel(out_shape)];
     with_binary!(op, |f| match *out_shape {
-        [] => bcast_rows(bk, &mut out, 1, a, [0, 0], b, [0, 0], f),
-        [d] => bcast_rows(bk, &mut out, d, a, [0, sa[0]], b, [0, sb[0]], f),
-        [_, d] => bcast_rows(bk, &mut out, d, a, [sa[0], sa[1]], b, [sb[0], sb[1]], f),
-        _ => bcast_walk(bk, &mut out, out_shape, a, &sa, b, &sb, f),
+        [] => bcast_rows(&mut out, 1, a, [0, 0], b, [0, 0], f),
+        [d] => bcast_rows(&mut out, d, a, [0, sa[0]], b, [0, sb[0]], f),
+        [_, d] => bcast_rows(&mut out, d, a, [sa[0], sa[1]], b, [sb[0], sb[1]], f),
+        _ => bcast_walk(&mut out, out_shape, a, &sa, b, &sb, f),
     });
     out
 }
@@ -330,90 +219,70 @@ pub fn binary_bcast(
 /// Broadcast over an output of `d`-element rows (rank ≤ 2, a vector being
 /// one row). `[row, col]` are an operand's strides: at `col == 1` an output
 /// row reads a row of the operand, at `col == 0` one element of it, so the
-/// four combinations are plain slice loops. Tasks split on row boundaries.
-#[allow(clippy::too_many_arguments)]
+/// four combinations are plain slice loops.
 fn bcast_rows(
-    bk: &dyn Backend,
     out: &mut [f32],
     d: usize,
     a: &[f32],
     [a_row, a_col]: [usize; 2],
     b: &[f32],
     [b_row, b_col]: [usize; 2],
-    f: impl Fn(f32, f32) -> f32 + Sync,
+    f: impl Fn(f32, f32) -> f32,
 ) {
     let d = d.max(1);
-    let rows_per_task = (ELEM_CHUNK / d).max(1);
-    par_chunks(bk, out, rows_per_task * d, |lo, piece| {
-        for (r, o_row) in piece.chunks_mut(d).enumerate() {
-            let i = lo / d + r;
-            let (oa, ob) = (i * a_row, i * b_row);
-            match (a_col, b_col) {
-                (0, 0) => o_row.fill(f(a[oa], b[ob])),
-                (0, _) => {
-                    let x = a[oa];
-                    for (o, &y) in o_row.iter_mut().zip(&b[ob..ob + d]) {
-                        *o = f(x, y);
-                    }
+    for (i, o_row) in out.chunks_mut(d).enumerate() {
+        let (oa, ob) = (i * a_row, i * b_row);
+        match (a_col, b_col) {
+            (0, 0) => o_row.fill(f(a[oa], b[ob])),
+            (0, _) => {
+                let x = a[oa];
+                for (o, &y) in o_row.iter_mut().zip(&b[ob..ob + d]) {
+                    *o = f(x, y);
                 }
-                (_, 0) => {
-                    let y = b[ob];
-                    for (o, &x) in o_row.iter_mut().zip(&a[oa..oa + d]) {
-                        *o = f(x, y);
-                    }
+            }
+            (_, 0) => {
+                let y = b[ob];
+                for (o, &x) in o_row.iter_mut().zip(&a[oa..oa + d]) {
+                    *o = f(x, y);
                 }
-                _ => {
-                    for ((o, &x), &y) in o_row.iter_mut().zip(&a[oa..oa + d]).zip(&b[ob..ob + d]) {
-                        *o = f(x, y);
-                    }
+            }
+            _ => {
+                for ((o, &x), &y) in o_row.iter_mut().zip(&a[oa..oa + d]).zip(&b[ob..ob + d]) {
+                    *o = f(x, y);
                 }
             }
         }
-    });
+    }
 }
 
-/// Broadcast over a rank-3 output: decomposes each task's flat start offset
-/// into a multi-index, then walks it incrementally — identical element order
-/// to the serial loop.
-#[allow(clippy::too_many_arguments)]
+/// Broadcast over a rank-3 output: walks the output's multi-index
+/// incrementally, stepping each operand's offset by its strides.
 fn bcast_walk(
-    bk: &dyn Backend,
     out: &mut [f32],
     out_shape: &[usize],
     a: &[f32],
     sa: &[usize],
     b: &[f32],
     sb: &[usize],
-    f: impl Fn(f32, f32) -> f32 + Sync,
+    f: impl Fn(f32, f32) -> f32,
 ) {
     let rank = out_shape.len();
-    par_chunks(bk, out, ELEM_CHUNK, |lo, piece| {
-        let mut idx = [0usize; shape::MAX_RANK];
-        let mut rem = lo;
+    let mut idx = [0usize; shape::MAX_RANK];
+    let (mut oa, mut ob) = (0usize, 0usize);
+    for o in out.iter_mut() {
+        *o = f(a[oa], b[ob]);
         for d in (0..rank).rev() {
-            idx[d] = rem % out_shape[d];
-            rem /= out_shape[d];
-        }
-        let (mut oa, mut ob) = (0usize, 0usize);
-        for d in 0..rank {
-            oa += idx[d] * sa[d];
-            ob += idx[d] * sb[d];
-        }
-        for o in piece.iter_mut() {
-            *o = f(a[oa], b[ob]);
-            for d in (0..rank).rev() {
-                idx[d] += 1;
-                oa += sa[d];
-                ob += sb[d];
-                if idx[d] < out_shape[d] {
-                    break;
-                }
-                oa -= sa[d] * out_shape[d];
-                ob -= sb[d] * out_shape[d];
-                idx[d] = 0;
+            idx[d] += 1;
+            oa += sa[d];
+            ob += sb[d];
+            if idx[d] < out_shape[d] {
+                break;
             }
+            oa -= sa[d] * out_shape[d];
+            ob -= sb[d] * out_shape[d];
+            idx[d] = 0;
         }
-    });
+    }
 }
 
 /// Escape hatch for `Tensor::zip` with an arbitrary closure (broadcasting,
@@ -453,25 +322,19 @@ pub fn zip_fallback(
 }
 
 /// `a += b` over equal-length slices.
-pub fn add_assign(bk: &dyn Backend, a: &mut [f32], b: &[f32]) {
+pub fn add_assign(a: &mut [f32], b: &[f32]) {
     debug_assert_eq!(a.len(), b.len());
-    par_chunks(bk, a, ELEM_CHUNK, |lo, piece| {
-        let len = piece.len();
-        for (o, &v) in piece.iter_mut().zip(&b[lo..lo + len]) {
-            *o += v;
-        }
-    });
+    for (o, &v) in a.iter_mut().zip(b) {
+        *o += v;
+    }
 }
 
 /// `a += s * b` over equal-length slices.
-pub fn axpy(bk: &dyn Backend, a: &mut [f32], s: f32, b: &[f32]) {
+pub fn axpy(a: &mut [f32], s: f32, b: &[f32]) {
     debug_assert_eq!(a.len(), b.len());
-    par_chunks(bk, a, ELEM_CHUNK, |lo, piece| {
-        let len = piece.len();
-        for (o, &v) in piece.iter_mut().zip(&b[lo..lo + len]) {
-            *o += s * v;
-        }
-    });
+    for (o, &v) in a.iter_mut().zip(b) {
+        *o += s * v;
+    }
 }
 
 // -------------------------------------------------------------- reductions
@@ -489,105 +352,75 @@ fn fold_chunk(chunk: &[f32], f: impl Fn(f32) -> f32) -> f32 {
 /// Fixed-shape tree reduction: `REDUCE_CHUNK`-sized partial sums folded in
 /// order. `f` maps each element before summation (identity for `sum`,
 /// square for `sum_sq`).
-fn reduce_tree(bk: &dyn Backend, x: &[f32], f: impl Fn(f32) -> f32 + Sync + Copy) -> f32 {
-    let n_parts = x.len().div_ceil(REDUCE_CHUNK);
-    if n_parts <= PARTIALS_PER_TASK {
-        // Small input: fold the same tree on the calling thread.
-        let mut acc = 0.0f32;
-        for chunk in x.chunks(REDUCE_CHUNK) {
-            acc += fold_chunk(chunk, f);
-        }
-        return acc;
-    }
-    let mut partials = vec![0.0f32; n_parts];
-    par_chunks(bk, &mut partials, PARTIALS_PER_TASK, |lo, piece| {
-        for (pi, p) in piece.iter_mut().enumerate() {
-            let start = (lo + pi) * REDUCE_CHUNK;
-            let end = (start + REDUCE_CHUNK).min(x.len());
-            *p = fold_chunk(&x[start..end], f);
-        }
-    });
+fn reduce_tree(x: &[f32], f: impl Fn(f32) -> f32 + Copy) -> f32 {
     let mut acc = 0.0f32;
-    for p in partials {
-        acc += p;
+    for chunk in x.chunks(REDUCE_CHUNK) {
+        acc += fold_chunk(chunk, f);
     }
     acc
 }
 
 /// Sum of all elements (fixed reduction tree).
-pub fn sum(bk: &dyn Backend, x: &[f32]) -> f32 {
-    reduce_tree(bk, x, |v| v)
+pub fn sum(x: &[f32]) -> f32 {
+    reduce_tree(x, |v| v)
 }
 
 /// Sum of squares of all elements (fixed reduction tree).
-pub fn sum_sq(bk: &dyn Backend, x: &[f32]) -> f32 {
-    reduce_tree(bk, x, |v| v * v)
+pub fn sum_sq(x: &[f32]) -> f32 {
+    reduce_tree(x, |v| v * v)
 }
 
 /// Column sums of a row-major `[n, d]` matrix: `out[j] = Σ_i x[i, j]`, each
 /// column accumulated in ascending row order.
-pub fn col_sums(bk: &dyn Backend, x: &[f32], n: usize, d: usize) -> Vec<f32> {
+pub fn col_sums(x: &[f32], n: usize, d: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; d];
-    let cols_per_task = (ROW_TASK_ELEMS / n.max(1)).max(1);
-    par_chunks(bk, &mut out, cols_per_task, |j0, piece| {
-        for i in 0..n {
-            let row = &x[i * d + j0..i * d + j0 + piece.len()];
-            for (o, &v) in piece.iter_mut().zip(row) {
-                *o += v;
-            }
+    for i in 0..n {
+        for (o, &v) in out.iter_mut().zip(&x[i * d..(i + 1) * d]) {
+            *o += v;
         }
-    });
+    }
     out
 }
 
 /// Row sums of a row-major `[n, d]` matrix, each row folded left-to-right.
-pub fn row_sums(bk: &dyn Backend, x: &[f32], n: usize, d: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; n];
-    let rows_per_task = (ROW_TASK_ELEMS / d.max(1)).max(1);
-    par_chunks(bk, &mut out, rows_per_task, |i0, piece| {
-        for (r, o) in piece.iter_mut().enumerate() {
-            let i = i0 + r;
+pub fn row_sums(x: &[f32], n: usize, d: usize) -> Vec<f32> {
+    (0..n)
+        .map(|i| {
             let mut acc = 0.0f32;
             for &v in &x[i * d..(i + 1) * d] {
                 acc += v;
             }
-            *o = acc;
-        }
-    });
-    out
+            acc
+        })
+        .collect()
 }
 
 /// Row maxima of a row-major `[n, d]` matrix (`NEG_INFINITY` fold).
-pub fn max_per_row(bk: &dyn Backend, x: &[f32], n: usize, d: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; n];
-    let rows_per_task = (ROW_TASK_ELEMS / d.max(1)).max(1);
-    par_chunks(bk, &mut out, rows_per_task, |i0, piece| {
-        for (r, o) in piece.iter_mut().enumerate() {
-            let i = i0 + r;
-            *o = x[i * d..(i + 1) * d]
+pub fn max_per_row(x: &[f32], n: usize, d: usize) -> Vec<f32> {
+    (0..n)
+        .map(|i| {
+            x[i * d..(i + 1) * d]
                 .iter()
                 .copied()
-                .fold(f32::NEG_INFINITY, f32::max);
-        }
-    });
-    out
+                .fold(f32::NEG_INFINITY, f32::max)
+        })
+        .collect()
 }
 
 /// Broadcast-inverse reduction (gradient accumulation): sums `x` of `shape`
 /// down to `target`. Fast paths cover the shapes autograd actually produces;
-/// the generic strided walk runs sequentially on any backend (identical
-/// code, so trivially bit-stable).
-pub fn reduce_to(bk: &dyn Backend, x: &[f32], xshape: &[usize], target: &[usize]) -> Vec<f32> {
+/// the generic path is a strided walk.
+pub fn reduce_to(x: &[f32], xshape: &[usize], target: &[usize]) -> Vec<f32> {
     if shape::numel(target) == 1 {
-        return vec![sum(bk, x)];
+        return vec![sum(x)];
     }
     if let &[n, d] = xshape {
         match *target {
-            [td] if td == d => return col_sums(bk, x, n, d),
+            [td] if td == d => return col_sums(x, n, d),
             [1, td] if td == d => {
-                return col_sums(bk, x, n, d);
+                return col_sums(x, n, d);
             }
-            [tn, 1] if tn == n => return row_sums(bk, x, n, d),
+            [tn, 1] if tn == n => return row_sums(x, n, d),
             _ => {}
         }
     }
@@ -617,24 +450,19 @@ pub fn reduce_to(bk: &dyn Backend, x: &[f32], xshape: &[usize], target: &[usize]
 // ------------------------------------------------------------------ linalg
 
 /// Dense matmul `[n, k] x [k, m] -> [n, m]`. No zero-skip branch: the dense
-/// hot path runs a fixed flop order regardless of values.
-pub fn matmul(bk: &dyn Backend, a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
-    matmul_impl::<false>(bk, a, b, n, k, m)
+/// hot path runs a fixed flop order regardless of values. The first
+/// argument names the backend, of which [`Serial`] is the only one; the
+/// benchmark harness passes it, so the parameter stays.
+pub fn matmul(_: &Serial, a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
+    matmul_impl::<false>(a, b, n, k, m)
 }
 
 /// Matmul for callers that *know* the lhs contains many structural zeros
 /// (one-hot gathers, zero-padded im2col blocks): skips zero lhs entries.
-/// Value-dependent flop order is fine here because both backends evaluate
-/// each output row with the same code.
-pub fn matmul_sparse_lhs(
-    bk: &dyn Backend,
-    a: &[f32],
-    b: &[f32],
-    n: usize,
-    k: usize,
-    m: usize,
-) -> Vec<f32> {
-    matmul_impl::<true>(bk, a, b, n, k, m)
+/// An element can differ from [`matmul`]'s where a skipped `0 · b` step would
+/// have mattered: an infinity or a NaN in `b`, or the sign of a zero.
+pub fn matmul_sparse_lhs(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
+    matmul_impl::<true>(a, b, n, k, m)
 }
 
 /// Fills columns `j0..` of `R` output rows at once, `W` at a time while `W`
@@ -691,7 +519,7 @@ fn matmul_row_group<const R: usize, const W: usize, const SKIP_ZERO_LHS: bool>(
     matmul_tiles::<R, 1, SKIP_ZERO_LHS>(a_rows, b, &mut o_rows, j);
 }
 
-/// One task of [`matmul_impl`]: output rows `i0..` into `piece`. Rows go two
+/// The rows of [`matmul_impl`]: all of `a · b` into `out`. Rows go two
 /// at a time — a pair has twice the independent add chains of one row, which
 /// is what a latency-bound tile is short of — in tiles of `W2` columns; an
 /// odd last row, or the only one (the decoder's `[1, D] · [D, |E|]`), goes
@@ -701,14 +529,13 @@ fn matmul_row_group<const R: usize, const W: usize, const SKIP_ZERO_LHS: bool>(
 fn matmul_rows<const W2: usize, const W1: usize, const SKIP_ZERO_LHS: bool>(
     a: &[f32],
     b: &[f32],
-    piece: &mut [f32],
-    i0: usize,
+    out: &mut [f32],
     k: usize,
     m: usize,
 ) {
-    let a_row = |r: usize| &a[(i0 + r) * k..(i0 + r + 1) * k];
-    let rows = piece.len() / m;
-    let mut pairs = piece.chunks_exact_mut(2 * m);
+    let a_row = |r: usize| &a[r * k..(r + 1) * k];
+    let rows = out.len() / m;
+    let mut pairs = out.chunks_exact_mut(2 * m);
     for (p, pair) in pairs.by_ref().enumerate() {
         let (o0, o1) = pair.split_at_mut(m);
         let a_rows = [a_row(2 * p), a_row(2 * p + 1)];
@@ -726,12 +553,11 @@ fn matmul_rows<const W2: usize, const W1: usize, const SKIP_ZERO_LHS: bool>(
 fn matmul_rows_baseline<const SKIP_ZERO_LHS: bool>(
     a: &[f32],
     b: &[f32],
-    piece: &mut [f32],
-    i0: usize,
+    out: &mut [f32],
     k: usize,
     m: usize,
 ) {
-    matmul_rows::<16, 32, SKIP_ZERO_LHS>(a, b, piece, i0, k, m)
+    matmul_rows::<16, 32, SKIP_ZERO_LHS>(a, b, out, k, m)
 }
 
 /// [`matmul_rows`] compiled for AVX2: the same source, so the same lane-wise
@@ -745,12 +571,11 @@ fn matmul_rows_baseline<const SKIP_ZERO_LHS: bool>(
 fn matmul_rows_avx2<const SKIP_ZERO_LHS: bool>(
     a: &[f32],
     b: &[f32],
-    piece: &mut [f32],
-    i0: usize,
+    out: &mut [f32],
     k: usize,
     m: usize,
 ) {
-    matmul_rows::<32, 64, SKIP_ZERO_LHS>(a, b, piece, i0, k, m)
+    matmul_rows::<32, 64, SKIP_ZERO_LHS>(a, b, out, k, m)
 }
 
 /// Which compiled copy of the matmul tile this process runs: `"avx2"` when
@@ -776,7 +601,6 @@ fn has_avx2() -> bool {
 }
 
 fn matmul_impl<const SKIP_ZERO_LHS: bool>(
-    bk: &dyn Backend,
     a: &[f32],
     b: &[f32],
     n: usize,
@@ -786,78 +610,60 @@ fn matmul_impl<const SKIP_ZERO_LHS: bool>(
     debug_assert_eq!(a.len(), n * k);
     debug_assert_eq!(b.len(), k * m);
     let mut out = vec![0.0f32; n * m];
-    let row_flops = (k * m).max(1);
-    // An even count, so that only a task's last row can be a lone one.
-    let rows_per_task = (MATMUL_TASK_FLOPS / row_flops).max(1).next_multiple_of(2);
-    let avx2 = has_avx2();
-    par_chunks(bk, &mut out, rows_per_task * m, |lo, piece| {
-        let i0 = lo / m;
-        if avx2 {
-            // SAFETY: `avx2` is `is_x86_feature_detected!("avx2")` on this CPU,
-            // which is all that calling an `avx2` target-feature function asks.
-            #[cfg(target_arch = "x86_64")]
-            return unsafe { matmul_rows_avx2::<SKIP_ZERO_LHS>(a, b, piece, i0, k, m) };
-        }
-        matmul_rows_baseline::<SKIP_ZERO_LHS>(a, b, piece, i0, k, m)
-    });
+    if out.is_empty() {
+        return out;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: `has_avx2()` is `is_x86_feature_detected!("avx2")` on this
+        // CPU, which is all that calling an `avx2` target-feature function asks.
+        unsafe { matmul_rows_avx2::<SKIP_ZERO_LHS>(a, b, &mut out, k, m) };
+        return out;
+    }
+    matmul_rows_baseline::<SKIP_ZERO_LHS>(a, b, &mut out, k, m);
     out
 }
 
 /// Transpose of a row-major `[r, c]` matrix into `[c, r]`.
-pub fn transpose2(bk: &dyn Backend, x: &[f32], r: usize, c: usize) -> Vec<f32> {
+pub fn transpose2(x: &[f32], r: usize, c: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; r * c];
-    let rows_per_task = (ROW_TASK_ELEMS / r.max(1)).max(1);
-    par_chunks(bk, &mut out, rows_per_task * r, |lo, piece| {
-        let j0 = lo / r.max(1);
-        for (jr, o_row) in piece.chunks_mut(r).enumerate() {
-            let j = j0 + jr;
-            for (i, o) in o_row.iter_mut().enumerate() {
-                *o = x[i * c + j];
-            }
+    for (j, o_row) in out.chunks_mut(r.max(1)).enumerate() {
+        for (o, x_row) in o_row.iter_mut().zip(x.chunks_exact(c.max(1))) {
+            *o = x_row[j];
         }
-    });
+    }
     out
 }
 
 /// Row-wise softmax of `[n, d]` logits (max-shifted).
-pub fn softmax_rows(bk: &dyn Backend, x: &[f32], n: usize, d: usize) -> Vec<f32> {
+pub fn softmax_rows(x: &[f32], n: usize, d: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; n * d];
-    let rows_per_task = (ROW_TASK_ELEMS / d.max(1)).max(1);
-    par_chunks(bk, &mut out, rows_per_task * d, |lo, piece| {
-        let i0 = lo / d.max(1);
-        for (r, o_row) in piece.chunks_mut(d).enumerate() {
-            let row = &x[(i0 + r) * d..(i0 + r + 1) * d];
-            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut z = 0.0f32;
-            for (o, &v) in o_row.iter_mut().zip(row) {
-                *o = (v - m).exp();
-                z += *o;
-            }
-            let inv = 1.0 / z;
-            for o in o_row.iter_mut() {
-                *o *= inv;
-            }
+    for (o_row, row) in out.chunks_mut(d.max(1)).zip(x.chunks(d.max(1))) {
+        let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let mut z = 0.0f32;
+        for (o, &v) in o_row.iter_mut().zip(row) {
+            *o = (v - m).exp();
+            z += *o;
         }
-    });
+        let inv = 1.0 / z;
+        for o in o_row.iter_mut() {
+            *o *= inv;
+        }
+    }
     out
 }
 
 /// Softmax backward: `dx = y * (g - Σ_row(g * y))`.
-pub fn softmax_rows_bwd(bk: &dyn Backend, y: &[f32], g: &[f32], n: usize, d: usize) -> Vec<f32> {
+pub fn softmax_rows_bwd(y: &[f32], g: &[f32], n: usize, d: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; n * d];
-    let rows_per_task = (ROW_TASK_ELEMS / d.max(1)).max(1);
-    par_chunks(bk, &mut out, rows_per_task * d, |lo, piece| {
-        let i0 = lo / d.max(1);
-        for (r, o_row) in piece.chunks_mut(d).enumerate() {
-            let i = i0 + r;
-            let yr = &y[i * d..(i + 1) * d];
-            let gr = &g[i * d..(i + 1) * d];
-            let dot: f32 = yr.iter().zip(gr).map(|(&a, &b)| a * b).sum();
-            for ((o, &yj), &gj) in o_row.iter_mut().zip(yr).zip(gr) {
-                *o = yj * (gj - dot);
-            }
+    for (i, o_row) in out.chunks_mut(d.max(1)).enumerate() {
+        let yr = &y[i * d..(i + 1) * d];
+        let gr = &g[i * d..(i + 1) * d];
+        let dot: f32 = yr.iter().zip(gr).map(|(&a, &b)| a * b).sum();
+        for ((o, &yj), &gj) in o_row.iter_mut().zip(yr).zip(gr) {
+            *o = yj * (gj - dot);
         }
-    });
+    }
     out
 }
 
@@ -865,112 +671,53 @@ pub fn softmax_rows_bwd(bk: &dyn Backend, y: &[f32], g: &[f32], n: usize, d: usi
 
 /// Gathers rows: `out[i] = x[idx[i]]` over `d`-column rows. Indices must be
 /// pre-validated by the caller.
-pub fn gather_rows(bk: &dyn Backend, x: &[f32], d: usize, idx: &[usize]) -> Vec<f32> {
+pub fn gather_rows(x: &[f32], d: usize, idx: &[usize]) -> Vec<f32> {
     let mut out = vec![0.0f32; idx.len() * d];
-    let rows_per_task = (ROW_TASK_ELEMS / d.max(1)).max(1);
-    par_chunks(bk, &mut out, rows_per_task * d, |lo, piece| {
-        let r0 = lo / d.max(1);
-        for (r, o_row) in piece.chunks_mut(d).enumerate() {
-            let src = idx[r0 + r];
-            o_row.copy_from_slice(&x[src * d..(src + 1) * d]);
-        }
-    });
+    for (o_row, &src) in out.chunks_mut(d.max(1)).zip(idx) {
+        o_row.copy_from_slice(&x[src * d..(src + 1) * d]);
+    }
     out
 }
 
-/// Segmented scatter-add: adds row `r` of `src` (`[idx.len(), d]`) into row
-/// `idx[r]` of a fresh `[n, d]` output. The output is partitioned into row
-/// segments; each segment scans the full index list in ascending order, so
-/// per-row accumulation order is index order no matter how many segments
-/// (or threads) there are. Indices must be pre-validated (`idx[r] < n`).
-pub fn scatter_add_rows(
-    bk: &dyn Backend,
-    src: &[f32],
-    d: usize,
-    idx: &[usize],
-    n: usize,
-) -> Vec<f32> {
+/// Scatter-add: adds row `r` of `src` (`[idx.len(), d]`) into row `idx[r]`
+/// of a fresh `[n, d]` output, in index order, so each output row
+/// accumulates its sources in ascending `r`. Indices must be pre-validated
+/// (`idx[r] < n`).
+pub fn scatter_add_rows(src: &[f32], d: usize, idx: &[usize], n: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; n * d];
-    if n == 0 || idx.is_empty() {
-        return out;
-    }
-    let n_segments = if src.len() < SCATTER_MIN_WORK {
-        1
-    } else {
-        (bk.threads() * 2).clamp(1, SCATTER_MAX_SEGMENTS.min(n))
-    };
-    let rows_per_seg = n.div_ceil(n_segments);
-    par_chunks(bk, &mut out, rows_per_seg * d, |lo, piece| {
-        let row_lo = lo / d;
-        let row_hi = row_lo + piece.len() / d;
-        for (r, &i) in idx.iter().enumerate() {
-            if i < row_lo || i >= row_hi {
-                continue;
-            }
-            let dst = &mut piece[(i - row_lo) * d..(i - row_lo + 1) * d];
-            let s = &src[r * d..(r + 1) * d];
-            for (o, &v) in dst.iter_mut().zip(s) {
-                *o += v;
-            }
+    for (r, &i) in idx.iter().enumerate() {
+        let dst = &mut out[i * d..(i + 1) * d];
+        for (o, &v) in dst.iter_mut().zip(&src[r * d..(r + 1) * d]) {
+            *o += v;
         }
-    });
+    }
     out
 }
 
 // ------------------------------------------------------------ concatenation
 
 /// Column-wise concatenation `[n, da] || [n, db] -> [n, da + db]`.
-pub fn concat_cols(
-    bk: &dyn Backend,
-    a: &[f32],
-    b: &[f32],
-    n: usize,
-    da: usize,
-    db: usize,
-) -> Vec<f32> {
+pub fn concat_cols(a: &[f32], b: &[f32], n: usize, da: usize, db: usize) -> Vec<f32> {
     let d = da + db;
     let mut out = vec![0.0f32; n * d];
-    let rows_per_task = (ROW_TASK_ELEMS / d.max(1)).max(1);
-    par_chunks(bk, &mut out, rows_per_task * d, |lo, piece| {
-        let i0 = lo / d.max(1);
-        for (r, o_row) in piece.chunks_mut(d).enumerate() {
-            let i = i0 + r;
-            o_row[..da].copy_from_slice(&a[i * da..(i + 1) * da]);
-            o_row[da..].copy_from_slice(&b[i * db..(i + 1) * db]);
-        }
-    });
+    for (i, o_row) in out.chunks_mut(d.max(1)).enumerate() {
+        o_row[..da].copy_from_slice(&a[i * da..(i + 1) * da]);
+        o_row[da..].copy_from_slice(&b[i * db..(i + 1) * db]);
+    }
     out
 }
 
 /// Backward of [`concat_cols`]: splits `g` (`[n, da + db]`) back into the
 /// two column blocks.
-pub fn split_cols(
-    bk: &dyn Backend,
-    g: &[f32],
-    n: usize,
-    da: usize,
-    db: usize,
-) -> (Vec<f32>, Vec<f32>) {
+pub fn split_cols(g: &[f32], n: usize, da: usize, db: usize) -> (Vec<f32>, Vec<f32>) {
     let d = da + db;
     let mut ga = vec![0.0f32; n * da];
     let mut gb = vec![0.0f32; n * db];
-    let rows_per_task = (ROW_TASK_ELEMS / d.max(1)).max(1);
-    par_row_chunks2(
-        bk,
-        &mut ga,
-        da,
-        &mut gb,
-        db,
-        n,
-        rows_per_task,
-        |i0, rows, pa, pb| {
-            for r in 0..rows {
-                let row = &g[(i0 + r) * d..(i0 + r + 1) * d];
-                pa[r * da..(r + 1) * da].copy_from_slice(&row[..da]);
-                pb[r * db..(r + 1) * db].copy_from_slice(&row[da..]);
-            }
-        },
-    );
+    for i in 0..n {
+        let row = &g[i * d..(i + 1) * d];
+        ga[i * da..(i + 1) * da].copy_from_slice(&row[..da]);
+        gb[i * db..(i + 1) * db].copy_from_slice(&row[da..]);
+    }
     (ga, gb)
 }
 
@@ -978,69 +725,51 @@ pub fn split_cols(
 
 /// im2col for a width-3, zero-padded, 2-channel 1-D convolution (the
 /// ConvTransE stem): `[b, d]` entity/relation rows -> `[b * d, 6]` windows.
-pub fn im2col3(bk: &dyn Backend, e: &[f32], r: &[f32], b: usize, d: usize) -> Vec<f32> {
+pub fn im2col3(e: &[f32], r: &[f32], b: usize, d: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; b * d * 6];
-    let batch_per_task = (ROW_TASK_ELEMS / (d * 6).max(1)).max(1);
-    par_chunks(bk, &mut out, batch_per_task * d * 6, |lo, piece| {
-        let b0 = lo / (d * 6).max(1);
-        for (br, block) in piece.chunks_mut(d * 6).enumerate() {
-            let bi = b0 + br;
-            let er = &e[bi * d..(bi + 1) * d];
-            let rr = &r[bi * d..(bi + 1) * d];
-            for j in 0..d {
-                let base = j * 6;
-                if j > 0 {
-                    block[base] = er[j - 1];
-                    block[base + 3] = rr[j - 1];
-                }
-                block[base + 1] = er[j];
-                block[base + 4] = rr[j];
-                if j + 1 < d {
-                    block[base + 2] = er[j + 1];
-                    block[base + 5] = rr[j + 1];
-                }
+    for (bi, block) in out.chunks_mut((d * 6).max(1)).enumerate() {
+        let er = &e[bi * d..(bi + 1) * d];
+        let rr = &r[bi * d..(bi + 1) * d];
+        for j in 0..d {
+            let base = j * 6;
+            if j > 0 {
+                block[base] = er[j - 1];
+                block[base + 3] = rr[j - 1];
+            }
+            block[base + 1] = er[j];
+            block[base + 4] = rr[j];
+            if j + 1 < d {
+                block[base + 2] = er[j + 1];
+                block[base + 5] = rr[j + 1];
             }
         }
-    });
+    }
     out
 }
 
 /// Backward of [`im2col3`]: accumulates window gradients back onto the
 /// entity and relation rows.
-pub fn im2col3_bwd(bk: &dyn Backend, g: &[f32], b: usize, d: usize) -> (Vec<f32>, Vec<f32>) {
+pub fn im2col3_bwd(g: &[f32], b: usize, d: usize) -> (Vec<f32>, Vec<f32>) {
     let mut ge = vec![0.0f32; b * d];
     let mut gr = vec![0.0f32; b * d];
-    let batch_per_task = (ROW_TASK_ELEMS / (d * 6).max(1)).max(1);
-    par_row_chunks2(
-        bk,
-        &mut ge,
-        d,
-        &mut gr,
-        d,
-        b,
-        batch_per_task,
-        |b0, rows, pe, pr| {
-            for br in 0..rows {
-                let bi = b0 + br;
-                let erow = &mut pe[br * d..(br + 1) * d];
-                let rrow = &mut pr[br * d..(br + 1) * d];
-                for j in 0..d {
-                    let base = (bi * d + j) * 6;
-                    let row = &g[base..base + 6];
-                    if j > 0 {
-                        erow[j - 1] += row[0];
-                        rrow[j - 1] += row[3];
-                    }
-                    erow[j] += row[1];
-                    rrow[j] += row[4];
-                    if j + 1 < d {
-                        erow[j + 1] += row[2];
-                        rrow[j + 1] += row[5];
-                    }
-                }
+    for bi in 0..b {
+        let erow = &mut ge[bi * d..(bi + 1) * d];
+        let rrow = &mut gr[bi * d..(bi + 1) * d];
+        for j in 0..d {
+            let base = (bi * d + j) * 6;
+            let row = &g[base..base + 6];
+            if j > 0 {
+                erow[j - 1] += row[0];
+                rrow[j - 1] += row[3];
             }
-        },
-    );
+            erow[j] += row[1];
+            rrow[j] += row[4];
+            if j + 1 < d {
+                erow[j + 1] += row[2];
+                rrow[j + 1] += row[5];
+            }
+        }
+    }
     (ge, gr)
 }
 
@@ -1048,30 +777,20 @@ pub fn im2col3_bwd(bk: &dyn Backend, g: &[f32], b: usize, d: usize) -> (Vec<f32>
 
 /// Cross-entropy forward: per-row `lse - logit[target]` losses (max-shifted
 /// log-sum-exp), summed with the fixed reduction tree. Caller divides by N.
-pub fn cross_entropy_fwd(
-    bk: &dyn Backend,
-    logits: &[f32],
-    n: usize,
-    c: usize,
-    targets: &[usize],
-) -> f32 {
-    let mut per_row = vec![0.0f32; n];
-    let rows_per_task = (ROW_TASK_ELEMS / c.max(1)).max(1);
-    par_chunks(bk, &mut per_row, rows_per_task, |i0, piece| {
-        for (r, o) in piece.iter_mut().enumerate() {
-            let i = i0 + r;
+pub fn cross_entropy_fwd(logits: &[f32], n: usize, c: usize, targets: &[usize]) -> f32 {
+    let per_row: Vec<f32> = (0..n)
+        .map(|i| {
             let row = &logits[i * c..(i + 1) * c];
             let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             let lse = m + row.iter().map(|&x| (x - m).exp()).sum::<f32>().ln();
-            *o = lse - row[targets[i]];
-        }
-    });
-    sum(bk, &per_row)
+            lse - row[targets[i]]
+        })
+        .collect();
+    sum(&per_row)
 }
 
 /// Cross-entropy backward: `(softmax(logits) - onehot) * scale` per row.
 pub fn cross_entropy_bwd(
-    bk: &dyn Backend,
     logits: &[f32],
     n: usize,
     c: usize,
@@ -1079,135 +798,76 @@ pub fn cross_entropy_bwd(
     scale: f32,
 ) -> Vec<f32> {
     let mut out = vec![0.0f32; n * c];
-    let rows_per_task = (ROW_TASK_ELEMS / c.max(1)).max(1);
-    par_chunks(bk, &mut out, rows_per_task * c, |lo, piece| {
-        let i0 = lo / c.max(1);
-        for (r, o_row) in piece.chunks_mut(c).enumerate() {
-            let i = i0 + r;
-            let row = &logits[i * c..(i + 1) * c];
-            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut z = 0.0f32;
-            for (o, &x) in o_row.iter_mut().zip(row) {
-                *o = (x - m).exp();
-                z += *o;
-            }
-            let inv = 1.0 / z;
-            for o in o_row.iter_mut() {
-                *o *= inv;
-            }
-            o_row[targets[i]] -= 1.0;
-            for o in o_row.iter_mut() {
-                *o *= scale;
-            }
+    for (i, o_row) in out.chunks_mut(c.max(1)).enumerate() {
+        let row = &logits[i * c..(i + 1) * c];
+        let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let mut z = 0.0f32;
+        for (o, &x) in o_row.iter_mut().zip(row) {
+            *o = (x - m).exp();
+            z += *o;
         }
-    });
+        let inv = 1.0 / z;
+        for o in o_row.iter_mut() {
+            *o *= inv;
+        }
+        o_row[targets[i]] -= 1.0;
+        for o in o_row.iter_mut() {
+            *o *= scale;
+        }
+    }
     out
 }
 
 /// Row-wise L2 normalization forward: returns `(y, norms)` where
 /// `y[i] = x[i] / max(‖x[i]‖, 1e-8)`.
-pub fn l2_normalize_rows_fwd(
-    bk: &dyn Backend,
-    x: &[f32],
-    n: usize,
-    d: usize,
-) -> (Vec<f32>, Vec<f32>) {
+pub fn l2_normalize_rows_fwd(x: &[f32], n: usize, d: usize) -> (Vec<f32>, Vec<f32>) {
     let mut out = vec![0.0f32; n * d];
     let mut norms = vec![0.0f32; n];
-    let rows_per_task = (ROW_TASK_ELEMS / d.max(1)).max(1);
-    par_row_chunks2(
-        bk,
-        &mut out,
-        d,
-        &mut norms,
-        1,
-        n,
-        rows_per_task,
-        |i0, rows, po, pn| {
-            for (r, nm) in pn.iter_mut().enumerate().take(rows) {
-                let i = i0 + r;
-                let row = &x[i * d..(i + 1) * d];
-                let norm = row.iter().map(|&v| v * v).sum::<f32>().sqrt().max(1e-8);
-                *nm = norm;
-                for (o, &v) in po[r * d..(r + 1) * d].iter_mut().zip(row) {
-                    *o = v / norm;
-                }
-            }
-        },
-    );
+    for (i, nm) in norms.iter_mut().enumerate() {
+        let row = &x[i * d..(i + 1) * d];
+        let norm = row.iter().map(|&v| v * v).sum::<f32>().sqrt().max(1e-8);
+        *nm = norm;
+        for (o, &v) in out[i * d..(i + 1) * d].iter_mut().zip(row) {
+            *o = v / norm;
+        }
+    }
     (out, norms)
 }
 
 /// L2-normalize backward: `grad_x = (g - (g·y) y) / ‖x‖` per row.
-pub fn l2_normalize_rows_bwd(
-    bk: &dyn Backend,
-    y: &[f32],
-    g: &[f32],
-    norms: &[f32],
-    n: usize,
-    d: usize,
-) -> Vec<f32> {
+pub fn l2_normalize_rows_bwd(y: &[f32], g: &[f32], norms: &[f32], n: usize, d: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; n * d];
-    let rows_per_task = (ROW_TASK_ELEMS / d.max(1)).max(1);
-    par_chunks(bk, &mut out, rows_per_task * d, |lo, piece| {
-        let i0 = lo / d.max(1);
-        for (r, o_row) in piece.chunks_mut(d).enumerate() {
-            let i = i0 + r;
-            let yr = &y[i * d..(i + 1) * d];
-            let gr = &g[i * d..(i + 1) * d];
-            let dot: f32 = yr.iter().zip(gr).map(|(&a, &b)| a * b).sum();
-            for ((o, &gj), &yj) in o_row.iter_mut().zip(gr).zip(yr) {
-                *o = (gj - dot * yj) / norms[i];
-            }
+    for (i, o_row) in out.chunks_mut(d.max(1)).enumerate() {
+        let yr = &y[i * d..(i + 1) * d];
+        let gr = &g[i * d..(i + 1) * d];
+        let dot: f32 = yr.iter().zip(gr).map(|(&a, &b)| a * b).sum();
+        for ((o, &gj), &yj) in o_row.iter_mut().zip(gr).zip(yr) {
+            *o = (gj - dot * yj) / norms[i];
         }
-    });
+    }
     out
 }
 
 /// BCE-with-logits forward: Σ `max(x,0) - x*y + ln(1 + e^-|x|)` via the
 /// fixed reduction tree (partials per `REDUCE_CHUNK`). Caller divides by N.
-pub fn bce_fwd(bk: &dyn Backend, x: &[f32], y: &[f32]) -> f32 {
-    let n_parts = x.len().div_ceil(REDUCE_CHUNK);
-    let bce = |xi: f32, yi: f32| xi.max(0.0) - xi * yi + (1.0 + (-xi.abs()).exp()).ln();
-    let fold = |start: usize, end: usize| {
-        let mut acc = 0.0f32;
-        for (&xi, &yi) in x[start..end].iter().zip(&y[start..end]) {
-            acc += bce(xi, yi);
-        }
-        acc
-    };
-    if n_parts <= PARTIALS_PER_TASK {
-        let mut acc = 0.0f32;
-        for p in 0..n_parts {
-            let start = p * REDUCE_CHUNK;
-            acc += fold(start, (start + REDUCE_CHUNK).min(x.len()));
-        }
-        return acc;
-    }
-    let mut partials = vec![0.0f32; n_parts];
-    par_chunks(bk, &mut partials, PARTIALS_PER_TASK, |lo, piece| {
-        for (pi, p) in piece.iter_mut().enumerate() {
-            let start = (lo + pi) * REDUCE_CHUNK;
-            *p = fold(start, (start + REDUCE_CHUNK).min(x.len()));
-        }
-    });
+pub fn bce_fwd(x: &[f32], y: &[f32]) -> f32 {
     let mut acc = 0.0f32;
-    for p in partials {
-        acc += p;
+    for (xs, ys) in x.chunks(REDUCE_CHUNK).zip(y.chunks(REDUCE_CHUNK)) {
+        let mut part = 0.0f32;
+        for (&xi, &yi) in xs.iter().zip(ys) {
+            part += xi.max(0.0) - xi * yi + (1.0 + (-xi.abs()).exp()).ln();
+        }
+        acc += part;
     }
     acc
 }
 
 /// BCE-with-logits backward: `scale * (σ(x) - y)` elementwise.
-pub fn bce_bwd(bk: &dyn Backend, x: &[f32], y: &[f32], scale: f32) -> Vec<f32> {
-    let mut out = vec![0.0f32; x.len()];
-    par_chunks(bk, &mut out, ELEM_CHUNK, |lo, piece| {
-        let len = piece.len();
-        for ((o, &xi), &yi) in piece.iter_mut().zip(&x[lo..lo + len]).zip(&y[lo..lo + len]) {
-            *o = scale * (1.0 / (1.0 + (-xi).exp()) - yi);
-        }
-    });
-    out
+pub fn bce_bwd(x: &[f32], y: &[f32], scale: f32) -> Vec<f32> {
+    x.iter()
+        .zip(y)
+        .map(|(&xi, &yi)| scale * (1.0 / (1.0 + (-xi).exp()) - yi))
+        .collect()
 }
 
 // --------------------------------------------------------------- optimizer
@@ -1216,7 +876,6 @@ pub fn bce_bwd(bk: &dyn Backend, x: &[f32], y: &[f32], scale: f32) -> Vec<f32> {
 /// estimates in place. `bc1`/`bc2` are the bias-correction denominators.
 #[allow(clippy::too_many_arguments)]
 pub fn adam_step(
-    bk: &dyn Backend,
     w: &mut [f32],
     g: &[f32],
     m: &mut [f32],
@@ -1230,39 +889,13 @@ pub fn adam_step(
     bc2: f32,
 ) {
     debug_assert!(w.len() == g.len() && w.len() == m.len() && w.len() == v.len());
-    let n = w.len();
-    if n == 0 {
-        return;
+    for (((wi, &gi), mi), vi) in w.iter_mut().zip(g).zip(m.iter_mut()).zip(v.iter_mut()) {
+        *mi = beta1 * *mi + (1.0 - beta1) * gi;
+        *vi = beta2 * *vi + (1.0 - beta2) * gi * gi;
+        let m_hat = *mi / bc1;
+        let v_hat = *vi / bc2;
+        *wi -= lr * (m_hat / (v_hat.sqrt() + eps) + weight_decay * *wi);
     }
-    let (pw, pm, pv) = (
-        MutPtr(w.as_mut_ptr()),
-        MutPtr(m.as_mut_ptr()),
-        MutPtr(v.as_mut_ptr()),
-    );
-    bk.run_tasks(n.div_ceil(ELEM_CHUNK), &|t| {
-        let lo = t * ELEM_CHUNK;
-        let hi = (lo + ELEM_CHUNK).min(n);
-        // SAFETY: disjoint [lo, hi) ranges of three live allocations.
-        let (ws, ms, vs) = unsafe {
-            (
-                std::slice::from_raw_parts_mut(pw.get().add(lo), hi - lo),
-                std::slice::from_raw_parts_mut(pm.get().add(lo), hi - lo),
-                std::slice::from_raw_parts_mut(pv.get().add(lo), hi - lo),
-            )
-        };
-        for (((wi, &gi), mi), vi) in ws
-            .iter_mut()
-            .zip(&g[lo..hi])
-            .zip(ms.iter_mut())
-            .zip(vs.iter_mut())
-        {
-            *mi = beta1 * *mi + (1.0 - beta1) * gi;
-            *vi = beta2 * *vi + (1.0 - beta2) * gi * gi;
-            let m_hat = *mi / bc1;
-            let v_hat = *vi / bc2;
-            *wi -= lr * (m_hat / (v_hat.sqrt() + eps) + weight_decay * *wi);
-        }
-    });
 }
 
 // ----------------------------------------------------------------- ranking
@@ -1338,12 +971,12 @@ mod tests {
                         let (a, b) = (values(n * k), values(k * m));
                         let mut base = [vec![0.0f32; n * m], vec![0.0f32; n * m]];
                         let mut wide = base.clone();
-                        matmul_rows_baseline::<false>(&a, &b, &mut base[0], 0, k, m);
-                        matmul_rows_baseline::<true>(&a, &b, &mut base[1], 0, k, m);
+                        matmul_rows_baseline::<false>(&a, &b, &mut base[0], k, m);
+                        matmul_rows_baseline::<true>(&a, &b, &mut base[1], k, m);
                         // SAFETY: `has_avx2()` was checked above.
                         unsafe {
-                            matmul_rows_avx2::<false>(&a, &b, &mut wide[0], 0, k, m);
-                            matmul_rows_avx2::<true>(&a, &b, &mut wide[1], 0, k, m);
+                            matmul_rows_avx2::<false>(&a, &b, &mut wide[0], k, m);
+                            matmul_rows_avx2::<true>(&a, &b, &mut wide[1], k, m);
                         }
                         for (skip_zero, (base, wide)) in base.iter().zip(&wide).enumerate() {
                             for (at, (x, y)) in base.iter().zip(wide).enumerate() {

@@ -17,16 +17,13 @@
 //!   initialisation.
 //! * [`optim`] — `Adam` and `Sgd` optimizers with gradient clipping.
 //! * [`serialize`] — JSON checkpointing of named parameter sets.
-//! * [`kernels`] — the pluggable compute backend that owns every inner loop
-//!   (`Serial` and the deterministic multi-threaded `Parallel`); selected
-//!   process-wide via [`kernels::set_threads`] or the `LOGCL_THREADS`
-//!   environment variable.
+//! * [`kernels`] — every inner loop, run on the calling thread with a fixed
+//!   per-element flop order.
 //!
 //! The design goal is correctness and debuggability over raw speed: every op
 //! has a straightforward reference implementation and a gradient that is
-//! verified against finite differences in the test-suite. Both backends are
-//! bit-identical on every kernel (see [`kernels`] for the determinism
-//! contract), so the backend choice never affects results — only wall-clock.
+//! verified against finite differences in the test-suite. Results depend on
+//! the inputs' bits alone (see [`kernels`] for the determinism contract).
 //!
 //! ## Example
 //!

@@ -4,7 +4,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::autograd::Var;
-use crate::kernels::{self, ops};
+use crate::kernels::ops;
 use crate::nn::ParamSet;
 use crate::serialize::{CheckpointError, TensorRecord};
 use crate::tensor::Tensor;
@@ -15,7 +15,7 @@ pub fn clip_grad_norm(params: &[Var], max_norm: f32) -> f32 {
     let mut total = 0.0f32;
     for p in params {
         if let Some(g) = p.grad() {
-            total += ops::sum_sq(&*kernels::backend(), g.data());
+            total += ops::sum_sq(g.data());
         }
     }
     let norm = total.sqrt();
@@ -105,7 +105,6 @@ impl Adam {
                 (self.beta1, self.beta2, self.eps, self.lr, self.weight_decay);
             p.update_value(|value| {
                 ops::adam_step(
-                    &*kernels::backend(),
                     value.data_mut(),
                     grad.data(),
                     m.data_mut(),

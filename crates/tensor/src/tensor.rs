@@ -9,8 +9,7 @@
 //! (ranking, metric computation) uses them directly.
 //!
 //! No compute loop lives here: every op validates shapes and dispatches to
-//! [`crate::kernels`], which executes it on the process-wide backend
-//! (serial or deterministic multi-threaded — bit-identical either way).
+//! [`crate::kernels`].
 
 use std::sync::Arc;
 
@@ -259,7 +258,7 @@ impl Tensor {
             self.shape
         );
         let (r, c) = (self.shape[0], self.shape[1]);
-        let out = ops::transpose2(&*kernels::backend(), &self.data, r, c);
+        let out = ops::transpose2(&self.data, r, c);
         Tensor::from_vec(out, &[c, r])
     }
 
@@ -269,27 +268,25 @@ impl Tensor {
     pub fn unary(&self, op: Unary) -> Tensor {
         Tensor {
             shape: self.shape.clone(),
-            data: Arc::new(ops::unary(&*kernels::backend(), op, &self.data)),
+            data: Arc::new(ops::unary(op, &self.data)),
         }
     }
 
     /// In-place variant of [`Tensor::unary`].
     pub fn unary_inplace(&mut self, op: Unary) {
-        ops::unary_inplace(&*kernels::backend(), op, self.data_mut());
+        ops::unary_inplace(op, self.data_mut());
     }
 
     /// Applies a named binary kernel with broadcasting.
     pub fn binary(&self, other: &Tensor, op: Binary) -> Tensor {
-        let bk = kernels::backend();
         if self.shape == other.shape {
             return Tensor {
                 shape: self.shape.clone(),
-                data: Arc::new(ops::binary(&*bk, op, &self.data, &other.data)),
+                data: Arc::new(ops::binary(op, &self.data, &other.data)),
             };
         }
         let out_shape = shape::broadcast_shape(&self.shape, &other.shape);
         let data = ops::binary_bcast(
-            &*bk,
             op,
             &self.data,
             &self.shape,
@@ -370,21 +367,20 @@ impl Tensor {
     /// `self += other` where shapes match exactly.
     pub fn add_assign(&mut self, other: &Tensor) {
         assert_eq!(self.shape, other.shape, "add_assign shape mismatch");
-        ops::add_assign(&*kernels::backend(), self.data_mut(), &other.data);
+        ops::add_assign(self.data_mut(), &other.data);
     }
 
     /// `self += s * other` (axpy) where shapes match exactly.
     pub fn axpy(&mut self, s: f32, other: &Tensor) {
         assert_eq!(self.shape, other.shape, "axpy shape mismatch");
-        ops::axpy(&*kernels::backend(), self.data_mut(), s, &other.data);
+        ops::axpy(self.data_mut(), s, &other.data);
     }
 
     // ----------------------------------------------------------- reductions
 
-    /// Sum of all elements (fixed-shape reduction tree; identical on every
-    /// backend and thread count).
+    /// Sum of all elements (fixed-shape reduction tree).
     pub fn sum_all(&self) -> f32 {
-        ops::sum(&*kernels::backend(), &self.data)
+        ops::sum(&self.data)
     }
 
     /// Mean of all elements.
@@ -408,7 +404,7 @@ impl Tensor {
             self.shape,
             target
         );
-        let data = ops::reduce_to(&*kernels::backend(), &self.data, &self.shape, target);
+        let data = ops::reduce_to(&self.data, &self.shape, target);
         Tensor::from_vec(data, target)
     }
 
@@ -416,10 +412,9 @@ impl Tensor {
     pub fn mean_rows(&self) -> Tensor {
         assert_eq!(self.rank(), 2);
         let (n, d) = (self.shape[0], self.shape[1]);
-        let bk = kernels::backend();
-        let mut out = ops::col_sums(&*bk, &self.data, n, d);
+        let mut out = ops::col_sums(&self.data, n, d);
         if n > 0 {
-            ops::unary_inplace(&*bk, Unary::Scale(1.0 / n as f32), &mut out);
+            ops::unary_inplace(Unary::Scale(1.0 / n as f32), &mut out);
         }
         Tensor::from_vec(out, &[d])
     }
@@ -428,7 +423,7 @@ impl Tensor {
     pub fn max_per_row(&self) -> Tensor {
         assert_eq!(self.rank(), 2);
         let (n, d) = (self.shape[0], self.shape[1]);
-        let out = ops::max_per_row(&*kernels::backend(), &self.data, n, d);
+        let out = ops::max_per_row(&self.data, n, d);
         Tensor::from_vec(out, &[n])
     }
 
@@ -440,7 +435,7 @@ impl Tensor {
     /// [`Tensor::matmul_sparse_lhs`] when the lhs is known to be sparse.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         let (n, k, m) = self.matmul_dims(other);
-        let out = ops::matmul(&*kernels::backend(), &self.data, &other.data, n, k, m);
+        let out = ops::matmul(kernels::backend(), &self.data, &other.data, n, k, m);
         Tensor::from_vec(out, &[n, m])
     }
 
@@ -449,7 +444,7 @@ impl Tensor {
     /// [`Tensor::matmul`] up to floating-point summation order.
     pub fn matmul_sparse_lhs(&self, other: &Tensor) -> Tensor {
         let (n, k, m) = self.matmul_dims(other);
-        let out = ops::matmul_sparse_lhs(&*kernels::backend(), &self.data, &other.data, n, k, m);
+        let out = ops::matmul_sparse_lhs(&self.data, &other.data, n, k, m);
         Tensor::from_vec(out, &[n, m])
     }
 
@@ -474,14 +469,14 @@ impl Tensor {
 
     /// Frobenius / L2 norm of the whole tensor.
     pub fn norm(&self) -> f32 {
-        ops::sum_sq(&*kernels::backend(), &self.data).sqrt()
+        ops::sum_sq(&self.data).sqrt()
     }
 
     /// Row-wise softmax of a rank-2 tensor (numerically stabilised).
     pub fn softmax_rows(&self) -> Tensor {
         assert_eq!(self.rank(), 2);
         let (n, d) = (self.shape[0], self.shape[1]);
-        let out = ops::softmax_rows(&*kernels::backend(), &self.data, n, d);
+        let out = ops::softmax_rows(&self.data, n, d);
         Tensor::from_vec(out, &[n, d])
     }
 
@@ -495,7 +490,7 @@ impl Tensor {
             // logcl-allow(L002): bounds contract, same class as the adjacent asserts — a bad index is a caller bug, not a representable state
             panic!("gather index {bad} out of bounds {}", self.shape[0]);
         }
-        let data = ops::gather_rows(&*kernels::backend(), &self.data, d, idx);
+        let data = ops::gather_rows(&self.data, d, idx);
         Tensor::from_vec(data, &[idx.len(), d])
     }
 
@@ -510,7 +505,7 @@ impl Tensor {
             panic!("scatter index {bad} out of bounds {n}");
         }
         let d = self.shape[1];
-        let data = ops::scatter_add_rows(&*kernels::backend(), &self.data, d, idx, n);
+        let data = ops::scatter_add_rows(&self.data, d, idx, n);
         Tensor::from_vec(data, &[n, d])
     }
 

@@ -14,7 +14,7 @@ WORK=$(mktemp -d)
 SRV_PID=""
 trap '[ -n "$SRV_PID" ] && kill -9 "$SRV_PID" 2>/dev/null; rm -rf "$WORK"' EXIT
 
-MODEL_FLAGS=(--preset icews14 --scale 0.15 --dim 8 --m 2 --threads 1)
+MODEL_FLAGS=(--preset icews14 --scale 0.15 --dim 8 --m 2)
 
 wait_healthz() {
   for _ in $(seq 1 150); do
