@@ -22,6 +22,8 @@
 //! `(max, Σ exp(x - max))` so a merger can rebuild numerically equal (but
 //! not bit-equal) probabilities; rankings never depend on them.
 
+use logcl_tensor::kernels::{ops, Unary};
+
 /// Which contiguous slice of the entity vocabulary one worker scores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSpec {
@@ -131,10 +133,14 @@ pub struct SoftmaxStat {
 impl SoftmaxStat {
     /// Computes the stats for one shard's score slice, with the same
     /// max-fold and left-to-right summation as
-    /// [`crate::predict::topk_from_scores`].
+    /// [`crate::predict::topk_from_scores`]. The `exp`s go through the
+    /// kernel layer's `Unary::Exp`, whose lane copies have libm's bits on
+    /// every input.
     pub fn from_scores(scores: &[f32]) -> Self {
         let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let sum_exp: f32 = scores.iter().map(|&x| (x - max).exp()).sum();
+        let mut exps: Vec<f32> = scores.iter().map(|&x| x - max).collect();
+        ops::unary_inplace(Unary::Exp, &mut exps);
+        let sum_exp: f32 = exps.iter().sum();
         Self { max, sum_exp }
     }
 

@@ -5,6 +5,8 @@
 //! Every output element is computed with a fixed, input-independent flop
 //! order (see the module docs of [`super`] for the full contract).
 
+#[cfg(target_arch = "x86_64")]
+use super::lanes::Lanes;
 use super::Serial;
 use crate::shape;
 
@@ -37,8 +39,11 @@ pub enum Unary {
     Cos,
 }
 
+/// The definition of every unary op, and the reference its kernels are held
+/// to: the lane copies of `Tanh`, `Exp` and `Sigmoid` (`lanes.rs`) equal it
+/// bit for bit, and run it for the inputs they do not cover.
 #[inline(always)]
-fn unary_eval(op: Unary, x: f32) -> f32 {
+pub(super) fn unary_eval(op: Unary, x: f32) -> f32 {
     match op {
         Unary::Scale(s) => x * s,
         Unary::AddScalar(s) => x + s,
@@ -84,6 +89,12 @@ macro_rules! with_unary {
 
 /// Applies a named unary op elementwise.
 pub fn unary(op: Unary, x: &[f32]) -> Vec<f32> {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(lanes) = Lanes::new(detect(), op) {
+        let mut out = x.to_vec();
+        lanes.run(&mut out);
+        return out;
+    }
     let mut out = vec![0.0f32; x.len()];
     with_unary!(op, |f| {
         for (o, &v) in out.iter_mut().zip(x) {
@@ -95,6 +106,11 @@ pub fn unary(op: Unary, x: &[f32]) -> Vec<f32> {
 
 /// In-place variant of [`unary`].
 pub fn unary_inplace(op: Unary, x: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(lanes) = Lanes::new(detect(), op) {
+        lanes.run(x);
+        return;
+    }
     with_unary!(op, |f| {
         for v in x.iter_mut() {
             *v = f(*v);
@@ -524,7 +540,8 @@ fn matmul_row_group<const R: usize, const W: usize, const SKIP_ZERO_LHS: bool>(
 /// is what a latency-bound tile is short of — in tiles of `W2` columns; an
 /// odd last row, or the only one (the decoder's `[1, D] · [D, |E|]`), goes
 /// alone in tiles of `W1`. Both widths are what eight vector registers of
-/// accumulators hold, so they double with the lane count.
+/// accumulators hold, so they double with the lane count — up to AVX2; see
+/// [`matmul_rows_avx512`] for the lone row's width at sixteen lanes.
 #[inline(always)]
 fn matmul_rows<const W2: usize, const W1: usize, const SKIP_ZERO_LHS: bool>(
     a: &[f32],
@@ -549,7 +566,7 @@ fn matmul_rows<const W2: usize, const W1: usize, const SKIP_ZERO_LHS: bool>(
 
 /// [`matmul_rows`] compiled for the build's baseline vector unit (SSE2 on
 /// x86-64, NEON on aarch64: four lanes). The only copy that runs on a CPU
-/// without AVX2.
+/// without AVX2 and FMA.
 fn matmul_rows_baseline<const SKIP_ZERO_LHS: bool>(
     a: &[f32],
     b: &[f32],
@@ -563,9 +580,9 @@ fn matmul_rows_baseline<const SKIP_ZERO_LHS: bool>(
 /// [`matmul_rows`] compiled for AVX2: the same source, so the same lane-wise
 /// multiplies and adds in the same order, at eight lanes instead of four.
 /// Enabling `avx2` does not enable `fma`, and Rust contracts `a * b + c` into
-/// a fused multiply-add under no setting, so the two copies agree bit for bit.
+/// a fused multiply-add under no setting, so the copies agree bit for bit.
 /// Calling it from code not itself compiled for AVX2 is `unsafe`: the CPU must
-/// have the feature (`is_x86_feature_detected!("avx2")`).
+/// have the feature.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn matmul_rows_avx2<const SKIP_ZERO_LHS: bool>(
@@ -578,25 +595,87 @@ fn matmul_rows_avx2<const SKIP_ZERO_LHS: bool>(
     matmul_rows::<32, 64, SKIP_ZERO_LHS>(a, b, out, k, m)
 }
 
-/// Which compiled copy of the matmul tile this process runs: `"avx2"` when
-/// the CPU has it (x86-64 only), else `"baseline"`. Detected once by `std`
-/// and cached; the kernel asks the same question on every call.
+/// [`matmul_rows`] compiled for AVX-512: sixteen lanes, the same source
+/// again. `avx512f` does imply `fma`, and still nothing contracts: Rust emits
+/// a fused multiply-add only for an explicit `mul_add`, which this source
+/// has none of. A lone row keeps 64-wide tiles (four registers, not the
+/// eight that would make 128): at 128 the decoder's `[1, D] · [D, 64]`
+/// products would fall through to 8-wide ones. Calling it from code not
+/// itself compiled for AVX-512 is `unsafe`: the CPU must have `avx512f`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn matmul_rows_avx512<const SKIP_ZERO_LHS: bool>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    m: usize,
+) {
+    matmul_rows::<64, 64, SKIP_ZERO_LHS>(a, b, out, k, m)
+}
+
+/// The compiled copies of the matmul tile and of the lane kernels
+/// (`lanes.rs`): one per vector unit, picked per call by [`detect`], and
+/// ordered by width.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(super) enum Isa {
+    /// The build's baseline (SSE2 on x86-64, NEON on aarch64); no lane
+    /// kernels, `tanh`/`exp`/`sigmoid` call libm per element.
+    Baseline,
+    /// AVX2 with FMA — the CPUs on which glibc's `expf` runs its FMA build.
+    Avx2,
+    /// AVX-512F (with AVX2 and FMA, which every such CPU has).
+    Avx512,
+}
+
+/// The copy this CPU runs. `std` detects the features once and caches them;
+/// every kernel call asks again.
+pub(super) fn detect() -> Isa {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::is_x86_feature_detected as has;
+        if has!("avx2") && has!("fma") {
+            return if has!("avx512f") {
+                Isa::Avx512
+            } else {
+                Isa::Avx2
+            };
+        }
+    }
+    Isa::Baseline
+}
+
+/// Which compiled copy of the matmul tile and the lane kernels this process
+/// runs: `"avx512"`, `"avx2"` (both x86-64 only) or `"baseline"`.
 pub fn isa() -> &'static str {
-    if has_avx2() {
-        "avx2"
-    } else {
-        "baseline"
+    match detect() {
+        Isa::Baseline => "baseline",
+        Isa::Avx2 => "avx2",
+        Isa::Avx512 => "avx512",
     }
 }
 
-fn has_avx2() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
+/// All of `a · b` into `out` on the copy `isa` names, or on this CPU's
+/// widest if `isa` is wider.
+fn matmul_rows_on<const SKIP_ZERO_LHS: bool>(
+    isa: Isa,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    m: usize,
+) {
+    // `detect()` names a copy only when `is_x86_feature_detected!` reports
+    // every feature it is compiled for, and a wider copy's CPU has the
+    // narrower copies' features too.
+    match isa.min(detect()) {
+        // SAFETY: this CPU has `avx512f` (above).
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { matmul_rows_avx512::<SKIP_ZERO_LHS>(a, b, out, k, m) },
+        // SAFETY: this CPU has `avx2` (above).
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe { matmul_rows_avx2::<SKIP_ZERO_LHS>(a, b, out, k, m) },
+        _ => matmul_rows_baseline::<SKIP_ZERO_LHS>(a, b, out, k, m),
     }
 }
 
@@ -610,17 +689,9 @@ fn matmul_impl<const SKIP_ZERO_LHS: bool>(
     debug_assert_eq!(a.len(), n * k);
     debug_assert_eq!(b.len(), k * m);
     let mut out = vec![0.0f32; n * m];
-    if out.is_empty() {
-        return out;
+    if !out.is_empty() {
+        matmul_rows_on::<SKIP_ZERO_LHS>(detect(), a, b, &mut out, k, m);
     }
-    #[cfg(target_arch = "x86_64")]
-    if has_avx2() {
-        // SAFETY: `has_avx2()` is `is_x86_feature_detected!("avx2")` on this
-        // CPU, which is all that calling an `avx2` target-feature function asks.
-        unsafe { matmul_rows_avx2::<SKIP_ZERO_LHS>(a, b, &mut out, k, m) };
-        return out;
-    }
-    matmul_rows_baseline::<SKIP_ZERO_LHS>(a, b, &mut out, k, m);
     out
 }
 
@@ -898,42 +969,7 @@ pub fn adam_step(
     }
 }
 
-// ----------------------------------------------------------------- ranking
-
-/// Indices of the `k` largest entries, descending, ties broken by index.
-pub fn topk(x: &[f32], k: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..x.len()).collect();
-    let k = k.min(idx.len());
-    idx.sort_by(|&a, &b| {
-        x[b].partial_cmp(&x[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    idx.truncate(k);
-    idx
-}
-
-/// 1-based filtered rank of `target`: strictly-greater count + 1, ignoring
-/// masked candidates (the target itself is never masked).
-pub fn rank_of(x: &[f32], target: usize, masked: &[usize]) -> usize {
-    let t = x[target];
-    let mut mask = vec![false; x.len()];
-    for &m in masked {
-        if m != target {
-            mask[m] = true;
-        }
-    }
-    let mut rank = 1usize;
-    for (i, &v) in x.iter().enumerate() {
-        if i == target || mask[i] {
-            continue;
-        }
-        if v > t {
-            rank += 1;
-        }
-    }
-    rank
-}
+// ------------------------------------------------------------------ checks
 
 /// True when every element is finite.
 pub fn all_finite(x: &[f32]) -> bool {
@@ -944,54 +980,60 @@ pub fn all_finite(x: &[f32]) -> bool {
 mod tests {
     use super::*;
 
-    /// The baseline and the AVX2 instantiation of [`matmul_rows`], called
-    /// directly on the same inputs: `matmul` only ever runs the one the CPU
-    /// selects, so without this the other copy would go untested on any
-    /// given host.
+    /// Every compiled copy of [`matmul_rows`] the CPU has, called directly
+    /// on the same inputs and held to the baseline's bits: `matmul` only ever
+    /// runs the one [`detect`] picks, so without this the others would go
+    /// untested on any given host.
     #[test]
-    fn both_compiled_copies_of_the_matmul_tile_agree_bit_for_bit() {
-        #[cfg(target_arch = "x86_64")]
-        if has_avx2() {
-            let mut rng = crate::Rng::seed(21);
-            // Zeros for the sparse-lhs skip, an infinity for `inf · 0` NaNs.
-            let mut values = |len: usize| -> Vec<f32> {
-                let normals = crate::Tensor::randn(&[len.max(1)], 1.0, &mut rng);
-                (0..len)
-                    .map(|i| match i % 7 {
-                        0 => 0.0,
-                        3 => -0.0,
-                        5 if i % 35 == 5 => f32::INFINITY,
-                        _ => normals.data()[i],
-                    })
-                    .collect()
-            };
-            for n in [1usize, 2, 3, 5] {
-                for k in [0usize, 1, 64] {
-                    for m in [1usize, 7, 15, 16, 17, 31, 32, 33, 64, 65, 96, 200] {
-                        let (a, b) = (values(n * k), values(k * m));
-                        let mut base = [vec![0.0f32; n * m], vec![0.0f32; n * m]];
-                        let mut wide = base.clone();
-                        matmul_rows_baseline::<false>(&a, &b, &mut base[0], k, m);
-                        matmul_rows_baseline::<true>(&a, &b, &mut base[1], k, m);
-                        // SAFETY: `has_avx2()` was checked above.
-                        unsafe {
-                            matmul_rows_avx2::<false>(&a, &b, &mut wide[0], k, m);
-                            matmul_rows_avx2::<true>(&a, &b, &mut wide[1], k, m);
-                        }
+    fn every_compiled_copy_of_the_matmul_tile_agrees_bit_for_bit() {
+        let mut copies = vec![Isa::Baseline];
+        if matches!(detect(), Isa::Avx2 | Isa::Avx512) {
+            copies.push(Isa::Avx2);
+        }
+        if detect() == Isa::Avx512 {
+            copies.push(Isa::Avx512);
+        }
+        let mut rng = crate::Rng::seed(21);
+        // Zeros for the sparse-lhs skip, an infinity for `inf · 0` NaNs.
+        let mut values = |len: usize| -> Vec<f32> {
+            let normals = crate::Tensor::randn(&[len.max(1)], 1.0, &mut rng);
+            (0..len)
+                .map(|i| match i % 7 {
+                    0 => 0.0,
+                    3 => -0.0,
+                    5 if i % 35 == 5 => f32::INFINITY,
+                    _ => normals.data()[i],
+                })
+                .collect()
+        };
+        for n in [1usize, 2, 3, 5] {
+            for k in [0usize, 1, 64] {
+                for m in [
+                    1usize, 7, 15, 16, 17, 31, 32, 33, 63, 64, 65, 96, 127, 128, 129, 200,
+                ] {
+                    let (a, b) = (values(n * k), values(k * m));
+                    let run = |isa: Isa| {
+                        let mut out = [vec![0.0f32; n * m], vec![0.0f32; n * m]];
+                        matmul_rows_on::<false>(isa, &a, &b, &mut out[0], k, m);
+                        matmul_rows_on::<true>(isa, &a, &b, &mut out[1], k, m);
+                        out
+                    };
+                    let base = run(Isa::Baseline);
+                    for &isa in &copies[1..] {
+                        let wide = run(isa);
                         for (skip_zero, (base, wide)) in base.iter().zip(&wide).enumerate() {
                             for (at, (x, y)) in base.iter().zip(wide).enumerate() {
                                 assert!(
                                     x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
                                     "n={n} k={k} m={m} skip_zero={skip_zero}: element {at} is \
-                                     {x:e} at four lanes, {y:e} at eight"
+                                     {x:e} on the baseline copy, {y:e} on {isa:?}"
                                 );
                             }
                         }
                     }
                 }
             }
-            return;
         }
-        println!("skipped: no AVX2 here, so the baseline copy is the only one compiled in or run");
+        println!("compared {copies:?}");
     }
 }

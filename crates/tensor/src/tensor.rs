@@ -509,22 +509,6 @@ impl Tensor {
         Tensor::from_vec(data, &[n, d])
     }
 
-    // -------------------------------------------------------------- ranking
-
-    /// Indices of the `k` largest entries of a rank-1 tensor, descending.
-    pub fn topk(&self, k: usize) -> Vec<usize> {
-        assert_eq!(self.rank(), 1);
-        ops::topk(&self.data, k)
-    }
-
-    /// 1-based rank of `target` in a score vector under "average over ties of
-    /// strictly-greater + 1" semantics, ignoring indices in `masked` (treated
-    /// as removed candidates).
-    pub fn rank_of(&self, target: usize, masked: &[usize]) -> usize {
-        assert_eq!(self.rank(), 1);
-        ops::rank_of(&self.data, target, masked)
-    }
-
     /// True when every element is finite.
     pub fn all_finite(&self) -> bool {
         ops::all_finite(&self.data)
@@ -640,20 +624,6 @@ mod tests {
         assert_eq!(g.data(), &[5.0, 6.0, 1.0, 2.0, 5.0, 6.0]);
         let s = g.scatter_add_rows(&[2, 0, 2], 3);
         assert_eq!(s.data(), &[1.0, 2.0, 0.0, 0.0, 10.0, 12.0]);
-    }
-
-    #[test]
-    fn topk_orders_descending() {
-        let t = Tensor::from_vec(vec![0.1, 0.9, 0.5, 0.9], &[4]);
-        assert_eq!(t.topk(3), vec![1, 3, 2]); // tie broken by index
-    }
-
-    #[test]
-    fn rank_of_with_mask() {
-        let t = Tensor::from_vec(vec![0.9, 0.8, 0.7, 0.6], &[4]);
-        assert_eq!(t.rank_of(2, &[]), 3);
-        assert_eq!(t.rank_of(2, &[0]), 2); // best candidate filtered out
-        assert_eq!(t.rank_of(2, &[2]), 3); // target itself never masked
     }
 
     #[test]

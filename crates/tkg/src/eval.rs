@@ -113,6 +113,14 @@ impl RankAccumulator {
     }
 }
 
+/// True when a candidate scored `sc` ranks ahead of a target scored
+/// `target`: strictly greater, and a NaN target — which a sound model never
+/// produces — behind every number, as `logcl_core::shard::rank_order` puts
+/// NaN after every number. Equal scores, and two NaNs, do not outrank.
+fn outranks(sc: f32, target: f32) -> bool {
+    sc > target || (target.is_nan() && !sc.is_nan())
+}
+
 /// Computes the time-aware filtered 1-based rank of the true object of `q`
 /// within `scores` (one score per candidate entity). `truth_at_t` is the set
 /// of `(s, r, o)` facts true at the query timestamp, inverse-closed.
@@ -131,7 +139,7 @@ pub fn rank_time_aware(
         if truth_at_t.contains(&(q.s, q.r, o)) {
             continue; // filtered: another true answer at the same timestamp
         }
-        if sc > target_score {
+        if outranks(sc, target_score) {
             rank += 1;
         }
     }
@@ -144,7 +152,7 @@ pub fn rank_raw(scores: &[f32], target: usize) -> usize {
     1 + scores
         .iter()
         .enumerate()
-        .filter(|&(o, &sc)| o != target && sc > target_score)
+        .filter(|&(o, &sc)| o != target && outranks(sc, target_score))
         .count()
 }
 
@@ -224,5 +232,28 @@ mod tests {
         // Equal scores do not outrank the target (strictly-greater rule).
         let scores = vec![0.5, 0.5, 0.5];
         assert_eq!(rank_raw(&scores, 1), 1);
+    }
+
+    #[test]
+    fn nan_target_ranks_after_every_unfiltered_number() {
+        let scores = vec![0.9, f32::NAN, f32::NEG_INFINITY, f32::NAN, 0.1];
+        let q = Quad::new(7, 1, 1, 5);
+        let mut truth = BTreeSet::new();
+        // Behind 0.9, -inf and 0.1; the other NaN ties with it.
+        assert_eq!(rank_time_aware(&scores, &q, &truth), 4);
+        assert_eq!(rank_raw(&scores, 1), 4);
+        // A filtered candidate does not count, a number or not.
+        truth.insert((7, 1, 0));
+        truth.insert((7, 1, 3));
+        assert_eq!(rank_time_aware(&scores, &q, &truth), 3);
+    }
+
+    #[test]
+    fn nan_candidate_does_not_outrank_a_number() {
+        let scores = vec![f32::NAN, 0.5, f32::NAN, 0.7];
+        let q = Quad::new(0, 0, 1, 0);
+        assert_eq!(rank_time_aware(&scores, &q, &BTreeSet::new()), 2);
+        assert_eq!(rank_raw(&scores, 1), 2);
+        assert_eq!(rank_raw(&scores, 3), 1);
     }
 }
