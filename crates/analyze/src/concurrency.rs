@@ -456,7 +456,10 @@ fn scan_body(model: &Model<'_>, f: &FnRef<'_>) -> BodyFindings {
 
     // Records events in [from, to) against the guards live right now
     // (minus the binding target, for binding statements).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a nested fn: the walk's state is passed in, there is no closure to capture it"
+    )]
     fn events(
         model: &Model<'_>,
         file: &SourceFile,

@@ -2,9 +2,9 @@
 //!
 //! Scoping lives *here*, in one audited table, rather than as inline
 //! `logcl-allow` noise: a crate that is exempt from a lint by design (e.g.
-//! `bench` stamps `Instant`-derived wall times into its BENCH_*.json
-//! reports, and `cli` prints wall-clock progress) is excluded by path
-//! prefix, and DESIGN.md documents each exclusion. Inline allows are
+//! `benchmark`, whose load driver speaks HTTP on its own, is outside the
+//! wire-boundary lint) is excluded by path prefix, and DESIGN.md documents
+//! each exclusion. Inline allows are
 //! reserved for *individual* justified sites inside an in-scope file.
 //!
 //! Rules:
@@ -48,62 +48,6 @@ pub fn globally_exempt(path: &str) -> bool {
 pub const L001_SCOPE: Scope = Scope {
     include: &["crates/", "src/"],
     exclude: &["crates/tensor/src/kernels/", "crates/analyze/"],
-};
-
-/// L002 panic-freedom: no unwrap/expect/panic-family macros in non-test
-/// library code of the fail-closed crates (PR 2's contract).
-pub const L002_SCOPE: Scope = Scope {
-    include: &[
-        "crates/tensor/src/",
-        "crates/gnn/src/",
-        "crates/core/src/",
-        "crates/tkg/src/",
-        "crates/serve/src/",
-        "crates/cluster/src/",
-        "crates/analyze/src/",
-    ],
-    exclude: &[],
-};
-
-/// L003 (collections rule): hash-ordered containers are banned in compute,
-/// model, and serving paths — ordered collections or sorted drains only.
-/// `bench` and `cli` are excluded by design: they are presentation-layer
-/// code whose outputs are either explicitly sorted or human-facing logs.
-pub const L003_COLLECTIONS_SCOPE: Scope = Scope {
-    include: &[
-        "crates/tensor/src/",
-        "crates/gnn/src/",
-        "crates/core/src/",
-        "crates/tkg/src/",
-        "crates/baselines/src/",
-        "crates/serve/src/",
-        "crates/cluster/src/",
-        "crates/loadgen/src/",
-    ],
-    exclude: &[],
-};
-
-/// L003 (time-source rule): wall-clock reads are banned in compute/model
-/// paths. `serve` is additionally excluded here (but *not* from the
-/// collections rule): request timing, request deadlines, and latency
-/// metrics are wall-clock by nature and never feed model math. `bench`
-/// and `cli` are excluded for the same reason as above — `bench` exists
-/// to stamp `Instant`-derived wall times into BENCH_*.json.
-///
-/// `loadgen` IS in scope with one narrow carve-out: its schedule, histogram
-/// and report modules must stay deterministic (the seeded-schedule guarantee
-/// depends on it), so only `timing.rs` — the harness's single clock
-/// module — may read the wall clock.
-pub const L003_TIME_SCOPE: Scope = Scope {
-    include: &[
-        "crates/tensor/src/",
-        "crates/gnn/src/",
-        "crates/core/src/",
-        "crates/tkg/src/",
-        "crates/baselines/src/",
-        "crates/loadgen/src/",
-    ],
-    exclude: &["crates/loadgen/src/timing.rs"],
 };
 
 /// L004 fsync-discipline: any file that both creates files and renames
@@ -245,25 +189,10 @@ mod tests {
     fn scope_prefix_logic() {
         assert!(L001_SCOPE.contains("crates/gnn/src/rgcn.rs"));
         assert!(!L001_SCOPE.contains("crates/tensor/src/kernels/ops.rs"));
-        assert!(L003_COLLECTIONS_SCOPE.contains("crates/serve/src/server.rs"));
-        assert!(!L003_TIME_SCOPE.contains("crates/serve/src/server.rs"));
-        assert!(!L003_TIME_SCOPE.contains("crates/bench/src/common.rs"));
-        // Loadgen: deterministic modules are time-checked, the clock module
-        // is the single carve-out — and the carve-out must not leak to
-        // siblings, to other crates' files of the same name, or to the
-        // collections rule.
-        assert!(L003_TIME_SCOPE.contains("crates/loadgen/src/schedule.rs"));
-        assert!(L003_TIME_SCOPE.contains("crates/loadgen/src/runner.rs"));
-        assert!(!L003_TIME_SCOPE.contains("crates/loadgen/src/timing.rs"));
-        assert!(L003_COLLECTIONS_SCOPE.contains("crates/loadgen/src/timing.rs"));
-        assert!(L003_COLLECTIONS_SCOPE.contains("crates/loadgen/src/hist.rs"));
-        assert!(L003_TIME_SCOPE.contains("crates/loadgen/src/timing_helpers.rs"));
         assert!(L008_SCOPE.contains("crates/serve/src/batcher.rs"));
         assert!(!L008_SCOPE.contains("crates/serve/src/fault.rs"));
         // Router crate: linted like serve, except its gated fault module and
-        // its telemetry plane — and it keeps wall-clock freedom (timeouts,
-        // backoff and probes are wall-clock by nature, like serve's timing).
-        assert!(L002_SCOPE.contains("crates/cluster/src/router.rs"));
+        // its telemetry plane.
         assert!(L005_SCOPE.contains("crates/cluster/src/router.rs"));
         assert!(L008_SCOPE.contains("crates/cluster/src/router.rs"));
         assert!(!L008_SCOPE.contains("crates/cluster/src/fault.rs"));
@@ -271,17 +200,14 @@ mod tests {
         assert!(L010_SCOPE.contains("crates/cluster/src/client.rs"));
         assert!(L011_SCOPE.contains("crates/cluster/src/health.rs"));
         assert!(!L011_SCOPE.contains("crates/cluster/src/metrics.rs"));
-        assert!(!L003_TIME_SCOPE.contains("crates/cluster/src/router.rs"));
-        assert!(L003_COLLECTIONS_SCOPE.contains("crates/cluster/src/merge.rs"));
         assert!(L009_SCOPE.contains("crates/serve/src/wal.rs"));
         assert!(L009_SCOPE.contains("crates/tensor/src/kernels/ops.rs"));
         assert!(!L010_SCOPE.contains("crates/tensor/src/parallel_glue.rs"));
         assert!(L011_SCOPE.contains("crates/serve/src/shed.rs"));
         assert!(!L011_SCOPE.contains("crates/serve/src/metrics.rs"));
         // The wire boundary: http.rs is the one hole in L012's outbound
-        // rule, and being the boundary buys it nothing else — its new client
-        // half answers to the panic-freedom and typed-error lints like the
-        // rest of serve.
+        // rule, and being the boundary buys it nothing else — its client half
+        // answers to the typed-error lint like the rest of serve.
         assert!(!L012_OUTBOUND_SCOPE.contains("crates/serve/src/http.rs"));
         assert!(L012_OUTBOUND_SCOPE.contains("crates/serve/src/server.rs"));
         assert!(L012_OUTBOUND_SCOPE.contains("crates/cluster/src/client.rs"));
@@ -296,7 +222,6 @@ mod tests {
         for scope in [L012_SCOPE, L012_OUTBOUND_SCOPE, L012_INBOUND_SCOPE] {
             assert!(!scope.contains("crates/benchmark/src/load.rs"));
         }
-        assert!(L002_SCOPE.contains("crates/serve/src/http.rs"));
         assert!(L006_SCOPE.contains("crates/serve/src/http.rs"));
     }
 

@@ -233,15 +233,6 @@ pub fn lock_graph_dot_root(root: &Path) -> Result<String, EngineError> {
     Ok(crate::concurrency::lock_graph_dot(&refs))
 }
 
-/// Per-`(lint, path)` diagnostic counts — the ratchet's unit of account.
-pub fn count_by_lint_and_path(diags: &[Diagnostic]) -> BTreeMap<(String, String), u32> {
-    let mut counts: BTreeMap<(String, String), u32> = BTreeMap::new();
-    for d in diags {
-        *counts.entry((d.lint.clone(), d.path.clone())).or_insert(0) += 1;
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,9 +245,9 @@ mod tests {
     fn allows_suppress_and_unused_allows_fire() {
         let files = [src(
             "crates/core/src/x.rs",
-            "// logcl-allow(L002): documented contract\nfn f() { a.unwrap(); }\n\
-             fn g() { b.unwrap(); } // logcl-allow(L002): also fine\n\
-             // logcl-allow(L002): nothing below violates\nfn h() {}\n",
+            "// logcl-allow(L001): documented seam\nfn f() { a.split_at_mut(1); }\n\
+             fn g() { b.chunks_mut(2); } // logcl-allow(L001): also fine\n\
+             // logcl-allow(L001): nothing below violates\nfn h() {}\n",
         )];
         let a = analyze_sources(&files);
         assert_eq!(a.suppressed, 2);
@@ -269,11 +260,11 @@ mod tests {
     fn allow_for_wrong_lint_does_not_suppress() {
         let files = [src(
             "crates/core/src/x.rs",
-            "fn f() { a.unwrap(); } // logcl-allow(L003): wrong id\n",
+            "fn f() { a.split_at_mut(1); } // logcl-allow(L004): wrong id\n",
         )];
         let a = analyze_sources(&files);
         let lints: Vec<&str> = a.diagnostics.iter().map(|d| d.lint.as_str()).collect();
-        assert!(lints.contains(&"L002"), "{lints:?}");
+        assert!(lints.contains(&"L001"), "{lints:?}");
         assert!(lints.contains(&"L000"), "unused wrong-id allow: {lints:?}");
     }
 
@@ -281,32 +272,31 @@ mod tests {
     fn out_of_scope_paths_are_not_linted() {
         let files = [
             src(
-                "crates/bench/src/x.rs",
-                "fn f() { let t = Instant::now(); }",
+                "crates/tensor/src/kernels/x.rs",
+                "fn f() { a.split_at_mut(1); }",
             ),
-            src("crates/cli/src/x.rs", "fn f() { let m: HashMap<u8,u8>; }"),
-            src("crates/core/tests/x.rs", "fn f() { a.unwrap(); }"),
+            src(
+                "crates/benchmark/src/x.rs",
+                "fn f() { std::net::TcpListener::bind(a); }",
+            ),
+            src("crates/core/tests/x.rs", "fn f() { a.split_at_mut(1); }"),
         ];
         let a = analyze_sources(&files);
         assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
     }
 
     #[test]
-    fn diagnostics_sorted_and_counted() {
+    fn diagnostics_sorted() {
         let files = [src(
             "crates/core/src/x.rs",
-            "fn f() { b.unwrap(); a.unwrap(); }\nfn g() { c.expect(\"x\"); }\n",
+            "fn f() { b.split_at_mut(1); a.chunks_mut(2); }\nfn g() { c.as_mut_ptr(); }\n",
         )];
         let a = analyze_sources(&files);
         assert_eq!(a.diagnostics.len(), 3);
+        assert!(a.diagnostics.iter().all(|d| d.lint == "L001"));
         assert!(a
             .diagnostics
             .windows(2)
             .all(|w| { (&w[0].path, w[0].line, w[0].col) <= (&w[1].path, w[1].line, w[1].col) }));
-        let counts = count_by_lint_and_path(&a.diagnostics);
-        assert_eq!(
-            counts[&("L002".to_string(), "crates/core/src/x.rs".to_string())],
-            3
-        );
     }
 }

@@ -462,11 +462,11 @@ let c = 'x'; let d = '\n';
 
     #[test]
     fn comment_capture_and_standalone_flag() {
-        let src = "// logcl-allow(L002): top\nlet x = 1; // trailing\n";
+        let src = "// logcl-allow(L011): top\nlet x = 1; // trailing\n";
         let lexed = lex(src);
         assert_eq!(lexed.comments.len(), 2);
         assert!(lexed.comments[0].standalone);
-        assert!(lexed.comments[0].text.contains("logcl-allow(L002)"));
+        assert!(lexed.comments[0].text.contains("logcl-allow(L011)"));
         assert!(!lexed.comments[1].standalone);
         assert_eq!(lexed.comments[1].line, 2);
     }

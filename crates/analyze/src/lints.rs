@@ -2,8 +2,8 @@
 //!
 //! Each lint is a pure function over one lexed [`SourceFile`]; scoping
 //! (which paths it applies to) lives in [`crate::config`], and suppression
-//! (`logcl-allow`) plus the baseline ratchet are applied by the engine
-//! afterwards, so lints here simply report every match.
+//! (`logcl-allow`) is applied by the engine afterwards, so lints here simply
+//! report every match.
 
 use crate::config::{self, Scope};
 use crate::lexer::{Tok, Token};
@@ -59,7 +59,7 @@ pub struct LintDef {
     pub origin: &'static str,
     /// How (and over what granularity) the lint runs.
     pub pass: LintPass,
-    /// Path scope. Lints with several rule groups (L003) check additional
+    /// Path scope. Lints with several rule groups (L012) check additional
     /// scopes internally; this is the union.
     pub scope: Scope,
 }
@@ -84,22 +84,6 @@ pub fn registry() -> &'static [LintDef] {
             origin: "PR 3 (pluggable Backend, bit-identical kernels)",
             pass: LintPass::PerFile(l001_kernel_boundary),
             scope: config::L001_SCOPE,
-        },
-        LintDef {
-            id: "L002",
-            name: "panic-freedom",
-            invariant: "no unwrap/expect/panic!/unreachable!/todo! in non-test library code",
-            origin: "PR 2 (fail-closed training and serving)",
-            pass: LintPass::PerFile(l002_panic_freedom),
-            scope: config::L002_SCOPE,
-        },
-        LintDef {
-            id: "L003",
-            name: "determinism",
-            invariant: "no hash-ordered iteration or wall-clock reads in compute/model paths",
-            origin: "PR 3 (bit-identical kernels) + paper Eq. 9-14 aggregation order",
-            pass: LintPass::PerFile(l003_determinism),
-            scope: config::L003_COLLECTIONS_SCOPE,
         },
         LintDef {
             id: "L004",
@@ -352,127 +336,6 @@ fn l012_wire_boundary(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                  accept connections through logcl_serve::listener::Listener"
                     .into(),
             ));
-        }
-    }
-}
-
-// --------------------------------------------------------------------- L002
-
-/// Panic paths in library code: `.unwrap()`, `.expect(…)`, and the
-/// panic-family macros. Test code (`#[cfg(test)]` bodies, `tests/` dirs)
-/// keeps its unwraps. `assert!`/`debug_assert!` are deliberately out of
-/// scope: they state documented caller contracts, not input-dependent
-/// failure paths (see DESIGN.md).
-fn l002_panic_freedom(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    let ts = &file.tokens;
-    for i in 0..ts.len() {
-        if file.in_test_code(i) {
-            continue;
-        }
-        if match_at(
-            ts,
-            i,
-            &[Pat::P('.'), Pat::I("unwrap"), Pat::P('('), Pat::P(')')],
-        ) {
-            out.push(Diagnostic::new(
-                "L002",
-                file,
-                &ts[i + 1],
-                "`.unwrap()` in library code — return a typed error (or recover) instead; \
-                 the fail-closed contract (PR 2) forbids panicking on representable states"
-                    .into(),
-            ));
-        }
-        if match_at(ts, i, &[Pat::P('.'), Pat::I("expect"), Pat::P('(')]) {
-            out.push(Diagnostic::new(
-                "L002",
-                file,
-                &ts[i + 1],
-                "`.expect(…)` in library code — return a typed error (or recover) instead".into(),
-            ));
-        }
-        for mac in ["panic", "unreachable", "todo", "unimplemented"] {
-            if match_at(ts, i, &[Pat::I(mac), Pat::P('!')]) {
-                out.push(Diagnostic::new(
-                    "L002",
-                    file,
-                    &ts[i],
-                    format!(
-                        "`{mac}!` in library code — convert to a typed error, or justify the \
-                         invariant with `// logcl-allow(L002): reason`"
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-// --------------------------------------------------------------------- L003
-
-/// Nondeterminism sources in compute/model paths.
-///
-/// Rule 1 (collections): `HashMap`/`HashSet`/`FxHashMap`/`FxHashSet` are
-/// hash-ordered; iterating one feeds arbitrary order into float
-/// accumulation (the exact failure mode of the paper's Eq. 9-14 two-phase
-/// aggregation). Use `BTreeMap`/`BTreeSet` or an explicit sorted drain.
-/// Scope includes `serve` (caches and vocabularies feed responses).
-///
-/// Rule 2 (time sources): `Instant::now`/`SystemTime::now`/
-/// `available_parallelism` make compute depend on wall clock or host
-/// topology. Scope excludes `serve` (request timing is wall-clock by
-/// nature) and `bench`/`cli` via config.
-fn l003_determinism(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    let ts = &file.tokens;
-    let collections = config::L003_COLLECTIONS_SCOPE.contains(&file.path);
-    let time = config::L003_TIME_SCOPE.contains(&file.path);
-    for i in 0..ts.len() {
-        if file.in_test_code(i) {
-            continue;
-        }
-        if collections && !file.in_use_statement(i) {
-            for name in ["HashMap", "HashSet", "FxHashMap", "FxHashSet"] {
-                if ts[i].tok.is_ident(name) {
-                    out.push(Diagnostic::new(
-                        "L003",
-                        file,
-                        &ts[i],
-                        format!(
-                            "`{name}` in a compute/model/serving path — hash iteration order is \
-                             arbitrary; use BTreeMap/BTreeSet or a sorted drain (or justify a \
-                             lookup-only use with logcl-allow)"
-                        ),
-                    ));
-                }
-            }
-        }
-        if time {
-            for src in ["Instant", "SystemTime"] {
-                if match_at(
-                    ts,
-                    i,
-                    &[Pat::I(src), Pat::P(':'), Pat::P(':'), Pat::I("now")],
-                ) {
-                    out.push(Diagnostic::new(
-                        "L003",
-                        file,
-                        &ts[i],
-                        format!(
-                            "`{src}::now()` in a compute path — wall-clock reads make results \
-                             or control flow time-dependent"
-                        ),
-                    ));
-                }
-            }
-            if ts[i].tok.is_ident("available_parallelism") && !file.in_use_statement(i) {
-                out.push(Diagnostic::new(
-                    "L003",
-                    file,
-                    &ts[i],
-                    "`available_parallelism()` in a compute path — thread-count-dependent \
-                     branching; kernels must be bit-identical across thread counts (PR 3)"
-                        .into(),
-                ));
-            }
         }
     }
 }
@@ -1018,32 +881,6 @@ mod tests {
             LintPass::Workspace(run) => run(&[&f], &mut out),
         }
         out
-    }
-
-    #[test]
-    fn l002_flags_unwrap_and_macros_but_not_unwrap_or() {
-        let src = "fn f() { a.unwrap(); b.unwrap_or(0); c.expect(\"x\"); panic!(\"no\"); }";
-        let d = run_lint("L002", "crates/core/src/x.rs", src);
-        let kinds: Vec<&str> = d
-            .iter()
-            .map(|d| d.message.split_whitespace().next().unwrap_or(""))
-            .collect();
-        assert_eq!(d.len(), 3, "{kinds:?}");
-    }
-
-    #[test]
-    fn l003_flags_hashmap_use_but_not_import_or_btree() {
-        let src = "use std::collections::HashMap;\nfn f() { let m: HashMap<u8,u8> = HashMap::new(); let b = std::collections::BTreeMap::<u8,u8>::new(); }";
-        let d = run_lint("L003", "crates/core/src/x.rs", src);
-        assert_eq!(d.len(), 2); // two non-import HashMap occurrences
-        assert!(d.iter().all(|d| d.line == 2));
-    }
-
-    #[test]
-    fn l003_time_rule_not_applied_in_serve() {
-        let src = "fn f() { let t = Instant::now(); }";
-        assert!(run_lint("L003", "crates/serve/src/x.rs", src).is_empty());
-        assert_eq!(run_lint("L003", "crates/core/src/x.rs", src).len(), 1);
     }
 
     #[test]

@@ -3,28 +3,36 @@
 //! ```text
 //! cargo run -p logcl-analyze -- check                 # human output, exit 1 on violations
 //! cargo run -p logcl-analyze -- check --json          # machine output (schema_version'd)
-//! cargo run -p logcl-analyze -- check --update-baseline
 //! cargo run -p logcl-analyze -- lints                 # list registered lints
 //! cargo run -p logcl-analyze -- graph --dot           # L009 lock-order graph as DOT
 //! ```
 
+// Panic-freedom (DESIGN.md, "Lint table"): non-test code calls no
+// unwrap/expect/panic-family macro. A justified site carries
+// `#[expect(…, reason = "…")]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use logcl_analyze::baseline::{self, Verdict};
-use logcl_analyze::engine::{
-    analyze_root, count_by_lint_and_path, find_workspace_root, lock_graph_dot_root,
-};
-use logcl_analyze::lints::{lint_rows, registry, Diagnostic};
-
-const DEFAULT_BASELINE: &str = "analyze.baseline";
+use logcl_analyze::engine::{analyze_root, find_workspace_root, lock_graph_dot_root};
+use logcl_analyze::lints::{lint_rows, registry};
 
 struct Options {
     command: Command,
     json: bool,
-    update_baseline: bool,
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
 }
 
 enum Command {
@@ -52,8 +60,7 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage: logcl-analyze <check|lints|graph> [--json] [--dot] \
-                     [--update-baseline] [--root DIR] [--baseline FILE]";
+const USAGE: &str = "usage: logcl-analyze <check|lints|graph> [--json] [--dot] [--root DIR]";
 
 fn parse_args() -> Result<Options, String> {
     let mut args = std::env::args().skip(1);
@@ -67,9 +74,7 @@ fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         command,
         json: false,
-        update_baseline: false,
         root: None,
-        baseline: None,
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -77,15 +82,9 @@ fn parse_args() -> Result<Options, String> {
             // `graph` always emits DOT; the flag is accepted for
             // self-documenting invocations (`analyze graph --dot`).
             "--dot" => {}
-            "--update-baseline" => opts.update_baseline = true,
             "--root" => {
                 opts.root = Some(PathBuf::from(
                     args.next().ok_or("--root needs a directory")?,
-                ))
-            }
-            "--baseline" => {
-                opts.baseline = Some(PathBuf::from(
-                    args.next().ok_or("--baseline needs a file path")?,
                 ))
             }
             other => return Err(format!("unknown flag {other:?}")),
@@ -150,11 +149,6 @@ fn run_check(opts: &Options) -> ExitCode {
         Ok(r) => r,
         Err(code) => return code,
     };
-    let baseline_path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| root.join(DEFAULT_BASELINE));
-
     let analysis = match analyze_root(&root) {
         Ok(a) => a,
         Err(e) => {
@@ -162,66 +156,29 @@ fn run_check(opts: &Options) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let base = match baseline::load(&baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    if opts.update_baseline {
-        let counts = count_by_lint_and_path(&analysis.diagnostics);
-        let rendered = baseline::render(&counts);
-        if let Err(e) = std::fs::write(&baseline_path, rendered) {
-            eprintln!("writing {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "baseline updated: {} entries ({} diagnostics) written to {}",
-            counts.len(),
-            analysis.diagnostics.len(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let verdict = baseline::compare(&analysis.diagnostics, &base);
     if opts.json {
-        println!(
-            "{}",
-            render_json(&analysis.diagnostics, &verdict, &analysis)
-        );
+        println!("{}", render_json(&analysis));
     } else {
-        render_human(&verdict, &analysis);
+        render_human(&analysis);
     }
-    if verdict.ok() {
+    if analysis.diagnostics.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
     }
 }
 
-fn render_human(verdict: &Verdict, analysis: &logcl_analyze::Analysis) {
-    for d in &verdict.new_violations {
+fn render_human(analysis: &logcl_analyze::Analysis) {
+    for d in &analysis.diagnostics {
         println!("{}:{}:{} {} {}", d.path, d.line, d.col, d.lint, d.message);
     }
-    for (lint, path, base, now) in &verdict.stale {
-        println!(
-            "stale baseline: {lint} {path} recorded {base}, now {now} — debt shrank; run \
-             `cargo run -p logcl-analyze -- check --update-baseline` to lock it in"
-        );
-    }
     println!(
-        "logcl-analyze: {} files scanned, {} new violation(s), {} stale baseline entr(ies), \
-         {} tolerated by baseline, {} suppressed by logcl-allow",
+        "logcl-analyze: {} files scanned, {} violation(s), {} suppressed by logcl-allow",
         analysis.files_scanned,
-        verdict.new_violations.len(),
-        verdict.stale.len(),
-        verdict.tolerated,
+        analysis.diagnostics.len(),
         analysis.suppressed,
     );
-    if verdict.ok() {
+    if analysis.diagnostics.is_empty() {
         println!("logcl-analyze: OK");
     }
 }
@@ -242,30 +199,18 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-fn render_json(
-    all: &[Diagnostic],
-    verdict: &Verdict,
-    analysis: &logcl_analyze::Analysis,
-) -> String {
-    let diag_json = |d: &Diagnostic| {
-        format!(
-            "{{\"lint\":\"{}\",\"path\":\"{}\",\"line\":{},\"col\":{},\"message\":\"{}\"}}",
-            json_escape(&d.lint),
-            json_escape(&d.path),
-            d.line,
-            d.col,
-            json_escape(&d.message)
-        )
-    };
-    let new: Vec<String> = verdict.new_violations.iter().map(diag_json).collect();
-    let stale: Vec<String> = verdict
-        .stale
+fn render_json(analysis: &logcl_analyze::Analysis) -> String {
+    let violations: Vec<String> = analysis
+        .diagnostics
         .iter()
-        .map(|(lint, path, base, now)| {
+        .map(|d| {
             format!(
-                "{{\"lint\":\"{}\",\"path\":\"{}\",\"baseline\":{base},\"now\":{now}}}",
-                json_escape(lint),
-                json_escape(path)
+                "{{\"lint\":\"{}\",\"path\":\"{}\",\"line\":{},\"col\":{},\"message\":\"{}\"}}",
+                json_escape(&d.lint),
+                json_escape(&d.path),
+                d.line,
+                d.col,
+                json_escape(&d.message)
             )
         })
         .collect();
@@ -275,16 +220,12 @@ fn render_json(
     let mut lints: Vec<String> = vec!["\"L000\"".into()];
     lints.extend(registry().iter().map(|l| format!("\"{}\"", l.id)));
     format!(
-        "{{\"schema_version\":1,\"lints\":[{}],\"ok\":{},\"files_scanned\":{},\
-         \"total_diagnostics\":{},\"suppressed\":{},\
-         \"tolerated\":{},\"new_violations\":[{}],\"stale_baseline\":[{}]}}",
+        "{{\"schema_version\":2,\"lints\":[{}],\"ok\":{},\"files_scanned\":{},\
+         \"suppressed\":{},\"violations\":[{}]}}",
         lints.join(","),
-        verdict.ok(),
+        analysis.diagnostics.is_empty(),
         analysis.files_scanned,
-        all.len(),
         analysis.suppressed,
-        verdict.tolerated,
-        new.join(","),
-        stale.join(",")
+        violations.join(",")
     )
 }

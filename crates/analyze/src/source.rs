@@ -11,7 +11,7 @@ use crate::lexer::{lex, Lexed, Tok, Token};
 /// One inline suppression: `// logcl-allow(L00x): reason`.
 #[derive(Debug, Clone)]
 pub struct Allow {
-    /// The suppressed lint id (e.g. `"L002"`).
+    /// The suppressed lint id (e.g. `"L011"`).
     pub lint: String,
     /// 1-based line of the comment.
     pub line: u32,
@@ -568,11 +568,11 @@ mod tests {
 
     #[test]
     fn allow_parsing_good_and_bad() {
-        let src = "// logcl-allow(L003): lookup-only map\nlet x = 1;\n// logcl-allow(L3): typo\n// logcl-allow(L004):\n";
+        let src = "// logcl-allow(L011): telemetry counter\nlet x = 1;\n// logcl-allow(L3): typo\n// logcl-allow(L004):\n";
         let f = SourceFile::parse("x.rs", src);
         assert_eq!(f.allows.len(), 1);
-        assert_eq!(f.allows[0].lint, "L003");
-        assert_eq!(f.allows[0].reason, "lookup-only map");
+        assert_eq!(f.allows[0].lint, "L011");
+        assert_eq!(f.allows[0].reason, "telemetry counter");
         assert!(f.allows[0].standalone);
         assert_eq!(f.bad_allows.len(), 2);
     }
@@ -657,7 +657,7 @@ trait T { fn decl_only(&self); }
 
     #[test]
     fn next_code_line_skips_blank_and_comment_lines() {
-        let src = "// logcl-allow(L002): reason\n\n// another comment\nx.unwrap();\n";
+        let src = "// logcl-allow(L011): reason\n\n// another comment\nx.fetch_add(1);\n";
         let f = SourceFile::parse("x.rs", src);
         assert_eq!(f.next_code_line(1), Some(4));
     }

@@ -21,6 +21,12 @@
 //! Every model implements [`logcl_core::TkgModel`], so the same two-phase
 //! time-aware-filtered evaluation driver produces every number.
 
+// Determinism (DESIGN.md, "Lint table"): non-test code uses nothing
+// `clippy.toml` disallows. A justified site carries
+// `#[expect(…, reason = "…")]`.
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+#![deny(clippy::allow_attributes_without_reason)]
+
 pub mod cen;
 pub mod cenet;
 pub mod cygnet;

@@ -37,7 +37,10 @@ impl RecurrentEncoder {
     }
 
     /// Evolves embeddings over snapshots `t_q − m .. t_q − 1`.
-    #[allow(clippy::too_many_arguments)] // mirrors the encoder call signature used across models
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors the encoder call signature used across models"
+    )]
     pub fn encode(
         &self,
         h0: &Var,

@@ -357,7 +357,10 @@ mod tests {
     /// keep the connection alive, `false` says `Connection: close` — then
     /// drops it and says so on `closed`. Joins to the requests it was sent
     /// and whether anyone connected after the script ran out.
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "the address, the close signal and the join handle, named at the call site"
+    )]
     fn keeping_worker(
         script: Vec<Vec<bool>>,
     ) -> (

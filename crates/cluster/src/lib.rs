@@ -27,6 +27,24 @@
 //! never reaches a default build) the `fault` module injects deterministic
 //! faults at the router's network boundaries for chaos testing.
 
+// Panic-freedom and determinism (DESIGN.md, "Lint table"): non-test
+// code calls no unwrap/expect/panic-family macro and uses nothing
+// `clippy.toml` disallows. A justified site carries
+// `#[expect(…, reason = "…")]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_types
+    )
+)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 pub mod client;
 pub mod config;
 #[cfg(feature = "fault-inject")]

@@ -346,8 +346,10 @@ struct Attempt {
 }
 
 /// Where a hop handed off the connection thread picks up.
-// A few per fan-out, moved once: not worth a box.
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "a few per fan-out, moved once: not worth a box"
+)]
 enum Resume {
     /// Nothing written yet: the worker had no idle connection (a connect
     /// may block), or the fault seam holds the hop back by this stall.
@@ -423,6 +425,10 @@ fn write(
 }
 
 /// [`write`] off the connection thread, where a connect may block.
+#[expect(
+    clippy::unreachable,
+    reason = "a write that may connect always writes or fails; `None` is only \"none idle, may not connect\""
+)]
 fn connect_and_write(
     ctx: &RouterCtx,
     shard: usize,
@@ -430,7 +436,6 @@ fn connect_and_write(
     out: Outbound<'_>,
 ) -> Result<Attempt, HopError> {
     write(ctx, shard, replica, out, true)
-        // logcl-allow(L002): a write that may connect always writes or fails; `None` is only "none idle, may not connect"
         .unwrap_or_else(|| unreachable!("a write that may connect returned no outcome"))
 }
 
@@ -516,8 +521,10 @@ fn shard_plan(ctx: &RouterCtx, shard: usize) -> Plan {
 /// The first attempt's write half, on the connection thread: the fault
 /// seams, then the request on an idle connection. Nothing here waits: `Err`
 /// is where the hop picks up once it is handed off.
-// `Resume` is large only for `Race`, which `begin` never returns.
-#[allow(clippy::result_large_err)]
+#[expect(
+    clippy::result_large_err,
+    reason = "`Resume` is large only for `Race`, which `begin` never returns"
+)]
 fn begin(ctx: &RouterCtx, plan: &Plan, out: Outbound<'_>) -> Result<Attempt, Resume> {
     let replica = plan.order[0];
     match seam(ctx, plan.shard, replica) {

@@ -14,6 +14,25 @@
 //!   and the online-update protocol of Fig. 10.
 //! * [`predict`] — top-k readable predictions for the Table VI case study.
 
+// Panic-freedom and determinism (DESIGN.md, "Lint table"): non-test
+// code calls no unwrap/expect/panic-family macro and uses nothing
+// `clippy.toml` disallows. A justified site carries
+// `#[expect(…, reason = "…")]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_types,
+        clippy::disallowed_methods
+    )
+)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 pub mod api;
 pub mod checkpoint;
 pub mod config;

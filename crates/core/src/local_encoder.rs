@@ -199,7 +199,11 @@ impl LocalEncoder {
     ///
     /// `h0` / `rel0` are the initial (possibly noise-perturbed) embeddings;
     /// `num_entities` anchors the scatter target size.
-    #[allow(clippy::too_many_arguments, clippy::needless_range_loop)] // t drives both indexing and the interval d
+    #[expect(
+        clippy::too_many_arguments,
+        clippy::needless_range_loop,
+        reason = "t drives both indexing and the interval d"
+    )]
     pub fn encode(
         &self,
         h0: &Var,

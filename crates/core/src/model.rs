@@ -558,7 +558,10 @@ impl LogCl {
                 assert_eq!(enc_g.rows.len(), shared.h0.shape()[0]);
                 (g.clone(), enc_g.h_agg.clone())
             }
-            // logcl-allow(L002): LogClConfig validation rejects configs with no encoder; both-None is unrepresentable here
+            #[expect(
+                clippy::unreachable,
+                reason = "LogClConfig validation rejects configs with no encoder; both-None is unrepresentable here"
+            )]
             (None, None) => unreachable!("config validation requires an encoder"),
         };
 

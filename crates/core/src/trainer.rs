@@ -433,7 +433,8 @@ pub fn online_adapt(
             // Restore cannot fail: the capture was taken from this very
             // model moments ago, so names and shapes match.
             let restored = good.restore_into(model, &mut opt);
-            restored.expect("restoring a same-process capture"); // logcl-allow(L002): infallible by construction
+            #[expect(clippy::expect_used, reason = "infallible by construction")]
+            restored.expect("restoring a same-process capture");
             report.rolled_back = true;
             report.steps = 0;
             report.last_loss = None;

@@ -18,6 +18,25 @@
 //!   entity-aware attention mechanisms (Eq. 9–11 and 13–14).
 //! * [`conv_transe::ConvTransE`] — the decoder of Eq. 18.
 
+// Panic-freedom and determinism (DESIGN.md, "Lint table"): non-test
+// code calls no unwrap/expect/panic-family macro and uses nothing
+// `clippy.toml` disallows. A justified site carries
+// `#[expect(…, reason = "…")]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_types,
+        clippy::disallowed_methods
+    )
+)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 pub mod aggregator;
 pub mod attention;
 pub mod compgcn;

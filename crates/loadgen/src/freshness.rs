@@ -17,8 +17,8 @@
 //! counted as violations; the caller decides whether violations fail the
 //! run.
 //!
-//! All wall-clock reads go through [`crate::timing::Clock`] (`logcl-analyze`
-//! rule L003 bans `Instant::now()` elsewhere in this crate).
+//! All wall-clock reads go through [`crate::timing::Clock`] (the crate's
+//! `clippy.toml` bans `Instant::now()` elsewhere in it).
 
 use std::time::Duration;
 

@@ -19,7 +19,13 @@
 //! - [`freshness`] measures ingest-to-visible latency: how long after an
 //!   acked head append the new timestamp answers `/predict`.
 //! - [`timing`] is the only module allowed to read the wall clock
-//!   (enforced by `logcl-analyze` rule L003).
+//!   (enforced by the crate's `clippy.toml`).
+
+// Determinism (DESIGN.md, "Lint table"): non-test code uses nothing
+// `clippy.toml` disallows. A justified site carries
+// `#[expect(…, reason = "…")]`.
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+#![deny(clippy::allow_attributes_without_reason)]
 
 pub mod freshness;
 pub mod hist;

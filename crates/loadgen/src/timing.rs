@@ -1,11 +1,15 @@
 //! The harness's single wall-clock module.
 //!
-//! `logcl-analyze` rule L003 bans `Instant::now()` across loadgen source so
+//! The crate's `clippy.toml` bans `Instant::now()` across loadgen source so
 //! that schedule construction, histogram math and report generation stay
 //! deterministic and unit-testable; this module is the one carved-out
-//! exception (`crates/loadgen/src/timing.rs` is excluded from the rule's
-//! time scope). Everything else in the crate works with plain `u64`
+//! exception. Everything else in the crate works with plain `u64`
 //! microsecond *offsets* from a [`Clock`]'s start.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the harness's single clock module: every wall-clock read in loadgen is here"
+)]
 
 use std::time::{Duration, Instant};
 

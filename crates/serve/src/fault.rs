@@ -9,8 +9,9 @@
 //!
 //! Faults are scheduled deterministically: a [`FaultPlan`] is installed
 //! once per test, decisions are pure functions of the plan's seed and a
-//! monotone call counter (no wall-clock randomness, consistent with lint
-//! L003), so a chaos run replays bit-identically for a fixed seed.
+//! monotone call counter (no wall-clock randomness, consistent with the
+//! determinism rules), so a chaos run replays bit-identically for a fixed
+//! seed.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

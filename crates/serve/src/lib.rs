@@ -36,6 +36,24 @@
 //! Start one with [`Server::start`] and a [`ServeConfig`]; see the README's
 //! "Serving" section for the HTTP API.
 
+// Panic-freedom and determinism (DESIGN.md, "Lint table"): non-test
+// code calls no unwrap/expect/panic-family macro and uses nothing
+// `clippy.toml` disallows. A justified site carries
+// `#[expect(…, reason = "…")]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_types
+    )
+)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 pub mod answer;
 pub mod batcher;
 pub mod cache;

@@ -16,8 +16,11 @@ impl Var {
         let (n, c) = (logits.shape()[0], logits.shape()[1]);
         assert_eq!(targets.len(), n, "cross_entropy target count mismatch");
         assert!(n > 0, "cross_entropy on empty batch");
+        #[expect(
+            clippy::panic,
+            reason = "bounds contract, same class as the adjacent asserts — a bad target is a caller bug, not a representable state"
+        )]
         if let Some(&bad) = targets.iter().find(|&&t| t >= c) {
-            // logcl-allow(L002): bounds contract, same class as the adjacent asserts — a bad target is a caller bug, not a representable state
             panic!("target {bad} out of bounds for {c} classes");
         }
         let loss = ops::cross_entropy_fwd(logits.data(), n, c, targets) / n as f32;

@@ -23,7 +23,6 @@ mod loss;
 mod ops;
 
 use std::cell::{Cell, Ref, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::tensor::Tensor;
@@ -248,8 +247,12 @@ impl Var {
         // Topological order over the needs_grad subgraph.
         let order = topo_order(self);
         // Transient gradient accumulation keyed by node pointer.
-        // logcl-allow(L003): lookup-only map (never iterated) — traversal order comes from `order`, so hash order cannot leak into results
-        let mut grads: HashMap<*const Node, Tensor> = HashMap::with_capacity(order.len());
+        #[expect(
+            clippy::disallowed_types,
+            reason = "lookup-only map (never iterated) — traversal order comes from `order`, so hash order cannot leak into results"
+        )]
+        let mut grads: std::collections::HashMap<*const Node, Tensor> =
+            std::collections::HashMap::with_capacity(order.len());
         grads.insert(Rc::as_ptr(&self.node), seed);
 
         for var in order.iter().rev() {
@@ -294,8 +297,11 @@ impl Var {
 /// the `needs_grad` subgraph rooted at `root`.
 fn topo_order(root: &Var) -> Vec<Var> {
     let mut order: Vec<Var> = Vec::new();
-    // logcl-allow(L003): lookup-only visited-set (never iterated) — order comes from the DFS stack, so hash order cannot leak into results
-    let mut state: HashMap<*const Node, bool> = HashMap::new(); // false=open, true=done
+    #[expect(
+        clippy::disallowed_types,
+        reason = "lookup-only visited-set (never iterated) — order comes from the DFS stack, so hash order cannot leak into results"
+    )]
+    let mut state: std::collections::HashMap<*const Node, bool> = std::collections::HashMap::new(); // false=open, true=done
     let mut stack: Vec<(Var, usize)> = vec![(root.clone(), 0)];
     while let Some((var, child_idx)) = stack.pop() {
         let key = Rc::as_ptr(&var.node);

@@ -945,7 +945,10 @@ pub fn bce_bwd(x: &[f32], y: &[f32], scale: f32) -> Vec<f32> {
 
 /// Fused Adam update over one parameter: updates weights and both moment
 /// estimates in place. `bc1`/`bc2` are the bias-correction denominators.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one fused pass over the weights, both moments and the step's scalars"
+)]
 pub fn adam_step(
     w: &mut [f32],
     g: &[f32],

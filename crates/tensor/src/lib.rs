@@ -39,6 +39,26 @@
 //! assert_eq!(g.data(), &[4.0, 6.0]); // column sums of x
 //! ```
 
+// Panic-freedom and determinism (DESIGN.md, "Lint table"): non-test
+// code calls no unwrap/expect/panic-family macro and uses nothing
+// `clippy.toml` disallows. A justified site carries
+// `#[expect(…, reason = "…")]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_types,
+        clippy::disallowed_methods
+    )
+)]
+#![deny(clippy::allow_attributes_without_reason)]
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod autograd;
 pub mod kernels;
 pub mod nn;

@@ -36,7 +36,10 @@ pub fn broadcast_shape(a: &[usize], b: &[usize]) -> Vec<usize> {
             (x, y) if x == y => x,
             (1, y) => y,
             (x, 1) => x,
-            // logcl-allow(L002): shape contract — incompatible broadcast shapes are a caller bug, same class as the rank asserts
+            #[expect(
+                clippy::panic,
+                reason = "shape contract — incompatible broadcast shapes are a caller bug, same class as the rank asserts"
+            )]
             _ => panic!("shapes {a:?} and {b:?} are not broadcast-compatible"),
         };
     }

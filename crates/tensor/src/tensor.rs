@@ -486,8 +486,11 @@ impl Tensor {
     pub fn gather_rows(&self, idx: &[usize]) -> Tensor {
         assert_eq!(self.rank(), 2);
         let d = self.shape[1];
+        #[expect(
+            clippy::panic,
+            reason = "bounds contract, same class as the adjacent asserts — a bad index is a caller bug, not a representable state"
+        )]
         if let Some(&bad) = idx.iter().find(|&&i| i >= self.shape[0]) {
-            // logcl-allow(L002): bounds contract, same class as the adjacent asserts — a bad index is a caller bug, not a representable state
             panic!("gather index {bad} out of bounds {}", self.shape[0]);
         }
         let data = ops::gather_rows(&self.data, d, idx);
@@ -500,8 +503,11 @@ impl Tensor {
     pub fn scatter_add_rows(&self, idx: &[usize], n: usize) -> Tensor {
         assert_eq!(self.rank(), 2);
         assert_eq!(idx.len(), self.shape[0], "scatter index count mismatch");
+        #[expect(
+            clippy::panic,
+            reason = "bounds contract, same class as the adjacent asserts — a bad index is a caller bug, not a representable state"
+        )]
         if let Some(&bad) = idx.iter().find(|&&i| i >= n) {
-            // logcl-allow(L002): bounds contract, same class as the adjacent asserts — a bad index is a caller bug, not a representable state
             panic!("scatter index {bad} out of bounds {n}");
         }
         let d = self.shape[1];

@@ -22,6 +22,25 @@
 //! * [`extension`] — the serializable ingestion delta (appended facts +
 //!   advanced horizon) used by the serving stack's compaction snapshots.
 
+// Panic-freedom and determinism (DESIGN.md, "Lint table"): non-test
+// code calls no unwrap/expect/panic-family macro and uses nothing
+// `clippy.toml` disallows. A justified site carries
+// `#[expect(…, reason = "…")]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_types,
+        clippy::disallowed_methods
+    )
+)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 pub mod dataset;
 pub mod eval;
 pub mod extension;

@@ -1,8 +1,8 @@
 //! Determinism regression tests for the history/eval structures whose
 //! hash-ordered containers were replaced with ordered ones (`BTreeMap`/
-//! `BTreeSet`, lint L003): the observable outputs must not depend on
-//! insertion order or on which process run produced them — two runs must
-//! render byte-identical output.
+//! `BTreeSet`; the crate's `clippy.toml` disallows hash-ordered ones): the
+//! observable outputs must not depend on insertion order or on which
+//! process run produced them — two runs must render byte-identical output.
 
 use std::collections::BTreeSet;
 
