@@ -211,7 +211,7 @@ mod tests {
         assert!(!L012_OUTBOUND_SCOPE.contains("crates/serve/src/http.rs"));
         assert!(L012_OUTBOUND_SCOPE.contains("crates/serve/src/server.rs"));
         assert!(L012_OUTBOUND_SCOPE.contains("crates/cluster/src/client.rs"));
-        assert!(L012_OUTBOUND_SCOPE.contains("crates/loadgen/src/runner.rs"));
+        assert!(L012_OUTBOUND_SCOPE.contains("crates/loadgen/src/timing.rs"));
         assert!(L012_OUTBOUND_SCOPE.contains("crates/cli/src/commands.rs"));
         // listener.rs is the one hole in the inbound rule, and only there:
         // each boundary file answers to the other's rule.

@@ -33,10 +33,6 @@ commands:
                                                         --retries, --retry-base-ms,
                                                         --hedge-after-ms,
                                                         --probe-interval-ms)
-  loadgen    open-loop load generator for serve        (--rps, --duration-ms,
-                                                        --arrival, --predict-pct,
-                                                        --req-deadline-ms, --workers,
-                                                        --target, --freshness)
   help       this text
 
 flags:
@@ -105,26 +101,7 @@ flags:
                     been silent this long (0 disables)  [default 0]
   --probe-interval-ms MS
                     router health-probe interval for non-Up workers
-                                                        [default 250]
-  --rps F           loadgen offered rate, requests/s    [default 50]
-  --duration-ms MS  loadgen trace length                [default 3000]
-  --arrival A       constant | poisson | burst[:PERIOD_MS:DUTY_PCT:PEAK_MULT]
-                                                        [default poisson]
-  --predict-pct P   predict share of the mix, 0-100     [default 90]
-  --req-deadline-ms MS
-                    X-LogCL-Deadline-Ms budget per request; 0 sends none
-                                                        [default 250]
-  --deadline-jitter-pct P
-                    uniform deadline jitter, +/- percent [default 50]
-  --workers N       loadgen client threads              [default 16]
-  --target ADDR     drive an already-running server instead of booting one
-  --freshness       run the ingest-to-visible freshness scenario instead of
-                    the latency trace (requires a durable target booted by
-                    loadgen itself)
-  --freshness-rounds N
-                    ingest->predict rounds per freshness run [default 8]
-  --freshness-slo-ms MS
-                    ingest-to-visible latency objective  [default 1000]";
+                                                        [default 250]";
 
 /// Parsed CLI options (superset across commands).
 #[derive(Debug, Clone)]
@@ -189,28 +166,6 @@ pub struct CliOptions {
     pub hedge_after_ms: u64,
     /// Router health-probe interval (ms).
     pub probe_interval_ms: u64,
-    /// Loadgen offered rate, requests/second.
-    pub rps: f64,
-    /// Loadgen trace length (ms).
-    pub duration_ms: u64,
-    /// Loadgen arrival process spec.
-    pub arrival: String,
-    /// Loadgen predict share of the mix (0-100).
-    pub predict_pct: u8,
-    /// Loadgen per-request deadline budget (ms); 0 sends no header.
-    pub req_deadline_ms: u64,
-    /// Loadgen deadline jitter, ± percent of the base budget.
-    pub deadline_jitter_pct: u8,
-    /// Loadgen client worker threads.
-    pub workers: usize,
-    /// Loadgen external target (`host:port`); boots a server when absent.
-    pub target: Option<String>,
-    /// Run the loadgen freshness scenario instead of the latency trace.
-    pub freshness: bool,
-    /// Ingest→predict rounds per freshness run.
-    pub freshness_rounds: usize,
-    /// Ingest-to-visible latency objective (ms) for the freshness scenario.
-    pub freshness_slo_ms: u64,
 }
 
 impl Default for CliOptions {
@@ -259,17 +214,6 @@ impl Default for CliOptions {
             retry_base_ms: 20,
             hedge_after_ms: 0,
             probe_interval_ms: 250,
-            rps: 50.0,
-            duration_ms: 3_000,
-            arrival: "poisson".into(),
-            predict_pct: 90,
-            req_deadline_ms: 250,
-            deadline_jitter_pct: 50,
-            workers: 16,
-            target: None,
-            freshness: false,
-            freshness_rounds: 8,
-            freshness_slo_ms: 1_000,
         }
     }
 }
@@ -329,19 +273,6 @@ impl CliOptions {
                 "--retry-base-ms" => o.retry_base_ms = num(&value("--retry-base-ms")?)?,
                 "--hedge-after-ms" => o.hedge_after_ms = num(&value("--hedge-after-ms")?)?,
                 "--probe-interval-ms" => o.probe_interval_ms = num(&value("--probe-interval-ms")?)?,
-                "--rps" => o.rps = num(&value("--rps")?)?,
-                "--duration-ms" => o.duration_ms = num(&value("--duration-ms")?)?,
-                "--arrival" => o.arrival = value("--arrival")?.to_lowercase(),
-                "--predict-pct" => o.predict_pct = num(&value("--predict-pct")?)?,
-                "--req-deadline-ms" => o.req_deadline_ms = num(&value("--req-deadline-ms")?)?,
-                "--deadline-jitter-pct" => {
-                    o.deadline_jitter_pct = num(&value("--deadline-jitter-pct")?)?
-                }
-                "--workers" => o.workers = num(&value("--workers")?)?,
-                "--target" => o.target = Some(value("--target")?),
-                "--freshness" => o.freshness = true,
-                "--freshness-rounds" => o.freshness_rounds = num(&value("--freshness-rounds")?)?,
-                "--freshness-slo-ms" => o.freshness_slo_ms = num(&value("--freshness-slo-ms")?)?,
                 other => return Err(format!("unknown flag {other}")),
             }
         }
@@ -410,6 +341,17 @@ mod tests {
             &["--slo-max-rps", "800"],
             &["--validate", "BENCH_serve.json"],
             &["--threads", "4"],
+            &["--rps", "50"],
+            &["--duration-ms", "3000"],
+            &["--arrival", "poisson"],
+            &["--predict-pct", "90"],
+            &["--req-deadline-ms", "250"],
+            &["--deadline-jitter-pct", "50"],
+            &["--workers", "16"],
+            &["--target", "127.0.0.1:7878"],
+            &["--freshness"],
+            &["--freshness-rounds", "8"],
+            &["--freshness-slo-ms", "1000"],
         ] {
             let gone = CliOptions::parse(&strs(argv)).unwrap_err();
             assert_eq!(gone, format!("unknown flag {}", argv[0]));
@@ -491,57 +433,11 @@ mod tests {
     }
 
     #[test]
-    fn parses_loadgen_flags() {
-        let o = CliOptions::parse(&strs(&[
-            "--rps",
-            "120.5",
-            "--duration-ms",
-            "2000",
-            "--arrival",
-            "burst:500:30:8",
-            "--predict-pct",
-            "70",
-            "--req-deadline-ms",
-            "100",
-            "--deadline-jitter-pct",
-            "20",
-            "--workers",
-            "4",
-            "--target",
-            "127.0.0.1:7878",
-        ]))
-        .unwrap();
-        assert_eq!(o.rps, 120.5);
-        assert_eq!(o.duration_ms, 2000);
-        assert_eq!(o.arrival, "burst:500:30:8");
-        assert_eq!(o.predict_pct, 70);
-        assert_eq!(o.req_deadline_ms, 100);
-        assert_eq!(o.deadline_jitter_pct, 20);
-        assert_eq!(o.workers, 4);
-        assert_eq!(o.target.as_deref(), Some("127.0.0.1:7878"));
-    }
-
-    #[test]
     fn parses_streaming_flags() {
-        let o = CliOptions::parse(&strs(&[
-            "--online-steps",
-            "4",
-            "--freshness",
-            "--freshness-rounds",
-            "12",
-            "--freshness-slo-ms",
-            "500",
-        ]))
-        .unwrap();
+        let o = CliOptions::parse(&strs(&["--online-steps", "4"])).unwrap();
         assert_eq!(o.online_steps, 4);
-        assert!(o.freshness);
-        assert_eq!(o.freshness_rounds, 12);
-        assert_eq!(o.freshness_slo_ms, 500);
         let d = CliOptions::parse(&strs(&[])).unwrap();
         assert_eq!(d.online_steps, 1);
-        assert!(!d.freshness);
-        assert_eq!(d.freshness_rounds, 8);
-        assert_eq!(d.freshness_slo_ms, 1000);
     }
 
     #[test]
@@ -574,16 +470,6 @@ mod tests {
         assert!(d.shard.is_none() && d.shards.is_none());
         assert_eq!(d.retries, 2);
         assert_eq!(d.hedge_after_ms, 0);
-    }
-
-    #[test]
-    fn loadgen_defaults_are_sane() {
-        let o = CliOptions::parse(&strs(&[])).unwrap();
-        assert_eq!(o.rps, 50.0);
-        assert_eq!(o.duration_ms, 3_000);
-        assert_eq!(o.arrival, "poisson");
-        assert_eq!(o.workers, 16);
-        assert!(o.target.is_none());
     }
 
     #[test]

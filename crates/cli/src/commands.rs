@@ -407,8 +407,8 @@ pub fn serve(opts: &CliOptions) -> Result<(), String> {
 /// Fronts N `logcl serve --shard i/N` worker processes (given via
 /// `--shards`) with failover, bounded retries, optional predict hedging,
 /// and partial-result degradation when a shard stays down. The router
-/// speaks the same HTTP protocol as a single worker, so clients (and
-/// `logcl loadgen --target`) need no changes.
+/// speaks the same HTTP protocol as a single worker, so clients need no
+/// changes.
 pub fn router(opts: &CliOptions) -> Result<(), String> {
     let spec = opts
         .shards
@@ -442,188 +442,6 @@ pub fn router(opts: &CliOptions) -> Result<(), String> {
     println!("  POST /shutdown  graceful stop");
     router.run();
     println!("router stopped");
-    Ok(())
-}
-
-/// `logcl loadgen`: replay a seeded open-loop trace and print its summary.
-///
-/// Default mode boots an in-process server on an ephemeral port with an
-/// *untrained* model (the generator loads the serving stack, not model
-/// quality); `--target` drives an already-running server instead. Writes no
-/// file: the perf instrument is `crates/benchmark`.
-pub fn loadgen(opts: &CliOptions) -> Result<(), String> {
-    use logcl_loadgen::{runner, schedule};
-
-    // Dataset: explicit --data/--preset, else a default synthetic slice.
-    let ds = match (&opts.data, opts.preset) {
-        (None, None) => logcl_tkg::SyntheticPreset::Icews14.generate_scaled(opts.scale.min(0.15)),
-        _ => dataset(opts)?,
-    };
-
-    // Freshness mode: measure ingest-to-visible latency against a durable
-    // server booted here (the scenario appends at the head and reads the
-    // WAL-acked stream back, so it owns its server and WAL directory).
-    if opts.freshness {
-        return run_freshness(opts, ds);
-    }
-
-    let trace = schedule::TraceConfig {
-        seed: opts.seed,
-        rps: opts.rps,
-        duration_ms: opts.duration_ms,
-        arrival: schedule::Arrival::parse(&opts.arrival).map_err(|e| e.to_string())?,
-        predict_percent: opts.predict_pct,
-        deadline_ms: opts.req_deadline_ms,
-        deadline_jitter_pct: opts.deadline_jitter_pct,
-        num_entities: ds.num_entities,
-        num_rels: ds.num_rels,
-        k: opts.topk,
-        ingest_facts: 4,
-    };
-    let ingest_time = ds.num_times;
-
-    let (addr, server) = match &opts.target {
-        Some(target) => (target.clone(), None),
-        None => {
-            let serve_cfg = ServeConfig {
-                addr: "127.0.0.1:0".into(),
-                max_batch: opts.max_batch,
-                default_k: opts.topk,
-                brownout_sojourn: std::time::Duration::from_millis(opts.brownout_ms),
-                shed_sojourn: std::time::Duration::from_millis(opts.shed_ms),
-                brownout_k_cap: opts.brownout_k,
-                max_inflight_predict: opts.max_inflight,
-                ..ServeConfig::default()
-            };
-            let spec = ModelSpec {
-                name: "default".into(),
-                cfg: logcl_config(opts),
-                checkpoint: None,
-                train: None,
-            };
-            let server = Server::start(serve_cfg, ds, vec![spec]).map_err(|e| e.to_string())?;
-            let addr = server.addr().to_string();
-            println!("booted in-process server on {addr} (untrained model)");
-            (addr, Some(server))
-        }
-    };
-
-    let run_cfg = runner::RunConfig {
-        addr,
-        workers: opts.workers,
-        io_timeout: std::time::Duration::from_secs(60),
-        ingest_time,
-        ingest_update: false,
-    };
-    let planned = schedule::build_schedule(&trace).map_err(|e| e.to_string())?;
-    let fp = schedule::fingerprint(&planned);
-    println!(
-        "replaying {} requests over {}ms ({} arrivals at {} rps, fingerprint {fp:016x})",
-        planned.len(),
-        trace.duration_ms,
-        trace.arrival.name(),
-        trace.rps
-    );
-    let stats = runner::run(&planned, &run_cfg).map_err(|e| e.to_string())?;
-    let ms = |us: u64| us as f64 / 1_000.0;
-    println!(
-        "goodput {:.1}% ({} ok, {} degraded, {} shed, {} deadline), \
-         p50 {:.2}ms p99 {:.2}ms p999 {:.2}ms, conn reuse {:.1}%",
-        stats.goodput_rate() * 100.0,
-        stats.ok,
-        stats.degraded,
-        stats.shed_503,
-        stats.deadline_504,
-        ms(stats.latency.quantile(0.50)),
-        ms(stats.latency.quantile(0.99)),
-        ms(stats.latency.quantile(0.999)),
-        stats.connection_reuse_rate() * 100.0
-    );
-
-    if let Some(server) = server {
-        server.shutdown();
-    }
-    Ok(())
-}
-
-/// `logcl loadgen --freshness`: measure how long after an acked head append
-/// the new timestamp answers `/predict`, against a durable in-process server
-/// with online adaptation enabled. Exits non-zero when any round exceeds
-/// `--freshness-slo-ms`.
-fn run_freshness(opts: &CliOptions, ds: TkgDataset) -> Result<(), String> {
-    use logcl_loadgen::freshness;
-
-    if opts.target.is_some() {
-        return Err("--freshness boots its own durable server; drop --target".into());
-    }
-    let num_entities = ds.num_entities;
-    let num_rels = ds.num_rels;
-    let wal_dir = std::env::temp_dir().join(format!("logcl-freshness-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&wal_dir);
-    std::fs::create_dir_all(&wal_dir).map_err(|e| e.to_string())?;
-    let serve_cfg = ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        max_batch: opts.max_batch,
-        default_k: opts.topk,
-        // Degradation tiers stay out of reach: a browned-out server skips
-        // online adaptation, which would make rounds incomparable.
-        brownout_sojourn: std::time::Duration::from_secs(10),
-        shed_sojourn: std::time::Duration::from_secs(60),
-        wal_dir: Some(wal_dir.clone()),
-        online_steps: opts.online_steps,
-        ..ServeConfig::default()
-    };
-    let spec = ModelSpec {
-        name: "default".into(),
-        cfg: logcl_config(opts),
-        checkpoint: None,
-        train: None,
-    };
-    let server = Server::start(serve_cfg, ds, vec![spec]).map_err(|e| e.to_string())?;
-    let addr = server.addr().to_string();
-    println!(
-        "booted durable in-process server on {addr} (WAL in {}, online steps {})",
-        wal_dir.display(),
-        opts.online_steps
-    );
-
-    let cfg = freshness::FreshnessConfig {
-        addr,
-        rounds: opts.freshness_rounds,
-        slo_ms: opts.freshness_slo_ms,
-        update: true,
-        io_timeout: std::time::Duration::from_secs(60),
-        num_entities,
-        num_rels,
-    };
-    let result = freshness::run(&cfg);
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(&wal_dir);
-    let report = result.map_err(|e| e.to_string())?;
-    for (i, r) in report.rounds.iter().enumerate() {
-        println!(
-            "round {i}: append t={} acked in {:.2}ms, visible in {:.2}ms ({} poll{})",
-            r.ingest_time,
-            r.ingest_micros as f64 / 1_000.0,
-            r.visible_micros as f64 / 1_000.0,
-            r.polls,
-            if r.polls == 1 { "" } else { "s" }
-        );
-    }
-    let violations = report.violations();
-    println!(
-        "freshness: {} rounds, max ingest-to-visible {:.2}ms, SLO {}ms, {violations} violation{}",
-        report.rounds.len(),
-        report.max_visible_micros() as f64 / 1_000.0,
-        report.slo_ms,
-        if violations == 1 { "" } else { "s" }
-    );
-    if violations > 0 {
-        return Err(format!(
-            "{violations} round(s) exceeded the {}ms ingest-to-visible SLO",
-            report.slo_ms
-        ));
-    }
     Ok(())
 }
 

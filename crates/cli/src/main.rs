@@ -10,7 +10,6 @@
 //! logcl serve --data data/icews14-s --load model.json --addr 127.0.0.1:7878
 //! logcl serve --data data/icews14-s --load model.json --shard 0/3   # worker
 //! logcl router --shards 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003
-//! logcl loadgen --rps 200 --duration-ms 5000 --target 127.0.0.1:7878
 //! ```
 
 mod args;
@@ -41,7 +40,6 @@ fn run(argv: &[String]) -> Result<(), String> {
         "predict" => commands::predict(&opts),
         "serve" => commands::serve(&opts),
         "router" => commands::router(&opts),
-        "loadgen" => commands::loadgen(&opts),
         "help" | "--help" | "-h" => {
             println!("{}", args::USAGE);
             Ok(())

@@ -5,10 +5,9 @@
 //! `logcl_router_retries_total` is pre-registered at zero so dashboards and
 //! scrape tests see the full taxonomy before the first failure.
 
-use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use logcl_serve::metrics::{Histogram, LATENCY_BUCKETS};
+use logcl_serve::metrics::{write_family, Histogram, LATENCY_BUCKETS};
 
 use crate::client::FailReason;
 
@@ -91,104 +90,102 @@ impl RouterMetrics {
     /// [`crate::health::WorkerState`]).
     pub fn render(&self, shard_states: &[Vec<u8>]) -> String {
         let mut out = String::with_capacity(2048);
-        let counter = |out: &mut String, name: &str, help: &str, v: u64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {v}");
-        };
-        counter(
-            &mut out,
-            "logcl_router_predict_requests_total",
-            "Predict requests admitted by the router.",
-            self.predict_requests.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "logcl_router_ingest_requests_total",
-            "Ingest requests admitted by the router.",
-            self.ingest_requests.load(Ordering::Relaxed),
-        );
-        let _ = writeln!(
-            out,
-            "# HELP logcl_router_retries_total Outbound hops retried, by failure reason."
-        );
-        let _ = writeln!(out, "# TYPE logcl_router_retries_total counter");
-        for (reason, v) in [
-            (FailReason::Connect, &self.retries_connect),
-            (FailReason::Timeout, &self.retries_timeout),
-            (FailReason::Http, &self.retries_http),
-            (FailReason::Io, &self.retries_io),
-        ] {
-            let _ = writeln!(
-                out,
-                "logcl_router_retries_total{{reason=\"{}\"}} {}",
-                reason.name(),
-                v.load(Ordering::Relaxed)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP logcl_router_hop_connections_total Answered hops, by whether \
-             the socket had carried an earlier hop."
-        );
-        let _ = writeln!(out, "# TYPE logcl_router_hop_connections_total counter");
-        for reused in [true, false] {
-            let _ = writeln!(
-                out,
-                "logcl_router_hop_connections_total{{reused=\"{reused}\"}} {}",
-                self.hop_connections[usize::from(reused)].load(Ordering::Relaxed)
-            );
-        }
-        counter(
-            &mut out,
-            "logcl_router_hedges_total",
-            "Hedged second attempts launched for slow shards.",
-            self.hedges.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "logcl_partial_responses_total",
-            "Predict answers returned with coverage below 1.0.",
-            self.partial_responses.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "logcl_router_unreadable_replies_total",
-            "Shard 200 answers to /predict that were not a readable shard reply.",
-            self.unreadable_replies.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "logcl_router_shed_deadline_total",
-            "Requests shed at admission with their deadline already spent.",
-            self.shed_deadline.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "logcl_router_shed_connections_total",
-            "Connections refused at the router's connection cap.",
-            self.shed_connections.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "logcl_router_probes_total",
-            "Active health probes sent to workers.",
-            self.probes.load(Ordering::Relaxed),
-        );
-        let _ = writeln!(
-            out,
-            "# HELP logcl_router_shard_state Worker availability \
-             (3=up, 2=suspect, 1=probing, 0=down)."
-        );
-        let _ = writeln!(out, "# TYPE logcl_router_shard_state gauge");
-        for (shard, replicas) in shard_states.iter().enumerate() {
-            for (replica, state) in replicas.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "logcl_router_shard_state{{shard=\"{shard}\",replica=\"{replica}\"}} {state}"
-                );
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        // Runs of single-valued counters, each `(name, help, value)`.
+        let counters = |out: &mut String, rows: &[(&str, &str, &AtomicU64)]| {
+            for &(name, help, v) in rows {
+                write_family(out, name, "counter", help, [("", load(v))]);
             }
-        }
+        };
+        counters(
+            &mut out,
+            &[
+                (
+                    "logcl_router_predict_requests_total",
+                    "Predict requests admitted by the router.",
+                    &self.predict_requests,
+                ),
+                (
+                    "logcl_router_ingest_requests_total",
+                    "Ingest requests admitted by the router.",
+                    &self.ingest_requests,
+                ),
+            ],
+        );
+        write_family(
+            &mut out,
+            "logcl_router_retries_total",
+            "counter",
+            "Outbound hops retried, by failure reason.",
+            [
+                (FailReason::Connect, &self.retries_connect),
+                (FailReason::Timeout, &self.retries_timeout),
+                (FailReason::Http, &self.retries_http),
+                (FailReason::Io, &self.retries_io),
+            ]
+            .map(|(reason, v)| (format!("reason=\"{}\"", reason.name()), load(v))),
+        );
+        write_family(
+            &mut out,
+            "logcl_router_hop_connections_total",
+            "counter",
+            "Answered hops, by whether the socket had carried an earlier hop.",
+            [true, false].map(|reused| {
+                (
+                    format!("reused=\"{reused}\""),
+                    load(&self.hop_connections[usize::from(reused)]),
+                )
+            }),
+        );
+        counters(
+            &mut out,
+            &[
+                (
+                    "logcl_router_hedges_total",
+                    "Hedged second attempts launched for slow shards.",
+                    &self.hedges,
+                ),
+                (
+                    "logcl_partial_responses_total",
+                    "Predict answers returned with coverage below 1.0.",
+                    &self.partial_responses,
+                ),
+                (
+                    "logcl_router_unreadable_replies_total",
+                    "Shard 200 answers to /predict that were not a readable shard reply.",
+                    &self.unreadable_replies,
+                ),
+                (
+                    "logcl_router_shed_deadline_total",
+                    "Requests shed at admission with their deadline already spent.",
+                    &self.shed_deadline,
+                ),
+                (
+                    "logcl_router_shed_connections_total",
+                    "Connections refused at the router's connection cap.",
+                    &self.shed_connections,
+                ),
+                (
+                    "logcl_router_probes_total",
+                    "Active health probes sent to workers.",
+                    &self.probes,
+                ),
+            ],
+        );
+        write_family(
+            &mut out,
+            "logcl_router_shard_state",
+            "gauge",
+            "Worker availability (3=up, 2=suspect, 1=probing, 0=down).",
+            shard_states
+                .iter()
+                .enumerate()
+                .flat_map(|(shard, replicas)| {
+                    replicas.iter().enumerate().map(move |(replica, state)| {
+                        (format!("shard=\"{shard}\",replica=\"{replica}\""), state)
+                    })
+                }),
+        );
         for (shard, hist) in self.shard_latency.iter().enumerate() {
             hist.render(
                 &format!("logcl_router_shard_{shard}_latency_seconds"),
@@ -203,6 +200,42 @@ impl RouterMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The exposition of a fixed state — every counter distinct and
+    /// non-zero, two shards with three replicas between them — byte for
+    /// byte as committed in `tests/router_metrics.prom`.
+    #[test]
+    fn render_is_byte_identical_to_the_reference_exposition() {
+        let m = RouterMetrics::new(2);
+        for (i, counter) in [
+            &m.predict_requests,
+            &m.ingest_requests,
+            &m.retries_connect,
+            &m.retries_timeout,
+            &m.retries_http,
+            &m.retries_io,
+            &m.hop_connections[0],
+            &m.hop_connections[1],
+            &m.hedges,
+            &m.partial_responses,
+            &m.unreadable_replies,
+            &m.shed_deadline,
+            &m.shed_connections,
+            &m.probes,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            counter.store(i as u64 + 1, Ordering::Relaxed);
+        }
+        m.shard_latency[0].observe(0.003);
+        m.shard_latency[1].observe(0.04);
+        m.shard_latency[1].observe(3.0);
+        assert_eq!(
+            m.render(&[vec![3], vec![0, 2]]),
+            include_str!("../tests/router_metrics.prom")
+        );
+    }
 
     #[test]
     fn renders_full_retry_taxonomy_at_zero() {

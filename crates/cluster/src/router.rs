@@ -815,6 +815,9 @@ fn route(ctx: &Arc<RouterCtx>, req: &Request, started: Instant) -> Response {
         ("GET", "/predict" | "/ingest" | "/shutdown") => {
             Response::json(405, json!({ "error": "use POST" }).to_string())
         }
+        ("POST", "/healthz" | "/metrics") => {
+            Response::json(405, json!({ "error": "use GET" }).to_string())
+        }
         _ => Response::json(
             404,
             json!({ "error": format!("no route {} {}", req.method, req.path) }).to_string(),
@@ -1203,6 +1206,8 @@ mod tests {
         assert_eq!(roundtrip(addr, "POST", "/ingest", b"not json").status, 400);
         assert_eq!(roundtrip(addr, "GET", "/nope", b"").status, 404);
         assert_eq!(roundtrip(addr, "GET", "/predict", b"").status, 405);
+        assert_eq!(roundtrip(addr, "POST", "/healthz", b"").status, 405);
+        assert_eq!(roundtrip(addr, "POST", "/metrics", b"").status, 405);
         // No outbound attempt happened, so the (unreachable) worker is
         // still optimistically Up.
         assert_eq!(router.shard_states()[0][0], WorkerState::Up);

@@ -4,7 +4,7 @@
 //! above that each power-of-two octave is split into 16 sub-buckets, giving
 //! a worst-case relative error under ~6.25% at any magnitude while the whole
 //! histogram stays under 1000 fixed buckets. Recording is O(1) with no
-//! allocation, so the hot path of the load runner never touches the heap.
+//! allocation, so a load driver's hot path never touches the heap.
 
 /// Number of exact low buckets (one per microsecond).
 const LINEAR_MAX: u64 = 32;

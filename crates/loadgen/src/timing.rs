@@ -1,14 +1,13 @@
-//! The harness's single wall-clock module.
+//! The crate's single wall-clock module.
 //!
 //! The crate's `clippy.toml` bans `Instant::now()` across loadgen source so
-//! that schedule construction, histogram math and report generation stay
-//! deterministic and unit-testable; this module is the one carved-out
-//! exception. Everything else in the crate works with plain `u64`
+//! that histogram math stays deterministic and unit-testable; this module
+//! is the one carved-out exception. Callers work with plain `u64`
 //! microsecond *offsets* from a [`Clock`]'s start.
 
 #![expect(
     clippy::disallowed_methods,
-    reason = "the harness's single clock module: every wall-clock read in loadgen is here"
+    reason = "the crate's single clock module: every wall-clock read in loadgen is here"
 )]
 
 use std::time::{Duration, Instant};

@@ -81,6 +81,30 @@ impl Histogram {
     }
 }
 
+/// Appends one metric family in the Prometheus text format: its `HELP` and
+/// `TYPE` lines, then one `name{labels} value` sample per pair (`name value`
+/// when the labels are empty). The server's and the router's `/metrics` are
+/// both written with it.
+pub fn write_family<L: AsRef<str>, V: std::fmt::Display>(
+    out: &mut String,
+    name: &str,
+    kind: &str,
+    help: &str,
+    samples: impl IntoIterator<Item = (L, V)>,
+) {
+    use std::fmt::Write;
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+    for (labels, value) in samples {
+        let labels = labels.as_ref();
+        if labels.is_empty() {
+            let _ = writeln!(out, "{name} {value}");
+        } else {
+            let _ = writeln!(out, "{name}{{{labels}}} {value}");
+        }
+    }
+}
+
 /// From-scratch encoder-state rebuilds, split by the reason the O(Δ)
 /// advance path could not be taken. Each field becomes one
 /// `logcl_encoder_state_rebuilds_total{reason="…"}` series.
@@ -282,87 +306,82 @@ impl Metrics {
 
     /// Renders every metric in the Prometheus text format.
     pub fn render(&self) -> String {
-        use std::fmt::Write;
         let mut out = String::with_capacity(2048);
-        let counter = |out: &mut String, name: &str, help: &str, pairs: &[(&str, u64)]| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            for (label, v) in pairs {
-                if label.is_empty() {
-                    let _ = writeln!(out, "{name} {v}");
-                } else {
-                    let _ = writeln!(out, "{name}{{{label}}} {v}");
-                }
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        // Runs of single-valued counters, each `(name, help, value)`.
+        let counters = |out: &mut String, rows: &[(&str, &str, &AtomicU64)]| {
+            for &(name, help, v) in rows {
+                write_family(out, name, "counter", help, [("", load(v))]);
             }
         };
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        counter(
+        write_family(
             &mut out,
             "logcl_requests_total",
+            "counter",
             "Requests received, by endpoint.",
-            &[
+            [
                 ("endpoint=\"predict\"", load(&self.predict_requests)),
                 ("endpoint=\"ingest\"", load(&self.ingest_requests)),
                 ("endpoint=\"admin\"", load(&self.admin_requests)),
             ],
         );
-        counter(
+        write_family(
             &mut out,
             "logcl_responses_total",
+            "counter",
             "Responses sent, by status class.",
-            &[
+            [
                 ("class=\"2xx\"", load(&self.responses_ok)),
                 ("class=\"4xx\"", load(&self.responses_client_error)),
                 ("class=\"5xx\"", load(&self.responses_server_error)),
             ],
         );
-        counter(
+        counters(
             &mut out,
-            "logcl_encoding_cache_hits_total",
-            "Predict requests served from a cached snapshot encoding.",
-            &[("", load(&self.cache_hits))],
+            &[
+                (
+                    "logcl_encoding_cache_hits_total",
+                    "Predict requests served from a cached snapshot encoding.",
+                    &self.cache_hits,
+                ),
+                (
+                    "logcl_encoding_cache_misses_total",
+                    "Predict requests that computed a snapshot encoding.",
+                    &self.cache_misses,
+                ),
+                (
+                    "logcl_encoding_cache_invalidations_total",
+                    "Cached snapshot encodings dropped by ingestion.",
+                    &self.cache_invalidations,
+                ),
+                (
+                    "logcl_ingested_facts_total",
+                    "Facts appended through POST /ingest.",
+                    &self.ingested_facts,
+                ),
+                (
+                    "logcl_online_updates_total",
+                    "Online adaptation steps taken after ingestion.",
+                    &self.online_updates,
+                ),
+                (
+                    "logcl_read_timeouts_total",
+                    "Connections answered 408 after stalling past the read timeout.",
+                    &self.read_timeouts,
+                ),
+                (
+                    "logcl_oversized_bodies_total",
+                    "Requests answered 413 for exceeding the body-size limit.",
+                    &self.oversized_bodies,
+                ),
+            ],
         );
-        counter(
-            &mut out,
-            "logcl_encoding_cache_misses_total",
-            "Predict requests that computed a snapshot encoding.",
-            &[("", load(&self.cache_misses))],
-        );
-        counter(
-            &mut out,
-            "logcl_encoding_cache_invalidations_total",
-            "Cached snapshot encodings dropped by ingestion.",
-            &[("", load(&self.cache_invalidations))],
-        );
-        counter(
-            &mut out,
-            "logcl_ingested_facts_total",
-            "Facts appended through POST /ingest.",
-            &[("", load(&self.ingested_facts))],
-        );
-        counter(
-            &mut out,
-            "logcl_online_updates_total",
-            "Online adaptation steps taken after ingestion.",
-            &[("", load(&self.online_updates))],
-        );
-        counter(
-            &mut out,
-            "logcl_read_timeouts_total",
-            "Connections answered 408 after stalling past the read timeout.",
-            &[("", load(&self.read_timeouts))],
-        );
-        counter(
-            &mut out,
-            "logcl_oversized_bodies_total",
-            "Requests answered 413 for exceeding the body-size limit.",
-            &[("", load(&self.oversized_bodies))],
-        );
-        counter(
+        write_family(
             &mut out,
             "logcl_shed_total",
+            "counter",
             "Requests shed (503/504 with Retry-After), by cause.",
-            &[
+            [
                 ("reason=\"queue_full\"", load(&self.shed_queue_full)),
                 (
                     "reason=\"deadline_admission\"",
@@ -374,163 +393,153 @@ impl Metrics {
                 ("reason=\"connections\"", load(&self.shed_connections)),
             ],
         );
-        counter(
+        counters(
             &mut out,
-            "logcl_shed_before_compute_total",
-            "Admitted requests shed before model compute.",
-            &[("", load(&self.shed_before_compute))],
+            &[
+                (
+                    "logcl_shed_before_compute_total",
+                    "Admitted requests shed before model compute.",
+                    &self.shed_before_compute,
+                ),
+                (
+                    "logcl_degraded_responses_total",
+                    "Predict responses whose top-k the brownout cap shortened.",
+                    &self.degraded_responses,
+                ),
+            ],
         );
-        counter(
+        write_family(
             &mut out,
-            "logcl_degraded_responses_total",
-            "Predict responses whose top-k the brownout cap shortened.",
-            &[("", load(&self.degraded_responses))],
+            "logcl_degradation_tier",
+            "gauge",
+            "Current degradation tier (0 normal, 1 brownout, 2 shed).",
+            [("", load(&self.degradation_tier))],
         );
-        let _ = writeln!(
-            out,
-            "# HELP logcl_degradation_tier Current degradation tier (0 normal, 1 brownout, 2 shed)."
-        );
-        let _ = writeln!(out, "# TYPE logcl_degradation_tier gauge");
-        let _ = writeln!(
-            out,
-            "logcl_degradation_tier {}",
-            load(&self.degradation_tier)
-        );
-        counter(
+        write_family(
             &mut out,
             "logcl_wal_frames_total",
+            "counter",
             "Write-ahead-log frame activity, by kind.",
-            &[
+            [
                 ("kind=\"appended\"", load(&self.wal_appended_frames)),
                 ("kind=\"replayed\"", load(&self.wal_replayed_frames)),
             ],
         );
-        counter(
+        counters(
             &mut out,
-            "logcl_wal_fsyncs_total",
-            "Group-commit fsyncs of the write-ahead log.",
-            &[("", load(&self.wal_fsyncs))],
-        );
-        counter(
-            &mut out,
-            "logcl_wal_truncated_bytes_total",
-            "Torn-tail bytes truncated off the log at startup.",
-            &[("", load(&self.wal_truncated_bytes))],
-        );
-        counter(
-            &mut out,
-            "logcl_wal_recovered_facts_total",
-            "Facts restored at startup (snapshot + WAL replay).",
-            &[("", load(&self.wal_recovered_facts))],
-        );
-        counter(
-            &mut out,
-            "logcl_wal_compactions_total",
-            "Snapshot-then-truncate compactions of the write-ahead log.",
-            &[("", load(&self.wal_compactions))],
-        );
-        counter(
-            &mut out,
-            "logcl_wal_errors_total",
-            "WAL append/fsync/compaction failures (ingest answered 500).",
-            &[("", load(&self.wal_errors))],
-        );
-        counter(
-            &mut out,
-            "logcl_ingest_dedup_hits_total",
-            "Duplicate ingest ids answered from the idempotency window.",
-            &[("", load(&self.ingest_dedup_hits))],
-        );
-        counter(
-            &mut out,
-            "logcl_durable_acks_total",
-            "Ingests acknowledged after their WAL frame was fsynced.",
-            &[("", load(&self.durable_acks))],
-        );
-        counter(
-            &mut out,
-            "logcl_online_steps_total",
-            "Online fine-tuning gradient steps applied (rollbacks excluded).",
-            &[("", load(&self.online_steps))],
-        );
-        counter(
-            &mut out,
-            "logcl_online_rollbacks_total",
-            "Online fine-tuning loops rolled back by the loss guard.",
-            &[("", load(&self.online_rollbacks))],
-        );
-        counter(
-            &mut out,
-            "logcl_encoder_state_rebuilds_total",
-            "Streaming encoder states rebuilt from scratch, by reason.",
             &[
-                ("reason=\"boot\"", load(&self.encoder_state_rebuilds.boot)),
                 (
-                    "reason=\"weight_update\"",
-                    load(&self.encoder_state_rebuilds.weight_update),
+                    "logcl_wal_fsyncs_total",
+                    "Group-commit fsyncs of the write-ahead log.",
+                    &self.wal_fsyncs,
                 ),
                 (
-                    "reason=\"backfill\"",
-                    load(&self.encoder_state_rebuilds.backfill),
+                    "logcl_wal_truncated_bytes_total",
+                    "Torn-tail bytes truncated off the log at startup.",
+                    &self.wal_truncated_bytes,
                 ),
                 (
-                    "reason=\"recovery\"",
-                    load(&self.encoder_state_rebuilds.recovery),
+                    "logcl_wal_recovered_facts_total",
+                    "Facts restored at startup (snapshot + WAL replay).",
+                    &self.wal_recovered_facts,
+                ),
+                (
+                    "logcl_wal_compactions_total",
+                    "Snapshot-then-truncate compactions of the write-ahead log.",
+                    &self.wal_compactions,
+                ),
+                (
+                    "logcl_wal_errors_total",
+                    "WAL append/fsync/compaction failures (ingest answered 500).",
+                    &self.wal_errors,
+                ),
+                (
+                    "logcl_ingest_dedup_hits_total",
+                    "Duplicate ingest ids answered from the idempotency window.",
+                    &self.ingest_dedup_hits,
+                ),
+                (
+                    "logcl_durable_acks_total",
+                    "Ingests acknowledged after their WAL frame was fsynced.",
+                    &self.durable_acks,
+                ),
+                (
+                    "logcl_online_steps_total",
+                    "Online fine-tuning gradient steps applied (rollbacks excluded).",
+                    &self.online_steps,
+                ),
+                (
+                    "logcl_online_rollbacks_total",
+                    "Online fine-tuning loops rolled back by the loss guard.",
+                    &self.online_rollbacks,
                 ),
             ],
         );
-        let _ = writeln!(
-            out,
-            "# HELP logcl_encoder_state_horizon Snapshots consumed by the streaming encoder state."
+        let rebuilds = &self.encoder_state_rebuilds;
+        write_family(
+            &mut out,
+            "logcl_encoder_state_rebuilds_total",
+            "counter",
+            "Streaming encoder states rebuilt from scratch, by reason.",
+            [
+                ("reason=\"boot\"", load(&rebuilds.boot)),
+                ("reason=\"weight_update\"", load(&rebuilds.weight_update)),
+                ("reason=\"backfill\"", load(&rebuilds.backfill)),
+                ("reason=\"recovery\"", load(&rebuilds.recovery)),
+            ],
         );
-        let _ = writeln!(out, "# TYPE logcl_encoder_state_horizon gauge");
-        let _ = writeln!(
-            out,
-            "logcl_encoder_state_horizon {}",
-            load(&self.encoder_state_horizon)
+        write_family(
+            &mut out,
+            "logcl_encoder_state_horizon",
+            "gauge",
+            "Snapshots consumed by the streaming encoder state.",
+            [("", load(&self.encoder_state_horizon))],
         );
-        let _ = writeln!(
-            out,
-            "# HELP logcl_post_ingest_cache_hit_ratio Encoding-cache hit ratio at the last ingest."
-        );
-        let _ = writeln!(out, "# TYPE logcl_post_ingest_cache_hit_ratio gauge");
-        let _ = writeln!(
-            out,
-            "logcl_post_ingest_cache_hit_ratio {}",
-            load(&self.post_ingest_hit_ratio_ppm) as f64 / 1e6
+        write_family(
+            &mut out,
+            "logcl_post_ingest_cache_hit_ratio",
+            "gauge",
+            "Encoding-cache hit ratio at the last ingest.",
+            [("", load(&self.post_ingest_hit_ratio_ppm) as f64 / 1e6)],
         );
         // Backend identity gauge: the kernels run serially on the calling
         // thread; the `isa` label says which compiled copy of the matmul tile
         // this CPU runs. Value = compute threads, always 1.
-        let _ = writeln!(
-            out,
-            "# HELP logcl_kernel_backend_info Kernel backend and vector ISA (value = compute threads)."
-        );
-        let _ = writeln!(out, "# TYPE logcl_kernel_backend_info gauge");
-        let _ = writeln!(
-            out,
-            "logcl_kernel_backend_info{{backend=\"serial\",isa=\"{}\"}} 1",
-            logcl_tensor::kernels::isa(),
+        write_family(
+            &mut out,
+            "logcl_kernel_backend_info",
+            "gauge",
+            "Kernel backend and vector ISA (value = compute threads).",
+            [(
+                format!(
+                    "backend=\"serial\",isa=\"{}\"",
+                    logcl_tensor::kernels::isa()
+                ),
+                1,
+            )],
         );
         // Build identity info-gauge: lets a scrape or a dashboard pin down
         // exactly which binary produced a measurement.
-        let _ = writeln!(
-            out,
-            "# HELP logcl_build_info Server build identity (value is always 1)."
-        );
-        let _ = writeln!(out, "# TYPE logcl_build_info gauge");
         let features: &[&str] = &[
             #[cfg(feature = "fault-inject")]
             "fault-inject",
         ];
         // The git hash is baked in when CI exports LOGCL_GIT_HASH at build
         // time; plain local builds report "unknown".
-        let _ = writeln!(
-            out,
-            "logcl_build_info{{version=\"{}\",git=\"{}\",backend=\"serial\",features=\"{}\"}} 1",
-            env!("CARGO_PKG_VERSION"),
-            option_env!("LOGCL_GIT_HASH").unwrap_or("unknown"),
-            features.join(",")
+        write_family(
+            &mut out,
+            "logcl_build_info",
+            "gauge",
+            "Server build identity (value is always 1).",
+            [(
+                format!(
+                    "version=\"{}\",git=\"{}\",backend=\"serial\",features=\"{}\"",
+                    env!("CARGO_PKG_VERSION"),
+                    option_env!("LOGCL_GIT_HASH").unwrap_or("unknown"),
+                    features.join(",")
+                ),
+                1,
+            )],
         );
         self.latency.render(
             "logcl_request_duration_seconds",
@@ -572,6 +581,85 @@ mod tests {
         assert_eq!(cum[4], 4); // <= 16
         assert_eq!(*cum.last().unwrap(), 5); // +Inf
         assert_eq!(h.total(), 5);
+    }
+
+    /// Every counter and gauge distinct and non-zero, every histogram fed.
+    fn fixed_state() -> Metrics {
+        let m = Metrics::default();
+        let rebuilds = &m.encoder_state_rebuilds;
+        for (i, counter) in [
+            &m.predict_requests,
+            &m.ingest_requests,
+            &m.admin_requests,
+            &m.responses_ok,
+            &m.responses_client_error,
+            &m.responses_server_error,
+            &m.cache_hits,
+            &m.cache_misses,
+            &m.cache_invalidations,
+            &m.ingested_facts,
+            &m.online_updates,
+            &m.read_timeouts,
+            &m.oversized_bodies,
+            &m.shed_queue_full,
+            &m.shed_deadline_admission,
+            &m.shed_deadline_queue,
+            &m.shed_overload,
+            &m.shed_concurrency,
+            &m.shed_connections,
+            &m.shed_before_compute,
+            &m.degraded_responses,
+            &m.wal_appended_frames,
+            &m.wal_fsyncs,
+            &m.wal_replayed_frames,
+            &m.wal_truncated_bytes,
+            &m.wal_recovered_facts,
+            &m.wal_compactions,
+            &m.wal_errors,
+            &m.ingest_dedup_hits,
+            &m.durable_acks,
+            &m.online_steps,
+            &m.online_rollbacks,
+            &rebuilds.boot,
+            &rebuilds.weight_update,
+            &rebuilds.backfill,
+            &rebuilds.recovery,
+            &m.encoder_state_horizon,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            counter.store(i as u64 + 1, Ordering::Relaxed);
+        }
+        m.degradation_tier.store(1, Ordering::Relaxed);
+        m.post_ingest_hit_ratio_ppm
+            .store(625_000, Ordering::Relaxed);
+        for seconds in [0.0005, 0.003, 0.04, 3.0] {
+            m.latency.observe(seconds);
+            m.queue_sojourn.observe(seconds / 2.0);
+            m.ingest_advance.observe(seconds / 4.0);
+        }
+        m.batch_size.observe(3.0);
+        m.batch_size.observe(40.0);
+        m
+    }
+
+    /// The exposition of a fixed state, byte for byte as committed in
+    /// `tests/metrics.prom` (its `@…@` tokens stand for the values that
+    /// depend on the host and the build).
+    #[test]
+    fn render_is_byte_identical_to_the_reference_exposition() {
+        let features = if cfg!(feature = "fault-inject") {
+            "fault-inject"
+        } else {
+            ""
+        };
+        let expected = include_str!("../tests/metrics.prom")
+            .replace("@ISA@", logcl_tensor::kernels::isa())
+            .replace("@VERSION@", env!("CARGO_PKG_VERSION"))
+            .replace("@GIT@", option_env!("LOGCL_GIT_HASH").unwrap_or("unknown"))
+            .replace("@FEATURES@", features);
+        assert_eq!(fixed_state().render(), expected);
     }
 
     #[test]

@@ -262,19 +262,24 @@ fn compute_delay_overload_sheds_then_recovers_bit_identically() {
     server.shutdown();
 }
 
-/// Offers four predicts per compute permit, 3 ms apart, at the last `keys`
-/// timestamps in turn, to a server that stalls every forward ≥ 40 ms: the
-/// last wave waits at least three stalls for a permit. Returns the tier
-/// once all are answered (the recovery streak is out of reach, so an
-/// escalation sticks).
-fn tier_after_backlog(keys: usize) -> String {
+/// A burst: offers four predicts per compute permit, 3 ms apart, at the
+/// last `keys` timestamps in turn, to a server that stalls every forward
+/// ≥ 40 ms, so the last wave waits at least three stalls for a permit.
+/// Every request must be answered in full, naming its tier. Returns the
+/// tier once all are answered — the recovery streak is one more than the
+/// burst's permit grants, so an escalation sticks — and the tier once the
+/// fault has cleared and a streak of probes has walked it back down.
+fn tiers_around_a_burst(keys: usize) -> (String, String) {
+    let permits = std::thread::available_parallelism().map_or(1, usize::from);
+    let burst = 4 * permits;
     let cfg = ServeConfig {
         brownout_sojourn: Duration::from_millis(80),
         shed_sojourn: Duration::from_secs(60),
-        recovery_streak: 1_000,
+        recovery_streak: burst as u32 + 1,
         ..serve_config()
     };
     let server = Server::start(cfg, tiny_ds(), vec![untrained_spec()]).expect("start");
+    assert_eq!(server.overload().compute_permits(), permits);
     let addr = server.addr();
     let head = horizon_of(addr) as usize;
     fault::install(FaultPlan {
@@ -282,7 +287,7 @@ fn tier_after_backlog(keys: usize) -> String {
         compute_delay: Some(Duration::from_millis(40)),
         ..FaultPlan::default()
     });
-    let clients: Vec<_> = (0..4 * server.overload().compute_permits())
+    let clients: Vec<_> = (0..burst)
         .map(|i| {
             let t = head - i % keys;
             std::thread::sleep(Duration::from_millis(3));
@@ -293,23 +298,34 @@ fn tier_after_backlog(keys: usize) -> String {
         })
         .collect();
     for client in clients {
-        let (status, _, body) = client.join().unwrap();
+        let (status, headers, body) = client.join().unwrap();
         assert_eq!(status, 200, "{body}");
+        assert!(
+            header_of(&headers, "X-LogCL-Degradation").is_some(),
+            "an answer must name its tier: {headers:?}"
+        );
     }
     fault::clear();
-    let tier = health_always_live(addr);
+    let after_burst = health_always_live(addr);
+    let query = format!(r#"{{"subject": 0, "relation": 0, "time": {head}, "k": 5}}"#);
+    for _ in 0..=burst {
+        let (status, _, body) = request(addr, "POST", "/predict", &query);
+        assert_eq!(status, 200, "{body}");
+    }
+    let recovered = health_always_live(addr);
     server.shutdown();
-    tier
+    (after_burst, recovered)
 }
 
 /// Stalled forwards back requests up whatever their keys: under one
 /// timestamp or four, the later requests wait for a compute permit, and
-/// that wait must reach Brownout.
+/// that wait must reach Brownout — and, once the stall clears, recover.
 #[test]
-fn a_backlog_spread_over_four_keys_browns_out_like_one_key() {
+fn a_burst_over_one_or_four_keys_browns_out_and_recovers_to_normal() {
     let _guard = serial();
-    assert_eq!(tier_after_backlog(1), "brownout", "one key");
-    assert_eq!(tier_after_backlog(4), "brownout", "four keys");
+    let expected = ("brownout".to_string(), "normal".to_string());
+    assert_eq!(tiers_around_a_burst(1), expected, "one key");
+    assert_eq!(tiers_around_a_burst(4), expected, "four keys");
 }
 
 #[test]

@@ -230,9 +230,11 @@ fn ingest_extends_horizon_invalidates_cache_and_changes_predictions() {
     let server = test_server();
     let addr = server.addr();
     let horizon = {
-        let (_, body) = request(addr, "GET", "/healthz", "");
+        let (status, body) = request(addr, "GET", "/healthz", "");
+        assert_eq!(status, 200, "{body}");
         json(&body).get("horizon").and_then(Value::as_u64).unwrap()
     };
+    assert!(horizon > 0, "the base history is past the first snapshot");
 
     // Baseline prediction at the current horizon (fills the cache).
     let query = format!(r#"{{"subject": 1, "relation": 0, "time": {horizon}, "k": 5}}"#);

@@ -175,9 +175,12 @@ fn crash_image_recovers_append_only_ingests_bit_identically() {
     reborn.shutdown();
 }
 
-/// Kill-9 equivalence, online-update path (`update: true`): replay re-runs
-/// the same adaptation steps in the same order, so the recovered weights —
-/// and therefore `/predict` — are bit-identical.
+/// Kill-9 equivalence, online-update path (`update: true`): every durable
+/// head append is read back by the very next `/predict` at the new horizon
+/// (read-your-writes: the ack comes after the WAL fsync and the state
+/// advance, so no polling is needed); replay re-runs the same adaptation
+/// steps in the same order, so the recovered weights — and therefore
+/// `/predict` — are bit-identical.
 #[test]
 fn crash_image_recovers_online_update_ingests_bit_identically() {
     let dir = scratch("online");
@@ -185,13 +188,26 @@ fn crash_image_recovers_online_update_ingests_bit_identically() {
     let addr = server.addr();
     let t0 = horizon_of(addr);
 
-    let v = ingest(addr, t0, "[[1, 0, 2], [3, 1, 4]]", true, None);
-    assert_eq!(v.get("online_update").and_then(Value::as_bool), Some(true));
-    assert_eq!(v.get("durable").and_then(Value::as_bool), Some(true));
-    let v = ingest(addr, t0 + 1, "[[4, 1, 1]]", true, None);
-    assert_eq!(v.get("online_update").and_then(Value::as_bool), Some(true));
+    for (t, facts) in [(t0, "[[1, 0, 2], [3, 1, 4]]"), (t0 + 1, "[[4, 1, 1]]")] {
+        let next = format!(
+            r#"{{"subject": 1, "relation": 0, "time": {}, "k": 5}}"#,
+            t + 1
+        );
+        let (status, body) = request(addr, "POST", "/predict", &next);
+        assert_eq!(
+            status, 400,
+            "t + 1 is beyond the horizon before the append: {body}"
+        );
+        let v = ingest(addr, t, facts, true, None);
+        assert_eq!(v.get("online_update").and_then(Value::as_bool), Some(true));
+        assert_eq!(v.get("durable").and_then(Value::as_bool), Some(true));
+        assert_eq!(v.get("horizon").and_then(Value::as_u64), Some(t + 1));
+        let (status, body) = request(addr, "POST", "/predict", &next);
+        assert_eq!(status, 200, "the acked append must answer at once: {body}");
+    }
 
     let horizon = horizon_of(addr);
+    assert_eq!(horizon, t0 + 2);
     let uninterrupted = predict_answer(addr, horizon);
 
     let crash = scratch("online-crash");
