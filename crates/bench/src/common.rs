@@ -10,7 +10,7 @@ use logcl_baselines::BaselineKind;
 use logcl_core::{evaluate, LogCl, LogClConfig, TkgModel, TrainOptions};
 use logcl_tkg::eval::Metrics;
 use logcl_tkg::{SyntheticPreset, TkgDataset};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// Knobs every experiment shares, parsed from the command line.
 #[derive(Debug, Clone)]
@@ -23,8 +23,6 @@ pub struct RunConfig {
     pub dim: usize,
     /// ConvTransE kernels.
     pub channels: usize,
-    /// Seed for model initialisation.
-    pub seed: u64,
     /// Output directory for JSON results.
     pub out_dir: PathBuf,
     /// Optional preset filter (names like `icews14`).
@@ -34,7 +32,9 @@ pub struct RunConfig {
     /// Tune LogCL's λ on the validation split (the paper's per-dataset
     /// hyper-parameter protocol); baselines keep their defaults.
     pub tune: bool,
-    /// Seeds to average over (one full train+eval per seed per model).
+    /// Seeds for model initialisation. Table III averages over all of them
+    /// (one full train+eval per seed per model); every other experiment
+    /// runs one, and `parse` refuses more.
     pub seeds: Vec<u64>,
 }
 
@@ -45,7 +45,6 @@ impl Default for RunConfig {
             epochs: 6,
             dim: 48,
             channels: 16,
-            seed: 42,
             out_dir: PathBuf::from("results"),
             presets: None,
             models: None,
@@ -56,8 +55,8 @@ impl Default for RunConfig {
 }
 
 impl RunConfig {
-    /// Parses `--key value` style arguments.
-    pub fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parses `--key value` style arguments for experiment `cmd`.
+    pub fn parse(cmd: &str, args: &[String]) -> Result<Self, String> {
         let mut cfg = Self::default();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
@@ -75,7 +74,6 @@ impl RunConfig {
                 "--channels" => {
                     cfg.channels = value("--channels")?.parse().map_err(|e| format!("{e}"))?
                 }
-                "--seed" => cfg.seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
                 "--out" => cfg.out_dir = PathBuf::from(value("--out")?),
                 "--presets" => {
                     cfg.presets = Some(
@@ -109,7 +107,15 @@ impl RunConfig {
         if !(0.0..=1.0).contains(&cfg.scale) || cfg.scale == 0.0 {
             return Err("--scale must be in (0, 1]".into());
         }
+        if cmd != "table3" && cfg.seeds.len() > 1 {
+            return Err(format!("{cmd} runs one seed; only table3 takes several"));
+        }
         Ok(cfg)
+    }
+
+    /// The seed of a single-seed run (`parse` keeps `seeds` non-empty).
+    pub fn seed(&self) -> u64 {
+        self.seeds[0]
     }
 
     /// The local history window per preset (paper: 7/7/9/7, scaled down
@@ -172,7 +178,7 @@ impl RunConfig {
             channels: self.channels,
             m: self.window(preset),
             tau: self.tau(preset),
-            seed: self.seed,
+            seed: self.seed(),
             ..Default::default()
         }
     }
@@ -187,7 +193,13 @@ impl RunConfig {
         if kind == BaselineKind::LogCl {
             Box::new(LogCl::new(ds, self.logcl_config(preset)))
         } else {
-            kind.build(ds, self.dim, self.window(preset), self.channels, self.seed)
+            kind.build(
+                ds,
+                self.dim,
+                self.window(preset),
+                self.channels,
+                self.seed(),
+            )
         }
     }
 }
@@ -251,7 +263,7 @@ pub fn fit_and_eval(model: &mut dyn TkgModel, ds: &TkgDataset, opts: &TrainOptio
 }
 
 /// One labelled result row.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Row {
     /// Row label (model / variant / sweep value).
     pub label: String,
@@ -355,27 +367,28 @@ mod tests {
 
     #[test]
     fn parse_accepts_every_flag() {
-        let cfg = RunConfig::parse(&strs(&[
-            "--scale",
-            "0.5",
-            "--epochs",
-            "9",
-            "--dim",
-            "32",
-            "--channels",
-            "8",
-            "--seed",
-            "3",
-            "--out",
-            "/tmp/x",
-            "--presets",
-            "icews14,gdelt",
-            "--models",
-            "logcl",
-            "--tune",
-            "--seeds",
-            "1,2,3",
-        ]))
+        let cfg = RunConfig::parse(
+            "table3",
+            &strs(&[
+                "--scale",
+                "0.5",
+                "--epochs",
+                "9",
+                "--dim",
+                "32",
+                "--channels",
+                "8",
+                "--out",
+                "/tmp/x",
+                "--presets",
+                "icews14,gdelt",
+                "--models",
+                "logcl",
+                "--tune",
+                "--seeds",
+                "1,2,3",
+            ]),
+        )
         .unwrap();
         assert_eq!(cfg.scale, 0.5);
         assert_eq!(cfg.epochs, 9);
@@ -389,10 +402,25 @@ mod tests {
 
     #[test]
     fn parse_rejects_bad_input() {
-        assert!(RunConfig::parse(&strs(&["--scale", "0"])).is_err());
-        assert!(RunConfig::parse(&strs(&["--bogus"])).is_err());
-        assert!(RunConfig::parse(&strs(&["--epochs"])).is_err());
-        assert!(RunConfig::parse(&strs(&["--seeds", "x"])).is_err());
+        assert!(RunConfig::parse("table3", &strs(&["--scale", "0"])).is_err());
+        assert!(RunConfig::parse("table3", &strs(&["--bogus"])).is_err());
+        assert!(RunConfig::parse("table3", &strs(&["--epochs"])).is_err());
+        assert!(RunConfig::parse("table3", &strs(&["--seeds", "x"])).is_err());
+        assert!(RunConfig::parse("table3", &strs(&["--seed", "7"])).is_err());
+    }
+
+    #[test]
+    fn parse_refuses_several_seeds_outside_table3() {
+        for cmd in ["fig2", "fig10", "table4", "all"] {
+            let several = RunConfig::parse(cmd, &strs(&["--seeds", "1,2,3"])).unwrap_err();
+            assert_eq!(
+                several,
+                format!("{cmd} runs one seed; only table3 takes several")
+            );
+            let one = RunConfig::parse(cmd, &strs(&["--seeds", "7"])).unwrap();
+            assert_eq!(one.seed(), 7);
+        }
+        assert_eq!(RunConfig::default().seed(), 42);
     }
 
     #[test]

@@ -37,14 +37,14 @@ pub fn run(cfg: &RunConfig) {
                         cfg.dim,
                         cfg.window(preset),
                         cfg.channels,
-                        cfg.seed,
+                        cfg.seed(),
                     )),
                     "RETIA" => Box::new(ReGcn::new(
                         ds,
                         cfg.dim,
                         cfg.window(preset),
                         cfg.channels,
-                        cfg.seed,
+                        cfg.seed(),
                     )),
                     _ => Box::new(LogCl::new(ds, cfg.logcl_config(preset))),
                 }

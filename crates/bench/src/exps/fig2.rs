@@ -32,7 +32,7 @@ pub fn run(cfg: &RunConfig) {
                 let mut model: Box<dyn TkgModel> = match which {
                     "RE-GCN" => {
                         let mut m =
-                            ReGcn::new(&ds, cfg.dim, cfg.window(preset), cfg.channels, cfg.seed);
+                            ReGcn::new(&ds, cfg.dim, cfg.window(preset), cfg.channels, cfg.seed());
                         m.noise = noise;
                         Box::new(m)
                     }
@@ -42,7 +42,7 @@ pub fn run(cfg: &RunConfig) {
                             cfg.dim,
                             cfg.window(preset),
                             cfg.channels,
-                            cfg.seed,
+                            cfg.seed(),
                         );
                         m.noise = noise;
                         Box::new(m)

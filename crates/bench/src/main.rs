@@ -7,15 +7,17 @@
 //! ```
 //!
 //! Common flags: `--scale` (dataset scale, default 0.4), `--epochs`,
-//! `--dim`, `--channels`, `--seed`, `--out <dir>` (JSON results),
-//! `--presets icews14,gdelt`, `--models logcl,re-gcn`.
+//! `--dim`, `--channels`, `--seeds 42` (several, comma-separated, only for
+//! `table3`, which averages over them), `--tune` (select LogCL's λ on
+//! validation), `--out <dir>` (JSON results), `--presets icews14,gdelt`,
+//! `--models logcl,re-gcn`.
 
 mod common;
 mod exps;
 
 use common::RunConfig;
 
-const USAGE: &str = "usage: experiments <table3|table4|table5|table6|table7|fig2|fig5|fig6|fig7|fig8|fig9|fig10|all> [--scale S] [--epochs N] [--dim D] [--channels C] [--seed K] [--out DIR] [--presets a,b] [--models a,b]";
+const USAGE: &str = "usage: experiments <table3|table4|table5|table6|table7|fig2|fig5|fig6|fig7|fig8|fig9|fig10|all> [--scale S] [--epochs N] [--dim D] [--channels C] [--seeds K[,K...]] [--tune] [--out DIR] [--presets a,b] [--models a,b]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -23,7 +25,7 @@ fn main() {
         eprintln!("{USAGE}");
         std::process::exit(2);
     };
-    let cfg = match RunConfig::parse(&args[1..]) {
+    let cfg = match RunConfig::parse(cmd, &args[1..]) {
         Ok(cfg) => cfg,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");
@@ -31,8 +33,8 @@ fn main() {
         }
     };
     eprintln!(
-        "run config: scale={} epochs={} dim={} channels={} seed={}",
-        cfg.scale, cfg.epochs, cfg.dim, cfg.channels, cfg.seed
+        "run config: scale={} epochs={} dim={} channels={} seeds={:?}",
+        cfg.scale, cfg.epochs, cfg.dim, cfg.channels, cfg.seeds
     );
     let start = std::time::Instant::now();
     match cmd.as_str() {

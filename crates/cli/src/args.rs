@@ -15,7 +15,8 @@ commands:
                                                         --checkpoint, --checkpoint-every,
                                                         --resume, --max-rollbacks)
   eval       evaluate a trained or fresh model         (same as train, plus --load,
-                                                        --online, --phase fp|sp|both)
+                                                        --online, --detailed,
+                                                        --phase fp|sp|both)
   predict    top-k forecast for one query              (--load, --subject, --relation,
                                                         --time, --topk, --inverse)
   serve      HTTP inference server                     (--data | --preset, --load,
@@ -58,6 +59,8 @@ flags:
                     with bit-identical results)
   --max-rollbacks K divergence rollbacks before abort   [default 3]
   --online          Fig. 10 online adaptation during eval
+  --detailed        eval prints raw, historical / novel and per-relation
+                    metrics beside the filtered ones
   --phase P         fp | sp | both                      [default both]
   --subject NAME|ID --relation NAME|ID --time T --topk K --inverse
   --addr HOST:PORT  serve bind address                  [default 127.0.0.1:7878]
@@ -302,6 +305,8 @@ where
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     fn strs(xs: &[&str]) -> Vec<String> {
@@ -359,6 +364,28 @@ mod tests {
         assert!(CliOptions::parse(&strs(&["--scale", "0"])).is_err());
         assert!(CliOptions::parse(&strs(&["--scale", "2"])).is_err());
         assert!(CliOptions::parse(&strs(&["--epochs"])).is_err());
+    }
+
+    /// Every flag `parse` takes is named in `USAGE`, and nothing else is.
+    #[test]
+    fn usage_names_exactly_the_parsed_flags() {
+        fn flags<'a>(text: &'a str, end: &str) -> BTreeSet<&'a str> {
+            text.split("--")
+                .skip(1)
+                .filter_map(|rest| {
+                    let len = rest
+                        .find(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                        .unwrap_or(rest.len());
+                    rest[len..].starts_with(end).then(|| &rest[..len])
+                })
+                .filter(|name| !name.is_empty())
+                .collect()
+        }
+        let source = include_str!("args.rs");
+        let parse = &source[source.find("pub fn parse").unwrap()..source.find("fn num").unwrap()];
+        let parsed = flags(parse, "\" =>");
+        assert!(parsed.len() > 40, "{parsed:?}");
+        assert_eq!(flags(USAGE, ""), parsed);
     }
 
     #[test]

@@ -13,39 +13,18 @@ use std::time::{Duration, Instant};
 
 use logcl_cluster::fault::{clear, fired, install, FaultPlan, FaultPoint};
 use logcl_cluster::{Router, RouterConfig, WorkerState};
-use logcl_core::{LogClConfig, ShardSpec};
+use logcl_core::ShardSpec;
 use logcl_serve::http::Client;
-use logcl_serve::{ModelSpec, ServeConfig, Server};
-use logcl_tkg::{SyntheticPreset, TkgDataset};
+use logcl_serve::{ServeConfig, Server};
 use serde_json::Value;
+
+mod common;
+use common::{header_of, horizon_of, json, request, request_full, tiny_ds, untrained_spec};
 
 const SHARDS: usize = 3;
 
 /// The fault plan is process-global; chaos tests take turns.
 static SERIAL: Mutex<()> = Mutex::new(());
-
-fn tiny_ds() -> TkgDataset {
-    SyntheticPreset::Icews14.generate_scaled(0.15)
-}
-
-fn tiny_cfg() -> LogClConfig {
-    LogClConfig {
-        dim: 16,
-        time_bank: 4,
-        channels: 6,
-        m: 3,
-        ..Default::default()
-    }
-}
-
-fn spec() -> ModelSpec {
-    ModelSpec {
-        name: "default".into(),
-        cfg: tiny_cfg(),
-        checkpoint: None,
-        train: None,
-    }
-}
 
 fn workers() -> Vec<Server> {
     (0..SHARDS)
@@ -57,7 +36,7 @@ fn workers() -> Vec<Server> {
                 shed_sojourn: Duration::from_secs(60),
                 ..ServeConfig::default()
             };
-            Server::start(cfg, tiny_ds(), vec![spec()]).expect("worker must start")
+            Server::start(cfg, tiny_ds(), vec![untrained_spec()]).expect("worker must start")
         })
         .collect()
 }
@@ -77,38 +56,8 @@ fn router_over(workers: &[Server], hedge_after: Option<Duration>) -> Router {
     Router::start(cfg).expect("router must start")
 }
 
-fn request_full(
-    addr: std::net::SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> (u16, Vec<(String, String)>, String) {
-    let reply = Client::new(addr, Duration::from_secs(120))
-        .and_then(|mut client| client.send(method, path, &[], body.as_bytes()))
-        .expect("exchange");
-    let body = reply.text();
-    (reply.status, reply.headers, body)
-}
-
-fn header_of<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    headers
-        .iter()
-        .find(|(n, _)| n.eq_ignore_ascii_case(name))
-        .map(|(_, v)| v.as_str())
-}
-
-fn json(body: &str) -> Value {
-    serde_json::from_str(body).unwrap_or_else(|e| panic!("bad JSON {body:?}: {e}"))
-}
-
-fn horizon_of(addr: std::net::SocketAddr) -> u64 {
-    let (status, _, body) = request_full(addr, "GET", "/healthz", "");
-    assert_eq!(status, 200);
-    json(&body).get("horizon").and_then(Value::as_u64).unwrap()
-}
-
 fn predict(router: &Router, query: &str) -> (u16, Vec<(String, String)>, Value) {
-    let (status, headers, body) = request_full(router.addr(), "POST", "/predict", query);
+    let (status, headers, body) = request_full(router.addr(), "POST", "/predict", query, &[]);
     let v = json(&body);
     (status, headers, v)
 }
@@ -199,7 +148,7 @@ fn stalled_shard_is_hedged_and_still_answers_in_full() {
     );
     assert!(fired(FaultPoint::ShardStall) > 0);
 
-    let (_, _, text) = request_full(router.addr(), "GET", "/metrics", "");
+    let (_, text) = request(router.addr(), "GET", "/metrics", "");
     let hedges: u64 = text
         .lines()
         .find(|l| l.starts_with("logcl_router_hedges_total"))
@@ -319,7 +268,7 @@ fn a_5xx_never_returns_its_socket_and_the_pool_refills_on_recovery() {
         "{:?}",
         router.idle_hop_connections()
     );
-    let (_, _, text) = request_full(router.addr(), "GET", "/metrics", "");
+    let (_, text) = request(router.addr(), "GET", "/metrics", "");
     assert!(
         text.contains("logcl_router_hop_connections_total{reused=\"true\"} 0"),
         "a refused hop is not an answered one: {text}"

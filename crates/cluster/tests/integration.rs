@@ -9,36 +9,15 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use logcl_cluster::{Router, RouterConfig, WorkerState};
-use logcl_core::{LogClConfig, ShardSpec};
-use logcl_serve::http::{read_request, write_response, Client, Response};
-use logcl_serve::{ModelSpec, ServeConfig, Server};
-use logcl_tkg::{SyntheticPreset, TkgDataset};
+use logcl_core::ShardSpec;
+use logcl_serve::http::{read_request, write_response, Response};
+use logcl_serve::{ServeConfig, Server};
 use serde_json::Value;
 
+mod common;
+use common::{header_of, horizon_of, json, request, request_full, tiny_ds, untrained_spec};
+
 const SHARDS: usize = 3;
-
-fn tiny_ds() -> TkgDataset {
-    SyntheticPreset::Icews14.generate_scaled(0.15)
-}
-
-fn tiny_cfg() -> LogClConfig {
-    LogClConfig {
-        dim: 16,
-        time_bank: 4,
-        channels: 6,
-        m: 3,
-        ..Default::default()
-    }
-}
-
-fn spec() -> ModelSpec {
-    ModelSpec {
-        name: "default".into(),
-        cfg: tiny_cfg(),
-        checkpoint: None,
-        train: None,
-    }
-}
 
 /// Boots one worker. `addr` lets a restarted worker rebind its old port;
 /// `wal_dir` makes its ingest durable.
@@ -51,7 +30,7 @@ fn worker(shard: Option<ShardSpec>, addr: &str, wal_dir: Option<&Path>) -> Serve
         shed_sojourn: Duration::from_secs(60),
         ..ServeConfig::default()
     };
-    Server::start(cfg, tiny_ds(), vec![spec()]).expect("worker must start")
+    Server::start(cfg, tiny_ds(), vec![untrained_spec()]).expect("worker must start")
 }
 
 fn scratch(name: &str) -> PathBuf {
@@ -71,44 +50,6 @@ fn router_over(workers: &[&Server]) -> Router {
         ..RouterConfig::default()
     };
     Router::start(cfg).expect("router must start")
-}
-
-/// One request on its own connection; any status is an answer here (it is
-/// the router's hop client that maps 5xx to retryable errors).
-fn request_full(
-    addr: std::net::SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-    extra_headers: &[(&str, &str)],
-) -> (u16, Vec<(String, String)>, String) {
-    let reply = Client::new(addr, Duration::from_secs(120))
-        .and_then(|mut client| client.send(method, path, extra_headers, body.as_bytes()))
-        .expect("exchange");
-    let body = reply.text();
-    (reply.status, reply.headers, body)
-}
-
-fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let (status, _, body) = request_full(addr, method, path, body, &[]);
-    (status, body)
-}
-
-fn header_of<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    headers
-        .iter()
-        .find(|(n, _)| n.eq_ignore_ascii_case(name))
-        .map(|(_, v)| v.as_str())
-}
-
-fn json(body: &str) -> Value {
-    serde_json::from_str(body).unwrap_or_else(|e| panic!("bad JSON {body:?}: {e}"))
-}
-
-fn horizon_of(addr: std::net::SocketAddr) -> u64 {
-    let (status, body) = request(addr, "GET", "/healthz", "");
-    assert_eq!(status, 200);
-    json(&body).get("horizon").and_then(Value::as_u64).unwrap()
 }
 
 /// `(entity, score_bits)` pairs from a predict reply, in rank order.
@@ -195,7 +136,7 @@ fn a_browned_out_shard_merges_to_the_single_node_prefix() {
             ..ServeConfig::default()
         },
         tiny_ds(),
-        vec![spec()],
+        vec![untrained_spec()],
     )
     .expect("worker must start");
     let cap = ServeConfig::default().brownout_k_cap;

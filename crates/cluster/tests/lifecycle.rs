@@ -20,12 +20,14 @@ use std::time::{Duration, Instant};
 
 use logcl_cluster::client::MAX_IDLE;
 use logcl_cluster::{Router, RouterConfig, WorkerState};
-use logcl_core::{LogClConfig, ShardSpec};
+use logcl_core::ShardSpec;
 use logcl_serve::fault::{self, FaultPlan, FaultPoint};
 use logcl_serve::http::{self, Client, Reply};
-use logcl_serve::{ModelSpec, ServeConfig, Server};
-use logcl_tkg::SyntheticPreset;
+use logcl_serve::{ServeConfig, Server};
 use serde_json::Value;
+
+mod common;
+use common::{tiny_ds, untrained_spec};
 
 /// The settings a row may want changed; the inbound limits apply to both
 /// processes, hedging to the router; `stall` holds the worker's first
@@ -117,20 +119,7 @@ fn worker(limits: Limits, addr: &str) -> Server {
         shed_sojourn: Duration::from_secs(60),
         ..ServeConfig::default()
     };
-    let spec = ModelSpec {
-        name: "default".into(),
-        cfg: LogClConfig {
-            dim: 16,
-            time_bank: 4,
-            channels: 6,
-            m: 3,
-            ..Default::default()
-        },
-        checkpoint: None,
-        train: None,
-    };
-    let ds = SyntheticPreset::Icews14.generate_scaled(0.15);
-    Server::start(cfg, ds, vec![spec]).expect("server must start")
+    Server::start(cfg, tiny_ds(), vec![untrained_spec()]).expect("server must start")
 }
 
 impl Pair {

@@ -17,14 +17,19 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use logcl_core::{
-    online_adapt, predict_topk, predict_topk_stream, EvalContext, LogCl, LogClConfig,
-    OnlineAdaptOptions, Prediction,
+    online_adapt, predict_topk, predict_topk_stream, EvalContext, LogCl, OnlineAdaptOptions,
+    Prediction,
 };
 use logcl_serve::fault::{self, FaultPlan, FaultPoint};
-use logcl_serve::http::Client;
-use logcl_serve::{ModelSpec, ServeConfig, Server, StartError};
-use logcl_tkg::{HistoryIndex, Quad, SyntheticPreset, TkgDataset};
+use logcl_serve::{ServeConfig, Server, StartError};
+use logcl_tkg::HistoryIndex;
 use serde_json::Value;
+
+mod common;
+use common::{
+    copy_dir, extend, header_of, horizon_of, json, predictions_of, request, request_full, scratch,
+    tiny_cfg, tiny_ds, untrained_spec,
+};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -34,29 +39,6 @@ fn serial() -> MutexGuard<'static, ()> {
     let guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     fault::clear();
     guard
-}
-
-fn tiny_ds() -> TkgDataset {
-    SyntheticPreset::Icews14.generate_scaled(0.15)
-}
-
-fn tiny_cfg() -> LogClConfig {
-    LogClConfig {
-        dim: 16,
-        time_bank: 4,
-        channels: 6,
-        m: 3,
-        ..Default::default()
-    }
-}
-
-fn untrained_spec() -> ModelSpec {
-    ModelSpec {
-        name: "default".into(),
-        cfg: tiny_cfg(),
-        checkpoint: None,
-        train: None,
-    }
 }
 
 fn serve_config() -> ServeConfig {
@@ -69,70 +51,17 @@ fn serve_config() -> ServeConfig {
 /// Status, headers, and body.
 type Answer = (u16, Vec<(String, String)>, String);
 
-/// One request on its own connection.
-fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> Answer {
-    request_with(addr, method, path, body, &[])
-}
-
-fn request_with(
-    addr: std::net::SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-    extra_headers: &[(&str, &str)],
-) -> Answer {
-    let reply = Client::new(addr, Duration::from_secs(120))
-        .and_then(|mut client| client.send(method, path, extra_headers, body.as_bytes()))
-        .expect("exchange");
-    let body = reply.text();
-    (reply.status, reply.headers, body)
-}
-
-fn header_of<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    headers
-        .iter()
-        .find(|(n, _)| n.eq_ignore_ascii_case(name))
-        .map(|(_, v)| v.as_str())
-}
-
-fn json(body: &str) -> Value {
-    serde_json::from_str(body).unwrap_or_else(|e| panic!("bad JSON {body:?}: {e}"))
-}
-
-/// `(entity, probability)` pairs out of a `/predict` response body.
-fn predictions_of(body: &str) -> Vec<(u64, f32)> {
-    json(body)
-        .get("predictions")
-        .and_then(Value::as_array)
-        .expect("predictions array")
-        .iter()
-        .map(|p| {
-            let probability = p.get("probability").and_then(Value::as_f64);
-            (
-                p.get("entity").and_then(Value::as_u64).expect("entity id"),
-                probability.expect("probability") as f32,
-            )
-        })
-        .collect()
-}
-
-fn horizon_of(addr: std::net::SocketAddr) -> u64 {
-    let (status, _, body) = request(addr, "GET", "/healthz", "");
-    assert_eq!(status, 200, "healthz must always be live");
-    json(&body).get("horizon").and_then(Value::as_u64).unwrap()
-}
-
 /// Asserts the liveness endpoints answer 200 and returns the tier healthz
 /// reports — callable at any point of any fault episode.
 fn health_always_live(addr: std::net::SocketAddr) -> String {
-    let (status, _, body) = request(addr, "GET", "/healthz", "");
+    let (status, body) = request(addr, "GET", "/healthz", "");
     assert_eq!(status, 200, "healthz shed: {body}");
     let tier = json(&body)
         .get("tier")
         .and_then(Value::as_str)
         .expect("healthz reports the tier")
         .to_string();
-    let (status, _, _) = request(addr, "GET", "/metrics", "");
+    let (status, _) = request(addr, "GET", "/metrics", "");
     assert_eq!(status, 200, "metrics shed");
     tier
 }
@@ -177,7 +106,7 @@ fn compute_delay_overload_sheds_then_recovers_bit_identically() {
     let query = format!(r#"{{"subject": 0, "relation": 0, "time": {t}, "k": 5}}"#);
 
     // Unloaded baseline, full fidelity.
-    let (status, headers, baseline) = request(addr, "POST", "/predict", &query);
+    let (status, headers, baseline) = request_full(addr, "POST", "/predict", &query, &[]);
     assert_eq!(status, 200, "{baseline}");
     assert_eq!(header_of(&headers, "X-LogCL-Degradation"), Some("normal"));
     let baseline = json(&baseline)
@@ -196,7 +125,7 @@ fn compute_delay_overload_sheds_then_recovers_bit_identically() {
     let stalled: Vec<_> = (1..=permits)
         .map(|s| {
             let body = format!(r#"{{"subject": {s}, "relation": 0, "time": {t}, "k": 5}}"#);
-            std::thread::spawn(move || request(addr, "POST", "/predict", &body))
+            std::thread::spawn(move || request_full(addr, "POST", "/predict", &body, &[]))
         })
         .collect();
     wait_until("every permit is held by a stalled forward", || {
@@ -207,7 +136,7 @@ fn compute_delay_overload_sheds_then_recovers_bit_identically() {
             r#"{{"subject": {}, "relation": 0, "time": {t}, "k": 5}}"#,
             permits + 1
         );
-        request(addr, "POST", "/predict", &body)
+        request_full(addr, "POST", "/predict", &body, &[])
     });
     let overload = server.overload();
     wait_until("a request waits for a permit", || {
@@ -218,7 +147,7 @@ fn compute_delay_overload_sheds_then_recovers_bit_identically() {
     // By now the waiting request is far older than shed_sojourn: fresh
     // predicts must be refused with Retry-After, while liveness stays
     // untouched.
-    let (status, headers, body) = request(addr, "POST", "/predict", &query);
+    let (status, headers, body) = request_full(addr, "POST", "/predict", &query, &[]);
     assert_eq!(status, 503, "overloaded server must shed: {body}");
     assert!(
         header_of(&headers, "Retry-After").is_some(),
@@ -243,7 +172,7 @@ fn compute_delay_overload_sheds_then_recovers_bit_identically() {
     fault::clear();
     let mut recovered = None;
     for _ in 0..50 {
-        let (status, headers, body) = request(addr, "POST", "/predict", &query);
+        let (status, headers, body) = request_full(addr, "POST", "/predict", &query, &[]);
         if status == 200 && header_of(&headers, "X-LogCL-Degradation") == Some("normal") {
             let v = json(&body);
             if v.get("degraded").and_then(Value::as_bool) == Some(false) {
@@ -293,7 +222,7 @@ fn tiers_around_a_burst(keys: usize) -> (String, String) {
             std::thread::sleep(Duration::from_millis(3));
             std::thread::spawn(move || {
                 let body = format!(r#"{{"subject": {i}, "relation": 0, "time": {t}, "k": 5}}"#);
-                request(addr, "POST", "/predict", &body)
+                request_full(addr, "POST", "/predict", &body, &[])
             })
         })
         .collect();
@@ -309,7 +238,7 @@ fn tiers_around_a_burst(keys: usize) -> (String, String) {
     let after_burst = health_always_live(addr);
     let query = format!(r#"{{"subject": 0, "relation": 0, "time": {head}, "k": 5}}"#);
     for _ in 0..=burst {
-        let (status, _, body) = request(addr, "POST", "/predict", &query);
+        let (status, body) = request(addr, "POST", "/predict", &query);
         assert_eq!(status, 200, "{body}");
     }
     let recovered = health_always_live(addr);
@@ -337,7 +266,7 @@ fn batcher_death_sheds_predicts_but_leaves_liveness_up() {
     let query = format!(r#"{{"subject": 0, "relation": 0, "time": {t}}}"#);
 
     // One healthy answer first.
-    let (status, _, _) = request(addr, "POST", "/predict", &query);
+    let (status, _) = request(addr, "POST", "/predict", &query);
     assert_eq!(status, 200);
 
     fault::install(FaultPlan {
@@ -347,14 +276,14 @@ fn batcher_death_sheds_predicts_but_leaves_liveness_up() {
     // The next ingest run kills the model thread: the in-hand ingest is
     // answered 503 (dropped reply channel), not left hanging.
     let ingest = format!(r#"{{"time": {t}, "facts": [[1, 0, 2]], "update": false}}"#);
-    let (status, headers, body) = request(addr, "POST", "/ingest", &ingest);
+    let (status, headers, body) = request_full(addr, "POST", "/ingest", &ingest, &[]);
     assert_eq!(status, 503, "{body}");
     assert!(header_of(&headers, "Retry-After").is_some(), "{headers:?}");
     assert_eq!(fault::fired(FaultPoint::BatcherDeath), 1);
 
     // Subsequent predicts shed at admission — the worker is known dead —
     // while health stays live and names the tier.
-    let (status, headers, _) = request(addr, "POST", "/predict", &query);
+    let (status, headers, _) = request_full(addr, "POST", "/predict", &query, &[]);
     assert_eq!(status, 503);
     assert!(header_of(&headers, "Retry-After").is_some());
     assert_eq!(health_always_live(addr), "shed");
@@ -375,7 +304,7 @@ fn queue_saturation_fault_sheds_with_retry_after() {
         queue_saturated: true,
         ..FaultPlan::default()
     });
-    let (status, headers, body) = request(addr, "POST", "/predict", &query);
+    let (status, headers, body) = request_full(addr, "POST", "/predict", &query, &[]);
     assert_eq!(status, 503, "{body}");
     assert!(body.contains("queue full"), "{body}");
     assert!(header_of(&headers, "Retry-After").is_some(), "{headers:?}");
@@ -384,7 +313,7 @@ fn queue_saturation_fault_sheds_with_retry_after() {
     health_always_live(addr);
 
     fault::clear();
-    let (status, _, _) = request(addr, "POST", "/predict", &query);
+    let (status, _) = request(addr, "POST", "/predict", &query);
     assert_eq!(status, 200, "cleared saturation must admit again");
     server.shutdown();
 }
@@ -421,7 +350,7 @@ fn occupy(
     });
     let occupiers = bodies
         .into_iter()
-        .map(|body| std::thread::spawn(move || request(addr, "POST", "/predict", &body)))
+        .map(|body| std::thread::spawn(move || request_full(addr, "POST", "/predict", &body, &[])))
         .collect();
     wait_until("every occupier stalls", || {
         fault::fired(FaultPoint::ComputeDelay) == n
@@ -455,19 +384,19 @@ fn graceful_shutdown_answers_requests_already_in_flight() {
     });
     let queued = std::thread::spawn(move || {
         let body = format!(r#"{{"subject": 2, "relation": 1, "time": {t}}}"#);
-        request(addr, "POST", "/predict", &body)
+        request_full(addr, "POST", "/predict", &body, &[])
     });
     wait_until("the last request waits for a permit", || {
         overload.queue_wait(Instant::now()) > Duration::ZERO
     });
-    let (status, _, _) = request(addr, "POST", "/shutdown", "");
+    let (status, _) = request(addr, "POST", "/shutdown", "");
     assert_eq!(status, 200);
     server.run(); // returns once every thread is joined
 
     for client in occupiers.into_iter().chain([queued]) {
         let (status, _, body) = client.join().unwrap();
         assert_eq!(status, 200, "in-flight request was dropped: {body}");
-        assert!(!predictions_of(&body).is_empty());
+        assert!(!predictions_of(&json(&body)).is_empty());
     }
     fault::clear();
 }
@@ -499,7 +428,7 @@ fn expired_deadline_is_shed_before_compute_and_admitted_work_stays_exact() {
 
     // The impatient client: 100ms budget behind a stall of at least 200ms.
     let impatient = std::thread::spawn(move || {
-        request_with(
+        request_full(
             addr,
             "POST",
             "/predict",
@@ -513,7 +442,7 @@ fn expired_deadline_is_shed_before_compute_and_admitted_work_stays_exact() {
     });
     let patient = std::thread::spawn(move || {
         let body = format!(r#"{{"subject": 1, "relation": 0, "time": {t}, "k": 5}}"#);
-        request(addr, "POST", "/predict", &body)
+        request_full(addr, "POST", "/predict", &body, &[])
     });
 
     // The impatient client leaves the permit queue at its 100ms deadline:
@@ -546,7 +475,7 @@ fn expired_deadline_is_shed_before_compute_and_admitted_work_stays_exact() {
         .map(|p| (p.entity as u64, p.probability))
         .collect();
     assert_eq!(
-        predictions_of(&body),
+        predictions_of(&json(&body)),
         expected,
         "admitted request diverged from the unloaded answer"
     );
@@ -556,7 +485,7 @@ fn expired_deadline_is_shed_before_compute_and_admitted_work_stays_exact() {
     let metrics = server.metrics();
     assert_eq!(metrics.shed_before_compute.load(Ordering::Relaxed), 1);
     assert_eq!(metrics.shed_deadline_queue.load(Ordering::Relaxed), 1);
-    let (_, _, text) = request(addr, "GET", "/metrics", "");
+    let (_, text) = request(addr, "GET", "/metrics", "");
     assert!(
         text.contains("logcl_shed_total{reason=\"deadline_queue\"} 1"),
         "{text}"
@@ -587,8 +516,13 @@ fn concurrency_shed_is_503_with_retry_after() {
         vec![r#"{"subject": 0, "relation": 0}"#.into()],
     );
 
-    let (status, headers, body) =
-        request(addr, "POST", "/predict", r#"{"subject": 1, "relation": 0}"#);
+    let (status, headers, body) = request_full(
+        addr,
+        "POST",
+        "/predict",
+        r#"{"subject": 1, "relation": 0}"#,
+        &[],
+    );
     assert_eq!(status, 503, "{body}");
     assert!(body.contains("in-flight"), "{body}");
     assert!(
@@ -642,20 +576,6 @@ fn time_of(body: &str) -> u64 {
         .expect("query.time")
 }
 
-/// What `/ingest` does to the registry's dataset, done to a twin's: the
-/// facts not already present at `t` join the test split and the horizon
-/// covers `t`. Returns the facts that were new.
-fn extend(ds: &mut TkgDataset, t: usize, facts: &[(usize, usize, usize)]) -> Vec<Quad> {
-    let fresh: Vec<Quad> = facts
-        .iter()
-        .filter(|f| !ds.all_quads().iter().any(|q| q.t == t && q.triple() == **f))
-        .map(|&(s, r, o)| Quad::new(s, r, o, t))
-        .collect();
-    ds.test.extend_from_slice(&fresh);
-    ds.num_times = ds.num_times.max(t + 1);
-    fresh
-}
-
 /// Two reads overlap: while one connection's predict is stalled inside its
 /// forward, another connection's predict is computed and answered — bit for
 /// bit the library's answer — before the first returns.
@@ -673,7 +593,7 @@ fn a_read_stalled_in_compute_does_not_hold_up_another_connections_read() {
         Duration::from_secs(2),
         vec![r#"{"subject": 1, "relation": 0, "k": 5}"#.into()],
     );
-    let (status, _, body) = request(
+    let (status, body) = request(
         addr,
         "POST",
         "/predict",
@@ -711,7 +631,7 @@ fn a_head_read_in_flight_across_an_ingest_is_answered_at_its_horizon() {
     let h = horizon_of(addr) as usize;
     let head_read = r#"{"subject": 3, "relation": 1, "k": 5}"#;
     for _ in 0..2 {
-        let (status, _, body) = request(addr, "POST", "/predict", head_read);
+        let (status, body) = request(addr, "POST", "/predict", head_read);
         assert_eq!(status, 200, "{body}");
     }
     let misses = server.metrics().cache_misses.load(Ordering::Relaxed);
@@ -719,7 +639,7 @@ fn a_head_read_in_flight_across_an_ingest_is_answered_at_its_horizon() {
     let in_flight = occupy(addr, Duration::from_secs(1), vec![head_read.into()]);
     let facts = [(3, 1, 7), (8, 0, 3)];
     let ingest = format!(r#"{{"time": {h}, "facts": [[3, 1, 7], [8, 0, 3]], "update": false}}"#);
-    let (status, _, body) = request(addr, "POST", "/ingest", &ingest);
+    let (status, body) = request(addr, "POST", "/ingest", &ingest);
     assert_eq!(status, 200, "{body}");
     assert!(
         !in_flight[0].is_finished(),
@@ -743,7 +663,7 @@ fn a_head_read_in_flight_across_an_ingest_is_answered_at_its_horizon() {
     );
 
     fault::clear();
-    let (status, _, body) = request(addr, "POST", "/predict", head_read);
+    let (status, body) = request(addr, "POST", "/predict", head_read);
     assert_eq!(status, 200, "{body}");
     assert_eq!(time_of(&body) as usize, h + 1);
     extend(&mut ds, h, &facts);
@@ -769,7 +689,7 @@ fn a_cold_encode_racing_a_weight_update_is_never_served_after_it() {
     let racing = occupy(addr, Duration::from_secs(1), vec![cold.clone()]);
     let facts = [(2, 0, 1), (5, 1, 3)];
     let ingest = format!(r#"{{"time": {h}, "facts": [[2, 0, 1], [5, 1, 3]], "update": true}}"#);
-    let (status, _, body) = request(addr, "POST", "/ingest", &ingest);
+    let (status, body) = request(addr, "POST", "/ingest", &ingest);
     assert_eq!(status, 200, "{body}");
     assert_eq!(
         json(&body).get("online_update").and_then(Value::as_bool),
@@ -800,7 +720,7 @@ fn a_cold_encode_racing_a_weight_update_is_never_served_after_it() {
     assert_eq!(report.steps, 1);
     let after = twin_bits(predict_topk(&mut twin, &ds, 2, 1, t0, 5).unwrap());
     assert_ne!(after, before, "the update must move this answer");
-    let (status, _, body) = request(addr, "POST", "/predict", &cold);
+    let (status, body) = request(addr, "POST", "/predict", &cold);
     assert_eq!(status, 200, "{body}");
     assert_eq!(
         json(&body).get("cache_hit").and_then(Value::as_bool),
@@ -813,13 +733,6 @@ fn a_cold_encode_racing_a_weight_update_is_never_served_after_it() {
 
 // ------------------------------------------------------------- WAL faults
 
-fn wal_scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("logcl-chaos-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
 fn durable_config(dir: &std::path::Path) -> ServeConfig {
     ServeConfig {
         wal_dir: Some(dir.to_path_buf()),
@@ -830,20 +743,10 @@ fn durable_config(dir: &std::path::Path) -> ServeConfig {
     }
 }
 
-fn copy_dir(src: &std::path::Path, dst: &std::path::Path) {
-    std::fs::create_dir_all(dst).expect("create copy dir");
-    for entry in std::fs::read_dir(src).expect("read wal dir") {
-        let entry = entry.expect("dir entry");
-        if entry.file_type().map(|t| t.is_file()).unwrap_or(false) {
-            std::fs::copy(entry.path(), dst.join(entry.file_name())).expect("copy file");
-        }
-    }
-}
-
 fn ingest_with_id(addr: std::net::SocketAddr, t: u64, id: &str) -> (u16, String) {
     let body = format!(r#"{{"time": {t}, "facts": [[1, 0, 2], [3, 1, 4]], "update": true}}"#);
     let (status, _, body) =
-        request_with(addr, "POST", "/ingest", &body, &[("X-LogCL-Ingest-Id", id)]);
+        request_full(addr, "POST", "/ingest", &body, &[("X-LogCL-Ingest-Id", id)]);
     (status, body)
 }
 
@@ -853,7 +756,7 @@ fn ingest_with_id(addr: std::net::SocketAddr, t: u64, id: &str) -> (u16, String)
 #[test]
 fn wal_append_fault_fails_the_ack_and_the_retry_converges() {
     let _guard = serial();
-    let dir = wal_scratch("append-fault");
+    let dir = scratch("append-fault");
     let server =
         Server::start(durable_config(&dir), tiny_ds(), vec![untrained_spec()]).expect("start");
     let addr = server.addr();
@@ -887,7 +790,7 @@ fn wal_append_fault_fails_the_ack_and_the_retry_converges() {
     assert_eq!(fault::fired(FaultPoint::WalAppend), 1, "fault is one-shot");
 
     // The retried frame is durable: a crash image recovers the facts.
-    let crash = wal_scratch("append-fault-crash");
+    let crash = scratch("append-fault-crash");
     copy_dir(&dir, &crash);
     fault::clear();
     server.shutdown();
@@ -903,7 +806,7 @@ fn wal_append_fault_fails_the_ack_and_the_retry_converges() {
 #[test]
 fn wal_fsync_fault_fails_the_group_and_recovery_applies_exactly_once() {
     let _guard = serial();
-    let dir = wal_scratch("fsync-fault");
+    let dir = scratch("fsync-fault");
     let server =
         Server::start(durable_config(&dir), tiny_ds(), vec![untrained_spec()]).expect("start");
     let addr = server.addr();
@@ -931,7 +834,7 @@ fn wal_fsync_fault_fails_the_group_and_recovery_applies_exactly_once() {
             r#"{{"subject": 1, "relation": 0, "time": {}, "k": 5}}"#,
             t0 + 1
         );
-        let (status, _, body) = request(addr, "POST", "/predict", &q);
+        let (status, body) = request(addr, "POST", "/predict", &q);
         assert_eq!(status, 200, "{body}");
         json(&body)
             .get("predictions")
@@ -939,7 +842,7 @@ fn wal_fsync_fault_fails_the_group_and_recovery_applies_exactly_once() {
             .to_string()
     };
 
-    let crash = wal_scratch("fsync-fault-crash");
+    let crash = scratch("fsync-fault-crash");
     copy_dir(&dir, &crash);
     fault::clear();
     server.shutdown();
@@ -958,7 +861,7 @@ fn wal_fsync_fault_fails_the_group_and_recovery_applies_exactly_once() {
         r#"{{"subject": 1, "relation": 0, "time": {}, "k": 5}}"#,
         t0 + 1
     );
-    let (status, _, body) = request(addr, "POST", "/predict", &q);
+    let (status, body) = request(addr, "POST", "/predict", &q);
     assert_eq!(status, 200, "{body}");
     assert_eq!(
         json(&body)
@@ -976,7 +879,7 @@ fn wal_fsync_fault_fails_the_group_and_recovery_applies_exactly_once() {
 #[test]
 fn ingest_during_brownout_still_acks_durably() {
     let _guard = serial();
-    let dir = wal_scratch("brownout-ingest");
+    let dir = scratch("brownout-ingest");
     let cfg = ServeConfig {
         brownout_sojourn: Duration::ZERO,
         ..durable_config(&dir)
@@ -994,7 +897,7 @@ fn ingest_during_brownout_still_acks_durably() {
         "a browned-out server must still ack durably: {body}"
     );
 
-    let crash = wal_scratch("brownout-ingest-crash");
+    let crash = scratch("brownout-ingest-crash");
     copy_dir(&dir, &crash);
     server.shutdown();
     let reborn =
@@ -1014,7 +917,7 @@ fn socket_stall_fault_slows_connections_but_never_drops_them() {
         ..FaultPlan::default()
     });
     let started = Instant::now();
-    let (status, _, _) = request(addr, "GET", "/healthz", "");
+    let (status, _) = request(addr, "GET", "/healthz", "");
     assert_eq!(status, 200, "stalled connection must still be answered");
     assert!(
         started.elapsed() >= Duration::from_millis(120),

@@ -14,29 +14,14 @@
 use std::sync::mpsc;
 use std::time::Duration;
 
-use logcl_core::LogClConfig;
-use logcl_serve::http::Client;
-use logcl_serve::{ModelSpec, ServeConfig, Server};
-use logcl_tkg::{SyntheticPreset, TkgDataset};
-use serde_json::Value;
+use logcl_serve::{ServeConfig, Server};
+
+mod common;
+use common::{horizon_of, request, tiny_ds, untrained_spec};
 
 /// Whole-canary budget. Generous: the workload completes in a few seconds
 /// on a loaded CI runner; a deadlock never completes.
 const CANARY_DEADLINE: Duration = Duration::from_secs(120);
-
-fn tiny_ds() -> TkgDataset {
-    SyntheticPreset::Icews14.generate_scaled(0.15)
-}
-
-fn tiny_cfg() -> LogClConfig {
-    LogClConfig {
-        dim: 16,
-        time_bank: 4,
-        channels: 6,
-        m: 3,
-        ..Default::default()
-    }
-}
 
 fn test_server() -> Server {
     let cfg = ServeConfig {
@@ -48,31 +33,7 @@ fn test_server() -> Server {
         shed_sojourn: Duration::from_secs(60),
         ..ServeConfig::default()
     };
-    let spec = ModelSpec {
-        name: "default".into(),
-        cfg: tiny_cfg(),
-        checkpoint: None,
-        train: None,
-    };
-    Server::start(cfg, tiny_ds(), vec![spec]).expect("server must start")
-}
-
-/// One request on its own connection.
-fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let reply = Client::new(addr, Duration::from_secs(120))
-        .and_then(|mut client| client.send(method, path, &[], body.as_bytes()))
-        .expect("exchange");
-    (reply.status, reply.text())
-}
-
-fn horizon_of(addr: std::net::SocketAddr) -> u64 {
-    let (status, body) = request(addr, "GET", "/healthz", "");
-    assert_eq!(status, 200, "{body}");
-    serde_json::from_str::<Value>(&body)
-        .expect("healthz JSON")
-        .get("horizon")
-        .and_then(Value::as_u64)
-        .expect("horizon field")
+    Server::start(cfg, tiny_ds(), vec![untrained_spec()]).expect("server must start")
 }
 
 #[test]

@@ -13,38 +13,17 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use logcl_core::{
-    online_adapt, predict_topk, predict_topk_stream, EvalContext, LogCl, LogClConfig,
-    OnlineAdaptOptions,
+    online_adapt, predict_topk, predict_topk_stream, EvalContext, LogCl, OnlineAdaptOptions,
 };
-use logcl_serve::http::Client;
-use logcl_serve::{ModelSpec, ServeConfig, Server};
-use logcl_tkg::{HistoryIndex, Quad, SyntheticPreset, TkgDataset};
+use logcl_serve::{ServeConfig, Server};
+use logcl_tkg::{HistoryIndex, TkgDataset};
 use serde_json::Value;
 
-fn tiny_ds() -> TkgDataset {
-    SyntheticPreset::Icews14.generate_scaled(0.15)
-}
-
-fn tiny_cfg() -> LogClConfig {
-    LogClConfig {
-        dim: 16,
-        time_bank: 4,
-        channels: 6,
-        m: 3,
-        ..Default::default()
-    }
-}
-
-/// An untrained model spec: deterministic init from the config seed, so a
-/// locally built `LogCl::new` with the same config is parameter-identical.
-fn untrained_spec() -> ModelSpec {
-    ModelSpec {
-        name: "default".into(),
-        cfg: tiny_cfg(),
-        checkpoint: None,
-        train: None,
-    }
-}
+mod common;
+use common::{
+    extend, header_of, json, predictions_of, request, request_full, tiny_cfg, tiny_ds,
+    untrained_spec,
+};
 
 fn test_server() -> Server {
     let cfg = ServeConfig {
@@ -59,57 +38,6 @@ fn test_server() -> Server {
         ..ServeConfig::default()
     };
     Server::start(cfg, tiny_ds(), vec![untrained_spec()]).expect("server must start")
-}
-
-/// One request on its own connection.
-fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let (status, _, body) = request_full(addr, method, path, body, &[]);
-    (status, body)
-}
-
-/// Like [`request`] but sends extra request headers and returns the
-/// response headers alongside status and body.
-fn request_full(
-    addr: std::net::SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-    extra_headers: &[(&str, &str)],
-) -> (u16, Vec<(String, String)>, String) {
-    let reply = Client::new(addr, Duration::from_secs(120))
-        .and_then(|mut client| client.send(method, path, extra_headers, body.as_bytes()))
-        .expect("exchange");
-    let body = reply.text();
-    (reply.status, reply.headers, body)
-}
-
-/// The value of `name` (case-insensitive) among parsed response headers.
-fn header_of<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    headers
-        .iter()
-        .find(|(n, _)| n.eq_ignore_ascii_case(name))
-        .map(|(_, v)| v.as_str())
-}
-
-fn json(body: &str) -> Value {
-    serde_json::from_str(body).unwrap_or_else(|e| panic!("bad JSON {body:?}: {e}"))
-}
-
-/// Pulls `(entity, probability)` pairs out of a `/predict` response body.
-fn predictions_of(body: &Value) -> Vec<(u64, f32)> {
-    body.get("predictions")
-        .and_then(Value::as_array)
-        .expect("predictions array")
-        .iter()
-        .map(|p| {
-            (
-                p.get("entity").and_then(Value::as_u64).expect("entity id"),
-                p.get("probability")
-                    .and_then(Value::as_f64)
-                    .expect("probability") as f32,
-            )
-        })
-        .collect()
 }
 
 #[test]
@@ -510,20 +438,6 @@ fn ranking_of(body: &Value) -> Vec<(usize, u32)> {
             )
         })
         .collect()
-}
-
-/// What `/ingest` does to the registry's dataset, done to the twin's:
-/// the facts not already present at `t` join the test split and the
-/// horizon covers `t`. Returns the facts that were new.
-fn extend(ds: &mut TkgDataset, t: usize, facts: &[(usize, usize, usize)]) -> Vec<Quad> {
-    let fresh: Vec<Quad> = facts
-        .iter()
-        .filter(|f| !ds.all_quads().iter().any(|q| q.t == t && q.triple() == **f))
-        .map(|&(s, r, o)| Quad::new(s, r, o, t))
-        .collect();
-    ds.test.extend_from_slice(&fresh);
-    ds.num_times = ds.num_times.max(t + 1);
-    fresh
 }
 
 /// The registry keeps one history index and reads it as of each query's

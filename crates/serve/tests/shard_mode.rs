@@ -6,38 +6,14 @@
 
 use std::time::Duration;
 
-use logcl_core::{merge_topk, LogClConfig, ScoredEntity, ShardSpec, SoftmaxStat};
-use logcl_serve::http::Client;
-use logcl_serve::{ModelSpec, ServeConfig, Server};
-use logcl_tkg::{SyntheticPreset, TkgDataset};
+use logcl_core::{merge_topk, ScoredEntity, ShardSpec, SoftmaxStat};
+use logcl_serve::{ServeConfig, Server};
 use serde_json::Value;
 
+mod common;
+use common::{json, request, tiny_ds, untrained_spec};
+
 const SHARDS: usize = 3;
-
-fn tiny_ds() -> TkgDataset {
-    SyntheticPreset::Icews14.generate_scaled(0.15)
-}
-
-fn tiny_cfg() -> LogClConfig {
-    LogClConfig {
-        dim: 16,
-        time_bank: 4,
-        channels: 6,
-        m: 3,
-        ..Default::default()
-    }
-}
-
-/// Untrained spec: `LogCl::new` init is deterministic in the config seed,
-/// so every server booted from this spec holds bit-identical parameters.
-fn spec() -> ModelSpec {
-    ModelSpec {
-        name: "default".into(),
-        cfg: tiny_cfg(),
-        checkpoint: None,
-        train: None,
-    }
-}
 
 fn boot(shard: Option<ShardSpec>) -> Server {
     let cfg = ServeConfig {
@@ -48,18 +24,7 @@ fn boot(shard: Option<ShardSpec>) -> Server {
         shed_sojourn: Duration::from_secs(60),
         ..ServeConfig::default()
     };
-    Server::start(cfg, tiny_ds(), vec![spec()]).expect("server must start")
-}
-
-fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let reply = Client::new(addr, Duration::from_secs(120))
-        .and_then(|mut client| client.send(method, path, &[], body.as_bytes()))
-        .expect("exchange");
-    (reply.status, reply.text())
-}
-
-fn json(body: &str) -> Value {
-    serde_json::from_str(body).unwrap_or_else(|e| panic!("bad JSON {body:?}: {e}"))
+    Server::start(cfg, tiny_ds(), vec![untrained_spec()]).expect("server must start")
 }
 
 /// `(entity, score_bits)` pairs from a `/predict` reply, in reply order.

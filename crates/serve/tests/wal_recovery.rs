@@ -8,48 +8,16 @@
 //! is fsynced before its ack, so the live directory is always crash-ready) —
 //! and boot a second server from the copy.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-use logcl_core::LogClConfig;
-use logcl_serve::http::Client;
 use logcl_serve::wal::{Wal, WalRecord};
-use logcl_serve::{ModelSpec, ServeConfig, Server};
-use logcl_tkg::{SyntheticPreset, TkgDataset};
+use logcl_serve::{ServeConfig, Server};
 use serde_json::Value;
 
-fn tiny_ds() -> TkgDataset {
-    SyntheticPreset::Icews14.generate_scaled(0.15)
-}
-
-fn tiny_cfg() -> LogClConfig {
-    LogClConfig {
-        dim: 16,
-        time_bank: 4,
-        channels: 6,
-        m: 3,
-        ..Default::default()
-    }
-}
-
-fn untrained_spec() -> ModelSpec {
-    ModelSpec {
-        name: "default".into(),
-        cfg: tiny_cfg(),
-        checkpoint: None,
-        train: None,
-    }
-}
-
-/// A fresh per-test scratch directory (removed on a best-effort basis by the
-/// next run; unique per process so parallel test binaries never collide).
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("logcl-walrec-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
+mod common;
+use common::{copy_dir, horizon_of, json, request, request_full, scratch, tiny_ds, untrained_spec};
 
 /// Boots a durable server over `dir` with degradation thresholds pushed out
 /// of reach (durability semantics are what's under test here).
@@ -63,44 +31,6 @@ fn durable_server(dir: &Path, compact_every: u64) -> Server {
         ..ServeConfig::default()
     };
     Server::start(cfg, tiny_ds(), vec![untrained_spec()]).expect("server must start")
-}
-
-/// Copies every regular file in `src` into a fresh `dst` — the crash image.
-fn copy_dir(src: &Path, dst: &Path) {
-    std::fs::create_dir_all(dst).expect("create copy dir");
-    for entry in std::fs::read_dir(src).expect("read wal dir") {
-        let entry = entry.expect("dir entry");
-        if entry.file_type().map(|t| t.is_file()).unwrap_or(false) {
-            std::fs::copy(entry.path(), dst.join(entry.file_name())).expect("copy file");
-        }
-    }
-}
-
-fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    request_full(addr, method, path, body, &[])
-}
-
-fn request_full(
-    addr: std::net::SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-    extra_headers: &[(&str, &str)],
-) -> (u16, String) {
-    let reply = Client::new(addr, Duration::from_secs(120))
-        .and_then(|mut client| client.send(method, path, extra_headers, body.as_bytes()))
-        .expect("exchange");
-    (reply.status, reply.text())
-}
-
-fn json(body: &str) -> Value {
-    serde_json::from_str(body).unwrap_or_else(|e| panic!("bad JSON {body:?}: {e}"))
-}
-
-fn horizon_of(addr: std::net::SocketAddr) -> u64 {
-    let (status, body) = request(addr, "GET", "/healthz", "");
-    assert_eq!(status, 200);
-    json(&body).get("horizon").and_then(Value::as_u64).unwrap()
 }
 
 /// The full `/predict` answer as a canonical string — used for bit-identity
@@ -124,7 +54,7 @@ fn ingest(
 ) -> Value {
     let body = format!(r#"{{"time": {t}, "facts": {facts}, "update": {update}}}"#);
     let headers: Vec<(&str, &str)> = id.map(|i| ("X-LogCL-Ingest-Id", i)).into_iter().collect();
-    let (status, body) = request_full(addr, "POST", "/ingest", &body, &headers);
+    let (status, _, body) = request_full(addr, "POST", "/ingest", &body, &headers);
     assert_eq!(status, 200, "{body}");
     json(&body)
 }
@@ -491,7 +421,7 @@ fn invalid_ingests_are_rejected_without_corrupting_durable_state() {
     }
     // An oversized idempotency key is refused before any work happens.
     let long_id = "x".repeat(129);
-    let (status, resp) = request_full(
+    let (status, _, resp) = request_full(
         addr,
         "POST",
         "/ingest",
