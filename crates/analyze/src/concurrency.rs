@@ -1,11 +1,12 @@
-//! Interprocedural concurrency analysis: the lock-order graph (L009),
-//! blocking-under-lock (L010), and atomic-ordering discipline (L011).
+//! Interprocedural concurrency analysis: lock hygiene (L005), the
+//! lock-order graph (L009), blocking-under-lock (L010), and atomic-ordering
+//! discipline (L011).
 //!
 //! Built on the function-granular index in [`crate::source`]: every `fn`
-//! body is walked with an L005-style guard-liveness tracker (straight-line
-//! scopes, `drop()`, condvar-consuming reassignment), but unlike L005 the
-//! tracker knows *which lock* each guard came from and follows direct
-//! calls through a per-crate call graph at bounded depth.
+//! body is walked once with a guard-liveness tracker (straight-line scopes,
+//! `drop()`, condvar-consuming reassignment) that knows *which lock* each
+//! guard came from and follows direct calls through a per-crate call graph
+//! at bounded depth. L005, L009 and L010 all read that one walk.
 //!
 //! Deliberate conservatisms (documented in DESIGN.md):
 //! * Calls resolve only when unambiguous: free calls `name(…)` and
@@ -31,9 +32,9 @@ use crate::source::{FnItem, SourceFile};
 pub const MAX_CALL_DEPTH: usize = 3;
 
 /// Blocking operations flagged *directly* under a live guard by L010.
-/// `.lock(`/`.recv(`/condvar waits are deliberately absent here: direct
-/// occurrences of those are L005's domain (with its consuming-wait and
-/// through-guard exemptions); L010 adds the I/O-and-sleep family plus the
+/// `.lock(` and the [`WAITS`] family are absent here: direct occurrences
+/// of those are L005's (with its consuming-wait and through-guard
+/// exemptions); L010 adds the I/O-and-sleep family plus the
 /// interprocedural view.
 const DIRECT_BLOCKING: &[&str] = &[
     "sync_all",
@@ -44,23 +45,11 @@ const DIRECT_BLOCKING: &[&str] = &[
     "flush",
 ];
 
-/// Blocking operations that count toward a callee's *transitive* summary:
-/// the direct set plus channel reads and condvar waits — a callee that
-/// parks on any of these stalls the caller's held guard no matter how
-/// sanctioned the wait is locally.
-const TRANSITIVE_BLOCKING: &[&str] = &[
-    "sync_all",
-    "sync_data",
-    "sleep",
-    "read_exact",
-    "write_all",
-    "flush",
-    "recv",
-    "recv_timeout",
-    "wait",
-    "wait_timeout",
-    "wait_while",
-];
+/// Channel reads and condvar waits. Directly under a guard they are L005's;
+/// in a callee they join [`DIRECT_BLOCKING`] in the *transitive* summary —
+/// a callee that parks on any of these stalls the caller's held guard no
+/// matter how sanctioned the wait is locally.
+const WAITS: &[&str] = &["recv", "recv_timeout", "wait", "wait_timeout", "wait_while"];
 
 /// Idents that look like calls but are control flow or bindings.
 const CALL_KEYWORDS: &[&str] = &[
@@ -344,9 +333,11 @@ fn transitive_blocking(
         // transitive-only channel/condvar family in method form).
         let own = if ts[i].tok.is_punct('.') {
             match (ts.get(i + 1).map(|t| &t.tok), ts.get(i + 2)) {
-                (Some(Tok::Ident(m)), Some(p)) if p.tok.is_punct('(') => {
-                    TRANSITIVE_BLOCKING.iter().find(|&&o| o == m).copied()
-                }
+                (Some(Tok::Ident(m)), Some(p)) if p.tok.is_punct('(') => DIRECT_BLOCKING
+                    .iter()
+                    .chain(WAITS)
+                    .find(|&&o| o == m)
+                    .copied(),
                 _ => None,
             }
         } else {
@@ -395,28 +386,160 @@ pub struct Edge {
 #[derive(Default)]
 struct BodyFindings {
     edges: Vec<Edge>,
-    /// (op, chain-if-interprocedural, held guard var, held lock, site idx)
-    blocking: Vec<(String, Option<String>, String, String, usize)>,
+    /// L005 and L010 violations.
+    diagnostics: Vec<Diagnostic>,
     /// All direct acquisitions, guard-held or not — the graph's node set.
     acquired: Vec<String>,
 }
 
-/// Walks one fn body tracking guard liveness, recording lock-order edges
-/// and blocking-under-guard events.
-fn scan_body(model: &Model<'_>, f: &FnRef<'_>) -> BodyFindings {
-    #[derive(Debug)]
-    struct Guard {
-        var: String,
-        lock: String,
-        depth: i32,
-        live: bool,
+/// One guard variable of the body walk.
+#[derive(Debug)]
+struct Guard {
+    var: String,
+    lock: String,
+    depth: i32,
+    live: bool,
+    /// Born of an acquisition in this body, not of a guard-returning call:
+    /// only these are L005's (intraprocedural) held guards.
+    direct: bool,
+}
+
+/// L005 at token `k`: `.lock(` or one of the [`WAITS`] while a guard
+/// acquired in this body is live. A call made *through* the guard
+/// (`guard.recv()`, for `Mutex<Receiver>`) and a condvar wait that consumes
+/// it (`cv.wait(guard)`) are the sanctioned patterns and stay silent.
+fn lock_hygiene_at(file: &SourceFile, k: usize, live: &[&Guard]) -> Option<Diagnostic> {
+    let ts = &file.tokens;
+    if !ts[k].tok.is_punct('.') || !ts.get(k + 2).is_some_and(|t| t.tok.is_punct('(')) {
+        return None;
     }
+    let call = ts.get(k + 1)?.tok.ident()?;
+    if call != "lock" && !WAITS.contains(&call) {
+        return None;
+    }
+    let held: Vec<&&Guard> = live.iter().filter(|g| g.direct).collect();
+    let is_held = |j: Option<usize>| {
+        matches!(j.and_then(|j| ts.get(j)).map(|t| &t.tok),
+            Some(Tok::Ident(n)) if held.iter().any(|g| g.var == *n))
+    };
+    let through_guard = is_held(k.checked_sub(1));
+    let consumes_guard = call.starts_with("wait") && is_held(Some(k + 3));
+    if held.is_empty() || through_guard || consumes_guard {
+        return None;
+    }
+    let held: Vec<String> = held
+        .iter()
+        .map(|g| format!("`{}` of lock `{}`", g.var, g.lock))
+        .collect();
+    Some(Diagnostic::new(
+        "L005",
+        file,
+        &ts[k + 1],
+        format!(
+            "blocking `.{call}(…)` while guard {} is live — a guard must not span a wait \
+             on another primitive (deadlock risk); drop the guard first or wait on the \
+             guard itself",
+            held.join(", ")
+        ),
+    ))
+}
+
+/// Records events in [from, to) against the guards live right now (minus
+/// the binding target, for binding statements).
+fn events(
+    model: &Model<'_>,
+    file: &SourceFile,
+    krate: &str,
+    (from, to): (usize, usize),
+    guards: &[Guard],
+    binding_of: Option<&str>,
+    out: &mut BodyFindings,
+) {
+    let ts = &file.tokens;
+    let live: Vec<&Guard> = guards
+        .iter()
+        .filter(|g| g.live && Some(g.var.as_str()) != binding_of)
+        .collect();
+    for k in from..to {
+        if file.in_test_code(k) {
+            continue;
+        }
+        out.diagnostics.extend(lock_hygiene_at(file, k, &live));
+        if let Some((lock, site)) = direct_acquire_at(model, file, k) {
+            out.acquired.push(lock.clone());
+            for g in &live {
+                out.edges.push(Edge {
+                    held: g.lock.clone(),
+                    acquired: lock.clone(),
+                    path: file.path.clone(),
+                    line: ts[site].line,
+                    col: ts[site].col,
+                    via: None,
+                });
+            }
+            continue;
+        }
+        let Some(g) = live.first() else {
+            continue;
+        };
+        let (var, held) = (&g.var, &g.lock);
+        if let Some((op, site)) = direct_blocking_at(file, k) {
+            out.diagnostics.push(Diagnostic::new(
+                "L010",
+                file,
+                &ts[site],
+                format!(
+                    "blocking `{op}` while guard `{var}` of lock `{held}` is live — \
+                     blocking I/O or sleeps under a lock stall every waiter; drop the \
+                     guard first or hoist the blocking work out"
+                ),
+            ));
+            continue;
+        }
+        if let Some((callee, site)) = call_at(ts, k) {
+            if let Some(g_fn) = model.resolve(krate, &callee) {
+                let locks = transitive_locks(model, g_fn, MAX_CALL_DEPTH, &mut BTreeSet::new());
+                for lock in &locks {
+                    for g in &live {
+                        out.edges.push(Edge {
+                            held: g.lock.clone(),
+                            acquired: lock.clone(),
+                            path: file.path.clone(),
+                            line: ts[site].line,
+                            col: ts[site].col,
+                            via: Some(callee.clone()),
+                        });
+                    }
+                }
+                // A call whose only blocking step is acquiring a lock is
+                // L009's business; only report real waits.
+                if let Some((op, chain)) =
+                    transitive_blocking(model, g_fn, MAX_CALL_DEPTH, &mut BTreeSet::new())
+                {
+                    out.diagnostics.push(Diagnostic::new(
+                        "L010",
+                        file,
+                        &ts[site],
+                        format!(
+                            "call reaches blocking `{op}` (path: {chain}) while guard `{var}` \
+                             of lock `{held}` is live — drop the guard before the call or \
+                             hoist the blocking work out"
+                        ),
+                    ));
+                }
+            }
+        }
+    }
+}
+
+/// Walks one fn body tracking guard liveness, recording lock-order edges,
+/// lock-hygiene and blocking-under-guard events.
+fn scan_body(model: &Model<'_>, f: &FnRef<'_>, out: &mut BodyFindings) {
     let ts = &f.file.tokens;
     let file = f.file;
     let krate = crate_of(&file.path);
     let (body_start, body_end) = f.item.body;
     let body_end = body_end.min(ts.len());
-    let mut out = BodyFindings::default();
     let mut guards: Vec<Guard> = Vec::new();
     let mut depth = 0i32;
     let mut i = body_start;
@@ -437,106 +560,22 @@ fn scan_body(model: &Model<'_>, f: &FnRef<'_>) -> BodyFindings {
     };
 
     // What a binding's RHS acquires: a direct acquisition, or a call to a
-    // guard-returning fn.
-    let rhs_lock = |from: usize, to: usize| -> Option<String> {
+    // guard-returning fn — and which of the two it was.
+    let rhs_lock = |from: usize, to: usize| -> Option<(String, bool)> {
         for k in from..to {
             if let Some((lock, _)) = direct_acquire_at(model, file, k) {
-                return Some(lock);
+                return Some((lock, true));
             }
             if let Some((callee, _)) = call_at(ts, k) {
                 if let Some(g) = model.resolve(&krate, &callee) {
                     if Model::returns_guard(g) {
-                        return Some(model.guard_fn_lock(g));
+                        return Some((model.guard_fn_lock(g), false));
                     }
                 }
             }
         }
         None
     };
-
-    // Records events in [from, to) against the guards live right now
-    // (minus the binding target, for binding statements).
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "a nested fn: the walk's state is passed in, there is no closure to capture it"
-    )]
-    fn events(
-        model: &Model<'_>,
-        file: &SourceFile,
-        krate: &str,
-        from: usize,
-        to: usize,
-        guards: &[Guard],
-        binding_of: Option<&str>,
-        out: &mut BodyFindings,
-    ) {
-        let ts = &file.tokens;
-        let live: Vec<&Guard> = guards
-            .iter()
-            .filter(|g| g.live && Some(g.var.as_str()) != binding_of)
-            .collect();
-        for k in from..to {
-            if file.in_test_code(k) {
-                continue;
-            }
-            if let Some((lock, site)) = direct_acquire_at(model, file, k) {
-                out.acquired.push(lock.clone());
-                for g in &live {
-                    out.edges.push(Edge {
-                        held: g.lock.clone(),
-                        acquired: lock.clone(),
-                        path: file.path.clone(),
-                        line: ts[site].line,
-                        col: ts[site].col,
-                        via: None,
-                    });
-                }
-                continue;
-            }
-            if live.is_empty() {
-                continue;
-            }
-            if let Some((op, site)) = direct_blocking_at(file, k) {
-                if let Some(g) = live.first() {
-                    out.blocking
-                        .push((op.to_string(), None, g.var.clone(), g.lock.clone(), site));
-                }
-                continue;
-            }
-            if let Some((callee, site)) = call_at(ts, k) {
-                if let Some(g_fn) = model.resolve(krate, &callee) {
-                    let locks = transitive_locks(model, g_fn, MAX_CALL_DEPTH, &mut BTreeSet::new());
-                    for lock in &locks {
-                        for g in &live {
-                            out.edges.push(Edge {
-                                held: g.lock.clone(),
-                                acquired: lock.clone(),
-                                path: file.path.clone(),
-                                line: ts[site].line,
-                                col: ts[site].col,
-                                via: Some(callee.clone()),
-                            });
-                        }
-                    }
-                    if let Some((op, chain)) =
-                        transitive_blocking(model, g_fn, MAX_CALL_DEPTH, &mut BTreeSet::new())
-                    {
-                        // A call whose only blocking step is acquiring a
-                        // lock is L009's business; only report real waits.
-                        if let Some(g) = live.first() {
-                            out.blocking.push((
-                                op,
-                                Some(chain),
-                                g.var.clone(),
-                                g.lock.clone(),
-                                site,
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-    }
 
     while i < body_end {
         if file.in_test_code(i) {
@@ -609,32 +648,24 @@ fn scan_body(model: &Model<'_>, f: &FnRef<'_>) -> BodyFindings {
 
         if let Some((name, start)) = binding {
             let end = stmt_end(start);
-            events(
-                model,
-                file,
-                &krate,
-                start,
-                end,
-                &guards,
-                Some(&name),
-                &mut out,
-            );
-            if let Some(lock) = rhs_lock(start, end) {
+            events(model, file, &krate, (start, end), &guards, Some(&name), out);
+            if let Some((lock, direct)) = rhs_lock(start, end) {
                 if let Some(g) = guards.iter_mut().find(|g| g.var == name) {
-                    g.live = true;
+                    g.live = true; // revive at its original depth
                     g.lock = lock;
+                    g.direct = direct;
                 } else {
                     guards.push(Guard {
                         var: name,
                         lock,
                         depth,
                         live: true,
+                        direct,
                     });
                 }
             }
             // A consuming condvar reassignment (`st = cv.wait(st)…`) keeps
-            // the guard live; any other RHS leaves its state unchanged,
-            // matching L005.
+            // the guard live; any other RHS leaves its state unchanged.
             for t in &ts[start..end] {
                 if t.tok.is_punct('{') {
                     depth += 1;
@@ -646,55 +677,48 @@ fn scan_body(model: &Model<'_>, f: &FnRef<'_>) -> BodyFindings {
             continue;
         }
 
-        events(model, file, &krate, i, i + 1, &guards, None, &mut out);
+        events(model, file, &krate, (i, i + 1), &guards, None, out);
         i += 1;
     }
-    out
 }
 
 // --------------------------------------------------------------- the lints
 
-/// Collects findings over every fn of every in-scope file.
-fn scan_all(files: &[&SourceFile]) -> (Vec<Edge>, Vec<Diagnostic>, BTreeSet<String>) {
+/// Walks every outermost non-test fn of every in-scope file. A nested fn
+/// is walked as part of the body around it, so it is reported once.
+fn scan_all(files: &[&SourceFile]) -> BodyFindings {
     let model = Model::build(files);
-    let mut edges = Vec::new();
-    let mut blocking = Vec::new();
-    let mut nodes = BTreeSet::new();
+    let mut out = BodyFindings::default();
     for file in files {
         for item in &file.fns {
-            if file.in_test_code(item.decl) {
-                continue;
-            }
-            let f = FnRef { file, item };
-            let found = scan_body(&model, &f);
-            nodes.extend(found.acquired);
-            edges.extend(found.edges);
-            for (op, chain, var, lock, site) in found.blocking {
-                let t = &file.tokens[site];
-                let message = match chain {
-                    None => format!(
-                        "blocking `{op}` while guard `{var}` of lock `{lock}` is live — \
-                         blocking I/O or sleeps under a lock stall every waiter; drop the \
-                         guard first or hoist the blocking work out"
-                    ),
-                    Some(chain) => format!(
-                        "call reaches blocking `{op}` (path: {chain}) while guard `{var}` of \
-                         lock `{lock}` is live — drop the guard before the call or hoist \
-                         the blocking work out"
-                    ),
-                };
-                blocking.push(Diagnostic::new("L010", file, t, message));
+            let nested = file
+                .fns
+                .iter()
+                .any(|o| o.body.0 < item.decl && item.decl < o.body.1);
+            if !nested && !file.in_test_code(item.decl) {
+                scan_body(&model, &FnRef { file, item }, &mut out);
             }
         }
     }
-    (edges, blocking, nodes)
+    out
+}
+
+/// L005 lock-hygiene: while a guard acquired in the fn is live, no `.lock(`
+/// and no channel read or condvar wait on anything but that guard.
+pub fn l005_lock_hygiene(files: &[&SourceFile], out: &mut Vec<Diagnostic>) {
+    out.extend(
+        scan_all(files)
+            .diagnostics
+            .into_iter()
+            .filter(|d| d.lint == "L005"),
+    );
 }
 
 /// L009 lock-order: build the cross-file lock-acquisition graph and report
 /// every edge that participates in a cycle (including self-edges — a
 /// re-acquired non-reentrant `Mutex` is a self-deadlock).
 pub fn l009_lock_order(files: &[&SourceFile], out: &mut Vec<Diagnostic>) {
-    let (edges, _, _) = scan_all(files);
+    let edges = scan_all(files).edges;
     let adj = adjacency(&edges);
     let mut seen = BTreeSet::new();
     for e in &edges {
@@ -744,8 +768,12 @@ pub fn l009_lock_order(files: &[&SourceFile], out: &mut Vec<Diagnostic>) {
 /// interprocedurally, channel reads and condvar waits) reachable while a
 /// guard is live.
 pub fn l010_blocking_under_lock(files: &[&SourceFile], out: &mut Vec<Diagnostic>) {
-    let (_, blocking, _) = scan_all(files);
-    out.extend(blocking);
+    out.extend(
+        scan_all(files)
+            .diagnostics
+            .into_iter()
+            .filter(|d| d.lint == "L010"),
+    );
 }
 
 /// L011 atomic-ordering: `Ordering::Relaxed` outside the telemetry plane.
@@ -830,9 +858,11 @@ fn reaches(adj: &BTreeMap<&str, BTreeSet<&str>>, from: &str, to: &str) -> bool {
 /// Renders the lock-acquisition graph as GraphViz DOT. Cycle-participating
 /// edges are highlighted; every edge carries its site as a label.
 pub fn lock_graph_dot(files: &[&SourceFile]) -> String {
-    let (edges, _, nodes) = scan_all(files);
+    let BodyFindings {
+        edges, acquired, ..
+    } = scan_all(files);
     let adj = adjacency(&edges);
-    let mut all_nodes: BTreeSet<&str> = nodes.iter().map(String::as_str).collect();
+    let mut all_nodes: BTreeSet<&str> = acquired.iter().map(String::as_str).collect();
     for e in &edges {
         all_nodes.insert(&e.held);
         all_nodes.insert(&e.acquired);
@@ -911,6 +941,26 @@ mod tests {
         let b = parse("crates/serve/src/b.rs", "fn helper() {}\n");
         let model = Model::build(&[&a, &b]);
         assert!(model.resolve("crates/serve", "helper").is_none());
+    }
+
+    #[test]
+    fn l005_flags_second_lock_and_waits_but_not_condvar_or_through_guard() {
+        let l005 = |src: &str| run_ws(l005_lock_hygiene, &[&parse("crates/serve/src/x.rs", src)]);
+        let bad = "fn f() { let st = a.lock().unwrap(); let other = b.lock().unwrap(); }";
+        let recv = "fn f() { let st = a.lock().unwrap();\n let j = rx.recv(); }";
+        let cv =
+            "fn f() { let mut st = a.lock().unwrap(); while x { st = cv.wait(st).unwrap(); } }";
+        let through = "fn f() { let g = rx.lock().unwrap(); let j = g.recv(); }";
+        let dropped = "fn f() { let st = a.lock().unwrap(); drop(st); let o = b.lock().unwrap(); }";
+        assert_eq!(l005(bad).len(), 1);
+        let d = l005(recv);
+        assert_eq!((d.len(), d[0].line, d[0].col), (1, 2, 13), "{d:?}");
+        assert!(l005(cv).is_empty());
+        assert!(l005(through).is_empty());
+        assert!(l005(dropped).is_empty());
+        // A nested fn is walked once, as part of the body around it.
+        let nested = "fn f() { fn g() { let a = m.lock(); let b = n.lock(); } }";
+        assert_eq!(l005(nested).len(), 1);
     }
 
     #[test]

@@ -57,11 +57,11 @@ pub const L004_SCOPE: Scope = Scope {
     exclude: &["crates/analyze/"],
 };
 
-/// L005 lock hygiene: guards must not span a blocking wait on another
-/// primitive. Scoped to the serving stack (worker and router alike), which
-/// holds locks around channels and condvars, and to the kernels, which
-/// hold none and must keep it that way.
-pub const L005_SCOPE: Scope = Scope {
+/// L005 lock hygiene, L009 lock order and L010 blocking-under-lock: the
+/// lock-holding subsystems, which share one guard walk. The serving stack
+/// (worker and router alike) holds locks around channels, condvars and I/O;
+/// the kernels hold none and must keep it that way.
+pub const LOCK_SCOPE: Scope = Scope {
     include: &[
         "crates/tensor/src/kernels/",
         "crates/serve/src/",
@@ -91,39 +91,6 @@ pub const L006_SCOPE: Scope = Scope {
 /// shape vectors under validated invariants.
 pub const L007_SCOPE: Scope = Scope {
     include: &["crates/serve/src/"],
-    exclude: &[],
-};
-
-/// L008 fault-isolation: references to the deterministic fault-injection
-/// machinery (`fault::…` hooks, `FaultPlan`/`FaultPoint`) must sit inside a
-/// `#[cfg(feature = …)]` gate, so default release builds contain no fault
-/// hooks at all. Each crate's `fault.rs` is its gated module and excluded.
-pub const L008_SCOPE: Scope = Scope {
-    include: &["crates/serve/src/", "crates/cluster/src/"],
-    exclude: &["crates/serve/src/fault.rs", "crates/cluster/src/fault.rs"],
-};
-
-/// L009 lock-order: the cross-file lock-acquisition graph must stay
-/// acyclic. Same scope as L005 — the serving stack (worker and router) is
-/// the only place that holds named guards.
-pub const L009_SCOPE: Scope = Scope {
-    include: &[
-        "crates/tensor/src/kernels/",
-        "crates/serve/src/",
-        "crates/cluster/src/",
-    ],
-    exclude: &[],
-};
-
-/// L010 blocking-under-lock: fsync/sleep/socket writes (and, through
-/// calls, channel reads and condvar waits) must not be reachable while a
-/// guard is live. Same scope as L009: the lock-holding subsystems.
-pub const L010_SCOPE: Scope = Scope {
-    include: &[
-        "crates/tensor/src/kernels/",
-        "crates/serve/src/",
-        "crates/cluster/src/",
-    ],
     exclude: &[],
 };
 
@@ -189,20 +156,15 @@ mod tests {
     fn scope_prefix_logic() {
         assert!(L001_SCOPE.contains("crates/gnn/src/rgcn.rs"));
         assert!(!L001_SCOPE.contains("crates/tensor/src/kernels/ops.rs"));
-        assert!(L008_SCOPE.contains("crates/serve/src/batcher.rs"));
-        assert!(!L008_SCOPE.contains("crates/serve/src/fault.rs"));
-        // Router crate: linted like serve, except its gated fault module and
-        // its telemetry plane.
-        assert!(L005_SCOPE.contains("crates/cluster/src/router.rs"));
-        assert!(L008_SCOPE.contains("crates/cluster/src/router.rs"));
-        assert!(!L008_SCOPE.contains("crates/cluster/src/fault.rs"));
-        assert!(L009_SCOPE.contains("crates/cluster/src/health.rs"));
-        assert!(L010_SCOPE.contains("crates/cluster/src/client.rs"));
+        // Router crate: linted like serve, except its telemetry plane.
+        assert!(LOCK_SCOPE.contains("crates/cluster/src/router.rs"));
+        assert!(LOCK_SCOPE.contains("crates/cluster/src/health.rs"));
+        assert!(LOCK_SCOPE.contains("crates/cluster/src/client.rs"));
         assert!(L011_SCOPE.contains("crates/cluster/src/health.rs"));
         assert!(!L011_SCOPE.contains("crates/cluster/src/metrics.rs"));
-        assert!(L009_SCOPE.contains("crates/serve/src/wal.rs"));
-        assert!(L009_SCOPE.contains("crates/tensor/src/kernels/ops.rs"));
-        assert!(!L010_SCOPE.contains("crates/tensor/src/parallel_glue.rs"));
+        assert!(LOCK_SCOPE.contains("crates/serve/src/wal.rs"));
+        assert!(LOCK_SCOPE.contains("crates/tensor/src/kernels/ops.rs"));
+        assert!(!LOCK_SCOPE.contains("crates/tensor/src/parallel_glue.rs"));
         assert!(L011_SCOPE.contains("crates/serve/src/shed.rs"));
         assert!(!L011_SCOPE.contains("crates/serve/src/metrics.rs"));
         // The wire boundary: http.rs is the one hole in L012's outbound

@@ -226,7 +226,7 @@ pub fn lock_graph_dot_root(root: &Path) -> Result<String, EngineError> {
     files.sort_by(|a, b| a.0.cmp(&b.0));
     let parsed: Vec<SourceFile> = files
         .iter()
-        .filter(|(path, _)| config::L009_SCOPE.contains(path))
+        .filter(|(path, _)| config::LOCK_SCOPE.contains(path))
         .map(|(path, text)| SourceFile::parse(path, text))
         .collect();
     let refs: Vec<&SourceFile> = parsed.iter().collect();

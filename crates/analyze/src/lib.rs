@@ -2,8 +2,8 @@
 //!
 //! A std-only static-analysis pass (lexer, no `syn`) that walks every
 //! workspace source file and enforces, as hard CI gates, the invariants
-//! clippy cannot check: the kernel boundary, fsync, lock, fault-isolation
-//! and wire-boundary discipline. Panic-freedom and determinism are clippy
+//! clippy cannot check: the kernel boundary, fsync, lock and wire-boundary
+//! discipline. Panic-freedom and determinism are clippy
 //! lints. See DESIGN.md ("Static analysis & enforced invariants") for the
 //! table of every rule and its enforcer, and CONTRIBUTING.md for the
 //! `logcl-allow` workflow.

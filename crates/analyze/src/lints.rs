@@ -99,8 +99,8 @@ pub fn registry() -> &'static [LintDef] {
             name: "lock-hygiene",
             invariant: "a held mutex guard must not span a blocking wait on another primitive",
             origin: "PR 3 (kernel pool) + PR 1 (serve batcher)",
-            pass: LintPass::PerFile(l005_lock_hygiene),
-            scope: config::L005_SCOPE,
+            pass: LintPass::Workspace(crate::concurrency::l005_lock_hygiene),
+            scope: config::LOCK_SCOPE,
         },
         LintDef {
             id: "L006",
@@ -119,20 +119,12 @@ pub fn registry() -> &'static [LintDef] {
             scope: config::L007_SCOPE,
         },
         LintDef {
-            id: "L008",
-            name: "fault-isolation",
-            invariant: "fault-injection hooks reachable only under the fault-inject feature",
-            origin: "PR 5 (overload resilience + deterministic fault injection)",
-            pass: LintPass::PerFile(l008_fault_isolation),
-            scope: config::L008_SCOPE,
-        },
-        LintDef {
             id: "L009",
             name: "lock-order",
             invariant: "the cross-file lock-acquisition graph is acyclic (one global order)",
             origin: "PR 9 (interprocedural concurrency analysis)",
             pass: LintPass::Workspace(crate::concurrency::l009_lock_order),
-            scope: config::L009_SCOPE,
+            scope: config::LOCK_SCOPE,
         },
         LintDef {
             id: "L010",
@@ -141,7 +133,7 @@ pub fn registry() -> &'static [LintDef] {
                         reachable while a guard is live",
             origin: "PR 9 (interprocedural concurrency analysis)",
             pass: LintPass::Workspace(crate::concurrency::l010_blocking_under_lock),
-            scope: config::L010_SCOPE,
+            scope: config::LOCK_SCOPE,
         },
         LintDef {
             id: "L011",
@@ -203,8 +195,6 @@ enum Pat {
     I(&'static str),
     /// Exactly this punctuation char.
     P(char),
-    /// Any identifier.
-    AnyIdent,
 }
 
 fn match_at(tokens: &[Token], i: usize, pats: &[Pat]) -> bool {
@@ -214,7 +204,6 @@ fn match_at(tokens: &[Token], i: usize, pats: &[Pat]) -> bool {
     pats.iter().enumerate().all(|(k, p)| match p {
         Pat::I(name) => tokens[i + k].tok.is_ident(name),
         Pat::P(c) => tokens[i + k].tok.is_punct(*c),
-        Pat::AnyIdent => matches!(tokens[i + k].tok, Tok::Ident(_)),
     })
 }
 
@@ -429,205 +418,6 @@ fn l004_fsync_discipline(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-// --------------------------------------------------------------------- L005
-
-/// Lock-hygiene: while a named mutex guard is live, no `.lock(`, `.recv(`,
-/// `.recv_timeout(`, or condvar `.wait*(` on anything other than the guard
-/// itself. Condvar waits that consume the guard (`cv.wait(guard)`) and
-/// channel reads *through* the guard (`guard.recv()`, for `Mutex<Receiver>`)
-/// are the sanctioned patterns and are exempt.
-fn l005_lock_hygiene(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    let ts = &file.tokens;
-
-    #[derive(Debug)]
-    struct Guard {
-        name: String,
-        depth: i32,
-        live: bool,
-    }
-    let mut guards: Vec<Guard> = Vec::new();
-    let mut depth = 0i32;
-    let mut i = 0usize;
-
-    // Scans one statement starting at `start` (a `let` or a reassignment),
-    // returning (end_index_past_semicolon, rhs_contains_lock).
-    let stmt_end = |start: usize| -> usize {
-        let mut j = start;
-        let mut d = 0i32;
-        while j < ts.len() {
-            match &ts[j].tok {
-                t if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') => d += 1,
-                t if t.is_punct('}') || t.is_punct(')') || t.is_punct(']') => d -= 1,
-                t if t.is_punct(';') && d <= 0 => return j + 1,
-                _ => {}
-            }
-            j += 1;
-        }
-        ts.len()
-    };
-
-    while i < ts.len() {
-        if file.in_test_code(i) {
-            i += 1;
-            continue;
-        }
-        match &ts[i].tok {
-            t if t.is_punct('{') => {
-                depth += 1;
-                i += 1;
-                continue;
-            }
-            t if t.is_punct('}') => {
-                depth -= 1;
-                for g in &mut guards {
-                    if g.live && depth < g.depth {
-                        g.live = false;
-                    }
-                }
-                i += 1;
-                continue;
-            }
-            _ => {}
-        }
-
-        // `drop(name)` kills a guard.
-        if match_at(
-            ts,
-            i,
-            &[Pat::I("drop"), Pat::P('('), Pat::AnyIdent, Pat::P(')')],
-        ) {
-            if let Tok::Ident(name) = &ts[i + 2].tok {
-                for g in &mut guards {
-                    if g.live && g.name == *name {
-                        g.live = false;
-                    }
-                }
-            }
-            i += 4;
-            continue;
-        }
-
-        // A guard binding: `let [mut] NAME = … .lock( … ;` — or a
-        // reassignment `NAME = … .lock( … ;` of a known guard name.
-        let binding = if ts[i].tok.is_ident("let") {
-            let mut j = i + 1;
-            if ts.get(j).is_some_and(|t| t.tok.is_ident("mut")) {
-                j += 1;
-            }
-            match (ts.get(j).map(|t| &t.tok), ts.get(j + 1).map(|t| &t.tok)) {
-                (Some(Tok::Ident(name)), Some(t))
-                    if t.is_punct('=') && !ts.get(j + 2).is_some_and(|n| n.tok.is_punct('=')) =>
-                {
-                    Some((name.clone(), i))
-                }
-                _ => None,
-            }
-        } else if let Tok::Ident(name) = &ts[i].tok {
-            let reassign = ts.get(i + 1).is_some_and(|t| t.tok.is_punct('='))
-                && !ts.get(i + 2).is_some_and(|t| t.tok.is_punct('='))
-                && guards.iter().any(|g| g.name == *name);
-            if reassign {
-                Some((name.clone(), i))
-            } else {
-                None
-            }
-        } else {
-            None
-        };
-
-        if let Some((name, start)) = binding {
-            let end = stmt_end(start);
-            let stmt = &ts[start..end];
-            let has_lock = (0..stmt.len())
-                .any(|k| match_at(stmt, k, &[Pat::P('.'), Pat::I("lock"), Pat::P('(')]));
-            // Violations *within* the statement are judged against the
-            // other guards live at its start.
-            check_span(file, ts, start, end, &guards, Some(&name), out);
-            if has_lock {
-                if let Some(g) = guards.iter_mut().find(|g| g.name == name) {
-                    g.live = true; // revive at original depth
-                } else {
-                    guards.push(Guard {
-                        name,
-                        depth,
-                        live: true,
-                    });
-                }
-            }
-            // Walk the statement for depth changes it contains.
-            for t in stmt {
-                if t.tok.is_punct('{') {
-                    depth += 1;
-                } else if t.tok.is_punct('}') {
-                    depth -= 1;
-                }
-            }
-            i = end;
-            continue;
-        }
-
-        check_span(file, ts, i, i + 1, &guards, None, out);
-        i += 1;
-    }
-
-    /// Reports blocking calls in `ts[from..to]` that violate a live guard.
-    fn check_span(
-        file: &SourceFile,
-        ts: &[Token],
-        from: usize,
-        to: usize,
-        guards: &[Guard],
-        binding_of: Option<&str>,
-        out: &mut Vec<Diagnostic>,
-    ) {
-        let live: Vec<&Guard> = guards
-            .iter()
-            .filter(|g| g.live && Some(g.name.as_str()) != binding_of)
-            .collect();
-        if live.is_empty() {
-            return;
-        }
-        for k in from..to {
-            if file.in_test_code(k) {
-                continue;
-            }
-            let blocking = [
-                "lock",
-                "recv",
-                "recv_timeout",
-                "wait",
-                "wait_timeout",
-                "wait_while",
-            ]
-            .iter()
-            .find(|&&name| match_at(ts, k, &[Pat::P('.'), Pat::I(name), Pat::P('(')]))
-            .copied();
-            let Some(call) = blocking else { continue };
-            // Exempt: the call is *through* a live guard (`guard.recv()`) …
-            let through_guard = k > 0
-                && matches!(&ts[k - 1].tok, Tok::Ident(n) if live.iter().any(|g| g.name == *n));
-            // … or a condvar wait that consumes a live guard
-            // (`cv.wait(guard)` / `cv.wait_timeout(guard, d)`).
-            let consumes_guard = call.starts_with("wait")
-                && matches!(ts.get(k + 3).map(|t| &t.tok), Some(Tok::Ident(n)) if live.iter().any(|g| g.name == *n));
-            if through_guard || consumes_guard {
-                continue;
-            }
-            let held: Vec<&str> = live.iter().map(|g| g.name.as_str()).collect();
-            out.push(Diagnostic::new(
-                "L005",
-                file,
-                &ts[k + 1],
-                format!(
-                    "blocking `.{call}(…)` while mutex guard(s) {held:?} are held — a guard \
-                     must not span a wait on another primitive (deadlock risk); drop the \
-                     guard first or wait on the guard itself"
-                ),
-            ));
-        }
-    }
-}
-
 // --------------------------------------------------------------------- L006
 
 /// Error-context discipline at crate boundaries: no `Box<dyn …Error…>`
@@ -825,49 +615,6 @@ fn l007_head_indexing(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-// --------------------------------------------------------------------- L008
-
-/// Fault-injection reachable outside its feature gate: any reference to the
-/// `fault` module (`fault::hook(…)`, `mod fault;`) or to its plan types
-/// (`FaultPlan`, `FaultPoint`) in the serving stack must be wrapped in a
-/// `#[cfg(feature = …)]` gate. Chaos tooling is a test-time instrument; the
-/// default release binary must not contain a single fault branch.
-fn l008_fault_isolation(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    let ts = &file.tokens;
-    for i in 0..ts.len() {
-        if file.in_test_code(i) || file.in_feature_gated(i) {
-            continue;
-        }
-        for ty in ["FaultPlan", "FaultPoint"] {
-            if ts[i].tok.is_ident(ty) {
-                out.push(Diagnostic::new(
-                    "L008",
-                    file,
-                    &ts[i],
-                    format!(
-                        "`{ty}` referenced outside a `#[cfg(feature = …)]` gate — \
-                         fault-injection types must be unreachable in default builds"
-                    ),
-                ));
-            }
-        }
-        let fault_path =
-            ts[i].tok.is_ident("fault") && match_at(ts, i + 1, &[Pat::P(':'), Pat::P(':')]);
-        let fault_import = ts[i].tok.is_ident("fault") && file.in_use_statement(i) && !fault_path;
-        let fault_mod = match_at(ts, i, &[Pat::I("mod"), Pat::I("fault")]);
-        if fault_path || fault_import || fault_mod {
-            out.push(Diagnostic::new(
-                "L008",
-                file,
-                &ts[i],
-                "`fault` module reachable outside a `#[cfg(feature = …)]` gate — \
-                 wrap the hook call (or the `mod`/`use` declaration) in the feature gate"
-                    .into(),
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -894,19 +641,6 @@ mod tests {
     }
 
     #[test]
-    fn l005_flags_second_lock_but_not_condvar_or_through_guard() {
-        let bad = "fn f() { let st = a.lock().unwrap(); let other = b.lock().unwrap(); }";
-        let cv =
-            "fn f() { let mut st = a.lock().unwrap(); while x { st = cv.wait(st).unwrap(); } }";
-        let through = "fn f() { let g = rx.lock().unwrap(); let j = g.recv(); }";
-        let dropped = "fn f() { let st = a.lock().unwrap(); drop(st); let o = b.lock().unwrap(); }";
-        assert_eq!(run_lint("L005", "crates/serve/src/x.rs", bad).len(), 1);
-        assert!(run_lint("L005", "crates/serve/src/x.rs", cv).is_empty());
-        assert!(run_lint("L005", "crates/serve/src/x.rs", through).is_empty());
-        assert!(run_lint("L005", "crates/serve/src/x.rs", dropped).is_empty());
-    }
-
-    #[test]
     fn l006_flags_string_error_position_only() {
         let bad = "pub fn start() -> Result<Server, String> { x }";
         let ok_payload = "pub fn name() -> Result<String, StartError> { x }";
@@ -929,28 +663,5 @@ mod tests {
     fn l001_flags_mut_float_slices_outside_kernels() {
         let src = "pub fn axpy(y: &mut [f32], x: &[f32]) {}";
         assert_eq!(run_lint("L001", "crates/gnn/src/x.rs", src).len(), 1);
-    }
-
-    #[test]
-    fn l008_flags_ungated_fault_refs_but_not_gated_ones() {
-        let gated = "#[cfg(feature = \"fault-inject\")]\npub mod fault;\nfn f() {\n    #[cfg(feature = \"fault-inject\")]\n    {\n        if let Some(d) = crate::fault::compute_delay(0) { use_it(d); }\n    }\n}";
-        assert!(
-            run_lint("L008", "crates/serve/src/x.rs", gated).is_empty(),
-            "feature-gated hooks are the sanctioned pattern"
-        );
-        let bare_mod = "pub mod fault;";
-        assert_eq!(run_lint("L008", "crates/serve/src/x.rs", bare_mod).len(), 1);
-        let bare_call = "fn f() { let d = crate::fault::compute_delay(0); }";
-        assert_eq!(
-            run_lint("L008", "crates/serve/src/x.rs", bare_call).len(),
-            1
-        );
-        let bare_type = "use crate::fault::FaultPlan;";
-        assert_eq!(
-            run_lint("L008", "crates/serve/src/x.rs", bare_type).len(),
-            2
-        );
-        let default_ident = "fn f() { let fault = tolerance; }";
-        assert!(run_lint("L008", "crates/serve/src/x.rs", default_ident).is_empty());
     }
 }

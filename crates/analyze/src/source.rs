@@ -44,9 +44,6 @@ pub struct SourceFile {
     pub bad_allows: Vec<BadAllow>,
     /// Token-index ranges `[start, end)` covering `#[cfg(test)] mod` bodies.
     test_spans: Vec<(usize, usize)>,
-    /// Token-index ranges `[start, end)` covering items gated behind a
-    /// positive `#[cfg(feature = "…")]` attribute.
-    feature_spans: Vec<(usize, usize)>,
     /// Token-index ranges `[start, end)` covering `use …;` statements.
     use_spans: Vec<(usize, usize)>,
     /// Every `fn` item with a body, in source order.
@@ -80,7 +77,6 @@ impl SourceFile {
     pub fn parse(path: &str, source: &str) -> SourceFile {
         let Lexed { tokens, comments } = lex(source);
         let test_spans = find_test_spans(&tokens);
-        let feature_spans = find_feature_spans(&tokens);
         let use_spans = find_use_spans(&tokens);
         let fns = find_fn_items(&tokens);
         let mut allows = Vec::new();
@@ -110,7 +106,6 @@ impl SourceFile {
             allows,
             bad_allows,
             test_spans,
-            feature_spans,
             use_spans,
             fns,
             code_lines,
@@ -125,14 +120,6 @@ impl SourceFile {
     /// True when token index `i` lies inside a `use …;` statement.
     pub fn in_use_statement(&self, i: usize) -> bool {
         self.use_spans.iter().any(|&(s, e)| i >= s && i < e)
-    }
-
-    /// True when token index `i` lies inside an item (or block statement)
-    /// gated behind a positive `#[cfg(feature = "…")]` attribute. Negated
-    /// gates (`#[cfg(not(feature = "…"))]`) do NOT count: they compile
-    /// exactly when the feature is off.
-    pub fn in_feature_gated(&self, i: usize) -> bool {
-        self.feature_spans.iter().any(|&(s, e)| i >= s && i < e)
     }
 
     /// The lines a standalone allow at `line` could target: the next line
@@ -191,34 +178,10 @@ fn parse_allow(text: &str) -> AllowParse {
     }
 }
 
-/// What a `#[…]` attribute's token stream contained — enough to classify
-/// `cfg(test)`-like and `cfg(feature = "…")`-like gates without reading
-/// string contents (the lexer collapses string literals).
-struct AttrFacts {
-    cfg: bool,
-    test: bool,
-    feature: bool,
-    not: bool,
-}
-
-/// Finds `#[cfg(test)] mod name { … }` bodies (token-index ranges). The
-/// attribute may nest (`cfg(all(test, …))`); any `test` ident inside the
-/// `cfg(…)` counts.
+/// Finds `#[cfg(test)]` items: `mod name { … }` bodies, or the next item's
+/// statement or block (token-index ranges). The attribute may nest
+/// (`cfg(all(test, …))`); any `test` ident inside the `cfg(…)` counts.
 fn find_test_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
-    find_attr_spans(tokens, |f| f.cfg && f.test)
-}
-
-/// Finds items gated behind a positive `#[cfg(feature = "…")]`. Negated
-/// gates (`cfg(not(feature = …))`) are excluded — they compile exactly when
-/// the feature is off, so they cannot isolate feature-only code.
-fn find_feature_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
-    find_attr_spans(tokens, |f| f.cfg && f.feature && !f.not)
-}
-
-/// Shared scanner: finds every `#[…]`-attributed item whose attribute
-/// satisfies `matches`, spanning the attribute through the item's body
-/// (module body, block, or statement).
-fn find_attr_spans(tokens: &[Token], matches: fn(&AttrFacts) -> bool) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
@@ -227,29 +190,22 @@ fn find_attr_spans(tokens: &[Token], matches: fn(&AttrFacts) -> bool) -> Vec<(us
             i += 1;
             continue;
         }
-        // Scan the attribute body for the idents the predicate cares about.
+        // Scan the attribute body for `cfg` and `test`.
         let attr_start = i;
         let mut j = i + 2;
         let mut depth = 1i32; // the [
-        let mut facts = AttrFacts {
-            cfg: false,
-            test: false,
-            feature: false,
-            not: false,
-        };
+        let (mut cfg, mut test) = (false, false);
         while j < tokens.len() && depth > 0 {
             match &tokens[j].tok {
                 t if t.is_punct('[') => depth += 1,
                 t if t.is_punct(']') => depth -= 1,
-                t if t.is_ident("cfg") => facts.cfg = true,
-                t if t.is_ident("test") => facts.test = true,
-                t if t.is_ident("feature") => facts.feature = true,
-                t if t.is_ident("not") => facts.not = true,
+                t if t.is_ident("cfg") => cfg = true,
+                t if t.is_ident("test") => test = true,
                 _ => {}
             }
             j += 1;
         }
-        if !matches(&facts) {
+        if !(cfg && test) {
             i = attr_start + 1;
             continue;
         }
@@ -591,31 +547,6 @@ mod tests {
         assert_eq!(positions.len(), 2);
         assert!(f.in_use_statement(positions[0]));
         assert!(!f.in_use_statement(positions[1]));
-    }
-
-    #[test]
-    fn feature_spans_cover_gated_items_but_not_negated_gates() {
-        let src = "#[cfg(feature = \"fault-inject\")]\npub mod fault;\n\
-                   fn f() {\n  #[cfg(feature = \"fault-inject\")]\n  { fault::hook(); }\n\
-                   }\n\
-                   #[cfg(not(feature = \"fault-inject\"))]\nfn g() { fault::other(); }\n\
-                   fn h() { fault::bare(); }\n";
-        let f = SourceFile::parse("x.rs", src);
-        let faults: Vec<usize> = f
-            .tokens
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.tok.is_ident("fault"))
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(faults.len(), 4);
-        assert!(f.in_feature_gated(faults[0]), "gated mod decl");
-        assert!(f.in_feature_gated(faults[1]), "gated block statement");
-        assert!(
-            !f.in_feature_gated(faults[2]),
-            "cfg(not(feature)) is not a gate"
-        );
-        assert!(!f.in_feature_gated(faults[3]), "ungated call");
     }
 
     #[test]

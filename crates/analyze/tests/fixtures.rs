@@ -45,11 +45,6 @@ const FIXTURES: &[Fixture] = &[
         expected: include_str!("../fixtures/l007_head_indexing.expected"),
     },
     Fixture {
-        name: "l008_fault_isolation",
-        source: include_str!("../fixtures/l008_fault_isolation.rs"),
-        expected: include_str!("../fixtures/l008_fault_isolation.expected"),
-    },
-    Fixture {
         name: "l009_lock_order",
         source: include_str!("../fixtures/l009_lock_order.rs"),
         expected: include_str!("../fixtures/l009_lock_order.expected"),

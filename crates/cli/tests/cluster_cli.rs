@@ -30,11 +30,30 @@ impl Drop for Procs {
     }
 }
 
-fn scratch(name: &str) -> PathBuf {
+/// A fresh per-test scratch directory under the temp dir, unique per process
+/// so parallel test binaries never collide. Derefs to its `Path`; dropping
+/// it — when the test ends, pass or fail — removes the directory.
+struct Scratch(PathBuf);
+
+impl std::ops::Deref for Scratch {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn scratch(name: &str) -> Scratch {
     let dir = std::env::temp_dir().join(format!("logcl-cluster-cli-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
+    Scratch(dir)
 }
 
 fn logcl() -> Command {
@@ -304,5 +323,4 @@ fn router_and_workers_survive_kill_dash_nine() {
     }
 
     drop(procs);
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -3,12 +3,18 @@
 //!
 //! This module only exists under the `fault-inject` cargo feature; the
 //! audited call sites in `router.rs` are each wrapped in
-//! `#[cfg(feature = "fault-inject")]`, and lint L008 (`logcl-analyze`)
-//! proves no hook escapes the gate — default release builds contain none
-//! of this code. It extends the serve stack's in-process [`FaultPlan`]
-//! idiom (`logcl_serve::fault`) across the router/worker boundary: the
-//! faults here simulate what a kill -9'd, partitioned, or stalled *worker
-//! process* looks like from the router's side of the wire.
+//! `#[cfg(feature = "fault-inject")]`. The compiler holds the gate: an
+//! ungated hook names a module a default build does not have, and the
+//! `compile_error!` below fails a build that compiles this file without
+//! the feature — default release builds contain none of this code.
+//!
+//! It extends the serve stack's in-process [`FaultPlan`] idiom
+//! (`logcl_serve::fault`) across the router/worker boundary: the faults
+//! here simulate what a kill -9'd, partitioned, or stalled *worker process*
+//! looks like from the router's side of the wire.
+
+#[cfg(not(feature = "fault-inject"))]
+compile_error!("`fault` is for `fault-inject` builds only: gate `mod fault;` with that feature");
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

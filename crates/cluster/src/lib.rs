@@ -23,8 +23,8 @@
 //!   connection lifecycle, the connection cap, drain — is not here: it is
 //!   [`logcl_serve::listener`], the loop the workers run on too.
 //!
-//! Under the `fault-inject` cargo feature (tests only — lint L008 proves it
-//! never reaches a default build) the `fault` module injects deterministic
+//! Under the `fault-inject` cargo feature (tests only — `fault.rs` fails to
+//! compile in a build without it) the `fault` module injects deterministic
 //! faults at the router's network boundaries for chaos testing.
 
 // Panic-freedom and determinism (DESIGN.md, "Lint table"): non-test

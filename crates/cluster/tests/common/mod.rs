@@ -8,6 +8,7 @@
 )]
 
 use std::net::SocketAddr;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use logcl_core::LogClConfig;
@@ -15,6 +16,32 @@ use logcl_serve::http::Client;
 use logcl_serve::ModelSpec;
 use logcl_tkg::{SyntheticPreset, TkgDataset};
 use serde_json::Value;
+
+/// A fresh per-test scratch directory under the temp dir, unique per process
+/// so parallel test binaries never collide. Derefs to its `Path`; dropping
+/// it — when the test ends, pass or fail — removes the directory.
+pub struct Scratch(PathBuf);
+
+impl std::ops::Deref for Scratch {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+pub fn scratch(name: &str) -> Scratch {
+    let dir = std::env::temp_dir().join(format!("logcl-cluster-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    Scratch(dir)
+}
 
 pub fn tiny_ds() -> TkgDataset {
     SyntheticPreset::Icews14.generate_scaled(0.15)

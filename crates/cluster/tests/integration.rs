@@ -5,7 +5,7 @@
 //! when a shard dies, recovery back to full coverage, and metrics.
 
 use std::net::TcpListener;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use logcl_cluster::{Router, RouterConfig, WorkerState};
@@ -15,7 +15,9 @@ use logcl_serve::{ServeConfig, Server};
 use serde_json::Value;
 
 mod common;
-use common::{header_of, horizon_of, json, request, request_full, tiny_ds, untrained_spec};
+use common::{
+    header_of, horizon_of, json, request, request_full, scratch, tiny_ds, untrained_spec, Scratch,
+};
 
 const SHARDS: usize = 3;
 
@@ -31,13 +33,6 @@ fn worker(shard: Option<ShardSpec>, addr: &str, wal_dir: Option<&Path>) -> Serve
         ..ServeConfig::default()
     };
     Server::start(cfg, tiny_ds(), vec![untrained_spec()]).expect("worker must start")
-}
-
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("logcl-cluster-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
 }
 
 fn router_over(workers: &[&Server]) -> Router {
@@ -266,7 +261,7 @@ fn dead_shard_degrades_to_partial_answers_then_recovers() {
 /// two sends — and no shard's WAL ends up with duplicate facts.
 #[test]
 fn duplicate_ingest_across_worker_restart_applies_exactly_once() {
-    let dirs: Vec<PathBuf> = (0..SHARDS).map(|i| scratch(&format!("wal-{i}"))).collect();
+    let dirs: Vec<Scratch> = (0..SHARDS).map(|i| scratch(&format!("wal-{i}"))).collect();
     let workers: Vec<Server> = (0..SHARDS)
         .map(|i| {
             worker(
@@ -348,11 +343,10 @@ fn duplicate_ingest_across_worker_restart_applies_exactly_once() {
     }
     router.shutdown();
     reborn.shutdown();
-    let survivors: Vec<PathBuf> = dirs[1..].to_vec();
     for w in workers {
         w.shutdown();
     }
-    for dir in std::iter::once(&dirs[0]).chain(survivors.iter()) {
+    for dir in &dirs {
         let check = worker(None, "127.0.0.1:0", Some(dir));
         assert_eq!(
             check

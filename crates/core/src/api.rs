@@ -4,6 +4,7 @@
 //! implements [`TkgModel`], so one driver produces every table's metrics
 //! under identical two-phase, time-aware-filtered conditions.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use logcl_tensor::autograd::no_grad;
@@ -138,10 +139,28 @@ pub fn evaluate_with_phase(
     phase: Phase,
     online: bool,
 ) -> Metrics {
+    let mut acc = RankAccumulator::new();
+    two_phase(model, ds, quads, phase, online, |_, q, s, truth| {
+        acc.push(rank_time_aware(s, q, truth));
+    });
+    acc.finish()
+}
+
+/// The evaluation protocol every metric shares: per timestamp of `quads`,
+/// the original queries then their inverses (as `phase` selects) are scored
+/// and each `(query, scores, ground truth)` is handed to `visit` with the
+/// timestamp's context; then, if `online`, the model adapts on the facts.
+pub(crate) fn two_phase(
+    model: &mut dyn TkgModel,
+    ds: &TkgDataset,
+    quads: &[Quad],
+    phase: Phase,
+    online: bool,
+    mut visit: impl FnMut(&EvalContext<'_>, &Quad, &[f32], &BTreeSet<(usize, usize, usize)>),
+) {
     let snapshots = ds.snapshots();
     let times = TkgDataset::split_times(quads);
     let history = HistoryIndex::build(&snapshots);
-    let mut acc = RankAccumulator::new();
     for &t in &times {
         let truth = ds.facts_at(t);
         let at_t: Vec<Quad> = quads.iter().filter(|q| q.t == t).copied().collect();
@@ -163,27 +182,48 @@ pub fn evaluate_with_phase(
                     ds.num_entities,
                     "score vector must cover all entities"
                 );
-                acc.push(rank_time_aware(s, q, &truth));
+                visit(&ctx, q, s, &truth);
             }
         }
         if matches!(phase, Phase::Both | Phase::SecondOnly) {
             let inv: Vec<Quad> = at_t.iter().map(|q| q.inverse(ds.num_rels)).collect();
             let scores = no_grad(|| model.score(&ctx, &inv));
             for (q, s) in inv.iter().zip(&scores) {
-                acc.push(rank_time_aware(s, q, &truth));
+                visit(&ctx, q, s, &truth);
             }
         }
         if online {
             model.online_update(&ctx, &at_t);
         }
     }
-    acc.finish()
 }
 
 #[cfg(test)]
 pub(crate) mod test_support {
     use super::*;
+    use logcl_tensor::{Tensor, Var};
     use logcl_tkg::quad::Quad;
+
+    /// [`ConstModel`] whose `score` fails when called with the autograd
+    /// tape recording: an op on a parameter must come back a leaf.
+    pub struct TapeFreeModel(pub ConstModel);
+
+    impl TkgModel for TapeFreeModel {
+        fn name(&self) -> String {
+            self.0.name()
+        }
+        fn fit(&mut self, ds: &TkgDataset, opts: &TrainOptions) -> Result<TrainReport, TrainError> {
+            self.0.fit(ds, opts)
+        }
+        fn score(&mut self, ctx: &EvalContext<'_>, queries: &[Quad]) -> Vec<Vec<f32>> {
+            let probe = Var::param(Tensor::ones(&[1])).scale(2.0);
+            assert!(
+                probe.is_leaf(),
+                "score ran with the autograd tape recording"
+            );
+            self.0.score(ctx, queries)
+        }
+    }
 
     /// A trivially scorable model: always prefers entity `favourite`.
     pub struct ConstModel {
@@ -218,7 +258,7 @@ pub(crate) mod test_support {
 
 #[cfg(test)]
 mod tests {
-    use super::test_support::ConstModel;
+    use super::test_support::{ConstModel, TapeFreeModel};
     use super::*;
 
     fn toy_ds() -> TkgDataset {
@@ -265,6 +305,17 @@ mod tests {
         let both = evaluate(&mut model, &ds, &test);
         let single = evaluate_with_phase(&mut model, &ds, &test, Phase::FirstOnly, false);
         assert_eq!(both.count, 2 * single.count);
+    }
+
+    #[test]
+    fn every_phase_scores_without_a_tape() {
+        let ds = toy_ds();
+        let mut model = TapeFreeModel(ConstModel {
+            favourite: 1,
+            calls: 0,
+        });
+        let m = evaluate_with_phase(&mut model, &ds, &ds.test.clone(), Phase::Both, true);
+        assert!(m.count > 0);
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! MRR comes from — the analysis lens used throughout the paper's
 //! discussion sections.
 
+use std::collections::BTreeMap;
+
 use logcl_tkg::eval::{rank_raw, rank_time_aware, Metrics, RankAccumulator};
 use logcl_tkg::quad::Quad;
-use logcl_tkg::{HistoryIndex, TkgDataset};
+use logcl_tkg::TkgDataset;
 
-use crate::api::{EvalContext, TkgModel};
+use crate::api::{two_phase, Phase, TkgModel};
 
 /// A full diagnostic report for one model on one split.
 #[derive(Debug, Clone)]
@@ -49,45 +51,22 @@ pub fn evaluate_detailed(
     ds: &TkgDataset,
     quads: &[Quad],
 ) -> DetailedReport {
-    let snapshots = ds.snapshots();
-    let times = TkgDataset::split_times(quads);
-    let history = HistoryIndex::build(&snapshots);
     let mut filtered = RankAccumulator::new();
     let mut raw = RankAccumulator::new();
     let mut historical = RankAccumulator::new();
     let mut novel = RankAccumulator::new();
-    let mut per_rel: std::collections::BTreeMap<usize, RankAccumulator> =
-        std::collections::BTreeMap::new();
-
-    for &t in &times {
-        let truth = ds.facts_at(t);
-        let at_t: Vec<Quad> = quads.iter().filter(|q| q.t == t).copied().collect();
-        let mut phase_queries = at_t.clone();
-        phase_queries.extend(at_t.iter().map(|q| q.inverse(ds.num_rels)));
-
-        // Score each phase separately (the protocol), but collect jointly.
-        let ctx = EvalContext {
-            ds,
-            snapshots: &snapshots,
-            history: &history,
-            t,
-        };
-        let scores1 = model.score(&ctx, &at_t);
-        let inv: Vec<Quad> = at_t.iter().map(|q| q.inverse(ds.num_rels)).collect();
-        let scores2 = model.score(&ctx, &inv);
-
-        for (q, s) in at_t.iter().chain(&inv).zip(scores1.iter().chain(&scores2)) {
-            let fr = rank_time_aware(s, q, &truth);
-            filtered.push(fr);
-            raw.push(rank_raw(s, q.o));
-            if history.as_of(t).count(q.s, q.r, q.o) > 0 {
-                historical.push(fr);
-            } else {
-                novel.push(fr);
-            }
-            per_rel.entry(q.r).or_default().push(fr);
+    let mut per_rel: BTreeMap<usize, RankAccumulator> = BTreeMap::new();
+    two_phase(model, ds, quads, Phase::Both, false, |ctx, q, s, truth| {
+        let fr = rank_time_aware(s, q, truth);
+        filtered.push(fr);
+        raw.push(rank_raw(s, q.o));
+        if ctx.history.as_of(ctx.t).count(q.s, q.r, q.o) > 0 {
+            historical.push(fr);
+        } else {
+            novel.push(fr);
         }
-    }
+        per_rel.entry(q.r).or_default().push(fr);
+    });
 
     let mut per_relation: Vec<(String, Metrics)> = per_rel
         .into_iter()
@@ -108,8 +87,19 @@ pub fn evaluate_detailed(
 mod tests {
     use super::*;
     use crate::api::evaluate;
-    use crate::api::test_support::ConstModel;
+    use crate::api::test_support::{ConstModel, TapeFreeModel};
     use logcl_tkg::SyntheticPreset;
+
+    #[test]
+    fn detailed_scores_without_a_tape() {
+        let ds = SyntheticPreset::Icews14.generate_scaled(0.15);
+        let mut model = TapeFreeModel(ConstModel {
+            favourite: 1,
+            calls: 0,
+        });
+        let r = evaluate_detailed(&mut model, &ds, &ds.test.clone());
+        assert!(r.filtered.count > 0);
+    }
 
     #[test]
     fn detailed_filtered_matches_plain_evaluate() {

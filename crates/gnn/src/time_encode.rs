@@ -55,11 +55,6 @@ impl TimeEncoder {
         }
     }
 
-    /// Width of the frequency bank.
-    pub fn bank_width(&self) -> usize {
-        self.k
-    }
-
     /// `φ(d)` as a `[1, k]` row.
     pub fn phi(&self, d: f32) -> Var {
         self.w_t.scale(d).add(&self.b_t).cos().reshape(&[1, self.k])

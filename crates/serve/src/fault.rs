@@ -1,17 +1,21 @@
 //! Deterministic fault injection for the serve stack (chaos testing).
 //!
 //! This module only exists under the `fault-inject` cargo feature; the
-//! audited call sites in `server.rs`, `batcher.rs`, `registry.rs` and
-//! `wal.rs` are
-//! each wrapped in `#[cfg(feature = "fault-inject")]`, and lint L008
-//! (`logcl-analyze`) proves no hook escapes the gate — default release
-//! builds contain none of this code.
+//! audited call sites in `server.rs`, `batcher.rs`, `listener.rs`,
+//! `registry.rs` and `wal.rs` are each wrapped in
+//! `#[cfg(feature = "fault-inject")]`. The compiler holds the gate: an
+//! ungated hook names a module a default build does not have, and the
+//! `compile_error!` below fails a build that compiles this file without
+//! the feature — default release builds contain none of this code.
 //!
 //! Faults are scheduled deterministically: a [`FaultPlan`] is installed
 //! once per test, decisions are pure functions of the plan's seed and a
 //! monotone call counter (no wall-clock randomness, consistent with the
 //! determinism rules), so a chaos run replays bit-identically for a fixed
 //! seed.
+
+#[cfg(not(feature = "fault-inject"))]
+compile_error!("`fault` is for `fault-inject` builds only: gate `mod fault;` with that feature");
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

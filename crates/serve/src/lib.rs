@@ -29,8 +29,8 @@
 //! * [`wal`] — the durable-ingest write-ahead log: CRC32-framed records,
 //!   group-commit fsync, torn-tail truncation on replay.
 //!
-//! Under the `fault-inject` cargo feature (tests only — lint L008 proves it
-//! never reaches a default build) the `fault` module adds deterministic
+//! Under the `fault-inject` cargo feature (tests only — `fault.rs` fails to
+//! compile in a build without it) the `fault` module adds deterministic
 //! fault injection at audited boundaries for chaos testing.
 //!
 //! Start one with [`Server::start`] and a [`ServeConfig`]; see the README's

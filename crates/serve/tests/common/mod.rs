@@ -45,12 +45,29 @@ pub fn untrained_spec() -> ModelSpec {
 }
 
 /// A fresh per-test scratch directory under the temp dir, unique per process
-/// so parallel test binaries never collide. Nothing removes it afterwards.
-pub fn scratch(name: &str) -> PathBuf {
+/// so parallel test binaries never collide. Derefs to its `Path`; dropping
+/// it — when the test ends, pass or fail — removes the directory.
+pub struct Scratch(PathBuf);
+
+impl std::ops::Deref for Scratch {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+pub fn scratch(name: &str) -> Scratch {
     let dir = std::env::temp_dir().join(format!("logcl-serve-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
+    Scratch(dir)
 }
 
 /// Copies every regular file in `src` into a fresh `dst` — the crash image.

@@ -124,13 +124,6 @@ pub fn map_fallback(f: &dyn Fn(f32) -> f32, x: &[f32]) -> Vec<f32> {
     x.iter().map(|&v| f(v)).collect()
 }
 
-/// In-place variant of [`map_fallback`].
-pub fn map_fallback_inplace(f: &dyn Fn(f32) -> f32, x: &mut [f32]) {
-    for v in x.iter_mut() {
-        *v = f(*v);
-    }
-}
-
 /// Named binary kernels, including the fused backward forms that autograd
 /// previously open-coded.
 #[derive(Clone, Copy, Debug)]

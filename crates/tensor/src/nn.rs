@@ -157,14 +157,6 @@ impl Linear {
         }
     }
 
-    /// Xavier-initialised layer without bias.
-    pub fn new_no_bias(in_dim: usize, out_dim: usize, rng: &mut Rng) -> Self {
-        Self {
-            weight: Var::param(xavier_uniform(in_dim, out_dim, rng)),
-            bias: None,
-        }
-    }
-
     /// Applies the layer to `[N, in_dim]` input.
     pub fn forward(&self, x: &Var) -> Var {
         let y = x.matmul(&self.weight);

@@ -75,12 +75,6 @@ impl Adam {
         }
     }
 
-    /// Sets decoupled weight decay.
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
-    }
-
     /// Current learning rate.
     pub fn lr(&self) -> f32 {
         self.lr

@@ -121,14 +121,6 @@ impl Tensor {
         }
     }
 
-    /// `[0, 1, ..., n-1]` as a rank-1 tensor.
-    pub fn arange(n: usize) -> Self {
-        Self {
-            shape: vec![n],
-            data: Arc::new((0..n).map(|i| i as f32).collect()),
-        }
-    }
-
     /// The `n × n` identity matrix.
     pub fn eye(n: usize) -> Self {
         let data = (0..n * n)
@@ -309,11 +301,6 @@ impl Tensor {
             shape: self.shape.clone(),
             data: Arc::new(ops::map_fallback(&f, &self.data)),
         }
-    }
-
-    /// In-place elementwise update.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        ops::map_fallback_inplace(&f, self.data_mut());
     }
 
     /// Broadcasting binary op. The result has the broadcast shape of the two

@@ -400,7 +400,7 @@ pub fn relation_names(n: usize) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rustc_hash::FxHashMap;
+    use std::collections::{HashMap, HashSet};
 
     #[test]
     fn generation_is_deterministic() {
@@ -437,7 +437,7 @@ mod tests {
         // A substantial share of test facts must have occurred before (the
         // global repetition signal the copy models rely on).
         let ds = SyntheticPreset::Icews14.generate();
-        let mut seen: FxHashMap<(usize, usize, usize), usize> = FxHashMap::default();
+        let mut seen: HashMap<(usize, usize, usize), usize> = HashMap::new();
         for q in &ds.train {
             *seen.entry(q.triple()).or_default() += 1;
         }
@@ -459,7 +459,7 @@ mod tests {
         // Some test facts must be novel triples (never seen in training) —
         // the local-evolution signal copy models cannot answer.
         let ds = SyntheticPreset::Icews14.generate();
-        let seen: rustc_hash::FxHashSet<_> = ds.train.iter().map(|q| q.triple()).collect();
+        let seen: HashSet<_> = ds.train.iter().map(|q| q.triple()).collect();
         let novel = ds
             .test
             .iter()
