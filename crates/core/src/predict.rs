@@ -1,5 +1,6 @@
 //! Readable top-k predictions — the Table VI case-study machinery.
 
+use logcl_tensor::autograd::no_grad;
 use logcl_tkg::quad::Quad;
 use logcl_tkg::{HistoryIndex, TkgDataset};
 
@@ -150,8 +151,10 @@ pub fn predict_topk(
         history: &history,
         t,
     };
+    // Scoring is never differentiated: no graph is recorded, whatever the
+    // model (CyGNet and RE-GCN score through taped ops).
     let query = Quad::new(s, r, 0, t); // object unused for scoring
-    let scores = model.score(&ctx, &[query]).remove(0);
+    let scores = no_grad(|| model.score(&ctx, &[query])).remove(0);
     Ok(topk_from_scores(ds, &scores, k))
 }
 
@@ -183,8 +186,19 @@ pub fn predict_topk_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::test_support::ConstModel;
+    use crate::api::test_support::{ConstModel, TapeFreeModel};
     use logcl_tkg::SyntheticPreset;
+
+    #[test]
+    fn topk_scores_without_a_tape() {
+        let ds = SyntheticPreset::Icews14.generate_scaled(0.15);
+        let mut model = TapeFreeModel(ConstModel {
+            favourite: 3,
+            calls: 0,
+        });
+        let preds = predict_topk(&mut model, &ds, 0, 0, ds.test[0].t, 3).unwrap();
+        assert_eq!(preds[0].entity, 3);
+    }
 
     #[test]
     fn topk_is_sorted_and_probabilistic() {

@@ -951,7 +951,6 @@ pub fn adam_step(
     beta1: f32,
     beta2: f32,
     eps: f32,
-    weight_decay: f32,
     bc1: f32,
     bc2: f32,
 ) {
@@ -961,7 +960,7 @@ pub fn adam_step(
         *vi = beta2 * *vi + (1.0 - beta2) * gi * gi;
         let m_hat = *mi / bc1;
         let v_hat = *vi / bc2;
-        *wi -= lr * (m_hat / (v_hat.sqrt() + eps) + weight_decay * *wi);
+        *wi -= lr * (m_hat / (v_hat.sqrt() + eps));
     }
 }
 

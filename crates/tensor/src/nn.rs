@@ -144,8 +144,8 @@ impl ParamSet {
 pub struct Linear {
     /// Weight matrix `[in_dim, out_dim]`.
     pub weight: Var,
-    /// Optional bias `[out_dim]`.
-    pub bias: Option<Var>,
+    /// Bias `[out_dim]`.
+    pub bias: Var,
 }
 
 impl Linear {
@@ -153,25 +153,19 @@ impl Linear {
     pub fn new(in_dim: usize, out_dim: usize, rng: &mut Rng) -> Self {
         Self {
             weight: Var::param(xavier_uniform(in_dim, out_dim, rng)),
-            bias: Some(Var::param(Tensor::zeros(&[out_dim]))),
+            bias: Var::param(Tensor::zeros(&[out_dim])),
         }
     }
 
     /// Applies the layer to `[N, in_dim]` input.
     pub fn forward(&self, x: &Var) -> Var {
-        let y = x.matmul(&self.weight);
-        match &self.bias {
-            Some(b) => y.add(b),
-            None => y,
-        }
+        x.matmul(&self.weight).add(&self.bias)
     }
 
     /// Registers this layer's parameters under `prefix`.
     pub fn register(&self, params: &mut ParamSet, prefix: &str) {
         params.register(format!("{prefix}.weight"), self.weight.clone());
-        if let Some(b) = &self.bias {
-            params.register(format!("{prefix}.bias"), b.clone());
-        }
+        params.register(format!("{prefix}.bias"), self.bias.clone());
     }
 }
 
@@ -303,7 +297,7 @@ mod tests {
         assert_eq!(y.shape(), vec![2, 3]);
         y.sum().backward();
         assert_eq!(layer.weight.grad().unwrap().shape(), &[4, 3]);
-        assert_eq!(layer.bias.as_ref().unwrap().grad().unwrap().shape(), &[3]);
+        assert_eq!(layer.bias.grad().unwrap().shape(), &[3]);
     }
 
     #[test]

@@ -49,7 +49,6 @@ pub struct Adam {
     beta1: f32,
     beta2: f32,
     eps: f32,
-    weight_decay: f32,
     t: u64,
     m: Vec<Tensor>,
     v: Vec<Tensor>,
@@ -68,7 +67,6 @@ impl Adam {
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
-            weight_decay: 0.0,
             t: 0,
             m,
             v,
@@ -95,8 +93,7 @@ impl Adam {
             let Some(grad) = p.grad() else { continue };
             let m = &mut self.m[i];
             let v = &mut self.v[i];
-            let (b1, b2, eps, lr, wd) =
-                (self.beta1, self.beta2, self.eps, self.lr, self.weight_decay);
+            let (b1, b2, eps, lr) = (self.beta1, self.beta2, self.eps, self.lr);
             p.update_value(|value| {
                 ops::adam_step(
                     value.data_mut(),
@@ -107,7 +104,6 @@ impl Adam {
                     b1,
                     b2,
                     eps,
-                    wd,
                     bc1,
                     bc2,
                 );
@@ -125,7 +121,7 @@ impl Adam {
 
     /// Snapshots the optimizer's mutable state (step count, learning rate,
     /// both moment estimates). Hyper-parameters that never change mid-run
-    /// (betas, eps, weight decay) come from configuration, not the snapshot.
+    /// (betas, eps) come from configuration, not the snapshot.
     pub fn export_state(&self) -> AdamState {
         AdamState {
             t: self.t,
