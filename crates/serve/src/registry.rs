@@ -23,6 +23,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::thread;
 use std::time::Instant;
 
 use logcl_core::model::{FrozenEncoding, FrozenWeights};
@@ -105,6 +106,30 @@ type Slot = Arc<OnceLock<Arc<FrozenEncoding>>>;
 /// be left half-written by a panic elsewhere.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Runs `encode` — the boot or rebuild of the models' streaming states — on
+/// this thread while a scoped thread builds the history index over the same
+/// `snapshots`. The two only read `snapshots`, so each result is what it
+/// would be built alone; the index thread is joined before this returns. If
+/// no thread can be started, the index is built here, after `encode`.
+fn beside_history_build<T>(
+    snapshots: &[Snapshot],
+    encode: impl FnOnce() -> T,
+) -> (HistoryIndex, T) {
+    thread::scope(|scope| {
+        let history = thread::Builder::new()
+            .name("history-build".into())
+            .spawn_scoped(scope, || HistoryIndex::build(snapshots));
+        let encoded = encode();
+        let history = match history {
+            Ok(handle) => handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            Err(_) => HistoryIndex::build(snapshots),
+        };
+        (history, encoded)
+    })
 }
 
 /// One model in a [`Published`] generation.
@@ -461,52 +486,10 @@ impl Registry {
             });
         }
         let snapshots = ds.snapshots();
-        let mut entries = Vec::with_capacity(specs.len());
-        for spec in specs {
-            #[cfg(feature = "fault-inject")]
-            {
-                if crate::fault::checkpoint_read_error() {
-                    return Err(StartError::Checkpoint {
-                        model: spec.name.clone(),
-                        source: logcl_tensor::serialize::CheckpointError::Corrupt(
-                            "injected checkpoint read fault".into(),
-                        ),
-                    });
-                }
-            }
-            let mut model = LogCl::new(&ds, spec.cfg.clone());
-            if let Some(ckpt) = &spec.checkpoint {
-                ckpt.validate_meta(&spec.cfg.variant_name(), &spec.cfg.fingerprint())
-                    .map_err(|e| StartError::Checkpoint {
-                        model: spec.name.clone(),
-                        source: e,
-                    })?;
-                logcl_tensor::serialize::restore(&model.params, ckpt).map_err(|e| {
-                    StartError::Checkpoint {
-                        model: spec.name.clone(),
-                        source: e,
-                    }
-                })?;
-            } else if let Some(opts) = &spec.train {
-                trainer::train(&mut model, &ds, opts).map_err(|e| StartError::Train {
-                    model: spec.name.clone(),
-                    source: e,
-                })?;
-            }
-            // Boot the streaming state over the full base history; every
-            // later head ingest advances it in O(Δ) instead of re-encoding.
-            let state = model.init_encoder_state(&snapshots);
-            metrics
-                .encoder_state_rebuilds
-                .boot
-                .fetch_add(1, Ordering::Relaxed);
-            entries.push(ModelEntry {
-                name: spec.name,
-                weights: Arc::new(model.freeze()),
-                model,
-                state,
-            });
-        }
+        let (history, entries) = beside_history_build(&snapshots, || {
+            Self::build_entries(&ds, &snapshots, specs, &metrics)
+        });
+        let entries = entries?;
         horizon.store(ds.num_times, Ordering::SeqCst);
         metrics
             .encoder_state_horizon
@@ -514,7 +497,7 @@ impl Registry {
         let base_test_len = ds.test.len();
         let num_entities = ds.num_entities;
         let first = Published {
-            history: Arc::new(HistoryIndex::build(&snapshots)),
+            history: Arc::new(history),
             ds: Arc::new(ds),
             snapshots: Arc::new(snapshots),
             models: entries
@@ -543,6 +526,63 @@ impl Registry {
             base_test_len,
             applied_ingests: 0,
         })
+    }
+
+    /// Every model of [`Registry::build`]: restored from its checkpoint or
+    /// trained, with its streaming state booted over `snapshots`.
+    fn build_entries(
+        ds: &TkgDataset,
+        snapshots: &[Snapshot],
+        specs: Vec<ModelSpec>,
+        metrics: &Metrics,
+    ) -> Result<Vec<ModelEntry>, StartError> {
+        let mut entries = Vec::with_capacity(specs.len());
+        for spec in specs {
+            #[cfg(feature = "fault-inject")]
+            {
+                if crate::fault::checkpoint_read_error() {
+                    return Err(StartError::Checkpoint {
+                        model: spec.name.clone(),
+                        source: logcl_tensor::serialize::CheckpointError::Corrupt(
+                            "injected checkpoint read fault".into(),
+                        ),
+                    });
+                }
+            }
+            let mut model = LogCl::new(ds, spec.cfg.clone());
+            if let Some(ckpt) = &spec.checkpoint {
+                ckpt.validate_meta(&spec.cfg.variant_name(), &spec.cfg.fingerprint())
+                    .map_err(|e| StartError::Checkpoint {
+                        model: spec.name.clone(),
+                        source: e,
+                    })?;
+                logcl_tensor::serialize::restore(&model.params, ckpt).map_err(|e| {
+                    StartError::Checkpoint {
+                        model: spec.name.clone(),
+                        source: e,
+                    }
+                })?;
+            } else if let Some(opts) = &spec.train {
+                trainer::train(&mut model, ds, opts).map_err(|e| StartError::Train {
+                    model: spec.name.clone(),
+                    source: e,
+                })?;
+            }
+            // Boot the streaming state over the full base history; every
+            // later head ingest advances it in O(Δ) instead of re-encoding.
+            let state = model.init_encoder_state(snapshots);
+            metrics
+                .encoder_state_rebuilds
+                .boot
+                .fetch_add(1, Ordering::Relaxed);
+            entries.push(ModelEntry {
+                name: spec.name,
+                weights: Arc::new(model.freeze()),
+                model,
+                state,
+            });
+        }
+        Ok(entries)
     }
 
     /// Where readers load the current generation from.
@@ -669,13 +709,14 @@ impl Registry {
         let was_head = t == self.ds.num_times;
         // Append new (deduplicated) facts to the test split — snapshots and
         // time-aware filtering read all splits uniformly.
-        let existing: std::collections::BTreeSet<(usize, usize, usize)> = self
-            .ds
-            .all_quads()
-            .iter()
-            .filter(|q| q.t == t)
-            .map(|q| q.triple())
-            .collect();
+        let ds = &self.ds;
+        let existing: std::collections::BTreeSet<(usize, usize, usize)> =
+            [&ds.train, &ds.valid, &ds.test]
+                .into_iter()
+                .flatten()
+                .filter(|q| q.t == t)
+                .map(|q| q.triple())
+                .collect();
         let fresh: Vec<Quad> = facts
             .iter()
             .filter(|f| !existing.contains(f))
@@ -756,11 +797,13 @@ impl Registry {
             // Backfill: an already-consumed snapshot changed under the
             // advance-only structures, so O(Δ) is off the table — rebuild
             // them over the amended timeline (the rare path by design).
-            self.head_history = Arc::new(HistoryIndex::build(&self.snapshots));
-            for entry in &mut self.entries {
-                let rebuilt = entry.model.init_encoder_state(&self.snapshots);
-                entry.state = rebuilt;
-            }
+            let snapshots = &self.snapshots;
+            let (history, ()) = beside_history_build(snapshots, || {
+                for entry in &mut self.entries {
+                    entry.state = entry.model.init_encoder_state(snapshots);
+                }
+            });
+            self.head_history = Arc::new(history);
             self.metrics
                 .encoder_state_rebuilds
                 .backfill
@@ -799,6 +842,67 @@ impl Registry {
         }
     }
 
+    /// Restores each model a compaction snapshot carries: its parameters,
+    /// its random stream, and its streaming state — the persisted one when
+    /// it is at the current horizon, else rebuilt over `self.snapshots`.
+    fn restore_models(&mut self, models: &[ModelParamSnapshot]) -> Result<(), StartError> {
+        for ms in models {
+            let Some(idx) = self.entry_index(&ms.name) else {
+                return Err(StartError::Recovery {
+                    context: format!(
+                        "snapshot carries parameters for unknown model {:?}",
+                        ms.name
+                    ),
+                });
+            };
+            {
+                let entry = &self.entries[idx];
+                ms.checkpoint
+                    .validate_meta(
+                        &entry.model.cfg.variant_name(),
+                        &entry.model.cfg.fingerprint(),
+                    )
+                    .map_err(|e| StartError::Checkpoint {
+                        model: ms.name.clone(),
+                        source: e,
+                    })?;
+                logcl_tensor::serialize::restore(&entry.model.params, &ms.checkpoint).map_err(
+                    |e| StartError::Checkpoint {
+                        model: ms.name.clone(),
+                        source: e,
+                    },
+                )?;
+            }
+            self.refreeze(idx);
+            if let Some(rng) = &ms.rng {
+                // Resume the model's random stream so online adaptation
+                // after the restart continues exactly where the
+                // uninterrupted server would have been.
+                self.entries[idx].model.restore_rng_state(*rng);
+            }
+            // Prefer the persisted streaming state (bit-exact resume of
+            // the pre-crash float stream); fall back to a deterministic
+            // rebuild for legacy snapshots or a stale horizon.
+            let restored = ms
+                .state
+                .as_ref()
+                .filter(|rec| rec.horizon == self.ds.num_times)
+                .and_then(|rec| EncoderState::from_record(rec).ok());
+            match restored {
+                Some(state) => self.entries[idx].state = state,
+                None => {
+                    let rebuilt = self.entries[idx].model.init_encoder_state(&self.snapshots);
+                    self.entries[idx].state = rebuilt;
+                    self.metrics
+                        .encoder_state_rebuilds
+                        .recovery
+                        .fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Turns on durable ingestion rooted at `dir` and runs crash recovery:
     /// load the compaction snapshot if one exists (dataset extension, model
     /// parameters, idempotency window), then replay the WAL's intact frames
@@ -827,61 +931,11 @@ impl Registry {
             stats.snapshot_facts = snap.extension.quads.len();
             self.snapshots = Arc::new(self.ds.snapshots());
             self.horizon.store(self.ds.num_times, Ordering::SeqCst);
-            for ms in &snap.models {
-                let Some(idx) = self.entry_index(&ms.name) else {
-                    return Err(StartError::Recovery {
-                        context: format!(
-                            "snapshot carries parameters for unknown model {:?}",
-                            ms.name
-                        ),
-                    });
-                };
-                {
-                    let entry = &self.entries[idx];
-                    ms.checkpoint
-                        .validate_meta(
-                            &entry.model.cfg.variant_name(),
-                            &entry.model.cfg.fingerprint(),
-                        )
-                        .map_err(|e| StartError::Checkpoint {
-                            model: ms.name.clone(),
-                            source: e,
-                        })?;
-                    logcl_tensor::serialize::restore(&entry.model.params, &ms.checkpoint).map_err(
-                        |e| StartError::Checkpoint {
-                            model: ms.name.clone(),
-                            source: e,
-                        },
-                    )?;
-                }
-                self.refreeze(idx);
-                if let Some(rng) = &ms.rng {
-                    // Resume the model's random stream so online adaptation
-                    // after the restart continues exactly where the
-                    // uninterrupted server would have been.
-                    self.entries[idx].model.restore_rng_state(*rng);
-                }
-                // Prefer the persisted streaming state (bit-exact resume of
-                // the pre-crash float stream); fall back to a deterministic
-                // rebuild for legacy snapshots or a stale horizon.
-                let restored = ms
-                    .state
-                    .as_ref()
-                    .filter(|rec| rec.horizon == self.ds.num_times)
-                    .and_then(|rec| EncoderState::from_record(rec).ok());
-                match restored {
-                    Some(state) => self.entries[idx].state = state,
-                    None => {
-                        let rebuilt = self.entries[idx].model.init_encoder_state(&self.snapshots);
-                        self.entries[idx].state = rebuilt;
-                        self.metrics
-                            .encoder_state_rebuilds
-                            .recovery
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            self.head_history = Arc::new(HistoryIndex::build(&self.snapshots));
+            let snapshots = Arc::clone(&self.snapshots);
+            let (history, restored) =
+                beside_history_build(&snapshots, || self.restore_models(&snap.models));
+            restored?;
+            self.head_history = Arc::new(history);
             self.metrics
                 .encoder_state_horizon
                 .store(self.ds.num_times as u64, Ordering::Relaxed);

@@ -9,6 +9,7 @@
 use super::lanes::Lanes;
 use super::Serial;
 use crate::shape;
+use std::mem::MaybeUninit;
 
 /// Fixed chunk size (elements) of the reduction tree used by full
 /// reductions: partial sums of `REDUCE_CHUNK` elements, folded in order. The
@@ -95,13 +96,7 @@ pub fn unary(op: Unary, x: &[f32]) -> Vec<f32> {
         lanes.run(&mut out);
         return out;
     }
-    let mut out = vec![0.0f32; x.len()];
-    with_unary!(op, |f| {
-        for (o, &v) in out.iter_mut().zip(x) {
-            *o = f(v);
-        }
-    });
-    out
+    with_unary!(op, |f| x.iter().map(|&v| f(v)).collect())
 }
 
 /// In-place variant of [`unary`].
@@ -194,13 +189,7 @@ macro_rules! with_binary {
 /// Applies a named binary op to equal-length slices.
 pub fn binary(op: Binary, a: &[f32], b: &[f32]) -> Vec<f32> {
     debug_assert_eq!(a.len(), b.len());
-    let mut out = vec![0.0f32; a.len()];
-    with_binary!(op, |f| {
-        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-            *o = f(x, y);
-        }
-    });
-    out
+    with_binary!(op, |f| a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect())
 }
 
 /// Broadcasting variant of [`binary`]; returns the output buffer for the
@@ -215,22 +204,27 @@ pub fn binary_bcast(
 ) -> Vec<f32> {
     let sa = shape::broadcast_strides(shape_a, out_shape);
     let sb = shape::broadcast_strides(shape_b, out_shape);
-    let mut out = vec![0.0f32; shape::numel(out_shape)];
+    let mut out = Vec::with_capacity(shape::numel(out_shape));
     with_binary!(op, |f| match *out_shape {
-        [] => bcast_rows(&mut out, 1, a, [0, 0], b, [0, 0], f),
-        [d] => bcast_rows(&mut out, d, a, [0, sa[0]], b, [0, sb[0]], f),
-        [_, d] => bcast_rows(&mut out, d, a, [sa[0], sa[1]], b, [sb[0], sb[1]], f),
+        [] => bcast_rows(&mut out, 1, 1, a, [0, 0], b, [0, 0], f),
+        [d] => bcast_rows(&mut out, 1, d, a, [0, sa[0]], b, [0, sb[0]], f),
+        [n, d] => bcast_rows(&mut out, n, d, a, [sa[0], sa[1]], b, [sb[0], sb[1]], f),
         _ => bcast_walk(&mut out, out_shape, a, &sa, b, &sb, f),
     });
     out
 }
 
-/// Broadcast over an output of `d`-element rows (rank ≤ 2, a vector being
-/// one row). `[row, col]` are an operand's strides: at `col == 1` an output
-/// row reads a row of the operand, at `col == 0` one element of it, so the
-/// four combinations are plain slice loops.
+/// Broadcast over an output of `n` rows of `d` elements (rank ≤ 2, a vector
+/// being one row), appended to `out`. `[row, col]` are an operand's strides:
+/// at `col == 1` an output row reads a row of the operand, at `col == 0` one
+/// element of it, so the four combinations are plain slice loops.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the output, its two dimensions, and each operand with its two strides"
+)]
 fn bcast_rows(
-    out: &mut [f32],
+    out: &mut Vec<f32>,
+    n: usize,
     d: usize,
     a: &[f32],
     [a_row, a_col]: [usize; 2],
@@ -238,28 +232,27 @@ fn bcast_rows(
     [b_row, b_col]: [usize; 2],
     f: impl Fn(f32, f32) -> f32,
 ) {
-    let d = d.max(1);
-    for (i, o_row) in out.chunks_mut(d).enumerate() {
+    if d == 0 {
+        return;
+    }
+    for i in 0..n {
         let (oa, ob) = (i * a_row, i * b_row);
         match (a_col, b_col) {
-            (0, 0) => o_row.fill(f(a[oa], b[ob])),
+            (0, 0) => out.resize(out.len() + d, f(a[oa], b[ob])),
             (0, _) => {
                 let x = a[oa];
-                for (o, &y) in o_row.iter_mut().zip(&b[ob..ob + d]) {
-                    *o = f(x, y);
-                }
+                out.extend(b[ob..ob + d].iter().map(|&y| f(x, y)));
             }
             (_, 0) => {
                 let y = b[ob];
-                for (o, &x) in o_row.iter_mut().zip(&a[oa..oa + d]) {
-                    *o = f(x, y);
-                }
+                out.extend(a[oa..oa + d].iter().map(|&x| f(x, y)));
             }
-            _ => {
-                for ((o, &x), &y) in o_row.iter_mut().zip(&a[oa..oa + d]).zip(&b[ob..ob + d]) {
-                    *o = f(x, y);
-                }
-            }
+            _ => out.extend(
+                a[oa..oa + d]
+                    .iter()
+                    .zip(&b[ob..ob + d])
+                    .map(|(&x, &y)| f(x, y)),
+            ),
         }
     }
 }
@@ -267,7 +260,7 @@ fn bcast_rows(
 /// Broadcast over a rank-3 output: walks the output's multi-index
 /// incrementally, stepping each operand's offset by its strides.
 fn bcast_walk(
-    out: &mut [f32],
+    out: &mut Vec<f32>,
     out_shape: &[usize],
     a: &[f32],
     sa: &[usize],
@@ -278,8 +271,8 @@ fn bcast_walk(
     let rank = out_shape.len();
     let mut idx = [0usize; shape::MAX_RANK];
     let (mut oa, mut ob) = (0usize, 0usize);
-    for o in out.iter_mut() {
-        *o = f(a[oa], b[ob]);
+    for _ in 0..shape::numel(out_shape) {
+        out.push(f(a[oa], b[ob]));
         for d in (0..rank).rev() {
             idx[d] += 1;
             oa += sa[d];
@@ -468,8 +461,12 @@ pub fn matmul(_: &Serial, a: &[f32], b: &[f32], n: usize, k: usize, m: usize) ->
 
 /// Matmul for callers that *know* the lhs contains many structural zeros
 /// (one-hot gathers, zero-padded im2col blocks): skips zero lhs entries.
-/// An element can differ from [`matmul`]'s where a skipped `0 · b` step would
-/// have mattered: an infinity or a NaN in `b`, or the sign of a zero.
+/// Bit for bit [`matmul`]'s result while every `b` row a skipped entry
+/// selects is finite: each accumulator starts at `+0.0`, a round-to-nearest
+/// sum from `+0.0` never reaches `-0.0`, and adding a `±0` product to it
+/// changes no bit, in the same ascending `k` order. Only an infinity or a
+/// NaN in such a row differs: [`matmul`] turns `0 · inf` into a NaN where
+/// this kernel skips the step.
 pub fn matmul_sparse_lhs(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
     matmul_impl::<true>(a, b, n, k, m)
 }
@@ -486,7 +483,7 @@ pub fn matmul_sparse_lhs(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> 
 fn matmul_tiles<const R: usize, const W: usize, const SKIP_ZERO_LHS: bool>(
     a_rows: [&[f32]; R],
     b: &[f32],
-    o_rows: &mut [&mut [f32]; R],
+    o_rows: &mut [&mut [MaybeUninit<f32>]; R],
     mut j0: usize,
 ) -> usize {
     let m = o_rows[0].len();
@@ -508,7 +505,7 @@ fn matmul_tiles<const R: usize, const W: usize, const SKIP_ZERO_LHS: bool>(
             }
         }
         for (o_row, acc_row) in o_rows.iter_mut().zip(&acc) {
-            o_row[j0..j0 + W].copy_from_slice(acc_row);
+            o_row[j0..j0 + W].write_copy_of_slice(acc_row);
         }
         j0 += W;
     }
@@ -516,20 +513,21 @@ fn matmul_tiles<const R: usize, const W: usize, const SKIP_ZERO_LHS: bool>(
 }
 
 /// All of `R` output rows: tiles of `W` columns, then of 8, then single
-/// columns.
+/// columns, which run to the last column — so every element of the rows is
+/// written.
 #[inline(always)]
 fn matmul_row_group<const R: usize, const W: usize, const SKIP_ZERO_LHS: bool>(
     a_rows: [&[f32]; R],
     b: &[f32],
-    mut o_rows: [&mut [f32]; R],
+    mut o_rows: [&mut [MaybeUninit<f32>]; R],
 ) {
     let j = matmul_tiles::<R, W, SKIP_ZERO_LHS>(a_rows, b, &mut o_rows, 0);
     let j = matmul_tiles::<R, 8, SKIP_ZERO_LHS>(a_rows, b, &mut o_rows, j);
     matmul_tiles::<R, 1, SKIP_ZERO_LHS>(a_rows, b, &mut o_rows, j);
 }
 
-/// The rows of [`matmul_impl`]: all of `a · b` into `out`. Rows go two
-/// at a time — a pair has twice the independent add chains of one row, which
+/// The rows of [`matmul_impl`]: all of `a · b` into `out`, every element
+/// written once. Rows go two at a time — a pair has twice the independent add chains of one row, which
 /// is what a latency-bound tile is short of — in tiles of `W2` columns; an
 /// odd last row, or the only one (the decoder's `[1, D] · [D, |E|]`), goes
 /// alone in tiles of `W1`. Both widths are what eight vector registers of
@@ -539,7 +537,7 @@ fn matmul_row_group<const R: usize, const W: usize, const SKIP_ZERO_LHS: bool>(
 fn matmul_rows<const W2: usize, const W1: usize, const SKIP_ZERO_LHS: bool>(
     a: &[f32],
     b: &[f32],
-    out: &mut [f32],
+    out: &mut [MaybeUninit<f32>],
     k: usize,
     m: usize,
 ) {
@@ -563,7 +561,7 @@ fn matmul_rows<const W2: usize, const W1: usize, const SKIP_ZERO_LHS: bool>(
 fn matmul_rows_baseline<const SKIP_ZERO_LHS: bool>(
     a: &[f32],
     b: &[f32],
-    out: &mut [f32],
+    out: &mut [MaybeUninit<f32>],
     k: usize,
     m: usize,
 ) {
@@ -581,7 +579,7 @@ fn matmul_rows_baseline<const SKIP_ZERO_LHS: bool>(
 fn matmul_rows_avx2<const SKIP_ZERO_LHS: bool>(
     a: &[f32],
     b: &[f32],
-    out: &mut [f32],
+    out: &mut [MaybeUninit<f32>],
     k: usize,
     m: usize,
 ) {
@@ -600,7 +598,7 @@ fn matmul_rows_avx2<const SKIP_ZERO_LHS: bool>(
 fn matmul_rows_avx512<const SKIP_ZERO_LHS: bool>(
     a: &[f32],
     b: &[f32],
-    out: &mut [f32],
+    out: &mut [MaybeUninit<f32>],
     k: usize,
     m: usize,
 ) {
@@ -654,7 +652,7 @@ fn matmul_rows_on<const SKIP_ZERO_LHS: bool>(
     isa: Isa,
     a: &[f32],
     b: &[f32],
-    out: &mut [f32],
+    out: &mut [MaybeUninit<f32>],
     k: usize,
     m: usize,
 ) {
@@ -679,54 +677,77 @@ fn matmul_impl<const SKIP_ZERO_LHS: bool>(
     k: usize,
     m: usize,
 ) -> Vec<f32> {
+    matmul_on::<SKIP_ZERO_LHS>(detect(), a, b, n, k, m)
+}
+
+/// `a · b` on the copy `isa` names (see [`matmul_rows_on`]), written straight
+/// into the returned buffer's spare capacity: no element is zero-filled
+/// first.
+fn matmul_on<const SKIP_ZERO_LHS: bool>(
+    isa: Isa,
+    a: &[f32],
+    b: &[f32],
+    n: usize,
+    k: usize,
+    m: usize,
+) -> Vec<f32> {
     debug_assert_eq!(a.len(), n * k);
     debug_assert_eq!(b.len(), k * m);
-    let mut out = vec![0.0f32; n * m];
-    if !out.is_empty() {
-        matmul_rows_on::<SKIP_ZERO_LHS>(detect(), a, b, &mut out, k, m);
+    let len = n * m;
+    let mut out = Vec::with_capacity(len);
+    if len > 0 {
+        matmul_rows_on::<SKIP_ZERO_LHS>(isa, a, b, &mut out.spare_capacity_mut()[..len], k, m);
     }
+    // SAFETY: the first `len` slots of the capacity are initialised.
+    // `matmul_rows` cuts them into `n` rows of `m` — row pairs, then the odd
+    // last row — and hands every row to `matmul_row_group`, whose column
+    // tiles start at column 0, each starting where the last one stopped,
+    // and end with 1-wide tiles that run to column `m`. Each of the `n · m`
+    // slots is written before this line; a panic before it (an index out of
+    // bounds) leaves the length at 0.
+    unsafe { out.set_len(len) };
     out
 }
 
 /// Transpose of a row-major `[r, c]` matrix into `[c, r]`.
 pub fn transpose2(x: &[f32], r: usize, c: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; r * c];
-    for (j, o_row) in out.chunks_mut(r.max(1)).enumerate() {
-        for (o, x_row) in o_row.iter_mut().zip(x.chunks_exact(c.max(1))) {
-            *o = x_row[j];
-        }
+    let mut out = Vec::with_capacity(r * c);
+    for j in 0..c {
+        out.extend(x.chunks_exact(c).take(r).map(|x_row| x_row[j]));
     }
     out
 }
 
 /// Row-wise softmax of `[n, d]` logits (max-shifted).
 pub fn softmax_rows(x: &[f32], n: usize, d: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; n * d];
-    for (o_row, row) in out.chunks_mut(d.max(1)).zip(x.chunks(d.max(1))) {
-        let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut z = 0.0f32;
-        for (o, &v) in o_row.iter_mut().zip(row) {
-            *o = (v - m).exp();
-            z += *o;
-        }
-        let inv = 1.0 / z;
-        for o in o_row.iter_mut() {
+    let mut out = Vec::with_capacity(n * d);
+    for row in x[..n * d].chunks(d.max(1)) {
+        let o_row = push_exp_shifted(&mut out, row);
+        let inv = 1.0 / o_row.iter().fold(0.0f32, |z, &e| z + e);
+        for o in o_row {
             *o *= inv;
         }
     }
     out
 }
 
+/// Appends `e^(v - max(row))` for every `v` of `row` to `out` and returns
+/// the appended run: the numerators of a max-shifted softmax.
+fn push_exp_shifted<'o>(out: &'o mut Vec<f32>, row: &[f32]) -> &'o mut [f32] {
+    let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let start = out.len();
+    out.extend(row.iter().map(|&v| (v - m).exp()));
+    &mut out[start..]
+}
+
 /// Softmax backward: `dx = y * (g - Σ_row(g * y))`.
 pub fn softmax_rows_bwd(y: &[f32], g: &[f32], n: usize, d: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; n * d];
-    for (i, o_row) in out.chunks_mut(d.max(1)).enumerate() {
+    let mut out = Vec::with_capacity(n * d);
+    for i in 0..n {
         let yr = &y[i * d..(i + 1) * d];
         let gr = &g[i * d..(i + 1) * d];
         let dot: f32 = yr.iter().zip(gr).map(|(&a, &b)| a * b).sum();
-        for ((o, &yj), &gj) in o_row.iter_mut().zip(yr).zip(gr) {
-            *o = yj * (gj - dot);
-        }
+        out.extend(yr.iter().zip(gr).map(|(&yj, &gj)| yj * (gj - dot)));
     }
     out
 }
@@ -736,9 +757,9 @@ pub fn softmax_rows_bwd(y: &[f32], g: &[f32], n: usize, d: usize) -> Vec<f32> {
 /// Gathers rows: `out[i] = x[idx[i]]` over `d`-column rows. Indices must be
 /// pre-validated by the caller.
 pub fn gather_rows(x: &[f32], d: usize, idx: &[usize]) -> Vec<f32> {
-    let mut out = vec![0.0f32; idx.len() * d];
-    for (o_row, &src) in out.chunks_mut(d.max(1)).zip(idx) {
-        o_row.copy_from_slice(&x[src * d..(src + 1) * d]);
+    let mut out = Vec::with_capacity(idx.len() * d);
+    for &src in idx {
+        out.extend_from_slice(&x[src * d..(src + 1) * d]);
     }
     out
 }
@@ -762,11 +783,10 @@ pub fn scatter_add_rows(src: &[f32], d: usize, idx: &[usize], n: usize) -> Vec<f
 
 /// Column-wise concatenation `[n, da] || [n, db] -> [n, da + db]`.
 pub fn concat_cols(a: &[f32], b: &[f32], n: usize, da: usize, db: usize) -> Vec<f32> {
-    let d = da + db;
-    let mut out = vec![0.0f32; n * d];
-    for (i, o_row) in out.chunks_mut(d.max(1)).enumerate() {
-        o_row[..da].copy_from_slice(&a[i * da..(i + 1) * da]);
-        o_row[da..].copy_from_slice(&b[i * db..(i + 1) * db]);
+    let mut out = Vec::with_capacity(n * (da + db));
+    for i in 0..n {
+        out.extend_from_slice(&a[i * da..(i + 1) * da]);
+        out.extend_from_slice(&b[i * db..(i + 1) * db]);
     }
     out
 }
@@ -775,12 +795,12 @@ pub fn concat_cols(a: &[f32], b: &[f32], n: usize, da: usize, db: usize) -> Vec<
 /// two column blocks.
 pub fn split_cols(g: &[f32], n: usize, da: usize, db: usize) -> (Vec<f32>, Vec<f32>) {
     let d = da + db;
-    let mut ga = vec![0.0f32; n * da];
-    let mut gb = vec![0.0f32; n * db];
+    let mut ga = Vec::with_capacity(n * da);
+    let mut gb = Vec::with_capacity(n * db);
     for i in 0..n {
         let row = &g[i * d..(i + 1) * d];
-        ga[i * da..(i + 1) * da].copy_from_slice(&row[..da]);
-        gb[i * db..(i + 1) * db].copy_from_slice(&row[da..]);
+        ga.extend_from_slice(&row[..da]);
+        gb.extend_from_slice(&row[da..]);
     }
     (ga, gb)
 }
@@ -861,20 +881,14 @@ pub fn cross_entropy_bwd(
     targets: &[usize],
     scale: f32,
 ) -> Vec<f32> {
-    let mut out = vec![0.0f32; n * c];
-    for (i, o_row) in out.chunks_mut(c.max(1)).enumerate() {
-        let row = &logits[i * c..(i + 1) * c];
-        let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut z = 0.0f32;
-        for (o, &x) in o_row.iter_mut().zip(row) {
-            *o = (x - m).exp();
-            z += *o;
-        }
-        let inv = 1.0 / z;
+    let mut out = Vec::with_capacity(n * c);
+    for (row, &target) in logits[..n * c].chunks(c.max(1)).zip(targets) {
+        let o_row = push_exp_shifted(&mut out, row);
+        let inv = 1.0 / o_row.iter().fold(0.0f32, |z, &e| z + e);
         for o in o_row.iter_mut() {
             *o *= inv;
         }
-        o_row[targets[i]] -= 1.0;
+        o_row[target] -= 1.0;
         for o in o_row.iter_mut() {
             *o *= scale;
         }
@@ -885,29 +899,25 @@ pub fn cross_entropy_bwd(
 /// Row-wise L2 normalization forward: returns `(y, norms)` where
 /// `y[i] = x[i] / max(‖x[i]‖, 1e-8)`.
 pub fn l2_normalize_rows_fwd(x: &[f32], n: usize, d: usize) -> (Vec<f32>, Vec<f32>) {
-    let mut out = vec![0.0f32; n * d];
-    let mut norms = vec![0.0f32; n];
-    for (i, nm) in norms.iter_mut().enumerate() {
+    let mut out = Vec::with_capacity(n * d);
+    let mut norms = Vec::with_capacity(n);
+    for i in 0..n {
         let row = &x[i * d..(i + 1) * d];
         let norm = row.iter().map(|&v| v * v).sum::<f32>().sqrt().max(1e-8);
-        *nm = norm;
-        for (o, &v) in out[i * d..(i + 1) * d].iter_mut().zip(row) {
-            *o = v / norm;
-        }
+        norms.push(norm);
+        out.extend(row.iter().map(|&v| v / norm));
     }
     (out, norms)
 }
 
 /// L2-normalize backward: `grad_x = (g - (g·y) y) / ‖x‖` per row.
 pub fn l2_normalize_rows_bwd(y: &[f32], g: &[f32], norms: &[f32], n: usize, d: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; n * d];
-    for (i, o_row) in out.chunks_mut(d.max(1)).enumerate() {
+    let mut out = Vec::with_capacity(n * d);
+    for (i, &norm) in norms[..n].iter().enumerate() {
         let yr = &y[i * d..(i + 1) * d];
         let gr = &g[i * d..(i + 1) * d];
         let dot: f32 = yr.iter().zip(gr).map(|(&a, &b)| a * b).sum();
-        for ((o, &gj), &yj) in o_row.iter_mut().zip(gr).zip(yr) {
-            *o = (gj - dot * yj) / norms[i];
-        }
+        out.extend(gr.iter().zip(yr).map(|(&gj, &yj)| (gj - dot * yj) / norm));
     }
     out
 }
@@ -1008,10 +1018,10 @@ mod tests {
                 ] {
                     let (a, b) = (values(n * k), values(k * m));
                     let run = |isa: Isa| {
-                        let mut out = [vec![0.0f32; n * m], vec![0.0f32; n * m]];
-                        matmul_rows_on::<false>(isa, &a, &b, &mut out[0], k, m);
-                        matmul_rows_on::<true>(isa, &a, &b, &mut out[1], k, m);
-                        out
+                        [
+                            matmul_on::<false>(isa, &a, &b, n, k, m),
+                            matmul_on::<true>(isa, &a, &b, n, k, m),
+                        ]
                     };
                     let base = run(Isa::Baseline);
                     for &isa in &copies[1..] {

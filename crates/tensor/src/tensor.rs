@@ -427,8 +427,10 @@ impl Tensor {
     }
 
     /// Matrix product for a lhs with many structural zeros (one-hot gathers,
-    /// zero-padded im2col windows): skips zero lhs entries. Same result as
-    /// [`Tensor::matmul`] up to floating-point summation order.
+    /// zero-padded im2col windows): skips zero lhs entries. Bit for bit
+    /// [`Tensor::matmul`]'s result, in the same summation order, unless a
+    /// row of `other` that a zero lhs entry selects holds an infinity or a
+    /// NaN: there `matmul` computes `0 · inf = NaN` and this skips it.
     pub fn matmul_sparse_lhs(&self, other: &Tensor) -> Tensor {
         let (n, k, m) = self.matmul_dims(other);
         let out = ops::matmul_sparse_lhs(&self.data, &other.data, n, k, m);
