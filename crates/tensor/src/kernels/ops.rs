@@ -206,9 +206,9 @@ pub fn binary_bcast(
     let sb = shape::broadcast_strides(shape_b, out_shape);
     let mut out = Vec::with_capacity(shape::numel(out_shape));
     with_binary!(op, |f| match *out_shape {
-        [] => bcast_rows(&mut out, 1, 1, a, [0, 0], b, [0, 0], f),
-        [d] => bcast_rows(&mut out, 1, d, a, [0, sa[0]], b, [0, sb[0]], f),
-        [n, d] => bcast_rows(&mut out, n, d, a, [sa[0], sa[1]], b, [sb[0], sb[1]], f),
+        [] => bcast_rows(&mut out, [1, 1], a, [0, 0], b, [0, 0], f),
+        [d] => bcast_rows(&mut out, [1, d], a, [0, sa[0]], b, [0, sb[0]], f),
+        [n, d] => bcast_rows(&mut out, [n, d], a, [sa[0], sa[1]], b, [sb[0], sb[1]], f),
         _ => bcast_walk(&mut out, out_shape, a, &sa, b, &sb, f),
     });
     out
@@ -218,14 +218,9 @@ pub fn binary_bcast(
 /// being one row), appended to `out`. `[row, col]` are an operand's strides:
 /// at `col == 1` an output row reads a row of the operand, at `col == 0` one
 /// element of it, so the four combinations are plain slice loops.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the output, its two dimensions, and each operand with its two strides"
-)]
 fn bcast_rows(
     out: &mut Vec<f32>,
-    n: usize,
-    d: usize,
+    [n, d]: [usize; 2],
     a: &[f32],
     [a_row, a_col]: [usize; 2],
     b: &[f32],
@@ -456,7 +451,7 @@ pub fn reduce_to(x: &[f32], xshape: &[usize], target: &[usize]) -> Vec<f32> {
 /// argument names the backend, of which [`Serial`] is the only one; the
 /// benchmark harness passes it, so the parameter stays.
 pub fn matmul(_: &Serial, a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
-    matmul_impl::<false>(a, b, n, k, m)
+    matmul_impl::<false>(detect(), a, b, n, k, m)
 }
 
 /// Matmul for callers that *know* the lhs contains many structural zeros
@@ -468,7 +463,7 @@ pub fn matmul(_: &Serial, a: &[f32], b: &[f32], n: usize, k: usize, m: usize) ->
 /// NaN in such a row differs: [`matmul`] turns `0 · inf` into a NaN where
 /// this kernel skips the step.
 pub fn matmul_sparse_lhs(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
-    matmul_impl::<true>(a, b, n, k, m)
+    matmul_impl::<true>(detect(), a, b, n, k, m)
 }
 
 /// Fills columns `j0..` of `R` output rows at once, `W` at a time while `W`
@@ -527,12 +522,13 @@ fn matmul_row_group<const R: usize, const W: usize, const SKIP_ZERO_LHS: bool>(
 }
 
 /// The rows of [`matmul_impl`]: all of `a · b` into `out`, every element
-/// written once. Rows go two at a time — a pair has twice the independent add chains of one row, which
-/// is what a latency-bound tile is short of — in tiles of `W2` columns; an
-/// odd last row, or the only one (the decoder's `[1, D] · [D, |E|]`), goes
-/// alone in tiles of `W1`. Both widths are what eight vector registers of
-/// accumulators hold, so they double with the lane count — up to AVX2; see
-/// [`matmul_rows_avx512`] for the lone row's width at sixteen lanes.
+/// written once. Rows go two at a time — a pair has twice the independent
+/// add chains of one row, which is what a latency-bound tile is short of —
+/// in tiles of `W2` columns; an odd last row, or the only one (the decoder's
+/// `[1, D] · [D, |E|]`), goes alone in tiles of `W1`. Both widths are what
+/// eight vector registers of accumulators hold, so they double with the lane
+/// count — up to AVX2; see [`matmul_rows_avx512`] for the lone row's width
+/// at sixteen lanes.
 #[inline(always)]
 fn matmul_rows<const W2: usize, const W1: usize, const SKIP_ZERO_LHS: bool>(
     a: &[f32],
@@ -670,20 +666,10 @@ fn matmul_rows_on<const SKIP_ZERO_LHS: bool>(
     }
 }
 
-fn matmul_impl<const SKIP_ZERO_LHS: bool>(
-    a: &[f32],
-    b: &[f32],
-    n: usize,
-    k: usize,
-    m: usize,
-) -> Vec<f32> {
-    matmul_on::<SKIP_ZERO_LHS>(detect(), a, b, n, k, m)
-}
-
 /// `a · b` on the copy `isa` names (see [`matmul_rows_on`]), written straight
 /// into the returned buffer's spare capacity: no element is zero-filled
 /// first.
-fn matmul_on<const SKIP_ZERO_LHS: bool>(
+fn matmul_impl<const SKIP_ZERO_LHS: bool>(
     isa: Isa,
     a: &[f32],
     b: &[f32],
@@ -1019,8 +1005,8 @@ mod tests {
                     let (a, b) = (values(n * k), values(k * m));
                     let run = |isa: Isa| {
                         [
-                            matmul_on::<false>(isa, &a, &b, n, k, m),
-                            matmul_on::<true>(isa, &a, &b, n, k, m),
+                            matmul_impl::<false>(isa, &a, &b, n, k, m),
+                            matmul_impl::<true>(isa, &a, &b, n, k, m),
                         ]
                     };
                     let base = run(Isa::Baseline);

@@ -353,8 +353,8 @@ fn sparse_lhs_matmul_is_the_dense_one_over_a_finite_rhs() {
     assert_eq!(ops::matmul_sparse_lhs(&a, &b, 1, 2, 1), vec![2.0]);
 }
 
-/// The row-wise kernels written out one element at a time, each as it was
-/// before it stopped zero-filling its output.
+/// The row-wise kernels written out one element at a time into a
+/// zero-filled output, in the kernels' flop order.
 mod reference {
     pub fn transpose2(x: &[f32], r: usize, c: usize) -> Vec<f32> {
         let mut out = vec![0.0f32; r * c];
